@@ -10,7 +10,7 @@
 // Correctness under concurrency rests on the install protocol: the merge
 // reads immutable runs lock-free, and the install (under the relation's
 // mutation lock) verifies nothing changed — the window's run pointers and
-// their tombstone map pointers — and otherwise discards the merged run and
+// their tombstone generations — and otherwise discards the merged run and
 // retries on the next wake-up. Because the window is replaced in position,
 // enumeration order (runs in flush order, then the memtable) is preserved
 // exactly; content-preservation is what makes mid-merge readers safe: a
@@ -130,11 +130,11 @@ func (s *Store) compactOne(r *Rel, lo, hi int) bool {
 		return false
 	}
 	window := runs[lo:hi]
-	// Record the tombstone map pointers the merge is based on; any change
-	// while merging invalidates the result.
-	tombsAt := make([]*map[int32]uint64, len(window))
+	// Record the tombstone generations the merge is based on; a stamp
+	// landing while merging invalidates the result.
+	gens := make([]uint64, len(window))
 	for i, rn := range window {
-		tombsAt[i] = rn.tombs.Load()
+		gens[i] = rn.tombGen.Load()
 	}
 	merged, err := r.mergeRuns(window, s.commitCSN.Load(), false)
 	if err != nil {
@@ -154,7 +154,7 @@ func (s *Store) compactOne(r *Rel, lo, hi int) bool {
 	stale := hi > len(cur)
 	if !stale {
 		for i, rn := range window {
-			if cur[lo+i] != rn || rn.tombs.Load() != tombsAt[i] {
+			if cur[lo+i] != rn || rn.tombGen.Load() != gens[i] {
 				stale = true
 				break
 			}

@@ -13,7 +13,8 @@
 // fails to beat raw is discarded at flush time (the "raw fallback"), so
 // incompressible data costs nothing at read time. The decoded form is
 // identical either way, and decoded blocks are what the block cache
-// holds, so hot reads never see the difference.
+// serves hits from, so hot reads never see the difference; a cold point
+// probe decodes only the row it wants (decodeRowAt).
 package disk
 
 import (
@@ -167,18 +168,26 @@ func decodeRawRows(body []byte, arity int) ([]term.Tuple, error) {
 	return rows, nil
 }
 
-func decodePackedRows(d *atomDict, body []byte, arity int) ([]term.Tuple, error) {
+// packedRowCount reads a packed body's row count, bounded like the raw
+// decoder's, and returns the bytes after it.
+func packedRowCount(body []byte) (uint64, []byte, error) {
 	nrows, n := binary.Uvarint(body)
 	if n <= 0 {
-		return nil, fmt.Errorf("disk: truncated packed block")
+		return 0, nil, fmt.Errorf("disk: truncated packed block")
 	}
 	if nrows > rowsPerBlock {
-		return nil, fmt.Errorf("disk: block claims %d rows (max %d)", nrows, rowsPerBlock)
+		return 0, nil, fmt.Errorf("disk: block claims %d rows (max %d)", nrows, rowsPerBlock)
 	}
-	body = body[n:]
+	return nrows, body[n:], nil
+}
+
+func decodePackedRows(d *atomDict, body []byte, arity int) ([]term.Tuple, error) {
+	nrows, body, err := packedRowCount(body)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]term.Tuple, 0, nrows)
 	prev := make([]int64, arity)
-	var err error
 	for i := uint64(0); i < nrows; i++ {
 		t := make(term.Tuple, arity)
 		for j := range t {
@@ -255,4 +264,120 @@ func readPacked(d *atomDict, body []byte, prev *int64) (term.Value, []byte, erro
 		return term.NewCompound(fn, args...), rest, nil
 	}
 	return term.Value{}, nil, fmt.Errorf("disk: bad packed tag %d", tag)
+}
+
+// decodeRowAt materialises only row i of a block payload — the point-probe
+// decode. It returns exactly decodeBlockPayload(payload)[i], at the cost of
+// walking the rows before it instead of building all of them.
+func decodeRowAt(d *atomDict, payload []byte, arity, i int) (term.Tuple, error) {
+	if len(payload) == 0 {
+		return nil, fmt.Errorf("disk: empty block payload")
+	}
+	switch payload[0] {
+	case blockEncRaw:
+		return rawRowAt(payload[1:], arity, i)
+	case blockEncPacked:
+		return packedRowAt(d, payload[1:], arity, i)
+	}
+	return nil, fmt.Errorf("disk: bad block encoding %d", payload[0])
+}
+
+// rawRowAt reads rows 0..i through the term codec into one tuple, each
+// overwriting the last; what remains is row i.
+func rawRowAt(body []byte, arity, i int) (term.Tuple, error) {
+	br := bufio.NewReader(bytes.NewReader(body))
+	nrows, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, err
+	}
+	if nrows > rowsPerBlock || uint64(i) >= nrows {
+		return nil, fmt.Errorf("disk: no row %d in a block claiming %d rows (max %d)", i, nrows, rowsPerBlock)
+	}
+	t := make(term.Tuple, arity)
+	for row := 0; row <= i; row++ {
+		for j := range t {
+			if t[j], err = term.ReadValue(br); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return t, nil
+}
+
+// packedRowAt skips rows 0..i-1 — tracking only the per-column integer
+// deltas, allocating nothing — and decodes row i.
+func packedRowAt(d *atomDict, body []byte, arity, i int) (term.Tuple, error) {
+	nrows, body, err := packedRowCount(body)
+	if err != nil {
+		return nil, err
+	}
+	if uint64(i) >= nrows {
+		return nil, fmt.Errorf("disk: no row %d in a block of %d rows", i, nrows)
+	}
+	var few [8]int64
+	prev := few[:]
+	if arity > len(few) {
+		prev = make([]int64, arity)
+	}
+	for row := 0; row < i; row++ {
+		for j := 0; j < arity; j++ {
+			if body, err = skipPacked(body, &prev[j]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	t := make(term.Tuple, arity)
+	for j := range t {
+		if t[j], body, err = readPacked(d, body, &prev[j]); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
+// skipPacked steps over one packed value with readPacked's bounds checks.
+// prev, when non-nil, accumulates a top-level integer's delta.
+func skipPacked(body []byte, prev *int64) ([]byte, error) {
+	if len(body) == 0 {
+		return nil, fmt.Errorf("disk: truncated packed value")
+	}
+	tag, body := body[0], body[1:]
+	n := 0 // encoded length after the tag
+	switch tag {
+	case pvInt:
+		var dv int64
+		if dv, n = binary.Varint(body); prev != nil {
+			*prev += dv
+		}
+	case pvFloat:
+		n = 8
+	case pvAtom:
+		_, n = binary.Uvarint(body)
+	case pvStr:
+		sz, m := binary.Uvarint(body)
+		if m > 0 && sz <= uint64(len(body)-m) {
+			n = m + int(sz)
+		}
+	case pvCompound:
+		rest, err := skipPacked(body, nil)
+		if err != nil {
+			return nil, err
+		}
+		nargs, m := binary.Uvarint(rest)
+		if m <= 0 || nargs > uint64(len(rest)-m) {
+			return nil, fmt.Errorf("disk: truncated packed compound")
+		}
+		for rest = rest[m:]; nargs > 0; nargs-- {
+			if rest, err = skipPacked(rest, nil); err != nil {
+				return nil, err
+			}
+		}
+		return rest, nil
+	default:
+		return nil, fmt.Errorf("disk: bad packed tag %d", tag)
+	}
+	if n <= 0 || n > len(body) {
+		return nil, fmt.Errorf("disk: truncated packed value")
+	}
+	return body[n:], nil
 }

@@ -393,6 +393,23 @@ func TestBitFlipMatrix(t *testing.T) {
 			},
 		},
 		{
+			// The same two flips, met by a point probe's single-row read.
+			name: "block-payload-point", file: rel, off: gl.block0Off + 8 + 3,
+			artifact: "run-block",
+			probe: func(t *testing.T, st *Store) error {
+				r, _ := st.Get(term.Intern("edge"), 2)
+				return catchStorage(func() { r.Contains(strRow(1)) })
+			},
+		},
+		{
+			name: "block-frame-header-point", file: rel, off: gl.block0Off + 1,
+			artifact: "block-header",
+			probe: func(t *testing.T, st *Store) error {
+				r, _ := st.Get(term.Intern("edge"), 2)
+				return catchStorage(func() { r.Contains(strRow(1)) })
+			},
+		},
+		{
 			name: "hash-section", file: rel, off: gl.hashOff + 5,
 			artifact: "run-hash-section",
 			probe: func(t *testing.T, st *Store) error {

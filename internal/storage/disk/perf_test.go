@@ -156,12 +156,25 @@ func TestBlockPayloadRoundTrip(t *testing.T) {
 				t.Fatalf("iter %d: %d rows, want %d", iter, len(got), len(rows))
 			}
 			for i := range rows {
+				// The point-probe decoder must produce the same row from
+				// the same bytes as the whole-block one.
+				one, err := decodeRowAt(d, payload, arity, i)
+				if err != nil {
+					t.Fatalf("iter %d compress=%v: decodeRowAt(%d): %v", iter, compress, i, err)
+				}
 				for j := range rows[i] {
 					if !sameValue(got[i][j], rows[i][j]) {
 						t.Fatalf("iter %d compress=%v row %d col %d: %v != %v",
 							iter, compress, i, j, got[i][j], rows[i][j])
 					}
+					if !sameValue(one[j], got[i][j]) {
+						t.Fatalf("iter %d compress=%v row %d col %d: single-row decode %v, block decode %v",
+							iter, compress, i, j, one[j], got[i][j])
+					}
 				}
+			}
+			if _, err := decodeRowAt(d, payload, arity, len(rows)); err == nil {
+				t.Fatalf("iter %d compress=%v: decodeRowAt past the last row succeeded", iter, compress)
 			}
 		}
 	}

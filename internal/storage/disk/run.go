@@ -58,12 +58,18 @@ type blockMeta struct {
 	nrows int32
 }
 
+// tombPage holds the dead stamps (deleting CSN, 0 = live) of one block's
+// slots — the representation the main-memory Relation uses for its dead
+// slice, paged so a run without deletions carries none.
+type tombPage [rowsPerBlock]atomic.Uint64
+
 // run is one immutable on-disk segment plus its resident metadata. All
-// fields except the lazy index, tombs, and refs are frozen after
-// construction; tombs is a copy-on-write map (slot -> deleting CSN)
-// swapped atomically by the single writer and read lock-free by concurrent
-// snapshot sessions and the compactor; refs counts the owners (store,
-// snapshots) holding the file open.
+// fields except the lazy index, the tombstone state, and refs are frozen
+// after construction. Tombstones live in per-block stamp pages allocated
+// by the first deletion that touches the block; the single writer (under
+// the relation's relMu) stores stamps atomically, and concurrent snapshot
+// sessions and the compactor load them lock-free. refs counts the owners
+// (store, snapshots) holding the file open.
 type run struct {
 	seq    uint64
 	path   string
@@ -90,8 +96,22 @@ type run struct {
 	// synced records that the file's contents are durable (fsynced);
 	// FlushBase syncs any stragglers before the manifest names them.
 	synced atomic.Bool
-	tombs  atomic.Pointer[map[int32]uint64]
-	refs   atomic.Int32
+	// tombs has one page pointer per block; ntomb counts stamped slots;
+	// tombGen counts stamps ever set, so an optimistic reader (the
+	// compactor's install) can tell whether one landed since it looked.
+	tombs   []atomic.Pointer[tombPage]
+	ntomb   atomic.Int32
+	tombGen atomic.Uint64
+	refs    atomic.Int32
+}
+
+// newRun returns a run shell over f with its tombstone directory sized for
+// nrows and one reference held.
+func newRun(s *Store, f fsio.File, path string, seq uint64, arity int, nrows int32, blocks []blockMeta) *run {
+	r := &run{seq: seq, path: path, f: f, arity: arity, nrows: nrows, blocks: blocks, dict: s.dict,
+		tombs: make([]atomic.Pointer[tombPage], (int(nrows)+rowsPerBlock-1)/rowsPerBlock)}
+	r.refs.Store(1)
+	return r
 }
 
 func (r *run) retain() { r.refs.Add(1) }
@@ -111,38 +131,48 @@ func (r *run) release() {
 // tombAt returns the CSN slot was deleted at (0 = live), safe to call
 // concurrently with the writer.
 func (r *run) tombAt(slot int32) uint64 {
-	m := r.tombs.Load()
-	if m == nil {
+	pg := r.tombs[slot/rowsPerBlock].Load()
+	if pg == nil {
 		return 0
 	}
-	return (*m)[slot]
+	return pg[slot%rowsPerBlock].Load()
 }
 
-// setTomb stamps slot deleted at csn. Writer-only; readers follow the old
-// or new map, both consistent.
+// setTomb stamps slot deleted at csn. Writer-only (relMu, or a run not yet
+// published).
 func (r *run) setTomb(slot int32, csn uint64) {
-	old := r.tombs.Load()
-	var nm map[int32]uint64
-	if old == nil {
-		nm = map[int32]uint64{slot: csn}
-	} else {
-		nm = make(map[int32]uint64, len(*old)+1)
-		for k, v := range *old {
-			nm[k] = v
-		}
-		nm[slot] = csn
+	p := &r.tombs[slot/rowsPerBlock]
+	pg := p.Load()
+	if pg == nil {
+		pg = new(tombPage)
+		p.Store(pg)
 	}
-	r.tombs.Store(&nm)
+	if pg[slot%rowsPerBlock].Swap(csn) == 0 {
+		r.ntomb.Add(1)
+	}
+	r.tombGen.Add(1)
+}
+
+// eachTomb calls fn for every stamped slot, walking touched pages only.
+func (r *run) eachTomb(fn func(slot int32, csn uint64)) {
+	if r.ntomb.Load() == 0 {
+		return
+	}
+	for bi := range r.tombs {
+		pg := r.tombs[bi].Load()
+		if pg == nil {
+			continue
+		}
+		for i := range pg {
+			if d := pg[i].Load(); d != 0 {
+				fn(int32(bi*rowsPerBlock+i), d)
+			}
+		}
+	}
 }
 
 // ntombs returns the current tombstone count.
-func (r *run) ntombs() int {
-	m := r.tombs.Load()
-	if m == nil {
-		return 0
-	}
-	return len(*m)
-}
+func (r *run) ntombs() int { return int(r.ntomb.Load()) }
 
 // liveNow returns the rows not hidden by any tombstone.
 func (r *run) liveNow() int { return int(r.nrows) - r.ntombs() }
@@ -150,28 +180,12 @@ func (r *run) liveNow() int { return int(r.nrows) - r.ntombs() }
 // liveAt counts rows visible at snapshot CSN csn (tomb 0 or > csn).
 func (r *run) liveAt(csn uint64) int {
 	n := int(r.nrows)
-	m := r.tombs.Load()
-	if m == nil {
-		return n
-	}
-	for _, d := range *m {
-		if d != 0 && d <= csn {
+	r.eachTomb(func(_ int32, d uint64) {
+		if d <= csn {
 			n--
 		}
-	}
+	})
 	return n
-}
-
-// mayContain consults the run's bloom filter, accounting the check. A
-// false return is definitive: the run holds no row with this hash, so the
-// probe can skip the chain walk (and any index load) entirely.
-func (r *run) mayContain(st *storage.Stats, h uint64) bool {
-	atomic.AddInt64(&st.BloomChecks, 1)
-	if r.bloom != nil && !r.bloom.mayContain(h) {
-		atomic.AddInt64(&st.BloomSkips, 1)
-		return false
-	}
-	return true
 }
 
 // ensureIndex makes the chain index resident: freshly created runs carry
@@ -299,19 +313,14 @@ func createRun(s *Store, seq uint64, arity int, rows []term.Tuple, hashes []uint
 	if err != nil {
 		return nil, storage.IOFault("run-write", path, err)
 	}
-	r := &run{
-		seq: seq, path: path, f: rf, arity: arity,
-		nrows: int32(len(rows)), blocks: blocks,
-		v2: true, dict: s.dict, hashOff: hashOff,
-		hashes: hashes,
-	}
+	r := newRun(s, rf, path, seq, arity, int32(len(rows)), blocks)
+	r.v2, r.hashOff, r.hashes = true, hashOff, hashes
 	if !s.opts.NoBloom {
 		r.bloom = bloomFrom(hashes)
 	}
 	r.buildIndex()
 	r.idxReady.Store(true)
 	r.synced.Store(sync)
-	r.refs.Store(1)
 	return r, nil
 }
 
@@ -398,20 +407,16 @@ func openRun2(s *Store, f fsio.File, path string, seq uint64) (*run, error) {
 	if an <= 0 {
 		return nil, corrupt("run-header", int64(len(runMagic2)), "truncated arity")
 	}
-	r := &run{seq: seq, path: path, f: f, arity: int(arity), v2: true, dict: s.dict}
-
 	rf, artifact, detail := parseRunFooter(foot, int64(len(runMagic2)+an))
 	if detail != "" {
 		return nil, corrupt(artifact, footOff, detail)
 	}
-	r.blocks = rf.blocks
-	r.nrows = rf.nrows
-	r.hashOff = rf.hashOff
+	r := newRun(s, f, path, seq, int(arity), rf.nrows, rf.blocks)
+	r.v2, r.hashOff = true, rf.hashOff
 	if !s.opts.NoBloom {
 		r.bloom = rf.bloom
 	}
 	r.synced.Store(true) // manifest-reachable, so it was fsynced
-	r.refs.Store(1)
 	return r, nil
 }
 
@@ -487,7 +492,8 @@ func openRun1(s *Store, f fsio.File, path string, seq uint64, observe func(term.
 		return nil, corrupt("run-header", int64(pos), "truncated arity")
 	}
 	pos += n
-	r := &run{seq: seq, path: path, f: f, arity: int(arityU), dict: s.dict}
+	var blocks []blockMeta
+	var hashes []uint64
 	for pos < len(data) {
 		if pos+8 > len(data) {
 			return nil, corrupt("run-block", int64(pos), "truncated block header")
@@ -505,23 +511,23 @@ func openRun1(s *Store, f fsio.File, path string, seq uint64, observe func(term.
 		if err != nil {
 			return nil, corrupt("run-block", int64(pos), err.Error())
 		}
-		r.blocks = append(r.blocks, blockMeta{off: int64(pos), size: int32(size) + 8, nrows: int32(len(rows))})
+		blocks = append(blocks, blockMeta{off: int64(pos), size: int32(size) + 8, nrows: int32(len(rows))})
 		for _, t := range rows {
-			r.hashes = append(r.hashes, t.Hash())
+			hashes = append(hashes, t.Hash())
 			if observe != nil {
 				observe(t)
 			}
 		}
-		r.nrows += int32(len(rows))
 		pos += 8 + size
 	}
+	r := newRun(s, f, path, seq, int(arityU), int32(len(hashes)), blocks)
+	r.hashes = hashes
 	if !s.opts.NoBloom {
-		r.bloom = bloomFrom(r.hashes)
+		r.bloom = bloomFrom(hashes)
 	}
 	r.buildIndex()
 	r.idxReady.Store(true)
 	r.synced.Store(true)
-	r.refs.Store(1)
 	return r, nil
 }
 
@@ -563,14 +569,14 @@ func (r *run) buildIndex() {
 	}
 }
 
-// block returns the decoded rows of block bi, via the cache.
-func (r *run) block(c *blockCache, st *storage.Stats, bi int) ([]term.Tuple, error) {
-	if rows, ok := c.get(r.seq, int32(bi)); ok {
-		atomic.AddInt64(&st.CacheHits, 1)
-		return rows, nil
-	}
+// readFrame reads block bi's frame into buf (grown if too small) and
+// verifies its length field and CRC; the payload is frame[8:].
+func (r *run) readFrame(st *storage.Stats, bi int, buf []byte) ([]byte, error) {
 	bm := r.blocks[bi]
-	buf := make([]byte, bm.size)
+	if cap(buf) < int(bm.size) {
+		buf = make([]byte, bm.size)
+	}
+	buf = buf[:bm.size]
 	if _, err := r.f.ReadAt(buf, bm.off); err != nil {
 		return nil, storage.IOFault("run-read", r.path, err)
 	}
@@ -581,33 +587,99 @@ func (r *run) block(c *blockCache, st *storage.Stats, bi int) ([]term.Tuple, err
 			Offset: bm.off, Detail: fmt.Sprintf("block %d length field does not match footer", bi)}
 	}
 	if crc32.ChecksumIEEE(buf[8:]) != sum {
-		return nil, &storage.CorruptError{Artifact: "run-block", Path: r.path, Run: r.seq,
-			Offset: bm.off, Detail: fmt.Sprintf("block %d checksum mismatch", bi)}
+		return nil, r.corruptBlock(bi, "checksum mismatch")
 	}
+	atomic.AddInt64(&st.BlocksRead, 1)
+	return buf, nil
+}
+
+func (r *run) corruptBlock(bi int, detail any) error {
+	return &storage.CorruptError{Artifact: "run-block", Path: r.path, Run: r.seq,
+		Offset: r.blocks[bi].off, Detail: fmt.Sprintf("block %d: %v", bi, detail)}
+}
+
+// decodeRows decodes every row of a verified frame. Decoded values never
+// alias the frame, so the caller may reuse its buffer.
+func (r *run) decodeRows(frame []byte, bi int) ([]term.Tuple, error) {
 	var rows []term.Tuple
 	var err error
 	if r.v2 {
-		rows, err = decodeBlockPayload(r.dict, buf[8:], r.arity)
+		rows, err = decodeBlockPayload(r.dict, frame[8:], r.arity)
 	} else {
-		rows, err = decodeLegacyBlock(buf[8:])
+		rows, err = decodeLegacyBlock(frame[8:])
 	}
 	if err != nil {
-		return nil, &storage.CorruptError{Artifact: "run-block", Path: r.path, Run: r.seq,
-			Offset: bm.off, Detail: fmt.Sprintf("block %d: %v", bi, err)}
+		return nil, r.corruptBlock(bi, err)
 	}
-	atomic.AddInt64(&st.BlocksRead, 1)
-	c.put(r.seq, int32(bi), rows)
 	return rows, nil
 }
 
-// tupleAt returns the row at slot, via the cache.
-func (r *run) tupleAt(c *blockCache, st *storage.Stats, slot int32) (term.Tuple, error) {
-	bi := int(slot) / rowsPerBlock
-	rows, err := r.block(c, st, bi)
+// block returns the decoded rows of block bi via the cache, admitting it
+// on a miss: a caller that wants the whole block (scans, or the second
+// point probe to touch it) has paid for the decode already.
+func (r *run) block(c *blockCache, st *storage.Stats, bi int) ([]term.Tuple, error) {
+	k := blockKey{r.seq, int32(bi)}
+	rows, e, ghost := c.get(k)
+	if rows != nil {
+		atomic.AddInt64(&st.CacheHits, 1)
+		return rows, nil
+	}
+	return r.admit(c, st, k, e, ghost)
+}
+
+// admit decodes block k whole — from e's already-verified frame when e was
+// the block's ghost entry, else from disk — and enters it in the cache.
+func (r *run) admit(c *blockCache, st *storage.Stats, k blockKey, e *cacheEnt, ghost bool) ([]term.Tuple, error) {
+	var err error
+	if !ghost {
+		if e.frame, err = r.readFrame(st, int(k.block), e.frame); err != nil {
+			return nil, err
+		}
+	}
+	rows, err := r.decodeRows(e.frame, int(k.block))
 	if err != nil {
 		return nil, err
 	}
-	return rows[int(slot)%rowsPerBlock], nil
+	c.enter(k, e, rows)
+	return rows, nil
+}
+
+// tupleAt returns the row at slot: the point-probe read. A block resident
+// in the cache answers directly. The first touch of a cold block reads and
+// verifies its frame, decodes only the wanted row, and leaves the frame on
+// the cache's ghost list; a second touch while it is still there decodes
+// the block once and admits it. One-off probes therefore neither build 256
+// tuples nor evict a hot block, while hot blocks and same-block batches
+// run at cache-hit speed from their second probe on.
+func (r *run) tupleAt(c *blockCache, st *storage.Stats, slot int32) (term.Tuple, error) {
+	k := blockKey{r.seq, slot / rowsPerBlock}
+	i := int(slot % rowsPerBlock)
+	rows, e, ghost := c.get(k)
+	var err error
+	switch {
+	case rows != nil:
+		atomic.AddInt64(&st.CacheHits, 1)
+	case ghost || !r.v2:
+		// Legacy RUN1 blocks have no single-row decoder; they are
+		// rewritten as RUN2 at the next checkpoint.
+		if rows, err = r.admit(c, st, k, e, ghost); err != nil {
+			return nil, err
+		}
+	default:
+		if e.frame, err = r.readFrame(st, int(k.block), e.frame); err != nil {
+			return nil, err
+		}
+		t, err := decodeRowAt(r.dict, e.frame[8:], r.arity, i)
+		if err != nil {
+			return nil, r.corruptBlock(int(k.block), err)
+		}
+		c.enter(k, e, nil)
+		return t, nil
+	}
+	if i >= len(rows) {
+		return nil, r.corruptBlock(int(k.block), fmt.Sprintf("no row %d among %d", i, len(rows)))
+	}
+	return rows[i], nil
 }
 
 // scan yields every row with tomb visibility decided by visible (nil =
@@ -643,61 +715,107 @@ type blockKey struct {
 	block int32
 }
 
-// blockCache is a small mutex-guarded LRU of decoded blocks. Decoded rows
-// are immutable and may be handed to any number of concurrent readers; the
-// mutex covers only the map/list bookkeeping.
+// blockCache is a small mutex-guarded cache of run blocks with second-touch
+// admission. The hot list is an LRU of decoded blocks; decoded rows are
+// immutable and may be handed to any number of concurrent readers. The
+// ghost list is an LRU of equal capacity holding the verified frame bytes
+// of blocks a point probe touched once, so promoting one costs a decode
+// but no second read. Entries (and their frame buffers) retired from
+// either list are recycled through free. The mutex covers only the
+// map/list bookkeeping.
 type blockCache struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[blockKey]*cacheEnt
-	head  *cacheEnt // most recently used
-	tail  *cacheEnt
-	count int
+	mu         sync.Mutex
+	cap        int
+	m          map[blockKey]*cacheEnt // entries of both lists
+	hot, ghost lruList
+	free       *cacheEnt // retired entries, linked through next
 }
 
+// cacheEnt is on the hot list when rows is set, else on the ghost list
+// with frame holding the block's verified frame. An entry handed out by
+// get belongs to the caller until enter takes it back.
 type cacheEnt struct {
 	key        blockKey
 	rows       []term.Tuple
+	frame      []byte
 	prev, next *cacheEnt
+}
+
+type lruList struct {
+	head, tail *cacheEnt // head = most recently used
+	n          int
+}
+
+// listOf returns the list a linked entry is on.
+func (c *blockCache) listOf(e *cacheEnt) *lruList {
+	if e.rows != nil {
+		return &c.hot
+	}
+	return &c.ghost
 }
 
 func newBlockCache(capacity int) *blockCache {
 	if capacity <= 0 {
 		capacity = 512
 	}
-	return &blockCache{cap: capacity, m: make(map[blockKey]*cacheEnt, capacity)}
+	return &blockCache{cap: capacity, m: make(map[blockKey]*cacheEnt, 2*capacity)}
 }
 
-func (c *blockCache) get(run uint64, block int32) ([]term.Tuple, bool) {
+// get looks k up. A decoded block returns its rows. Otherwise the caller
+// gets an entry to fill: the block's ghost entry, taken off the list with
+// its frame intact (ghost true), or a blank one.
+func (c *blockCache) get(k blockKey) (rows []term.Tuple, e *cacheEnt, ghost bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.m[blockKey{run, block}]
-	if e == nil {
-		return nil, false
+	if e = c.m[k]; e != nil {
+		if e.rows != nil {
+			c.hot.moveFront(e)
+			return e.rows, nil, false
+		}
+		c.ghost.unlink(e)
+		delete(c.m, k)
+		return nil, e, true
 	}
-	c.moveFront(e)
-	return e.rows, true
+	if e = c.free; e != nil {
+		c.free, e.next = e.next, nil
+		return nil, e, false
+	}
+	return nil, &cacheEnt{}, false
 }
 
-func (c *blockCache) put(run uint64, block int32, rows []term.Tuple) {
+// enter hands e back as block k's entry: on the hot list with the decoded
+// rows, or — rows nil, e.frame holding the verified frame — on the ghost
+// list, noting a first touch.
+func (c *blockCache) enter(k blockKey, e *cacheEnt, rows []term.Tuple) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := blockKey{run, block}
-	if e := c.m[k]; e != nil {
-		e.rows = rows
-		c.moveFront(e)
-		return
+	if old := c.m[k]; old != nil {
+		// A concurrent reader entered the block first. Keep a decoded form
+		// over a frame; otherwise theirs stands.
+		if old.rows != nil || rows == nil {
+			c.retire(e)
+			return
+		}
+		c.ghost.unlink(old)
+		c.retire(old)
 	}
-	e := &cacheEnt{key: k, rows: rows}
+	e.key, e.rows = k, rows
 	c.m[k] = e
-	c.pushFront(e)
-	c.count++
-	for c.count > c.cap {
-		old := c.tail
-		c.unlink(old)
+	l := c.listOf(e)
+	l.pushFront(e)
+	for l.n > c.cap {
+		old := l.tail
+		l.unlink(old)
 		delete(c.m, old.key)
-		c.count--
+		c.retire(old)
 	}
+}
+
+// retire puts an entry no list holds on the free list, keeping its frame
+// buffer for the next cold read.
+func (c *blockCache) retire(e *cacheEnt) {
+	e.rows, e.prev = nil, nil
+	e.next, c.free = c.free, e
 }
 
 // dropRun evicts every cached block of a run (the run was deleted).
@@ -706,43 +824,45 @@ func (c *blockCache) dropRun(run uint64) {
 	defer c.mu.Unlock()
 	for k, e := range c.m {
 		if k.run == run {
-			c.unlink(e)
+			c.listOf(e).unlink(e)
 			delete(c.m, k)
-			c.count--
+			c.retire(e)
 		}
 	}
 }
 
-func (c *blockCache) pushFront(e *cacheEnt) {
+func (l *lruList) pushFront(e *cacheEnt) {
 	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
+	e.next = l.head
+	if l.head != nil {
+		l.head.prev = e
 	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
+	l.head = e
+	if l.tail == nil {
+		l.tail = e
 	}
+	l.n++
 }
 
-func (c *blockCache) unlink(e *cacheEnt) {
+func (l *lruList) unlink(e *cacheEnt) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
-		c.head = e.next
+		l.head = e.next
 	}
 	if e.next != nil {
 		e.next.prev = e.prev
 	} else {
-		c.tail = e.prev
+		l.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
+	l.n--
 }
 
-func (c *blockCache) moveFront(e *cacheEnt) {
-	if c.head == e {
+func (l *lruList) moveFront(e *cacheEnt) {
+	if l.head == e {
 		return
 	}
-	c.unlink(e)
-	c.pushFront(e)
+	l.unlink(e)
+	l.pushFront(e)
 }

@@ -284,13 +284,7 @@ func (s *Store) healRun(r *Rel, rn *run, v runImage) bool {
 		nr.release()
 		return false
 	}
-	if tm := rn.tombs.Load(); tm != nil {
-		cp := make(map[int32]uint64, len(*tm))
-		for k, csn := range *tm {
-			cp[k] = csn
-		}
-		nr.tombs.Store(&cp)
-	}
+	rn.eachTomb(nr.setTomb)
 	nl := append([]*run(nil), cur...)
 	nl[idx] = nr
 	r.runs.Store(&nl)

@@ -149,8 +149,8 @@ type snapRel struct {
 var _ storage.Rel = (*snapRel)(nil)
 
 // visible applies the snapshot visibility rule to a run slot, reading the
-// live tombstone map (later deletions carry CSNs above the capture point
-// and filter out here).
+// live tombstone stamps (later deletions carry CSNs above the capture
+// point and filter out here).
 func (r *snapRel) visible(rn *run, slot int32) bool {
 	d := rn.tombAt(slot)
 	return d == 0 || d > r.csn
@@ -213,34 +213,20 @@ func (r *snapRel) ModifyByKey(mask uint32, rows []term.Tuple) {
 	panic(r.readOnly("ModifyByKey"))
 }
 
+// probe is the full-mask point probe of the pinned runs at the snapshot's
+// CSN, reading the live tombstone stamps.
+func (r *snapRel) probe(t term.Tuple) (term.Tuple, bool) {
+	rn, _, u := probeRuns(r.runs, r.src.st.cache, r.stats, t.Hash(), t, r.csn)
+	return u, rn != nil
+}
+
 // Contains implements storage.Rel.
 func (r *snapRel) Contains(t term.Tuple) bool {
 	if r.mem.Contains(t) {
 		return true
 	}
-	h := t.Hash()
-	for _, rn := range r.runs {
-		if !rn.mayContain(r.stats, h) {
-			continue
-		}
-		if err := rn.ensureIndex(r.stats); err != nil {
-			panic(err)
-		}
-		for i := rn.buckets[h]; i != 0; i = rn.next[i-1] {
-			slot := i - 1
-			if rn.hashes[slot] != h || !r.visible(rn, slot) {
-				continue
-			}
-			u, err := rn.tupleAt(r.src.st.cache, r.stats, slot)
-			if err != nil {
-				panic(err)
-			}
-			if u.Equal(t) {
-				return true
-			}
-		}
-	}
-	return false
+	_, ok := r.probe(t)
+	return ok
 }
 
 // Scan implements storage.Rel: pinned runs in flush order, then the
@@ -270,29 +256,18 @@ func (r *snapRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) boo
 	}
 	full := (uint32(1) << uint(r.src.arity)) - 1
 	if mask == full {
-		h := key.Hash()
-		for _, rn := range r.runs {
-			if !rn.mayContain(r.stats, h) {
-				continue
-			}
-			if err := rn.ensureIndex(r.stats); err != nil {
-				panic(err)
-			}
-			for i := rn.buckets[h]; i != 0; i = rn.next[i-1] {
-				slot := i - 1
-				if rn.hashes[slot] != h || !r.visible(rn, slot) {
-					continue
-				}
-				u, err := rn.tupleAt(r.src.st.cache, r.stats, slot)
-				if err != nil {
-					panic(err)
-				}
-				if u.Equal(key) && !yield(u) {
-					return
-				}
+		// At most one visible copy exists; memtable view first, as in
+		// the live relation.
+		found := false
+		r.mem.Lookup(mask, key, func(t term.Tuple) bool {
+			found = true
+			return yield(t)
+		})
+		if !found {
+			if u, ok := r.probe(key); ok {
+				yield(u)
 			}
 		}
-		r.mem.Lookup(mask, key, yield)
 		return
 	}
 	stopped := false

@@ -575,7 +575,7 @@ func (r *Rel) Insert(t term.Tuple) bool {
 	if t == nil {
 		t = term.Tuple{}
 	}
-	if r.runsContain(t.Hash(), t) {
+	if r.runsContainIn(*r.runs.Load(), t.Hash(), t) {
 		return false
 	}
 	if !r.mem.Insert(t) {
@@ -617,44 +617,25 @@ func (r *Rel) Delete(t term.Tuple) bool {
 	// tombstone on a replaced run.
 	r.relMu.Lock()
 	defer r.relMu.Unlock()
-	h := t.Hash()
-	for _, rn := range *r.runs.Load() {
-		if !rn.mayContain(r.st.stats, h) {
-			continue
-		}
-		if err := rn.ensureIndex(r.st.stats); err != nil {
-			panic(err)
-		}
-		for i := rn.buckets[h]; i != 0; i = rn.next[i-1] {
-			slot := i - 1
-			if rn.tombAt(slot) != 0 {
-				continue
-			}
-			u, err := rn.tupleAt(r.st.cache, r.st.stats, slot)
-			if err != nil {
-				panic(err)
-			}
-			if !u.Equal(t) {
-				continue
-			}
-			rn.setTomb(slot, r.deadStamp())
-			r.diskLive--
-			r.version++
-			r.noteEpoch()
-			r.dist.Remove(u)
-			atomic.AddInt64(&r.st.stats.Deletes, 1)
-			r.ixMu.Lock()
-			for _, ix := range r.ixs {
-				ixRemove(ix, u)
-			}
-			r.ixMu.Unlock()
-			if j := r.st.journal; j != nil {
-				j.JournalDelete(r.name, r.arity, u)
-			}
-			return true
-		}
+	rn, slot, u := probeRuns(*r.runs.Load(), r.st.cache, r.st.stats, t.Hash(), t, liveCSN)
+	if rn == nil {
+		return false
 	}
-	return false
+	rn.setTomb(slot, r.deadStamp())
+	r.diskLive--
+	r.version++
+	r.noteEpoch()
+	r.dist.Remove(u)
+	atomic.AddInt64(&r.st.stats.Deletes, 1)
+	r.ixMu.Lock()
+	for _, ix := range r.ixs {
+		ixRemove(ix, u)
+	}
+	r.ixMu.Unlock()
+	if j := r.st.journal; j != nil {
+		j.JournalDelete(r.name, r.arity, u)
+	}
+	return true
 }
 
 // Clear implements storage.Rel.
@@ -759,43 +740,62 @@ func (s *Store) nextRunSeq() uint64 {
 
 // ---- Rel: reads ----
 
-// runsContain probes the runs for t: the bloom filter first (a miss skips
-// the run with no I/O at all), then the hash chains, loading a reopened
-// run's index on first need.
-func (r *Rel) runsContain(h uint64, t term.Tuple) bool {
-	return r.runsContainIn(*r.runs.Load(), h, t)
-}
+// liveCSN is the snapshot CSN of the live view: every tombstone hides
+// its row.
+const liveCSN = ^uint64(0)
 
-// runsContainIn probes an explicit run list — the bulk loader passes the
-// runs that predate its batch, skipping the ones the batch itself built.
-func (r *Rel) runsContainIn(runs []*run, h uint64, t term.Tuple) bool {
+// probeRuns is the point probe every full-mask operation shares: it finds
+// the copy of t (whole-tuple hash h) visible at snapshot CSN csn among
+// runs and returns its run, slot and stored tuple, or a nil run. Per run
+// it consults the bloom filter first (a miss skips the run with no I/O at
+// all), then walks the hash chain — loading a reopened run's index on
+// first need — comparing one decoded row per live chain entry. At most
+// one visible copy exists, so the probe stops at the first. Bloom checks
+// are counted locally and published once. I/O and corruption errors panic
+// (see the package comment).
+func probeRuns(runs []*run, c *blockCache, st *storage.Stats, h uint64, t term.Tuple, csn uint64) (*run, int32, term.Tuple) {
+	var checks, skips int64
+	defer func() {
+		atomic.AddInt64(&st.BloomChecks, checks)
+		atomic.AddInt64(&st.BloomSkips, skips)
+	}()
 	for _, rn := range runs {
-		if !rn.mayContain(r.st.stats, h) {
+		checks++
+		if rn.bloom != nil && !rn.bloom.mayContain(h) {
+			skips++
 			continue
 		}
-		if err := rn.ensureIndex(r.st.stats); err != nil {
+		if err := rn.ensureIndex(st); err != nil {
 			panic(err)
 		}
 		for i := rn.buckets[h]; i != 0; i = rn.next[i-1] {
 			slot := i - 1
-			if rn.hashes[slot] != h || rn.tombAt(slot) != 0 {
+			if d := rn.tombAt(slot); d != 0 && d <= csn {
 				continue
 			}
-			u, err := rn.tupleAt(r.st.cache, r.st.stats, slot)
+			u, err := rn.tupleAt(c, st, slot)
 			if err != nil {
 				panic(err)
 			}
 			if u.Equal(t) {
-				return true
+				return rn, slot, u
 			}
 		}
 	}
-	return false
+	return nil, 0, nil
+}
+
+// runsContainIn reports whether t is live in an explicit run list — the
+// bulk loader passes the runs that predate its batch, skipping the ones
+// the batch itself built.
+func (r *Rel) runsContainIn(runs []*run, h uint64, t term.Tuple) bool {
+	rn, _, _ := probeRuns(runs, r.st.cache, r.st.stats, h, t, liveCSN)
+	return rn != nil
 }
 
 // Contains implements storage.Rel.
 func (r *Rel) Contains(t term.Tuple) bool {
-	return r.mem.Contains(t) || r.runsContain(t.Hash(), t)
+	return r.mem.Contains(t) || r.runsContainIn(*r.runs.Load(), t.Hash(), t)
 }
 
 // Scan implements storage.Rel: runs in flush order, then the memtable —
@@ -822,33 +822,21 @@ func (r *Rel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
 		return
 	}
 	if mask == r.fullMask() {
-		// At most one live copy exists across runs + memtable.
-		h := key.Hash()
-		for _, rn := range *r.runs.Load() {
-			if !rn.mayContain(r.st.stats, h) {
-				continue
-			}
-			if err := rn.ensureIndex(r.st.stats); err != nil {
-				panic(err)
-			}
-			for i := rn.buckets[h]; i != 0; i = rn.next[i-1] {
-				slot := i - 1
-				if rn.hashes[slot] != h || rn.tombAt(slot) != 0 {
-					continue
-				}
-				u, err := rn.tupleAt(r.st.cache, r.st.stats, slot)
-				if err != nil {
-					panic(err)
-				}
-				if u.Equal(key) {
-					atomic.AddInt64(&r.st.stats.RowsProbed, 1)
-					if !yield(u) {
-						return
-					}
-				}
-			}
+		// At most one live copy exists across runs + memtable, so result
+		// order cannot depend on which is asked first: the memtable (no
+		// I/O) is, and a hit there skips the runs.
+		found := false
+		r.mem.Lookup(mask, key, func(t term.Tuple) bool {
+			found = true
+			return yield(t)
+		})
+		if found {
+			return
 		}
-		r.mem.Lookup(mask, key, yield)
+		if rn, _, u := probeRuns(*r.runs.Load(), r.st.cache, r.st.stats, key.Hash(), key, liveCSN); rn != nil {
+			atomic.AddInt64(&r.st.stats.RowsProbed, 1)
+			yield(u)
+		}
 		return
 	}
 	if r.diskLive == 0 {
@@ -1140,13 +1128,21 @@ func (r *Rel) mergeRuns(runs []*run, dropBelow uint64, sync bool) (*run, error) 
 		csn  uint64
 	}
 	var carry []carried
+	var buf []byte
 	for _, rn := range runs {
 		if err := rn.ensureIndex(r.st.stats); err != nil {
 			return nil, err
 		}
 		slot := int32(0)
 		for bi := range rn.blocks {
-			decoded, err := rn.block(r.st.cache, r.st.stats, bi)
+			// Streamed past the cache: one pass over a run must not
+			// evict the foreground's hot set. buf is reused; decoded
+			// rows never alias it.
+			var err error
+			if buf, err = rn.readFrame(r.st.stats, bi, buf); err != nil {
+				return nil, err
+			}
+			decoded, err := rn.decodeRows(buf, bi)
 			if err != nil {
 				return nil, err
 			}
@@ -1173,12 +1169,8 @@ func (r *Rel) mergeRuns(runs []*run, dropBelow uint64, sync bool) (*run, error) 
 	if err != nil {
 		return nil, err
 	}
-	if len(carry) > 0 {
-		tm := make(map[int32]uint64, len(carry))
-		for _, c := range carry {
-			tm[c.slot] = c.csn
-		}
-		merged.tombs.Store(&tm)
+	for _, c := range carry {
+		merged.setTomb(c.slot, c.csn)
 	}
 	return merged, nil
 }

@@ -2,6 +2,7 @@ package term
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -109,6 +110,32 @@ func WriteValue(w io.Writer, v Value) error {
 	return err
 }
 
+// A length or count read from the input sizes an allocation up front only
+// up to these bounds; beyond them the decoder grows the result as the
+// bytes actually arrive, so a corrupt prefix fails at end of input instead
+// of allocating what it claims.
+const (
+	maxEagerBytes = 1 << 20
+	maxEagerCount = 1 << 10
+)
+
+// readBytes reads exactly n bytes from r.
+func readBytes(r *bufio.Reader, n uint64) ([]byte, error) {
+	if n <= maxEagerBytes {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	if n > math.MaxInt64 {
+		return nil, fmt.Errorf("term: string length %d out of range", n)
+	}
+	var b bytes.Buffer
+	if _, err := io.CopyN(&b, r, int64(n)); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
+}
+
 // ReadValue decodes one value from r.
 func ReadValue(r *bufio.Reader) (Value, error) {
 	tag, err := r.ReadByte()
@@ -133,8 +160,8 @@ func ReadValue(r *bufio.Reader) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		buf, err := readBytes(r, n)
+		if err != nil {
 			return Value{}, err
 		}
 		// Intern decoded atoms: snapshot/WAL recovery and EDB loads feed
@@ -150,11 +177,13 @@ func ReadValue(r *bufio.Reader) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		args := make([]Value, n)
-		for i := range args {
-			if args[i], err = ReadValue(r); err != nil {
+		args := make([]Value, 0, min(n, maxEagerCount))
+		for ; n > 0; n-- {
+			a, err := ReadValue(r)
+			if err != nil {
 				return Value{}, err
 			}
+			args = append(args, a)
 		}
 		return NewCompound(fn, args...), nil
 	}
@@ -177,11 +206,13 @@ func ReadTuple(r *bufio.Reader) (Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := make(Tuple, n)
-	for i := range t {
-		if t[i], err = ReadValue(r); err != nil {
+	t := make(Tuple, 0, min(n, maxEagerCount))
+	for ; n > 0; n-- {
+		v, err := ReadValue(r)
+		if err != nil {
 			return nil, err
 		}
+		t = append(t, v)
 	}
 	return t, nil
 }

@@ -76,6 +76,11 @@ func TestReadValueErrors(t *testing.T) {
 		{tagStr, 5, 'a'},                    // truncated string
 		{tagFloat, 1, 2},                    // truncated float
 		{tagCompound, tagInt, 2, 1, tagInt}, // truncated compound arg... may vary
+		// Corrupt counts far beyond the input: must fail at end of input,
+		// not allocate what they claim.
+		{tagStr, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 'a'},
+		{tagStr, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		{tagCompound, tagInt, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, tagInt, 2},
 	}
 	for _, b := range bad {
 		if _, err := ReadValue(bufio.NewReader(bytes.NewReader(b))); err == nil {
