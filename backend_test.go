@@ -18,12 +18,11 @@ import (
 
 // Storage-engine differential tests: the disk engine and the out-of-core
 // spill path must be invisible in results — byte-identical answers to the
-// main-memory engine on every program, at every worker count, and across
-// a crash mid-spill.
+// main-memory engine on every program, and across a crash mid-spill.
 
 // TestQuickBackendParity sweeps random programs through the main-memory
-// engine, the disk engine, and the spill-configured scratch store at 1–8
-// workers: every combination must agree row for row.
+// engine, the disk engine, and the spill-configured scratch store: every
+// combination must agree row for row.
 func TestQuickBackendParity(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -43,34 +42,31 @@ func TestQuickBackendParity(t *testing.T) {
 		var ref []string
 		var refName string
 		for name, opts := range backends {
-			for _, workers := range []int{1, 2, 4, 8} {
-				all := append([]Option{WithParallelism(workers), WithParallelThreshold(2)}, opts...)
-				sys := New(all...)
-				if err := sys.Load(program); err != nil {
-					t.Fatalf("seed %d: generated program invalid: %v\n%s", seed, err, program)
+			sys := New(opts...)
+			if err := sys.Load(program); err != nil {
+				t.Fatalf("seed %d: generated program invalid: %v\n%s", seed, err, program)
+			}
+			sys.Assert("e0", e0...)
+			sys.Assert("e1", e1...)
+			var got []string
+			for _, q := range queries {
+				res, err := sys.Query(q)
+				if err != nil {
+					t.Fatalf("seed %d (%s): query %s: %v\n%s",
+						seed, name, q, err, program)
 				}
-				sys.Assert("e0", e0...)
-				sys.Assert("e1", e1...)
-				var got []string
-				for _, q := range queries {
-					res, err := sys.Query(q)
-					if err != nil {
-						t.Fatalf("seed %d (%s/%dw): query %s: %v\n%s",
-							seed, name, workers, q, err, program)
-					}
-					got = append(got, rowsKey(res))
-				}
-				sys.Close()
-				if ref == nil {
-					ref, refName = got, name
-					continue
-				}
-				for i := range ref {
-					if got[i] != ref[i] {
-						t.Errorf("seed %d: %s/%dw disagrees with %s on %q:\n%s\nvs\n%s",
-							seed, name, workers, refName, queries[i], got[i], ref[i])
-						return false
-					}
+				got = append(got, rowsKey(res))
+			}
+			sys.Close()
+			if ref == nil {
+				ref, refName = got, name
+				continue
+			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Errorf("seed %d: %s disagrees with %s on %q:\n%s\nvs\n%s",
+						seed, name, refName, queries[i], got[i], ref[i])
+					return false
 				}
 			}
 		}

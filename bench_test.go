@@ -222,26 +222,6 @@ func BenchmarkE9MagicSets(b *testing.B) {
 	}
 }
 
-// BenchmarkE10ParallelPipeline measures intra-segment morsel parallelism
-// on a join-heavy segment: a 20k-row driver scan feeding two index probes,
-// per-row arithmetic, and a selective filter. workers=1 is the sequential
-// baseline; higher counts fan the segment out over the worker pool. The
-// result set is identical at every worker count.
-func BenchmarkE10ParallelPipeline(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			sys := bench.NewParallelJoinSystem(20000, 4,
-				gluenail.WithParallelism(workers))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := bench.RunParJoin(sys); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkE11Durability measures what crash durability costs the
 // main-memory execution model (§6): the same EDB-insert loop with the
 // WAL off and with the WAL on under each fsync policy. Each iteration
@@ -353,11 +333,8 @@ func BenchmarkE13HashKernels(b *testing.B) {
 		name string
 		opts []gluenail.Option
 	}{
-		{"hash-first/seq", nil},
-		{"hash-first/4-workers", []gluenail.Option{
-			gluenail.WithParallelism(4), gluenail.WithParallelThreshold(64),
-		}},
-		{"string-key/seq", []gluenail.Option{gluenail.WithStringKeyKernels()}},
+		{"hash-first", nil},
+		{"string-key", []gluenail.Option{gluenail.WithStringKeyKernels()}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			sys := bench.NewTCGroupSystem(120, 240, 7, mode.opts...)
@@ -392,8 +369,7 @@ func BenchmarkE15RepeatedQuery(b *testing.B) {
 			gluenail.WithPlanCache(false), gluenail.WithBatchKernels(false)}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			sys := bench.NewRepeatedQuerySystem(512, 8, 6,
-				append([]gluenail.Option{gluenail.WithParallelism(1)}, mode.opts...)...)
+			sys := bench.NewRepeatedQuerySystem(512, 8, 6, mode.opts...)
 			// Warm: compile the query proc and let statistics settle so the
 			// steady state — not first-run planning — is what gets timed.
 			for i := 0; i < 3; i++ {
@@ -422,17 +398,12 @@ func BenchmarkE14GovernorOverhead(b *testing.B) {
 		Timeout:   time.Hour,
 		MaxTuples: 1 << 40,
 	})
-	par := []gluenail.Option{
-		gluenail.WithParallelism(4), gluenail.WithParallelThreshold(64),
-	}
 	for _, mode := range []struct {
 		name string
 		opts []gluenail.Option
 	}{
-		{"seq/ungoverned", nil},
-		{"seq/governed", []gluenail.Option{governed}},
-		{"4-workers/ungoverned", par},
-		{"4-workers/governed", append(append([]gluenail.Option{}, par...), governed)},
+		{"ungoverned", nil},
+		{"governed", []gluenail.Option{governed}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			sys := bench.NewTCGroupSystem(120, 240, 7, mode.opts...)

@@ -6,7 +6,7 @@ package gluenail_test
 // that completed before the abort, never a torn statement. This suite
 // injects cancellation deterministically at every statement boundary
 // (by counting trace lines) and nondeterministically at randomized
-// points inside parallel segments, then recovers the directory and
+// points inside segments, then recovers the directory and
 // checks the durable contents against precomputed statement prefixes.
 // It is the governor counterpart of the byte-level WAL fault harness in
 // internal/wal/fault_test.go.
@@ -29,8 +29,8 @@ import (
 // Statement j derives rows tagged j in their first column, so the set of
 // tags present in the durable mark relation identifies exactly which
 // statement prefix committed. Statement 4 reads statement 3's output and
-// statement 5 is a cross product — big enough to fan out over morsel
-// workers at a low parallel threshold.
+// statement 5 is a cross product, so a randomized cancel can land inside
+// a segment.
 var cancelStmts = []string{
 	"  mark(1, X) += seed(X).",
 	"  mark(2, X) += seed(X) & X > 1.",
@@ -57,13 +57,18 @@ func cancelProg(n int) string {
 
 func seedCancel(t *testing.T, sys *gluenail.System, n int64) {
 	t.Helper()
+	if err := sys.Assert("seed", seedRows(n)...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// seedRows returns the seed facts 1..n.
+func seedRows(n int64) [][]any {
 	rows := make([][]any, 0, n)
 	for i := int64(1); i <= n; i++ {
 		rows = append(rows, []any{i})
 	}
-	if err := sys.Assert("seed", rows...); err != nil {
-		t.Fatal(err)
-	}
+	return rows
 }
 
 // cancelPrefixes runs each truncated program to completion in memory and
@@ -121,87 +126,108 @@ func (w *stmtCancelWriter) Write(p []byte) (int, error) {
 }
 
 // TestCancelAtStatementBoundaryPrefix is the deterministic suite: for
-// every statement index k and worker count, cancel the call right after
-// statement k's trace line, crash (abandon without Close), recover the
-// directory, and require the durable state to be byte-identical to the
-// uninterrupted run of the k-statement prefix. Then re-run the recovered
-// system to completion and require byte-identity with a full run.
+// every statement index k, cancel the call right after statement k's trace
+// line, crash (abandon without Close), recover the directory, and require
+// the durable state to be byte-identical to the uninterrupted run of the
+// k-statement prefix. Then re-run the recovered system to completion and
+// require byte-identity with a full run. The workers axis runs that many
+// systems through the same schedule concurrently, each on its own
+// directory: one system's cancellation and recovery must not disturb
+// another's.
 func TestCancelAtStatementBoundaryPrefix(t *testing.T) {
 	const seedN = 3
 	prefixes := cancelPrefixes(t, seedN)
-	full := prefixes[len(cancelStmts)]
 
 	// k ranges over 0 (cancel before any statement) .. 7 (cancel on the
 	// return statement's line, after every mark statement committed).
 	for _, workers := range []int{1, 2, 4, 8} {
 		for k := 0; k <= len(cancelStmts)+1; k++ {
 			t.Run(fmt.Sprintf("workers=%d/k=%d", workers, k), func(t *testing.T) {
-				dir := t.TempDir()
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				cw := &stmtCancelWriter{k: k, cancel: cancel}
-				sys, err := gluenail.Open(dir,
-					gluenail.WithFsync(gluenail.FsyncAlways),
-					gluenail.WithTrace(cw),
-					gluenail.WithParallelism(workers),
-					gluenail.WithParallelThreshold(1))
-				if err != nil {
-					t.Fatal(err)
+				errs := make([]error, workers)
+				var wg sync.WaitGroup
+				for i := range errs {
+					dir := t.TempDir()
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						errs[i] = cancelAtBoundary(dir, k, seedN, prefixes)
+					}()
 				}
-				if err := sys.Load(cancelProg(len(cancelStmts))); err != nil {
-					t.Fatal(err)
-				}
-				seedCancel(t, sys, seedN)
-				if k == 0 {
-					cancel()
-				}
-				_, callErr := sys.CallContext(ctx, "main", "work", []any{})
-				if k <= len(cancelStmts) {
-					if !errors.Is(callErr, gluenail.ErrCanceled) {
-						t.Fatalf("want ErrCanceled at k=%d, got %v", k, callErr)
+				wg.Wait()
+				for i, err := range errs {
+					if err != nil {
+						t.Fatalf("system %d: %v", i, err)
 					}
-				} else if callErr != nil && !errors.Is(callErr, gluenail.ErrCanceled) {
-					// Cancelling on the final (return) statement's line may
-					// race the call finishing; either is a clean outcome.
-					t.Fatalf("unexpected error at k=%d: %v", k, callErr)
-				}
-
-				// Simulated crash: abandon without Close, recover the dir.
-				want := prefixes[min(k, len(cancelStmts))]
-				re, err := gluenail.Open(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := relDump(t, re, "mark", 2); got != want {
-					t.Fatalf("recovered state is not the statement-%d prefix:\ngot:\n%swant:\n%s",
-						min(k, len(cancelStmts)), got, want)
-				}
-
-				// Resume: the recovered system re-run to completion must be
-				// byte-identical to a never-interrupted run.
-				if err := re.Load(cancelProg(len(cancelStmts))); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := re.Call("main", "work", []any{}); err != nil {
-					t.Fatal(err)
-				}
-				if got := relDump(t, re, "mark", 2); got != full {
-					t.Fatalf("resumed run diverged from uninterrupted run:\ngot:\n%swant:\n%s", got, full)
-				}
-				if err := re.Close(); err != nil {
-					t.Fatal(err)
 				}
 			})
 		}
 	}
 }
 
+// cancelAtBoundary runs one TestCancelAtStatementBoundaryPrefix schedule
+// on a fresh durable system in dir, seeded with 1..seedN.
+func cancelAtBoundary(dir string, k int, seedN int64, prefixes []string) error {
+	full := prefixes[len(cancelStmts)]
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cw := &stmtCancelWriter{k: k, cancel: cancel}
+	sys, err := gluenail.Open(dir,
+		gluenail.WithFsync(gluenail.FsyncAlways),
+		gluenail.WithTrace(cw))
+	if err != nil {
+		return err
+	}
+	if err := sys.Load(cancelProg(len(cancelStmts))); err != nil {
+		return err
+	}
+	if err := sys.Assert("seed", seedRows(seedN)...); err != nil {
+		return err
+	}
+	if k == 0 {
+		cancel()
+	}
+	_, callErr := sys.CallContext(ctx, "main", "work", []any{})
+	if k <= len(cancelStmts) {
+		if !errors.Is(callErr, gluenail.ErrCanceled) {
+			return fmt.Errorf("want ErrCanceled at k=%d, got %v", k, callErr)
+		}
+	} else if callErr != nil && !errors.Is(callErr, gluenail.ErrCanceled) {
+		// Cancelling on the final (return) statement's line may race the
+		// call finishing; either is a clean outcome.
+		return fmt.Errorf("unexpected error at k=%d: %v", k, callErr)
+	}
+
+	// Simulated crash: abandon without Close, recover the dir.
+	want := prefixes[min(k, len(cancelStmts))]
+	re, err := gluenail.Open(dir)
+	if err != nil {
+		return err
+	}
+	if got, err := relText(re, "mark", 2); err != nil || got != want {
+		return fmt.Errorf("recovered state is not the statement-%d prefix (err %v):\ngot:\n%swant:\n%s",
+			min(k, len(cancelStmts)), err, got, want)
+	}
+
+	// Resume: the recovered system re-run to completion must be
+	// byte-identical to a never-interrupted run.
+	if err := re.Load(cancelProg(len(cancelStmts))); err != nil {
+		return err
+	}
+	if _, err := re.Call("main", "work", []any{}); err != nil {
+		return err
+	}
+	if got, err := relText(re, "mark", 2); err != nil || got != full {
+		return fmt.Errorf("resumed run diverged from uninterrupted run (err %v):\ngot:\n%swant:\n%s", err, got, full)
+	}
+	return re.Close()
+}
+
 // TestRandomizedCancelLandsOnPrefix is the nondeterministic suite:
 // cancellation and deadline faults injected at arbitrary wall-clock
-// points — including mid-statement, inside morsel-parallel segments —
+// points — including mid-statement, inside segments —
 // must still recover to SOME clean statement prefix, never a torn state.
 func TestRandomizedCancelLandsOnPrefix(t *testing.T) {
-	const seedN = 24 // statement 5 derives 24x24 rows across morsels
+	const seedN = 24 // statement 5 derives 24x24 rows
 	prefixes := cancelPrefixes(t, seedN)
 	prefixSet := make(map[string]int, len(prefixes))
 	for k, p := range prefixes {
@@ -212,12 +238,9 @@ func TestRandomizedCancelLandsOnPrefix(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
-			workers := 1 + trial%8
 			dir := t.TempDir()
 			opts := []gluenail.Option{
 				gluenail.WithFsync(gluenail.FsyncAlways),
-				gluenail.WithParallelism(workers),
-				gluenail.WithParallelThreshold(1),
 				gluenail.WithOutput(io.Discard),
 			}
 			// Alternate fault kind: even trials cancel after a staggered
@@ -258,7 +281,7 @@ func TestRandomizedCancelLandsOnPrefix(t *testing.T) {
 			if !ok {
 				t.Fatalf("recovered state matches no statement prefix (torn commit?):\n%s", got)
 			}
-			t.Logf("workers=%d delay=%v err=%v -> recovered at statement prefix %d", workers, delay, callErr, k)
+			t.Logf("delay=%v err=%v -> recovered at statement prefix %d", delay, callErr, k)
 			if err := re.Close(); err != nil {
 				t.Fatal(err)
 			}

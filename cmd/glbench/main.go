@@ -37,7 +37,6 @@ import (
 
 var (
 	reps    = flag.Int("reps", 3, "repetitions per measurement (best is reported)")
-	workers = flag.Int("workers", 0, "max worker count swept by E10 (0 = GOMAXPROCS)")
 	dataDir = flag.String("data-dir", "", "directory for E11's durable stores (default: a temp dir; point at a real disk to measure its fsync cost)")
 	fsyncE  = flag.String("fsync", "", "restrict E11 to one WAL fsync mode: always, batch, or none (default: sweep all)")
 	cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
@@ -93,7 +92,7 @@ func main() {
 		fn func()
 	}{
 		{"E1", e1}, {"E2", e2}, {"E3", e3}, {"E4", e4}, {"E5", e5},
-		{"E6", e6}, {"E7", e7}, {"E8", e8}, {"E9", e9}, {"E10", e10},
+		{"E6", e6}, {"E7", e7}, {"E8", e8}, {"E9", e9},
 		{"E11", e11}, {"E12", e12}, {"E13", e13}, {"E14", e14},
 		{"E15", e15}, {"E16", e16}, {"E17", e17}, {"E18", e18}, {"F1", f1}, {"A1", a1},
 	}
@@ -302,31 +301,6 @@ func e9() {
 		[]string{"nodes", "magic ms", "full+filter ms", "full/magic"}, rows)
 }
 
-func e10() {
-	maxW := *workers
-	if maxW <= 0 {
-		maxW = runtime.GOMAXPROCS(0)
-	}
-	sweep := []int{1}
-	for w := 2; w <= maxW; w *= 2 {
-		sweep = append(sweep, w)
-	}
-	var rows [][]string
-	var seqD time.Duration
-	for _, w := range sweep {
-		sys := bench.NewParallelJoinSystem(20000, 4, gluenail.WithParallelism(w))
-		d := best(func() { check(bench.RunParJoin(sys)) })
-		if w == 1 {
-			seqD = d
-		}
-		rows = append(rows, []string{fmt.Sprint(w), ms(d), ratio(d, seqD)})
-	}
-	table(fmt.Sprintf("E10: morsel-driven intra-segment parallelism (3-way join + filter, GOMAXPROCS=%d)",
-		runtime.GOMAXPROCS(0)),
-		"partition segment input into morsels across a worker pool; results stay identical to sequential execution",
-		[]string{"workers", "ms", "seq/this"}, rows)
-}
-
 // e12 measures the statistics-driven physical planner on a skewed join
 // with no constant arguments: the compiler's static greedy scores tie, so
 // textual and greedy both scan the big relation, while live row counts
@@ -381,11 +355,8 @@ func e13() {
 		name string
 		opts []gluenail.Option
 	}{
-		{"hash-first/seq", nil},
-		{"hash-first/4-workers", []gluenail.Option{
-			gluenail.WithParallelism(4), gluenail.WithParallelThreshold(64),
-		}},
-		{"string-key/seq", []gluenail.Option{gluenail.WithStringKeyKernels()}},
+		{"hash-first", nil},
+		{"string-key", []gluenail.Option{gluenail.WithStringKeyKernels()}},
 	}
 	type rec struct {
 		Name        string `json:"name"`
@@ -433,7 +404,7 @@ func e13() {
 	}
 	table("E13: hash-first hot-path kernels (closure + group-by, identical results)",
 		`§10 reports evaluation cost dominated by low-level tuple operations; encoding a key string per row for dedup/group/probe was exactly such a cost`,
-		[]string{"kernels", "time/op", "allocs/op", "bytes/op", "allocs vs hash-first/seq"}, rows)
+		[]string{"kernels", "time/op", "allocs/op", "bytes/op", "allocs vs hash-first"}, rows)
 	out := struct {
 		Experiment string `json:"experiment"`
 		Workload   string `json:"workload"`
@@ -450,8 +421,8 @@ func e13() {
 }
 
 // e14SpinSrc is an infinite repeat/until whose body re-derives a cross
-// product — wide enough to fan out over morsel workers — used to measure
-// how quickly a wall-clock deadline actually stops a runaway program.
+// product, used to measure how quickly a wall-clock deadline actually
+// stops a runaway program.
 const e14SpinSrc = `
 edb e(X), big(X,Y);
 
@@ -469,8 +440,8 @@ end
 // budget), which prices the per-instruction and per-8192-row cancellation
 // checks; the target recorded in EXPERIMENTS.md is <2%. Abort latency: an
 // infinite repeat/until loop under a short deadline must return
-// ErrTimeout within 2x the deadline at every worker count 1-8 — the
-// acceptance bound for cooperative cancellation granularity.
+// ErrTimeout within 2x the deadline — the acceptance bound for
+// cooperative cancellation granularity.
 func e14() {
 	const n, m, seed = 120, 240, 7
 	budget := gluenail.Budget{
@@ -478,19 +449,13 @@ func e14() {
 		MaxTuples: *govTuples,
 		MaxDepth:  *govDepth,
 	}
-	par := []gluenail.Option{
-		gluenail.WithParallelism(4), gluenail.WithParallelThreshold(64),
-	}
 	modes := []struct {
 		name     string
 		governed bool
 		opts     []gluenail.Option
 	}{
-		{"seq/ungoverned", false, nil},
-		{"seq/governed", true, []gluenail.Option{gluenail.WithBudget(budget)}},
-		{"4-workers/ungoverned", false, par},
-		{"4-workers/governed", true,
-			append(append([]gluenail.Option{}, par...), gluenail.WithBudget(budget))},
+		{"ungoverned", false, nil},
+		{"governed", true, []gluenail.Option{gluenail.WithBudget(budget)}},
 	}
 	type rec struct {
 		Name        string  `json:"name"`
@@ -537,51 +502,39 @@ func e14() {
 	// runaway loop survives past its deadline.
 	const smokeDeadline = 150 * time.Millisecond
 	type smokeRec struct {
-		Workers    int     `json:"workers"`
 		DeadlineMs float64 `json:"deadline_ms"`
 		ElapsedMs  float64 `json:"elapsed_ms"`
 		Within2x   bool    `json:"within_2x"`
 	}
-	var smoke []smokeRec
-	var srows [][]string
-	for w := 1; w <= 8; w++ {
-		sys := gluenail.New(
-			gluenail.WithBudget(gluenail.Budget{Timeout: smokeDeadline, MaxLoopIters: -1}),
-			gluenail.WithParallelism(w),
-			gluenail.WithParallelThreshold(1))
-		check(sys.Load(e14SpinSrc))
-		var es [][]any
-		for i := int64(0); i < 64; i++ {
-			es = append(es, []any{i})
-		}
-		check(sys.Assert("e", es...))
-		start := time.Now()
-		_, err := sys.Call("main", "spin", []any{})
-		elapsed := time.Since(start)
-		if !errors.Is(err, gluenail.ErrTimeout) {
-			check(fmt.Errorf("E14 smoke: want ErrTimeout at %d workers, got %v", w, err))
-		}
-		sr := smokeRec{
-			Workers:    w,
-			DeadlineMs: float64(smokeDeadline) / 1e6,
-			ElapsedMs:  float64(elapsed) / 1e6,
-			Within2x:   elapsed <= 2*smokeDeadline,
-		}
-		smoke = append(smoke, sr)
-		srows = append(srows, []string{
-			fmt.Sprint(w), ms(smokeDeadline), ms(elapsed), fmt.Sprint(sr.Within2x),
-		})
+	sys := gluenail.New(gluenail.WithBudget(gluenail.Budget{Timeout: smokeDeadline, MaxLoopIters: -1}))
+	check(sys.Load(e14SpinSrc))
+	var es [][]any
+	for i := int64(0); i < 64; i++ {
+		es = append(es, []any{i})
+	}
+	check(sys.Assert("e", es...))
+	start := time.Now()
+	_, err := sys.Call("main", "spin", []any{})
+	elapsed := time.Since(start)
+	if !errors.Is(err, gluenail.ErrTimeout) {
+		check(fmt.Errorf("E14 smoke: want ErrTimeout, got %v", err))
+	}
+	smoke := smokeRec{
+		DeadlineMs: float64(smokeDeadline) / 1e6,
+		ElapsedMs:  float64(elapsed) / 1e6,
+		Within2x:   elapsed <= 2*smokeDeadline,
 	}
 	table("E14b: timeout abort latency on an infinite repeat/until loop",
-		`a deadline is only a guarantee if cooperative checks fire often enough; acceptance bound is abort within 2x the deadline at 1-8 workers`,
-		[]string{"workers", "deadline", "aborted after", "within 2x"}, srows)
+		`a deadline is only a guarantee if cooperative checks fire often enough; acceptance bound is abort within 2x the deadline`,
+		[]string{"deadline", "aborted after", "within 2x"},
+		[][]string{{ms(smokeDeadline), ms(elapsed), fmt.Sprint(smoke.Within2x)}})
 
 	out := struct {
-		Experiment string     `json:"experiment"`
-		Workload   string     `json:"workload"`
-		TargetPct  float64    `json:"target_overhead_pct"`
-		Modes      []rec      `json:"modes"`
-		Smoke      []smokeRec `json:"timeout_smoke"`
+		Experiment string   `json:"experiment"`
+		Workload   string   `json:"workload"`
+		TargetPct  float64  `json:"target_overhead_pct"`
+		Modes      []rec    `json:"modes"`
+		Smoke      smokeRec `json:"timeout_smoke"`
 	}{
 		Experiment: "E14 execution governor overhead + abort latency",
 		Workload: fmt.Sprintf(
@@ -631,8 +584,7 @@ func e15() {
 	var rows [][]string
 	ref := -1
 	for _, mode := range modes {
-		opts := append([]gluenail.Option{gluenail.WithParallelism(1)}, mode.opts...)
-		sys := bench.NewRepeatedQuerySystem(customers, ordersPer, itemsPer, opts...)
+		sys := bench.NewRepeatedQuerySystem(customers, ordersPer, itemsPer, mode.opts...)
 		for w := 0; w < warmups; w++ {
 			n, err := bench.RunRepeatedQuery(sys)
 			check(err)

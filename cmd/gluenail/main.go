@@ -44,7 +44,6 @@
 //	-batch-kernels
 //	              vectorized batch execution kernels (default true;
 //	              -batch-kernels=false runs tuple-at-a-time)
-//	-workers n    worker pool size for intra-segment parallelism
 //	-timeout d    wall-clock budget per query/call (e.g. -timeout 30s);
 //	              an expired call fails with a timeout error at a clean
 //	              statement boundary
@@ -163,7 +162,6 @@ func run() error {
 		explainAnal = flag.Bool("explain-analyze", false, "execute -q or -call and print the physical plan with actual per-op tuple counts")
 		trace       = flag.Bool("trace", false, "trace statement execution to stderr")
 		stats       = flag.Bool("stats", false, "print executor statistics after the run")
-		workers     = flag.Int("workers", 0, "worker pool size for intra-segment parallelism (0 = GOMAXPROCS)")
 		planCache   = flag.Bool("plan-cache", true, "cache physical plans across repeated statements (invalidated on stats-epoch or selectivity drift)")
 		batchKern   = flag.Bool("batch-kernels", true, "vectorized batch execution kernels (false = scalar tuple-at-a-time)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -222,9 +220,6 @@ func run() error {
 	}
 	if *noMagic {
 		opts = append(opts, gluenail.WithoutMagicSets())
-	}
-	if *workers != 0 {
-		opts = append(opts, gluenail.WithParallelism(*workers))
 	}
 	if !*planCache {
 		opts = append(opts, gluenail.WithPlanCache(false))

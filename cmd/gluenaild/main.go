@@ -3,8 +3,7 @@
 // transaction) sees an immutable statement-boundary state, and writers
 // never block readers; writes serialize through the WAL group-commit
 // path. The execution governor runs as per-request QoS: per-session
-// budgets, admission control on concurrent statements, and fair sharing
-// of the morsel workers.
+// budgets and admission control on concurrent statements.
 //
 // Usage:
 //
@@ -20,8 +19,6 @@
 //	-spill-budget n     scratch rows held in memory before spilling
 //	-max-rel-rows n     per-session in-memory rows per relation budget
 //	-fsync mode         WAL fsync mode: batch (default), always, none
-//	-workers n          morsel workers shared fairly across sessions
-//	                    (0 = GOMAXPROCS)
 //	-max-sessions n     concurrent session cap (default 1024)
 //	-max-statements n   concurrent statement cap / admission gate
 //	                    (default 2×GOMAXPROCS)
@@ -102,7 +99,6 @@ func run() error {
 		noCompress = flag.Bool("no-compress", false, "store disk run blocks raw instead of compressed")
 		maxRel     = flag.Int("max-rel-rows", 0, "per-session in-memory rows per relation (0 = unlimited; with -spill-dir, scratch spills instead of failing)")
 		fsyncStr   = flag.String("fsync", "batch", "WAL fsync mode: batch, always, or none")
-		workers    = flag.Int("workers", 0, "morsel workers shared across sessions (0 = GOMAXPROCS)")
 		maxSess    = flag.Int("max-sessions", 0, "concurrent session cap (0 = 1024)")
 		maxStmt    = flag.Int("max-statements", 0, "concurrent statement cap (0 = 2x GOMAXPROCS)")
 		timeout    = flag.Duration("timeout", 0, "per-session wall-clock budget per statement (0 = none)")
@@ -136,9 +132,6 @@ func run() error {
 	var opts []gluenail.Option
 	if *scrubEvery > 0 {
 		opts = append(opts, gluenail.WithScrubInterval(*scrubEvery))
-	}
-	if *workers > 0 {
-		opts = append(opts, gluenail.WithParallelism(*workers))
 	}
 	if *store != "" && *store != "mem" {
 		opts = append(opts, gluenail.WithBackend(*store))
@@ -199,7 +192,6 @@ func run() error {
 		},
 		MaxSessions:   *maxSess,
 		MaxStatements: *maxStmt,
-		Workers:       *workers,
 		Logf:          logf,
 	})
 	if err != nil {

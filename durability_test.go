@@ -48,9 +48,18 @@ func queryDump(t *testing.T, sys *gluenail.System, goals string) string {
 // without needing a loaded program.
 func relDump(t *testing.T, sys *gluenail.System, rel string, arity int) string {
 	t.Helper()
-	rows, err := sys.Relation(rel, arity)
+	text, err := relText(sys, rel, arity)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return text
+}
+
+// relText is relDump for callers off the test goroutine.
+func relText(sys *gluenail.System, rel string, arity int) (string, error) {
+	rows, err := sys.Relation(rel, arity)
+	if err != nil {
+		return "", err
 	}
 	var sb strings.Builder
 	for _, row := range rows {
@@ -62,7 +71,7 @@ func relDump(t *testing.T, sys *gluenail.System, rel string, arity int) string {
 		}
 		sb.WriteByte('\n')
 	}
-	return sb.String()
+	return sb.String(), nil
 }
 
 // populate drives the system through the three commit paths: Assert,

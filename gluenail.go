@@ -36,7 +36,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -83,8 +82,6 @@ type config struct {
 	indexPolicy  storage.IndexPolicy
 	materialized bool
 	loopLimit    int
-	parallelism  int
-	parThreshold int
 	greedyOrder  bool
 	stringKeys   bool
 	planCache    bool
@@ -230,8 +227,8 @@ func WithPlanCache(on bool) Option { return func(c *config) { c.planCache = on }
 // kernels (on by default): pipeline segments run op-at-a-time over
 // column-major register vectors with selection-vector filters and
 // column-wise probe emission, instead of tuple-at-a-time interpretation.
-// Results are byte-identical to the scalar kernels at every worker count
-// (the second E15 baseline axis).
+// Results are byte-identical to the scalar kernels (the second E15
+// baseline axis).
 func WithBatchKernels(on bool) Option { return func(c *config) { c.batchKernels = on } }
 
 // WithoutMagicSets disables magic-set rewriting of bound NAIL! calls (E9
@@ -327,19 +324,6 @@ func WithTimeout(d time.Duration) Option {
 	return func(c *config) { c.budget.Timeout = d }
 }
 
-// WithParallelism sets the worker count for intra-segment morsel
-// parallelism: 0 (the default) uses GOMAXPROCS, 1 forces fully sequential
-// execution. Results are byte-identical at every worker count; only the
-// wall-clock changes.
-func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n } }
-
-// WithParallelThreshold sets the minimum projected supplementary-row count
-// before a segment fans out to the worker pool (0 = default 128). Mostly a
-// testing knob: lowering it forces small workloads onto the parallel path.
-func WithParallelThreshold(rows int) Option {
-	return func(c *config) { c.parThreshold = rows }
-}
-
 // WithTrace streams one line per statement execution and procedure call to
 // w, narrating the supplementary-relation evaluation of §3.2.
 func WithTrace(w io.Writer) Option { return func(c *config) { c.trace = w } }
@@ -432,10 +416,7 @@ type compiledQuery struct {
 	vars []string
 }
 
-// New creates an empty system. The GLUENAIL_WORKERS and
-// GLUENAIL_PAR_THRESHOLD environment variables, when set to integers,
-// provide the default worker count and fan-out threshold for intra-segment
-// parallelism; WithParallelism and WithParallelThreshold override them.
+// New creates an empty system.
 func New(opts ...Option) *System {
 	cfg := config{
 		out:          os.Stdout,
@@ -444,16 +425,6 @@ func New(opts ...Option) *System {
 		loopLimit:    1_000_000,
 		planCache:    true,
 		batchKernels: true,
-	}
-	if s := os.Getenv("GLUENAIL_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			cfg.parallelism = n
-		}
-	}
-	if s := os.Getenv("GLUENAIL_PAR_THRESHOLD"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			cfg.parThreshold = n
-		}
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -842,8 +813,6 @@ func (s *System) tuneMachine(m *vm.Machine, b Budget) {
 	}
 	m.MaxTuples = b.MaxTuples
 	m.MaxRelRows = b.MaxRelRows
-	m.Parallelism = s.cfg.parallelism
-	m.ParallelThreshold = s.cfg.parThreshold
 	m.StringKeyKernels = s.cfg.stringKeys
 	m.PlanCache = s.cfg.planCache
 	m.BatchKernels = s.cfg.batchKernels

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -52,42 +53,65 @@ func TestGoldenPrograms(t *testing.T) {
 	}
 }
 
-// TestGoldenProgramsParallel re-runs every golden program with an 8-worker
-// pool and a tiny fan-out threshold, so even the small golden workloads
-// take the morsel-parallel code paths. The output must match the golden
-// bytes exactly: worker count must never change observable results.
+// TestGoldenProgramsParallel runs every golden program on four systems
+// at once, one goroutine each. Concurrent systems share only process-wide
+// state — the atom interner and the batch kernels' scratch pool — and
+// nothing may leak between them: every copy must print the golden bytes.
 func TestGoldenProgramsParallel(t *testing.T) {
 	files, err := filepath.Glob("testdata/programs/*.glue")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, file := range files {
-		file := file
 		t.Run(filepath.Base(file), func(t *testing.T) {
-			got := runGolden(t, file, WithParallelism(8), WithParallelThreshold(2))
-			goldenPath := strings.TrimSuffix(file, ".glue") + ".out"
-			want, err := os.ReadFile(goldenPath)
+			want, err := os.ReadFile(strings.TrimSuffix(file, ".glue") + ".out")
 			if err != nil {
 				t.Fatalf("missing golden file (run with -update): %v", err)
 			}
-			if got != string(want) {
-				t.Errorf("parallel execution diverged from golden output for %s:\n--- got ---\n%s--- want ---\n%s",
-					file, got, want)
+			got := make([]string, 4)
+			errs := make([]error, len(got))
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i], errs[i] = goldenOutput(file)
+				}()
+			}
+			wg.Wait()
+			for i := range got {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				if got[i] != string(want) {
+					t.Errorf("concurrent copy %d diverged from golden output for %s:\n--- got ---\n%s--- want ---\n%s",
+						i, file, got[i], want)
+				}
 			}
 		})
 	}
 }
 
-func runGolden(t *testing.T, file string, opts ...Option) string {
+func runGolden(t *testing.T, file string) string {
 	t.Helper()
-	src, err := os.ReadFile(file)
+	out, err := goldenOutput(file)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return out
+}
+
+// goldenOutput loads a golden program on a fresh system and runs the
+// entry points its header comments name, returning everything printed.
+func goldenOutput(file string) (string, error) {
+	src, err := os.ReadFile(file)
+	if err != nil {
+		return "", err
+	}
 	var out bytes.Buffer
-	sys := New(append([]Option{WithOutput(&out)}, opts...)...)
+	sys := New(WithOutput(&out))
 	if err := sys.Load(string(src)); err != nil {
-		t.Fatalf("%s: %v", file, err)
+		return "", fmt.Errorf("%s: %v", file, err)
 	}
 	for _, line := range strings.Split(string(src), "\n") {
 		line = strings.TrimSpace(line)
@@ -97,7 +121,7 @@ func runGolden(t *testing.T, file string, opts ...Option) string {
 			fmt.Fprintf(&out, "?- %s\n", q)
 			res, err := sys.Query(q)
 			if err != nil {
-				t.Fatalf("%s: query %q: %v", file, q, err)
+				return "", fmt.Errorf("%s: query %q: %v", file, q, err)
 			}
 			if len(res.Vars) == 0 {
 				fmt.Fprintln(&out, len(res.Rows) > 0)
@@ -119,7 +143,7 @@ func runGolden(t *testing.T, file string, opts ...Option) string {
 			fmt.Fprintf(&out, "call %s\n", spec)
 			rows, err := sys.Call(mod, proc)
 			if err != nil {
-				t.Fatalf("%s: call %q: %v", file, spec, err)
+				return "", fmt.Errorf("%s: call %q: %v", file, spec, err)
 			}
 			for _, row := range rows {
 				parts := make([]string, len(row))
@@ -130,5 +154,5 @@ func runGolden(t *testing.T, file string, opts ...Option) string {
 			}
 		}
 	}
-	return out.String()
+	return out.String(), nil
 }

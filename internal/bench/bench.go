@@ -196,53 +196,6 @@ func RunDurable(sys *gluenail.System, n int) error {
 	return err
 }
 
-// ---------- E10: intra-segment morsel parallelism ----------
-
-const parJoinProgram = `
-edb a(X,Y), b(X,Y), c(X,Y), out(X,W);
-proc parjoin(:)
-  out(X,W) := a(X,Y) & b(Y,Z) & c(Z,W) & V = X*Y + Z*W & V >= 0 & X + W < ` + "%d" + `.
-  return(:) := out(_,_).
-end
-`
-
-// NewParallelJoinSystem builds the E10 workload: a 3-way join driven by an
-// n-row scan of a, with fanout matching b and c rows per key, per-row
-// arithmetic, and a selective filter keeping roughly 1%% of the join
-// output so the measured time is the segment pipeline, not head insertion.
-// Worker count comes through opts (WithParallelism).
-func NewParallelJoinSystem(n, fanout int, opts ...gluenail.Option) *gluenail.System {
-	sys := gluenail.New(opts...)
-	if err := sys.Load(fmt.Sprintf(parJoinProgram, n/8)); err != nil {
-		panic(err)
-	}
-	keys := n / fanout
-	if keys == 0 {
-		keys = 1
-	}
-	aRows := make([][]any, 0, n)
-	for i := 0; i < n; i++ {
-		aRows = append(aRows, []any{i, i % keys})
-	}
-	var bRows, cRows [][]any
-	for k := 0; k < keys; k++ {
-		for j := 0; j < fanout; j++ {
-			bRows = append(bRows, []any{k, (k*7 + j) % keys})
-			cRows = append(cRows, []any{k, (k*13 + j*997) % n})
-		}
-	}
-	must(sys.Assert("a", aRows...))
-	must(sys.Assert("b", bRows...))
-	must(sys.Assert("c", cRows...))
-	return sys
-}
-
-// RunParJoin executes the parallel-join procedure once.
-func RunParJoin(sys *gluenail.System) error {
-	_, err := sys.Call("main", "parjoin")
-	return err
-}
-
 // ---------- E3: duplicate elimination at breaks ----------
 
 const dupProgram = `
@@ -712,7 +665,7 @@ func RunTCGroup(sys *gluenail.System) error {
 }
 
 // TCGroupResult renders the reach relation in sorted order, for checking
-// that kernel variants and worker counts agree byte-for-byte.
+// that kernel variants agree byte-for-byte.
 func TCGroupResult(sys *gluenail.System) (string, error) {
 	rows, err := sys.Relation("reach", 2)
 	if err != nil {

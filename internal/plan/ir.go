@@ -113,23 +113,11 @@ type Step struct {
 	Barrier  BarrierOp
 	Dedup    bool
 	LiveRegs []int
-	// Hints lists, for every statically named positive Match in Pipe, the
-	// bound-column mask its index lookups will use. The executor uses them
-	// to pre-build decided indexes at the boundary of a parallel section,
-	// before worker goroutines fan out over the segment.
-	Hints []LookupHint
 	// BoundIn lists the registers already bound when the step's first pipe
 	// op runs (bound by earlier steps of the statement). The physical
 	// planner seeds its binding analysis from it when re-deriving masks
 	// after a cost-based reorder of Pipe.
 	BoundIn []int
-}
-
-// LookupHint pairs a pipe-op position with the bound-column mask that op
-// probes its relation with (known at compile time from binding analysis).
-type LookupHint struct {
-	Op   int // index into Step.Pipe
-	Mask uint32
 }
 
 // PipeOp is a streaming operator: given one row, it yields zero or more

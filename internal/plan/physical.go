@@ -94,14 +94,10 @@ type PhysOp struct {
 }
 
 // PhysStep is one physical segment: the logical step's barrier and
-// materialization decisions with a cost-ordered pipe and hints re-derived
-// for the physical order.
+// materialization decisions with a cost-ordered pipe.
 type PhysStep struct {
-	Step *Step // logical step: barrier, dedup, live registers
-	Ops  []PhysOp
-	// Hints is the LookupHint list recomputed over Ops — positions and
-	// masks reflect the physical order, not the compile-time one.
-	Hints         []LookupHint
+	Step          *Step // logical step: barrier, dedup, live registers
+	Ops           []PhysOp
 	EstIn, EstOut float64
 }
 
@@ -223,21 +219,7 @@ func (pl *Planner) planStep(s *Step, estIn float64, prof []OpProfile) PhysStep {
 	if len(s.Pipe) == 0 {
 		ps.EstOut = estIn
 	}
-	ps.Hints = physHints(ps.Ops)
 	return ps
-}
-
-// physHints recomputes the executor's index pre-build hints over the
-// physical op order: statically named matches with a non-zero bound mask
-// (negated ones probe with the same masks and are included too).
-func physHints(ops []PhysOp) []LookupHint {
-	var hints []LookupHint
-	for i, po := range ops {
-		if m, ok := po.Op.(*Match); ok && m.Rel.Name.IsGround() && m.BoundMask != 0 {
-			hints = append(hints, LookupHint{Op: i, Mask: m.BoundMask})
-		}
-	}
-	return hints
 }
 
 // analyzeOp checks whether op can run under the bound-register set and, if

@@ -3,6 +3,8 @@ package plan
 import (
 	"strings"
 	"testing"
+
+	"gluenail/internal/term"
 )
 
 // tableStats is a StatsSource backed by a fixed name→estimate table.
@@ -73,11 +75,13 @@ end
 	}
 }
 
-// TestPhysHintsMatchFinalMasks is the regression test for the executor's
-// index pre-build hints: after stats-driven reordering, every hint must
-// point at a *Match op in the physical op list whose final BoundMask equals
-// the hint's mask — a stale compile-time hint would pre-build the wrong
-// index (or probe an unbuilt one) after the order changed.
+// TestPhysHintsMatchFinalMasks is the regression test for the access
+// hint the physical plan hands storage — each *Match's BoundMask, which
+// picks the index a probe uses and the mask adaptive credit accrues
+// under. After stats-driven reordering, walking the physical op order,
+// every mask must select exactly the argument positions bound by the
+// step's inputs and the ops before it: a mask left over from the
+// compile-time order would probe (and build) the wrong index.
 func TestPhysHintsMatchFinalMasks(t *testing.T) {
 	c := compileSrc(t, `
 edb big(X,Y), tiny(Y,Z), other(X,W), r(X,Z);
@@ -103,34 +107,48 @@ end
 		t.Run(name, func(t *testing.T) {
 			pl := &Planner{Stats: stats, Reorder: true}
 			for _, ps := range pl.PlanStmt(st, nil).Steps {
-				checkHints(t, ps)
+				checkMasks(t, ps)
 			}
 		})
 	}
 }
 
-func checkHints(t *testing.T, ps PhysStep) {
+func checkMasks(t *testing.T, ps PhysStep) {
 	t.Helper()
-	want := map[int]uint32{}
+	bound := map[int]bool{}
+	for _, r := range ps.Step.BoundIn {
+		bound[r] = true
+	}
 	for i, po := range ps.Ops {
-		if m, ok := po.Op.(*Match); ok && m.Rel.Name.IsGround() && m.BoundMask != 0 {
-			want[i] = m.BoundMask
+		if mb, ok := po.Op.(*MatchBind); ok {
+			for _, r := range mb.Pat.Regs(nil) {
+				bound[r] = true
+			}
 		}
-	}
-	got := map[int]uint32{}
-	for _, h := range ps.Hints {
-		m, ok := ps.Ops[h.Op].Op.(*Match)
+		m, ok := po.Op.(*Match)
 		if !ok {
-			t.Fatalf("hint %+v points at %T, want *Match", h, ps.Ops[h.Op].Op)
+			continue
 		}
-		if m.BoundMask != h.Mask {
-			t.Fatalf("hint mask %b != op's final BoundMask %b at physical pos %d",
-				h.Mask, m.BoundMask, h.Op)
+		var want uint32
+		for a, p := range m.Args {
+			all := true
+			for _, r := range p.Regs(nil) {
+				all = all && bound[r]
+			}
+			if p.Kind != term.PatWild && all {
+				want |= 1 << uint(a)
+			}
 		}
-		got[h.Op] = h.Mask
-	}
-	if len(got) != len(want) {
-		t.Fatalf("hints cover %v, want every non-zero-mask match %v", got, want)
+		if m.BoundMask != want {
+			t.Fatalf("op %d (%v): BoundMask %b, want %b for the physical order", i, m.Rel.Name, m.BoundMask, want)
+		}
+		if !m.Negated {
+			for _, p := range m.Args {
+				for _, r := range p.Regs(nil) {
+					bound[r] = true
+				}
+			}
+		}
 	}
 }
 

@@ -1144,7 +1144,6 @@ func finalize(st *Stmt, dedup bool) {
 		}
 		st.Steps[k].LiveRegs = liveSet()
 		st.Steps[k].Dedup = dedup && !aggAtOrAfter[k]
-		st.Steps[k].Hints = lookupHints(st.Steps[k].Pipe)
 		addPipe(st.Steps[k].Pipe)
 	}
 	// Forward pass: record the registers bound at entry to each step, so
@@ -1189,20 +1188,6 @@ func finalize(st *Stmt, dedup bool) {
 			bound[b.Dest] = true
 		}
 	}
-}
-
-// lookupHints collects the bound-column masks of the statically named
-// positive matches in a segment, so the executor can pre-build decided
-// indexes before fanning the segment out to parallel workers. Negated
-// matches probe with the same masks and are included too.
-func lookupHints(ops []PipeOp) []LookupHint {
-	var hints []LookupHint
-	for i, op := range ops {
-		if m, ok := op.(*Match); ok && m.Rel.Name.IsGround() && m.BoundMask != 0 {
-			hints = append(hints, LookupHint{Op: i, Mask: m.BoundMask})
-		}
-	}
-	return hints
 }
 
 func sortInts(xs []int) {

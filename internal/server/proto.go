@@ -3,8 +3,7 @@
 // reads execute on MVCC snapshots (never blocking, never blocked by, the
 // single writer), writes serialize through the system's WAL group-commit
 // path, and the PR 5 execution governor is repurposed as per-request QoS:
-// per-session budgets, admission control on concurrent statements, and
-// fair sharing of the morsel workers across active queries.
+// per-session budgets and admission control on concurrent statements.
 package server
 
 import (

@@ -31,10 +31,6 @@ type Config struct {
 	// gate (FIFO by goroutine wakeup) rather than failing (0 =
 	// 2×GOMAXPROCS).
 	MaxStatements int
-	// Workers is the morsel-worker pool the active statements share
-	// fairly: each executing read gets max(1, Workers/active) workers
-	// (0 = GOMAXPROCS).
-	Workers int
 	// Logf, when non-nil, receives one line per session lifecycle event
 	// and per accept/serve error.
 	Logf func(format string, args ...any)
@@ -54,7 +50,7 @@ type Server struct {
 	nextID   uint64
 
 	admit    chan struct{} // admission gate: one slot per executing statement
-	active   atomic.Int64  // executing statements, for fair worker sharing
+	active   atomic.Int64  // executing statements, reported by the stats op
 	totals   counters
 	draining atomic.Bool
 	// stmts tracks in-flight statements so Shutdown can drain them;
@@ -87,9 +83,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxStatements <= 0 {
 		cfg.MaxStatements = 2 * runtime.GOMAXPROCS(0)
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
@@ -226,20 +219,6 @@ func (s *Server) beginStatement(ctx context.Context) (context.Context, func(), *
 		<-s.admit
 	}
 	return stmtCtx, done, nil
-}
-
-// fairShare returns the morsel workers one statement may use right now:
-// the pool divided by the executing statements, never below one.
-func (s *Server) fairShare() int {
-	n := int(s.active.Load())
-	if n < 1 {
-		n = 1
-	}
-	share := s.cfg.Workers / n
-	if share < 1 {
-		share = 1
-	}
-	return share
 }
 
 // ErrServerClosed reports an operation on a draining server.

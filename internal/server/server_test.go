@@ -222,7 +222,7 @@ func TestServerWriteInReadTxnRejected(t *testing.T) {
 // transactions byte-comparing their answers) against a concurrent
 // writer: the acceptance scenario, over the wire, race-detected.
 func TestServerConcurrentSessions(t *testing.T) {
-	addr, _, _ := startServer(t, Config{Workers: 4})
+	addr, _, _ := startServer(t, Config{})
 	seed := dial(t, addr)
 	assertChain(t, seed, 1, 20)
 	assertChain(t, seed, 1000, 5)

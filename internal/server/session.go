@@ -75,7 +75,6 @@ func (c *session) dispatch(req *Request) *Response {
 			Info: map[string]string{
 				"version":  Version,
 				"session":  strconv.FormatUint(c.id, 10),
-				"workers":  strconv.Itoa(c.srv.cfg.Workers),
 				"max_stmt": strconv.Itoa(c.srv.cfg.MaxStatements),
 			}}
 	case "query":
@@ -184,8 +183,8 @@ func (c *session) dispatch(req *Request) *Response {
 }
 
 // read executes one read statement on the session's pinned snapshot (in
-// a transaction) or a fresh one (autocommit), under admission control,
-// the session budget, and the fair worker share.
+// a transaction) or a fresh one (autocommit), under admission control
+// and the session budget.
 func (c *session) read(run func(context.Context, *gluenail.Snapshot) (*gluenail.Result, error)) *Response {
 	ctx, done, werr := c.srv.beginStatement(context.Background())
 	if werr != nil {
@@ -203,7 +202,6 @@ func (c *session) read(run func(context.Context, *gluenail.Snapshot) (*gluenail.
 		}
 		defer snap.Close()
 	}
-	snap.SetParallelism(c.srv.fairShare())
 	res, err := run(ctx, snap)
 	if err != nil {
 		return fail(err)

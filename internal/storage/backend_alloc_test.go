@@ -21,7 +21,7 @@ func TestBackendSeamAllocs(t *testing.T) {
 			term.NewInt(int64(i)),
 		})
 	}
-	rel.PrepareRead(1, 1<<20) // force the col-0 index
+	warmIndex(rel, 1, term.Tuple{term.Intern("n000"), {}})
 
 	var hits int
 	yield := func(term.Tuple) bool { hits++; return true }

@@ -85,62 +85,11 @@ func TestConcurrentLookupDuringIndexBuild(t *testing.T) {
 	}
 }
 
-// TestPrepareRead checks that the parallel-section boundary hook builds a
-// decided index up front: after PrepareRead announces enough lookups to
-// pay the adaptive build cost, concurrent readers probe without triggering
-// any further builds.
-func TestPrepareRead(t *testing.T) {
-	stats := &Stats{}
-	rel := stressRelation(1000, 50, IndexAdaptive, stats)
-	rel.PrepareRead(0b01, 2) // 2 lookups * 1000 rows >= adaptiveFactor * 1000
-	if !rel.HasIndex(0b01) {
-		t.Fatal("PrepareRead did not build the decided index")
-	}
-	if stats.IndexBuilds != 1 {
-		t.Fatalf("IndexBuilds = %d, want 1", stats.IndexBuilds)
-	}
-	scannedBefore := stats.RowsScanned
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; k < 50; k++ {
-				key := term.Tuple{term.NewInt(int64(k)), {}}
-				rel.Lookup(0b01, key, func(term.Tuple) bool { return true })
-			}
-		}()
-	}
-	wg.Wait()
-	if stats.IndexBuilds != 1 {
-		t.Fatalf("lookups after PrepareRead rebuilt the index (%d builds)", stats.IndexBuilds)
-	}
-	if stats.RowsScanned != scannedBefore {
-		t.Fatalf("lookups fell back to scanning %d rows despite the index",
-			stats.RowsScanned-scannedBefore)
-	}
-
-	// Degenerate masks are ignored.
-	rel.PrepareRead(0, 100)
-	rel.PrepareRead(rel.fullMask(), 100)
-	if stats.IndexBuilds != 1 {
-		t.Fatalf("degenerate PrepareRead masks built indexes (%d builds)", stats.IndexBuilds)
-	}
-}
-
-// TestPrepareReadBelowThreshold checks that announcing too few lookups
-// leaves the adaptive decision unchanged: no index, scans still answer.
-func TestPrepareReadBelowThreshold(t *testing.T) {
-	stats := &Stats{}
-	rel := stressRelation(1000, 50, IndexAdaptive, stats)
-	rel.PrepareRead(0b01, 1) // 1*1000 < adaptiveFactor*1000
-	if rel.HasIndex(0b01) {
-		t.Fatal("PrepareRead built an index before the adaptive threshold")
-	}
-	// The pre-paid credit still counts: one more scan's worth tips it over.
-	rel.PrepareRead(0b01, 1)
-	if !rel.HasIndex(0b01) {
-		t.Fatal("accumulated PrepareRead credit did not build the index")
+// warmIndex runs the adaptive policy's build cost in lookups on mask, so
+// the index exists when it returns.
+func warmIndex(rel Rel, mask uint32, key term.Tuple) {
+	for i := 0; i < adaptiveFactor; i++ {
+		rel.Lookup(mask, key, func(term.Tuple) bool { return true })
 	}
 }
 
@@ -181,9 +130,9 @@ func TestAdaptiveCreditAtomic(t *testing.T) {
 	}
 }
 
-// TestAdaptiveCreditNoLoss races exactly adaptiveFactor single-lookup
-// PrepareRead announcements: if any concurrent increment were lost, the
-// accumulated credit would fall short and no index would be built.
+// TestAdaptiveCreditNoLoss races exactly adaptiveFactor single lookups on
+// a cold mask: if any concurrent increment were lost, the accumulated
+// credit would fall short and no index would be built.
 func TestAdaptiveCreditNoLoss(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		rel := stressRelation(200, 10, IndexAdaptive, &Stats{})
@@ -194,7 +143,7 @@ func TestAdaptiveCreditNoLoss(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				rel.PrepareRead(0b01, 1)
+				rel.Lookup(0b01, term.Tuple{term.NewInt(0), {}}, func(term.Tuple) bool { return true })
 			}()
 		}
 		close(start)

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -105,7 +106,7 @@ func copyDir(t *testing.T, src, dst string) {
 // buildGolden populates dir with a durable store: two manifest-named
 // runs of string-bearing rows plus a memtable remainder flushed by
 // FlushBase. Returns the full contents key.
-func buildGolden(t *testing.T, dir string, n int) string {
+func buildGolden(t testing.TB, dir string, n int) string {
 	t.Helper()
 	st := openTest(t, dir, Options{})
 	rel := st.Ensure(term.Intern("edge"), 2)
@@ -495,6 +496,64 @@ func requireCorrupt(t *testing.T, err error, artifact string) {
 	}
 	if ce.Artifact != artifact {
 		t.Fatalf("artifact = %q, want %q (err: %v)", ce.Artifact, artifact, err)
+	}
+}
+
+// requireFinding asserts FsckDir reports serious damage to artifact in dir.
+func requireFinding(t *testing.T, dir, artifact string) {
+	t.Helper()
+	findings, err := FsckDir(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		if f.Artifact == artifact && !f.Benign {
+			return
+		}
+	}
+	t.Fatalf("fsck did not report %s damage: %v", artifact, findings)
+}
+
+// TestMalformedManifestRefused gives Open and FsckDir manifests whose
+// envelope and checksum are intact but whose payload does not parse: each
+// must fail typed, naming the manifest, and none may size an allocation
+// from the counts it carries.
+func TestMalformedManifestRefused(t *testing.T) {
+	u := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	name := term.AppendValue(nil, term.Intern("edge"))
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"empty", nil},
+		{"no-relation-count", u(1)},
+		{"bad-name-tag", cat(u(1, 1), []byte{0xff})},
+		{"huge-name", cat(u(1, 1), []byte{3}, u(1<<40))},
+		{"arity-past-payload", cat(u(1, 1), name, u(1<<40))},
+		{"digest-arity-mismatch", cat(u(1, 1), name, u(2, 3))},
+		{"bad-digest-mode", cat(u(1, 1), name, u(1, 1), []byte{7})},
+		{"exact-count-over-limit", cat(u(1, 1), name, u(1, 1), []byte{0}, u(1<<30))},
+		{"truncated-run-list", cat(u(1, 1), name, u(1, 1), []byte{0}, u(0, 1<<40))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, manifestName), sealManifest(manifestMagic, tc.payload), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := Open(dir, Options{NoCompactor: true})
+			if st != nil {
+				st.Close()
+			}
+			requireCorrupt(t, err, "manifest")
+			requireFinding(t, dir, "manifest")
+		})
 	}
 }
 

@@ -1,8 +1,16 @@
 package disk
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
+	"gluenail/internal/storage"
 	"gluenail/internal/term"
 )
 
@@ -63,6 +71,187 @@ func FuzzDecodeBlockPayload(f *testing.F) {
 					t.Fatalf("row %d col %d: single-row decode %v, block decode %v", i, j, row[j], out[i][j])
 				}
 			}
+		}
+	})
+}
+
+// The metadata decoders below read bytes a checksum has already accepted,
+// so each target recomputes that checksum over the fuzzed bytes: the input
+// then reaches the parser proper instead of dying at the CRC. Each target
+// asserts three things — a typed error or a clean decode, no panic, and
+// no allocation sized from input the parser has not seen. Seeds come from
+// a buildGolden store; testdata/fuzz holds inputs that broke the parsers
+// before these targets existed (overflowing intern lengths that panicked,
+// manifest and footer counts that sized allocations).
+
+// allocBound fails t when fn allocates more than a fixed allowance plus a
+// fixed multiple of the n input bytes: a size taken from an unverified
+// count rather than from bytes that arrived. The allowance covers the
+// term codec's capped eager reads (1 MiB strings).
+func allocBound(t *testing.T, n int, fn func()) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2<<20+4096*n); got > limit {
+		t.Fatalf("allocated %d bytes decoding %d input bytes (limit %d)", got, n, limit)
+	}
+}
+
+// goldenFile returns the bytes of the first file of a buildGolden store
+// matching pattern.
+func goldenFile(f *testing.F, pattern string) []byte {
+	dir := f.TempDir()
+	buildGolden(f, dir, 8)
+	paths, err := filepath.Glob(filepath.Join(dir, pattern))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("golden store has no %s (%v)", pattern, err)
+	}
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
+}
+
+// sealManifest frames payload as a manifest file: magic, length, CRC.
+func sealManifest(magic string, payload []byte) []byte {
+	out := append([]byte(magic), 0, 0, 0, 0, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(out[len(magic):], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(out[len(magic)+4:], crc32.ChecksumIEEE(payload))
+	return append(out, payload...)
+}
+
+// FuzzManifestImage fuzzes the manifest payload behind a valid envelope.
+func FuzzManifestImage(f *testing.F) {
+	f.Add(goldenFile(f, manifestName)[len(manifestMagic)+8:])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var img *manifestImage
+		var err error
+		allocBound(t, len(payload), func() {
+			img, err = parseManifestImage(manifestName, sealManifest(manifestMagic, payload))
+		})
+		if err != nil {
+			var ce *storage.CorruptError
+			if !errors.As(err, &ce) || ce.Artifact != "manifest" {
+				t.Fatalf("untyped manifest error: %v", err)
+			}
+			return
+		}
+		for _, r := range img.rels {
+			if r.arity > len(payload) || len(r.runs) > len(payload) {
+				t.Fatalf("relation %v claims arity %d and %d runs from %d bytes", r.name, r.arity, len(r.runs), len(payload))
+			}
+		}
+	})
+}
+
+// FuzzRunFooter fuzzes a run file's footer — and, through skew, the
+// trailer's footer bounds — behind a recomputed footer CRC: the trailer,
+// parseRunFooter, and readBloom.
+func FuzzRunFooter(f *testing.F) {
+	data := goldenFile(f, "run-*.grn")
+	rt, err := readRunTail(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data[rt.footOff:len(data)-runTrailerLen], uint32(rt.footOff-rt.dataStart), int8(0))
+	// A two-block run, so the seeds cover the full-block rule too.
+	rows := make([]term.Tuple, rowsPerBlock+3)
+	hashes := make([]uint64, len(rows))
+	for i := range rows {
+		rows[i] = strRow(i)
+		hashes[i] = rows[i].Hash()
+	}
+	data, _, _ = encodeRun(nil, 2, rows, hashes, false)
+	if rt, err = readRunTail(bytes.NewReader(data), int64(len(data))); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data[rt.footOff:len(data)-runTrailerLen], uint32(rt.footOff-rt.dataStart), int8(0))
+	f.Add([]byte{0, 0, 0, 64, 6}, uint32(4), int8(-3))
+	f.Fuzz(func(t *testing.T, foot []byte, body uint32, skew int8) {
+		body %= 1 << 16
+		img := binary.AppendUvarint([]byte(runMagic2), 2)
+		dataStart := len(img)
+		img = append(img, make([]byte, body)...)
+		footOff := len(img)
+		img = append(img, foot...)
+		var tr [runTrailerLen]byte
+		binary.LittleEndian.PutUint64(tr[0:8], uint64(int64(footOff)+int64(skew)))
+		binary.LittleEndian.PutUint32(tr[8:12], uint32(len(foot)))
+		binary.LittleEndian.PutUint32(tr[12:16], crc32.ChecksumIEEE(foot))
+		copy(tr[16:], runTrailerMagic)
+		img = append(img, tr[:]...)
+
+		var got runTail
+		allocBound(t, len(img), func() {
+			got, err = readRunTail(bytes.NewReader(img), int64(len(img)))
+		})
+		if err != nil {
+			var ce *storage.CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("untyped run tail error: %v", err)
+			}
+			return
+		}
+		off, rows := int64(dataStart), int32(0)
+		for i, bm := range got.blocks {
+			if bm.off != off || bm.size <= 8 || bm.nrows <= 0 || bm.nrows > rowsPerBlock {
+				t.Fatalf("block %d accepted with bad metadata %+v", i, bm)
+			}
+			off += int64(bm.size)
+			rows += bm.nrows
+		}
+		if rows != got.nrows || got.hashOff != off || got.footOff-got.hashOff != 8*int64(got.nrows)+4 {
+			t.Fatalf("footer accepted with an impossible layout: %+v", got)
+		}
+	})
+}
+
+// sealInternRecords recomputes the CRC of every record in an intern file
+// image whose length fields fit the image.
+func sealInternRecords(data []byte) {
+	pos := len(internMagic)
+	for pos < len(data) {
+		_, n := binary.Uvarint(data[pos:])
+		if n <= 0 {
+			return
+		}
+		sfx, n2 := binary.Uvarint(data[pos+n:])
+		p := pos + n + n2
+		if n2 <= 0 || uint64(len(data)-p) < 12 || sfx > uint64(len(data)-p-12) {
+			return
+		}
+		end := p + int(sfx) + 8
+		binary.LittleEndian.PutUint32(data[end:], crc32.ChecksumIEEE(data[pos:end]))
+		pos = end + 4
+	}
+}
+
+// FuzzInternRecords fuzzes the intern table's record walk, the parser
+// every store open and fsck runs over INTERN.gri.
+func FuzzInternRecords(f *testing.F) {
+	f.Add(goldenFile(f, internFileName)[len(internMagic):])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, records []byte) {
+		data := append([]byte(internMagic), records...)
+		sealInternRecords(data)
+		var end int
+		var prev string
+		allocBound(t, len(data), func() {
+			end, prev = walkInternRecords(data, func(rec internRecord) {
+				if len(rec.s) > len(data) {
+					t.Fatalf("record of %d bytes from a %d-byte file", len(rec.s), len(data))
+				}
+			})
+		})
+		if end < len(internMagic) || end > len(data) {
+			t.Fatalf("walk stopped at %d of %d", end, len(data))
+		}
+		if end < len(data) {
+			internTailTorn(data, end, prev)
 		}
 	})
 }

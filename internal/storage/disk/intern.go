@@ -73,17 +73,9 @@ func newAtomDict(fsys fsio.FS, dir string) (*atomDict, error) {
 	}
 	good := 0
 	if len(data) >= len(internMagic) && string(data[:len(internMagic)]) == internMagic {
-		good = len(internMagic)
-		pos := good
-		for pos < len(data) {
-			rec, next, ok := parseInternRecord(data, pos, d.prev)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "gluenail: disk: %s: truncating torn intern record at %d\n", path, pos)
-				break
-			}
-			d.appendMem(rec.s, rec.h)
-			pos = next
-			good = pos
+		good, _ = walkInternRecords(data, func(rec internRecord) { d.appendMem(rec.s, rec.h) })
+		if good < len(data) {
+			fmt.Fprintf(os.Stderr, "gluenail: disk: %s: truncating torn intern record at %d\n", path, good)
 		}
 	} else if len(data) > 0 {
 		fmt.Fprintf(os.Stderr, "gluenail: disk: %s: bad intern table header, rebuilding\n", path)
@@ -125,6 +117,24 @@ type internRecord struct {
 	h uint64
 }
 
+// walkInternRecords calls fn for each record of an intern file image
+// (header already checked), in order, until one fails to parse. It returns
+// where the walk stopped — len(data) when every record parsed, else the
+// start of the first bad one — and the string of the last good record,
+// which the bad one's prefix compression refers to.
+func walkInternRecords(data []byte, fn func(internRecord)) (int, string) {
+	pos, prev := len(internMagic), ""
+	for pos < len(data) {
+		rec, next, ok := parseInternRecord(data, pos, prev)
+		if !ok {
+			break
+		}
+		fn(rec)
+		pos, prev = next, rec.s
+	}
+	return pos, prev
+}
+
 // parseInternRecord decodes one record at pos: uvarint shared-prefix len
 // (vs the previous entry), uvarint suffix len, suffix bytes, 8-byte LE
 // hash, 4-byte CRC over the preceding record bytes.
@@ -140,7 +150,7 @@ func parseInternRecord(data []byte, pos int, prev string) (internRecord, int, bo
 		return internRecord{}, 0, false
 	}
 	pos += n
-	if int(pfx) > len(prev) || pos+int(sfx)+12 > len(data) {
+	if pfx > uint64(len(prev)) || uint64(len(data)-pos) < 12 || sfx > uint64(len(data)-pos-12) {
 		return internRecord{}, 0, false
 	}
 	suffix := data[pos : pos+int(sfx)]

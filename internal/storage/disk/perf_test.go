@@ -13,13 +13,14 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"gluenail/internal/storage"
 	"gluenail/internal/storage/fsio"
 	"gluenail/internal/term"
 )
 
 // Tests for the fast-engine pieces: bloom filters, block compression,
 // size-tiered compaction, the WAL-bypassing bulk load, and the reopen
-// path (footer-only opens, legacy-format upgrade, crash prefixes).
+// path (footer-only opens, legacy-format refusal, crash prefixes).
 
 // TestBloomFPRBound checks the filter's false-positive rate stays near
 // its design point (~0.8% at 10 bits/key, 6 hashes); 2% is the alarm
@@ -568,81 +569,55 @@ func TestBulkLoadCrashPrefix(t *testing.T) {
 	}
 }
 
-// TestLegacyFormatUpgrade hand-writes a RUN1 file and a MAN1 manifest (the
-// formats before footers, blooms, and digests) and opens them: content
-// must load, digests rebuild from the scan, and the next checkpoint
-// upgrades the manifest in place.
-func TestLegacyFormatUpgrade(t *testing.T) {
-	dir := t.TempDir()
-	name := term.Intern("edge")
-	rows := []term.Tuple{pair(1, 2), pair(3, 4), pair(5, 6)}
-
-	var payload bytes.Buffer
-	payload.Write(binary.AppendUvarint(nil, uint64(len(rows))))
-	for _, tu := range rows {
-		if err := term.WriteTuple(&payload, tu); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var runFile bytes.Buffer
-	runFile.WriteString(runMagic1)
-	runFile.Write(binary.AppendUvarint(nil, 2)) // arity
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload.Bytes()))
-	runFile.Write(hdr[:])
-	runFile.Write(payload.Bytes())
-	if err := os.WriteFile(filepath.Join(dir, runName(1)), runFile.Bytes(), 0o644); err != nil {
+// TestLegacyFormatRefused pins the refusal of the retired pre-footer
+// formats: a RUN1 run named by a valid manifest, and a MAN1 manifest, each
+// fail Open with ErrCorrupt naming the artifact, and FsckDir reports each
+// as serious damage.
+func TestLegacyFormatRefused(t *testing.T) {
+	// RUN1: magic, arity, then bare CRC-framed blocks of length-prefixed
+	// tuples; no footer, no trailer.
+	var block bytes.Buffer
+	block.Write(binary.AppendUvarint(nil, 1))
+	if err := term.WriteTuple(&block, pair(1, 2)); err != nil {
 		t.Fatal(err)
 	}
+	run1 := binary.AppendUvarint([]byte("GLUENAIL-RUN1\n"), 2)
+	run1 = binary.LittleEndian.AppendUint32(run1, uint32(block.Len()))
+	run1 = binary.LittleEndian.AppendUint32(run1, crc32.ChecksumIEEE(block.Bytes()))
+	run1 = append(run1, block.Bytes()...)
+	// MAN1: the MAN2 payload without the distinct digests.
+	man1 := binary.AppendUvarint(nil, 1) // run sequence
+	man1 = binary.AppendUvarint(man1, 1) // relations
+	man1 = term.AppendValue(man1, term.Intern("edge"))
+	man1 = binary.AppendUvarint(man1, 2) // arity
+	man1 = binary.AppendUvarint(man1, 1) // runs
+	man1 = binary.AppendUvarint(man1, 1) // run 1
 
-	var man []byte
-	man = binary.AppendUvarint(man, 1) // runSeq
-	man = binary.AppendUvarint(man, 1) // nrels
-	man = term.AppendValue(man, name)
-	man = binary.AppendUvarint(man, 2) // arity
-	man = binary.AppendUvarint(man, 1) // nruns
-	man = binary.AppendUvarint(man, 1) // run seq 1
-	var manFile bytes.Buffer
-	manFile.WriteString(manifestMagic1)
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(man)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(man))
-	manFile.Write(hdr[:])
-	manFile.Write(man)
-	if err := os.WriteFile(filepath.Join(dir, manifestName), manFile.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st := openTest(t, dir, Options{})
-	rel, ok := st.Get(name, 2)
-	if !ok {
-		t.Fatal("relation missing from legacy manifest")
-	}
-	want := [][2]int64{{1, 2}, {3, 4}, {5, 6}}
-	if got := allRows(rel); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("legacy run content: %v, want %v", got, want)
-	}
-	if !rel.Contains(pair(3, 4)) || rel.Contains(pair(2, 3)) {
-		t.Fatal("membership probes wrong on a legacy run")
-	}
-	if rel.DistinctEst(0) < 2 {
-		t.Fatalf("digest not rebuilt from legacy scan: DistinctEst(0)=%d", rel.DistinctEst(0))
-	}
-	// Upgrade: a checkpoint writes a MAN2 manifest over the MAN1 one.
-	rel.Insert(pair(7, 8))
-	if err := st.FlushBase(); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-
-	st2 := openTest(t, dir, Options{})
-	defer st2.Close()
-	rel2, _ := st2.Get(name, 2)
-	if got := allRows(rel2); fmt.Sprint(got) != fmt.Sprint(append(want, [2]int64{7, 8})) {
-		t.Fatalf("post-upgrade content: %v", got)
-	}
-	if rel2.DistinctEst(0) < 3 {
-		t.Fatalf("digest lost in manifest upgrade: DistinctEst(0)=%d", rel2.DistinctEst(0))
+	for _, tc := range []struct{ name, artifact string }{
+		{"run1", "run-header"},
+		{"man1", "manifest"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, runName(1)), run1, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "man1" {
+				if err := os.WriteFile(filepath.Join(dir, manifestName), sealManifest("GLUENAIL-MAN1\n", man1), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := writeManifestImage(fsio.OS, dir, &manifestImage{runSeq: 1, rels: []manifestRel{{
+				name: term.Intern("edge"), arity: 2, dist: storage.NewDistinctTracker(2), runs: []uint64{1},
+			}}}); err != nil {
+				t.Fatal(err)
+			}
+			st, err := Open(dir, Options{NoCompactor: true})
+			if st != nil {
+				st.Close()
+			}
+			requireCorrupt(t, err, tc.artifact)
+			requireFinding(t, dir, tc.artifact)
+		})
 	}
 }
 

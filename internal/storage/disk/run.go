@@ -8,26 +8,27 @@
 // engine uses) is loaded lazily from the run's hash section the first time
 // a bloom filter lets a probe through.
 //
-// The current format (RUN2) is footer-indexed: block metadata, the row
-// hashes, and the bloom filter are persisted at the tail and sealed by a
-// fixed trailer, so reopening a store reads a few KB per run instead of
-// decoding every block. RUN1 files (no footer) are still readable — they
-// open the old way, by scanning — so a store written before the format
-// change upgrades in place at its next checkpoint.
+// The format (RUN2) is footer-indexed: block metadata, the row hashes, and
+// the bloom filter are persisted at the tail and sealed by a fixed
+// trailer, so reopening a store reads a few KB per run instead of
+// decoding every block. Files of the older, footerless RUN1 format are
+// refused as corrupt.
 //
 // Runs are ordered by flush sequence, not by value: global enumeration
 // order (runs in flush order, then the memtable) reproduces the main-memory
 // engine's insertion order exactly, which is what keeps results
-// byte-identical across engines and worker counts. See DESIGN.md for the
+// byte-identical across engines. See DESIGN.md for the
 // runs-vs-B-tree decision.
 package disk
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -39,9 +40,8 @@ import (
 )
 
 const (
-	runMagic1 = "GLUENAIL-RUN1\n"
 	runMagic2 = "GLUENAIL-RUN2\n"
-	// runTrailerMagic seals a RUN2 footer; the fixed-size trailer is what
+	// runTrailerMagic seals a run footer; the fixed-size trailer is what
 	// openRun finds by seeking to the end.
 	runTrailerMagic = "GNRUN2F\n"
 	runTrailerLen   = 8 + 4 + 4 + len(runTrailerMagic)
@@ -77,7 +77,6 @@ type run struct {
 	arity  int
 	nrows  int32
 	blocks []blockMeta
-	v2     bool      // footer-indexed format; false = legacy RUN1
 	dict   *atomDict // owning store's intern dictionary (packed blocks)
 	// bloom screens membership probes; built at create, persisted in the
 	// footer, reloaded with it.
@@ -85,7 +84,7 @@ type run struct {
 	// Chain index: hashes caches each row's whole-tuple hash; buckets/next
 	// chain rows by hash exactly like the main-memory Relation (slot+1
 	// links). Resident from creation for freshly written runs; loaded on
-	// demand from hashOff for reopened RUN2 runs (idxReady gates access,
+	// demand from hashOff for reopened runs (idxReady gates access,
 	// its Store/Load ordering publishes the slices).
 	hashOff  int64
 	idxMu    sync.Mutex
@@ -189,7 +188,7 @@ func (r *run) liveAt(csn uint64) int {
 }
 
 // ensureIndex makes the chain index resident: freshly created runs carry
-// it from birth; reopened RUN2 runs load the hash section and build the
+// it from birth; reopened runs load the hash section and build the
 // buckets here, on the first probe a bloom filter lets through.
 func (r *run) ensureIndex(st *storage.Stats) error {
 	if r.idxReady.Load() {
@@ -314,7 +313,7 @@ func createRun(s *Store, seq uint64, arity int, rows []term.Tuple, hashes []uint
 		return nil, storage.IOFault("run-write", path, err)
 	}
 	r := newRun(s, rf, path, seq, arity, int32(len(rows)), blocks)
-	r.v2, r.hashOff, r.hashes = true, hashOff, hashes
+	r.hashOff, r.hashes = hashOff, hashes
 	if !s.opts.NoBloom {
 		r.bloom = bloomFrom(hashes)
 	}
@@ -324,103 +323,115 @@ func createRun(s *Store, seq uint64, arity int, rows []term.Tuple, hashes []uint
 	return r, nil
 }
 
-// openRun reopens a run file after restart. RUN2 files read only the
-// trailer and footer — block offsets, row count, bloom filter — and defer
-// the chain index until a probe needs it; nothing decodes tuple bytes.
-// Legacy RUN1 files (no footer) re-scan every block the old way, feeding
-// each decoded row to observe (distinct-value digests, for manifests that
-// predate digest persistence). Corruption is an error: runs reachable
-// from a manifest were fsynced before the manifest named them, and
-// unreachable ones are swept before opening.
-func openRun(s *Store, path string, seq uint64, observe func(term.Tuple)) (*run, error) {
+// openRun reopens a run file after restart. Only the header, trailer and
+// footer are read — block offsets, row count, bloom filter — and the chain
+// index waits until a probe needs it; nothing decodes tuple bytes.
+// Corruption is an error: runs reachable from a manifest were fsynced
+// before the manifest named them, and unreachable ones are swept before
+// opening.
+func openRun(s *Store, path string, seq uint64) (*run, error) {
 	f, err := s.fsys.Open(path)
 	if err != nil {
 		return nil, storage.IOFault("run-open", path, err)
 	}
-	var magic [len(runMagic2)]byte
-	if _, err := f.ReadAt(magic[:], 0); err != nil {
+	fi, err := f.Stat()
+	if err != nil {
 		_ = f.Close()
 		return nil, storage.IOFault("run-open", path, err)
 	}
-	switch string(magic[:]) {
-	case runMagic2:
-		r, err := openRun2(s, f, path, seq)
-		if err != nil {
-			_ = f.Close()
-			return nil, err
-		}
-		return r, nil
-	case runMagic1:
-		r, err := openRun1(s, f, path, seq, observe)
-		if err != nil {
-			_ = f.Close()
-			return nil, err
-		}
-		return r, nil
-	}
-	_ = f.Close()
-	return nil, &storage.CorruptError{Artifact: "run-header", Path: path, Run: seq,
-		Offset: 0, Detail: "bad run magic"}
-}
-
-// openRun2 loads a footer-indexed run from its tail.
-func openRun2(s *Store, f fsio.File, path string, seq uint64) (*run, error) {
-	corrupt := func(artifact string, off int64, detail string) error {
-		return &storage.CorruptError{Artifact: artifact, Path: path, Run: seq,
-			Offset: off, Detail: detail}
-	}
-	fi, err := f.Stat()
+	rt, err := readRunTail(f, fi.Size())
 	if err != nil {
+		_ = f.Close()
+		var ce *storage.CorruptError
+		if errors.As(err, &ce) {
+			ce.Path, ce.Run = path, seq
+			return nil, ce
+		}
 		return nil, storage.IOFault("run-open", path, err)
 	}
-	if fi.Size() < int64(runTrailerLen) {
-		return nil, corrupt("run-trailer", fi.Size(), "truncated run trailer")
-	}
-	trailerOff := fi.Size() - int64(runTrailerLen)
-	var trailer [runTrailerLen]byte
-	if _, err := f.ReadAt(trailer[:], trailerOff); err != nil {
-		return nil, storage.IOFault("run-open", path, err)
-	}
-	if string(trailer[16:]) != runTrailerMagic {
-		return nil, corrupt("run-trailer", trailerOff, "bad run trailer magic")
-	}
-	footOff := int64(binary.LittleEndian.Uint64(trailer[0:8]))
-	footLen := int64(binary.LittleEndian.Uint32(trailer[8:12]))
-	sum := binary.LittleEndian.Uint32(trailer[12:16])
-	if footOff < int64(len(runMagic2)) || footOff+footLen+int64(runTrailerLen) != fi.Size() {
-		return nil, corrupt("run-trailer", trailerOff, "bad run footer bounds")
-	}
-	foot := make([]byte, footLen)
-	if _, err := f.ReadAt(foot, footOff); err != nil {
-		return nil, storage.IOFault("run-open", path, err)
-	}
-	if crc32.ChecksumIEEE(foot) != sum {
-		return nil, corrupt("run-footer", footOff, "run footer checksum mismatch")
-	}
-	// Arity lives in the header; it is a handful of bytes.
-	var head [len(runMagic2) + binary.MaxVarintLen64]byte
-	n, err := f.ReadAt(head[:], 0)
-	if err != nil && n < len(runMagic2)+1 {
-		return nil, storage.IOFault("run-open", path, err)
-	}
-	arity, an := binary.Uvarint(head[len(runMagic2):n])
-	if an <= 0 {
-		return nil, corrupt("run-header", int64(len(runMagic2)), "truncated arity")
-	}
-	rf, artifact, detail := parseRunFooter(foot, int64(len(runMagic2)+an))
-	if detail != "" {
-		return nil, corrupt(artifact, footOff, detail)
-	}
-	r := newRun(s, f, path, seq, int(arity), rf.nrows, rf.blocks)
-	r.v2, r.hashOff = true, rf.hashOff
+	r := newRun(s, f, path, seq, rt.arity, rt.nrows, rt.blocks)
+	r.hashOff = rt.hashOff
 	if !s.opts.NoBloom {
-		r.bloom = rf.bloom
+		r.bloom = rt.bloom
 	}
 	r.synced.Store(true) // manifest-reachable, so it was fsynced
 	return r, nil
 }
 
-// runFooter is the parsed form of a RUN2 footer.
+// parseRunHeader decodes a run file's magic and arity from its first
+// bytes, returning the arity and the offset of the first block frame.
+// size is the whole file's: every row spends at least a byte per column,
+// so a larger arity is damage, not data.
+func parseRunHeader(head []byte, size int64) (int, int64, error) {
+	if len(head) < len(runMagic2) || string(head[:len(runMagic2)]) != runMagic2 {
+		return 0, 0, &storage.CorruptError{Artifact: "run-header", Detail: "bad run magic"}
+	}
+	arity, n := binary.Uvarint(head[len(runMagic2):])
+	if n <= 0 || arity > uint64(size) {
+		return 0, 0, &storage.CorruptError{Artifact: "run-header", Offset: int64(len(runMagic2)),
+			Detail: "truncated or impossible arity"}
+	}
+	return int(arity), int64(len(runMagic2) + n), nil
+}
+
+// runTail is a run file's parsed header and footer: everything opening a
+// run needs, none of its tuple bytes.
+type runTail struct {
+	arity     int
+	dataStart int64 // offset of the first block frame
+	footOff   int64
+	runFooter
+}
+
+// readRunTail reads and validates a run file's header, trailer and footer
+// through ra, a file of size bytes. Damage is a *storage.CorruptError
+// without Path or Run (the caller knows them); a failed read is returned
+// as is.
+func readRunTail(ra io.ReaderAt, size int64) (runTail, error) {
+	var rt runTail
+	corrupt := func(artifact string, off int64, detail string) error {
+		return &storage.CorruptError{Artifact: artifact, Offset: off, Detail: detail}
+	}
+	var head [len(runMagic2) + binary.MaxVarintLen64]byte
+	n, err := ra.ReadAt(head[:], 0)
+	if n < len(head) && err != io.EOF {
+		return rt, err
+	}
+	if rt.arity, rt.dataStart, err = parseRunHeader(head[:n], size); err != nil {
+		return rt, err
+	}
+	if size < rt.dataStart+int64(runTrailerLen) {
+		return rt, corrupt("run-trailer", size, "truncated run trailer")
+	}
+	trailerOff := size - int64(runTrailerLen)
+	var trailer [runTrailerLen]byte
+	if _, err := ra.ReadAt(trailer[:], trailerOff); err != nil {
+		return rt, err
+	}
+	if string(trailer[16:]) != runTrailerMagic {
+		return rt, corrupt("run-trailer", trailerOff, "bad run trailer magic")
+	}
+	footOff := binary.LittleEndian.Uint64(trailer[0:8])
+	footLen := uint64(binary.LittleEndian.Uint32(trailer[8:12]))
+	if footOff < uint64(rt.dataStart) || footOff > uint64(trailerOff) || footOff+footLen != uint64(trailerOff) {
+		return rt, corrupt("run-trailer", trailerOff, "bad run footer bounds")
+	}
+	rt.footOff = int64(footOff)
+	foot := make([]byte, footLen)
+	if _, err := ra.ReadAt(foot, rt.footOff); err != nil {
+		return rt, err
+	}
+	if crc32.ChecksumIEEE(foot) != binary.LittleEndian.Uint32(trailer[12:16]) {
+		return rt, corrupt("run-footer", rt.footOff, "run footer checksum mismatch")
+	}
+	var artifact, detail string
+	if rt.runFooter, artifact, detail = parseRunFooter(foot, rt.dataStart, rt.footOff); detail != "" {
+		return rt, corrupt(artifact, rt.footOff, detail)
+	}
+	return rt, nil
+}
+
+// runFooter is the parsed form of a run footer.
 type runFooter struct {
 	blocks  []blockMeta
 	nrows   int32
@@ -428,134 +439,64 @@ type runFooter struct {
 	bloom   *bloomFilter
 }
 
-// parseRunFooter decodes a (CRC-verified) RUN2 footer whose first block
-// starts at dataStart. On failure it returns the artifact class
-// ("run-footer" or "run-bloom") and a non-empty detail.
-func parseRunFooter(foot []byte, dataStart int64) (runFooter, string, string) {
+// parseRunFooter decodes a (CRC-verified) footer of a run whose first
+// block starts at dataStart and whose footer starts at footOff, checking
+// it against the layout encodeRun writes: full blocks (but the last)
+// packed back to back from dataStart, the hash section right after them
+// sized for the row count, and the footer right after that. A footer that
+// passes describes only bytes the file has. On failure it returns the
+// artifact class ("run-footer" or "run-bloom") and a non-empty detail.
+func parseRunFooter(foot []byte, dataStart, footOff int64) (runFooter, string, string) {
 	var rf runFooter
 	rd := foot
-	nblocks, n := binary.Uvarint(rd)
-	if n <= 0 {
-		return rf, "run-footer", "truncated run footer"
+	next := func() (uint64, bool) {
+		v, n := binary.Uvarint(rd)
+		if n <= 0 {
+			return 0, false
+		}
+		rd = rd[n:]
+		return v, true
 	}
-	rd = rd[n:]
-	off := dataStart
+	const truncated = "truncated run footer"
+	nblocks, ok := next()
+	if !ok {
+		return rf, "run-footer", truncated
+	}
+	off, rows := dataStart, uint64(0)
 	for i := uint64(0); i < nblocks; i++ {
-		psize, n2 := binary.Uvarint(rd)
-		if n2 <= 0 {
-			return rf, "run-footer", "truncated run footer"
+		psize, ok1 := next()
+		brows, ok2 := next()
+		if !ok1 || !ok2 {
+			return rf, "run-footer", truncated
 		}
-		rd = rd[n2:]
-		brows, n3 := binary.Uvarint(rd)
-		if n3 <= 0 {
-			return rf, "run-footer", "truncated run footer"
+		// Slot -> block is a shift, so every block but the last is full.
+		if brows == 0 || brows > rowsPerBlock || (brows < rowsPerBlock && i+1 < nblocks) {
+			return rf, "run-footer", fmt.Sprintf("block %d claims %d rows", i, brows)
 		}
-		rd = rd[n3:]
+		if room := footOff - off - 8; room < 0 || psize == 0 || psize > uint64(room) || psize > math.MaxInt32-8 {
+			return rf, "run-footer", fmt.Sprintf("block %d extends past the blocks", i)
+		}
 		rf.blocks = append(rf.blocks, blockMeta{off: off, size: int32(psize) + 8, nrows: int32(brows)})
 		off += int64(psize) + 8
+		rows += brows
 	}
-	nrows, n := binary.Uvarint(rd)
-	if n <= 0 {
-		return rf, "run-footer", "truncated run footer"
+	nrows, ok1 := next()
+	hashOff, ok2 := next()
+	switch {
+	case !ok1 || !ok2:
+		return rf, "run-footer", truncated
+	case nrows != rows || nrows > math.MaxInt32:
+		return rf, "run-footer", "footer row count does not match its blocks"
+	case hashOff != uint64(off) || uint64(footOff-off) != 8*nrows+4:
+		return rf, "run-footer", "hash section does not fit between the blocks and the footer"
 	}
-	rd = rd[n:]
-	rf.nrows = int32(nrows)
-	hashOff, n := binary.Uvarint(rd)
-	if n <= 0 {
-		return rf, "run-footer", "truncated run footer"
-	}
-	rd = rd[n:]
-	rf.hashOff = int64(hashOff)
-	bloom, _, ok := readBloom(rd)
-	if !ok {
+	rf.nrows, rf.hashOff = int32(nrows), off
+	bloom, rest, ok := readBloom(rd)
+	if !ok || len(rest) != 0 {
 		return rf, "run-bloom", "bad run bloom filter"
 	}
 	rf.bloom = bloom
 	return rf, "", ""
-}
-
-// openRun1 loads a legacy run by scanning it: offsets, hashes, and chains
-// are rebuilt from the decoded blocks, and a bloom filter is built in
-// memory so probe paths treat both formats alike.
-func openRun1(s *Store, f fsio.File, path string, seq uint64, observe func(term.Tuple)) (*run, error) {
-	data, err := s.fsys.ReadFile(path)
-	if err != nil {
-		return nil, storage.IOFault("run-open", path, err)
-	}
-	corrupt := func(artifact string, off int64, detail string) error {
-		return &storage.CorruptError{Artifact: artifact, Path: path, Run: seq,
-			Offset: off, Detail: detail}
-	}
-	pos := len(runMagic1)
-	arityU, n := binary.Uvarint(data[pos:])
-	if n <= 0 {
-		return nil, corrupt("run-header", int64(pos), "truncated arity")
-	}
-	pos += n
-	var blocks []blockMeta
-	var hashes []uint64
-	for pos < len(data) {
-		if pos+8 > len(data) {
-			return nil, corrupt("run-block", int64(pos), "truncated block header")
-		}
-		size := int(binary.LittleEndian.Uint32(data[pos : pos+4]))
-		sum := binary.LittleEndian.Uint32(data[pos+4 : pos+8])
-		if pos+8+size > len(data) {
-			return nil, corrupt("run-block", int64(pos), "truncated block")
-		}
-		payload := data[pos+8 : pos+8+size]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, corrupt("run-block", int64(pos), "block checksum mismatch")
-		}
-		rows, err := decodeLegacyBlock(payload)
-		if err != nil {
-			return nil, corrupt("run-block", int64(pos), err.Error())
-		}
-		blocks = append(blocks, blockMeta{off: int64(pos), size: int32(size) + 8, nrows: int32(len(rows))})
-		for _, t := range rows {
-			hashes = append(hashes, t.Hash())
-			if observe != nil {
-				observe(t)
-			}
-		}
-		pos += 8 + size
-	}
-	r := newRun(s, f, path, seq, int(arityU), int32(len(hashes)), blocks)
-	r.hashes = hashes
-	if !s.opts.NoBloom {
-		r.bloom = bloomFrom(hashes)
-	}
-	r.buildIndex()
-	r.idxReady.Store(true)
-	r.synced.Store(true)
-	return r, nil
-}
-
-// decodeLegacyBlock decodes one RUN1 block payload (length-prefixed
-// tuples, no encoding byte).
-func decodeLegacyBlock(payload []byte) ([]term.Tuple, error) {
-	br := bufio.NewReader(bytes.NewReader(payload))
-	nrows, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	// Legacy blocks carry no fixed row bound, but every row costs at
-	// least one byte — clamp the pre-allocation so a corrupt count cannot
-	// size an arbitrary slice (the decode loop then fails naturally when
-	// the stream runs dry).
-	capHint := nrows
-	if capHint > uint64(len(payload)) {
-		capHint = uint64(len(payload))
-	}
-	rows := make([]term.Tuple, 0, capHint)
-	for i := uint64(0); i < nrows; i++ {
-		t, err := term.ReadTuple(br)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, t)
-	}
-	return rows, nil
 }
 
 // buildIndex chains the rows by cached hash, identical in layout to the
@@ -601,13 +542,7 @@ func (r *run) corruptBlock(bi int, detail any) error {
 // decodeRows decodes every row of a verified frame. Decoded values never
 // alias the frame, so the caller may reuse its buffer.
 func (r *run) decodeRows(frame []byte, bi int) ([]term.Tuple, error) {
-	var rows []term.Tuple
-	var err error
-	if r.v2 {
-		rows, err = decodeBlockPayload(r.dict, frame[8:], r.arity)
-	} else {
-		rows, err = decodeLegacyBlock(frame[8:])
-	}
+	rows, err := decodeBlockPayload(r.dict, frame[8:], r.arity)
 	if err != nil {
 		return nil, r.corruptBlock(bi, err)
 	}
@@ -659,9 +594,7 @@ func (r *run) tupleAt(c *blockCache, st *storage.Stats, slot int32) (term.Tuple,
 	switch {
 	case rows != nil:
 		atomic.AddInt64(&st.CacheHits, 1)
-	case ghost || !r.v2:
-		// Legacy RUN1 blocks have no single-row decoder; they are
-		// rewritten as RUN2 at the next checkpoint.
+	case ghost:
 		if rows, err = r.admit(c, st, k, e, ghost); err != nil {
 			return nil, err
 		}

@@ -27,8 +27,10 @@
 package disk
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -53,7 +55,7 @@ type runImage struct {
 
 // decodeFrame verifies and decodes one CRC-framed block (8-byte header +
 // payload). A non-empty detail means the frame failed.
-func decodeFrame(dict *atomDict, frame []byte, arity int, legacy bool) ([]term.Tuple, string) {
+func decodeFrame(dict *atomDict, frame []byte, arity int) ([]term.Tuple, string) {
 	if len(frame) < 8 {
 		return nil, "truncated block frame"
 	}
@@ -64,13 +66,7 @@ func decodeFrame(dict *atomDict, frame []byte, arity int, legacy bool) ([]term.T
 	if crc32.ChecksumIEEE(frame[8:]) != binary.LittleEndian.Uint32(frame[4:8]) {
 		return nil, "block checksum mismatch"
 	}
-	var rows []term.Tuple
-	var err error
-	if legacy {
-		rows, err = decodeLegacyBlock(frame[8:])
-	} else {
-		rows, err = decodeBlockPayload(dict, frame[8:], arity)
-	}
+	rows, err := decodeBlockPayload(dict, frame[8:], arity)
 	if err != nil {
 		return nil, err.Error()
 	}
@@ -173,7 +169,7 @@ func verifyRunHandle(rn *run, rel string) runImage {
 			v.tupleOK = false
 			continue
 		}
-		rows, detail := decodeFrame(rn.dict, buf, rn.arity, !rn.v2)
+		rows, detail := decodeFrame(rn.dict, buf, rn.arity)
 		if detail != "" {
 			bad("run-block", bm.off, fmt.Sprintf("block %d: %s", bi, detail))
 			v.tupleOK = false
@@ -184,29 +180,20 @@ func verifyRunHandle(rn *run, rel string) runImage {
 			v.hashes = append(v.hashes, t.Hash())
 		}
 	}
-	if rn.v2 {
-		hb := make([]byte, int(rn.nrows)*8+4)
-		if _, err := rn.f.ReadAt(hb, rn.hashOff); err != nil {
-			bad("run-hash-section", rn.hashOff, fmt.Sprintf("unreadable: %v", err))
-		} else if crc32.ChecksumIEEE(hb[:len(hb)-4]) != binary.LittleEndian.Uint32(hb[len(hb)-4:]) {
-			bad("run-hash-section", rn.hashOff, "hash section checksum mismatch")
-		} else if v.tupleOK && len(v.hashes) == int(rn.nrows) {
-			for i, h := range v.hashes {
-				if binary.LittleEndian.Uint64(hb[i*8:]) != h {
-					bad("run-hash-section", rn.hashOff+int64(i*8), "stored row hash does not match tuple data")
-					break
-				}
-			}
-		}
-		verifyRunSeal(rn, bad)
-	} else if v.tupleOK && len(rn.hashes) == len(v.hashes) {
+	hb := make([]byte, int(rn.nrows)*8+4)
+	if _, err := rn.f.ReadAt(hb, rn.hashOff); err != nil {
+		bad("run-hash-section", rn.hashOff, fmt.Sprintf("unreadable: %v", err))
+	} else if crc32.ChecksumIEEE(hb[:len(hb)-4]) != binary.LittleEndian.Uint32(hb[len(hb)-4:]) {
+		bad("run-hash-section", rn.hashOff, "hash section checksum mismatch")
+	} else if v.tupleOK && len(v.hashes) == int(rn.nrows) {
 		for i, h := range v.hashes {
-			if rn.hashes[i] != h {
-				bad("run-hash-section", -1, "resident row hash does not match tuple data")
+			if binary.LittleEndian.Uint64(hb[i*8:]) != h {
+				bad("run-hash-section", rn.hashOff+int64(i*8), "stored row hash does not match tuple data")
 				break
 			}
 		}
 	}
+	verifyRunSeal(rn, bad)
 	if v.tupleOK && rn.bloom != nil {
 		for _, h := range v.hashes {
 			if !rn.bloom.mayContain(h) {
@@ -218,42 +205,26 @@ func verifyRunHandle(rn *run, rel string) runImage {
 	return v
 }
 
-// verifyRunSeal re-reads a RUN2 file's trailer and footer seals.
+// verifyRunSeal re-reads a run file's header, trailer and footer.
 func verifyRunSeal(rn *run, bad func(artifact string, off int64, detail string)) {
 	fi, err := rn.f.Stat()
 	if err != nil {
 		bad("run-trailer", -1, fmt.Sprintf("stat: %v", err))
 		return
 	}
-	if fi.Size() < int64(runTrailerLen) {
-		bad("run-trailer", fi.Size(), "truncated run trailer")
+	if _, err := readRunTail(rn.f, fi.Size()); err != nil {
+		badTail(err, bad)
+	}
+}
+
+// badTail reports a readRunTail failure as a finding.
+func badTail(err error, bad func(artifact string, off int64, detail string)) {
+	var ce *storage.CorruptError
+	if errors.As(err, &ce) {
+		bad(ce.Artifact, ce.Offset, ce.Detail)
 		return
 	}
-	toff := fi.Size() - int64(runTrailerLen)
-	var tr [runTrailerLen]byte
-	if _, err := rn.f.ReadAt(tr[:], toff); err != nil {
-		bad("run-trailer", toff, fmt.Sprintf("unreadable: %v", err))
-		return
-	}
-	if string(tr[16:]) != runTrailerMagic {
-		bad("run-trailer", toff, "bad run trailer magic")
-		return
-	}
-	fo := int64(binary.LittleEndian.Uint64(tr[0:8]))
-	fl := int64(binary.LittleEndian.Uint32(tr[8:12]))
-	sum := binary.LittleEndian.Uint32(tr[12:16])
-	if fo < int64(len(runMagic2)) || fo+fl+int64(runTrailerLen) != fi.Size() {
-		bad("run-trailer", toff, "bad run footer bounds")
-		return
-	}
-	foot := make([]byte, fl)
-	if _, err := rn.f.ReadAt(foot, fo); err != nil {
-		bad("run-footer", fo, fmt.Sprintf("unreadable: %v", err))
-		return
-	}
-	if crc32.ChecksumIEEE(foot) != sum {
-		bad("run-footer", fo, "run footer checksum mismatch")
-	}
+	bad("run-trailer", -1, fmt.Sprintf("unreadable: %v", err))
 }
 
 // healRun replaces a run whose auxiliary structures are damaged but whose
@@ -404,11 +375,16 @@ func verifyManifestFile(fsys fsio.FS, dir string) []storage.Finding {
 		return []storage.Finding{{Artifact: "manifest", Path: path, Offset: -1,
 			Detail: fmt.Sprintf("unreadable: %v", err)}}
 	}
-	if _, err := parseManifestImage(data); err != nil {
-		return []storage.Finding{{Artifact: "manifest", Path: path, Offset: 0,
-			Detail: err.Error()}}
+	if _, err := parseManifestImage(path, data); err != nil {
+		return []storage.Finding{manifestFinding(err)}
 	}
 	return nil
+}
+
+// manifestFinding reports a parseManifestImage failure as a finding.
+func manifestFinding(err error) storage.Finding {
+	ce := err.(*storage.CorruptError)
+	return storage.Finding{Artifact: ce.Artifact, Path: ce.Path, Offset: ce.Offset, Detail: ce.Detail}
 }
 
 // verifyInternFile walks the intern table's records. A record the file
@@ -433,22 +409,16 @@ func verifyInternFile(fsys fsio.FS, dir string) []storage.Finding {
 		return []storage.Finding{{Artifact: "intern", Path: path, Offset: 0,
 			Detail: "bad intern table header"}}
 	}
-	prev := ""
-	pos := len(internMagic)
-	for pos < len(data) {
-		rec, next, ok := parseInternRecord(data, pos, prev)
-		if !ok {
-			if internTailTorn(data, pos, prev) {
-				return []storage.Finding{{Artifact: "intern", Path: path, Offset: int64(pos),
-					Detail: "torn trailing record", Benign: true}}
-			}
-			return []storage.Finding{{Artifact: "intern", Path: path, Offset: int64(pos),
-				Detail: "record checksum mismatch; this and later entries are unrecoverable"}}
-		}
-		prev = rec.s
-		pos = next
+	pos, prev := walkInternRecords(data, func(internRecord) {})
+	switch {
+	case pos == len(data):
+		return nil
+	case internTailTorn(data, pos, prev):
+		return []storage.Finding{{Artifact: "intern", Path: path, Offset: int64(pos),
+			Detail: "torn trailing record", Benign: true}}
 	}
-	return nil
+	return []storage.Finding{{Artifact: "intern", Path: path, Offset: int64(pos),
+		Detail: "record checksum mismatch; this and later entries are unrecoverable"}}
 }
 
 // internTailTorn reports whether the invalid record at pos is explainable
@@ -465,13 +435,13 @@ func internTailTorn(data []byte, pos int, prev string) bool {
 		return true
 	}
 	p += n2
-	if int(pfx) > len(prev) {
+	if pfx > uint64(len(prev)) {
 		// A record is appended whole with a valid prefix length; a
 		// complete varint claiming an impossible prefix means the bytes
 		// changed after the write.
 		return false
 	}
-	return p+int(sfx)+12 > len(data)
+	return uint64(len(data)-p) < 12 || sfx > uint64(len(data)-p-12)
 }
 
 // ---- offline fsck ----
@@ -495,13 +465,12 @@ func FsckDirFS(fsys fsio.FS, dir string, repair bool) ([]storage.Finding, error)
 	manifestPath := filepath.Join(dir, manifestName)
 	var img *manifestImage
 	if mdata, err := fsys.ReadFile(manifestPath); err == nil {
-		img, err = parseManifestImage(mdata)
+		img, err = parseManifestImage(manifestPath, mdata)
 		if err != nil {
 			// Report-only: the manifest is the durability root, and
 			// rebuilding it would be guessing which runs form the
 			// statement-boundary state.
-			findings = append(findings, storage.Finding{Artifact: "manifest",
-				Path: manifestPath, Offset: 0, Detail: err.Error()})
+			findings = append(findings, manifestFinding(err))
 		}
 	} else if !os.IsNotExist(err) {
 		findings = append(findings, storage.Finding{Artifact: "manifest",
@@ -625,148 +594,74 @@ func verifyRunBytes(dict *atomDict, path, rel string, seq uint64, data []byte) r
 			Offset: off, Detail: detail,
 		})
 	}
-	if len(data) < len(runMagic2) {
-		bad("run-header", 0, "file truncated below header")
+	arity, dataStart, err := parseRunHeader(data, int64(len(data)))
+	if err != nil {
+		badTail(err, bad)
 		v.tupleOK = false
 		return v
 	}
-	legacy := false
-	switch string(data[:len(runMagic2)]) {
-	case runMagic2:
-	case runMagic1:
-		legacy = true
-	default:
-		bad("run-header", 0, "bad run magic")
-		v.tupleOK = false
-		return v
-	}
-	pos := len(runMagic2)
-	arity, n := binary.Uvarint(data[pos:])
-	if n <= 0 {
-		bad("run-header", int64(pos), "truncated arity")
-		v.tupleOK = false
-		return v
-	}
-	v.arity = int(arity)
-	dataStart := pos + n
-
-	walkFrames := func(limit int) int {
-		p := dataStart
-		for p+8 <= limit {
-			size := int(binary.LittleEndian.Uint32(data[p : p+4]))
-			if p+8+size > limit {
-				break
-			}
-			if crc32.ChecksumIEEE(data[p+8:p+8+size]) != binary.LittleEndian.Uint32(data[p+4:p+8]) {
-				break
-			}
-			rows, detail := decodeFrame(dict, data[p:p+8+size], v.arity, legacy)
-			if detail != "" {
-				bad("run-block", int64(p), detail)
-				v.tupleOK = false
-				break
-			}
-			v.rows = append(v.rows, rows...)
-			for _, t := range rows {
-				v.hashes = append(v.hashes, t.Hash())
-			}
-			p += 8 + size
-		}
-		return p
-	}
-
-	if legacy {
-		// Legacy runs are frames to EOF, nothing else.
-		end := walkFrames(len(data))
-		if v.tupleOK && end != len(data) {
-			bad("run-block", int64(end), "truncated or corrupt block")
+	v.arity = arity
+	decode := func(off int64, frame []byte, what string) bool {
+		rows, detail := decodeFrame(dict, frame, v.arity)
+		if detail != "" {
+			bad("run-block", off, what+detail)
 			v.tupleOK = false
+			return false
 		}
-		return v
+		v.rows = append(v.rows, rows...)
+		for _, t := range rows {
+			v.hashes = append(v.hashes, t.Hash())
+		}
+		return true
 	}
 
-	// Trailer and footer.
-	var rf runFooter
-	footerOK := false
-	var footOff int64 = -1
-	toff := int64(len(data) - runTrailerLen)
-	if len(data) < dataStart+runTrailerLen || string(data[len(data)-len(runTrailerMagic):]) != runTrailerMagic {
-		bad("run-trailer", max64(0, toff), "truncated or bad run trailer")
-	} else {
-		tr := data[toff:]
-		fo := int64(binary.LittleEndian.Uint64(tr[0:8]))
-		fl := int64(binary.LittleEndian.Uint32(tr[8:12]))
-		sum := binary.LittleEndian.Uint32(tr[12:16])
-		switch {
-		case fo < int64(dataStart) || fo+fl+int64(runTrailerLen) != int64(len(data)):
-			bad("run-trailer", toff, "bad run footer bounds")
-		case crc32.ChecksumIEEE(data[fo:fo+fl]) != sum:
-			bad("run-footer", fo, "run footer checksum mismatch")
-		default:
-			var artifact, detail string
-			rf, artifact, detail = parseRunFooter(data[fo:fo+fl], int64(dataStart))
-			if detail != "" {
-				bad(artifact, fo, detail)
-			} else {
-				footerOK = true
-				footOff = fo
-			}
+	rt, err := readRunTail(bytes.NewReader(data), int64(len(data)))
+	if err == nil {
+		for bi, bm := range rt.blocks {
+			decode(bm.off, data[bm.off:bm.off+int64(bm.size)], fmt.Sprintf("block %d: ", bi))
 		}
-	}
-
-	if footerOK {
-		for bi, bm := range rf.blocks {
-			if bm.off < int64(dataStart) || bm.off+int64(bm.size) > int64(len(data)) {
-				bad("run-block", bm.off, fmt.Sprintf("block %d out of bounds", bi))
-				v.tupleOK = false
-				continue
-			}
-			rows, detail := decodeFrame(dict, data[bm.off:bm.off+int64(bm.size)], v.arity, false)
-			if detail != "" {
-				bad("run-block", bm.off, fmt.Sprintf("block %d: %s", bi, detail))
-				v.tupleOK = false
-				continue
-			}
-			v.rows = append(v.rows, rows...)
-			for _, t := range rows {
-				v.hashes = append(v.hashes, t.Hash())
-			}
+		if v.tupleOK && int32(len(v.rows)) != rt.nrows {
+			bad("run-footer", rt.footOff, "footer row count does not match block contents")
 		}
-		if v.tupleOK && int32(len(v.rows)) != rf.nrows {
-			bad("run-footer", footOff, "footer row count does not match block contents")
-		}
-		hend := rf.hashOff + int64(rf.nrows)*8 + 4
-		if rf.hashOff < int64(dataStart) || hend > int64(len(data)) {
-			bad("run-footer", footOff, "hash section out of bounds")
-		} else {
-			hsec := data[rf.hashOff:hend]
-			if crc32.ChecksumIEEE(hsec[:len(hsec)-4]) != binary.LittleEndian.Uint32(hsec[len(hsec)-4:]) {
-				bad("run-hash-section", rf.hashOff, "hash section checksum mismatch")
-			} else if v.tupleOK && int32(len(v.hashes)) == rf.nrows {
-				for i, h := range v.hashes {
-					if binary.LittleEndian.Uint64(hsec[i*8:]) != h {
-						bad("run-hash-section", rf.hashOff+int64(i*8), "stored row hash does not match tuple data")
-						break
-					}
+		hsec := data[rt.hashOff:rt.footOff]
+		if crc32.ChecksumIEEE(hsec[:len(hsec)-4]) != binary.LittleEndian.Uint32(hsec[len(hsec)-4:]) {
+			bad("run-hash-section", rt.hashOff, "hash section checksum mismatch")
+		} else if v.tupleOK && int32(len(v.hashes)) == rt.nrows {
+			for i, h := range v.hashes {
+				if binary.LittleEndian.Uint64(hsec[i*8:]) != h {
+					bad("run-hash-section", rt.hashOff+int64(i*8), "stored row hash does not match tuple data")
+					break
 				}
 			}
 		}
-		if v.tupleOK && rf.bloom != nil {
+		if v.tupleOK && rt.bloom != nil {
 			for _, h := range v.hashes {
-				if !rf.bloom.mayContain(h) {
-					bad("run-bloom", footOff, "bloom filter misses a stored row hash")
+				if !rt.bloom.mayContain(h) {
+					bad("run-bloom", rt.footOff, "bloom filter misses a stored row hash")
 					break
 				}
 			}
 		}
 		return v
 	}
+	badTail(err, bad)
 
 	// Footer unusable: recover blocks by frame-walking. The walk is
 	// validated by requiring the recomputed hash section to appear
 	// verbatim at the stop position — a frame boundary that drifted into
 	// the hash section cannot satisfy both the frame CRCs and this check.
-	end := walkFrames(len(data))
+	end := int(dataStart)
+	for end+8 <= len(data) {
+		size := int(binary.LittleEndian.Uint32(data[end : end+4]))
+		if size > len(data)-end-8 ||
+			crc32.ChecksumIEEE(data[end+8:end+8+size]) != binary.LittleEndian.Uint32(data[end+4:end+8]) {
+			break
+		}
+		if !decode(int64(end), data[end:end+8+size], "") {
+			break
+		}
+		end += 8 + size
+	}
 	if v.tupleOK {
 		want := appendHashSection(nil, v.hashes)
 		if end+len(want) > len(data) || !bytes.Equal(data[end:end+len(want)], want) {
@@ -775,13 +670,6 @@ func verifyRunBytes(dict *atomDict, path, rel string, seq uint64, data []byte) r
 		}
 	}
 	return v
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // rewriteRunFile rebuilds a run file in place from its surviving tuple
@@ -827,15 +715,7 @@ func loadDictReadOnly(fsys fsio.FS, dir string) *atomDict {
 	if err != nil || len(data) < len(internMagic) || string(data[:len(internMagic)]) != internMagic {
 		return d
 	}
-	pos := len(internMagic)
-	for pos < len(data) {
-		rec, next, ok := parseInternRecord(data, pos, d.prev)
-		if !ok {
-			break
-		}
-		d.appendMem(rec.s, rec.h)
-		pos = next
-	}
+	walkInternRecords(data, func(rec internRecord) { d.appendMem(rec.s, rec.h) })
 	return d
 }
 
@@ -853,63 +733,66 @@ type manifestImage struct {
 	rels   []manifestRel
 }
 
-// parseManifestImage decodes a manifest file image (either format) into
-// a rewritable form, verifying the envelope CRC.
-func parseManifestImage(data []byte) (*manifestImage, error) {
-	mlen := len(manifestMagic2)
-	if len(data) < mlen+8 {
-		return nil, fmt.Errorf("truncated manifest")
+// parseManifestImage decodes the manifest file image read from path into
+// a rewritable form. Every way the bytes can fail — envelope, checksum, or
+// a CRC-valid payload that does not parse — is a *storage.CorruptError
+// naming the manifest, and nothing is allocated beyond what the payload's
+// own bytes can fill: each relation's arity is bounded by the bytes left
+// (every column's digest takes at least one).
+func parseManifestImage(path string, data []byte) (*manifestImage, error) {
+	corrupt := func(off int, detail string) error {
+		return &storage.CorruptError{Artifact: "manifest", Path: path, Offset: int64(off), Detail: detail}
 	}
-	v2 := false
-	switch string(data[:mlen]) {
-	case manifestMagic2:
-		v2 = true
-	case manifestMagic1:
-	default:
-		return nil, fmt.Errorf("bad manifest header")
+	mlen := len(manifestMagic)
+	if len(data) < mlen+8 || string(data[:mlen]) != manifestMagic {
+		return nil, corrupt(0, "bad manifest header")
 	}
 	plen := int(binary.LittleEndian.Uint32(data[mlen : mlen+4]))
 	sum := binary.LittleEndian.Uint32(data[mlen+4 : mlen+8])
 	rest := data[mlen+8:]
 	if len(rest) < plen || crc32.ChecksumIEEE(rest[:plen]) != sum {
-		return nil, fmt.Errorf("manifest checksum mismatch")
+		return nil, corrupt(mlen+8, "manifest checksum mismatch")
 	}
-	rd := newByteScanner(bytes.NewReader(rest[:plen]))
+	br := bytes.NewReader(rest[:plen])
+	rd := bufio.NewReader(br)
+	left := func() int { return br.Len() + rd.Buffered() }
+	bad := func(what string, err error) error {
+		return corrupt(mlen+8+plen-left(), fmt.Sprintf("manifest payload: %s: %v", what, err))
+	}
 	img := &manifestImage{}
 	var err error
 	if img.runSeq, err = binary.ReadUvarint(rd); err != nil {
-		return nil, fmt.Errorf("manifest payload: %w", err)
+		return nil, bad("run sequence", err)
 	}
 	nrels, err := binary.ReadUvarint(rd)
 	if err != nil {
-		return nil, fmt.Errorf("manifest payload: %w", err)
+		return nil, bad("relation count", err)
 	}
 	for i := uint64(0); i < nrels; i++ {
 		var mr manifestRel
-		name, err := term.ReadValue(rd.buf)
-		if err != nil {
-			return nil, fmt.Errorf("manifest payload: %w", err)
+		if mr.name, err = term.ReadValue(rd); err != nil {
+			return nil, bad("relation name", err)
 		}
-		mr.name = name
 		arity, err := binary.ReadUvarint(rd)
 		if err != nil {
-			return nil, fmt.Errorf("manifest payload: %w", err)
+			return nil, bad("arity", err)
+		}
+		if arity > uint64(left()) {
+			return nil, bad("arity", fmt.Errorf("%d columns in %d remaining bytes", arity, left()))
 		}
 		mr.arity = int(arity)
 		mr.dist = storage.NewDistinctTracker(mr.arity)
-		if v2 {
-			if err := mr.dist.ReadDigest(rd.buf); err != nil {
-				return nil, fmt.Errorf("manifest digest: %w", err)
-			}
+		if err := mr.dist.ReadDigest(rd); err != nil {
+			return nil, bad("distinct digest", err)
 		}
 		nruns, err := binary.ReadUvarint(rd)
 		if err != nil {
-			return nil, fmt.Errorf("manifest payload: %w", err)
+			return nil, bad("run count", err)
 		}
 		for j := uint64(0); j < nruns; j++ {
 			seq, err := binary.ReadUvarint(rd)
 			if err != nil {
-				return nil, fmt.Errorf("manifest payload: %w", err)
+				return nil, bad("run sequence", err)
 			}
 			mr.runs = append(mr.runs, seq)
 		}
@@ -918,8 +801,8 @@ func parseManifestImage(data []byte) (*manifestImage, error) {
 	return img, nil
 }
 
-// writeManifestImage writes img atomically in the current (MAN2) format,
-// mirroring Store.writeManifest's temp/fsync/rename protocol.
+// writeManifestImage writes img atomically: temp file, fsync, rename,
+// directory fsync.
 func writeManifestImage(fsys fsio.FS, dir string, img *manifestImage) error {
 	var payload []byte
 	payload = binary.AppendUvarint(payload, img.runSeq)
@@ -934,7 +817,7 @@ func writeManifestImage(fsys fsio.FS, dir string, img *manifestImage) error {
 		}
 	}
 	var buf bytes.Buffer
-	buf.WriteString(manifestMagic2)
+	buf.WriteString(manifestMagic)
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))

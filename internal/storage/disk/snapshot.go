@@ -291,12 +291,6 @@ func (r *snapRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) boo
 	r.mem.Lookup(mask, key, yield)
 }
 
-// PrepareRead implements storage.Rel for the memtable layer; run-resident
-// lookups on snapshots stay scan-based.
-func (r *snapRel) PrepareRead(mask uint32, lookups int) {
-	r.mem.PrepareRead(mask, lookups)
-}
-
 // All implements storage.Rel.
 func (r *snapRel) All() []term.Tuple {
 	out := make([]term.Tuple, 0, r.Len())

@@ -25,12 +25,8 @@
 package disk
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -115,11 +111,12 @@ func (o Options) fs() fsio.FS {
 }
 
 const (
-	manifestName   = "MANIFEST.grm"
-	manifestMagic1 = "GLUENAIL-MAN1\n"
-	// MAN2 adds per-relation distinct digests after the arity, so reopen
-	// restores planner statistics without decoding any run.
-	manifestMagic2 = "GLUENAIL-MAN2\n"
+	manifestName = "MANIFEST.grm"
+	// manifestMagic heads the MAN2 format: per relation, its name, arity,
+	// distinct digests (so reopen restores planner statistics without
+	// decoding any run), and run list. The older MAN1 format, without
+	// digests, is refused as corrupt.
+	manifestMagic = "GLUENAIL-MAN2\n"
 )
 
 // Store is the disk engine. It implements storage.Backend plus the
@@ -845,7 +842,7 @@ func (r *Rel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
 	}
 	ix := r.runIx(mask)
 	if ix == nil {
-		if once := r.creditRunScan(mask, 1); once != nil {
+		if once := r.creditRunScan(mask); once != nil {
 			once.Do(func() { r.publishRunIx(mask) })
 			ix = r.runIx(mask)
 		}
@@ -882,21 +879,6 @@ func (r *Rel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
 	r.mem.Lookup(mask, key, yield)
 }
 
-// PrepareRead implements storage.Rel: pre-pays adaptive accounting on both
-// layers so parallel readers find published indexes.
-func (r *Rel) PrepareRead(mask uint32, lookups int) {
-	r.mem.PrepareRead(mask, lookups)
-	if mask == 0 || mask == r.fullMask() || r.diskLive == 0 || lookups <= 0 {
-		return
-	}
-	if r.runIx(mask) != nil {
-		return
-	}
-	if once := r.creditRunScan(mask, int64(lookups)); once != nil {
-		once.Do(func() { r.publishRunIx(mask) })
-	}
-}
-
 // All implements storage.Rel.
 func (r *Rel) All() []term.Tuple {
 	out := make([]term.Tuple, 0, r.Len())
@@ -918,7 +900,7 @@ func (r *Rel) runIx(mask uint32) *hashIx {
 
 // creditRunScan mirrors the main-memory relation's scan-credit policy for
 // the run-resident rows.
-func (r *Rel) creditRunScan(mask uint32, scans int64) *sync.Once {
+func (r *Rel) creditRunScan(mask uint32) *sync.Once {
 	r.ixMu.RLock()
 	if _, ok := r.ixs[mask]; ok {
 		once := r.ixOnces[mask]
@@ -945,7 +927,7 @@ func (r *Rel) creditRunScan(mask uint32, scans int64) *sync.Once {
 		r.ixMu.Unlock()
 	}
 	n := int64(r.diskLive)
-	if c.Add(scans*n) >= 2*n {
+	if c.Add(n) >= 2*n {
 		return r.runIxGuard(mask)
 	}
 	return nil
@@ -1175,69 +1157,28 @@ func (r *Rel) mergeRuns(runs []*run, dropBelow uint64, sync bool) (*run, error) 
 	return merged, nil
 }
 
-// writeManifest writes the manifest atomically: temp file, fsync, rename,
-// directory fsync. The intern dictionary is synced first — manifest-named
-// packed runs must never reference atoms the dictionary could lose.
+// writeManifest writes the manifest atomically (see writeManifestImage).
+// The intern dictionary is synced first — manifest-named packed runs must
+// never reference atoms the dictionary could lose.
 func (s *Store) writeManifest() error {
 	if err := s.dict.sync(); err != nil {
 		return err
 	}
-	var payload []byte
 	s.mu.RLock()
-	payload = binary.AppendUvarint(payload, s.runSeq)
-	payload = binary.AppendUvarint(payload, uint64(len(s.order)))
-	for _, r := range s.order {
-		payload = term.AppendValue(payload, r.name)
-		payload = binary.AppendUvarint(payload, uint64(r.arity))
-		payload = r.dist.AppendDigest(payload)
-		runs := *r.runs.Load()
-		payload = binary.AppendUvarint(payload, uint64(len(runs)))
-		for _, rn := range runs {
-			payload = binary.AppendUvarint(payload, rn.seq)
+	img := &manifestImage{runSeq: s.runSeq, rels: make([]manifestRel, len(s.order))}
+	for i, r := range s.order {
+		mr := manifestRel{name: r.name, arity: r.arity, dist: r.dist}
+		for _, rn := range *r.runs.Load() {
+			mr.runs = append(mr.runs, rn.seq)
 		}
+		img.rels[i] = mr
 	}
 	s.mu.RUnlock()
-	var buf bytes.Buffer
-	buf.WriteString(manifestMagic2)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	buf.Write(hdr[:])
-	buf.Write(payload)
-
-	path := filepath.Join(s.dir, manifestName)
-	tmpPath := path + ".tmp"
-	f, err := s.fsys.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return storage.IOFault("manifest", tmpPath, err)
-	}
-	_, err = f.Write(buf.Bytes())
-	if err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		_ = f.Close()
-		_ = s.fsys.Remove(tmpPath)
-		return storage.IOFault("manifest", tmpPath, err)
-	}
-	if err := f.Close(); err != nil {
-		_ = s.fsys.Remove(tmpPath)
-		return storage.IOFault("manifest", tmpPath, err)
-	}
-	if err := s.fsys.Rename(tmpPath, path); err != nil {
-		_ = s.fsys.Remove(tmpPath)
-		return storage.IOFault("manifest", path, err)
-	}
-	if err := s.fsys.SyncDir(s.dir); err != nil {
-		return storage.IOFault("manifest", s.dir, err)
-	}
-	return nil
+	return writeManifestImage(s.fsys, s.dir, img)
 }
 
-// loadManifest restores relations and runs from the manifest, if present.
-// MAN2 manifests carry persisted distinct digests, so reopening decodes no
-// run data at all; legacy MAN1 manifests rebuild the digests by scanning
-// each run once through the openRun observe callback.
+// loadManifest restores relations, their distinct digests, and their runs
+// from the manifest, if present; reopening decodes no run data at all.
 func (s *Store) loadManifest() error {
 	path := filepath.Join(s.dir, manifestName)
 	data, err := s.fsys.ReadFile(path)
@@ -1247,65 +1188,24 @@ func (s *Store) loadManifest() error {
 		}
 		return storage.IOFault("manifest", path, err)
 	}
-	mlen := len(manifestMagic2)
-	v2 := false
-	switch {
-	case len(data) >= mlen+8 && string(data[:mlen]) == manifestMagic2:
-		v2 = true
-	case len(data) >= mlen+8 && string(data[:mlen]) == manifestMagic1:
-	default:
-		return &storage.CorruptError{Artifact: "manifest", Path: path, Offset: 0,
-			Detail: "bad manifest header"}
-	}
-	plen := int(binary.LittleEndian.Uint32(data[mlen : mlen+4]))
-	sum := binary.LittleEndian.Uint32(data[mlen+4 : mlen+8])
-	rest := data[mlen+8:]
-	if len(rest) < plen || crc32.ChecksumIEEE(rest[:plen]) != sum {
-		return &storage.CorruptError{Artifact: "manifest", Path: path, Offset: int64(mlen + 8),
-			Detail: "manifest checksum mismatch"}
-	}
-	br := bytes.NewReader(rest[:plen])
-	rd := newByteScanner(br)
-	runSeq, err := binary.ReadUvarint(rd)
+	img, err := parseManifestImage(path, data)
 	if err != nil {
 		return err
 	}
-	nrels, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < nrels; i++ {
-		name, err := term.ReadValue(rd.buf)
-		if err != nil {
-			return err
-		}
-		arity, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return err
-		}
-		r := s.ensure(name, int(arity), false)
-		var observe func(term.Tuple)
-		if v2 {
-			if err := r.dist.ReadDigest(rd.buf); err != nil {
-				return fmt.Errorf("disk: %s: manifest digest for %v/%d: %w", s.dir, name, arity, err)
-			}
-		} else {
-			observe = func(t term.Tuple) { r.dist.Add(t) }
-		}
-		nruns, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return err
-		}
+	for _, mr := range img.rels {
+		r := s.ensure(mr.name, mr.arity, false)
+		r.dist = mr.dist
 		var runs []*run
 		live := 0
-		for j := uint64(0); j < nruns; j++ {
-			seq, err := binary.ReadUvarint(rd)
+		for _, seq := range mr.runs {
+			rn, err := openRun(s, filepath.Join(s.dir, runName(seq)), seq)
 			if err != nil {
 				return err
 			}
-			rn, err := openRun(s, filepath.Join(s.dir, runName(seq)), seq, observe)
-			if err != nil {
-				return err
+			if rn.arity != mr.arity {
+				rn.release()
+				return &storage.CorruptError{Artifact: "run-header", Path: rn.path, Run: seq,
+					Offset: int64(len(runMagic2)), Detail: fmt.Sprintf("run arity %d, relation arity %d", rn.arity, mr.arity)}
 			}
 			runs = append(runs, rn)
 			live += int(rn.nrows)
@@ -1315,8 +1215,8 @@ func (s *Store) loadManifest() error {
 		r.diskLive = live
 		r.epochRows = live
 	}
-	if runSeq > s.runSeq {
-		s.runSeq = runSeq
+	if img.runSeq > s.runSeq {
+		s.runSeq = img.runSeq
 	}
 	return nil
 }
@@ -1354,15 +1254,3 @@ func (s *Store) sweepOrphans() {
 		}
 	}
 }
-
-// byteScanner adapts a bytes.Reader for both ReadUvarint (io.ByteReader)
-// and term.ReadValue (*bufio.Reader) without losing position.
-type byteScanner struct {
-	buf *bufio.Reader
-}
-
-func newByteScanner(r *bytes.Reader) *byteScanner {
-	return &byteScanner{buf: bufio.NewReader(r)}
-}
-
-func (b *byteScanner) ReadByte() (byte, error) { return b.buf.ReadByte() }

@@ -191,12 +191,6 @@ func (r *layeredRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) 
 	r.inner.Lookup(mask, key, yield)
 }
 
-func (r *layeredRel) PrepareRead(mask uint32, lookups int) {
-	defer r.store.latch()()
-	r.store.catalogLookup(r.inner.name, r.inner.arity)
-	r.inner.PrepareRead(mask, lookups)
-}
-
 func (r *layeredRel) DistinctEst(col int) int {
 	defer r.store.latch()()
 	return r.inner.DistinctEst(col)

@@ -18,7 +18,7 @@ func TestLookupProbeAllocs(t *testing.T) {
 			term.NewInt(int64(i)),
 		})
 	}
-	r.PrepareRead(1, 1<<20) // force the col-0 index
+	warmIndex(r, 1, term.Tuple{term.Intern("n000"), {}})
 	if !r.HasIndex(1) {
 		t.Fatal("col-0 index was not built")
 	}

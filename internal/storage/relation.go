@@ -190,7 +190,9 @@ func (c *colStats) appendDigest(dst []byte) []byte {
 }
 
 // readDigest restores a digest serialized by appendDigest, replacing the
-// column's current state.
+// column's current state. An exact map never outgrows distinctExactLimit,
+// so a larger count is damage and is refused before anything is sized
+// from it.
 func (c *colStats) readDigest(r *bufio.Reader) error {
 	mode, err := r.ReadByte()
 	if err != nil {
@@ -202,6 +204,9 @@ func (c *colStats) readDigest(r *bufio.Reader) error {
 		n, err := binary.ReadUvarint(r)
 		if err != nil {
 			return err
+		}
+		if n > distinctExactLimit {
+			return fmt.Errorf("storage: exact digest of %d values exceeds the limit of %d", n, distinctExactLimit)
 		}
 		c.exact = make(map[uint64]uint32, n)
 		for i := uint64(0); i < n; i++ {
@@ -271,8 +276,8 @@ type Stats struct {
 }
 
 // TuplesInserted returns the cumulative insert count with an atomic load,
-// so the execution governor can poll the tuple budget from morsel workers
-// while other goroutines account their inserts.
+// so the execution governor can poll the tuple budget while other
+// goroutines account their inserts.
 func (s *Stats) TuplesInserted() int64 {
 	return atomic.LoadInt64(&s.Inserts)
 }
@@ -306,12 +311,6 @@ type Rel interface {
 	// Lookups from multiple goroutines are safe with each other (but not
 	// with a concurrent writer).
 	Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool)
-	// PrepareRead gives the relation advance notice that about `lookups`
-	// Lookup calls with the given bound-column mask are imminent, possibly
-	// from concurrent readers. The relation applies its index policy up
-	// front, so a decided index is built once, sequentially, before the
-	// readers fan out rather than racing them.
-	PrepareRead(mask uint32, lookups int)
 	// DistinctEst estimates the number of distinct values in column col —
 	// exact while the column holds few distinct values, a fixed-size
 	// sketch estimate beyond that. The physical planner reads it at
@@ -417,8 +416,8 @@ type Relation struct {
 	// builds are serialized per mask through onces so exactly one reader
 	// constructs an index while the others either wait on the Once or
 	// fall back to scanning. Scan-cost credit itself accumulates in atomic
-	// counters (mu only guards the map holding them), so concurrent morsel
-	// readers charge credit without losing or double-counting updates.
+	// counters (mu only guards the map holding them), so concurrent readers
+	// charge credit without losing or double-counting updates.
 	mu         sync.RWMutex
 	indexes    map[uint32]*hashIndex
 	scanCredit map[uint32]*atomic.Int64
@@ -696,7 +695,7 @@ func (r *Relation) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bo
 	}
 	ix := r.index(mask)
 	if ix == nil {
-		if once := r.creditScan(mask, 1); once != nil {
+		if once := r.creditScan(mask); once != nil {
 			once.Do(func() { r.publishIndex(mask) })
 			ix = r.index(mask)
 		}
@@ -716,23 +715,6 @@ func (r *Relation) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bo
 	}
 }
 
-// PrepareRead implements Rel: it pre-pays the adaptive accounting for
-// `lookups` imminent Lookup calls on mask and builds the index now if the
-// policy decides it should exist. Called sequentially at the boundary of a
-// parallel section so concurrent readers find a published index instead of
-// racing to construct one mid-scan.
-func (r *Relation) PrepareRead(mask uint32, lookups int) {
-	if mask == 0 || mask == r.fullMask() || r.n == 0 || lookups <= 0 {
-		return
-	}
-	if ix := r.index(mask); ix != nil {
-		return
-	}
-	if once := r.creditScan(mask, int64(lookups)); once != nil {
-		once.Do(func() { r.publishIndex(mask) })
-	}
-}
-
 // index returns the published index for mask, if any.
 func (r *Relation) index(mask uint32) *hashIndex {
 	r.mu.RLock()
@@ -741,13 +723,13 @@ func (r *Relation) index(mask uint32) *hashIndex {
 	return ix
 }
 
-// creditScan charges `scans` full scans' worth of rows toward adaptive
-// index construction on mask. When the policy decides the index should now
+// creditScan charges one full scan's worth of rows toward adaptive index
+// construction on mask. When the policy decides the index should now
 // exist it returns the per-mask build guard; nil means keep scanning. The
-// credit itself lives in an atomic counter, so concurrent morsel readers
-// accrue it without losing or double-counting updates; mu is held only to
+// credit itself lives in an atomic counter, so concurrent readers accrue
+// it without losing or double-counting updates; mu is held only to
 // look up or install the counter and the build guard.
-func (r *Relation) creditScan(mask uint32, scans int64) *sync.Once {
+func (r *Relation) creditScan(mask uint32) *sync.Once {
 	r.mu.RLock()
 	if _, ok := r.indexes[mask]; ok {
 		// Published while we were deciding: return the (completed) build
@@ -775,7 +757,7 @@ func (r *Relation) creditScan(mask uint32, scans int64) *sync.Once {
 		}
 		r.mu.Unlock()
 	}
-	if c.Add(scans*int64(r.n)) >= adaptiveFactor*int64(r.n) {
+	if c.Add(int64(r.n)) >= adaptiveFactor*int64(r.n) {
 		return r.buildGuard(mask)
 	}
 	return nil

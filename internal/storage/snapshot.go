@@ -44,8 +44,8 @@ func (s *MemStore) Snapshot() *SnapStore {
 type SnapStore struct {
 	csn   uint64
 	stats Stats
-	// mu guards rels: reads come from resolve paths (possibly concurrent
-	// morsel workers), and Ensure may install an empty placeholder.
+	// mu guards rels: reads come from resolve paths, and Ensure may
+	// install an empty placeholder.
 	mu   sync.RWMutex
 	rels map[string]*SnapRel
 }
@@ -140,7 +140,7 @@ type SnapRel struct {
 	// writer-maintained and unversioned, so a snapshot builds its own on
 	// the same scan-credit policy. mu guards the maps; builds serialize
 	// per mask through onces; credit accrues atomically so concurrent
-	// morsel readers never lose updates.
+	// readers never lose updates.
 	mu      sync.RWMutex
 	indexes map[uint32]*hashIndex
 	onces   map[uint32]*sync.Once
@@ -245,7 +245,7 @@ func (r *SnapRel) Contains(t term.Tuple) bool {
 		r.probe(ix, full, t, func(term.Tuple) bool { found = true; return false })
 		return found
 	}
-	r.creditAndMaybeBuild(full, 1)
+	r.creditAndMaybeBuild(full)
 	h := t.Hash()
 	for i := range r.tuples {
 		if r.hashes[i] == h && r.visible(i) && r.tuples[i].Equal(t) {
@@ -280,7 +280,7 @@ func (r *SnapRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) boo
 		r.probe(ix, mask, key, yield)
 		return
 	}
-	if once := r.creditAndMaybeBuild(mask, 1); once != nil {
+	if once := r.creditAndMaybeBuild(mask); once != nil {
 		if ix := r.index(mask); ix != nil {
 			r.probe(ix, mask, key, yield)
 			return
@@ -294,19 +294,6 @@ func (r *SnapRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) boo
 			}
 		}
 	}
-}
-
-// PrepareRead implements Rel: it pre-pays the adaptive accounting for the
-// imminent lookups and builds the snapshot-local index now if the policy
-// decides it should exist, so concurrent morsel readers find it published.
-func (r *SnapRel) PrepareRead(mask uint32, lookups int) {
-	if mask == 0 || len(r.tuples) == 0 || lookups <= 0 {
-		return
-	}
-	if ix := r.index(mask); ix != nil {
-		return
-	}
-	r.creditAndMaybeBuild(mask, int64(lookups))
 }
 
 // All implements Rel; the visible tuples in insertion order.
@@ -328,13 +315,13 @@ func (r *SnapRel) index(mask uint32) *hashIndex {
 	return ix
 }
 
-// creditAndMaybeBuild charges `scans` full scans toward building a
+// creditAndMaybeBuild charges one full scan toward building a
 // snapshot-local index on mask and builds it (exactly once, possibly
 // racing other readers onto the same sync.Once) when the accumulated
 // credit crosses the adaptive threshold — the same policy the live
 // relation applies, minus the per-store knob: a snapshot always indexes
 // adaptively, since it cannot fall back on the writer's indexes.
-func (r *SnapRel) creditAndMaybeBuild(mask uint32, scans int64) *sync.Once {
+func (r *SnapRel) creditAndMaybeBuild(mask uint32) *sync.Once {
 	rows := int64(len(r.tuples))
 	if rows == 0 {
 		return nil
@@ -353,7 +340,7 @@ func (r *SnapRel) creditAndMaybeBuild(mask uint32, scans int64) *sync.Once {
 		}
 		r.mu.Unlock()
 	}
-	if c.Add(scans*rows) < adaptiveFactor*rows {
+	if c.Add(rows) < adaptiveFactor*rows {
 		return nil
 	}
 	once := r.buildGuard(mask)

@@ -13,8 +13,8 @@ type internEntry struct {
 
 // interned maps string -> *internEntry. A sync.Map because interning
 // happens on parse, recovery, and API boundaries that may run concurrently
-// with expression evaluation inside parallel morsel workers; the table is
-// read-mostly after warm-up, which is sync.Map's fast case.
+// with expression evaluation in other sessions; the table is read-mostly
+// after warm-up, which is sync.Map's fast case.
 var interned sync.Map
 
 // Intern returns an atom/string value whose identity is shared with every

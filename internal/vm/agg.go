@@ -14,14 +14,9 @@ import (
 // per §3.3, over every tuple, not over the projection, so duplicates count
 // — partitioned by the group_by registers in effect. A bound destination
 // register selects tuples whose aggregate equals it; an unbound one is
-// extended onto every tuple of the group. Large row sets evaluate the
-// per-row work (group keys, aggregate argument) across the worker pool;
-// the fold itself stays a sequential in-order reduction so floating-point
-// aggregates are bit-identical at every worker count.
+// extended onto every tuple of the group.
 func (f *frame) applyAggregate(b *plan.Aggregate, rows [][]term.Value,
 	state *stmtState) ([][]term.Value, error) {
-	workers := f.m.workerCount()
-	par := workers > 1 && len(rows) >= f.m.fanOutThreshold()
 	var groups [][]int // row indices per group, groups in first-seen order
 	switch {
 	case len(state.groupRegs) == 0:
@@ -32,29 +27,17 @@ func (f *frame) applyAggregate(b *plan.Aggregate, rows [][]term.Value,
 		}
 		groups = [][]int{all}
 	case f.m.StringKeyKernels:
-		groups = f.groupRowsStringKey(rows, state.groupRegs, par, workers)
+		groups = f.groupRowsStringKey(rows, state.groupRegs)
 	default:
-		groups = f.groupRows(rows, state.groupRegs, par, workers)
+		groups = f.groupRows(rows, state.groupRegs)
 	}
 	vals := make([]term.Value, len(rows))
-	evalRow := func(ri int, row []term.Value, _ func([]term.Value)) error {
+	for ri, row := range rows {
 		v, err := evalExpr(b.Arg, row)
 		if err != nil {
-			return err
-		}
-		vals[ri] = v
-		return nil
-	}
-	if par {
-		if _, err := f.parMapRows(rows, workers, evalRow); err != nil {
 			return nil, err
 		}
-	} else {
-		for ri, row := range rows {
-			if err := evalRow(ri, row, nil); err != nil {
-				return nil, err
-			}
-		}
+		vals[ri] = v
 	}
 	var out [][]term.Value
 	for _, idxs := range groups {
@@ -88,29 +71,13 @@ func (f *frame) applyAggregate(b *plan.Aggregate, rows [][]term.Value,
 
 // groupRows partitions row indices by the values of the grouping
 // registers, groups in first-seen order — the hash-first kernel: rows are
-// hashed in place (a parallel pass for large row sets), a pooled
-// open-addressing table maps each hash to its group, and collisions
-// compare the live registers directly. No group-key bytes are built.
-func (f *frame) groupRows(rows [][]term.Value, regs []int, par bool, workers int) [][]int {
+// hashed in place, a pooled open-addressing table maps each hash to its
+// group, and collisions compare the live registers directly. No group-key
+// bytes are built.
+func (f *frame) groupRows(rows [][]term.Value, regs []int) [][]int {
 	hashes := make([]uint64, len(rows))
-	if par {
-		ms := morsels(len(rows), workers)
-		f.m.runMorsels(ms, workers, func(mi int) {
-			for ri := ms[mi].start; ri < ms[mi].end; ri++ {
-				hashes[ri] = rowHashLive(rows[ri], regs)
-			}
-		})
-		if f.m.govTripped() {
-			// Drained pool may have skipped morsels; redo sequentially so
-			// grouping stays correct until the abort surfaces.
-			for ri := range rows {
-				hashes[ri] = rowHashLive(rows[ri], regs)
-			}
-		}
-	} else {
-		for ri := range rows {
-			hashes[ri] = rowHashLive(rows[ri], regs)
-		}
+	for ri := range rows {
+		hashes[ri] = rowHashLive(rows[ri], regs)
 	}
 	t := f.grabTable(len(rows))
 	var groups [][]int

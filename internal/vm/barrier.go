@@ -78,14 +78,9 @@ func (f *frame) applyBarrier(b plan.BarrierOp, rows [][]term.Value,
 
 // applyCall runs a procedure/builtin once on all the distinct bindings of
 // its input arguments (§4) and joins the results back to the supplementary
-// rows. The call itself is sequential (procedures mutate machine state);
-// the per-row work around it — building input tuples, joining results back
-// — fans out over the worker pool for large row sets, with outputs merged
-// in row order.
+// rows, in row order.
 func (f *frame) applyCall(b *plan.Call, rows [][]term.Value) ([][]term.Value, error) {
 	nb := len(b.BoundArgs)
-	workers := f.m.workerCount()
-	par := workers > 1 && len(rows) >= f.m.fanOutThreshold()
 	stringKeys := f.m.StringKeyKernels
 	// Build each row's input tuple; the hash-first kernel caches the
 	// tuple's 64-bit hash per row (reused by both the distinct pass and
@@ -98,12 +93,12 @@ func (f *frame) applyCall(b *plan.Call, rows [][]term.Value) ([][]term.Value, er
 	} else {
 		rowHashes = make([]uint64, len(rows))
 	}
-	buildIn := func(ri int, row []term.Value, _ func([]term.Value)) error {
+	for ri, row := range rows {
 		tup := make(term.Tuple, nb)
 		for i := range b.BoundArgs {
 			v, err := b.BoundArgs[i].Build(row)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			tup[i] = v
 		}
@@ -112,18 +107,6 @@ func (f *frame) applyCall(b *plan.Call, rows [][]term.Value) ([][]term.Value, er
 			rowKeys[ri] = tupleKey(tup)
 		} else {
 			rowHashes[ri] = tup.Hash()
-		}
-		return nil
-	}
-	if par {
-		if _, err := f.parMapRows(rows, workers, buildIn); err != nil {
-			return nil, err
-		}
-	} else {
-		for ri, row := range rows {
-			if err := buildIn(ri, row, nil); err != nil {
-				return nil, err
-			}
 		}
 	}
 	// Distinct input tuples, in first-seen order (then sorted).
@@ -163,9 +146,7 @@ func (f *frame) applyCall(b *plan.Call, rows [][]term.Value) ([][]term.Value, er
 	if err != nil {
 		return nil, err
 	}
-	// Index results by bound prefix. The prefixIndex is built
-	// sequentially here and only probed (closure-free, read-only) inside
-	// joinRow, which may run on concurrent morsel workers.
+	// Index results by bound prefix.
 	wantArity := nb + len(b.FreeArgs)
 	var byPrefix map[string][]term.Tuple
 	var px prefixIndex
@@ -185,7 +166,8 @@ func (f *frame) applyCall(b *plan.Call, rows [][]term.Value) ([][]term.Value, er
 			px.add(r[:nb], r)
 		}
 	}
-	joinRow := func(ri int, row []term.Value, emit func([]term.Value)) error {
+	var out [][]term.Value
+	for ri, row := range rows {
 		var rs []term.Tuple
 		if stringKeys {
 			rs = byPrefix[rowKeys[ri]]
@@ -202,26 +184,15 @@ func (f *frame) applyCall(b *plan.Call, rows [][]term.Value) ([][]term.Value, er
 				}
 			}
 			if !exists {
-				emit(row)
+				out = append(out, row)
 			}
-			return nil
+			continue
 		}
 		for _, r := range rs {
 			cp := cloneRow(row)
 			if matchArgs(b.FreeArgs, r[nb:], cp) {
-				emit(cp)
+				out = append(out, cp)
 			}
-		}
-		return nil
-	}
-	if par {
-		return f.parMapRows(rows, workers, joinRow)
-	}
-	var out [][]term.Value
-	emit := func(row []term.Value) { out = append(out, row) }
-	for ri, row := range rows {
-		if err := joinRow(ri, row, emit); err != nil {
-			return nil, err
 		}
 	}
 	return out, nil

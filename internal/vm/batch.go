@@ -39,9 +39,10 @@ import (
 // runPipeBatch calls. Every column, lineage vector, and selection map is
 // dead once a segment flattens (the output slab is a fresh allocation),
 // so the vectors cycle through these freelists instead of churning the
-// allocator once per op. Scratches are drawn from a sync.Pool: the
-// sequential path and each concurrent morsel worker own a private one
-// for the duration of a call, so no locking is needed inside.
+// allocator once per op. Scratches are drawn from a sync.Pool shared by
+// every machine in the process (concurrent snapshot sessions included);
+// a call owns its scratch until it returns it, so no locking is needed
+// inside.
 //
 // Pooled value vectors are not cleared on release; they may pin the
 // previous segment's values until overwritten, which is bounded by one
@@ -382,8 +383,7 @@ func exprRegs(e plan.Expr, dst []int) []int {
 // runPipeBatch executes a segment's operators batch-at-a-time over the
 // given rows, filling the caller's per-op tuple counters exactly like the
 // scalar path (cnt[i] counts tuples entering op i, cnt[len(ops)] the
-// segment output). Used for both the sequential hot path and each morsel
-// of the parallel path.
+// segment output).
 func (f *frame) runPipeBatch(ops []plan.PipeOp, rels []storage.Rel, have []bool,
 	rows [][]term.Value, cnt []int64) ([][]term.Value, error) {
 	nregs := len(rows[0])

@@ -18,7 +18,7 @@ func batchTestFrame(n int) (*frame, *plan.PhysStep) {
 	for i := 0; i < n; i++ {
 		rel.Insert(term.Tuple{term.NewInt(int64(i)), term.NewInt(int64(i % 97))})
 	}
-	f := &frame{m: &Machine{Parallelism: 1, EDB: store}}
+	f := &frame{m: &Machine{EDB: store}}
 	scan := &plan.Match{
 		Rel:  plan.RelRef{Space: plan.SpaceEDB, Name: term.Ground(term.Intern("r")), Arity: 2},
 		Args: []term.Pattern{term.Var(0), term.Var(1)},

@@ -108,10 +108,7 @@ func cloneRow(row []term.Value) []term.Value {
 // the materialized baseline stores the full row set after every operator
 // (the extra load and store per tuple of §9). Statically named relations
 // are resolved once per segment, not per row — relations only change at
-// barriers and heads, never inside a segment. When the segment projects
-// enough rows and the machine allows more than one worker, execution fans
-// out over morsels (parallel.go); small segments keep the exact
-// single-threaded path so micro-queries pay no goroutine overhead.
+// barriers and heads, never inside a segment.
 func (f *frame) runPipe(step *plan.PhysStep, rows [][]term.Value, sprof *plan.StepProfile) ([][]term.Value, error) {
 	pops := step.Ops
 	if len(pops) == 0 {
@@ -166,12 +163,6 @@ func (f *frame) runPipe(step *plan.PhysStep, rows [][]term.Value, sprof *plan.St
 		cnt[len(ops)] += int64(len(cur))
 		return cur, nil
 	}
-	if workers := f.m.workerCount(); workers > 1 {
-		thr := f.m.fanOutThreshold()
-		if projectedRows(ops, rels, have, len(rows), thr) >= thr {
-			return f.runPipeParallel(step, ops, rels, have, rows, workers, sprof, cnt)
-		}
-	}
 	if f.m.BatchKernels {
 		return f.runPipeBatch(ops, rels, have, rows, cnt)
 	}
@@ -197,6 +188,28 @@ func (f *frame) runPipe(step *plan.PhysStep, rows [][]term.Value, sprof *plan.St
 	}
 	for _, row := range rows {
 		if err := rec(0, row); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// materializeOp runs one streaming op over the whole row set, materializing
+// its output: one operator step of the materialized baseline.
+func (f *frame) materializeOp(op plan.PipeOp, rel storage.Rel, haveRel bool,
+	rows [][]term.Value) ([][]term.Value, error) {
+	var out [][]term.Value
+	var sk term.Tuple
+	for _, row := range rows {
+		err := f.applyPipeOp(op, rel, haveRel, &sk, row, func() error {
+			out = append(out, cloneRow(row))
+			atomic.AddInt64(&f.m.Stats.TuplesMaterialized, 1)
+			if len(out)&(govCheckRows-1) == 0 {
+				return f.m.pollGovernor()
+			}
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -432,25 +445,16 @@ func (f *frame) dynResolve(name term.Value, arity int, narrowed bool,
 }
 
 // dedupRows removes rows that agree on the live registers (§9: duplicate
-// elimination at pipeline breaks). Large row sets shard the work across
-// the worker pool; either path keeps the first occurrence of each key in
-// input order. The hash-first kernel probes a pooled open-addressing
-// table with the 64-bit hash of the live registers and compares rows
-// directly on collision; no key bytes are materialized.
+// elimination at pipeline breaks), keeping the first occurrence of each
+// key in input order. The hash-first kernel probes a pooled
+// open-addressing table with the 64-bit hash of the live registers and
+// compares rows directly on collision; no key bytes are materialized.
 func (f *frame) dedupRows(rows [][]term.Value, live []int) [][]term.Value {
 	if len(rows) < 2 {
 		return rows
 	}
-	workers := f.m.workerCount()
-	par := workers > 1 && len(rows) >= f.m.fanOutThreshold()
 	if f.m.StringKeyKernels {
-		if par {
-			return f.dedupRowsParallelStringKey(rows, live, workers)
-		}
 		return f.dedupRowsStringKey(rows, live)
-	}
-	if par {
-		return f.dedupRowsParallel(rows, live, workers)
 	}
 	if f.m.BatchKernels {
 		return f.dedupRowsBatch(rows, live)

@@ -7,9 +7,8 @@
 //
 // The design keeps the per-row hot path untouched: checks run at
 // instruction boundaries (which include every WAL commit point), at every
-// repeat-loop iteration, at every morsel claim in the worker pool, and —
-// so a single enormous segment cannot outrun the boundaries — once every
-// govCheckRows emitted rows inside a segment. Each check is a non-blocking
+// repeat-loop iteration, and — so a single enormous segment cannot outrun
+// the boundaries — once every govCheckRows emitted rows inside a segment. Each check is a non-blocking
 // select on the context's cached Done channel plus two atomic loads for
 // the tuple budget, cheap enough that E14 measures the overhead on the
 // E13 workload under 2%.
@@ -104,8 +103,7 @@ type governor struct {
 }
 
 // tuplesUsed returns the tuples inserted (EDB + temp) since the governed
-// call entered, read atomically so morsel workers can poll while storage
-// writers run on other statements' history.
+// call entered.
 func (g *governor) tuplesUsed() int64 {
 	n := g.edb.TuplesInserted()
 	if g.temp != g.edb {
@@ -141,9 +139,7 @@ func (m *Machine) installGovernor(ctx context.Context) {
 
 // pollGovernor is the cooperative check: nil governor means ungoverned
 // (one pointer load), otherwise a non-blocking Done select and, when a
-// tuple budget is set, two atomic counter loads. Safe to call from morsel
-// workers — the executing goroutine is parked in wg.Wait while they run,
-// so the location fields it wrote before fan-out are stable.
+// tuple budget is set, two atomic counter loads.
 func (m *Machine) pollGovernor() error {
 	g := m.gov
 	if g == nil {
@@ -168,23 +164,6 @@ func (m *Machine) pollGovernor() error {
 		}
 	}
 	return nil
-}
-
-// govTripped is the morsel workers' drain check: true once the governor
-// has a reason to abort, so workers stop claiming morsels and join.
-func (m *Machine) govTripped() bool {
-	g := m.gov
-	if g == nil {
-		return false
-	}
-	if g.done != nil {
-		select {
-		case <-g.done:
-			return true
-		default:
-		}
-	}
-	return g.maxTuples > 0 && g.tuplesUsed() > g.maxTuples
 }
 
 // govErr builds a GovernorError at the current execution location.

@@ -114,9 +114,6 @@ func rowsEqualLive(a, b []term.Value, live []int) bool {
 }
 
 // prefixIndex groups call-barrier results by their bound-argument prefix.
-// Build (init/add) runs on the sequential barrier path; get is closure-free
-// and read-only, so the join-back phase may probe it from concurrent
-// morsel workers.
 type prefixIndex struct {
 	tbl      hashTable
 	prefixes []term.Tuple // representative prefix per group
@@ -138,8 +135,7 @@ func (px *prefixIndex) add(prefix, result term.Tuple) {
 }
 
 // get returns the result group whose prefix equals key (whose hash is h),
-// or nil. No closures, no writes, no allocation: safe and cheap for
-// concurrent probes.
+// or nil. No closures, no writes, no allocation.
 func (px *prefixIndex) get(h uint64, key term.Tuple) []term.Tuple {
 	i := int(h) & px.tbl.mask
 	for {
@@ -156,8 +152,7 @@ func (px *prefixIndex) get(h uint64, key term.Tuple) []term.Tuple {
 
 // grabTable takes a scratch table from the frame's pool (or makes one)
 // sized for n entries. Frames execute statements sequentially, so the
-// pool needs no locking; parallel sections that want private tables
-// simply construct their own. Return it with releaseTable so the next
+// pool needs no locking. Return it with releaseTable so the next
 // statement — or the next iteration of a repeat loop — reuses the
 // backing arrays instead of reallocating.
 func (f *frame) grabTable(n int) *hashTable {

@@ -117,9 +117,9 @@ func collisionRows(n int, rng *rand.Rand, unbound bool) ([][]term.Value, []int) 
 }
 
 // TestDedupMatchesStringKeyReference runs the hash-first dedup kernels
-// (sequential and parallel) against the legacy string-key kernel on random
-// rows mixing interned and non-interned atoms and unbound slots; kept rows
-// and their order must be identical.
+// (scalar and batch) against the legacy string-key kernel on random rows
+// mixing interned and non-interned atoms and unbound slots; kept rows and
+// their order must be identical.
 func TestDedupMatchesStringKeyReference(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rows, live := collisionRows(400, rand.New(rand.NewSource(seed)), true)
@@ -130,8 +130,8 @@ func TestDedupMatchesStringKeyReference(t *testing.T) {
 		}
 		ref := (&frame{m: &Machine{}}).dedupRowsStringKey(clone(), live)
 		for name, f := range map[string]*frame{
-			"seq": {m: &Machine{Parallelism: 1}},
-			"par": {m: &Machine{Parallelism: 4, ParallelThreshold: 16}},
+			"scalar": {m: &Machine{}},
+			"batch":  {m: &Machine{BatchKernels: true}},
 		} {
 			got := f.dedupRows(clone(), live)
 			if len(got) != len(ref) {
@@ -152,24 +152,20 @@ func TestGroupRowsMatchesStringKeyReference(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rows, regs := collisionRows(400, rand.New(rand.NewSource(seed+100)), false)
 		f := &frame{m: &Machine{}}
-		ref := f.groupRowsStringKey(rows, regs, false, 1)
-		for name, groups := range map[string][][]int{
-			"seq": f.groupRows(rows, regs, false, 1),
-			"par": f.groupRows(rows, regs, true, 4),
-		} {
-			if len(groups) != len(ref) {
-				t.Fatalf("seed %d %s: %d groups, reference %d", seed, name, len(groups), len(ref))
+		ref := f.groupRowsStringKey(rows, regs)
+		groups := f.groupRows(rows, regs)
+		if len(groups) != len(ref) {
+			t.Fatalf("seed %d: %d groups, reference %d", seed, len(groups), len(ref))
+		}
+		for g := range ref {
+			if len(groups[g]) != len(ref[g]) {
+				t.Fatalf("seed %d: group %d has %d rows, reference %d",
+					seed, g, len(groups[g]), len(ref[g]))
 			}
-			for g := range ref {
-				if len(groups[g]) != len(ref[g]) {
-					t.Fatalf("seed %d %s: group %d has %d rows, reference %d",
-						seed, name, g, len(groups[g]), len(ref[g]))
-				}
-				for i := range ref[g] {
-					if groups[g][i] != ref[g][i] {
-						t.Fatalf("seed %d %s: group %d row %d: %d vs %d",
-							seed, name, g, i, groups[g][i], ref[g][i])
-					}
+			for i := range ref[g] {
+				if groups[g][i] != ref[g][i] {
+					t.Fatalf("seed %d: group %d row %d: %d vs %d",
+						seed, g, i, groups[g][i], ref[g][i])
 				}
 			}
 		}
@@ -207,26 +203,21 @@ func dedupAllocs(f *frame, n int) float64 {
 }
 
 // TestDedupAllocsPerRow pins the allocation behaviour of the dedup kernels:
-// the sequential hash-first kernel must stay O(1) allocations per call
-// (pooled table, no key bytes), the 4-worker kernel O(1) per morsel/shard,
-// and the legacy string-key kernel must remain ≥ 2× worse per row — the
-// E13 acceptance bar — so a regression in either direction is caught.
+// the hash-first kernel must stay O(1) allocations per call (pooled table,
+// no key bytes), and the legacy string-key kernel must remain ≥ 2× worse
+// per row — the E13 acceptance bar — so a regression in either direction
+// is caught.
 func TestDedupAllocsPerRow(t *testing.T) {
 	const n = 4096
-	seq := dedupAllocs(&frame{m: &Machine{Parallelism: 1}}, n)
+	seq := dedupAllocs(&frame{m: &Machine{}}, n)
 	if perRow := seq / n; perRow > 0.01 {
-		t.Errorf("sequential dedup: %.1f allocs/call (%.4f/row), want ≤ 0.01/row", seq, perRow)
+		t.Errorf("hash-first dedup: %.1f allocs/call (%.4f/row), want ≤ 0.01/row", seq, perRow)
 	}
-	par := dedupAllocs(&frame{m: &Machine{Parallelism: 4, ParallelThreshold: 64}}, n)
-	if perRow := par / n; perRow > 0.05 {
-		t.Errorf("4-worker dedup: %.1f allocs/call (%.4f/row), want ≤ 0.05/row", par, perRow)
-	}
-	legacy := dedupAllocs(&frame{m: &Machine{Parallelism: 1, StringKeyKernels: true}}, n)
+	legacy := dedupAllocs(&frame{m: &Machine{StringKeyKernels: true}}, n)
 	if legacy < 2*seq {
 		t.Errorf("string-key dedup allocates %.1f/call vs hash-first %.1f/call; want ≥ 2×", legacy, seq)
 	}
-	t.Logf("dedup allocs per %d-row call: hash-first seq %.1f, hash-first 4-workers %.1f, string-key %.1f",
-		n, seq, par, legacy)
+	t.Logf("dedup allocs per %d-row call: hash-first %.1f, string-key %.1f", n, seq, legacy)
 }
 
 // TestGroupRowsAllocsPerRow pins aggregation grouping: allocations scale
@@ -234,18 +225,13 @@ func TestDedupAllocsPerRow(t *testing.T) {
 func TestGroupRowsAllocsPerRow(t *testing.T) {
 	const n = 4096 // 97×13 value combinations → ≤ 1261 groups
 	rows, regs := allocRows(n)
-	for name, f := range map[string]*frame{
-		"seq": {m: &Machine{Parallelism: 1}},
-		"par": {m: &Machine{Parallelism: 4, ParallelThreshold: 64}},
-	} {
-		par := name == "par"
-		got := testing.AllocsPerRun(20, func() {
-			f.groupRows(rows, regs, par, 4)
-		})
-		// Budget: one hash slice + the groups slices (< 2 per distinct
-		// group amortized) + parallel fan-out overhead.
-		if limit := 1300 + 2*1261.0; got > limit {
-			t.Errorf("%s groupRows: %.1f allocs/call, want ≤ %.0f", name, got, limit)
-		}
+	f := &frame{m: &Machine{}}
+	got := testing.AllocsPerRun(20, func() {
+		f.groupRows(rows, regs)
+	})
+	// Budget: one hash slice + the groups slices (< 2 per distinct group
+	// amortized).
+	if limit := 1300 + 2*1261.0; got > limit {
+		t.Errorf("groupRows: %.1f allocs/call, want ≤ %.0f", got, limit)
 	}
 }

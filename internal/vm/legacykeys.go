@@ -7,7 +7,6 @@
 package vm
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"gluenail/internal/plan"
@@ -49,125 +48,19 @@ func (f *frame) dedupRowsStringKey(rows [][]term.Value, live []int) [][]term.Val
 	return out
 }
 
-// fnvHash is FNV-1a over the key bytes, used to shard legacy dedup keys.
-func fnvHash(s string) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
-}
-
-// dedupRowsParallelStringKey is the legacy parallel dedup kernel: a
-// parallel pass encodes the dedup key per row, each worker owns a shard of
-// the key space and marks the later duplicates within it (shards touch
-// disjoint entries of the dup vector), and a final in-order compaction
-// keeps exactly the rows the sequential pass would keep.
-func (f *frame) dedupRowsParallelStringKey(rows [][]term.Value, live []int, workers int) [][]term.Value {
-	keys := make([]string, len(rows))
-	hashes := make([]uint64, len(rows))
-	ms := morsels(len(rows), workers)
-	f.m.runMorsels(ms, workers, func(mi int) {
-		var buf []byte
-		for i := ms[mi].start; i < ms[mi].end; i++ {
-			buf = appendDedupKey(buf[:0], rows[i], live)
-			keys[i] = string(buf)
-			hashes[i] = fnvHash(keys[i])
-		}
-	})
-	if f.m.govTripped() {
-		// Drained pool may have skipped morsels; redo sequentially so the
-		// dedup stays correct until the abort surfaces at the caller.
-		var buf []byte
-		for i := range rows {
-			buf = appendDedupKey(buf[:0], rows[i], live)
-			keys[i] = string(buf)
-			hashes[i] = fnvHash(keys[i])
-		}
-	}
-	shards := workers
-	dup := make([]bool, len(rows))
-	var removed int64
-	var box panicBox
-	var wg sync.WaitGroup
-	wg.Add(shards)
-	for p := 0; p < shards; p++ {
-		go func(p int) {
-			defer wg.Done()
-			defer box.capture()
-			seen := make(map[string]bool, len(rows)/shards+1)
-			var local int64
-			for i, h := range hashes {
-				if int(h%uint64(shards)) != p {
-					continue
-				}
-				if seen[keys[i]] {
-					dup[i] = true
-					local++
-				} else {
-					seen[keys[i]] = true
-				}
-			}
-			atomic.AddInt64(&removed, local)
-		}(p)
-	}
-	wg.Wait()
-	box.rethrow()
-	out := rows[:0]
-	for i, row := range rows {
-		if !dup[i] {
-			out = append(out, row)
-		}
-	}
-	atomic.AddInt64(&f.m.Stats.RowsDeduped, removed)
-	return out
-}
-
 // groupRowsStringKey is the legacy aggregation-grouping kernel: group keys
-// encoded into strings (a parallel pass for large row sets), grouped
-// through a Go map, groups in first-seen order.
-func (f *frame) groupRowsStringKey(rows [][]term.Value, regs []int, par bool, workers int) [][]int {
-	keys := make([]string, len(rows))
-	if par {
-		ms := morsels(len(rows), workers)
-		f.m.runMorsels(ms, workers, func(mi int) {
-			var buf []byte
-			for ri := ms[mi].start; ri < ms[mi].end; ri++ {
-				buf = buf[:0]
-				for _, r := range regs {
-					buf = term.AppendValue(buf, rows[ri][r])
-				}
-				keys[ri] = string(buf)
-			}
-		})
-		if f.m.govTripped() {
-			// Drained pool may have skipped morsels; redo sequentially so
-			// grouping stays correct until the abort surfaces.
-			var buf []byte
-			for ri, row := range rows {
-				buf = buf[:0]
-				for _, r := range regs {
-					buf = term.AppendValue(buf, row[r])
-				}
-				keys[ri] = string(buf)
-			}
-		}
-	} else {
-		var buf []byte
-		for ri, row := range rows {
-			buf = buf[:0]
-			for _, r := range regs {
-				buf = term.AppendValue(buf, row[r])
-			}
-			keys[ri] = string(buf)
-		}
-	}
+// encoded into strings, grouped through a Go map, groups in first-seen
+// order.
+func (f *frame) groupRowsStringKey(rows [][]term.Value, regs []int) [][]int {
 	byKey := map[string]int{}
 	var groups [][]int
-	for ri := range rows {
-		k := keys[ri]
+	var buf []byte
+	for ri, row := range rows {
+		buf = buf[:0]
+		for _, r := range regs {
+			buf = term.AppendValue(buf, row[r])
+		}
+		k := string(buf)
 		if g, ok := byKey[k]; ok {
 			groups[g] = append(groups[g], ri)
 		} else {

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -25,15 +24,15 @@ import (
 )
 
 // ExecStats counts executor work for the experiments. Counters are bumped
-// with atomic adds (worker goroutines account their work concurrently);
-// read a snapshot only between statements or after execution finishes.
+// with atomic adds; read a snapshot only between statements or after
+// execution finishes.
 type ExecStats struct {
 	StmtsExecuted  int64
 	LoopIterations int64
 	PipelineBreaks int64
 	// TuplesMaterialized counts rows copied into materialized supplementary
-	// relations (every op under the materialized strategy; barriers and
-	// parallel driver expansion under the pipelined strategy).
+	// relations: every op's output under the materialized strategy, each
+	// segment's output under the pipelined one.
 	TuplesMaterialized int64
 	RowsDeduped        int64
 	ProcCalls          int64
@@ -57,18 +56,9 @@ type Machine struct {
 	// LoopLimit bounds repeat-loop iterations (0 = unlimited); exceeded
 	// loops return an error rather than hanging.
 	LoopLimit int
-	// Parallelism is the worker count for intra-segment morsel
-	// parallelism: 0 uses GOMAXPROCS, 1 forces the sequential path, and a
-	// negative value is treated as 1. Rows within a segment are
-	// independent between pipeline breaks, so segments fan out across
-	// workers; per-morsel outputs merge in input order, keeping results
-	// byte-identical to sequential execution.
+	// Parallelism is ignored: it outlives the removed worker pool only
+	// because benchspine's parity test reads it.
 	Parallelism int
-	// ParallelThreshold is the minimum (projected) supplementary-row count
-	// before a segment fans out to workers (0 = default 128); smaller
-	// segments stay sequential so micro-queries don't pay goroutine
-	// overhead.
-	ParallelThreshold int
 	// StatsOrdering enables cost-based reordering of each segment's pipe
 	// ops at statement-prepare time, driven by live relation statistics and
 	// observed per-op selectivities; New enables it. Disabled, the compiled
@@ -92,7 +82,7 @@ type Machine struct {
 	// BatchKernels routes segment pipelines through the vectorized
 	// batch-at-a-time kernels (batch.go): column-major register vectors,
 	// selection vectors for filters, and batched probes, processed
-	// op-at-a-time over whole morsels instead of tuple-at-a-time recursion.
+	// op-at-a-time over whole row sets instead of tuple-at-a-time recursion.
 	// New enables it; disabled, the scalar nested-loop path runs (the
 	// pre-vectorization baseline). Results are byte-identical either way.
 	BatchKernels bool
@@ -142,9 +132,7 @@ type Machine struct {
 	poisonDetail string
 	// profiles accumulates per-statement execution feedback (per-op tuple
 	// counts); lastPhys remembers the physical plan each statement last
-	// executed with. Both are touched only by the executing goroutine —
-	// statement-level execution is sequential, parallelism lives inside
-	// segments.
+	// executed with. Both are touched only by the executing goroutine.
 	profiles map[*plan.Stmt]*plan.StmtProfile
 	lastPhys map[*plan.Stmt]*plan.PhysPlan
 	// planCache holds the prepared plans served when PlanCache is on; same
@@ -268,8 +256,8 @@ func (m *Machine) CallProc(id string, in []term.Tuple) ([]term.Tuple, error) {
 
 // CallProcContext is CallProc under an execution governor: the context's
 // cancellation/deadline and the machine's budgets are polled cooperatively
-// at instruction boundaries, repeat-loop iterations, morsel claims, and
-// every govCheckRows emitted rows, and a trip aborts at a clean statement
+// at instruction boundaries, repeat-loop iterations, and every
+// govCheckRows emitted rows, and a trip aborts at a clean statement
 // boundary (the failed statement's WAL deltas are discarded via Abort, so
 // durable state stays a statement-boundary prefix). A top-level call also
 // arms panic containment: an internal panic is converted to a
@@ -492,26 +480,6 @@ func (f *frame) resolveWrite(ref plan.RelRef, regs []term.Value) (storage.Rel, e
 // sortTuples orders tuples deterministically (builtin calls, output).
 func sortTuples(ts []term.Tuple) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
-}
-
-// workerCount resolves the Parallelism knob to an actual worker count.
-func (m *Machine) workerCount() int {
-	switch {
-	case m.Parallelism > 0:
-		return m.Parallelism
-	case m.Parallelism == 0:
-		return runtime.GOMAXPROCS(0)
-	default:
-		return 1
-	}
-}
-
-// fanOutThreshold resolves the ParallelThreshold knob.
-func (m *Machine) fanOutThreshold() int {
-	if m.ParallelThreshold > 0 {
-		return m.ParallelThreshold
-	}
-	return defaultParallelThreshold
 }
 
 // commitPoint runs the Commit hook if this is a top-level statement

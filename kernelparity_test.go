@@ -12,13 +12,13 @@ import (
 // (false), the hash-first kernels (interned atoms, cached row hashes,
 // open-addressing dedup/group/probe tables), and the legacy string-key
 // kernels retained behind WithStringKeyKernels must produce byte-identical
-// results on every program at every worker count.
+// results on every program.
 
 // TestHiLogDispatchKernelParity is the regression test for the cached head
 // dispatch key: a dispatch-heavy HiLog program — computed head names
 // creating one relation per department, predicate-variable reads
 // dispatching back into them, and a set-valued catalog — must resolve the
-// same relations and rows under both kernel families and any parallelism.
+// same relations and rows under both kernel families.
 func TestHiLogDispatchKernelParity(t *testing.T) {
 	const program = `
 edb emp(Dept, Name), dept_set(Dept, S);
@@ -50,45 +50,42 @@ end
 		"string-key":        {WithStringKeyKernels()},
 		"scalar+string-key": {WithBatchKernels(false), WithStringKeyKernels()},
 	} {
-		for _, workers := range []int{1, 4} {
-			all := append([]Option{WithParallelism(workers), WithParallelThreshold(8)}, opts...)
-			sys := New(all...)
-			if err := sys.Load(program); err != nil {
-				t.Fatal(err)
+		sys := New(opts...)
+		if err := sys.Load(program); err != nil {
+			t.Fatal(err)
+		}
+		sys.Assert("emp", emps...)
+		if _, err := sys.Call("main", "build"); err != nil {
+			t.Fatalf("%s: build: %v", name, err)
+		}
+		var got []string
+		for _, q := range queries {
+			res, err := sys.Query(q)
+			if err != nil {
+				t.Fatalf("%s: query %s: %v", name, q, err)
 			}
-			sys.Assert("emp", emps...)
-			if _, err := sys.Call("main", "build"); err != nil {
-				t.Fatalf("%s/%dw: build: %v", name, workers, err)
-			}
-			var got []string
-			for _, q := range queries {
-				res, err := sys.Query(q)
-				if err != nil {
-					t.Fatalf("%s/%dw: query %s: %v", name, workers, q, err)
+			got = append(got, rowsKey(res))
+		}
+		if ref == nil {
+			ref, refName = got, name
+			for i, k := range ref {
+				if k == "" {
+					t.Fatalf("query %q returned no rows; nothing was exercised", queries[i])
 				}
-				got = append(got, rowsKey(res))
 			}
-			if ref == nil {
-				ref, refName = got, name
-				for i, k := range ref {
-					if k == "" {
-						t.Fatalf("query %q returned no rows; nothing was exercised", queries[i])
-					}
-				}
-				continue
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("%s/%dw: query %q differs from %s:\n%s\nvs\n%s",
-						name, workers, queries[i], refName, got[i], ref[i])
-				}
+			continue
+		}
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("%s: query %q differs from %s:\n%s\nvs\n%s",
+					name, queries[i], refName, got[i], ref[i])
 			}
 		}
 	}
 }
 
 // TestQuickKernelParity sweeps random programs through both kernel
-// families at 1–8 workers: every configuration must agree row for row.
+// families: every configuration must agree row for row.
 func TestQuickKernelParity(t *testing.T) {
 	kernels := map[string][]Option{
 		"batch":             nil,
@@ -109,33 +106,30 @@ func TestQuickKernelParity(t *testing.T) {
 		var ref []string
 		var refName string
 		for name, opts := range kernels {
-			for _, workers := range []int{1, 2, 4, 8} {
-				all := append([]Option{WithParallelism(workers), WithParallelThreshold(2)}, opts...)
-				sys := New(all...)
-				if err := sys.Load(program); err != nil {
-					t.Fatalf("seed %d: generated program invalid: %v\n%s", seed, err, program)
+			sys := New(opts...)
+			if err := sys.Load(program); err != nil {
+				t.Fatalf("seed %d: generated program invalid: %v\n%s", seed, err, program)
+			}
+			sys.Assert("e0", e0...)
+			sys.Assert("e1", e1...)
+			var got []string
+			for _, q := range queries {
+				res, err := sys.Query(q)
+				if err != nil {
+					t.Fatalf("seed %d (%s): query %s: %v\n%s",
+						seed, name, q, err, program)
 				}
-				sys.Assert("e0", e0...)
-				sys.Assert("e1", e1...)
-				var got []string
-				for _, q := range queries {
-					res, err := sys.Query(q)
-					if err != nil {
-						t.Fatalf("seed %d (%s/%dw): query %s: %v\n%s",
-							seed, name, workers, q, err, program)
-					}
-					got = append(got, rowsKey(res))
-				}
-				if ref == nil {
-					ref, refName = got, name
-					continue
-				}
-				for i := range ref {
-					if got[i] != ref[i] {
-						t.Errorf("seed %d: %s/%dw disagrees with %s on %q:\n%s\nvs\n%s",
-							seed, name, workers, refName, queries[i], got[i], ref[i])
-						return false
-					}
+				got = append(got, rowsKey(res))
+			}
+			if ref == nil {
+				ref, refName = got, name
+				continue
+			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Errorf("seed %d: %s disagrees with %s on %q:\n%s\nvs\n%s",
+						seed, name, refName, queries[i], got[i], ref[i])
+					return false
 				}
 			}
 		}

@@ -9,7 +9,7 @@ import (
 // System-level tests for the prepared-plan cache and the vectorized batch
 // kernels: repeated queries must hit the cache, stats-epoch changes and
 // selectivity drift must invalidate it, and every cache/kernel ablation
-// must return byte-identical rows at every worker count.
+// must return byte-identical rows.
 
 const chainProgram = `
 edb edge(X,Y);
@@ -159,7 +159,7 @@ func TestPlanCacheDriftInvalidation(t *testing.T) {
 }
 
 // TestPlanCacheBatchAblationGrid runs a join/negation/aggregation workload
-// across every cache × kernel × worker combination; all must return
+// across every cache × kernel combination; all must return
 // byte-identical rows, on the first and on a repeated (cache-served) run.
 func TestPlanCacheBatchAblationGrid(t *testing.T) {
 	const program = `
@@ -188,39 +188,36 @@ fanout(X,N) :- tc(X,Y) & group_by(X) & N = count(Y).
 	var ref []string
 	var refName string
 	for name, opts := range configs {
-		for _, workers := range []int{1, 16} {
-			all := append([]Option{WithParallelism(workers), WithParallelThreshold(4)}, opts...)
-			sys := New(all...)
-			if err := sys.Load(program); err != nil {
-				t.Fatal(err)
+		sys := New(opts...)
+		if err := sys.Load(program); err != nil {
+			t.Fatal(err)
+		}
+		sys.Assert("edge", edges...)
+		sys.Assert("blocked", blocked...)
+		var got []string
+		for _, q := range queries {
+			// Twice: the second run exercises cache-served plans.
+			for run := 0; run < 2; run++ {
+				res, err := sys.Query(q)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", name, q, err)
+				}
+				got = append(got, rowsKey(res))
 			}
-			sys.Assert("edge", edges...)
-			sys.Assert("blocked", blocked...)
-			var got []string
-			for _, q := range queries {
-				// Twice: the second run exercises cache-served plans.
-				for run := 0; run < 2; run++ {
-					res, err := sys.Query(q)
-					if err != nil {
-						t.Fatalf("%s/%dw: %s: %v", name, workers, q, err)
-					}
-					got = append(got, rowsKey(res))
+		}
+		if ref == nil {
+			ref, refName = got, name
+			for i := 0; i < len(ref); i += 2 {
+				if ref[i] == "" {
+					t.Fatalf("query %q returned no rows; nothing exercised", queries[i/2])
 				}
 			}
-			if ref == nil {
-				ref, refName = got, name+"/1w"
-				for i := 0; i < len(ref); i += 2 {
-					if ref[i] == "" {
-						t.Fatalf("query %q returned no rows; nothing exercised", queries[i/2])
-					}
-				}
-				continue
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("%s/%dw disagrees with %s on %s (run %d):\n%s\nvs\n%s",
-						name, workers, refName, queries[i/2], i%2, got[i], ref[i])
-				}
+			continue
+		}
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("%s disagrees with %s on %s (run %d):\n%s\nvs\n%s",
+					name, refName, queries[i/2], i%2, got[i], ref[i])
 			}
 		}
 	}
@@ -316,10 +313,10 @@ func TestExplainAnalyzePlanCacheCounters(t *testing.T) {
 
 // TestPlanCacheRepeatedQueryAllocs pins the point of the cache: a repeated
 // query allocates strictly less with the cache on than off, because the
-// greedy reorder's op clones and hint slices are gone from the hot path.
+// greedy reorder's op clones are gone from the hot path.
 func TestPlanCacheRepeatedQueryAllocs(t *testing.T) {
 	run := func(opts ...Option) float64 {
-		sys := New(append([]Option{WithParallelism(1)}, opts...)...)
+		sys := New(opts...)
 		if err := sys.Load(chainProgram); err != nil {
 			t.Fatal(err)
 		}

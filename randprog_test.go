@@ -302,7 +302,7 @@ func TestQuickRandomProgramsMatchNaiveReference(t *testing.T) {
 // physical planner: textual order (WithoutReordering), the compiler's static
 // greedy order (WithGreedyOrdering), and the run-time cost-based order
 // (default) must produce byte-identical query results on random stratified
-// programs, at every worker count. The planner may only change *how fast*
+// programs. The planner may only change *how fast*
 // answers arrive, never *which* answers.
 func TestQuickOrderIndependence(t *testing.T) {
 	orderings := map[string][]Option{
@@ -323,33 +323,30 @@ func TestQuickOrderIndependence(t *testing.T) {
 		var ref []string
 		var refName string
 		for name, opts := range orderings {
-			for _, workers := range []int{1, 2, 4, 8} {
-				all := append([]Option{WithParallelism(workers), WithParallelThreshold(2)}, opts...)
-				sys := New(all...)
-				if err := sys.Load(program); err != nil {
-					t.Fatalf("seed %d: generated program invalid: %v\n%s", seed, err, program)
+			sys := New(opts...)
+			if err := sys.Load(program); err != nil {
+				t.Fatalf("seed %d: generated program invalid: %v\n%s", seed, err, program)
+			}
+			sys.Assert("e0", e0...)
+			sys.Assert("e1", e1...)
+			var got []string
+			for _, q := range queries {
+				res, err := sys.Query(q)
+				if err != nil {
+					t.Fatalf("seed %d (%s): query %s: %v\n%s",
+						seed, name, q, err, program)
 				}
-				sys.Assert("e0", e0...)
-				sys.Assert("e1", e1...)
-				var got []string
-				for _, q := range queries {
-					res, err := sys.Query(q)
-					if err != nil {
-						t.Fatalf("seed %d (%s/%dw): query %s: %v\n%s",
-							seed, name, workers, q, err, program)
-					}
-					got = append(got, rowsKey(res))
-				}
-				if ref == nil {
-					ref, refName = got, name
-					continue
-				}
-				for i := range ref {
-					if got[i] != ref[i] {
-						t.Logf("seed %d: ordering %s/%dw disagrees with %s on %s\nprogram:\n%s\ngot:  %s\nwant: %s",
-							seed, name, workers, refName, queries[i], program, got[i], ref[i])
-						return false
-					}
+				got = append(got, rowsKey(res))
+			}
+			if ref == nil {
+				ref, refName = got, name
+				continue
+			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Logf("seed %d: ordering %s disagrees with %s on %s\nprogram:\n%s\ngot:  %s\nwant: %s",
+						seed, name, refName, queries[i], program, got[i], ref[i])
+					return false
 				}
 			}
 		}

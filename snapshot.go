@@ -10,8 +10,7 @@ package gluenail
 // each other and with the single writer; the writer never waits for a
 // reader and a reader never waits for the writer. Every query a session
 // runs sees exactly the state its snapshot captured — byte-identical
-// results no matter what commits afterwards, at any worker count,
-// including recursive queries.
+// results no matter what commits afterwards, including recursive queries.
 
 import (
 	"bufio"
@@ -53,8 +52,7 @@ type Snapshot struct {
 // Snapshot opens an isolated read session over the current committed
 // state. It requires the main-memory backend (the layered baseline store
 // has no multi-version support). The snapshot inherits the system's
-// configured budget and parallelism; SetBudget and SetParallelism
-// override them per session.
+// configured budget; SetBudget overrides it per session.
 func (s *System) Snapshot() (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -120,18 +118,6 @@ func (sn *Snapshot) SetBudget(b Budget) {
 	sn.budget = b
 	if sn.machine != nil {
 		sn.sys.tuneMachine(sn.machine, b)
-	}
-}
-
-// SetParallelism bounds the morsel workers this session's queries fan out
-// to (0 = GOMAXPROCS, 1 = sequential). The server uses it to share the
-// machine's cores fairly across active sessions; results are identical at
-// every setting.
-func (sn *Snapshot) SetParallelism(n int) {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	if sn.machine != nil {
-		sn.machine.Parallelism = n
 	}
 }
 

