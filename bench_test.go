@@ -321,75 +321,8 @@ func BenchmarkF1CadSelect(b *testing.B) {
 	}
 }
 
-// BenchmarkE13HashKernels measures the tuple-level hot paths — duplicate
-// elimination inside a semi-naive repeat loop, aggregation grouping, and
-// head-insert probes — on a dedup-heavy transitive-closure + group-by
-// workload over string-labelled nodes. Reported allocs/op is the headline
-// metric (BENCH_E13.json, EXPERIMENTS.md): the hash-first kernels must
-// hold it at a fraction of the string-key baseline. The string-key variant
-// runs the legacy materializing kernels for comparison.
-func BenchmarkE13HashKernels(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		opts []gluenail.Option
-	}{
-		{"hash-first", nil},
-		{"string-key", []gluenail.Option{gluenail.WithStringKeyKernels()}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			sys := bench.NewTCGroupSystem(120, 240, 7, mode.opts...)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := bench.RunTCGroup(sys); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE15RepeatedQuery measures the repeated-small-query hot path: the
-// same bound customer lookup issued over and over against a warm system.
-// The grid ablates the two mechanisms independently — the prepared-plan
-// cache (skips per-query physical planning once statistics are stable) and
-// the vectorized batch kernels (column-major scan->filter->probe execution)
-// — against the PR 5 baseline with both off. Headline metrics (ns/op and
-// allocs/op) are recorded in BENCH_E15.json by cmd/glbench; the acceptance
-// target is >=2x ns/op improvement for cache+batch over neither.
-func BenchmarkE15RepeatedQuery(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		opts []gluenail.Option
-	}{
-		{"cache+batch", nil},
-		{"cache-only", []gluenail.Option{gluenail.WithBatchKernels(false)}},
-		{"batch-only", []gluenail.Option{gluenail.WithPlanCache(false)}},
-		{"neither", []gluenail.Option{
-			gluenail.WithPlanCache(false), gluenail.WithBatchKernels(false)}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			sys := bench.NewRepeatedQuerySystem(512, 8, 6, mode.opts...)
-			// Warm: compile the query proc and let statistics settle so the
-			// steady state — not first-run planning — is what gets timed.
-			for i := 0; i < 3; i++ {
-				if _, err := bench.RunRepeatedQuery(sys); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunRepeatedQuery(sys); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkE14GovernorOverhead measures what the execution governor costs
-// when it never fires: the E13 closure + group-by workload run ungoverned
+// when it never fires: the closure + group-by workload run ungoverned
 // versus under a far-away wall-clock deadline and tuple budget (which is
 // what arms the per-instruction / per-8192-rows cancellation checks).
 // EXPERIMENTS.md target: governed within 2% of ungoverned time/op.

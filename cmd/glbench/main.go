@@ -93,8 +93,8 @@ func main() {
 	}{
 		{"E1", e1}, {"E2", e2}, {"E3", e3}, {"E4", e4}, {"E5", e5},
 		{"E6", e6}, {"E7", e7}, {"E8", e8}, {"E9", e9},
-		{"E11", e11}, {"E12", e12}, {"E13", e13}, {"E14", e14},
-		{"E15", e15}, {"E16", e16}, {"E17", e17}, {"E18", e18}, {"F1", f1}, {"A1", a1},
+		{"E11", e11}, {"E12", e12}, {"E14", e14}, {"E16", e16},
+		{"E17", e17}, {"E18", e18}, {"F1", f1}, {"A1", a1},
 	}
 	ran := 0
 	for _, exp := range all {
@@ -342,84 +342,6 @@ func e12() {
 		[]string{"big rows", "textual ms", "greedy ms", "stats ms", "textual/stats"}, rows)
 }
 
-// e13 measures the hash-first tuple kernels (interned atoms, cached row
-// hashes, open-addressing dedup/group/probe tables) against the legacy
-// string-key kernels on the dedup-heavy closure + group-by workload.
-// Allocations per run are the headline metric — the kernels exist to stop
-// materializing a key string per row — and the runs are recorded in
-// BENCH_E13.json so CI can track them. All variants must produce
-// byte-identical results.
-func e13() {
-	const n, m, seed = 120, 240, 7
-	modes := []struct {
-		name string
-		opts []gluenail.Option
-	}{
-		{"hash-first", nil},
-		{"string-key", []gluenail.Option{gluenail.WithStringKeyKernels()}},
-	}
-	type rec struct {
-		Name        string `json:"name"`
-		NsPerOp     int64  `json:"ns_per_op"`
-		AllocsPerOp int64  `json:"allocs_per_op"`
-		BytesPerOp  int64  `json:"bytes_per_op"`
-	}
-	var recs []rec
-	var rows [][]string
-	var ref string
-	for _, mode := range modes {
-		sys := bench.NewTCGroupSystem(n, m, seed, mode.opts...)
-		check(bench.RunTCGroup(sys))
-		got, err := bench.TCGroupResult(sys)
-		check(err)
-		if ref == "" {
-			ref = got
-		} else if got != ref {
-			check(fmt.Errorf("E13: %s changed the reach relation", mode.name))
-		}
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				check(bench.RunTCGroup(sys))
-			}
-		})
-		recs = append(recs, rec{
-			Name:        mode.name,
-			NsPerOp:     res.NsPerOp(),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-		})
-		rows = append(rows, []string{
-			mode.name,
-			ms(time.Duration(res.NsPerOp())),
-			fmt.Sprint(res.AllocsPerOp()),
-			fmt.Sprint(res.AllocedBytesPerOp()),
-		})
-	}
-	last := &recs[len(recs)-1]
-	rows[len(rows)-1] = append(rows[len(rows)-1],
-		fmt.Sprintf("%.2fx", float64(last.AllocsPerOp)/float64(recs[0].AllocsPerOp)))
-	for i := range rows[:len(rows)-1] {
-		rows[i] = append(rows[i], "-")
-	}
-	table("E13: hash-first hot-path kernels (closure + group-by, identical results)",
-		`§10 reports evaluation cost dominated by low-level tuple operations; encoding a key string per row for dedup/group/probe was exactly such a cost`,
-		[]string{"kernels", "time/op", "allocs/op", "bytes/op", "allocs vs hash-first"}, rows)
-	out := struct {
-		Experiment string `json:"experiment"`
-		Workload   string `json:"workload"`
-		Modes      []rec  `json:"modes"`
-	}{
-		Experiment: "E13 hash-first hot-path kernels",
-		Workload:   fmt.Sprintf("transitive closure + group_by count, %d string nodes, %d edges", n, m),
-		Modes:      recs,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	check(err)
-	check(os.WriteFile("BENCH_E13.json", append(data, '\n'), 0o644))
-	fmt.Println("   wrote BENCH_E13.json")
-}
-
 // e14SpinSrc is an infinite repeat/until whose body re-derives a cross
 // product, used to measure how quickly a wall-clock deadline actually
 // stops a runaway program.
@@ -434,7 +356,7 @@ proc spin(:)
 end
 `
 
-// e14 measures the execution governor two ways. Overhead: the E13
+// e14 measures the execution governor two ways. Overhead: the
 // closure + group-by workload run ungoverned versus under a never-firing
 // deadline + tuple budget (-timeout/-max-tuples/-max-depth set the armed
 // budget), which prices the per-instruction and per-8192-row cancellation
@@ -494,7 +416,7 @@ func e14() {
 			mode.name, ms(time.Duration(r.NsPerOp)), over,
 		})
 	}
-	table("E14: governor overhead on the E13 workload (armed, never fires)",
+	table("E14: governor overhead on the closure + group-by workload (armed, never fires)",
 		`a production governor is only free if its cancellation checks vanish against tuple work; target <2% overhead`,
 		[]string{"mode", "time/op", "overhead vs ungoverned"}, rows)
 
@@ -548,103 +470,6 @@ func e14() {
 	check(err)
 	check(os.WriteFile("BENCH_E14.json", append(data, '\n'), 0o644))
 	fmt.Println("   wrote BENCH_E14.json")
-}
-
-// e15 measures the repeated-small-query hot path: the same bound
-// conjunctive query (5-relation star join with range filters) issued over
-// and over against a stable EDB, the workload the prepared-plan cache and
-// the vectorized batch kernels exist for. The 2x2 ablation grid isolates
-// each half: plan cache on/off x batch kernels on/off, with "neither"
-// matching the pre-cache baseline. Every mode must report the same result
-// cardinality, and the cached modes must show a steady-state hit rate
-// (zero misses during measurement). Recorded in BENCH_E15.json for CI.
-func e15() {
-	const customers, ordersPer, itemsPer = 512, 8, 6
-	const warmups = 3
-	modes := []struct {
-		name string
-		opts []gluenail.Option
-	}{
-		{"cache+batch", nil},
-		{"cache-only", []gluenail.Option{gluenail.WithBatchKernels(false)}},
-		{"batch-only", []gluenail.Option{gluenail.WithPlanCache(false)}},
-		{"neither", []gluenail.Option{
-			gluenail.WithPlanCache(false), gluenail.WithBatchKernels(false),
-		}},
-	}
-	type rec struct {
-		Name        string `json:"name"`
-		NsPerOp     int64  `json:"ns_per_op"`
-		AllocsPerOp int64  `json:"allocs_per_op"`
-		BytesPerOp  int64  `json:"bytes_per_op"`
-		CacheHits   int64  `json:"plan_cache_hits"`
-		CacheMisses int64  `json:"plan_cache_misses"`
-	}
-	var recs []rec
-	var rows [][]string
-	ref := -1
-	for _, mode := range modes {
-		sys := bench.NewRepeatedQuerySystem(customers, ordersPer, itemsPer, mode.opts...)
-		for w := 0; w < warmups; w++ {
-			n, err := bench.RunRepeatedQuery(sys)
-			check(err)
-			if n == 0 {
-				check(fmt.Errorf("E15: %s produced no rows", mode.name))
-			}
-			if ref < 0 {
-				ref = n
-			} else if n != ref {
-				check(fmt.Errorf("E15: %s returned %d rows, want %d", mode.name, n, ref))
-			}
-		}
-		before := sys.PlanCacheStats()
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunRepeatedQuery(sys); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		after := sys.PlanCacheStats()
-		cached := mode.name == "cache+batch" || mode.name == "cache-only"
-		if cached && after.Misses != before.Misses {
-			check(fmt.Errorf("E15: %s missed the warm plan cache %d times",
-				mode.name, after.Misses-before.Misses))
-		}
-		recs = append(recs, rec{
-			Name:        mode.name,
-			NsPerOp:     res.NsPerOp(),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-			CacheHits:   after.Hits,
-			CacheMisses: after.Misses,
-		})
-		rows = append(rows, []string{
-			mode.name,
-			ms(time.Duration(res.NsPerOp())),
-			fmt.Sprint(res.AllocsPerOp()),
-			fmt.Sprint(res.AllocedBytesPerOp()),
-			ratio(time.Duration(recs[0].NsPerOp), time.Duration(res.NsPerOp())),
-		})
-	}
-	table("E15: repeated-query hot path (plan cache x batch kernels, identical results)",
-		`the paper's compiled-query model assumes a query is planned once and run many times; caching physical plans and batching the inner loops makes the repeated run pay only execution`,
-		[]string{"mode", "time/op", "allocs/op", "bytes/op", "vs cache+batch"}, rows)
-	out := struct {
-		Experiment string `json:"experiment"`
-		Workload   string `json:"workload"`
-		Modes      []rec  `json:"modes"`
-	}{
-		Experiment: "E15 repeated-query hot path",
-		Workload: fmt.Sprintf("bound 5-relation star query repeated on a stable EDB, %d customers x %d orders x %d items",
-			customers, ordersPer, itemsPer),
-		Modes: recs,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	check(err)
-	check(os.WriteFile("BENCH_E15.json", append(data, '\n'), 0o644))
-	fmt.Println("   wrote BENCH_E15.json")
 }
 
 // e16 measures the multi-session server: sustained throughput and tail

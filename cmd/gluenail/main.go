@@ -39,11 +39,6 @@
 //	-module m     module scope for queries (default "main")
 //	-naive        use naive instead of semi-naive evaluation
 //	-no-magic     disable magic-set rewriting
-//	-plan-cache   cache physical plans across repeated statements
-//	              (default true; -plan-cache=false re-plans every time)
-//	-batch-kernels
-//	              vectorized batch execution kernels (default true;
-//	              -batch-kernels=false runs tuple-at-a-time)
 //	-timeout d    wall-clock budget per query/call (e.g. -timeout 30s);
 //	              an expired call fails with a timeout error at a clean
 //	              statement boundary
@@ -162,8 +157,6 @@ func run() error {
 		explainAnal = flag.Bool("explain-analyze", false, "execute -q or -call and print the physical plan with actual per-op tuple counts")
 		trace       = flag.Bool("trace", false, "trace statement execution to stderr")
 		stats       = flag.Bool("stats", false, "print executor statistics after the run")
-		planCache   = flag.Bool("plan-cache", true, "cache physical plans across repeated statements (invalidated on stats-epoch or selectivity drift)")
-		batchKern   = flag.Bool("batch-kernels", true, "vectorized batch execution kernels (false = scalar tuple-at-a-time)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		timeout     = flag.Duration("timeout", 0, "wall-clock budget per query/call (e.g. 30s; 0 = none)")
@@ -220,12 +213,6 @@ func run() error {
 	}
 	if *noMagic {
 		opts = append(opts, gluenail.WithoutMagicSets())
-	}
-	if !*planCache {
-		opts = append(opts, gluenail.WithPlanCache(false))
-	}
-	if !*batchKern {
-		opts = append(opts, gluenail.WithBatchKernels(false))
 	}
 	if *timeout != 0 || *maxTuples != 0 || *maxRelRows != 0 || *maxDepth != 0 || *maxIters != 0 {
 		opts = append(opts, gluenail.WithBudget(gluenail.Budget{

@@ -39,18 +39,15 @@ func refClosure(edges [][2]int, src int) map[int]bool {
 func allConfigs(t *testing.T) map[string][]Option {
 	t.Helper()
 	return map[string][]Option{
-		"default":        nil,
-		"materialized":   {WithMaterializedExecution()},
-		"no-dedup":       {WithoutDupElimination()},
-		"no-reorder":     {WithoutReordering()},
-		"greedy-order":   {WithGreedyOrdering()},
-		"no-magic":       {WithoutMagicSets()},
-		"naive":          {WithNaiveEvaluation()},
-		"no-narrow":      {WithoutDispatchNarrowing()},
-		"layered":        {WithLayeredBackend()},
-		"string-keys":    {WithStringKeyKernels()},
-		"scalar-kernels": {WithBatchKernels(false)},
-		"no-plan-cache":  {WithPlanCache(false)},
+		"default":      nil,
+		"materialized": {WithMaterializedExecution()},
+		"no-dedup":     {WithoutDupElimination()},
+		"no-reorder":   {WithoutReordering()},
+		"greedy-order": {WithGreedyOrdering()},
+		"no-magic":     {WithoutMagicSets()},
+		"naive":        {WithNaiveEvaluation()},
+		"no-narrow":    {WithoutDispatchNarrowing()},
+		"layered":      {WithLayeredBackend()},
 		// Storage-engine sweep: EDB on the disk engine, and scratch tables
 		// spilling to disk runs past a deliberately tiny in-memory budget —
 		// results must not depend on where rows live.

@@ -83,9 +83,6 @@ type config struct {
 	materialized bool
 	loopLimit    int
 	greedyOrder  bool
-	stringKeys   bool
-	planCache    bool
-	batchKernels bool
 	planOpts     plan.Options
 	durDir       string
 	fsync        FsyncMode
@@ -205,31 +202,6 @@ func WithoutReordering() Option {
 func WithGreedyOrdering() Option {
 	return func(c *config) { c.greedyOrder = true }
 }
-
-// WithStringKeyKernels runs duplicate elimination, aggregation grouping,
-// and call-barrier probing on the legacy string-key kernels (every row
-// encoded into a freshly allocated map key) instead of the hash-first
-// open-addressing kernels — the E13 ablation baseline. Results are
-// byte-identical either way.
-func WithStringKeyKernels() Option { return func(c *config) { c.stringKeys = true } }
-
-// WithPlanCache enables or disables the prepared-plan cache (on by
-// default): physical plans are cached per statement, keyed by the
-// referenced relations' statistics epochs and the statement's bound-
-// variable masks, and invalidated when executor selectivity feedback
-// drifts past a threshold. Repeated statements skip the greedy reorderer
-// and its op cloning entirely. A cached plan is never wrong — any
-// runnable op order yields the same results — so this is a pure
-// performance ablation (the E15 baseline axis).
-func WithPlanCache(on bool) Option { return func(c *config) { c.planCache = on } }
-
-// WithBatchKernels enables or disables the vectorized batch execution
-// kernels (on by default): pipeline segments run op-at-a-time over
-// column-major register vectors with selection-vector filters and
-// column-wise probe emission, instead of tuple-at-a-time interpretation.
-// Results are byte-identical to the scalar kernels (the second E15
-// baseline axis).
-func WithBatchKernels(on bool) Option { return func(c *config) { c.batchKernels = on } }
 
 // WithoutMagicSets disables magic-set rewriting of bound NAIL! calls (E9
 // baseline).
@@ -419,12 +391,10 @@ type compiledQuery struct {
 // New creates an empty system.
 func New(opts ...Option) *System {
 	cfg := config{
-		out:          os.Stdout,
-		in:           strings.NewReader(""),
-		indexPolicy:  storage.IndexAdaptive,
-		loopLimit:    1_000_000,
-		planCache:    true,
-		batchKernels: true,
+		out:         os.Stdout,
+		in:          strings.NewReader(""),
+		indexPolicy: storage.IndexAdaptive,
+		loopLimit:   1_000_000,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -813,9 +783,6 @@ func (s *System) tuneMachine(m *vm.Machine, b Budget) {
 	}
 	m.MaxTuples = b.MaxTuples
 	m.MaxRelRows = b.MaxRelRows
-	m.StringKeyKernels = s.cfg.stringKeys
-	m.PlanCache = s.cfg.planCache
-	m.BatchKernels = s.cfg.batchKernels
 	// Textual and greedy orderings are ablations: both must execute the
 	// compiled op order, so either disables run-time reordering.
 	m.StatsOrdering = !s.cfg.greedyOrder && !s.cfg.planOpts.NoReorder
@@ -1208,9 +1175,6 @@ func (s *System) explainQuery(module, goals string, analyze bool) (string, error
 // since the last profile reset — EXPLAIN ANALYZE resets them before its
 // run, so the line describes exactly that execution.
 func (s *System) planCacheTrailer() string {
-	if !s.cfg.planCache {
-		return "\nplan cache: disabled\n"
-	}
 	cs := s.machine.PlanCacheStats()
 	return fmt.Sprintf("\nplan cache: hits=%d misses=%d invalidations=%d\n",
 		cs.Hits, cs.Misses, cs.Invalidations)

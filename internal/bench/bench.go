@@ -613,15 +613,14 @@ func SkewJoinResult(sys *gluenail.System) (string, error) {
 	return sb.String(), nil
 }
 
-// ---------- E13: hash-first hot-path kernels ----------
+// ---------- E14: closure + group-by workload ----------
 
-// tcGroupProgram is the E13 workload: hand-written semi-naive transitive
+// tcGroupProgram is the E14 workload: hand-written semi-naive transitive
 // closure followed by a group-by count. Every repeat iteration funnels the
 // join output through duplicate elimination (the projection X,Z has one
 // row per path), the closure feeds an aggregation grouping, and the head
-// inserts probe the tc relation — together the tuple-level hot paths the
-// hash-first data layer (interned atoms, cached row hashes,
-// open-addressing kernels) attacks.
+// inserts probe the tc relation — the tuple-level hot paths a governor
+// check must not slow down.
 const tcGroupProgram = `
 edb edge(X,Y), reach(X,C);
 proc spread(:)
@@ -638,7 +637,7 @@ rels tc(X,Y), delta(X,Y), nxt(X,Y);
 end
 `
 
-// NewTCGroupSystem builds the E13 system: a random graph over n
+// NewTCGroupSystem builds the E14 system: a random graph over n
 // string-labelled nodes (atoms, so tuple hashing exercises the string
 // path) with m edges.
 func NewTCGroupSystem(n, m int, seed int64, opts ...gluenail.Option) *gluenail.System {
@@ -665,7 +664,7 @@ func RunTCGroup(sys *gluenail.System) error {
 }
 
 // TCGroupResult renders the reach relation in sorted order, for checking
-// that kernel variants agree byte-for-byte.
+// that governed and ungoverned runs agree byte-for-byte.
 func TCGroupResult(sys *gluenail.System) (string, error) {
 	rows, err := sys.Relation("reach", 2)
 	if err != nil {
@@ -680,72 +679,6 @@ func TCGroupResult(sys *gluenail.System) (string, error) {
 		sb.WriteByte(';')
 	}
 	return sb.String(), nil
-}
-
-// ---------- E15: repeated small bound queries (prepared plans + batch kernels) ----------
-
-// repeatedQueryProgram is the E15 schema: an order/items/stock/supplier/
-// region star. The workload issues the same bound customer lookup over
-// and over — the interactive pattern of §4's set-at-a-time procedure
-// calls — so per-query planning overhead, not data volume, dominates
-// unless plans are reused.
-const repeatedQueryProgram = `
-edb orders(C, O), items(O, I, P), stock(I, S), supplier(I, U), region(U, R);
-`
-
-// RepeatedQueryGoals is the E15 query text: a bound-customer probe feeding
-// a four-deep index-probe chain through selective range filters. The
-// statement is long enough that the statistics-driven physical planner
-// does real work per query; identical text every time, so the compiled
-// statement is shared and the plan cache can serve every run after the
-// first.
-const RepeatedQueryGoals = "orders(42, O) & items(O, I, P) & P > 30 & P < 90 & " +
-	"stock(I, S) & S > 0 & S < 5 & supplier(I, U) & U != 13 & region(U, R) & R > 1"
-
-// NewRepeatedQuerySystem builds the E15 system: customers x ordersPer
-// orders, itemsPer items per order with deterministic pseudo-random
-// prices, and one stock, supplier, and region row per item.
-func NewRepeatedQuerySystem(customers, ordersPer, itemsPer int, opts ...gluenail.Option) *gluenail.System {
-	sys := gluenail.New(opts...)
-	if err := sys.Load(repeatedQueryProgram); err != nil {
-		panic(err)
-	}
-	nItems := customers * ordersPer
-	var ord, it, st, su, re [][]any
-	o := 0
-	for c := 0; c < customers; c++ {
-		for k := 0; k < ordersPer; k++ {
-			ord = append(ord, []any{c, o})
-			for j := 0; j < itemsPer; j++ {
-				item := (o*7 + j*13) % nItems
-				it = append(it, []any{o, item, (item*17 + j*29) % 120})
-			}
-			o++
-		}
-	}
-	for i := 0; i < nItems; i++ {
-		st = append(st, []any{i, i % 7})
-		su = append(su, []any{i, i % 97})
-	}
-	for u := 0; u < 97; u++ {
-		re = append(re, []any{u, u % 4})
-	}
-	must(sys.Assert("orders", ord...))
-	must(sys.Assert("items", it...))
-	must(sys.Assert("stock", st...))
-	must(sys.Assert("supplier", su...))
-	must(sys.Assert("region", re...))
-	return sys
-}
-
-// RunRepeatedQuery issues the E15 query once, returning the row count so
-// harnesses can verify every configuration answers identically.
-func RunRepeatedQuery(sys *gluenail.System) (int, error) {
-	res, err := sys.Query(RepeatedQueryGoals)
-	if err != nil {
-		return 0, err
-	}
-	return len(res.Rows), nil
 }
 
 func must(err error) {

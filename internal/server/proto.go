@@ -42,7 +42,14 @@ func WriteFrame(w io.Writer, v any) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed JSON message into v.
+// frameChunk bounds what ReadFrame allocates before payload bytes arrive.
+// A frame up to this size is read into one exact buffer; a longer one
+// grows its buffer as its bytes arrive, so a bare header cannot pin
+// MaxFrame bytes per session.
+const frameChunk = 64 << 10
+
+// ReadFrame reads one length-prefixed JSON message into v. A stream that
+// ends inside the payload fails with io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -50,13 +57,34 @@ func ReadFrame(r io.Reader, v any) error {
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrame {
-		return fmt.Errorf("server: frame of %d bytes exceeds limit %d", n, MaxFrame)
+		return malformed("frame of %d bytes exceeds limit %d", n, MaxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return err
+	payload := make([]byte, min(int(n), frameChunk))
+	for read := 0; ; {
+		m, err := io.ReadFull(r, payload[read:])
+		read += m
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return err
+		}
+		if read == int(n) {
+			break
+		}
+		payload = append(payload, make([]byte, min(int(n)-read, read))...)
 	}
 	return json.Unmarshal(payload, v)
+}
+
+// malformedError reports peer bytes that form no valid frame or wire
+// value, as opposed to a transport failure.
+type malformedError struct{ msg string }
+
+func (e *malformedError) Error() string { return "server: " + e.msg }
+
+func malformed(format string, args ...any) error {
+	return &malformedError{msg: fmt.Sprintf(format, args...)}
 }
 
 // Request is one client statement. Op selects the operation; the other
@@ -235,14 +263,14 @@ func DecodeValue(w WireValue) (term.Value, error) {
 	case "f":
 		f, err := strconv.ParseFloat(w.F, 64)
 		if err != nil {
-			return term.Value{}, fmt.Errorf("server: bad float %q: %v", w.F, err)
+			return term.Value{}, malformed("bad float %q: %v", w.F, err)
 		}
 		return term.NewFloat(f), nil
 	case "s":
 		return term.Intern(w.S), nil
 	case "c":
 		if w.Fn == nil {
-			return term.Value{}, fmt.Errorf("server: compound value without functor")
+			return term.Value{}, malformed("compound value without functor")
 		}
 		fn, err := DecodeValue(*w.Fn)
 		if err != nil {
@@ -258,7 +286,7 @@ func DecodeValue(w WireValue) (term.Value, error) {
 		}
 		return term.NewCompound(fn, args...), nil
 	default:
-		return term.Value{}, fmt.Errorf("server: unknown value kind %q", w.K)
+		return term.Value{}, malformed("unknown value kind %q", w.K)
 	}
 }
 

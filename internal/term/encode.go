@@ -19,13 +19,6 @@ const (
 	tagCompound = 4
 )
 
-// NonTag is a byte guaranteed never to begin a value encoding: it is
-// distinct from every kind tag AppendValue emits. Callers interleaving
-// markers (e.g. "this register is unbound") with encoded values in one key
-// buffer can use it without risk of colliding with a value's first byte.
-// TestQuickNonTagDisjoint pins the guarantee.
-const NonTag = 0xFF
-
 // EncodedSize returns the exact number of bytes AppendValue would append
 // for every value of t, without writing them. Block encoders use it to
 // decide whether a compressed rendering beat the raw codec before paying
@@ -113,10 +106,14 @@ func WriteValue(w io.Writer, v Value) error {
 // A length or count read from the input sizes an allocation up front only
 // up to these bounds; beyond them the decoder grows the result as the
 // bytes actually arrive, so a corrupt prefix fails at end of input instead
-// of allocating what it claims.
+// of allocating what it claims. Compound arguments get the smallest bound
+// because compounds nest: every level of a chain of compounds, each
+// claiming many arguments, pre-sizes its slice before the next level is
+// read, so the per-level bound multiplies with the depth.
 const (
 	maxEagerBytes = 1 << 20
 	maxEagerCount = 1 << 10
+	maxEagerArgs  = 4
 )
 
 // readBytes reads exactly n bytes from r.
@@ -177,7 +174,7 @@ func ReadValue(r *bufio.Reader) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		args := make([]Value, 0, min(n, maxEagerCount))
+		args := make([]Value, 0, min(n, maxEagerArgs))
 		for ; n > 0; n-- {
 			a, err := ReadValue(r)
 			if err != nil {

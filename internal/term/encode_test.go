@@ -121,16 +121,3 @@ func TestQuickKeyInjective(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestQuickNonTagDisjoint(t *testing.T) {
-	// Property: no value encoding begins with NonTag, so markers using it
-	// (e.g. the executor's unbound-register dedup sentinel) never alias the
-	// first byte of an encoded value.
-	f := func(v Value) bool {
-		enc := AppendValue(nil, v)
-		return len(enc) > 0 && enc[0] != NonTag
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}

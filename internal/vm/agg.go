@@ -18,17 +18,14 @@ import (
 func (f *frame) applyAggregate(b *plan.Aggregate, rows [][]term.Value,
 	state *stmtState) ([][]term.Value, error) {
 	var groups [][]int // row indices per group, groups in first-seen order
-	switch {
-	case len(state.groupRegs) == 0:
+	if len(state.groupRegs) == 0 {
 		// No group_by in effect: every row is in the single group.
 		all := make([]int, len(rows))
 		for ri := range all {
 			all[ri] = ri
 		}
 		groups = [][]int{all}
-	case f.m.StringKeyKernels:
-		groups = f.groupRowsStringKey(rows, state.groupRegs)
-	default:
+	} else {
 		groups = f.groupRows(rows, state.groupRegs)
 	}
 	vals := make([]term.Value, len(rows))

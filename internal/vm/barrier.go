@@ -81,18 +81,10 @@ func (f *frame) applyBarrier(b plan.BarrierOp, rows [][]term.Value,
 // rows, in row order.
 func (f *frame) applyCall(b *plan.Call, rows [][]term.Value) ([][]term.Value, error) {
 	nb := len(b.BoundArgs)
-	stringKeys := f.m.StringKeyKernels
-	// Build each row's input tuple; the hash-first kernel caches the
-	// tuple's 64-bit hash per row (reused by both the distinct pass and
-	// the join-back probe), the legacy kernel its encoded string key.
+	// Build each row's input tuple and cache its 64-bit hash, reused by
+	// both the distinct pass and the join-back probe.
 	tuples := make([]term.Tuple, len(rows))
-	var rowKeys []string
-	var rowHashes []uint64
-	if stringKeys {
-		rowKeys = make([]string, len(rows))
-	} else {
-		rowHashes = make([]uint64, len(rows))
-	}
+	rowHashes := make([]uint64, len(rows))
 	for ri, row := range rows {
 		tup := make(term.Tuple, nb)
 		for i := range b.BoundArgs {
@@ -103,34 +95,20 @@ func (f *frame) applyCall(b *plan.Call, rows [][]term.Value) ([][]term.Value, er
 			tup[i] = v
 		}
 		tuples[ri] = tup
-		if stringKeys {
-			rowKeys[ri] = tupleKey(tup)
-		} else {
-			rowHashes[ri] = tup.Hash()
-		}
+		rowHashes[ri] = tup.Hash()
 	}
 	// Distinct input tuples, in first-seen order (then sorted).
 	var inTuples []term.Tuple
-	if stringKeys {
-		seen := map[string]bool{}
-		for ri := range rows {
-			if k := rowKeys[ri]; !seen[k] {
-				seen[k] = true
-				inTuples = append(inTuples, tuples[ri])
-			}
+	t := f.grabTable(len(rows))
+	cand := 0
+	eq := func(r int32) bool { return inTuples[r].Equal(tuples[cand]) }
+	for ri := range rows {
+		cand = ri
+		if _, found := t.findOrAdd(rowHashes[ri], int32(len(inTuples)), eq); !found {
+			inTuples = append(inTuples, tuples[ri])
 		}
-	} else {
-		t := f.grabTable(len(rows))
-		cand := 0
-		eq := func(r int32) bool { return inTuples[r].Equal(tuples[cand]) }
-		for ri := range rows {
-			cand = ri
-			if _, found := t.findOrAdd(rowHashes[ri], int32(len(inTuples)), eq); !found {
-				inTuples = append(inTuples, tuples[ri])
-			}
-		}
-		f.releaseTable(t)
 	}
+	f.releaseTable(t)
 	sortTuples(inTuples)
 	var results []term.Tuple
 	var err error
@@ -148,32 +126,17 @@ func (f *frame) applyCall(b *plan.Call, rows [][]term.Value) ([][]term.Value, er
 	}
 	// Index results by bound prefix.
 	wantArity := nb + len(b.FreeArgs)
-	var byPrefix map[string][]term.Tuple
 	var px prefixIndex
-	if stringKeys {
-		byPrefix = map[string][]term.Tuple{}
-	} else {
-		px.init(len(results))
-	}
+	px.init(len(results))
 	for _, r := range results {
 		if len(r) != wantArity {
 			return nil, fmt.Errorf("call result arity %d, want %d", len(r), wantArity)
 		}
-		if stringKeys {
-			k := tupleKey(r[:nb])
-			byPrefix[k] = append(byPrefix[k], r)
-		} else {
-			px.add(r[:nb], r)
-		}
+		px.add(r[:nb], r)
 	}
 	var out [][]term.Value
 	for ri, row := range rows {
-		var rs []term.Tuple
-		if stringKeys {
-			rs = byPrefix[rowKeys[ri]]
-		} else {
-			rs = px.get(rowHashes[ri], tuples[ri])
-		}
+		rs := px.get(rowHashes[ri], tuples[ri])
 		if b.Negated {
 			exists := false
 			for _, r := range rs {

@@ -1,28 +1,25 @@
-// Vectorized batch kernels for the pipelined segment executor. The scalar
-// path (runPipe's rec closure) interprets the operator pipeline once per
-// tuple: every row pays a closure call per op, a branch per pattern, and
-// the whole interpretive overhead of walking the op list. The batch path
-// runs the same segment op-at-a-time over a column-major register file:
-// filters refine a selection vector without moving a byte of row data,
-// and expansions (index probes and scans) append only their newly bound
-// registers column-wise plus a source-row index.
+// Vectorized batch kernels: the pipelined segment executor. A segment
+// runs op-at-a-time over a column-major register file instead of
+// interpreting the operator pipeline once per tuple: filters refine a
+// selection vector without moving a byte of row data, and expansions
+// (index probes and scans) append only their newly bound registers
+// column-wise plus a source-row index.
 //
 // Columns are materialized lazily. An expansion does not gather the
 // pass-through columns into the new row space; it records a lineage
 // vector (new row -> source row) and leaves every earlier column at the
 // level that produced it. An op that reads a register materializes just
 // that column in the current row space (memoized), and the final flatten
-// resolves each live column through the composed lineage maps once. The
-// scalar path copies each surviving register exactly once per emitted
-// output row; this path does the same, instead of once per op.
+// resolves each live column through the composed lineage maps once, so
+// each surviving register is copied once per emitted output row, not
+// once per op.
 //
-// Output order is byte-identical to the scalar path. Depth-first
-// tuple-at-a-time emits results in lexicographic (row index, op-0 emission
-// index, op-1 emission index, ...) order; breadth-first op-at-a-time
-// processes every op over the full batch in that same source order, so
-// the final flatten enumerates exactly the same sequence. Dedup, barriers,
-// ordered merges, and golden files therefore cannot tell the kernels
-// apart — Machine.BatchKernels is a pure performance ablation.
+// Output order is the nested-loop order of §9. Depth-first
+// tuple-at-a-time evaluation emits results in lexicographic (row index,
+// op-0 emission index, op-1 emission index, ...) order; breadth-first
+// op-at-a-time processes every op over the full batch in that same source
+// order, so the final flatten enumerates exactly the same sequence — the
+// sequence the materialized baseline (materializeOp) produces too.
 package vm
 
 import (
@@ -322,8 +319,8 @@ func (b *batchState) pushLevel(src []int32, bind []int, bindCols [][]term.Value)
 
 // regFiller loads an op's referenced registers into the shared row buffer
 // row by row: the bridge to the per-row helpers (key building, pattern
-// matching, expression evaluation) the scalar kernels share with this
-// path. Registers the op does not mention are left untouched — the op
+// matching, expression evaluation) the materialized baseline shares with
+// this path. Registers the op does not mention are left untouched — the op
 // cannot read them.
 type regFiller struct {
 	regs []int
@@ -382,8 +379,8 @@ func exprRegs(e plan.Expr, dst []int) []int {
 
 // runPipeBatch executes a segment's operators batch-at-a-time over the
 // given rows, filling the caller's per-op tuple counters exactly like the
-// scalar path (cnt[i] counts tuples entering op i, cnt[len(ops)] the
-// segment output).
+// materialized baseline (cnt[i] counts tuples entering op i, cnt[len(ops)]
+// the segment output).
 func (f *frame) runPipeBatch(ops []plan.PipeOp, rels []storage.Rel, have []bool,
 	rows [][]term.Value, cnt []int64) ([][]term.Value, error) {
 	nregs := len(rows[0])
@@ -477,10 +474,9 @@ func (f *frame) runPipeBatch(ops []plan.PipeOp, rels []storage.Rel, have []bool,
 
 // flatten materializes the surviving rows back to row-major output,
 // resolving each live column through the composed lineage maps. One
-// backing slab replaces the scalar path's per-row clone; 3-index slicing
+// backing slab holds every row instead of a clone per row; 3-index slicing
 // keeps the rows disjoint, so downstream in-place register mutation stays
-// row-private. Each register is copied exactly once per output row — the
-// same write count as the scalar path's final clone.
+// row-private. Each register is copied exactly once per output row.
 func (b *batchState) flatten(nOut int) [][]term.Value {
 	top := len(b.levels) - 1
 	maps := b.scr.maps
@@ -565,7 +561,7 @@ func (b *batchState) newSel() []int32 {
 
 // batchExpandMatch runs a positive match (index probe or scan) over the
 // batch. Per source row it fills the op's referenced registers once,
-// builds the probe key with the shared scalar helper, and streams the
+// builds the probe key with the shared buildKey helper, and streams the
 // relation's matching tuples; each emission appends the op's bound
 // registers column-wise plus the source index, and the batch advances one
 // lineage level — no pass-through column is touched. srel is the
@@ -597,8 +593,8 @@ func (f *frame) batchExpandMatch(b *batchState, mask uint32, args []term.Pattern
 			}
 			src = append(src, cur)
 			emitted++
-			// Same runaway-cross-product guard as the scalar path:
-			// a huge expansion must not outrun the governor.
+			// Runaway-cross-product guard: a huge expansion must not
+			// outrun the statement-boundary governor checks.
 			if emitted&(govCheckRows-1) == 0 {
 				if err := f.m.pollGovernor(); err != nil {
 					emitErr = err
@@ -812,36 +808,4 @@ func (f *frame) batchMatchBind(b *batchState, op *plan.MatchBind,
 	}
 	b.pushLevel(src, op.Bind, bindCols)
 	return nil
-}
-
-// dedupRowsBatch is the batched sequential dedup kernel: one bulk pass
-// computes every row's live-register hash into a flat vector (no
-// per-probe interleaving of hashing and table work), then a second pass
-// probes the pooled open-addressing table with the precomputed hashes.
-// Keeps the first occurrence of each key in input order, exactly like the
-// scalar kernel.
-func (f *frame) dedupRowsBatch(rows [][]term.Value, live []int) [][]term.Value {
-	hashes := f.grabHashes(len(rows))
-	for i := range rows {
-		hashes[i] = rowHashLive(rows[i], live)
-	}
-	t := f.grabTable(len(rows))
-	out := rows[:0]
-	var cand []term.Value
-	eq := func(r int32) bool { return rowsEqualLive(out[r], cand, live) }
-	var removed int64
-	for i, row := range rows {
-		cand = row
-		if _, found := t.findOrAdd(hashes[i], int32(len(out)), eq); found {
-			removed++
-			continue
-		}
-		out = append(out, row)
-	}
-	f.releaseTable(t)
-	f.releaseHashes(hashes)
-	if removed != 0 {
-		atomic.AddInt64(&f.m.Stats.RowsDeduped, removed)
-	}
-	return out
 }

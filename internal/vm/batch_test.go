@@ -43,44 +43,44 @@ func batchTestFrame(n int) (*frame, *plan.PhysStep) {
 	return f, pstep
 }
 
-// TestBatchMatchesScalarSegment runs the same scan→filter→probe segment
-// through the scalar and the batch kernels and requires byte-identical
-// row streams and identical per-op tuple counters.
-func TestBatchMatchesScalarSegment(t *testing.T) {
+// TestBatchMatchesMaterializedSegment runs the same scan→filter→probe
+// segment through the materialized baseline and the batch kernels and
+// requires byte-identical row streams and identical per-op tuple counters.
+func TestBatchMatchesMaterializedSegment(t *testing.T) {
 	f, pstep := batchTestFrame(500)
 	seed := func() [][]term.Value { return [][]term.Value{make([]term.Value, 3)} }
 
-	f.m.BatchKernels = false
-	scalarProf := plan.NewStmtProfile([]plan.Step{*pstep.Step})
-	scalar, err := f.runPipe(pstep, seed(), &scalarProf.Steps[0])
+	f.m.Materialized = true
+	refProf := plan.NewStmtProfile([]plan.Step{*pstep.Step})
+	ref, err := f.runPipe(pstep, seed(), &refProf.Steps[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.m.BatchKernels = true
+	f.m.Materialized = false
 	batchProf := plan.NewStmtProfile([]plan.Step{*pstep.Step})
 	batch, err := f.runPipe(pstep, seed(), &batchProf.Steps[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scalar) == 0 {
+	if len(ref) == 0 {
 		t.Fatal("segment produced no rows; nothing exercised")
 	}
-	if len(batch) != len(scalar) {
-		t.Fatalf("batch produced %d rows, scalar %d", len(batch), len(scalar))
+	if len(batch) != len(ref) {
+		t.Fatalf("batch produced %d rows, materialized %d", len(batch), len(ref))
 	}
-	for i := range scalar {
-		for r := range scalar[i] {
-			if !scalar[i][r].Equal(batch[i][r]) {
-				t.Fatalf("row %d register %d: batch %v, scalar %v",
-					i, r, batch[i][r], scalar[i][r])
+	for i := range ref {
+		for r := range ref[i] {
+			if !ref[i][r].Equal(batch[i][r]) {
+				t.Fatalf("row %d register %d: batch %v, materialized %v",
+					i, r, batch[i][r], ref[i][r])
 			}
 		}
 	}
-	for k := range scalarProf.Steps[0].Ops {
-		s, b := scalarProf.Steps[0].Ops[k], batchProf.Steps[0].Ops[k]
-		if s.In != b.In || s.Out != b.Out {
-			t.Fatalf("op %d counters differ: scalar in=%d out=%d, batch in=%d out=%d",
-				k, s.In, s.Out, b.In, b.Out)
+	for k := range refProf.Steps[0].Ops {
+		m, b := refProf.Steps[0].Ops[k], batchProf.Steps[0].Ops[k]
+		if m.In != b.In || m.Out != b.Out {
+			t.Fatalf("op %d counters differ: materialized in=%d out=%d, batch in=%d out=%d",
+				k, m.In, m.Out, b.In, b.Out)
 		}
 	}
 }
@@ -92,7 +92,6 @@ func TestBatchMatchesScalarSegment(t *testing.T) {
 func TestBatchSegmentAllocsPerRow(t *testing.T) {
 	const n = 20000
 	f, pstep := batchTestFrame(n)
-	f.m.BatchKernels = true
 	ops := make([]plan.PipeOp, len(pstep.Ops))
 	for i := range pstep.Ops {
 		ops[i] = pstep.Ops[i].Op

@@ -104,11 +104,11 @@ func cloneRow(row []term.Value) []term.Value {
 }
 
 // runPipe streams rows through the segment's operators. The pipelined
-// strategy nests the operators per row and copies only at the segment end;
-// the materialized baseline stores the full row set after every operator
-// (the extra load and store per tuple of §9). Statically named relations
-// are resolved once per segment, not per row — relations only change at
-// barriers and heads, never inside a segment.
+// strategy runs the batch kernels (batch.go), which copy a row's registers
+// only at the segment end; the materialized baseline stores the full row
+// set after every operator (the extra load and store per tuple of §9).
+// Statically named relations are resolved once per segment, not per row —
+// relations only change at barriers and heads, never inside a segment.
 func (f *frame) runPipe(step *plan.PhysStep, rows [][]term.Value, sprof *plan.StepProfile) ([][]term.Value, error) {
 	pops := step.Ops
 	if len(pops) == 0 {
@@ -163,35 +163,7 @@ func (f *frame) runPipe(step *plan.PhysStep, rows [][]term.Value, sprof *plan.St
 		cnt[len(ops)] += int64(len(cur))
 		return cur, nil
 	}
-	if f.m.BatchKernels {
-		return f.runPipeBatch(ops, rels, have, rows, cnt)
-	}
-	var out [][]term.Value
-	// One probe-key scratch per op: ops at different pipeline depths hold
-	// their keys live simultaneously, but a single op reuses its key
-	// across all the rows that reach it.
-	scratch := make([]term.Tuple, len(ops))
-	var rec func(i int, row []term.Value) error
-	rec = func(i int, row []term.Value) error {
-		cnt[i]++
-		if i == len(ops) {
-			out = append(out, cloneRow(row))
-			atomic.AddInt64(&f.m.Stats.TuplesMaterialized, 1)
-			// Periodic in-segment governor check: a runaway cross product
-			// must not outrun the statement-boundary checks.
-			if len(out)&(govCheckRows-1) == 0 {
-				return f.m.pollGovernor()
-			}
-			return nil
-		}
-		return f.applyPipeOp(ops[i], rels[i], have[i], &scratch[i], row, func() error { return rec(i+1, row) })
-	}
-	for _, row := range rows {
-		if err := rec(0, row); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return f.runPipeBatch(ops, rels, have, rows, cnt)
 }
 
 // materializeOp runs one streaming op over the whole row set, materializing
@@ -446,34 +418,33 @@ func (f *frame) dynResolve(name term.Value, arity int, narrowed bool,
 
 // dedupRows removes rows that agree on the live registers (§9: duplicate
 // elimination at pipeline breaks), keeping the first occurrence of each
-// key in input order. The hash-first kernel probes a pooled
-// open-addressing table with the 64-bit hash of the live registers and
-// compares rows directly on collision; no key bytes are materialized.
+// key in input order. One bulk pass hashes every row's live registers into
+// a pooled vector; a second probes a pooled open-addressing table with
+// those hashes and compares rows directly on collision. No key bytes are
+// materialized.
 func (f *frame) dedupRows(rows [][]term.Value, live []int) [][]term.Value {
 	if len(rows) < 2 {
 		return rows
 	}
-	if f.m.StringKeyKernels {
-		return f.dedupRowsStringKey(rows, live)
-	}
-	if f.m.BatchKernels {
-		return f.dedupRowsBatch(rows, live)
+	hashes := f.grabHashes(len(rows))
+	for i := range rows {
+		hashes[i] = rowHashLive(rows[i], live)
 	}
 	t := f.grabTable(len(rows))
 	out := rows[:0]
 	var cand []term.Value
 	eq := func(r int32) bool { return rowsEqualLive(out[r], cand, live) }
 	var removed int64
-	for _, row := range rows {
+	for i, row := range rows {
 		cand = row
-		h := rowHashLive(row, live)
-		if _, found := t.findOrAdd(h, int32(len(out)), eq); found {
+		if _, found := t.findOrAdd(hashes[i], int32(len(out)), eq); found {
 			removed++
 			continue
 		}
 		out = append(out, row)
 	}
 	f.releaseTable(t)
+	f.releaseHashes(hashes)
 	if removed != 0 {
 		atomic.AddInt64(&f.m.Stats.RowsDeduped, removed)
 	}
@@ -520,12 +491,8 @@ func applyHeadOp(st *plan.Stmt, rel storage.Rel, tuples []term.Tuple) {
 // rows are grouped by computed relation name. A statically named head — by
 // far the common case — resolves its single target once per statement
 // execution and skips grouping entirely; computed names group through a
-// pooled hash table on the name value, so the per-row canonical name key
-// (term.Key) of the legacy kernel is gone from the hot path.
+// pooled hash table on the name value, so no per-row name key is built.
 func (f *frame) applyHead(st *plan.Stmt, rows [][]term.Value) error {
-	if f.m.StringKeyKernels {
-		return f.applyHeadStringKey(st, rows)
-	}
 	if st.Head.Ref.Name.IsGround() {
 		// One static target for the whole statement: it participates even
 		// with an empty body (":=" clears it).

@@ -172,8 +172,7 @@ func (f *frame) releaseTable(t *hashTable) {
 }
 
 // grabHashes takes the frame's pooled bulk-hash vector, sized to n
-// (batch.go's dedup kernel). Same sequential-per-frame contract as
-// grabTable.
+// (dedupRows). Same sequential-per-frame contract as grabTable.
 func (f *frame) grabHashes(n int) []uint64 {
 	if cap(f.hashBuf) >= n {
 		return f.hashBuf[:n]

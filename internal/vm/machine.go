@@ -56,36 +56,22 @@ type Machine struct {
 	// LoopLimit bounds repeat-loop iterations (0 = unlimited); exceeded
 	// loops return an error rather than hanging.
 	LoopLimit int
-	// Parallelism is ignored: it outlives the removed worker pool only
-	// because benchspine's parity test reads it.
-	Parallelism int
 	// StatsOrdering enables cost-based reordering of each segment's pipe
 	// ops at statement-prepare time, driven by live relation statistics and
 	// observed per-op selectivities; New enables it. Disabled, the compiled
 	// (greedy or textual) op order executes — still through the
 	// physical-plan layer, so instrumentation is identical.
 	StatsOrdering bool
-	// StringKeyKernels routes duplicate elimination, aggregation grouping,
-	// and call-barrier probing through the legacy kernels that materialize
-	// an encoded string key per row, instead of the hash-first
-	// open-addressing kernels. Kept as the E13 ablation baseline; results
-	// are byte-identical either way.
+	// Parallelism, StringKeyKernels, PlanCache and BatchKernels are
+	// ignored: the worker pool, the string-key kernels, the scalar kernels
+	// and the plan-cache off switch they selected are gone, and the batch
+	// kernels and the plan cache always run. The fields remain only because
+	// benchspine's parity test reads them; New sets PlanCache and
+	// BatchKernels to true to match what runs.
+	Parallelism      int
 	StringKeyKernels bool
-	// PlanCache enables the prepared-plan cache: a statement's physical
-	// plan is reused across executions while the stats epochs of its
-	// referenced relations hold and executor selectivity feedback stays
-	// within the drift threshold, skipping the greedy reorder and op
-	// cloning on the repeated-query hot path. New enables it; disabled, the
-	// planner re-derives every plan (the pre-cache baseline). Plans are
-	// identical either way — a stale plan can only be slower, never wrong.
-	PlanCache bool
-	// BatchKernels routes segment pipelines through the vectorized
-	// batch-at-a-time kernels (batch.go): column-major register vectors,
-	// selection vectors for filters, and batched probes, processed
-	// op-at-a-time over whole row sets instead of tuple-at-a-time recursion.
-	// New enables it; disabled, the scalar nested-loop path runs (the
-	// pre-vectorization baseline). Results are byte-identical either way.
-	BatchKernels bool
+	PlanCache        bool
+	BatchKernels     bool
 	// Trace, when non-nil, receives one line per statement execution and
 	// procedure call — the executor's narration of §3.2's evaluation.
 	Trace io.Writer
@@ -135,8 +121,8 @@ type Machine struct {
 	// executed with. Both are touched only by the executing goroutine.
 	profiles map[*plan.Stmt]*plan.StmtProfile
 	lastPhys map[*plan.Stmt]*plan.PhysPlan
-	// planCache holds the prepared plans served when PlanCache is on; same
-	// single-goroutine contract as profiles.
+	// planCache holds the prepared plans; same single-goroutine contract
+	// as profiles.
 	planCache *plan.PlanCache
 }
 
@@ -357,8 +343,8 @@ type frame struct {
 	// statements — and repeat-loop iterations — this frame executes;
 	// statements run sequentially per frame, so no locking.
 	scratch []*hashTable
-	// hashBuf pools the bulk row-hash vector of the batched dedup kernel
-	// (batch.go), under the same sequential-per-frame contract.
+	// hashBuf pools the bulk row-hash vector of dedupRows, under the same
+	// sequential-per-frame contract.
 	hashBuf []uint64
 }
 

@@ -33,9 +33,6 @@ func (f *frame) epochSig(refs []plan.RelRef) uint64 {
 // epoch signature holds and the executor's selectivity feedback has not
 // drifted, a freshly planned (and cached) one otherwise.
 func (f *frame) stmtPlan(st *plan.Stmt, prof *plan.StmtProfile) *plan.PhysPlan {
-	if !f.m.PlanCache {
-		return f.planner().PlanStmt(st, prof)
-	}
 	c := f.m.planCache
 	e := c.StmtEntry(st)
 	sig := f.epochSig(e.Refs())
@@ -53,9 +50,6 @@ func (f *frame) stmtPlan(st *plan.Stmt, prof *plan.StmtProfile) *plan.PhysPlan {
 // condPlan is stmtPlan for until-conditions. Conditions accumulate no
 // profile, so their cached segments invalidate on epoch changes only.
 func (f *frame) condPlan(cond *plan.Cond) []plan.PhysStep {
-	if !f.m.PlanCache {
-		return f.planner().PlanSteps(cond.Steps, nil)
-	}
 	c := f.m.planCache
 	e := c.CondEntry(cond)
 	sig := f.epochSig(e.Refs())

@@ -1,15 +1,13 @@
 package gluenail
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 )
 
-// System-level tests for the prepared-plan cache and the vectorized batch
-// kernels: repeated queries must hit the cache, stats-epoch changes and
-// selectivity drift must invalidate it, and every cache/kernel ablation
-// must return byte-identical rows.
+// System-level tests for the prepared-plan cache: repeated queries must
+// hit the cache, stats-epoch changes and selectivity drift must invalidate
+// it, and prepared handles must answer exactly like ad-hoc queries.
 
 const chainProgram = `
 edb edge(X,Y);
@@ -158,71 +156,6 @@ func TestPlanCacheDriftInvalidation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheBatchAblationGrid runs a join/negation/aggregation workload
-// across every cache × kernel combination; all must return
-// byte-identical rows, on the first and on a repeated (cache-served) run.
-func TestPlanCacheBatchAblationGrid(t *testing.T) {
-	const program = `
-edb edge(X,Y), blocked(X);
-tc(X,Y) :- edge(X,Y).
-tc(X,Z) :- tc(X,Y) & edge(Y,Z).
-reach(X,Y) :- tc(X,Y) & !blocked(Y).
-fanout(X,N) :- tc(X,Y) & group_by(X) & N = count(Y).
-`
-	rng := rand.New(rand.NewSource(7))
-	var edges [][]any
-	for i := 0; i < 120; i++ {
-		edges = append(edges, []any{rng.Intn(30), rng.Intn(30)})
-	}
-	var blocked [][]any
-	for i := 0; i < 30; i += 3 {
-		blocked = append(blocked, []any{i})
-	}
-	queries := []string{"tc(1, X)", "reach(1, X)", "fanout(X, N)"}
-	configs := map[string][]Option{
-		"cache+batch":    nil,
-		"cache+scalar":   {WithBatchKernels(false)},
-		"nocache+batch":  {WithPlanCache(false)},
-		"nocache+scalar": {WithPlanCache(false), WithBatchKernels(false)},
-	}
-	var ref []string
-	var refName string
-	for name, opts := range configs {
-		sys := New(opts...)
-		if err := sys.Load(program); err != nil {
-			t.Fatal(err)
-		}
-		sys.Assert("edge", edges...)
-		sys.Assert("blocked", blocked...)
-		var got []string
-		for _, q := range queries {
-			// Twice: the second run exercises cache-served plans.
-			for run := 0; run < 2; run++ {
-				res, err := sys.Query(q)
-				if err != nil {
-					t.Fatalf("%s: %s: %v", name, q, err)
-				}
-				got = append(got, rowsKey(res))
-			}
-		}
-		if ref == nil {
-			ref, refName = got, name
-			for i := 0; i < len(ref); i += 2 {
-				if ref[i] == "" {
-					t.Fatalf("query %q returned no rows; nothing exercised", queries[i/2])
-				}
-			}
-			continue
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("%s disagrees with %s on %s (run %d):\n%s\nvs\n%s",
-					name, refName, queries[i/2], i%2, got[i], ref[i])
-			}
-		}
-	}
-}
-
 func TestPreparedExecute(t *testing.T) {
 	sys := New()
 	if err := sys.Load(chainProgram); err != nil {
@@ -270,8 +203,8 @@ func TestPreparedExecute(t *testing.T) {
 }
 
 // TestExplainAnalyzePlanCacheCounters checks the EXPLAIN ANALYZE trailer:
-// enabled systems report the cache counters for exactly the analyzed run,
-// disabled ones say so.
+// it reports the cache counters for exactly the analyzed run, and plain
+// EXPLAIN carries no trailer.
 func TestExplainAnalyzePlanCacheCounters(t *testing.T) {
 	sys := New()
 	if err := sys.Load(chainProgram); err != nil {
@@ -294,55 +227,4 @@ func TestExplainAnalyzePlanCacheCounters(t *testing.T) {
 	if strings.Contains(plain, "plan cache") {
 		t.Fatalf("plain EXPLAIN must not carry the plan-cache line:\n%s", plain)
 	}
-
-	off := New(WithPlanCache(false))
-	if err := off.Load(chainProgram); err != nil {
-		t.Fatal(err)
-	}
-	if err := off.Assert("edge", chainFacts(10)...); err != nil {
-		t.Fatal(err)
-	}
-	text, err = off.ExplainAnalyze("tc(0, X)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, "plan cache: disabled") {
-		t.Fatalf("disabled cache not reported by EXPLAIN ANALYZE:\n%s", text)
-	}
-}
-
-// TestPlanCacheRepeatedQueryAllocs pins the point of the cache: a repeated
-// query allocates strictly less with the cache on than off, because the
-// greedy reorder's op clones are gone from the hot path.
-func TestPlanCacheRepeatedQueryAllocs(t *testing.T) {
-	run := func(opts ...Option) float64 {
-		sys := New(opts...)
-		if err := sys.Load(chainProgram); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Assert("edge", chainFacts(30)...); err != nil {
-			t.Fatal(err)
-		}
-		// A non-recursive bound query: execution is tiny, so the planner's
-		// op clones dominate the uncached per-run allocations. Warm
-		// everything once (compilation, temp relations, first plan).
-		const q = "edge(0, X) & edge(X, Y) & edge(Y, Z)"
-		for i := 0; i < 3; i++ {
-			if _, err := sys.Query(q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return testing.AllocsPerRun(20, func() {
-			if _, err := sys.Query(q); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	cached := run()
-	uncached := run(WithPlanCache(false))
-	if cached >= uncached {
-		t.Fatalf("cached repeated query allocates %.0f objects/op, uncached %.0f — caching saves nothing",
-			cached, uncached)
-	}
-	t.Logf("allocs/query: cached=%.0f uncached=%.0f", cached, uncached)
 }
