@@ -247,7 +247,7 @@ func TestRandomizedCancelLandsOnPrefix(t *testing.T) {
 			// delay, odd trials inject a context deadline.
 			delay := time.Duration(200+700*trial) * time.Microsecond
 			if trial%2 == 1 {
-				opts = append(opts, gluenail.WithTimeout(delay))
+				opts = append(opts, gluenail.WithBudget(gluenail.Budget{Timeout: delay}))
 			}
 			sys, err := gluenail.Open(dir, opts...)
 			if err != nil {

@@ -172,7 +172,7 @@ func e2() {
 	var rows [][]string
 	for _, n := range []int{1000, 5000, 20000} {
 		pipe := bench.NewJoinSystem(n, 4)
-		mat := bench.NewJoinSystem(n, 4, gluenail.WithMaterializedExecution())
+		mat := bench.NewJoinSystem(n, 4, gluenail.WithBaseline("materialized"))
 		dp := best(func() { check(bench.RunJoin(pipe)) })
 		dm := best(func() { check(bench.RunJoin(mat)) })
 		rows = append(rows, []string{
@@ -191,7 +191,7 @@ func e3() {
 	var rows [][]string
 	for _, dup := range []int{1, 2, 4, 16} {
 		with := bench.NewDupSystem(4000/dup, dup)
-		without := bench.NewDupSystem(4000/dup, dup, gluenail.WithoutDupElimination())
+		without := bench.NewDupSystem(4000/dup, dup, gluenail.WithBaseline("no-dedup"))
 		dw := best(func() { check(bench.RunDup(with)) })
 		dn := best(func() { check(bench.RunDup(without)) })
 		rows = append(rows, []string{
@@ -227,7 +227,7 @@ func e5() {
 	var rows [][]string
 	for _, n := range []int{32, 64, 128} {
 		semi := bench.NewTCSystem(bench.ChainEdges(n))
-		naive := bench.NewTCSystem(bench.ChainEdges(n), gluenail.WithNaiveEvaluation())
+		naive := bench.NewTCSystem(bench.ChainEdges(n), gluenail.WithBaseline("naive"))
 		ds := best(func() { _, err := semi.Query("tc(X,Y)"); check(err) })
 		dn := best(func() { _, err := naive.Query("tc(X,Y)"); check(err) })
 		rows = append(rows, []string{
@@ -243,7 +243,7 @@ func e6() {
 	var rows [][]string
 	for _, sets := range []int{8, 64, 256} {
 		narrowed := bench.NewDispatchSystem(sets, 4, 400)
-		runtime := bench.NewDispatchSystem(sets, 4, 400, gluenail.WithoutDispatchNarrowing())
+		runtime := bench.NewDispatchSystem(sets, 4, 400, gluenail.WithBaseline("no-narrow"))
 		dn := best(func() { check(bench.RunDispatch(narrowed)) })
 		dr := best(func() { check(bench.RunDispatch(runtime)) })
 		rows = append(rows, []string{
@@ -270,7 +270,7 @@ func e8() {
 	var rows [][]string
 	for _, calls := range []int{10, 50} {
 		mem := bench.NewTemporariesSystem(40)
-		lay := bench.NewTemporariesSystem(40, gluenail.WithLayeredBackend())
+		lay := bench.NewTemporariesSystem(40, gluenail.WithBaseline("layered"))
 		dm := best(func() { check(bench.RunTemporaries(mem, calls)) })
 		dl := best(func() { check(bench.RunTemporaries(lay, calls)) })
 		st := lay.Stats().Scratch
@@ -289,7 +289,7 @@ func e9() {
 	var rows [][]string
 	for _, n := range []int{200, 400, 800} {
 		magic := bench.NewTCSystem(bench.RandomEdges(n, n, 7))
-		full := bench.NewTCSystem(bench.RandomEdges(n, n, 7), gluenail.WithoutMagicSets())
+		full := bench.NewTCSystem(bench.RandomEdges(n, n, 7), gluenail.WithBaseline("no-magic"))
 		dm := best(func() { _, err := magic.Query("tc(1, X)"); check(err) })
 		df := best(func() { _, err := full.Query("tc(1, X)"); check(err) })
 		rows = append(rows, []string{
@@ -315,8 +315,8 @@ func e12() {
 			name string
 			opts []gluenail.Option
 		}{
-			{"textual", []gluenail.Option{gluenail.WithoutReordering()}},
-			{"greedy", []gluenail.Option{gluenail.WithGreedyOrdering()}},
+			{"textual", []gluenail.Option{gluenail.WithBaseline("no-reorder")}},
+			{"greedy", []gluenail.Option{gluenail.WithBaseline("greedy-order")}},
 			{"stats", nil},
 		} {
 			got, err := bench.SkewJoinResult(bench.NewSkewJoinSystem(n, rare, k, mode.opts...))
@@ -327,8 +327,8 @@ func e12() {
 				check(fmt.Errorf("E12: %s ordering changed the join result at n=%d", mode.name, n))
 			}
 		}
-		textual := bench.NewSkewJoinSystem(n, rare, k, gluenail.WithoutReordering())
-		greedy := bench.NewSkewJoinSystem(n, rare, k, gluenail.WithGreedyOrdering())
+		textual := bench.NewSkewJoinSystem(n, rare, k, gluenail.WithBaseline("no-reorder"))
+		greedy := bench.NewSkewJoinSystem(n, rare, k, gluenail.WithBaseline("greedy-order"))
 		stats := bench.NewSkewJoinSystem(n, rare, k)
 		dt := best(func() { check(bench.RunSkewJoin(textual)) })
 		dg := best(func() { check(bench.RunSkewJoin(greedy)) })
@@ -758,7 +758,7 @@ func a1() {
 	var rows [][]string
 	for _, n := range []int{500, 1000} {
 		ordered := bench.NewReorderSystem(n)
-		source := bench.NewReorderSystem(n, gluenail.WithoutReordering())
+		source := bench.NewReorderSystem(n, gluenail.WithBaseline("no-reorder"))
 		do := best(func() { check(bench.RunReorder(ordered)) })
 		ds := best(func() { check(bench.RunReorder(source)) })
 		rows = append(rows, []string{fmt.Sprint(n), ms(do), ms(ds), ratio(do, ds)})

@@ -37,8 +37,10 @@
 //	              actual per-operator tuple counts next to the estimates
 //	-i            interactive query loop on stdin (default when no -call/-q)
 //	-module m     module scope for queries (default "main")
-//	-naive        use naive instead of semi-naive evaluation
-//	-no-magic     disable magic-set rewriting
+//	-baseline name
+//	              run as one of the paper's baselines, e.g. naive
+//	              (semi-naive recursion off) or no-magic (magic sets off);
+//	              an unknown name lists the valid ones
 //	-timeout d    wall-clock budget per query/call (e.g. -timeout 30s);
 //	              an expired call fails with a timeout error at a clean
 //	              statement boundary
@@ -150,8 +152,7 @@ func run() error {
 		query       = flag.String("q", "", "query conjunction to evaluate")
 		interactive = flag.Bool("i", false, "interactive query loop")
 		module      = flag.String("module", "main", "module scope for queries")
-		naive       = flag.Bool("naive", false, "naive instead of semi-naive evaluation")
-		noMagic     = flag.Bool("no-magic", false, "disable magic-set rewriting")
+		baseline    = flag.String("baseline", "", "run as a paper baseline, e.g. naive or no-magic (an unknown name lists the valid ones)")
 		explain     = flag.String("plan", "", "print the compiled plan of module.proc (or 'all') and exit")
 		explainPhys = flag.Bool("explain", false, "print the physical plan (estimated cardinalities) for -q or -call instead of executing")
 		explainAnal = flag.Bool("explain-analyze", false, "execute -q or -call and print the physical plan with actual per-op tuple counts")
@@ -203,16 +204,13 @@ func run() error {
 			}
 		}()
 	}
-	var opts []gluenail.Option
-	opts = append(opts, gluenail.WithOutput(os.Stdout), gluenail.WithInput(os.Stdin))
+	opts := []gluenail.Option{
+		gluenail.WithOutput(os.Stdout),
+		gluenail.WithInput(os.Stdin),
+		gluenail.WithBaseline(*baseline),
+	}
 	if *trace {
 		opts = append(opts, gluenail.WithTrace(os.Stderr))
-	}
-	if *naive {
-		opts = append(opts, gluenail.WithNaiveEvaluation())
-	}
-	if *noMagic {
-		opts = append(opts, gluenail.WithoutMagicSets())
 	}
 	if *timeout != 0 || *maxTuples != 0 || *maxRelRows != 0 || *maxDepth != 0 || *maxIters != 0 {
 		opts = append(opts, gluenail.WithBudget(gluenail.Budget{

@@ -193,3 +193,32 @@ edb shown(X,Y);
 		t.Errorf("call output:\n%s", out)
 	}
 }
+
+func TestCLIBaselineFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns go run")
+	}
+	src := writeTemp(t, "tc.glue", cliProgram)
+	out := runCmd(t, "run", "./cmd/gluenail", "-baseline", "naive", "-q", "tc(1,X)", src)
+	if !strings.Contains(out, "(3 answers)") {
+		t.Errorf("naive baseline query output:\n%s", out)
+	}
+	bad, err := exec.Command("go", "run", "./cmd/gluenail", "-baseline", "bogus", "-q", "tc(1,X)", src).CombinedOutput()
+	if err == nil || !strings.Contains(string(bad), `unknown baseline "bogus"`) || !strings.Contains(string(bad), "no-magic") {
+		t.Errorf("unknown baseline: err %v, output:\n%s", err, bad)
+	}
+}
+
+// TestBenchspineVets builds and vets the benchmark module, which imports
+// this package through a replace directive: a change to the public API
+// that breaks the benchmark fails here, not only when the benchmark runs.
+func TestBenchspineVets(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go binary on PATH")
+	}
+	cmd := exec.Command("go", "vet", "./...")
+	cmd.Dir = "benchspine"
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./... in benchspine: %v\n%s", err, out)
+	}
+}

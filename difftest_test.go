@@ -38,16 +38,8 @@ func refClosure(edges [][2]int, src int) map[int]bool {
 // testing package; the stores themselves are closed by the sweeps).
 func allConfigs(t *testing.T) map[string][]Option {
 	t.Helper()
-	return map[string][]Option{
-		"default":      nil,
-		"materialized": {WithMaterializedExecution()},
-		"no-dedup":     {WithoutDupElimination()},
-		"no-reorder":   {WithoutReordering()},
-		"greedy-order": {WithGreedyOrdering()},
-		"no-magic":     {WithoutMagicSets()},
-		"naive":        {WithNaiveEvaluation()},
-		"no-narrow":    {WithoutDispatchNarrowing()},
-		"layered":      {WithLayeredBackend()},
+	configs := map[string][]Option{
+		"default": nil,
 		// Storage-engine sweep: EDB on the disk engine, and scratch tables
 		// spilling to disk runs past a deliberately tiny in-memory budget —
 		// results must not depend on where rows live.
@@ -55,6 +47,10 @@ func allConfigs(t *testing.T) map[string][]Option {
 		"disk-raw":   {WithBackend("disk"), WithBlockCompression(false), WithBlockCache(4)},
 		"spill":      {WithSpill(t.TempDir(), 16)},
 	}
+	for name := range baselines {
+		configs[name] = []Option{WithBaseline(name)}
+	}
+	return configs
 }
 
 func TestQuickClosureMatchesReference(t *testing.T) {

@@ -218,7 +218,7 @@ func TestDurableExplicitCheckpoint(t *testing.T) {
 // baseline, whose relations delegate to the same journal hooks.
 func TestDurableLayeredBackend(t *testing.T) {
 	dir := t.TempDir()
-	sys, err := gluenail.Open(dir, gluenail.WithLayeredBackend())
+	sys, err := gluenail.Open(dir, gluenail.WithBaseline("layered"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestDurableLayeredBackend(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := gluenail.Open(dir, gluenail.WithLayeredBackend())
+	re, err := gluenail.Open(dir, gluenail.WithBaseline("layered"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,16 +72,16 @@ func Compound(functor string, args ...Value) Value {
 	return term.Atom(functor, args...)
 }
 
-// Config captures the tunable behaviours; each corresponds to a design
-// decision in the paper and is exercised by an experiment.
+// config holds what the options set. The fields from layered through
+// planOpts are the paper baselines: only the baselines table writes them,
+// and the default system leaves them all zero.
 type config struct {
 	out          io.Writer
 	in           io.Reader
 	trace        io.Writer
+	baseline     string
 	layered      bool
-	indexPolicy  storage.IndexPolicy
 	materialized bool
-	loopLimit    int
 	greedyOrder  bool
 	planOpts     plan.Options
 	durDir       string
@@ -105,11 +105,6 @@ func WithOutput(w io.Writer) Option { return func(c *config) { c.out = w } }
 
 // WithInput supplies read_line input.
 func WithInput(r io.Reader) Option { return func(c *config) { c.in = r } }
-
-// WithLayeredBackend runs every relation — including the short-lived
-// temporaries of procedure frames — on the simulated DBMS-layered store
-// (write-ahead logging, latching, catalog probes): the E8 baseline.
-func WithLayeredBackend() Option { return func(c *config) { c.layered = true } }
 
 // WithBackend selects the EDB storage engine by registered name: "mem"
 // (the default tailored main-memory store) or "disk" (the index-organized
@@ -171,59 +166,62 @@ func WithScrubInterval(d time.Duration) Option {
 	return func(c *config) { c.scrubEvery = d }
 }
 
-// WithIndexPolicy overrides the adaptive index policy (E4 baselines).
-func WithIndexPolicy(p storage.IndexPolicy) Option {
-	return func(c *config) { c.indexPolicy = p }
+// WithBaseline runs the system as one of the baselines the paper measures
+// its mechanisms against (§5, §9, §10), each switching one mechanism off:
+//
+//   - "materialized": materialize every supplementary relation instead of
+//     pipelining (E2)
+//   - "no-dedup": no duplicate elimination at pipeline breaks (E3)
+//   - "no-reorder": textual subgoal order, at compile and at run time (A1)
+//   - "greedy-order": the compiler's static greedy order, with no
+//     statistics-driven reordering at run time (E12)
+//   - "no-magic": no magic-set rewriting of bound NAIL! calls (E9)
+//   - "naive": naive instead of semi-naive recursion (E5)
+//   - "no-narrow": no compile-time narrowing of HiLog dispatch (E6)
+//   - "layered": every relation, temporaries included, on the simulated
+//     DBMS-layered store (E8)
+//
+// A later WithBaseline replaces an earlier one, and "" is the default
+// system. An unknown name fails Open, and every operation of a New
+// system, with an error listing the valid names.
+func WithBaseline(name string) Option { return func(c *config) { c.baseline = name } }
+
+// baselines maps each WithBaseline name to the config fields it sets. It
+// is the only list of the names.
+var baselines = map[string]func(*config){
+	"materialized": func(c *config) { c.materialized = true },
+	"no-dedup":     func(c *config) { c.planOpts.NoDedup = true },
+	"no-reorder":   func(c *config) { c.planOpts.NoReorder = true },
+	"greedy-order": func(c *config) { c.greedyOrder = true },
+	"no-magic":     func(c *config) { c.planOpts.NoMagic = true },
+	"naive":        func(c *config) { c.planOpts.Naive = true },
+	"no-narrow":    func(c *config) { c.planOpts.NoNarrow = true },
+	"layered":      func(c *config) { c.layered = true },
 }
 
-// WithMaterializedExecution selects the fully materialized execution
-// strategy instead of the pipelined one (E2 baseline).
-func WithMaterializedExecution() Option {
-	return func(c *config) { c.materialized = true }
+// applyBaseline sets the fields of c's baseline, if it names one.
+func applyBaseline(c *config) error {
+	if c.baseline == "" {
+		return nil
+	}
+	set, ok := baselines[c.baseline]
+	if !ok {
+		return fmt.Errorf("gluenail: unknown baseline %q (valid: %s)",
+			c.baseline, strings.Join(baselineNames(), ", "))
+	}
+	set(c)
+	return nil
 }
 
-// WithoutDupElimination disables duplicate elimination at pipeline breaks
-// (E3 baseline).
-func WithoutDupElimination() Option {
-	return func(c *config) { c.planOpts.NoDedup = true }
+// baselineNames returns the baseline names, sorted.
+func baselineNames() []string {
+	names := make([]string, 0, len(baselines))
+	for name := range baselines {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
-
-// WithoutReordering disables non-fixed subgoal reordering entirely: the
-// compiler keeps the textual subgoal order and the run-time planner does
-// not reorder either (the full ablation baseline).
-func WithoutReordering() Option {
-	return func(c *config) { c.planOpts.NoReorder = true }
-}
-
-// WithGreedyOrdering executes the compiler's static greedy subgoal order,
-// disabling the statistics-driven physical reordering that is on by
-// default — the middle ablation point between textual order
-// (WithoutReordering) and the cost-based planner.
-func WithGreedyOrdering() Option {
-	return func(c *config) { c.greedyOrder = true }
-}
-
-// WithoutMagicSets disables magic-set rewriting of bound NAIL! calls (E9
-// baseline).
-func WithoutMagicSets() Option {
-	return func(c *config) { c.planOpts.NoMagic = true }
-}
-
-// WithNaiveEvaluation replaces semi-naive recursion with naive
-// re-derivation (E5 baseline).
-func WithNaiveEvaluation() Option {
-	return func(c *config) { c.planOpts.Naive = true }
-}
-
-// WithoutDispatchNarrowing disables compile-time narrowing of HiLog
-// predicate-variable dispatch (E6 baseline).
-func WithoutDispatchNarrowing() Option {
-	return func(c *config) { c.planOpts.NoNarrow = true }
-}
-
-// WithLoopLimit bounds repeat-loop iterations; 0 means unlimited. The
-// default is 1,000,000.
-func WithLoopLimit(n int) Option { return func(c *config) { c.loopLimit = n } }
 
 // Execution-governor errors, re-exported for errors.Is classification.
 // Every governed failure is a *GovernorError wrapping exactly one of
@@ -277,24 +275,20 @@ type Budget struct {
 	// MaxDepth bounds procedure-call nesting (0 = DefaultMaxDepth,
 	// negative = unlimited); exceeding it fails with ErrDepthLimit.
 	MaxDepth int
-	// MaxLoopIters bounds repeat-loop iterations (0 = keep the
-	// WithLoopLimit setting, negative = unlimited); exceeding it fails
-	// with ErrLoopLimit.
+	// MaxLoopIters bounds repeat-loop iterations (0 = defaultLoopLimit,
+	// one million; negative = unlimited); exceeding it fails with
+	// ErrLoopLimit.
 	MaxLoopIters int
 }
+
+// defaultLoopLimit bounds repeat-loop iterations when the budget leaves
+// MaxLoopIters zero.
+const defaultLoopLimit = 1_000_000
 
 // WithBudget installs resource budgets enforced by the execution
 // governor. Budgeted calls fail with a typed *GovernorError instead of
 // hanging or exhausting memory; the system stays usable afterwards.
 func WithBudget(b Budget) Option { return func(c *config) { c.budget = b } }
-
-// WithTimeout sets the wall-clock budget per Query/Call (shorthand for
-// WithBudget(Budget{Timeout: d})); an expired call fails with ErrTimeout
-// at a clean statement boundary — committed statements stay durable, the
-// interrupted statement's effects are discarded from the WAL.
-func WithTimeout(d time.Duration) Option {
-	return func(c *config) { c.budget.Timeout = d }
-}
 
 // WithTrace streams one line per statement execution and procedure call to
 // w, narrating the supplementary-relation evaluation of §3.2.
@@ -391,24 +385,24 @@ type compiledQuery struct {
 // New creates an empty system.
 func New(opts ...Option) *System {
 	cfg := config{
-		out:         os.Stdout,
-		in:          strings.NewReader(""),
-		indexPolicy: storage.IndexAdaptive,
-		loopLimit:   1_000_000,
+		out: os.Stdout,
+		in:  strings.NewReader(""),
 	}
 	for _, o := range opts {
 		o(&cfg)
 	}
+	baseErr := applyBaseline(&cfg)
 	s := &System{
 		cfg:      cfg,
 		registry: vm.NewRegistry(),
+		durErr:   baseErr,
 	}
 	// EDB store: the configured backend. Dir-backed engines live under
 	// <durDir>/store so the WAL (segments directly in durDir) and the
 	// engine's runs never collide; without durability they get a private
 	// temporary directory removed on Close.
 	if cfg.layered {
-		s.edb = storage.NewLayeredStore(cfg.indexPolicy)
+		s.edb = storage.NewLayeredStore(storage.IndexAdaptive)
 	} else {
 		name := cfg.backend
 		if name == "" {
@@ -420,7 +414,7 @@ func New(opts ...Option) *System {
 		}
 		st, err := storage.OpenBackend(name, storage.BackendConfig{
 			Dir:           dir,
-			Policy:        cfg.indexPolicy,
+			Policy:        storage.IndexAdaptive,
 			CacheBlocks:   cfg.cacheBlocks,
 			NoCompress:    cfg.noCompress,
 			FS:            cfg.fs,
@@ -428,7 +422,7 @@ func New(opts ...Option) *System {
 		})
 		if err != nil {
 			s.durErr = fmt.Errorf("gluenail: opening %s storage backend: %w", name, err)
-			st = storage.NewMemStore(cfg.indexPolicy)
+			st = storage.NewMemStore(storage.IndexAdaptive)
 		}
 		s.edb = st
 	}
@@ -440,7 +434,7 @@ func New(opts ...Option) *System {
 		if s.durErr == nil {
 			s.durErr = fmt.Errorf("gluenail: opening spill store in %s: %w", cfg.spillDir, err)
 		}
-		temp = storage.NewMemStore(cfg.indexPolicy)
+		temp = storage.NewMemStore(storage.IndexAdaptive)
 	}
 	s.temp = temp
 	if s.durErr == nil && cfg.durDir != "" {
@@ -469,10 +463,10 @@ func New(opts ...Option) *System {
 // ErrMemoryBudget abort.
 func newScratchStore(cfg *config) (storage.Store, error) {
 	if cfg.layered {
-		return storage.NewLayeredStore(cfg.indexPolicy), nil
+		return storage.NewLayeredStore(storage.IndexAdaptive), nil
 	}
 	if cfg.spillDir == "" {
-		return storage.NewMemStore(cfg.indexPolicy), nil
+		return storage.NewMemStore(storage.IndexAdaptive), nil
 	}
 	if err := disk.CheckDirOverlap(cfg.durDir, cfg.spillDir); err != nil {
 		return nil, err
@@ -481,7 +475,7 @@ func newScratchStore(cfg *config) (storage.Store, error) {
 	if mrr := cfg.budget.MaxRelRows; mrr > 0 && (budget <= 0 || mrr < budget) {
 		budget = mrr
 	}
-	return disk.NewScratchFS(cfg.fs, cfg.spillDir, budget, cfg.indexPolicy, nil)
+	return disk.NewScratchFS(cfg.fs, cfg.spillDir, budget, storage.IndexAdaptive, nil)
 }
 
 // Open creates a System whose EDB is durably persisted under dir (see
@@ -766,7 +760,7 @@ func (s *System) ensure() (rerr error) {
 // snapshot session's private machine (the session's own budget).
 func (s *System) tuneMachine(m *vm.Machine, b Budget) {
 	m.Materialized = s.cfg.materialized
-	m.LoopLimit = s.cfg.loopLimit
+	m.LoopLimit = defaultLoopLimit
 	switch {
 	case b.MaxLoopIters > 0:
 		m.LoopLimit = b.MaxLoopIters
@@ -984,8 +978,8 @@ func (s *System) Query(goals string) (*Result, error) {
 
 // QueryContext is Query under the caller's context: cancellation or an
 // expired deadline aborts evaluation at a clean statement boundary with a
-// *GovernorError (ErrCanceled / ErrTimeout). The configured WithTimeout
-// budget, if any, also applies.
+// *GovernorError (ErrCanceled / ErrTimeout). The configured
+// Budget.Timeout, if any, also applies.
 func (s *System) QueryContext(ctx context.Context, goals string) (*Result, error) {
 	return s.QueryInContext(ctx, "main", goals)
 }
@@ -1267,7 +1261,7 @@ func (s *System) Call(module, proc string, in ...[]any) ([][]Value, error) {
 // expired deadline aborts the procedure at a clean statement boundary
 // with a *GovernorError — every statement committed before the abort
 // stays durable, the interrupted statement's effects are discarded from
-// the WAL. The configured WithTimeout budget, if any, also applies.
+// the WAL. The configured Budget.Timeout, if any, also applies.
 func (s *System) CallContext(ctx context.Context, module, proc string, in ...[]any) ([][]Value, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1397,7 +1391,7 @@ type Stats struct {
 type PlanCacheStats = plan.CacheStats
 
 // PlanCacheStats returns a snapshot of the prepared-plan cache counters
-// (all zero before the first query, or with the cache disabled).
+// (all zero before the first query).
 func (s *System) PlanCacheStats() PlanCacheStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -543,19 +543,9 @@ end
 
 func TestBaselineConfigsAgree(t *testing.T) {
 	// Every ablation baseline must compute the same answers.
-	configs := map[string][]Option{
-		"default":      nil,
-		"materialized": {WithMaterializedExecution()},
-		"no-dedup":     {WithoutDupElimination()},
-		"no-reorder":   {WithoutReordering()},
-		"no-magic":     {WithoutMagicSets()},
-		"naive":        {WithNaiveEvaluation()},
-		"no-narrow":    {WithoutDispatchNarrowing()},
-		"layered":      {WithLayeredBackend()},
-	}
 	var ref []int64
-	for name, opts := range configs {
-		sys := New(opts...)
+	for _, name := range append([]string{""}, baselineNames()...) {
+		sys := New(WithBaseline(name))
 		err := sys.Load(`
 edb edge(X,Y);
 tc(X,Y) :- edge(X,Y).
@@ -585,6 +575,39 @@ tc(X,Z) :- tc(X,Y) & edge(Y,Z).
 	}
 }
 
+func TestWithBaseline(t *testing.T) {
+	// A later WithBaseline replaces an earlier one, and "" is the default.
+	sys := New(WithBaseline("layered"), WithBaseline("no-magic"))
+	if sys.cfg.layered || !sys.cfg.planOpts.NoMagic {
+		t.Errorf("second baseline did not replace the first: layered=%v no-magic=%v",
+			sys.cfg.layered, sys.cfg.planOpts.NoMagic)
+	}
+	if _, err := sys.Snapshot(); err != nil {
+		t.Errorf("the layered store was replaced, yet Snapshot fails: %v", err)
+	}
+	if sys := New(WithBaseline("naive"), WithBaseline("")); sys.cfg.planOpts.Naive {
+		t.Error(`WithBaseline("") kept the earlier baseline`)
+	}
+	// An unknown name fails Open, listing every valid name.
+	_, err := Open(t.TempDir(), WithBaseline("semi-naive"))
+	if err == nil {
+		t.Fatal("Open accepted an unknown baseline")
+	}
+	for name := range baselines {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
+		}
+	}
+	// On a New system every operation reports it.
+	bad := New(WithBaseline("semi-naive"))
+	if err := bad.Assert("edge", []any{1, 2}); err == nil || !strings.Contains(err.Error(), "semi-naive") {
+		t.Errorf("Assert: %v", err)
+	}
+	if _, err := bad.Query("edge(X, Y)"); err == nil || !strings.Contains(err.Error(), "semi-naive") {
+		t.Errorf("Query: %v", err)
+	}
+}
+
 func TestQueryErrors(t *testing.T) {
 	sys := New()
 	sys.Load(`edb p(X);`)
@@ -600,7 +623,7 @@ func TestQueryErrors(t *testing.T) {
 }
 
 func TestLoopLimit(t *testing.T) {
-	sys := New(WithLoopLimit(5))
+	sys := New(WithBudget(Budget{MaxLoopIters: 5}))
 	err := sys.Load(`
 edb tick(X);
 proc spin(:)

@@ -43,8 +43,8 @@ func TestTCSystemAnswers(t *testing.T) {
 	}
 	// Naive and magic-less systems agree.
 	for _, opts := range [][]gluenail.Option{
-		{gluenail.WithNaiveEvaluation()},
-		{gluenail.WithoutMagicSets()},
+		{gluenail.WithBaseline("naive")},
+		{gluenail.WithBaseline("no-magic")},
 	} {
 		s2 := NewTCSystem(ChainEdges(10), opts...)
 		r2, err := s2.Query("tc(1, X)")
@@ -70,7 +70,7 @@ func TestJoinSystemStrategiesAgree(t *testing.T) {
 		return rows
 	}
 	pipe := run()
-	mat := run(gluenail.WithMaterializedExecution())
+	mat := run(gluenail.WithBaseline("materialized"))
 	if len(pipe) == 0 || len(pipe) != len(mat) {
 		t.Fatalf("strategy disagreement: %d vs %d rows", len(pipe), len(mat))
 	}
@@ -86,7 +86,7 @@ func TestDupSystemAgree(t *testing.T) {
 		return len(rows)
 	}
 	with := run()
-	without := run(gluenail.WithoutDupElimination())
+	without := run(gluenail.WithBaseline("no-dedup"))
 	if with != without || with != 200 {
 		t.Errorf("dup-elim changed answers: %d vs %d (want 200)", with, without)
 	}
@@ -121,7 +121,7 @@ func TestDispatchSystemAgree(t *testing.T) {
 		return len(rows)
 	}
 	narrowed := run()
-	baseline := run(gluenail.WithoutDispatchNarrowing())
+	baseline := run(gluenail.WithBaseline("no-narrow"))
 	if narrowed != 8*20 || narrowed != baseline {
 		t.Errorf("dispatch rows: narrowed=%d baseline=%d want %d", narrowed, baseline, 8*20)
 	}
@@ -153,7 +153,7 @@ func TestTemporariesBackendsAgree(t *testing.T) {
 	if err := RunTemporaries(mem, 10); err != nil {
 		t.Fatal(err)
 	}
-	lay := NewTemporariesSystem(30, gluenail.WithLayeredBackend())
+	lay := NewTemporariesSystem(30, gluenail.WithBaseline("layered"))
 	if err := RunTemporaries(lay, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestReorderSystemAgree(t *testing.T) {
 		return len(rows)
 	}
 	ordered := run()
-	source := run(gluenail.WithoutReordering())
+	source := run(gluenail.WithBaseline("no-reorder"))
 	if ordered != source || ordered != 2*200 {
 		t.Errorf("reorder results: ordered=%d source=%d want %d", ordered, source, 400)
 	}
@@ -205,8 +205,8 @@ func TestCadRunSelects(t *testing.T) {
 // results on the skewed workload.
 func TestSkewJoinOrderingsAgree(t *testing.T) {
 	modes := map[string][]gluenail.Option{
-		"textual": {gluenail.WithoutReordering()},
-		"greedy":  {gluenail.WithGreedyOrdering()},
+		"textual": {gluenail.WithBaseline("no-reorder")},
+		"greedy":  {gluenail.WithBaseline("greedy-order")},
 		"stats":   nil,
 	}
 	var ref, refName string

@@ -42,6 +42,10 @@ const (
 	pvCompound = 5 // functor value, uvarint nargs, arg values
 )
 
+// maxEagerArgs caps how many compound arguments the decoder allocates for
+// before they arrive, as the term codec does.
+const maxEagerArgs = 4
+
 // encodeBlockPayload renders one block's payload (encoding byte + body)
 // for rows, choosing packed when enabled and smaller. The raw rendering
 // is sized first and only materialized if packed loses: on compressible
@@ -255,11 +259,20 @@ func readPacked(d *atomDict, body []byte, prev *int64) (term.Value, []byte, erro
 			return term.Value{}, nil, fmt.Errorf("disk: truncated packed compound")
 		}
 		rest = rest[n:]
-		args := make([]term.Value, nargs)
-		for i := range args {
-			if args[i], rest, err = readPacked(d, rest, nil); err != nil {
+		// The count is bounded only by the bytes left, and compounds nest:
+		// sizing args from it at every level of a chain allocates quadratic
+		// in the depth. Size the slice once an argument has decoded, to at
+		// most maxEagerArgs, and grow it as more arrive.
+		var args []term.Value
+		for i := uint64(0); i < nargs; i++ {
+			var a term.Value
+			if a, rest, err = readPacked(d, rest, nil); err != nil {
 				return term.Value{}, nil, err
 			}
+			if args == nil {
+				args = make([]term.Value, 0, min(nargs, maxEagerArgs))
+			}
+			args = append(args, a)
 		}
 		return term.NewCompound(fn, args...), rest, nil
 	}

@@ -75,6 +75,44 @@ func FuzzDecodeBlockPayload(f *testing.F) {
 	})
 }
 
+// compoundChain returns a packed one-row block of size bytes holding a
+// chain of nested compounds, each claiming as many arguments as there are
+// bytes left: the most any level can claim and pass the decoder's check.
+// Zero padding ends the chain on a bad tag.
+func compoundChain(size int) []byte {
+	payload := []byte{blockEncPacked, 1}
+	for len(payload) < size-8 {
+		payload = append(payload, pvCompound, pvInt, 0)
+		rest := uint64(size - len(payload))
+		nargs := rest - uint64(len(binary.AppendUvarint(nil, rest)))
+		payload = binary.AppendUvarint(payload, nargs)
+	}
+	return append(payload, make([]byte, size-len(payload))...)
+}
+
+// TestNestedCompoundChainAllocs: a compound's argument count sizes no
+// allocation before its arguments arrive, so a 16 KiB chain of nested
+// compounds fails to decode without allocating per claimed argument at
+// every level (quadratic in the depth: 1.7 GiB when each level pre-sized
+// its arguments from the count).
+func TestNestedCompoundChainAllocs(t *testing.T) {
+	dict := &atomDict{ids: make(map[string]uint32)}
+	dict.publish()
+	payload := compoundChain(16 << 10)
+	var errBlock, errRow error
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, errBlock = decodeBlockPayload(dict, payload, 1)
+	_, errRow = decodeRowAt(dict, payload, 1, 0)
+	runtime.ReadMemStats(&after)
+	if errBlock == nil || errRow == nil {
+		t.Fatalf("truncated chain decoded: block err %v, row err %v", errBlock, errRow)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("decoding a %d-byte chain allocated %d bytes", len(payload), got)
+	}
+}
+
 // The metadata decoders below read bytes a checksum has already accepted,
 // so each target recomputes that checksum over the fuzzed bytes: the input
 // then reaches the parser proper instead of dying at the CRC. Each target

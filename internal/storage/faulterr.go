@@ -73,9 +73,10 @@ func IOFault(op, path string, err error) error {
 type CorruptError struct {
 	// Artifact is the damaged structure: "run-header", "run-block",
 	// "run-hash-section", "run-bloom", "run-footer", "run-trailer",
-	// "manifest", "intern", "wal-frame", "snapshot".
+	// "manifest", "intern", "wal-frame", "snapshot", "edb-image".
 	Artifact string
-	// Path is the damaged file.
+	// Path is the damaged file, when known (an EDB image is decoded from a
+	// reader).
 	Path string
 	// Relation names the owning relation, when known.
 	Relation string
@@ -89,7 +90,10 @@ type CorruptError struct {
 }
 
 func (e *CorruptError) Error() string {
-	msg := fmt.Sprintf("corrupt %s in %s", e.Artifact, e.Path)
+	msg := "corrupt " + e.Artifact
+	if e.Path != "" {
+		msg += " in " + e.Path
+	}
 	if e.Relation != "" {
 		msg += fmt.Sprintf(" (relation %s)", e.Relation)
 	}

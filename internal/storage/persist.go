@@ -55,44 +55,57 @@ func Save(w io.Writer, s Store) error {
 	return bw.Flush()
 }
 
+// maxEmptyArity bounds the arity an image may declare for a relation with
+// no tuples. Nothing in the image backs that claim, and creating the
+// relation sizes per-column state from it; the bound is the term codec's
+// eager tuple size. A relation with tuples needs no bound: it is created
+// only once its first tuple has decoded at the declared arity.
+const maxEmptyArity = 1 << 10
+
 // Load reads an EDB image from r into the store, adding to any existing
-// contents.
+// contents. An image that does not decode fails with a *CorruptError. No
+// count in the image sizes an allocation beyond a fixed bound before the
+// bytes it describes have arrived.
 func Load(r io.Reader, s Store) error {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, head); err != nil {
-		return fmt.Errorf("storage: reading EDB header: %w", err)
+		return corruptImage("", "reading header: %v", err)
 	}
 	if string(head) != string(magic) {
-		return fmt.Errorf("storage: not a Glue-Nail EDB image")
+		return corruptImage("", "not a Glue-Nail EDB image")
 	}
 	nRels, err := binary.ReadUvarint(br)
 	if err != nil {
-		return fmt.Errorf("storage: reading relation count: %w", err)
+		return corruptImage("", "reading relation count: %v", err)
 	}
+	bulk, _ := s.(BulkLoader)
 	for i := uint64(0); i < nRels; i++ {
 		name, err := term.ReadValue(br)
 		if err != nil {
-			return fmt.Errorf("storage: reading relation name: %w", err)
+			return corruptImage("", "reading relation name: %v", err)
 		}
 		arity, err := binary.ReadUvarint(br)
 		if err != nil {
-			return fmt.Errorf("storage: reading arity of %v: %w", name, err)
+			return corruptImage(name.String(), "reading arity: %v", err)
 		}
 		n, err := binary.ReadUvarint(br)
 		if err != nil {
-			return fmt.Errorf("storage: reading tuple count of %v: %w", name, err)
+			return corruptImage(name.String(), "reading tuple count: %v", err)
 		}
-		bulk, _ := s.(BulkLoader)
+		if n == 0 {
+			if arity > maxEmptyArity {
+				return corruptImage(name.String(), "empty relation declares arity %d (max %d)", arity, maxEmptyArity)
+			}
+			s.Ensure(name, int(arity))
+			continue
+		}
 		if bulk != nil && n >= BulkThreshold {
-			rows := make([]term.Tuple, 0, n)
+			rows := make([]term.Tuple, 0, min(n, BulkThreshold))
 			for j := uint64(0); j < n; j++ {
-				t, err := term.ReadTuple(br)
+				t, err := readImageTuple(br, name, arity, j)
 				if err != nil {
-					return fmt.Errorf("storage: reading tuple %d of %v: %w", j, name, err)
-				}
-				if len(t) != int(arity) {
-					return fmt.Errorf("storage: tuple arity %d != %d in %v", len(t), arity, name)
+					return err
 				}
 				rows = append(rows, t)
 			}
@@ -101,19 +114,39 @@ func Load(r io.Reader, s Store) error {
 			}
 			continue
 		}
-		rel := s.Ensure(name, int(arity))
+		var rel Rel
 		for j := uint64(0); j < n; j++ {
-			t, err := term.ReadTuple(br)
+			t, err := readImageTuple(br, name, arity, j)
 			if err != nil {
-				return fmt.Errorf("storage: reading tuple %d of %v: %w", j, name, err)
+				return err
 			}
-			if len(t) != int(arity) {
-				return fmt.Errorf("storage: tuple arity %d != %d in %v", len(t), arity, name)
+			if rel == nil {
+				rel = s.Ensure(name, int(arity))
 			}
 			rel.Insert(t)
 		}
 	}
 	return nil
+}
+
+// readImageTuple decodes tuple j of relation name and checks it has the
+// declared arity.
+func readImageTuple(br *bufio.Reader, name term.Value, arity, j uint64) (term.Tuple, error) {
+	t, err := term.ReadTuple(br)
+	if err != nil {
+		return nil, corruptImage(name.String(), "reading tuple %d: %v", j, err)
+	}
+	if uint64(len(t)) != arity {
+		return nil, corruptImage(name.String(), "tuple %d has arity %d, relation declares %d", j, len(t), arity)
+	}
+	return t, nil
+}
+
+// corruptImage reports an EDB image that does not decode. An image has no
+// checksum of its own, so every inconsistency surfaces at decode time.
+func corruptImage(rel, format string, args ...any) error {
+	return &CorruptError{Artifact: "edb-image", Relation: rel, Offset: -1,
+		Detail: fmt.Sprintf(format, args...)}
 }
 
 // SaveFile writes the store to path atomically (write temp file, rename).

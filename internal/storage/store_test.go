@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"path/filepath"
 	"testing"
 
@@ -141,6 +143,70 @@ func TestLoadErrors(t *testing.T) {
 	truncated = append(truncated, 5) // claims 5 relations, provides none
 	if err := Load(bytes.NewReader(truncated), s); err == nil {
 		t.Error("truncated input should fail")
+	}
+}
+
+// bulkStore is a MemStore with the BulkLoader face, so Load takes its
+// batch path.
+type bulkStore struct{ *MemStore }
+
+func (b bulkStore) BulkLoad(name term.Value, arity int, rows []term.Tuple) (int, error) {
+	rel := b.Ensure(name, arity)
+	before := rel.Len()
+	for _, t := range rows {
+		rel.Insert(t)
+	}
+	return rel.Len() - before, nil
+}
+
+// imageHeader returns an EDB image declaring one relation e with the
+// given arity and tuple count, followed by body.
+func imageHeader(arity, n uint64, body ...byte) []byte {
+	img := append([]byte{}, magic...)
+	img = binary.AppendUvarint(img, 1)
+	img = term.AppendValue(img, term.Intern("e"))
+	img = binary.AppendUvarint(img, arity)
+	img = binary.AppendUvarint(img, n)
+	return append(img, body...)
+}
+
+// TestLoadMalformedImages: header counts that nothing in the image backs
+// are refused with a typed error before anything is sized from them.
+func TestLoadMalformedImages(t *testing.T) {
+	oneTuple := binary.AppendUvarint(nil, 1) // a 1-tuple: (7)
+	oneTuple = term.AppendValue(oneTuple, term.NewInt(7))
+	for _, tc := range []struct {
+		name  string
+		img   []byte
+		store Store
+	}{
+		// 25 bytes declaring an empty relation of arity 2^40.
+		{"empty relation, arity 2^40", imageHeader(1<<40, 0), NewMemStore(IndexAdaptive)},
+		{"empty relation, arity 1025", imageHeader(maxEmptyArity+1, 0), NewMemStore(IndexAdaptive)},
+		// Arity 2^40 with a tuple that decodes at arity 1.
+		{"tuple short of arity 2^40", imageHeader(1<<40, 1, oneTuple...), NewMemStore(IndexAdaptive)},
+		// A bulk-sized count of 2^62 with no tuples behind it.
+		{"tuple count 2^62", imageHeader(2, 1<<62), bulkStore{NewMemStore(IndexAdaptive)}},
+	} {
+		err := Load(bytes.NewReader(tc.img), tc.store)
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.Artifact != "edb-image" || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want a corrupt edb-image error", tc.name, err)
+		}
+		if names := tc.store.Names(); len(names) != 0 {
+			t.Errorf("%s: malformed image created %v", tc.name, names)
+		}
+	}
+	if n := len(imageHeader(1<<40, 0)); n != 25 {
+		t.Errorf("arity image is %d bytes, want 25", n)
+	}
+	// The bound admits what it names.
+	s := NewMemStore(IndexAdaptive)
+	if err := Load(bytes.NewReader(imageHeader(maxEmptyArity, 0)), s); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(term.Intern("e"), maxEmptyArity); !ok {
+		t.Error("empty relation at the arity bound was not declared")
 	}
 }
 

@@ -54,7 +54,7 @@ end
 	}
 	for name, opts := range map[string][]Option{
 		"pipelined":    nil,
-		"materialized": {WithMaterializedExecution()},
+		"materialized": {WithBaseline("materialized")},
 	} {
 		sys := New(opts...)
 		if err := sys.Load(program); err != nil {

@@ -267,7 +267,7 @@ tc(E,X,Z) :- tc(E,X,Y) & E(Y,Z).
 	}
 	// Without magic sets the fact rule tc(E,X,X) is unsafe, as the paper's
 	// semantics imply: the full extension is infinite.
-	sys2 := New(WithoutMagicSets())
+	sys2 := New(WithBaseline("no-magic"))
 	sys2.Load(`
 edb edge(X,Y);
 tc(E,X,X).

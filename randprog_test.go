@@ -299,16 +299,16 @@ func TestQuickRandomProgramsMatchNaiveReference(t *testing.T) {
 }
 
 // TestQuickOrderIndependence is the safety property of the statistics-driven
-// physical planner: textual order (WithoutReordering), the compiler's static
-// greedy order (WithGreedyOrdering), and the run-time cost-based order
-// (default) must produce byte-identical query results on random stratified
-// programs. The planner may only change *how fast*
+// physical planner: textual order (the "no-reorder" baseline), the
+// compiler's static greedy order ("greedy-order"), and the run-time
+// cost-based order (default) must produce byte-identical query results on
+// random stratified programs. The planner may only change *how fast*
 // answers arrive, never *which* answers.
 func TestQuickOrderIndependence(t *testing.T) {
 	orderings := map[string][]Option{
-		"textual": {WithoutReordering()},
-		"greedy":  {WithGreedyOrdering()},
-		"stats":   nil,
+		"no-reorder":   {WithBaseline("no-reorder")},
+		"greedy-order": {WithBaseline("greedy-order")},
+		"stats":        nil,
 	}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -125,12 +125,13 @@ go test -race -count=1 -run 'TestDiskFaultDegradesSystemNotPoisoned|TestCorruptB
 step "Degraded-mode server + client reconnect (typed wire codes, bounded redial; race)"
 go test -race -count=1 -run 'TestServerDegraded|TestClientReconnect' ./internal/server/
 
-step "Decoder fuzz smoke (disk blocks, manifest, run footer, intern records, wire frames, WAL replay)"
+step "Decoder fuzz smoke (disk blocks, manifest, run footer, intern records, wire frames, WAL replay, EDB images)"
 for target in FuzzDecodeBlockPayload FuzzManifestImage FuzzRunFooter FuzzInternRecords; do
 	go test -fuzz "^${target}\$" -fuzztime 10s -run '^$' ./internal/storage/disk/
 done
 go test -fuzz '^FuzzReadFrame$' -fuzztime 10s -run '^$' ./internal/server/
 go test -fuzz '^FuzzReplay$' -fuzztime 10s -run '^$' ./internal/wal/
+go test -fuzz '^FuzzEDBImage$' -fuzztime 10s -run '^$' ./internal/storage/
 
 step "fsck smoke on a corrupted fixture (detect, repair, verify clean, store still serves)"
 printf 'edb edge(X,Y);\n' >"$tmp/fsck.glue"

@@ -50,9 +50,10 @@ type Snapshot struct {
 }
 
 // Snapshot opens an isolated read session over the current committed
-// state. It requires the main-memory backend (the layered baseline store
-// has no multi-version support). The snapshot inherits the system's
-// configured budget; SetBudget overrides it per session.
+// state. Both storage engines, mem and disk, support snapshots; the
+// "layered" baseline has no multi-version support and refuses them. The
+// snapshot inherits the system's configured budget; SetBudget overrides
+// it per session.
 func (s *System) Snapshot() (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -60,7 +61,7 @@ func (s *System) Snapshot() (*Snapshot, error) {
 		return nil, err
 	}
 	if s.eng == nil {
-		return nil, fmt.Errorf("gluenail: snapshots require a multi-version backend (not WithLayeredBackend)")
+		return nil, fmt.Errorf("gluenail: snapshots require a multi-version backend (not the \"layered\" baseline)")
 	}
 	store, err := s.eng.SnapshotView()
 	if err != nil {

@@ -387,7 +387,7 @@ func TestSystemConcurrentSessions(t *testing.T) {
 
 // TestSnapshotLayeredBackendRejected: the layered baseline has no MVCC.
 func TestSnapshotLayeredBackendRejected(t *testing.T) {
-	sys := New(WithLayeredBackend())
+	sys := New(WithBaseline("layered"))
 	if err := sys.Load(snapProgram); err != nil {
 		t.Fatal(err)
 	}
