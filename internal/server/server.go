@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"gluenail"
 )
@@ -148,7 +149,7 @@ func (s *Server) Serve(lis net.Listener) error {
 
 // Shutdown drains the server: stop accepting, reject new statements,
 // wait for in-flight statements up to ctx's deadline, cancel stragglers
-// through the governor, then close every connection and join the session
+// through the governor, then end every session's read and join the session
 // goroutines. Safe to call once; the System is left quiescent for the
 // caller to checkpoint and close.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -176,11 +177,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.cancelBase()
 
-	// All statements finished: sever the sessions (unblocks reads) and
-	// join their goroutines.
+	// All statements finished: wake every session blocked reading its next
+	// request and join their goroutines. A read deadline rather than
+	// Close, so a session still writing its last statement's response
+	// delivers it (within the drain budget, if ctx has one) before its
+	// read fails and it closes the connection itself.
 	s.mu.Lock()
 	for c := range s.conns {
-		c.Close()
+		c.SetReadDeadline(time.Now())
+		if dl, ok := ctx.Deadline(); ok {
+			c.SetWriteDeadline(dl)
+		}
 	}
 	s.mu.Unlock()
 	s.connWG.Wait()

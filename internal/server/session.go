@@ -40,7 +40,7 @@ func newSession(s *Server, conn net.Conn, id uint64) *session {
 }
 
 // serve runs the request loop until the peer disconnects, sends close,
-// or the server severs the connection during shutdown.
+// or the server ends its reads during shutdown.
 func (c *session) serve() {
 	defer func() {
 		if c.snap != nil {

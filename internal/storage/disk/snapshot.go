@@ -247,8 +247,8 @@ func (r *snapRel) Scan(yield func(term.Tuple) bool) {
 }
 
 // Lookup implements storage.Rel. Run-resident rows are answered by hash
-// probe (full mask) or filtered scan; the captured memtable view brings
-// its own snapshot-local adaptive indexes.
+// probe (full mask) or filtered scan; the captured memtable view probes
+// the adaptive indexes its memtable's snapshots share.
 func (r *snapRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
 	if mask == 0 || r.Len() == 0 {
 		r.Scan(yield)

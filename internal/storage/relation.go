@@ -25,6 +25,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -352,7 +353,10 @@ type Rel interface {
 // backing arrays, a snapshot keeps reading its own frozen arrays while
 // the writer moves on — copy-on-write through the garbage collector, with
 // the dead stamps as the only shared mutable cells (written and read
-// atomically).
+// atomically). Between two rewrites the relation only appends, so slot i
+// holds the same tuple in every snapshot of one slot numbering; the
+// snapshots of a numbering share one set of adaptive indexes over it
+// (snapIdx).
 type Relation struct {
 	name   term.Value
 	arity  int
@@ -362,8 +366,7 @@ type Relation struct {
 	// anything else that would otherwise re-hash stored rows. A
 	// tombstone's slot keeps its stale hash; live paths never read it
 	// (tombstones are unlinked from their chain and skipped via the dead
-	// stamp), while snapshots still use it to probe slots live in their
-	// version. Only the single writer appends, like tuples itself.
+	// stamp). Only the single writer appends, like tuples itself.
 	hashes []uint64
 	// dead stamps each slot with the CSN at which it was deleted (0 =
 	// live), parallel to tuples. The single writer stores stamps with
@@ -385,7 +388,20 @@ type Relation struct {
 	next    []int32
 	n       int // live tuples
 	tombs   int // dead-stamped slots in tuples
-	version uint64
+	// lastStamp is the most recent dead stamp and stamped the number of
+	// slots carrying it. Stamps never decrease, so at capture CSN S the
+	// slots stamped above S are exactly these (when lastStamp > S): the
+	// deletions of a statement that has not committed — one that aborted,
+	// since capture happens between statements. A snapshot's visible
+	// count is n plus them, in O(1).
+	lastStamp uint64
+	stamped   int
+	version   uint64
+	// snapIdx holds the adaptive indexes shared by every snapshot of the
+	// current slot numbering; created at the first capture, dropped by
+	// compact and Clear (the only renumberings), so the next capture
+	// starts a fresh holder while older snapshots keep theirs.
+	snapIdx atomic.Pointer[snapIndexes]
 	// statsEpoch/epochRows implement Rel.StatsEpoch: epochRows remembers
 	// the cardinality at the last epoch bump, and mutations advance the
 	// epoch once the live count doubles past it or falls below half of it.
@@ -549,7 +565,12 @@ func (r *Relation) Delete(t term.Tuple) bool {
 		// Stamp, don't null: snapshots captured before this statement's
 		// commit CSN still read the slot. Atomic because they may be
 		// loading the stamp right now.
-		atomic.StoreUint64(&r.dead[i-1], r.deadStamp())
+		stamp := r.deadStamp()
+		atomic.StoreUint64(&r.dead[i-1], stamp)
+		if stamp != r.lastStamp {
+			r.lastStamp, r.stamped = stamp, 0
+		}
+		r.stamped++
 		r.tombs++
 		// Unlink the slot from its hash chain.
 		if prev == 0 {
@@ -590,7 +611,8 @@ func (r *Relation) Delete(t term.Tuple) bool {
 // buckets; survivor order is unchanged. Runs only from a writer. Every
 // slice is rebuilt from scratch — snapshots holding the old backing
 // arrays keep reading them until the garbage collector reclaims the
-// memory once the last snapshot closes.
+// memory once the last snapshot closes. Survivors get new slot numbers,
+// so the shared snapshot indexes start over with the next capture.
 func (r *Relation) compact() {
 	live := make([]term.Tuple, 0, r.n)
 	liveHashes := make([]uint64, 0, r.n)
@@ -614,6 +636,8 @@ func (r *Relation) compact() {
 	r.next = next
 	r.buckets = buckets
 	r.tombs = 0
+	r.stamped = 0
+	r.snapIdx.Store(nil)
 }
 
 // Contains implements Rel.
@@ -639,6 +663,8 @@ func (r *Relation) Clear() {
 	r.buckets = make(map[uint64]int32)
 	r.n = 0
 	r.tombs = 0
+	r.stamped = 0
+	r.snapIdx.Store(nil)
 	r.version++
 	// Clear always opens a new epoch: every cached plan over this relation
 	// was derived from statistics that no longer describe anything.
@@ -825,14 +851,14 @@ func (ix *hashIndex) add(t term.Tuple) {
 	ix.buckets[h] = append(ix.buckets[h], t)
 }
 
+// remove drops t from its bucket, shifting the rest down so the bucket
+// stays in insertion order.
 func (ix *hashIndex) remove(t term.Tuple) {
 	h := t.HashCols(ix.mask)
 	bucket := ix.buckets[h]
 	for i, u := range bucket {
 		if u.Equal(t) {
-			last := len(bucket) - 1
-			bucket[i] = bucket[last]
-			bucket = bucket[:last]
+			bucket = slices.Delete(bucket, i, i+1)
 			if len(bucket) == 0 {
 				delete(ix.buckets, h)
 			} else {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -208,6 +209,26 @@ func TestIndexAlwaysBuildsOnFirstLookup(t *testing.T) {
 	r.Lookup(0b01, it(1, 0), func(term.Tuple) bool { return true })
 	if stats.IndexBuilds != 1 || !r.HasIndex(0b01) {
 		t.Errorf("IndexAlways should build on first lookup (builds=%d)", stats.IndexBuilds)
+	}
+}
+
+// TestIndexProbeOrderSurvivesDelete: an index probe enumerates matches in
+// the order a scan would, also after a delete from the middle of a bucket.
+func TestIndexProbeOrderSurvivesDelete(t *testing.T) {
+	r := newRel(t, 2, IndexAlways)
+	for i := int64(0); i < 5; i++ {
+		r.Insert(it(1, i))
+	}
+	r.Lookup(0b01, it(1, 0), func(term.Tuple) bool { return true })
+	if !r.HasIndex(0b01) {
+		t.Fatal("setup: index missing")
+	}
+	r.Delete(it(1, 1))
+	var probed, scanned []int64
+	r.Lookup(0b01, it(1, 0), func(tp term.Tuple) bool { probed = append(probed, tp[1].Int()); return true })
+	r.Scan(func(tp term.Tuple) bool { scanned = append(scanned, tp[1].Int()); return true })
+	if !slices.Equal(probed, scanned) || !slices.Equal(scanned, []int64{0, 2, 3, 4}) {
+		t.Fatalf("index probe yields %v, scan yields %v, want [0 2 3 4] from both", probed, scanned)
 	}
 }
 

@@ -4,7 +4,7 @@
 //
 // The mechanism is copy-on-write through the garbage collector rather than
 // copy-on-read: capturing a snapshot copies only slice headers (tuples,
-// cached hashes, dead stamps) under the writer's statement-boundary lock.
+// dead stamps) under the writer's statement-boundary lock.
 // Appends by the writer land beyond the captured length; structural
 // rewrites (compact, Clear) swap in fresh backing arrays; and deletions
 // stamp the shared dead slice with the deleting statement's CSN, which
@@ -12,6 +12,12 @@
 // A slot is visible at snapshot CSN S iff its dead stamp is 0 or > S. The
 // writer never blocks on readers, readers never block the writer, and a
 // snapshot's memory is reclaimed by the GC once the last reader drops it.
+//
+// Adaptive indexes (§10) belong to the slot numbering, not to a snapshot:
+// between two rewrites slot i holds the same tuple in every snapshot, so
+// an index over slots [0, k) answers for all of them. Each snapshot probes
+// the indexed slots below its own length, filters them by its own
+// visibility, and scans the slots past k itself.
 package storage
 
 import (
@@ -122,45 +128,52 @@ type SnapRel struct {
 	// fresh arrays, so everything below len is frozen except the dead
 	// stamps, which are loaded atomically.
 	tuples []term.Tuple
-	hashes []uint64
 	dead   []uint64
+	// n is the visible-tuple count, fixed at capture.
+	n int
 	// src is the live relation, consulted only for planner statistics
 	// (DistinctEst/StatsEpoch, both safe against the writer); nil for
 	// empty placeholders.
 	src     *Relation
 	version uint64
 	stats   *Stats
-
-	// lenOnce lazily counts visible tuples: the planner asks Len, most
-	// relations in a snapshot are never read, and the count is O(slots).
-	lenOnce sync.Once
-	n       int
-
-	// Snapshot-local adaptive indexes: the live relation's indexes are
-	// writer-maintained and unversioned, so a snapshot builds its own on
-	// the same scan-credit policy. mu guards the maps; builds serialize
-	// per mask through onces; credit accrues atomically so concurrent
-	// readers never lose updates.
-	mu      sync.RWMutex
-	indexes map[uint32]*hashIndex
-	onces   map[uint32]*sync.Once
-	credit  map[uint32]*atomic.Int64
+	// idx holds the adaptive indexes of the captured slot numbering,
+	// shared with every other snapshot of it; nil for placeholders.
+	idx *snapIndexes
 }
 
 var _ Rel = (*SnapRel)(nil)
 
 func newSnapRel(r *Relation, csn uint64, stats *Stats) *SnapRel {
+	n := r.n
+	if r.lastStamp > csn {
+		n += r.stamped
+	}
 	return &SnapRel{
 		name:    r.name,
 		arity:   r.arity,
 		csn:     csn,
 		tuples:  r.tuples,
-		hashes:  r.hashes,
 		dead:    r.dead,
+		n:       n,
 		src:     r,
 		version: r.version,
 		stats:   stats,
+		idx:     r.sharedIndexes(),
 	}
+}
+
+// sharedIndexes returns the index holder of the relation's current slot
+// numbering, creating it at the numbering's first capture.
+func (r *Relation) sharedIndexes() *snapIndexes {
+	if h := r.snapIdx.Load(); h != nil {
+		return h
+	}
+	h := new(snapIndexes)
+	if r.snapIdx.CompareAndSwap(nil, h) {
+		return h
+	}
+	return r.snapIdx.Load()
 }
 
 // visible reports whether slot i exists at the snapshot CSN: live (stamp
@@ -176,17 +189,8 @@ func (r *SnapRel) Name() term.Value { return r.name }
 // Arity implements Rel.
 func (r *SnapRel) Arity() int { return r.arity }
 
-// Len implements Rel; the visible-tuple count is computed on first use.
-func (r *SnapRel) Len() int {
-	r.lenOnce.Do(func() {
-		for i := range r.tuples {
-			if r.visible(i) {
-				r.n++
-			}
-		}
-	})
-	return r.n
-}
+// Len implements Rel with the visible-tuple count captured at the snapshot.
+func (r *SnapRel) Len() int { return r.n }
 
 // Version implements Rel with the version captured at the snapshot: the
 // view never changes, so neither does its version.
@@ -235,24 +239,12 @@ func (r *SnapRel) ModifyByKey(mask uint32, rows []term.Tuple) {
 	panic(r.readOnly("ModifyByKey"))
 }
 
-// Contains implements Rel: a hash-assisted scan over the captured slots
-// (the live hash chains are writer-owned and unversioned), with scan
-// credit accruing toward a snapshot-local whole-tuple index.
+// Contains implements Rel as a whole-tuple Lookup (the live hash chains
+// are writer-owned and unversioned).
 func (r *SnapRel) Contains(t term.Tuple) bool {
-	full := fullColsMask(r.arity)
-	if ix := r.index(full); ix != nil {
-		found := false
-		r.probe(ix, full, t, func(term.Tuple) bool { found = true; return false })
-		return found
-	}
-	r.creditAndMaybeBuild(full)
-	h := t.Hash()
-	for i := range r.tuples {
-		if r.hashes[i] == h && r.visible(i) && r.tuples[i].Equal(t) {
-			return true
-		}
-	}
-	return false
+	found := false
+	r.Lookup(fullColsMask(r.arity), t, func(term.Tuple) bool { found = true; return false })
+	return found
 }
 
 // Scan implements Rel; visible tuples are visited in insertion order.
@@ -268,28 +260,39 @@ func (r *SnapRel) Scan(yield func(term.Tuple) bool) {
 	}
 }
 
-// Lookup implements Rel: through a snapshot-local index when one has been
-// built (probes enumerate insertion order, like the live relation's), a
-// filtered scan otherwise, accruing credit toward building one.
+// Lookup implements Rel: the shared index of the slot numbering answers
+// for the slots it covers, and the slots past it are scanned. Postings are
+// in slot order, so matches come out in insertion order, as from a scan.
 func (r *SnapRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
 	if mask == 0 || len(r.tuples) == 0 {
 		r.Scan(yield)
 		return
 	}
-	if ix := r.index(mask); ix != nil {
-		r.probe(ix, mask, key, yield)
-		return
+	m := r.idx.forMask(mask)
+	ix := m.ix.Load()
+	if ix == nil || ix.n < len(r.tuples) {
+		ix = r.charge(m, ix, mask)
 	}
-	if once := r.creditAndMaybeBuild(mask); once != nil {
-		if ix := r.index(mask); ix != nil {
-			r.probe(ix, mask, key, yield)
-			return
+	from := 0
+	if ix != nil {
+		from = min(ix.n, len(r.tuples))
+		for _, s := range ix.postings[key.HashCols(mask)] {
+			i := int(s)
+			if i >= from {
+				break
+			}
+			if r.visible(i) && r.tuples[i].EqualCols(key, mask) {
+				atomic.AddInt64(&r.stats.RowsProbed, 1)
+				if !yield(r.tuples[i]) {
+					return
+				}
+			}
 		}
 	}
-	atomic.AddInt64(&r.stats.RowsScanned, int64(len(r.tuples)))
-	for i, t := range r.tuples {
-		if r.visible(i) && t.EqualCols(key, mask) {
-			if !yield(t) {
+	atomic.AddInt64(&r.stats.RowsScanned, int64(len(r.tuples)-from))
+	for i := from; i < len(r.tuples); i++ {
+		if r.visible(i) && r.tuples[i].EqualCols(key, mask) {
+			if !yield(r.tuples[i]) {
 				return
 			}
 		}
@@ -298,7 +301,7 @@ func (r *SnapRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) boo
 
 // All implements Rel; the visible tuples in insertion order.
 func (r *SnapRel) All() []term.Tuple {
-	out := make([]term.Tuple, 0, len(r.tuples))
+	out := make([]term.Tuple, 0, r.n)
 	for i, t := range r.tuples {
 		if r.visible(i) {
 			out = append(out, t)
@@ -307,92 +310,99 @@ func (r *SnapRel) All() []term.Tuple {
 	return out
 }
 
-// index returns the published snapshot-local index for mask, if any.
-func (r *SnapRel) index(mask uint32) *hashIndex {
-	r.mu.RLock()
-	ix := r.indexes[mask]
-	r.mu.RUnlock()
-	return ix
-}
-
-// creditAndMaybeBuild charges one full scan toward building a
-// snapshot-local index on mask and builds it (exactly once, possibly
-// racing other readers onto the same sync.Once) when the accumulated
-// credit crosses the adaptive threshold — the same policy the live
-// relation applies, minus the per-store knob: a snapshot always indexes
-// adaptively, since it cannot fall back on the writer's indexes.
-func (r *SnapRel) creditAndMaybeBuild(mask uint32) *sync.Once {
-	rows := int64(len(r.tuples))
-	if rows == 0 {
-		return nil
+// charge accrues the rows this lookup is about to scan — every slot, or
+// the slots past ix — as credit toward an index over this snapshot's
+// slots, and builds it once the credit, summed over every snapshot of the
+// numbering, reaches adaptiveFactor times this snapshot's length: the live
+// relation's rule. One reader builds at a time; the others keep scanning.
+// It returns the index the lookup should probe.
+func (r *SnapRel) charge(m *maskIndex, ix *slotIndex, mask uint32) *slotIndex {
+	n := len(r.tuples)
+	scan := n
+	if ix != nil {
+		scan -= ix.n
 	}
-	r.mu.RLock()
-	c := r.credit[mask]
-	r.mu.RUnlock()
-	if c == nil {
-		r.mu.Lock()
-		if c = r.credit[mask]; c == nil {
-			if r.credit == nil {
-				r.credit = make(map[uint32]*atomic.Int64)
-			}
-			c = new(atomic.Int64)
-			r.credit[mask] = c
-		}
-		r.mu.Unlock()
+	if m.credit.Add(int64(scan)) < adaptiveFactor*int64(n) || !m.building.CompareAndSwap(false, true) {
+		return ix
 	}
-	if c.Add(rows) < adaptiveFactor*rows {
-		return nil
+	defer m.building.Store(false)
+	if cur := m.ix.Load(); cur != nil && cur.n >= n {
+		return cur // published by a reader that built before us
 	}
-	once := r.buildGuard(mask)
-	once.Do(func() { r.publishIndex(mask) })
-	return once
-}
-
-// buildGuard returns the per-mask sync.Once serializing snapshot-local
-// index builds.
-func (r *SnapRel) buildGuard(mask uint32) *sync.Once {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.onces == nil {
-		r.onces = make(map[uint32]*sync.Once)
-	}
-	once := r.onces[mask]
-	if once == nil {
-		once = new(sync.Once)
-		r.onces[mask] = once
-	}
-	return once
-}
-
-// publishIndex builds the snapshot-local index over the visible tuples in
-// insertion order and publishes it.
-func (r *SnapRel) publishIndex(mask uint32) {
-	ix := &hashIndex{mask: mask, buckets: make(map[uint64][]term.Tuple)}
-	for i, t := range r.tuples {
-		if r.visible(i) {
-			ix.add(t)
-		}
-	}
+	built := &slotIndex{n: n, postings: postings(r.tuples, mask)}
 	atomic.AddInt64(&r.stats.IndexBuilds, 1)
-	r.mu.Lock()
-	if r.indexes == nil {
-		r.indexes = make(map[uint32]*hashIndex)
-	}
-	r.indexes[mask] = ix
-	delete(r.credit, mask)
-	r.mu.Unlock()
+	m.ix.Store(built)
+	m.credit.Store(0)
+	return built
 }
 
-// probe answers a lookup from a snapshot-local index.
-func (r *SnapRel) probe(ix *hashIndex, mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
-	for _, t := range ix.buckets[key.HashCols(mask)] {
-		if t.EqualCols(key, mask) {
-			atomic.AddInt64(&r.stats.RowsProbed, 1)
-			if !yield(t) {
-				return
-			}
-		}
+// snapIndexes holds the adaptive indexes every snapshot of one slot
+// numbering of a Relation shares, one maskIndex per column mask. mu guards
+// only the map; the indexes themselves are immutable once published.
+type snapIndexes struct {
+	mu    sync.RWMutex
+	masks map[uint32]*maskIndex
+}
+
+// maskIndex is the shared state of one column mask: the published index,
+// the scan credit every snapshot of the numbering charges, and the flag
+// that admits one builder at a time.
+type maskIndex struct {
+	ix       atomic.Pointer[slotIndex]
+	credit   atomic.Int64
+	building atomic.Bool
+}
+
+// slotIndex is an immutable hash index over slots [0, n) of a numbering.
+// Postings list every slot, dead ones included — visibility is decided
+// per snapshot — in ascending slot order.
+type slotIndex struct {
+	n        int
+	postings map[uint64][]int32
+}
+
+// forMask returns the shared state for mask, creating it on first use.
+func (h *snapIndexes) forMask(mask uint32) *maskIndex {
+	h.mu.RLock()
+	m := h.masks[mask]
+	h.mu.RUnlock()
+	if m != nil {
+		return m
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if m = h.masks[mask]; m == nil {
+		if h.masks == nil {
+			h.masks = make(map[uint32]*maskIndex)
+		}
+		m = new(maskIndex)
+		h.masks[mask] = m
+	}
+	return m
+}
+
+// postings groups slots [0, len(tuples)) by the hash of their mask
+// columns. Counting first lets every list be carved out of one slot
+// array, so a build allocates a handful of objects rather than one list
+// per key.
+func postings(tuples []term.Tuple, mask uint32) map[uint64][]int32 {
+	keys := make([]uint64, len(tuples))
+	counts := make(map[uint64]int32)
+	for i, t := range tuples {
+		keys[i] = t.HashCols(mask)
+		counts[keys[i]]++
+	}
+	slots := make([]int32, len(tuples))
+	out := make(map[uint64][]int32, len(counts))
+	off := 0
+	for k, c := range counts {
+		out[k] = slots[off : off : off+int(c)]
+		off += int(c)
+	}
+	for i, k := range keys {
+		out[k] = append(out[k], int32(i))
+	}
+	return out
 }
 
 // fullColsMask returns the bitmask selecting every column of an

@@ -2,7 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gluenail/internal/term"
@@ -87,6 +89,18 @@ func TestSnapshotUncommittedDeleteInvisibleToNewSnapshot(t *testing.T) {
 	if got := len(snapAll(mustSnapRel(t, fresh, name, 1))); got != 1 {
 		t.Fatalf("fresh snapshot sees %d tuples, want 1", got)
 	}
+	if o, f := mustSnapRel(t, old, name, 1).Len(), mustSnapRel(t, fresh, name, 1).Len(); o != 2 || f != 1 {
+		t.Fatalf("Len = %d (old), %d (fresh), want 2, 1", o, f)
+	}
+
+	// A statement that deletes and then aborts leaves its stamp above the
+	// commit CSN: a snapshot taken before the next commit still sees the
+	// tuple, and counts it.
+	r.Delete(it(2))
+	aborted := mustSnapRel(t, s.Snapshot(), name, 1)
+	if got, n := len(snapAll(aborted)), aborted.Len(); got != 1 || n != 1 {
+		t.Fatalf("snapshot after an uncommitted delete: scan %d, Len %d, want 1, 1", got, n)
+	}
 }
 
 func TestSnapshotSurvivesCompactionAndClear(t *testing.T) {
@@ -109,6 +123,10 @@ func TestSnapshotSurvivesCompactionAndClear(t *testing.T) {
 		t.Fatalf("snapshot changed across compaction: %d vs %d tuples", len(before), len(got))
 	}
 
+	if n := mustSnapRel(t, s.Snapshot(), name, 1).Len(); n != 20 {
+		t.Fatalf("post-compaction snapshot Len = %d, want 20", n)
+	}
+
 	r.Clear()
 	s.AdvanceCSN()
 	if got := snapAll(mustSnapRel(t, snap, name, 1)); !tuplesEqual(before, got) {
@@ -116,6 +134,12 @@ func TestSnapshotSurvivesCompactionAndClear(t *testing.T) {
 	}
 	if live := r.Len(); live != 0 {
 		t.Fatalf("live Len = %d after Clear", live)
+	}
+	if n := mustSnapRel(t, snap, name, 1).Len(); n != 100 {
+		t.Fatalf("pre-compaction snapshot Len = %d after Clear, want 100", n)
+	}
+	if n := mustSnapRel(t, s.Snapshot(), name, 1).Len(); n != 0 {
+		t.Fatalf("post-Clear snapshot Len = %d, want 0", n)
 	}
 }
 
@@ -145,13 +169,13 @@ func TestSnapshotLookupAndIndexes(t *testing.T) {
 	if first != 10 {
 		t.Fatalf("snapshot lookup returned %d rows, want 10", first)
 	}
-	// Hammer the same mask until the snapshot-local index builds, and check
+	// Hammer the same mask until the shared index builds, and check
 	// the answer is identical through the index.
 	for i := 1; i < adaptiveFactor; i++ {
 		count()
 	}
-	if sr.(*SnapRel).index(1) == nil {
-		t.Fatal("snapshot-local index not built after repeated lookups")
+	if sr.(*SnapRel).idx.forMask(1).ix.Load() == nil {
+		t.Fatal("shared index not built after repeated lookups")
 	}
 	if got := count(); got != first {
 		t.Fatalf("indexed lookup returned %d rows, want %d", got, first)
@@ -287,4 +311,231 @@ func mustSnapRel(t *testing.T, snap *SnapStore, name term.Value, arity int) Rel 
 		panic("snapshot missing relation")
 	}
 	return r
+}
+
+// snapOracle answers a lookup by filtering the tuples a snapshot was
+// captured with, in insertion order.
+func snapOracle(want []term.Tuple, mask uint32, key term.Tuple) []term.Tuple {
+	var out []term.Tuple
+	for _, u := range want {
+		if u.EqualCols(key, mask) {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+func lookupAll(r Rel, mask uint32, key term.Tuple) []term.Tuple {
+	var out []term.Tuple
+	r.Lookup(mask, key, func(t term.Tuple) bool { out = append(out, t); return true })
+	return out
+}
+
+// TestSnapshotSharedIndexUnderLiveWriter pins snapshots at many CSNs —
+// some before a compaction or a Clear renumbers the slots — while a writer
+// keeps inserting, deleting, compacting and clearing, and readers hammer
+// every pinned snapshot through the shared indexes. Every Lookup and
+// Contains must equal a filtered scan of the tuples the snapshot was
+// captured with, in the same order, and Len their count. Run with -race.
+func TestSnapshotSharedIndexUnderLiveWriter(t *testing.T) {
+	s := NewMemStore(IndexAdaptive)
+	name := term.NewString("e")
+	r := s.Ensure(name, 2).(*Relation)
+	for i := int64(0); i < 300; i++ {
+		r.Insert(it(i%7, i))
+	}
+	s.AdvanceCSN()
+
+	type pinned struct {
+		snap *SnapStore
+		rel  Rel
+		want []term.Tuple
+	}
+	var (
+		mu   sync.Mutex
+		pins []pinned
+	)
+	capture := func() {
+		s.AdvanceCSN()
+		snap := s.Snapshot()
+		p := pinned{snap, mustSnapRel(t, snap, name, 2), r.All()}
+		mu.Lock()
+		pins = append(pins, p)
+		mu.Unlock()
+	}
+	capture()
+
+	var wg sync.WaitGroup
+	var iters atomic.Int64
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for iter := 0; ; iter++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				iters.Add(1)
+				mu.Lock()
+				p := pins[(iter*(w+1))%len(pins)]
+				mu.Unlock()
+				if p.rel.Len() != len(p.want) {
+					errs <- fmt.Errorf("worker %d: Len %d, want %d", w, p.rel.Len(), len(p.want))
+					return
+				}
+				k := int64(iter % 7)
+				for _, q := range []struct {
+					mask uint32
+					key  term.Tuple
+				}{{0b01, it(k, 0)}, {0b10, it(0, int64(iter%400))}, {0b11, it(k, int64(iter%400))}} {
+					got, want := lookupAll(p.rel, q.mask, q.key), snapOracle(p.want, q.mask, q.key)
+					if !tuplesEqual(got, want) {
+						errs <- fmt.Errorf("worker %d: Lookup(%b, %v) = %v, want %v", w, q.mask, q.key, got, want)
+						return
+					}
+				}
+				probe := it(k, int64(iter%400))
+				if got, want := p.rel.Contains(probe), len(snapOracle(p.want, 0b11, probe)) == 1; got != want {
+					errs <- fmt.Errorf("worker %d: Contains(%v) = %v, want %v", w, probe, got, want)
+					return
+				}
+			}
+		}(w)
+	}
+
+	next := int64(300)
+	for round := 0; round < 60; round++ {
+		for i := 0; i < 6; i++ {
+			r.Insert(it(next%7, next))
+			next++
+		}
+		for _, u := range r.All()[:3] {
+			r.Delete(u)
+		}
+		switch {
+		case round%15 == 7:
+			r.compact()
+		case round == 40:
+			r.Clear()
+			for i := 0; i < 50; i++ {
+				r.Insert(it(next%7, next))
+				next++
+			}
+		}
+		capture()
+		// Let the readers work on this state before the writer moves on.
+		for iters.Load() < int64(round+1)*40 && len(errs) == 0 {
+			runtime.Gosched()
+		}
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	var builds, probed int64
+	for _, p := range pins {
+		builds += p.snap.Stats().IndexBuilds
+		probed += p.snap.Stats().RowsProbed
+	}
+	if builds == 0 || probed == 0 {
+		t.Fatalf("readers never went through a shared index (builds %d, rows probed %d)", builds, probed)
+	}
+}
+
+// TestSnapshotIndexReuse: a snapshot taken after a few appends answers
+// through the index an earlier snapshot built, plus a scan of its tail, and
+// a lookup on the steady path allocates nothing.
+func TestSnapshotIndexReuse(t *testing.T) {
+	s := NewMemStore(IndexAdaptive)
+	name := term.NewString("e")
+	r := s.Ensure(name, 2)
+	for i := int64(0); i < 200; i++ {
+		r.Insert(it(i%10, i))
+	}
+	s.AdvanceCSN()
+	snap1 := s.Snapshot()
+	sr1 := mustSnapRel(t, snap1, name, 2)
+	key := it(3, 0)
+	for i := 0; i < adaptiveFactor; i++ {
+		lookupAll(sr1, 1, key)
+	}
+	if snap1.Stats().IndexBuilds != 1 {
+		t.Fatalf("first snapshot built %d indexes, want 1", snap1.Stats().IndexBuilds)
+	}
+
+	for i := int64(200); i < 205; i++ {
+		r.Insert(it(i%10, i))
+	}
+	s.AdvanceCSN()
+	snap2 := s.Snapshot()
+	sr2 := mustSnapRel(t, snap2, name, 2)
+	if got, want := lookupAll(sr2, 1, key), snapOracle(sr2.All(), 1, key); !tuplesEqual(got, want) {
+		t.Fatalf("second snapshot Lookup = %v, want %v", got, want)
+	}
+	st := snap2.Stats()
+	if st.IndexBuilds != 0 || st.RowsScanned != 5 || st.RowsProbed != 20 {
+		t.Fatalf("second snapshot: builds %d, scanned %d, probed %d; want 0, 5 (its tail), 20",
+			st.IndexBuilds, st.RowsScanned, st.RowsProbed)
+	}
+
+	n := 0
+	yield := func(term.Tuple) bool { n++; return true }
+	if a := testing.AllocsPerRun(100, func() { sr1.Lookup(1, key, yield) }); a != 0 {
+		t.Fatalf("indexed Lookup allocates %.1f objects, want 0", a)
+	}
+	probe := it(3, 13)
+	for i := 0; i < adaptiveFactor; i++ {
+		sr1.Contains(probe)
+	}
+	if a := testing.AllocsPerRun(100, func() { sr1.Contains(probe) }); a != 0 {
+		t.Fatalf("indexed Contains allocates %.1f objects, want 0", a)
+	}
+}
+
+// TestSnapshotTailRebuild: lookups scanning a snapshot's tail past the
+// shared index accrue credit, and once it reaches the build cost the index
+// is rebuilt over the longer snapshot — exactly once.
+func TestSnapshotTailRebuild(t *testing.T) {
+	s := NewMemStore(IndexAdaptive)
+	name := term.NewString("e")
+	r := s.Ensure(name, 2)
+	for i := int64(0); i < 200; i++ {
+		r.Insert(it(i%10, i))
+	}
+	s.AdvanceCSN()
+	sr1 := mustSnapRel(t, s.Snapshot(), name, 2)
+	key := it(4, 0)
+	for i := 0; i < adaptiveFactor; i++ {
+		lookupAll(sr1, 1, key)
+	}
+
+	for i := int64(200); i < 220; i++ {
+		r.Insert(it(i%10, i))
+	}
+	s.AdvanceCSN()
+	snap2 := s.Snapshot()
+	sr2 := mustSnapRel(t, snap2, name, 2)
+	want2, want1 := snapOracle(sr2.All(), 1, key), snapOracle(sr1.All(), 1, key)
+	// Each lookup scans a 20-row tail; the rebuild is due after 2*220 rows.
+	for i := 0; i < 50; i++ {
+		if got := lookupAll(sr2, 1, key); !tuplesEqual(got, want2) {
+			t.Fatalf("lookup %d on the longer snapshot = %v, want %v", i, got, want2)
+		}
+		if got := lookupAll(sr1, 1, key); !tuplesEqual(got, want1) {
+			t.Fatalf("lookup %d on the shorter snapshot = %v, want %v", i, got, want1)
+		}
+	}
+	if b := snap2.Stats().IndexBuilds; b != 1 {
+		t.Fatalf("tail scans triggered %d rebuilds, want 1", b)
+	}
+	if n := sr2.(*SnapRel).idx.forMask(1).ix.Load().n; n != 220 {
+		t.Fatalf("rebuilt index covers %d slots, want 220", n)
+	}
 }

@@ -142,7 +142,7 @@ func New(prog *plan.Program, edb, temp storage.Store, reg *Registry) *Machine {
 		Temp:          temp,
 		Builtins:      reg,
 		Out:           os.Stdout,
-		In:            bufio.NewReader(strings.NewReader("")),
+		In:            emptyInput(),
 		StatsOrdering: true,
 		PlanCache:     true,
 		BatchKernels:  true,
@@ -150,6 +150,13 @@ func New(prog *plan.Program, edb, temp storage.Store, reg *Registry) *Machine {
 		lastPhys:      make(map[*plan.Stmt]*plan.PhysPlan),
 		planCache:     plan.NewPlanCache(),
 	}
+}
+
+// emptyInput is the input a machine starts with: read_line sees EOF. An
+// empty source needs no buffer, so it gets bufio's minimum size rather
+// than the 4 KiB default — a snapshot session builds a machine per read.
+func emptyInput() *bufio.Reader {
+	return bufio.NewReaderSize(strings.NewReader(""), 16)
 }
 
 // ResetProfiles clears the accumulated per-op execution counters and the

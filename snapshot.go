@@ -13,11 +13,9 @@ package gluenail
 // results no matter what commits afterwards, including recursive queries.
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 
 	"gluenail/internal/plan"
@@ -76,10 +74,10 @@ func (s *System) Snapshot() (*Snapshot, error) {
 	s.tuneMachine(m, s.cfg.budget)
 	// Session I/O is private: write/nl output from a snapshot query is
 	// discarded unless SetOutput directs it somewhere, and read_line
-	// sees EOF. The shared trace writer is not inherited — interleaved
-	// trace lines from concurrent sessions would be garbage.
+	// sees EOF (the machine's own empty input). The shared trace writer
+	// is not inherited — interleaved trace lines from concurrent sessions
+	// would be garbage.
 	m.Out = io.Discard
-	m.In = bufio.NewReader(strings.NewReader(""))
 	return &Snapshot{sys: s, store: store, temp: temp, machine: m, budget: s.cfg.budget}, nil
 }
 

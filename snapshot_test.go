@@ -395,3 +395,32 @@ func TestSnapshotLayeredBackendRejected(t *testing.T) {
 		t.Fatal("layered backend should reject snapshots")
 	}
 }
+
+// TestSnapshotReadLineSeesEOF: a snapshot session does not read the
+// system's input; read_line in a snapshot query sees end of input, and the
+// live system's input is left unread.
+func TestSnapshotReadLineSeesEOF(t *testing.T) {
+	sys := New(WithInput(strings.NewReader("hello\n")))
+	if err := sys.Load(snapProgram); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	res, err := snap.Query("read_line(L)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 0 {
+		t.Fatalf("snapshot read_line = %v, want no rows (EOF)", res.Rows)
+	}
+	live, err := sys.Query("read_line(L)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(live.Rows) != 1 {
+		t.Fatalf("live read_line = %v, want the system's one input line", live.Rows)
+	}
+}
