@@ -4,17 +4,21 @@
 // times, or a repeat loop in steady state) the statistics rarely change,
 // and the O(ops²) greedy reorder plus the op clones and hint slices it
 // allocates dominate the execution itself. PlanCache keeps the last
-// physical plan per statement, keyed by (statement identity, stats-epoch
-// signature of the referenced relations, bound-variable mask signature),
-// and serves it back allocation-free while the key matches.
+// physical plan per statement, keyed by (statement identity, cardinality-
+// class signature of the referenced relations, bound-variable mask
+// signature), and serves it back allocation-free while the key matches.
 //
 // A stale plan is never wrong — any runnable op order yields the same
 // result multiset (see the package comment in physical.go) — only possibly
 // slow, so the cache can afford coarse invalidation:
 //
-//   - the epoch signature folds each referenced relation's StatsEpoch, so a
-//     plan is dropped (a miss) once any input's cardinality has roughly
-//     doubled, halved, or been cleared since planning;
+//   - the class signature folds each referenced relation's cardinality
+//     class, bits.Len(Len()), so a plan is dropped (a miss) once any
+//     input's size crosses a power of two since planning. The key is a
+//     pure function of the current sizes: a relation cleared and refilled
+//     to the same class — a repeat loop's delta and scratch relations —
+//     keeps its plans. There is no hysteresis, so a relation hovering
+//     across a power of two re-plans at each crossing;
 //   - executor selectivity feedback is checked against the cached plan's
 //     estimates on every hit, and a per-op drift past driftFactor forces a
 //     re-plan (an invalidation) that bakes the observed ratios in.
@@ -35,10 +39,10 @@ const (
 
 // CacheStats counts prepared-plan cache outcomes. Hits served a cached
 // plan; Misses planned fresh because no plan was cached under the current
-// key (first execution, or a stats-epoch change); Invalidations dropped a
-// key-valid plan because observed selectivities drifted past the threshold
-// (the re-plan that follows is counted only as an invalidation, not also a
-// miss).
+// key (first execution, or a cardinality-class change); Invalidations
+// dropped a key-valid plan because observed selectivities drifted past the
+// threshold (the re-plan that follows is counted only as an invalidation,
+// not also a miss).
 type CacheStats struct {
 	Hits          int64
 	Misses        int64
@@ -48,8 +52,8 @@ type CacheStats struct {
 // cacheEntry is the cache line of one statement or condition.
 type cacheEntry struct {
 	// refs lists the statically named relations the cached object reads or
-	// writes — the relations whose stats epochs form the cache key. Computed
-	// once per statement (the list is a compile-time property).
+	// writes — the relations whose cardinality classes form the cache key.
+	// Computed once per statement (the list is a compile-time property).
 	refs []RelRef
 	// boundSig folds the bound-register sets of every step (the
 	// bound-variable mask component of the cache key). It is determined by
@@ -58,7 +62,7 @@ type cacheEntry struct {
 	// for the binding pattern it was derived under.
 	boundSig uint64
 	// sig is the full key the cached plan was stored under: boundSig
-	// combined with the epoch signature supplied by the executor.
+	// combined with the class signature supplied by the executor.
 	sig uint64
 	// plan is the cached statement plan; steps the cached condition
 	// segments. Exactly one is set (entries are keyed by *Stmt or *Cond).
@@ -92,7 +96,7 @@ func (c *PlanCache) Stats() CacheStats { return c.stats }
 
 // StmtEntry returns the statement's cache line, creating it (with its
 // relation references and bound signature) on first sight. The executor
-// resolves the refs to stats epochs before calling Lookup.
+// resolves the refs to cardinality classes before calling Lookup.
 func (c *PlanCache) StmtEntry(st *Stmt) *cacheEntry {
 	e := c.entries[st]
 	if e == nil {
@@ -112,15 +116,15 @@ func (c *PlanCache) CondEntry(cond *Cond) *cacheEntry {
 	return e
 }
 
-// Refs lists the relations whose stats epochs key this entry.
+// Refs lists the relations whose cardinality classes key this entry.
 func (e *cacheEntry) Refs() []RelRef { return e.refs }
 
-// Lookup returns the cached statement plan for the epoch signature, or nil.
+// Lookup returns the cached statement plan for the class signature, or nil.
 // A missing or key-mismatched plan counts as a miss; a key-valid plan whose
 // estimates drifted from the profile's observed selectivities is dropped
 // and counted as an invalidation. Allocation-free on every path.
-func (c *PlanCache) Lookup(e *cacheEntry, epochSig uint64, prof *StmtProfile) *PhysPlan {
-	if e.plan == nil || e.sig != combineSig(e.boundSig, epochSig) {
+func (c *PlanCache) Lookup(e *cacheEntry, classSig uint64, prof *StmtProfile) *PhysPlan {
+	if e.plan == nil || e.sig != combineSig(e.boundSig, classSig) {
 		c.stats.Misses++
 		return nil
 	}
@@ -133,17 +137,17 @@ func (c *PlanCache) Lookup(e *cacheEntry, epochSig uint64, prof *StmtProfile) *P
 	return e.plan
 }
 
-// Store caches a statement plan under the epoch signature.
-func (c *PlanCache) Store(e *cacheEntry, epochSig uint64, pp *PhysPlan) {
+// Store caches a statement plan under the class signature.
+func (c *PlanCache) Store(e *cacheEntry, classSig uint64, pp *PhysPlan) {
 	e.plan, e.steps = pp, nil
-	e.sig = combineSig(e.boundSig, epochSig)
+	e.sig = combineSig(e.boundSig, classSig)
 }
 
-// LookupSteps returns the cached condition segments for the epoch
+// LookupSteps returns the cached condition segments for the class
 // signature, or nil. Conditions carry no profile, so they invalidate on
-// epoch changes only.
-func (c *PlanCache) LookupSteps(e *cacheEntry, epochSig uint64) []PhysStep {
-	if e.steps == nil || e.sig != combineSig(e.boundSig, epochSig) {
+// class changes only.
+func (c *PlanCache) LookupSteps(e *cacheEntry, classSig uint64) []PhysStep {
+	if e.steps == nil || e.sig != combineSig(e.boundSig, classSig) {
 		c.stats.Misses++
 		return nil
 	}
@@ -151,10 +155,10 @@ func (c *PlanCache) LookupSteps(e *cacheEntry, epochSig uint64) []PhysStep {
 	return e.steps
 }
 
-// StoreSteps caches condition segments under the epoch signature.
-func (c *PlanCache) StoreSteps(e *cacheEntry, epochSig uint64, steps []PhysStep) {
+// StoreSteps caches condition segments under the class signature.
+func (c *PlanCache) StoreSteps(e *cacheEntry, classSig uint64, steps []PhysStep) {
 	e.steps, e.plan = steps, nil
-	e.sig = combineSig(e.boundSig, epochSig)
+	e.sig = combineSig(e.boundSig, classSig)
 }
 
 // planDrifted reports whether any cached op's estimated selectivity
@@ -190,16 +194,16 @@ func planDrifted(steps []PhysStep, prof *StmtProfile) bool {
 	return false
 }
 
-// combineSig folds the constant bound signature into the executor's epoch
+// combineSig folds the constant bound signature into the executor's class
 // signature (splitmix-style finalization via term's hash fold).
-func combineSig(boundSig, epochSig uint64) uint64 {
-	return SigFold(SigFold(term.HashSeed, boundSig), epochSig)
+func combineSig(boundSig, classSig uint64) uint64 {
+	return SigFold(SigFold(term.HashSeed, boundSig), classSig)
 }
 
 // SigFold mixes one 64-bit component into a signature. Exposed so the
-// executor can fold relation stats epochs with the same function the cache
-// uses internally (FNV-1a's 64-bit prime; the inputs are counters, so the
-// mixing only needs to separate small-integer sequences).
+// executor can fold relation cardinality classes with the same function the
+// cache uses internally (FNV-1a's 64-bit prime; the inputs are small
+// integers, so the mixing only needs to separate small-integer sequences).
 func SigFold(sig, v uint64) uint64 {
 	return (sig ^ v) * 1099511628211
 }

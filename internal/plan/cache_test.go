@@ -55,10 +55,10 @@ func TestPlanCacheHitMissEpoch(t *testing.T) {
 	pp := cachePlan(st, 0.5)
 	c.Store(e, 42, pp)
 	if got := c.Lookup(e, 42, nil); got != pp {
-		t.Fatal("same epoch signature did not hit")
+		t.Fatal("same class signature did not hit")
 	}
 	if got := c.Lookup(e, 43, nil); got != nil {
-		t.Fatal("changed epoch signature still hit")
+		t.Fatal("changed class signature still hit")
 	}
 	stats := c.Stats()
 	if stats.Hits != 1 || stats.Misses != 2 || stats.Invalidations != 0 {

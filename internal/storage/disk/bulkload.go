@@ -141,7 +141,6 @@ nextRow:
 	added := len(kept)
 	if added > 0 {
 		r.version++
-		r.noteEpoch()
 		// Partial-mask run indexes no longer cover every run-resident row.
 		r.ixMu.Lock()
 		r.ixs, r.ixCredit, r.ixOnces = nil, nil, nil

@@ -292,7 +292,6 @@ func (s *Store) quarantineRun(r *Rel, rn *run) bool {
 	r.diskLive -= rn.liveNow()
 	r.version++
 	r.relMu.Unlock()
-	r.statsEpoch.Add(1)
 	r.ixMu.Lock()
 	r.ixs, r.ixCredit, r.ixOnces = nil, nil, nil
 	r.ixMu.Unlock()

@@ -177,10 +177,6 @@ func (r *snapRel) Len() int {
 // Version implements storage.Rel (the value at capture).
 func (r *snapRel) Version() uint64 { return r.version }
 
-// StatsEpoch implements storage.Rel, delegating to the live relation (an
-// epoch is planner guidance, not part of the captured state).
-func (r *snapRel) StatsEpoch() uint64 { return r.src.StatsEpoch() }
-
 // DistinctEst implements storage.Rel from the live digest, like the
 // main-memory snapshot relation.
 func (r *snapRel) DistinctEst(col int) int { return r.src.DistinctEst(col) }

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -301,10 +302,8 @@ type Rel struct {
 	runs     atomic.Pointer[[]*run]
 	diskLive int // live rows across runs (excludes tombstoned)
 
-	version    uint64
-	statsEpoch atomic.Uint64
-	epochRows  int
-	dist       *storage.DistinctTracker
+	version uint64
+	dist    *storage.DistinctTracker
 
 	// relMu serializes structure changes that the background compactor
 	// could interleave with: run-list swaps and run tombstones. The
@@ -527,17 +526,6 @@ func (r *Rel) MemRows() int { return r.mem.Len() }
 // Version implements storage.Rel.
 func (r *Rel) Version() uint64 { return r.version }
 
-// StatsEpoch implements storage.Rel.
-func (r *Rel) StatsEpoch() uint64 { return r.statsEpoch.Load() }
-
-func (r *Rel) noteEpoch() {
-	n := r.Len()
-	if n > 2*r.epochRows || 2*n < r.epochRows {
-		r.statsEpoch.Add(1)
-		r.epochRows = n
-	}
-}
-
 // DistinctEst implements storage.Rel from the relation-wide digest (the
 // memtable's own digest covers only resident rows).
 func (r *Rel) DistinctEst(col int) int { return r.dist.Estimate(col) }
@@ -580,7 +568,6 @@ func (r *Rel) Insert(t term.Tuple) bool {
 	}
 	r.dist.Add(t)
 	r.version++
-	r.noteEpoch()
 	if j := r.st.journal; j != nil {
 		j.JournalInsert(r.name, r.arity, t)
 	}
@@ -603,7 +590,6 @@ func (r *Rel) Delete(t term.Tuple) bool {
 	if r.mem.Delete(t) {
 		r.dist.Remove(t)
 		r.version++
-		r.noteEpoch()
 		if j := r.st.journal; j != nil {
 			j.JournalDelete(r.name, r.arity, t)
 		}
@@ -621,7 +607,6 @@ func (r *Rel) Delete(t term.Tuple) bool {
 	rn.setTomb(slot, r.deadStamp())
 	r.diskLive--
 	r.version++
-	r.noteEpoch()
 	r.dist.Remove(u)
 	atomic.AddInt64(&r.st.stats.Deletes, 1)
 	r.ixMu.Lock()
@@ -651,8 +636,6 @@ func (r *Rel) Clear() {
 	r.mem.Clear() // journal-free: the memtable has no journal attached
 	r.dist.Reset()
 	r.version++
-	r.statsEpoch.Add(1)
-	r.epochRows = 0
 	r.ixMu.Lock()
 	r.ixs, r.ixCredit, r.ixOnces = nil, nil, nil
 	r.ixMu.Unlock()
@@ -971,14 +954,14 @@ func (r *Rel) publishRunIx(mask uint32) {
 	r.ixMu.Unlock()
 }
 
+// ixRemove drops t from its bucket, shifting the rest down so the bucket
+// stays in insertion order.
 func ixRemove(ix *hashIx, t term.Tuple) {
 	h := t.HashCols(ix.mask)
 	bucket := ix.buckets[h]
 	for i, u := range bucket {
 		if u.Equal(t) {
-			last := len(bucket) - 1
-			bucket[i] = bucket[last]
-			bucket = bucket[:last]
+			bucket = slices.Delete(bucket, i, i+1)
 			if len(bucket) == 0 {
 				delete(ix.buckets, h)
 			} else {
@@ -1213,7 +1196,6 @@ func (s *Store) loadManifest() error {
 		}
 		r.runs.Store(&runs)
 		r.diskLive = live
-		r.epochRows = live
 	}
 	if img.runSeq > s.runSeq {
 		s.runSeq = img.runSeq

@@ -142,11 +142,6 @@ func (r *layeredRel) Version() uint64 {
 	return r.inner.Version()
 }
 
-func (r *layeredRel) StatsEpoch() uint64 {
-	defer r.store.latch()()
-	return r.inner.StatsEpoch()
-}
-
 func (r *layeredRel) Insert(t term.Tuple) bool {
 	defer r.store.latch()()
 	r.store.catalogLookup(r.inner.name, r.inner.arity)

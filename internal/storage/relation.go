@@ -96,6 +96,13 @@ func (c *colStats) add(h uint64) {
 	}
 }
 
+// reset empties the digest, keeping the add buffer and exact map for reuse.
+func (c *colStats) reset() {
+	c.pending = c.pending[:0]
+	clear(c.exact)
+	c.sketch, c.ones = nil, 0
+}
+
 // flush folds the buffered hashes into the exact map or the sketch.
 func (c *colStats) flush() {
 	if len(c.pending) == 0 {
@@ -290,7 +297,10 @@ type Rel interface {
 	Name() term.Value
 	// Arity returns the number of columns.
 	Arity() int
-	// Len returns the number of tuples.
+	// Len returns the number of tuples. It must be cheap (a counter, or a
+	// count taken once per snapshot): the prepared-plan cache keys plans on
+	// each input's cardinality class, bits.Len(Len()), before every
+	// statement.
 	Len() int
 	// Version returns a counter bumped by every successful mutation; the
 	// unchanged(P) builtin compares versions across loop iterations.
@@ -318,13 +328,6 @@ type Rel interface {
 	// statement-prepare time (never concurrently with a writer, per the
 	// reader/writer contract above).
 	DistinctEst(col int) int
-	// StatsEpoch returns a counter that advances whenever the relation's
-	// statistics change *materially*: the cardinality roughly doubles or
-	// halves since the last epoch, or the relation is cleared. Unlike
-	// Version (bumped on every mutation), the epoch is stable across the
-	// small deltas of a repeat loop's steady state, so the prepared-plan
-	// cache can key plans on it without invalidating on every insert.
-	StatsEpoch() uint64
 	// UnionDiff inserts every tuple of batch and returns the sub-batch of
 	// tuples that were genuinely new — the delta needed by semi-naive
 	// evaluation (§10's uniondiff operator).
@@ -349,11 +352,11 @@ type Rel interface {
 // its hash chain. The live view (this type's own methods) treats any
 // nonzero stamp as gone; a SnapRel captured at snapshot CSN S still sees
 // slots stamped dead at a CSN > S. Because snapshots capture slice
-// headers and every structural rewrite (compact, Clear) builds fresh
-// backing arrays, a snapshot keeps reading its own frozen arrays while
-// the writer moves on — copy-on-write through the garbage collector, with
-// the dead stamps as the only shared mutable cells (written and read
-// atomically). Between two rewrites the relation only appends, so slot i
+// headers and every structural rewrite of a captured numbering (compact,
+// Clear) builds fresh backing arrays, a snapshot keeps reading its own
+// frozen arrays while the writer moves on — copy-on-write through the
+// garbage collector, with the dead stamps as the only shared mutable cells
+// (written and read atomically). Between two rewrites the relation only appends, so slot i
 // holds the same tuple in every snapshot of one slot numbering; the
 // snapshots of a numbering share one set of adaptive indexes over it
 // (snapIdx).
@@ -402,15 +405,6 @@ type Relation struct {
 	// compact and Clear (the only renumberings), so the next capture
 	// starts a fresh holder while older snapshots keep theirs.
 	snapIdx atomic.Pointer[snapIndexes]
-	// statsEpoch/epochRows implement Rel.StatsEpoch: epochRows remembers
-	// the cardinality at the last epoch bump, and mutations advance the
-	// epoch once the live count doubles past it or falls below half of it.
-	// The thresholds are geometric, so a relation growing to n rows bumps
-	// O(log n) times — repeat-loop steady states keep their epoch. The
-	// counter is written and read atomically: snapshot sessions plan
-	// against live statistics while the writer mutates.
-	statsEpoch atomic.Uint64
-	epochRows  int
 
 	policy IndexPolicy
 	stats  *Stats
@@ -472,19 +466,6 @@ func (r *Relation) Len() int { return r.n }
 // Version implements Rel.
 func (r *Relation) Version() uint64 { return r.version }
 
-// StatsEpoch implements Rel.
-func (r *Relation) StatsEpoch() uint64 { return r.statsEpoch.Load() }
-
-// noteEpoch advances the statistics epoch when the live tuple count has
-// doubled past — or fallen below half of — the count recorded at the last
-// bump. Called by the (single) writer after every cardinality change.
-func (r *Relation) noteEpoch() {
-	if r.n > 2*r.epochRows || 2*r.n < r.epochRows {
-		r.statsEpoch.Add(1)
-		r.epochRows = r.n
-	}
-}
-
 // DistinctEst implements Rel.
 func (r *Relation) DistinctEst(col int) int {
 	r.statsMu.Lock()
@@ -531,7 +512,6 @@ func (r *Relation) Insert(t term.Tuple) bool {
 	r.dead = append(r.dead, 0)
 	r.n++
 	r.version++
-	r.noteEpoch()
 	r.statsMu.Lock()
 	for i := range t {
 		if i < len(r.cols) {
@@ -584,7 +564,6 @@ func (r *Relation) Delete(t term.Tuple) bool {
 		}
 		r.n--
 		r.version++
-		r.noteEpoch()
 		r.statsMu.Lock()
 		for ci := range u {
 			if ci < len(r.cols) {
@@ -650,33 +629,49 @@ func (r *Relation) Contains(t term.Tuple) bool {
 	return false
 }
 
-// Clear implements Rel. The backing arrays are dropped, not zeroed:
-// snapshots captured before the clear keep their headers and stay whole.
+// Clear implements Rel, reusing the relation's storage where that is safe,
+// so a repeat loop's scratch and delta relations refill the same arrays
+// every iteration.
+//
+// Invariant: snapIdx == nil means no snapshot captured the current slot
+// numbering — every capture installs it (sharedIndexes), and only a
+// renumbering (compact, Clear) removes it. Then nothing outside the
+// relation holds tuples/hashes/dead/next, and they are truncated in place.
+// Otherwise they are dropped, not zeroed: the snapshots keep their headers
+// and stay whole, and the next numbering starts on fresh arrays. Arrays
+// the last fill used less than a quarter of are dropped too, so a relation
+// that shrank for good does not keep clearing its peak-sized hash map.
 func (r *Relation) Clear() {
 	if r.n == 0 {
 		return
 	}
-	r.tuples = nil
-	r.hashes = nil
-	r.dead = nil
-	r.next = nil
-	r.buckets = make(map[uint64]int32)
+	if r.snapIdx.Load() == nil && 4*len(r.tuples) >= cap(r.tuples) {
+		clear(r.tuples) // let the GC have the old tuples; keep the capacity
+		r.tuples = r.tuples[:0]
+		r.hashes = r.hashes[:0]
+		r.dead = r.dead[:0]
+		r.next = r.next[:0]
+		clear(r.buckets)
+	} else {
+		r.tuples, r.hashes, r.dead, r.next = nil, nil, nil, nil
+		r.buckets = make(map[uint64]int32)
+		r.snapIdx.Store(nil)
+	}
 	r.n = 0
 	r.tombs = 0
 	r.stamped = 0
-	r.snapIdx.Store(nil)
 	r.version++
-	// Clear always opens a new epoch: every cached plan over this relation
-	// was derived from statistics that no longer describe anything.
-	r.statsEpoch.Add(1)
-	r.epochRows = 0
 	r.statsMu.Lock()
-	r.cols = make([]colStats, r.arity)
+	for i := range r.cols {
+		r.cols[i].reset()
+	}
 	r.statsMu.Unlock()
 	r.mu.Lock()
-	r.indexes = nil
-	r.scanCredit = nil
-	r.onces = nil
+	clear(r.indexes)
+	clear(r.onces)
+	for _, c := range r.scanCredit {
+		c.Store(0)
+	}
 	r.mu.Unlock()
 	if r.journal != nil {
 		r.journal.JournalClear(r.name, r.arity)

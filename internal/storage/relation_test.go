@@ -248,6 +248,31 @@ func TestClearDropsIndexes(t *testing.T) {
 	}
 }
 
+// TestClearReusesArraysWithoutSnapshot: with no snapshot of the current
+// slot numbering, Clear keeps the relation's storage, so clearing and
+// refilling to the same size — a repeat loop's scratch relation —
+// allocates nothing beyond the tuples themselves (built up front here).
+func TestClearReusesArraysWithoutSnapshot(t *testing.T) {
+	r := newRel(t, 2, IndexAdaptive)
+	rows := make([]term.Tuple, 100)
+	for i := range rows {
+		rows[i] = it(int64(i), int64(i%7))
+	}
+	fill := func() {
+		r.Clear()
+		for _, tp := range rows {
+			r.Insert(tp)
+		}
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(20, fill); allocs != 0 {
+		t.Fatalf("Clear + refill of 100 tuples allocates %.1f objects, want 0", allocs)
+	}
+	if got := r.All(); len(got) != len(rows) || !slices.EqualFunc(got, rows, term.Tuple.Equal) {
+		t.Fatal("refilled relation does not hold the tuples in insertion order")
+	}
+}
+
 func TestUnionDiff(t *testing.T) {
 	r := newRel(t, 1, IndexNever)
 	r.Insert(it(1))

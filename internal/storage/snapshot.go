@@ -6,9 +6,10 @@
 // copy-on-read: capturing a snapshot copies only slice headers (tuples,
 // dead stamps) under the writer's statement-boundary lock.
 // Appends by the writer land beyond the captured length; structural
-// rewrites (compact, Clear) swap in fresh backing arrays; and deletions
-// stamp the shared dead slice with the deleting statement's CSN, which
-// snapshot readers load atomically and compare against their snapshot CSN.
+// rewrites (compact, Clear) of a captured slot numbering swap in fresh
+// backing arrays; and deletions stamp the shared dead slice with the
+// deleting statement's CSN, which snapshot readers load atomically and
+// compare against their snapshot CSN.
 // A slot is visible at snapshot CSN S iff its dead stamp is 0 or > S. The
 // writer never blocks on readers, readers never block the writer, and a
 // snapshot's memory is reclaimed by the GC once the last reader drops it.
@@ -132,8 +133,7 @@ type SnapRel struct {
 	// n is the visible-tuple count, fixed at capture.
 	n int
 	// src is the live relation, consulted only for planner statistics
-	// (DistinctEst/StatsEpoch, both safe against the writer); nil for
-	// empty placeholders.
+	// (DistinctEst, safe against the writer); nil for empty placeholders.
 	src     *Relation
 	version uint64
 	stats   *Stats
@@ -195,16 +195,6 @@ func (r *SnapRel) Len() int { return r.n }
 // Version implements Rel with the version captured at the snapshot: the
 // view never changes, so neither does its version.
 func (r *SnapRel) Version() uint64 { return r.version }
-
-// StatsEpoch implements Rel, delegating to the live relation: planner
-// statistics describe the present, and any plan is correct against the
-// snapshot — only its cost model benefits from freshness.
-func (r *SnapRel) StatsEpoch() uint64 {
-	if r.src == nil {
-		return 0
-	}
-	return r.src.StatsEpoch()
-}
 
 // DistinctEst implements Rel, delegating to the live relation (guarded
 // against the writer by its stats mutex).

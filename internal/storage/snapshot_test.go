@@ -143,6 +143,33 @@ func TestSnapshotSurvivesCompactionAndClear(t *testing.T) {
 	}
 }
 
+// TestSnapshotSurvivesClearAndRefill: Clear reuses a relation's arrays
+// only while no snapshot has captured them. A relation cleared after a
+// capture and refilled with other tuples must leave the snapshot reading
+// exactly what it captured.
+func TestSnapshotSurvivesClearAndRefill(t *testing.T) {
+	s := NewMemStore(IndexAdaptive)
+	name := term.NewString("e")
+	r := s.Ensure(name, 1)
+	for i := int64(0); i < 64; i++ {
+		r.Insert(it(i))
+	}
+	s.AdvanceCSN()
+	snap := s.Snapshot()
+	before := snapAll(mustSnapRel(t, snap, name, 1))
+	r.Clear()
+	for i := int64(1000); i < 1064; i++ {
+		r.Insert(it(i))
+	}
+	s.AdvanceCSN()
+	if got := snapAll(mustSnapRel(t, snap, name, 1)); !tuplesEqual(before, got) {
+		t.Fatalf("snapshot changed across Clear and refill: %v..., want %v...", got[:4], before[:4])
+	}
+	if r.Len() != 64 || !r.Contains(it(1000)) || r.Contains(it(0)) {
+		t.Fatal("live relation does not hold exactly the refilled tuples")
+	}
+}
+
 func TestSnapshotLookupAndIndexes(t *testing.T) {
 	s := NewMemStore(IndexAdaptive)
 	name := term.NewString("e")

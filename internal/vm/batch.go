@@ -32,14 +32,14 @@ import (
 	"gluenail/internal/term"
 )
 
-// batchScratch recycles the batch kernels' working vectors across
-// runPipeBatch calls. Every column, lineage vector, and selection map is
-// dead once a segment flattens (the output slab is a fresh allocation),
-// so the vectors cycle through these freelists instead of churning the
-// allocator once per op. Scratches are drawn from a sync.Pool shared by
-// every machine in the process (concurrent snapshot sessions included);
-// a call owns its scratch until it returns it, so no locking is needed
-// inside.
+// batchScratch recycles working vectors across segments: runPipe draws one
+// per segment and returns it when the segment ends. Every column, lineage
+// vector, and selection map is dead once a segment flattens (the output
+// slab is a fresh allocation), so the vectors cycle through these
+// freelists instead of churning the allocator once per op. Scratches are
+// drawn from a sync.Pool shared by every machine in the process
+// (concurrent snapshot sessions included); a call owns its scratch until
+// it returns it, so no locking is needed inside.
 //
 // Pooled value vectors are not cleared on release; they may pin the
 // previous segment's values until overwritten, which is bounded by one
@@ -52,11 +52,115 @@ type batchScratch struct {
 	rowBuf     []term.Value
 	regs       []int
 	fillerCols [][]term.Value
+	bindCols   [][]term.Value
 	maps       [][]int32
 	sk         term.Tuple
+	// Per-op vectors of the segment in flight (runPipe): pre-resolved
+	// relations, whether each op has one, and the per-op tuple counters.
+	rels []storage.Rel
+	have []bool
+	cnt  []int64
+	// probe carries a match op's state into the storage callback; see
+	// matchProbe.
+	probe matchProbe
 }
 
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+var batchScratchPool = sync.Pool{New: func() any {
+	s := new(batchScratch)
+	s.probe.emitFn, s.probe.existsFn = s.probe.emit, s.probe.exists
+	return s
+}}
+
+// put returns the scratch to the pool, first dropping the relation
+// references of the last segment so a pooled scratch pins no relation.
+func (s *batchScratch) put() {
+	clear(s.rels)
+	s.probe.f = nil
+	batchScratchPool.Put(s)
+}
+
+// opVectors returns the segment's per-op vectors for n ops, zeroed: the
+// pre-resolved relations, their have flags, and n+1 tuple counters.
+func (s *batchScratch) opVectors(n int) ([]storage.Rel, []bool, []int64) {
+	if cap(s.cnt) < n+1 {
+		s.rels = make([]storage.Rel, n)
+		s.have = make([]bool, n)
+		s.cnt = make([]int64, n+1)
+	}
+	rels, have, cnt := s.rels[:n], s.have[:n], s.cnt[:n+1]
+	clear(rels)
+	clear(have)
+	clear(cnt)
+	return rels, have, cnt
+}
+
+// grabBindCols returns one empty value vector per bind register, each with
+// capacity for c values, in a column list the scratch reuses (pushLevel
+// copies the vectors out, so the list itself is free again at once).
+func (s *batchScratch) grabBindCols(n, c int) [][]term.Value {
+	if cap(s.bindCols) < n {
+		s.bindCols = make([][]term.Value, n)
+	}
+	cols := s.bindCols[:n]
+	for k := range cols {
+		cols[k] = s.grabValsCap(c)
+	}
+	return cols
+}
+
+// matchProbe is the state a match op's storage callback works on. Lookup
+// takes its callback through the Rel interface, so a closure over locals
+// would move them to the heap on every call; instead the state lives in
+// the scratch and the callbacks are method values bound once, when the
+// scratch is created.
+type matchProbe struct {
+	f      *frame
+	args   []term.Pattern
+	rowBuf []term.Value
+	// Expansion state: the bind registers, their emitted columns, the
+	// lineage vector, the current source row and the emission count.
+	bind     []int
+	bindCols [][]term.Value
+	src      []int32
+	cur      int32
+	emitted  int64
+	err      error
+	found    bool // existence probes: a matching tuple was seen
+	emitFn   func(term.Tuple) bool
+	existsFn func(term.Tuple) bool
+}
+
+// emit is the expansion callback: a matching tuple appends the op's bound
+// registers column-wise plus the source row.
+func (p *matchProbe) emit(t term.Tuple) bool {
+	if matchArgs(p.args, t, p.rowBuf) {
+		for k, reg := range p.bind {
+			p.bindCols[k] = append(p.bindCols[k], p.rowBuf[reg])
+		}
+		p.src = append(p.src, p.cur)
+		p.emitted++
+		// Runaway-cross-product guard: a huge expansion must not
+		// outrun the statement-boundary governor checks.
+		if p.emitted&(govCheckRows-1) == 0 {
+			if err := p.f.m.pollGovernor(); err != nil {
+				p.err = err
+				unbind(p.rowBuf, p.bind)
+				return false
+			}
+		}
+	}
+	unbind(p.rowBuf, p.bind)
+	return true
+}
+
+// exists is the negated-match callback: it stops at the first match.
+func (p *matchProbe) exists(t term.Tuple) bool {
+	if matchArgs(p.args, t, p.rowBuf) {
+		p.found = true
+		return false
+	}
+	return true
+}
 
 // grabVals returns a length-n value vector with arbitrary contents; the
 // caller writes every element. An undersized freelist entry is dropped
@@ -378,18 +482,14 @@ func exprRegs(e plan.Expr, dst []int) []int {
 }
 
 // runPipeBatch executes a segment's operators batch-at-a-time over the
-// given rows, filling the caller's per-op tuple counters exactly like the
-// materialized baseline (cnt[i] counts tuples entering op i, cnt[len(ops)]
-// the segment output).
-func (f *frame) runPipeBatch(ops []plan.PipeOp, rels []storage.Rel, have []bool,
+// given rows in the caller's scratch, filling the caller's per-op tuple
+// counters exactly like the materialized baseline (cnt[i] counts tuples
+// entering op i, cnt[len(ops)] the segment output).
+func (f *frame) runPipeBatch(scr *batchScratch, ops []plan.PhysOp, rels []storage.Rel, have []bool,
 	rows [][]term.Value, cnt []int64) ([][]term.Value, error) {
 	nregs := len(rows[0])
-	scr := batchScratchPool.Get().(*batchScratch)
 	b := newBatchState(rows, nregs, scr)
-	defer func() {
-		b.release()
-		batchScratchPool.Put(scr)
-	}()
+	defer b.release()
 	rowBuf := scr.rowBuf
 	if cap(rowBuf) < nregs {
 		rowBuf = make([]term.Value, nregs)
@@ -403,13 +503,13 @@ func (f *frame) runPipeBatch(ops []plan.PipeOp, rels []storage.Rel, have []bool,
 		regScratch = make([]int, 0, 16)
 		scr.regs = regScratch
 	}
-	for i, op := range ops {
+	for i := range ops {
 		cnt[i] += int64(b.active())
 		if b.active() == 0 {
 			return nil, nil
 		}
 		var err error
-		switch op := op.(type) {
+		switch op := ops[i].Op.(type) {
 		case *plan.Match:
 			refRegs := regScratch
 			for a := range op.Args {
@@ -531,6 +631,14 @@ func (b *batchState) flatten(nOut int) [][]term.Value {
 	return out
 }
 
+// row returns the index of the k-th active row.
+func (b *batchState) row(k int) int32 {
+	if b.sel != nil {
+		return b.sel[k]
+	}
+	return int32(k)
+}
+
 // forActive runs fn over the active rows in order, stopping on error.
 func (b *batchState) forActive(fn func(i int32) error) error {
 	if b.sel != nil {
@@ -562,12 +670,12 @@ func (b *batchState) newSel() []int32 {
 // batchExpandMatch runs a positive match (index probe or scan) over the
 // batch. Per source row it fills the op's referenced registers once,
 // builds the probe key with the shared buildKey helper, and streams the
-// relation's matching tuples; each emission appends the op's bound
-// registers column-wise plus the source index, and the batch advances one
-// lineage level — no pass-through column is touched. srel is the
-// statically resolved relation; a non-nil resolve overrides it per row
-// (late-resolved or computed names) and exists so the static hot path
-// never allocates a closure.
+// relation's matching tuples into the scratch's matchProbe; each emission
+// appends the op's bound registers column-wise plus the source index, and
+// the batch advances one lineage level — no pass-through column is
+// touched. srel is the statically resolved relation; a non-nil resolve
+// overrides it per row (late-resolved or computed names) and exists so the
+// static hot path never allocates a closure.
 func (f *frame) batchExpandMatch(b *batchState, mask uint32, args []term.Pattern,
 	bind []int, refRegs []int, srel storage.Rel,
 	resolve func([]term.Value) (storage.Rel, error), rowBuf []term.Value) error {
@@ -576,37 +684,13 @@ func (f *frame) batchExpandMatch(b *batchState, mask uint32, args []term.Pattern
 	// common fanout for index probes — so the append loop stays out of
 	// growslice for everything but genuinely expanding scans.
 	nAct := b.active()
-	bindCols := make([][]term.Value, len(bind))
-	for k := range bindCols {
-		bindCols[k] = b.scr.grabValsCap(nAct)
-	}
-	src := b.scr.grabIdxCap(nAct)
-	var emitted int64
-	// The yield closure is hoisted out of the per-row loop (cur carries
-	// the current source index) so the probe loop stays allocation-free.
-	var cur int32
-	var emitErr error
-	yield := func(t term.Tuple) bool {
-		if matchArgs(args, t, rowBuf) {
-			for k, reg := range bind {
-				bindCols[k] = append(bindCols[k], rowBuf[reg])
-			}
-			src = append(src, cur)
-			emitted++
-			// Runaway-cross-product guard: a huge expansion must not
-			// outrun the statement-boundary governor checks.
-			if emitted&(govCheckRows-1) == 0 {
-				if err := f.m.pollGovernor(); err != nil {
-					emitErr = err
-					unbind(rowBuf, bind)
-					return false
-				}
-			}
-		}
-		unbind(rowBuf, bind)
-		return true
-	}
-	err := b.forActive(func(i int32) error {
+	p := &b.scr.probe
+	p.f, p.args, p.rowBuf, p.bind = f, args, rowBuf, bind
+	p.bindCols = b.scr.grabBindCols(len(bind), nAct)
+	p.src = b.scr.grabIdxCap(nAct)
+	p.emitted, p.err = 0, nil
+	for k := 0; k < nAct; k++ {
+		i := b.row(k)
 		rf.fill(i, rowBuf)
 		rel := srel
 		if resolve != nil {
@@ -616,20 +700,19 @@ func (f *frame) batchExpandMatch(b *batchState, mask uint32, args []term.Pattern
 			}
 		}
 		if rel == nil {
-			return nil
+			continue
 		}
 		key, err := buildKey(&b.scr.sk, mask, args, rowBuf, rel.Arity())
 		if err != nil {
 			return err
 		}
-		cur = i
-		rel.Lookup(mask, key, yield)
-		return emitErr
-	})
-	if err != nil {
-		return err
+		p.cur = i
+		rel.Lookup(mask, key, p.emitFn)
+		if p.err != nil {
+			return p.err
+		}
 	}
-	b.pushLevel(src, bind, bindCols)
+	b.pushLevel(p.src, bind, p.bindCols)
 	return nil
 }
 
@@ -640,18 +723,12 @@ func (f *frame) batchFilterMatch(b *batchState, mask uint32, args []term.Pattern
 	refRegs []int, srel storage.Rel,
 	resolve func([]term.Value) (storage.Rel, error), rowBuf []term.Value) error {
 	rf := b.filler(refRegs)
+	nAct := b.active()
 	sel := b.newSel()
-	// Hoisted existence probe: same semantics as existsIn, but with the
-	// yield closure shared across rows so the filter never allocates.
-	found := false
-	yield := func(t term.Tuple) bool {
-		if matchArgs(args, t, rowBuf) {
-			found = true
-			return false
-		}
-		return true
-	}
-	err := b.forActive(func(i int32) error {
+	p := &b.scr.probe
+	p.args, p.rowBuf = args, rowBuf
+	for k := 0; k < nAct; k++ {
+		i := b.row(k)
 		rf.fill(i, rowBuf)
 		rel := srel
 		if resolve != nil {
@@ -660,23 +737,21 @@ func (f *frame) batchFilterMatch(b *batchState, mask uint32, args []term.Pattern
 				return err
 			}
 		}
-		if rel == nil {
-			sel = append(sel, i)
-			return nil
+		if rel != nil {
+			key, err := buildKey(&b.scr.sk, mask, args, rowBuf, rel.Arity())
+			if err != nil {
+				return err
+			}
+			p.found = false
+			rel.Lookup(mask, key, p.existsFn)
+			if p.found {
+				continue
+			}
 		}
-		key, err := buildKey(&b.scr.sk, mask, args, rowBuf, rel.Arity())
-		if err != nil {
-			return err
-		}
-		found = false
-		rel.Lookup(mask, key, yield)
-		if !found {
-			sel = append(sel, i)
-		}
-		return nil
-	})
+		sel = append(sel, i)
+	}
 	b.sel = sel
-	return err
+	return nil
 }
 
 // batchFilterCompare refines the selection vector by a comparison. The
@@ -782,10 +857,7 @@ func (f *frame) batchMatchBind(b *batchState, op *plan.MatchBind,
 		return err
 	}
 	nAct := b.active()
-	bindCols := make([][]term.Value, len(op.Bind))
-	for k := range bindCols {
-		bindCols[k] = b.scr.grabValsCap(nAct)
-	}
+	bindCols := b.scr.grabBindCols(len(op.Bind), nAct)
 	src := b.scr.grabIdxCap(nAct)
 	err := b.forActive(func(i int32) error {
 		rf.fill(i, rowBuf)

@@ -92,26 +92,10 @@ func TestBatchMatchesMaterializedSegment(t *testing.T) {
 func TestBatchSegmentAllocsPerRow(t *testing.T) {
 	const n = 20000
 	f, pstep := batchTestFrame(n)
-	ops := make([]plan.PipeOp, len(pstep.Ops))
-	for i := range pstep.Ops {
-		ops[i] = pstep.Ops[i].Op
-	}
-	rels := []storage.Rel{nil, nil, nil}
-	have := []bool{false, false, false}
-	for i, op := range ops {
-		if m, ok := op.(*plan.Match); ok {
-			rel, err := f.resolveRead(m.Rel, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rels[i], have[i] = rel, true
-		}
-	}
-	cnt := make([]int64, len(ops)+1)
 	var produced int
 	allocs := testing.AllocsPerRun(5, func() {
 		rows := [][]term.Value{make([]term.Value, 3)}
-		out, err := f.runPipeBatch(ops, rels, have, rows, cnt)
+		out, err := f.runPipe(pstep, rows, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"gluenail/internal/ast"
@@ -29,9 +30,9 @@ func (f *frame) execStmt(st *plan.Stmt) error {
 	// iterations adapt their op order as semi-naive deltas shrink and
 	// observed selectivities feed the cost model — but the prepared-plan
 	// cache (plancache.go) serves the previous plan back whenever the
-	// referenced relations' stats epochs and the observed selectivities
-	// still match, so the repeated-query hot path skips the reorder and
-	// its op clones entirely.
+	// referenced relations' cardinality classes and the observed
+	// selectivities still match, so the repeated-query hot path and a
+	// repeat loop's body skip the reorder and its op clones entirely.
 	prof := f.m.profileFor(st)
 	pp := f.stmtPlan(st, prof)
 	f.m.lastPhys[st] = pp
@@ -64,7 +65,7 @@ func (f *frame) evalCond(c *plan.Cond) (bool, error) {
 // relation becomes empty (§3.2), skipping any remaining side effects.
 // prof (may be nil) accumulates per-op tuple counters.
 func (f *frame) runSteps(nregs int, steps []plan.PhysStep, prof *plan.StmtProfile) ([][]term.Value, error) {
-	rows := [][]term.Value{make([]term.Value, nregs)}
+	rows := f.seedRows(nregs)
 	state := &stmtState{}
 	for i := range steps {
 		step := &steps[i]
@@ -97,6 +98,19 @@ func (f *frame) runSteps(nregs int, steps []plan.PhysStep, prof *plan.StmtProfil
 	return rows, nil
 }
 
+// seedRows returns sup_0 = {ε} over nregs registers. The one all-zero row
+// is the frame's, zeroed and reused rather than allocated per statement:
+// a frame runs one statement at a time, and nothing keeps a statement's
+// rows once it has applied its head.
+func (f *frame) seedRows(nregs int) [][]term.Value {
+	if cap(f.seedRow) < nregs {
+		f.seedRow = make([]term.Value, nregs)
+	}
+	f.seed[0] = f.seedRow[:nregs]
+	clear(f.seed[0])
+	return f.seed[:]
+}
+
 func cloneRow(row []term.Value) []term.Value {
 	cp := make([]term.Value, len(row))
 	copy(cp, row)
@@ -109,19 +123,17 @@ func cloneRow(row []term.Value) []term.Value {
 // set after every operator (the extra load and store per tuple of §9).
 // Statically named relations are resolved once per segment, not per row —
 // relations only change at barriers and heads, never inside a segment.
+// The per-op vectors come from the pooled batch scratch.
 func (f *frame) runPipe(step *plan.PhysStep, rows [][]term.Value, sprof *plan.StepProfile) ([][]term.Value, error) {
-	pops := step.Ops
-	if len(pops) == 0 {
+	ops := step.Ops
+	if len(ops) == 0 {
 		return rows, nil
 	}
-	ops := make([]plan.PipeOp, len(pops))
-	for i := range pops {
-		ops[i] = pops[i].Op
-	}
-	rels := make([]storage.Rel, len(ops))
-	have := make([]bool, len(ops))
-	for i, op := range ops {
-		if m, ok := op.(*plan.Match); ok && m.Rel.Name.IsGround() {
+	scr := batchScratchPool.Get().(*batchScratch)
+	defer scr.put()
+	rels, have, cnt := scr.opVectors(len(ops))
+	for i := range ops {
+		if m, ok := ops[i].Op.(*plan.Match); ok && m.Rel.Name.IsGround() {
 			rel, err := f.resolveRead(m.Rel, nil)
 			if err != nil {
 				return nil, err
@@ -132,26 +144,25 @@ func (f *frame) runPipe(step *plan.PhysStep, rows [][]term.Value, sprof *plan.St
 	// cnt[i] counts tuples entering op i; cnt[len(ops)] counts segment
 	// output. The flush attributes them to each op's logical index, so
 	// feedback stays attached across re-orderings.
-	cnt := make([]int64, len(ops)+1)
 	defer func() {
 		if sprof == nil {
 			return
 		}
-		for j := range pops {
-			if pops[j].LogIdx >= len(sprof.Ops) {
+		for j := range ops {
+			if ops[j].LogIdx >= len(sprof.Ops) {
 				continue
 			}
-			op := &sprof.Ops[pops[j].LogIdx]
+			op := &sprof.Ops[ops[j].LogIdx]
 			op.In += cnt[j]
 			op.Out += cnt[j+1]
-			op.Mask = plan.OpMask(pops[j].Op)
+			op.Mask = plan.OpMask(ops[j].Op)
 		}
 	}()
 	if f.m.Materialized {
 		cur := rows
-		for i, op := range ops {
+		for i := range ops {
 			cnt[i] += int64(len(cur))
-			out, err := f.materializeOp(op, rels[i], have[i], cur)
+			out, err := f.materializeOp(ops[i].Op, rels[i], have[i], cur)
 			if err != nil {
 				return nil, err
 			}
@@ -163,7 +174,7 @@ func (f *frame) runPipe(step *plan.PhysStep, rows [][]term.Value, sprof *plan.St
 		cnt[len(ops)] += int64(len(cur))
 		return cur, nil
 	}
-	return f.runPipeBatch(ops, rels, have, rows, cnt)
+	return f.runPipeBatch(scr, ops, rels, have, rows, cnt)
 }
 
 // materializeOp runs one streaming op over the whole row set, materializing
@@ -500,10 +511,9 @@ func (f *frame) applyHead(st *plan.Stmt, rows [][]term.Value) error {
 		if err != nil {
 			return err
 		}
-		var tuples []term.Tuple
-		if len(rows) > 0 {
-			tuples = make([]term.Tuple, 0, len(rows))
-		}
+		// The tuple list is the frame's: relations keep the tuples, never
+		// the list, so it is reused across statements.
+		tuples := slices.Grow(f.headBuf[:0], len(rows))
 		for _, row := range rows {
 			tup, err := buildHeadTuple(st, row)
 			if err != nil {
@@ -512,6 +522,8 @@ func (f *frame) applyHead(st *plan.Stmt, rows [][]term.Value) error {
 			tuples = append(tuples, tup)
 		}
 		applyHeadOp(st, rel, tuples)
+		clear(tuples)
+		f.headBuf = tuples[:0]
 		if err := f.checkRelBudget(rel); err != nil {
 			return err
 		}

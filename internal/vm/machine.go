@@ -353,6 +353,11 @@ type frame struct {
 	// hashBuf pools the bulk row-hash vector of dedupRows, under the same
 	// sequential-per-frame contract.
 	hashBuf []uint64
+	// seed/seedRow hold each statement's initial row set (seedRows) and
+	// headBuf its head tuples (applyHead), under the same contract.
+	seed    [1][]term.Value
+	seedRow []term.Value
+	headBuf []term.Tuple
 }
 
 // relName builds the unique temp-store name for a frame-local relation.

@@ -6,8 +6,13 @@ import (
 )
 
 // System-level tests for the prepared-plan cache: repeated queries must
-// hit the cache, stats-epoch changes and selectivity drift must invalidate
-// it, and prepared handles must answer exactly like ad-hoc queries.
+// hit the cache, cardinality-class changes and selectivity drift must
+// invalidate it, prepared handles must answer exactly like ad-hoc queries,
+// and a repeat loop's iterations must neither re-plan nor re-allocate their
+// fixed per-statement state.
+
+// raceDetector is set by race_test.go in -race builds.
+var raceDetector bool
 
 const chainProgram = `
 edb edge(X,Y);
@@ -48,7 +53,7 @@ func TestPlanCacheRepeatedQueryHits(t *testing.T) {
 	if st.Hits == 0 {
 		t.Fatalf("10 identical queries produced no plan-cache hits: %+v", st)
 	}
-	// Semi-naive deltas move their stats epochs between iterations, so the
+	// Semi-naive inputs cross cardinality classes as they grow, so the
 	// recursive query legitimately re-plans sometimes. A non-recursive
 	// EDB-only query is the steady-state hot path: after a warm-up run,
 	// every rerun must be all hits.
@@ -66,10 +71,88 @@ func TestPlanCacheRepeatedQueryHits(t *testing.T) {
 	}
 }
 
-// TestPlanCacheEpochInvalidation grows a relation past the geometric
-// stats-epoch threshold between runs: the cached plan must be dropped (a
-// miss, not a stale answer) and the new rows must appear in the results.
-func TestPlanCacheEpochInvalidation(t *testing.T) {
+// TestPlanCacheRepeatLoopHits checks that a repeat loop's body keeps its
+// plans: tc(1, X) on a chain runs about one semi-naive iteration per edge,
+// and the delta and scratch relations are cleared and refilled to one
+// tuple each time. Misses may grow only with the number of cardinality
+// classes the inputs pass through, never with the iteration count.
+func TestPlanCacheRepeatLoopHits(t *testing.T) {
+	run := func(n int) (stats PlanCacheStats, iters int64) {
+		sys := New()
+		if err := sys.Load(chainProgram); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Assert("edge", chainFacts(n)...); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Query("tc(1, X)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != n-1 {
+			t.Fatalf("tc(1, X) on a %d-edge chain: %d rows, want %d", n, len(res.Rows), n-1)
+		}
+		return sys.PlanCacheStats(), sys.Stats().Exec.LoopIterations
+	}
+	small, _ := run(64)
+	large, iters := run(1024)
+	t.Logf("64 edges: %+v; 1024 edges: %+v over %d iterations", small, large, iters)
+	// 64 -> 1024 edges crosses bits.Len 7 -> 11: four more classes, each
+	// costing at most one miss per statement that reads the grown inputs.
+	const stmts, extraClasses = 4, 4
+	if d := large.Misses - small.Misses; d > stmts*extraClasses {
+		t.Errorf("misses grew by %d from 64 to 1024 edges (%d -> %d), want <= %d: the loop re-plans per iteration",
+			d, small.Misses, large.Misses, stmts*extraClasses)
+	}
+	if large.Hits < 3*iters {
+		t.Errorf("hits = %d over %d loop iterations, want >= %d", large.Hits, iters, 3*iters)
+	}
+}
+
+// TestRepeatIterationAllocs gates what one semi-naive iteration allocates.
+// tc(1, X) on a chain of n edges runs about n iterations, each deriving one
+// tuple, so the difference between chains of N and 2N edges, divided by N,
+// is the marginal allocation count of an iteration — the work a repeat
+// loop does besides its new tuples. maxPerIter is the measured value plus
+// about 25 % headroom.
+func TestRepeatIterationAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop entries, so pooled scratch re-allocates")
+	}
+	const n, maxPerIter = 256, 21.0 // measured 16.5 (Go 1.24, linux/amd64)
+	allocs := func(edges int) float64 {
+		sys := New()
+		if err := sys.Load(chainProgram); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Assert("edge", chainFacts(edges)...); err != nil {
+			t.Fatal(err)
+		}
+		p, err := sys.Prepare("tc(1, X)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Execute(); err != nil { // warm the plan cache and indexes
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := p.Execute(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	perIter := (allocs(2*n) - allocs(n)) / n
+	t.Logf("%.1f allocs per repeat iteration", perIter)
+	if perIter > maxPerIter {
+		t.Errorf("a repeat iteration allocates %.1f objects, want <= %.1f", perIter, maxPerIter)
+	}
+}
+
+// TestPlanCacheClassInvalidation grows a relation past a power of two
+// between runs, into a new cardinality class: the cached plan must be
+// dropped (a miss, not a stale answer) and the new rows must appear in the
+// results.
+func TestPlanCacheClassInvalidation(t *testing.T) {
 	sys := New()
 	if err := sys.Load(chainProgram); err != nil {
 		t.Fatal(err)
@@ -88,7 +171,7 @@ func TestPlanCacheEpochInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	misses := sys.PlanCacheStats().Misses
-	// Quadruple the relation: well past the doubling threshold.
+	// Quadruple the relation: two cardinality classes up.
 	var more [][]any
 	for i := 20; i < 80; i++ {
 		more = append(more, []any{i, i + 1})
@@ -104,7 +187,7 @@ func TestPlanCacheEpochInvalidation(t *testing.T) {
 		t.Fatalf("after growth: %d rows, want 80 (stale plan or stale data?)", len(res.Rows))
 	}
 	if got := sys.PlanCacheStats().Misses; got == misses {
-		t.Fatalf("relation quadrupled but the cache never missed (epoch key inert)")
+		t.Fatalf("relation quadrupled but the cache never missed (class key inert)")
 	}
 }
 

@@ -62,8 +62,9 @@ if [ "$elapsed" -gt 4 ]; then
 	exit 1
 fi
 
-step "Plan cache unit suite (epochs, drift, prepared statements; race)"
-go test -race -count=1 -run 'TestPlanCache|TestStatsEpoch|TestPrepared|TestExplainAnalyzePlanCacheCounters' ./internal/plan/ ./internal/storage/ .
+step "Plan cache unit suite (cardinality classes, drift, prepared statements; race) + repeat-iteration allocation gate"
+go test -race -count=1 -run 'TestPlanCache|TestPrepared|TestExplainAnalyzePlanCacheCounters' ./internal/plan/ ./internal/vm/ .
+go test -count=1 -run 'TestRepeatIterationAllocs|TestClearReusesArraysWithoutSnapshot' ./internal/storage/ .
 
 step "E14 governor overhead + abort latency"
 go test -run xxx -bench BenchmarkE14 -benchtime 3x .
