@@ -35,6 +35,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -351,9 +352,12 @@ type System struct {
 	// eng is edb's storage.Backend face — the multi-version engine
 	// (main-memory or disk) behind the EDB; nil only for the layered
 	// baseline. Snapshots, CSN advancement, and Close need it.
-	eng      storage.Backend
-	temp     storage.Store
-	sources  []string
+	eng  storage.Backend
+	temp storage.Store
+	// sources are the loaded programs, parsed once by Load (which also
+	// moved their EDB facts into the store); compilation reads them and
+	// never mutates them.
+	sources  []*ast.Program
 	compiled bool
 	machine  *vm.Machine
 	compiler *plan.Compiler
@@ -600,15 +604,33 @@ func (s *System) Register(name string, bound, free int, fixed bool,
 }
 
 // Load adds Glue/NAIL! source (one or more modules, or a bare script that
-// becomes the implicit main module). Compilation is deferred to first use.
-func (s *System) Load(src string) error {
-	// Parse eagerly for early syntax errors.
-	if _, err := parser.Parse(src); err != nil {
+// becomes the implicit main module). The source is parsed here, so syntax
+// errors surface at once, and the tree is kept for compilation, which is
+// deferred to first use. Ground facts for relations the source declares
+// edb move into the store now, as one committed statement: each Load
+// inserts them exactly once, so a fact retracted later stays retracted
+// when the program is recompiled.
+func (s *System) Load(src string) (rerr error) {
+	prog, err := parser.Parse(src)
+	if err != nil {
 		return err
+	}
+	var facts []modsys.Fact
+	for _, m := range prog.Modules {
+		facts = append(facts, modsys.ExtractEDBFacts(m)...)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sources = append(s.sources, src)
+	defer s.guardStorage(&rerr)
+	if s.durErr == nil && len(facts) > 0 {
+		for _, fact := range facts {
+			s.edb.Ensure(term.Intern(fact.Name), len(fact.Tuple)).Insert(fact.Tuple)
+		}
+		if err := s.commit(); err != nil {
+			return err
+		}
+	}
+	s.sources = append(s.sources, prog)
 	s.compiled = false
 	return nil
 }
@@ -686,40 +708,22 @@ func (s *System) ensure() (rerr error) {
 		return nil
 	}
 	prog := &ast.Program{}
-	var mainMod *ast.Module
-	for _, src := range s.sources {
-		p, err := parser.Parse(src)
-		if err != nil {
-			return err
-		}
+	mainAt := -1
+	for _, p := range s.sources {
 		for _, m := range p.Modules {
-			for _, fact := range modsys.ExtractEDBFacts(m) {
-				s.edb.Ensure(term.Intern(fact.Name), len(fact.Tuple)).Insert(fact.Tuple)
+			switch {
+			case m.Name != "main":
+				prog.Modules = append(prog.Modules, m)
+			case mainAt < 0:
+				mainAt = len(prog.Modules)
+				prog.Modules = append(prog.Modules, m)
+			default:
+				prog.Modules[mainAt] = mergeModules(prog.Modules[mainAt], m)
 			}
-			if m.Name == "main" {
-				if mainMod == nil {
-					mainMod = m
-					prog.Modules = append(prog.Modules, m)
-				} else {
-					mainMod.EDB = append(mainMod.EDB, m.EDB...)
-					mainMod.Exports = append(mainMod.Exports, m.Exports...)
-					mainMod.Imports = append(mainMod.Imports, m.Imports...)
-					mainMod.Procs = append(mainMod.Procs, m.Procs...)
-					mainMod.Rules = append(mainMod.Rules, m.Rules...)
-				}
-				continue
-			}
-			prog.Modules = append(prog.Modules, m)
 		}
 	}
 	if len(prog.Modules) == 0 {
 		prog.Modules = append(prog.Modules, &ast.Module{Name: "main"})
-	}
-	// Module-declared EDB facts are in the store now; make them durable
-	// before compilation can fail (matching the in-memory semantics,
-	// where they persist regardless of compile errors).
-	if err := s.commit(); err != nil {
-		return err
 	}
 	lp, err := modsys.LinkWith(prog, modsys.Options{Known: s.registry.Has})
 	if err != nil {
@@ -753,6 +757,19 @@ func (s *System) ensure() (rerr error) {
 	s.viewDirty = true
 	s.compiled = true
 	return nil
+}
+
+// mergeModules returns a new module holding a's items followed by b's.
+// Neither input changes (a's slices are clipped, so appending copies), so
+// the parsed trees can be merged again by the next recompile.
+func mergeModules(a, b *ast.Module) *ast.Module {
+	m := *a
+	m.EDB = append(slices.Clip(a.EDB), b.EDB...)
+	m.Exports = append(slices.Clip(a.Exports), b.Exports...)
+	m.Imports = append(slices.Clip(a.Imports), b.Imports...)
+	m.Procs = append(slices.Clip(a.Procs), b.Procs...)
+	m.Rules = append(slices.Clip(a.Rules), b.Rules...)
+	return &m
 }
 
 // tuneMachine applies the configured execution knobs and the budget b to a

@@ -1,6 +1,12 @@
 package parser
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
+
+// raceDetector is set by race_test.go in -race builds.
+var raceDetector bool
 
 const benchSrc = `
 module sample;
@@ -35,5 +41,46 @@ func BenchmarkParseGoals(b *testing.B) {
 		if _, err := ParseGoals("reach(X,Y) & weight(X,Y,W) & W > 10 & M = max(W)"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// bytesPerRun is the mean number of heap bytes one call of f allocates.
+func bytesPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestParseAllocs pins the parser's allocations: a module parse, and a
+// one-atom query, which must stay no larger than with the token slice the
+// parser used to build (1392 bytes, 18 objects).
+func TestParseAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const maxModuleAllocs = 146.0 // measured 117 (Go 1.24, linux/amd64), plus 25%; 240 with a token slice
+	const maxQueryBytes = 1392
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Parse(benchSrc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Parse(benchSrc): %.0f allocs", allocs)
+	if allocs > maxModuleAllocs {
+		t.Errorf("Parse(benchSrc) allocates %.0f objects, want <= %.0f", allocs, maxModuleAllocs)
+	}
+	bytes := bytesPerRun(1000, func() {
+		if _, err := ParseGoals("tc(1, X)"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("ParseGoals(tc(1, X)): %d bytes", bytes)
+	if bytes > maxQueryBytes {
+		t.Errorf("ParseGoals of a one-atom query allocates %d bytes, want <= %d", bytes, maxQueryBytes)
 	}
 }

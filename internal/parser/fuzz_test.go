@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gluenail/internal/ast"
+	"gluenail/internal/lexer"
 )
 
 // FuzzParse checks the parser never panics and that anything it accepts can
@@ -32,6 +33,7 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Parse(src)
+		checkLexErrorWins(t, src, err)
 		if err != nil || prog == nil {
 			return
 		}
@@ -57,6 +59,20 @@ func FuzzParseGoals(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		_, _ = ParseGoals(src) // must not panic
+		_, err := ParseGoals(src) // must not panic
+		checkLexErrorWins(t, src, err)
 	})
+}
+
+// checkLexErrorWins asserts that when the input does not tokenize, the
+// parse fails with exactly the lexer's error, wherever a syntax error
+// stopped the parse.
+func checkLexErrorWins(t *testing.T, src string, parseErr error) {
+	_, lexErr := lexer.Tokenize(src)
+	if lexErr == nil {
+		return
+	}
+	if parseErr == nil || parseErr.Error() != lexErr.Error() {
+		t.Fatalf("%q: parse error %v, want the lexical error %v", src, parseErr, lexErr)
+	}
 }

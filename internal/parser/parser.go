@@ -22,18 +22,67 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("%d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
+// parser pulls tokens from the lexer one at a time: the grammar needs a
+// single token of lookahead and never rewinds, so no token slice is built.
 type parser struct {
-	toks []lexer.Token
-	pos  int
+	lx  *lexer.Lexer
+	tok lexer.Token // the lookahead token; EOF once the input is exhausted
+	// lexErr is the first lexical error met; it stands in for EOF in tok
+	// and outranks any syntax error (see done).
+	lexErr error
+	// args is one stack of application arguments shared by every nesting
+	// level; each parseApplications call owns the part above its base.
+	args []ast.Expr
+	// Leaf nodes come from slabs: a parse allocates them a chunk at a time.
+	terms  slab[ast.TermExpr]
+	consts slab[ast.Const]
+	vars   slab[ast.VarTerm]
+}
+
+// slab hands out pointers into chunks of T. Chunks start at one element
+// and double up to slabChunk, so a short query leaves at most a few slots
+// unused and a large source leaves at most one partly filled chunk. A
+// chunk stays alive while any node in it does, which the AST's owners
+// accept: a tree is kept or dropped as a whole.
+type slab[T any] struct{ chunk []T }
+
+const slabChunk = 64
+
+func (s *slab[T]) alloc() *T {
+	if len(s.chunk) == cap(s.chunk) {
+		s.chunk = make([]T, 0, min(max(1, 2*cap(s.chunk)), slabChunk))
+	}
+	s.chunk = s.chunk[:len(s.chunk)+1]
+	return &s.chunk[len(s.chunk)-1]
+}
+
+// release hands x's slot back when x is the newest node, so the next alloc
+// reuses it. The caller guarantees nothing references x any more.
+func (s *slab[T]) release(x *T) {
+	if n := len(s.chunk); n > 0 && x == &s.chunk[n-1] {
+		var zero T
+		s.chunk[n-1] = zero
+		s.chunk = s.chunk[:n-1]
+	}
+}
+
+func newParser(src string) *parser {
+	p := &parser{lx: lexer.New(src)}
+	p.advance()
+	return p
 }
 
 // Parse parses a complete source file.
 func Parse(src string) (*ast.Program, error) {
-	toks, err := lexer.Tokenize(src)
-	if err != nil {
+	p := newParser(src)
+	prog, err := p.parseProgram()
+	if err = p.done(err); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	return prog, nil
+}
+
+func (p *parser) parseProgram() (*ast.Program, error) {
 	prog := &ast.Program{}
 	if p.peekIdent("module") {
 		for !p.atEOF() {
@@ -59,11 +108,15 @@ func Parse(src string) (*ast.Program, error) {
 // ParseGoals parses a conjunction of goals, as typed at the query prompt;
 // a trailing '.' is optional.
 func ParseGoals(src string) ([]ast.Goal, error) {
-	toks, err := lexer.Tokenize(src)
-	if err != nil {
+	p := newParser(src)
+	goals, err := p.parseQuery()
+	if err = p.done(err); err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	return goals, nil
+}
+
+func (p *parser) parseQuery() ([]ast.Goal, error) {
 	goals, err := p.parseConj()
 	if err != nil {
 		return nil, err
@@ -77,21 +130,50 @@ func ParseGoals(src string) ([]ast.Goal, error) {
 	return goals, nil
 }
 
-func (p *parser) cur() lexer.Token {
-	if p.pos < len(p.toks) {
-		return p.toks[p.pos]
+// done settles a parse's outcome: a lexical error anywhere in the input
+// wins over the syntax error (or success) of the tokens before it, so the
+// rest of the input is scanned before a syntax error is reported.
+func (p *parser) done(err error) error {
+	if p.lexErr != nil {
+		return p.lexErr
 	}
-	if len(p.toks) == 0 {
-		return lexer.Token{Kind: lexer.EOF, Line: 1, Col: 1}
+	if err == nil {
+		return nil
 	}
-	last := p.toks[len(p.toks)-1]
-	return lexer.Token{Kind: lexer.EOF, Line: last.Line, Col: last.Col + 1}
+	for {
+		t, lerr := p.lx.Next()
+		if lerr != nil {
+			return lerr
+		}
+		if t.Kind == lexer.EOF {
+			return err
+		}
+	}
 }
 
+// advance pulls the next token into p.tok. End of input sits just past
+// the last token, or at 1:1 when there was none.
+func (p *parser) advance() {
+	t, err := p.lx.Next()
+	if err != nil {
+		p.lexErr = err
+		t = lexer.Token{Kind: lexer.EOF}
+	}
+	if t.Kind == lexer.EOF {
+		t.Line, t.Col = 1, 1
+		if p.tok.Line > 0 {
+			t.Line, t.Col = p.tok.Line, p.tok.Col+1
+		}
+	}
+	p.tok = t
+}
+
+func (p *parser) cur() lexer.Token { return p.tok }
+
 func (p *parser) next() lexer.Token {
-	t := p.cur()
-	if p.pos < len(p.toks) {
-		p.pos++
+	t := p.tok
+	if t.Kind != lexer.EOF {
+		p.advance()
 	}
 	return t
 }
@@ -664,6 +746,7 @@ func (p *parser) parseGoal() (ast.Goal, error) {
 		return &ast.CmpGoal{Op: op, L: left, R: right, Pos: pos}, nil
 	}
 	atom, err := exprToAtom(left)
+	p.drop(left)
 	if err != nil {
 		return nil, &Error{Line: pos.Line, Col: pos.Col, Msg: err.Error()}
 	}
@@ -759,11 +842,28 @@ func (p *parser) parseTerm() (ast.Term, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, err := exprToTerm(e)
+	t, err := p.term(e)
 	if err != nil {
 		return nil, p.errHere("%v", err)
 	}
 	return t, nil
+}
+
+// term is exprToTerm for an expression the caller then discards. Most
+// TermExpr wrappers live only from parsePrimary to here; handing back the
+// newest one keeps dead wrappers from filling slab chunks that the kept
+// tree would pin.
+func (p *parser) term(e ast.Expr) (ast.Term, error) {
+	t, err := exprToTerm(e)
+	p.drop(e)
+	return t, err
+}
+
+// drop hands a discarded TermExpr wrapper back to its slab.
+func (p *parser) drop(e ast.Expr) {
+	if te, ok := e.(*ast.TermExpr); ok {
+		p.terms.release(te)
+	}
 }
 
 // exprToTerm converts an expression to a pure term, rejecting arithmetic.
@@ -852,9 +952,9 @@ func (p *parser) parseUnary() (ast.Expr, error) {
 			if c, ok := te.T.(*ast.Const); ok {
 				switch c.Val.Kind() {
 				case term.Int:
-					return &ast.TermExpr{T: &ast.Const{Val: term.NewInt(-c.Val.Int()), Pos: c.Pos}}, nil
+					return p.constExpr(term.NewInt(-c.Val.Int()), c.Pos), nil
 				case term.Float:
-					return &ast.TermExpr{T: &ast.Const{Val: term.NewFloat(-c.Val.Float()), Pos: c.Pos}}, nil
+					return p.constExpr(term.NewFloat(-c.Val.Float()), c.Pos), nil
 				}
 			}
 		}
@@ -869,22 +969,18 @@ func (p *parser) parsePrimary() (ast.Expr, error) {
 	switch t.Kind {
 	case lexer.Int:
 		p.next()
-		return &ast.TermExpr{T: &ast.Const{Val: term.NewInt(t.I), Pos: pos}}, nil
+		return p.constExpr(term.NewInt(t.I), pos), nil
 	case lexer.Float:
 		p.next()
-		return &ast.TermExpr{T: &ast.Const{Val: term.NewFloat(t.F), Pos: pos}}, nil
-	case lexer.Str:
+		return p.constExpr(term.NewFloat(t.F), pos), nil
+	case lexer.Str, lexer.Ident:
 		p.next()
-		e := ast.Expr(&ast.TermExpr{T: &ast.Const{Val: term.Intern(t.Text), Pos: pos}})
-		return p.parseApplications(e)
-	case lexer.Ident:
-		p.next()
-		e := ast.Expr(&ast.TermExpr{T: &ast.Const{Val: term.Intern(t.Text), Pos: pos}})
-		return p.parseApplications(e)
+		return p.parseApplications(p.constExpr(term.Intern(t.Text), pos))
 	case lexer.Var:
 		p.next()
-		e := ast.Expr(&ast.TermExpr{T: &ast.VarTerm{Name: t.Text, Pos: pos}})
-		return p.parseApplications(e)
+		v := p.vars.alloc()
+		*v = ast.VarTerm{Name: t.Text, Pos: pos}
+		return p.parseApplications(p.termExpr(v))
 	case lexer.LParen:
 		p.next()
 		e, err := p.parseExpr()
@@ -899,19 +995,31 @@ func (p *parser) parsePrimary() (ast.Expr, error) {
 	return nil, p.errHere("expected a term, found %s", p.cur())
 }
 
+func (p *parser) termExpr(t ast.Term) *ast.TermExpr {
+	e := p.terms.alloc()
+	e.T = t
+	return e
+}
+
+func (p *parser) constExpr(v term.Value, pos ast.Pos) *ast.TermExpr {
+	c := p.consts.alloc()
+	*c = ast.Const{Val: v, Pos: pos}
+	return p.termExpr(c)
+}
+
 // parseApplications parses zero or more HiLog application suffixes
 // "(args...)" and builtin-function calls.
 func (p *parser) parseApplications(e ast.Expr) (ast.Expr, error) {
 	for p.peekKind(lexer.LParen) {
 		pos := p.posHere()
 		p.next()
-		var args []ast.Expr
+		base := len(p.args)
 		for !p.peekKind(lexer.RParen) {
 			a, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			args = append(args, a)
+			p.args = append(p.args, a)
 			if p.peekKind(lexer.Comma) {
 				p.next()
 			} else {
@@ -921,6 +1029,8 @@ func (p *parser) parseApplications(e ast.Expr) (ast.Expr, error) {
 		if _, err := p.expect(lexer.RParen); err != nil {
 			return nil, err
 		}
+		args := p.args[base:]
+		p.args = p.args[:base]
 		// A builtin expression function (strcat etc.) stays a CallExpr;
 		// anything else must have pure-term arguments and becomes a
 		// compound term.
@@ -931,24 +1041,27 @@ func (p *parser) parseApplications(e ast.Expr) (ast.Expr, error) {
 						return nil, &Error{Line: pos.Line, Col: pos.Col,
 							Msg: fmt.Sprintf("%s expects %d arguments, got %d", c.Val.Str(), want, len(args))}
 					}
-					e = &ast.CallExpr{Fn: c.Val.Str(), Args: args, Pos: pos}
+					e = &ast.CallExpr{Fn: c.Val.Str(), Args: append([]ast.Expr(nil), args...), Pos: pos}
 					continue
 				}
 			}
 		}
-		fnTerm, err := exprToTerm(e)
-		if err != nil {
-			return nil, &Error{Line: pos.Line, Col: pos.Col, Msg: err.Error()}
-		}
+		// Newest first, so each wrapper dropped is the slab's newest node.
+		// Every failure here carries the same message and position, so
+		// the order does not change which error is reported.
 		termArgs := make([]ast.Term, len(args))
-		for i, a := range args {
-			ta, err := exprToTerm(a)
+		for i := len(args) - 1; i >= 0; i-- {
+			ta, err := p.term(args[i])
 			if err != nil {
 				return nil, &Error{Line: pos.Line, Col: pos.Col, Msg: err.Error()}
 			}
 			termArgs[i] = ta
 		}
-		e = &ast.TermExpr{T: &ast.CompTerm{Fn: fnTerm, Args: termArgs, Pos: pos}}
+		fnTerm, err := p.term(e)
+		if err != nil {
+			return nil, &Error{Line: pos.Line, Col: pos.Col, Msg: err.Error()}
+		}
+		e = p.termExpr(&ast.CompTerm{Fn: fnTerm, Args: termArgs, Pos: pos})
 	}
 	return e, nil
 }

@@ -431,6 +431,48 @@ func TestErrorPositions(t *testing.T) {
 	}
 }
 
+// TestErrorStrings pins the exact error text, position included, of inputs
+// where lexing and parsing interact: a lexical error anywhere in the input
+// outranks an earlier syntax error, and end of input sits just past the
+// last token (1:1 when there is none).
+func TestErrorStrings(t *testing.T) {
+	for _, c := range []struct {
+		goals bool // ParseGoals instead of Parse
+		src   string
+		want  string
+	}{
+		{false, "p(X) :- q(X) r(X).\nz(1). @", "2:7: unexpected character '@'"},
+		{false, "p(X) :- . /* never closed", "1:11: unterminated block comment"},
+		{false, "p(X :- q(X).", "1:5: expected ')', found ':-'"},
+		{false, "p(X) :- q(X)", "1:13: expected '.', found end of input"},
+		{false, "module m;\nexport p(X:Y);\nedb e(A,B);\n", "3:12: unexpected end of input in module m"},
+		{false, "module m;\nproc p(X:Y)\n  return(X:Y) := e(X,Y).\n", `3:25: unexpected end of input, expected "end"`},
+		{false, "proc p(:)\n  return(:) := q(1).\n", `2:21: unexpected end of input, expected "end"`},
+		{false, "h('unterminated :- q.", "1:3: unterminated string"},
+		{false, "p(X) :- q(\"a\nb).", "1:11: unterminated string"},
+		{false, "p(1). /* open", "1:7: unterminated block comment"},
+		{false, "p(X) :- q(X) & 'it\\qs'.", `1:21: bad escape \q`},
+		{false, "p(X) :- q(99999999999999999999).", "1:11: bad integer literal 99999999999999999999"},
+		{true, "", "1:1: expected a term, found end of input"},
+		{true, "   \n  ", "1:1: expected a term, found end of input"},
+		{true, "p(X) &", "1:7: expected a term, found end of input"},
+		{true, "p(X) q(Y)", `1:6: unexpected "q" after query`},
+		{true, "p('x", "1:3: unterminated string"},
+		{true, "p(X) /* c", "1:6: unterminated block comment"},
+		{true, "p(X) & q(Y) ) $", "1:15: unexpected character '$'"},
+	} {
+		var err error
+		if c.goals {
+			_, err = ParseGoals(c.src)
+		} else {
+			_, err = Parse(c.src)
+		}
+		if err == nil || err.Error() != c.want {
+			t.Errorf("goals=%v %q: error %v, want %s", c.goals, c.src, err, c.want)
+		}
+	}
+}
+
 func TestFormatRoundTrip(t *testing.T) {
 	// Formatting a parsed module and reparsing it reproduces the shape.
 	src := `

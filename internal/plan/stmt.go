@@ -15,6 +15,9 @@ type procCompiler struct {
 	proc   *ast.Proc
 	locals map[string]int // declared local name -> arity
 	sites  int            // unchanged-site counter
+	// regBuf is reused by every register walk of the procedure's
+	// statements; see stmtCompiler.regsOf.
+	regBuf []int
 }
 
 func (pc *procCompiler) errf(pos ast.Pos, format string, args ...any) error {
@@ -121,9 +124,16 @@ func (sc *stmtCompiler) pat(t ast.Term) term.Pattern {
 	panic("plan: unknown term node")
 }
 
+// regsOf lists the registers of p in a buffer shared by the procedure's
+// statements; the list is valid until the next call.
+func (sc *stmtCompiler) regsOf(p term.Pattern) []int {
+	sc.pc.regBuf = p.Regs(sc.pc.regBuf[:0])
+	return sc.pc.regBuf
+}
+
 // patBound reports whether every register in p is bound.
 func (sc *stmtCompiler) patBound(p term.Pattern) bool {
-	for _, r := range p.Regs(nil) {
+	for _, r := range sc.regsOf(p) {
 		if !sc.bound[r] {
 			return false
 		}
@@ -151,10 +161,11 @@ func hasWild(p term.Pattern) bool {
 // unboundRegs returns the registers mentioned by the patterns that are not
 // yet bound — the set a matching op will bind at run time.
 func (sc *stmtCompiler) unboundRegs(ps ...term.Pattern) []int {
-	var all []int
+	all := sc.pc.regBuf[:0]
 	for _, p := range ps {
 		all = p.Regs(all)
 	}
+	sc.pc.regBuf = all
 	var out []int
 	for _, r := range all {
 		if !sc.bound[r] {
@@ -166,7 +177,7 @@ func (sc *stmtCompiler) unboundRegs(ps ...term.Pattern) []int {
 
 // markBound marks every register of p as bound.
 func (sc *stmtCompiler) markBound(p term.Pattern) {
-	for _, r := range p.Regs(nil) {
+	for _, r := range sc.regsOf(p) {
 		sc.bound[r] = true
 	}
 }
@@ -174,7 +185,7 @@ func (sc *stmtCompiler) markBound(p term.Pattern) {
 // firstUnbound names an unbound variable of p for error messages.
 func (sc *stmtCompiler) firstUnbound(ps ...term.Pattern) string {
 	for _, p := range ps {
-		for _, r := range p.Regs(nil) {
+		for _, r := range sc.regsOf(p) {
 			if !sc.bound[r] {
 				for name, reg := range sc.regs {
 					if reg == r {
@@ -1051,8 +1062,10 @@ func finalize(st *Stmt, dedup bool) {
 	for r := range groupRegs {
 		live[r] = true
 	}
+	var regBuf []int
 	addPat := func(p term.Pattern) {
-		for _, r := range p.Regs(nil) {
+		regBuf = p.Regs(regBuf[:0])
+		for _, r := range regBuf {
 			live[r] = true
 		}
 	}
@@ -1176,7 +1189,8 @@ func finalize(st *Stmt, dedup bool) {
 		switch b := st.Steps[k].Barrier.(type) {
 		case *Call:
 			for _, p := range b.FreeArgs {
-				for _, r := range p.Regs(nil) {
+				regBuf = p.Regs(regBuf[:0])
+				for _, r := range regBuf {
 					bound[r] = true
 				}
 			}

@@ -62,9 +62,9 @@ if [ "$elapsed" -gt 4 ]; then
 	exit 1
 fi
 
-step "Plan cache unit suite (cardinality classes, drift, prepared statements; race) + repeat-iteration allocation gate"
+step "Plan cache unit suite (cardinality classes, drift, prepared statements; race) + repeat-iteration, parse and compile allocation gates"
 go test -race -count=1 -run 'TestPlanCache|TestPrepared|TestExplainAnalyzePlanCacheCounters' ./internal/plan/ ./internal/vm/ .
-go test -count=1 -run 'TestRepeatIterationAllocs|TestClearReusesArraysWithoutSnapshot' ./internal/storage/ .
+go test -count=1 -run 'TestRepeatIterationAllocs|TestClearReusesArraysWithoutSnapshot|TestParseAllocs|TestCompileAllocs' ./internal/storage/ ./internal/parser/ .
 
 step "E14 governor overhead + abort latency"
 go test -run xxx -bench BenchmarkE14 -benchtime 3x .
@@ -126,13 +126,16 @@ go test -race -count=1 -run 'TestDiskFaultDegradesSystemNotPoisoned|TestCorruptB
 step "Degraded-mode server + client reconnect (typed wire codes, bounded redial; race)"
 go test -race -count=1 -run 'TestServerDegraded|TestClientReconnect' ./internal/server/
 
-step "Decoder fuzz smoke (disk blocks, manifest, run footer, intern records, wire frames, WAL replay, EDB images)"
+step "Decoder fuzz smoke (disk blocks, manifest, run footer, intern records, wire frames, WAL replay, EDB images, source and query text)"
 for target in FuzzDecodeBlockPayload FuzzManifestImage FuzzRunFooter FuzzInternRecords; do
 	go test -fuzz "^${target}\$" -fuzztime 10s -run '^$' ./internal/storage/disk/
 done
 go test -fuzz '^FuzzReadFrame$' -fuzztime 10s -run '^$' ./internal/server/
 go test -fuzz '^FuzzReplay$' -fuzztime 10s -run '^$' ./internal/wal/
 go test -fuzz '^FuzzEDBImage$' -fuzztime 10s -run '^$' ./internal/storage/
+for target in FuzzParse FuzzParseGoals; do
+	go test -fuzz "^${target}\$" -fuzztime 10s -run '^$' ./internal/parser/
+done
 
 step "fsck smoke on a corrupted fixture (detect, repair, verify clean, store still serves)"
 printf 'edb edge(X,Y);\n' >"$tmp/fsck.glue"
