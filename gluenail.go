@@ -379,6 +379,11 @@ type System struct {
 	wlog     *wal.Log
 	recorder *wal.Recorder
 	durErr   error
+	// rowVals/rowTuples are the scratch Assert, Retract and Call convert
+	// their rows in (scratchRows, assertGroup): relations copy the rows
+	// they keep, so one buffer serves every call under mu.
+	rowVals   []term.Value
+	rowTuples []term.Tuple
 }
 
 type compiledQuery struct {
@@ -834,16 +839,56 @@ func toValue(v any) (Value, error) {
 	return Value{}, fmt.Errorf("gluenail: cannot convert %T to a value", v)
 }
 
-func toTuple(row []any) (term.Tuple, error) {
-	t := make(term.Tuple, len(row))
+// convertRow converts row into dst, which has its length.
+func convertRow(dst term.Tuple, row []any) error {
 	for i, v := range row {
 		val, err := toValue(v)
 		if err != nil {
+			return err
+		}
+		dst[i] = val
+	}
+	return nil
+}
+
+// scratchKeep caps the input scratch (in values) a System keeps between
+// calls; a larger batch's scratch is left to the GC.
+const scratchKeep = 1024
+
+// scratchRows converts rows, after lead, into the system's reusable
+// scratch: one value slab and one tuple list, valid until releaseScratch.
+// Every consumer — Insert, a procedure's input relation — copies what it
+// keeps. Called with mu held.
+func (s *System) scratchRows(lead []term.Tuple, rows [][]any) ([]term.Tuple, error) {
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	vals := slices.Grow(s.rowVals[:0], n)[:n]
+	tuples := append(s.rowTuples[:0], lead...)
+	s.rowVals = vals
+	for _, row := range rows {
+		t := term.Tuple(vals[:len(row):len(row)])
+		vals = vals[len(row):]
+		if err := convertRow(t, row); err != nil {
+			s.rowTuples = tuples
 			return nil, err
 		}
-		t[i] = val
+		tuples = append(tuples, t)
 	}
-	return t, nil
+	s.rowTuples = tuples
+	return tuples, nil
+}
+
+// releaseScratch hands the scratch rows' values to the GC once their
+// consumer has copied them, dropping a scratch too large to keep.
+func (s *System) releaseScratch() {
+	if cap(s.rowVals) > scratchKeep || cap(s.rowTuples) > scratchKeep {
+		s.rowVals, s.rowTuples = nil, nil
+		return
+	}
+	clear(s.rowVals)
+	clear(s.rowTuples)
 }
 
 // Assert inserts facts into an EDB relation, creating it on first use. The
@@ -862,34 +907,74 @@ func (s *System) Assert(relation any, rows ...[]any) (rerr error) {
 	if err != nil {
 		return err
 	}
-	// Convert and arity-check up front, grouping by arity: a batch large
-	// enough takes the engine's direct bulk path instead of row-at-a-time
-	// journaled inserts.
-	groups := make(map[int][]term.Tuple)
+	// Check every row up front — a value that does not convert or a
+	// declared-arity mismatch rejects the whole batch — counting the rows
+	// of each arity.
+	counts := make(map[int]int)
 	var arities []int
 	for _, row := range rows {
-		t, err := toTuple(row)
-		if err != nil {
-			return err
+		for _, v := range row {
+			if _, err := toValue(v); err != nil {
+				return err
+			}
 		}
 		if s.lp != nil && name.Kind() == term.Str {
 			if sym := s.lp.Resolve("main", name.Str()); sym != nil &&
-				sym.Class == modsys.ClassEDB && sym.Arity() != len(t) {
+				sym.Class == modsys.ClassEDB && sym.Arity() != len(row) {
 				return fmt.Errorf("gluenail: %s is declared with arity %d, asserted tuple has %d",
-					name.Str(), sym.Arity(), len(t))
+					name.Str(), sym.Arity(), len(row))
 			}
 		}
-		if _, ok := groups[len(t)]; !ok {
-			arities = append(arities, len(t))
+		if counts[len(row)] == 0 {
+			arities = append(arities, len(row))
 		}
-		groups[len(t)] = append(groups[len(t)], t)
+		counts[len(row)]++
 	}
 	for _, arity := range arities {
-		if err := s.ingest(name, arity, groups[arity]); err != nil {
+		if err := s.assertGroup(name, arity, counts[arity], rows); err != nil {
 			return err
 		}
 	}
 	return s.commit()
+}
+
+// assertGroup adds the n rows of one arity. A group large enough for the
+// engine's direct bulk path (see ingest) is converted a tuple per row, so
+// the heap grows with the batch rather than by one batch-sized slab;
+// otherwise each row is converted into one reused scratch tuple and
+// inserted, and only the relation's copy allocates.
+func (s *System) assertGroup(name term.Value, arity, n int, rows [][]any) error {
+	if n >= storage.BulkThreshold {
+		if _, ok := s.edb.(storage.BulkLoader); ok {
+			batch := make([]term.Tuple, 0, n)
+			for _, row := range rows {
+				if len(row) != arity {
+					continue
+				}
+				t := make(term.Tuple, arity)
+				if err := convertRow(t, row); err != nil {
+					return err
+				}
+				batch = append(batch, t)
+			}
+			return s.ingest(name, arity, batch)
+		}
+	}
+	rel := s.edb.Ensure(name, arity)
+	rel.Grow(n)
+	t := slices.Grow(s.rowVals[:0], arity)[:arity]
+	s.rowVals = t
+	defer s.releaseScratch()
+	for _, row := range rows {
+		if len(row) != arity {
+			continue
+		}
+		if err := convertRow(t, row); err != nil {
+			return err
+		}
+		rel.Insert(t)
+	}
+	return nil
 }
 
 // ingest adds one relation's batch: through the engine's direct bulk path
@@ -902,6 +987,7 @@ func (s *System) ingest(name term.Value, arity int, batch []term.Tuple) error {
 		}
 	}
 	rel := s.edb.Ensure(name, arity)
+	rel.Grow(len(batch))
 	for _, t := range batch {
 		rel.Insert(t)
 	}
@@ -948,11 +1034,12 @@ func (s *System) Retract(relation any, rows ...[]any) (rerr error) {
 	if err != nil {
 		return err
 	}
-	for _, row := range rows {
-		t, err := toTuple(row)
-		if err != nil {
-			return err
-		}
+	tuples, err := s.scratchRows(nil, rows)
+	defer s.releaseScratch()
+	if err != nil {
+		return err
+	}
+	for _, t := range tuples {
 		if rel, ok := s.edb.Get(name, len(t)); ok {
 			rel.Delete(t)
 		}
@@ -973,12 +1060,24 @@ func (s *System) Relation(relation any, arity int) (_ [][]Value, rerr error) {
 	if !ok {
 		return nil, nil
 	}
-	tuples := storage.Sorted(rel)
+	return copyRows(storage.Sorted(rel)), nil
+}
+
+// copyRows copies tuples into fresh rows cut from one slab, so a caller
+// that writes to a returned row cannot reach the relation's storage.
+func copyRows(tuples []term.Tuple) [][]Value {
+	n := 0
+	for _, t := range tuples {
+		n += len(t)
+	}
+	slab := make([]Value, n)
 	out := make([][]Value, len(tuples))
 	for i, t := range tuples {
-		out[i] = []Value(t)
+		out[i] = slab[:len(t):len(t)]
+		copy(out[i], t)
+		slab = slab[len(t):]
 	}
-	return out, nil
+	return out
 }
 
 // Result holds query answers: one row per solution, columns named by Vars
@@ -1296,16 +1395,14 @@ func (s *System) callLocked(ctx context.Context, module, proc string, in ...[]an
 	if sym == nil || sym.Class != modsys.ClassProc {
 		return nil, fmt.Errorf("gluenail: no procedure %s.%s", module, proc)
 	}
-	var tuples []term.Tuple
+	var lead []term.Tuple
 	if sym.Bound == 0 {
-		tuples = []term.Tuple{{}}
+		lead = []term.Tuple{{}}
 	}
-	for _, row := range in {
-		t, err := toTuple(row)
-		if err != nil {
-			return nil, err
-		}
-		tuples = append(tuples, t)
+	tuples, err := s.scratchRows(lead, in)
+	defer s.releaseScratch()
+	if err != nil {
+		return nil, err
 	}
 	ctx, cancel := s.execCtx(ctx)
 	defer cancel()

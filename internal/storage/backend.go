@@ -197,10 +197,12 @@ var _ Backend = (*MemStore)(nil)
 // the shared commit sequence number csn — the constructor a composing
 // engine (the disk engine's memtables) uses so its in-memory rows carry the
 // same multi-version visibility semantics as the main-memory store's.
-// stats and csn may be nil.
+// stats and csn may be nil. The composing engine journals the relation's
+// stored tuples itself, so Clear never rewrites the relation's row storage.
 func NewRelationCSN(name term.Value, arity int, policy IndexPolicy, stats *Stats, csn *atomic.Uint64) *Relation {
 	r := NewRelation(name, arity, policy, stats)
 	r.csn = csn
+	r.keepRows = true
 	return r
 }
 

@@ -199,10 +199,8 @@ func (r *snapRel) Delete(t term.Tuple) bool { panic(r.readOnly("Delete")) }
 // Clear implements storage.Rel by panicking: snapshots are read-only.
 func (r *snapRel) Clear() { panic(r.readOnly("Clear")) }
 
-// UnionDiff implements storage.Rel by panicking: snapshots are read-only.
-func (r *snapRel) UnionDiff(batch []term.Tuple) []term.Tuple {
-	panic(r.readOnly("UnionDiff"))
-}
+// Grow implements storage.Rel by panicking: snapshots are read-only.
+func (r *snapRel) Grow(n int) { panic(r.readOnly("Grow")) }
 
 // ModifyByKey implements storage.Rel by panicking: snapshots are read-only.
 func (r *snapRel) ModifyByKey(mask uint32, rows []term.Tuple) {

@@ -557,13 +557,13 @@ func (r *Rel) deadStamp() uint64 { return r.st.commitCSN.Load() + 1 }
 // (disk touched only on a hash match), then against and into the memtable.
 func (r *Rel) Insert(t term.Tuple) bool {
 	r.st.checkWritable()
-	if t == nil {
-		t = term.Tuple{}
-	}
 	if r.runsContainIn(*r.runs.Load(), t.Hash(), t) {
 		return false
 	}
-	if !r.mem.Insert(t) {
+	// From here on t is the memtable's copy: the journal keeps what it is
+	// given until commit, and the caller may reuse its tuple.
+	t, ok := r.mem.InsertStored(t)
+	if !ok {
 		return false
 	}
 	r.dist.Add(t)
@@ -587,11 +587,11 @@ func (r *Rel) Insert(t term.Tuple) bool {
 // run row gets a tombstone at the same CSN semantics.
 func (r *Rel) Delete(t term.Tuple) bool {
 	r.st.checkWritable()
-	if r.mem.Delete(t) {
-		r.dist.Remove(t)
+	if u, ok := r.mem.DeleteStored(t); ok {
+		r.dist.Remove(u)
 		r.version++
 		if j := r.st.journal; j != nil {
-			j.JournalDelete(r.name, r.arity, t)
+			j.JournalDelete(r.name, r.arity, u)
 		}
 		return true
 	}
@@ -633,7 +633,9 @@ func (r *Rel) Clear() {
 	r.diskLive = 0
 	r.relMu.Unlock()
 	r.st.retireRuns(runs)
-	r.mem.Clear() // journal-free: the memtable has no journal attached
+	// Journal-free: the memtable has no journal attached. It never reuses
+	// its row chunks (NewRelationCSN), since the store journaled them.
+	r.mem.Clear()
 	r.dist.Reset()
 	r.version++
 	r.ixMu.Lock()
@@ -644,15 +646,11 @@ func (r *Rel) Clear() {
 	}
 }
 
-// UnionDiff implements storage.Rel.
-func (r *Rel) UnionDiff(batch []term.Tuple) []term.Tuple {
-	var delta []term.Tuple
-	for _, t := range batch {
-		if r.Insert(t) {
-			delta = append(delta, t)
-		}
-	}
-	return delta
+// Grow implements storage.Rel on the memtable, up to the room left before
+// its next flush: rows past that land in a fresh memtable.
+func (r *Rel) Grow(n int) {
+	r.st.checkWritable()
+	r.mem.Grow(min(n, r.st.opts.flushRows()-r.mem.Len()))
 }
 
 // ModifyByKey implements storage.Rel.

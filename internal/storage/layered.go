@@ -191,14 +191,9 @@ func (r *layeredRel) DistinctEst(col int) int {
 	return r.inner.DistinctEst(col)
 }
 
-func (r *layeredRel) UnionDiff(batch []term.Tuple) []term.Tuple {
-	var delta []term.Tuple
-	for _, t := range batch {
-		if r.Insert(t) {
-			delta = append(delta, t)
-		}
-	}
-	return delta
+func (r *layeredRel) Grow(n int) {
+	defer r.store.latch()()
+	r.inner.Grow(n)
 }
 
 func (r *layeredRel) ModifyByKey(mask uint32, rows []term.Tuple) {

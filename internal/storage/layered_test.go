@@ -78,13 +78,13 @@ func TestLayeredVersionAndClear(t *testing.T) {
 	}
 }
 
-func TestLayeredUnionDiffAndNames(t *testing.T) {
+func TestLayeredInsertAndNames(t *testing.T) {
 	lay := NewLayeredStore(IndexNever)
 	r := lay.Ensure(term.NewString("r"), 1)
 	r.Insert(it(1))
-	delta := r.UnionDiff([]term.Tuple{it(1), it(2)})
-	if len(delta) != 1 || !delta[0].Equal(it(2)) {
-		t.Errorf("UnionDiff = %v", delta)
+	r.Grow(2)
+	if r.Insert(it(1)) || !r.Insert(it(2)) {
+		t.Error("Insert misreports which rows are new")
 	}
 	if len(lay.Names()) != 1 {
 		t.Errorf("Names = %v", lay.Names())

@@ -72,10 +72,11 @@ func TestQuickPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickUnionDiffInvariant: uniondiff's delta is exactly the batch
-// minus what was already present, and the relation afterwards equals the
-// union.
-func TestQuickUnionDiffInvariant(t *testing.T) {
+// TestQuickInsertDeltaInvariant: the rows Insert reports new (the
+// uniondiff delta) are exactly the batch minus what was already present,
+// and the relation afterwards equals the union — with the whole batch
+// inserted from one scratch tuple rewritten per row.
+func TestQuickInsertDeltaInvariant(t *testing.T) {
 	prop := func(existing, batch []int8) bool {
 		rel := NewRelation(term.NewString("u"), 1, IndexAdaptive, nil)
 		before := map[int8]bool{}
@@ -83,15 +84,17 @@ func TestQuickUnionDiffInvariant(t *testing.T) {
 			rel.Insert(term.Tuple{term.NewInt(int64(v))})
 			before[v] = true
 		}
-		tuples := make([]term.Tuple, len(batch))
-		for i, v := range batch {
-			tuples[i] = term.Tuple{term.NewInt(int64(v))}
+		var delta []int64
+		scratch := make(term.Tuple, 1)
+		for _, v := range batch {
+			scratch[0] = term.NewInt(int64(v))
+			if rel.Insert(scratch) {
+				delta = append(delta, int64(v))
+			}
 		}
-		delta := rel.UnionDiff(tuples)
 		// Delta contains only genuinely new values, each exactly once.
 		seen := map[int64]bool{}
-		for _, d := range delta {
-			v := d[0].Int()
+		for _, v := range delta {
 			if before[int8(v)] || seen[v] {
 				return false
 			}

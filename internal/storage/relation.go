@@ -1,9 +1,10 @@
 // Package storage implements the Glue-Nail relational back end described in
 // §10 of the paper: a main-memory relation manager tailored to deductive
 // database workloads. Relations are duplicate-free sets of ground tuples
-// with hash-bucket storage, adaptive run-time index creation, a uniondiff
-// operator supporting compiled recursive NAIL! queries, and disk persistence
-// for EDB relations between runs.
+// with hash-bucket storage, adaptive run-time index creation, early
+// duplicate elimination (Insert reports whether a row was new — the
+// uniondiff compiled recursive NAIL! queries are built on), and disk
+// persistence for EDB relations between runs.
 //
 // Relations support any number of concurrent readers (Scan/Lookup/Contains,
 // including adaptive index construction triggered by a Lookup) OR a single
@@ -292,6 +293,14 @@ func (s *Stats) TuplesInserted() int64 {
 
 // Rel is the interface the executor uses to talk to a relation, satisfied by
 // both the tailored main-memory implementation and the layered baseline.
+//
+// A relation owns its rows: Insert copies a new row into storage the
+// relation manages, and tuples handed out by reads point into that storage.
+// A tuple yielded by Scan or Lookup stays valid until the relation's next
+// Clear, which may refill the same storage in place; a caller that keeps
+// one past that must copy it. Tuples returned by All stay valid for good:
+// All marks the rows lent, and the next Clear leaves them to the garbage
+// collector. No tuple from a read may be mutated.
 type Rel interface {
 	// Name returns the HiLog predicate name of the relation.
 	Name() term.Value
@@ -306,7 +315,8 @@ type Rel interface {
 	// unchanged(P) builtin compares versions across loop iterations.
 	Version() uint64
 	// Insert adds t, reporting whether it was not already present. The
-	// tuple is stored as given and must not be mutated afterwards.
+	// relation keeps a copy of a new row, never t itself, so the caller may
+	// reuse t at once; a duplicate is rejected before anything is copied.
 	Insert(t term.Tuple) bool
 	// Delete removes t, reporting whether it was present.
 	Delete(t term.Tuple) bool
@@ -328,10 +338,10 @@ type Rel interface {
 	// statement-prepare time (never concurrently with a writer, per the
 	// reader/writer contract above).
 	DistinctEst(col int) int
-	// UnionDiff inserts every tuple of batch and returns the sub-batch of
-	// tuples that were genuinely new — the delta needed by semi-naive
-	// evaluation (§10's uniondiff operator).
-	UnionDiff(batch []term.Tuple) []term.Tuple
+	// Grow is a sizing hint: room for n more rows is reserved, so a caller
+	// that knows its batch size stores it in exactly sized arrays. Without
+	// it, row storage grows geometrically.
+	Grow(n int)
 	// ModifyByKey implements the +=[key] assignment: for each row, tuples
 	// agreeing with it on the key columns (mask) are replaced by the row.
 	ModifyByKey(mask uint32, rows []term.Tuple)
@@ -364,6 +374,20 @@ type Relation struct {
 	name   term.Value
 	arity  int
 	tuples []term.Tuple // insertion order; dead-stamped entries are tombstones
+	// chunks is the relation's row storage: Insert copies each new row into
+	// the chunk being filled (chunks[ci], from offset off), and tuples[i] is
+	// a capped sub-slice of one chunk, so growth never moves a stored row.
+	// held counts the values the chunks hold, the base of geometric growth.
+	chunks  [][]term.Value
+	ci, off int
+	held    int
+	// keepRows marks a memtable whose owning engine journals its rows
+	// (NewRelationCSN): the journal may hold them until the enclosing call
+	// commits, so Clear never rewrites its chunks. lent records that All
+	// handed the rows out since the last Clear; readers may set it
+	// concurrently with each other, hence atomic.
+	keepRows bool
+	lent     atomic.Bool
 	// hashes caches each tuple's whole-tuple hash, parallel to tuples:
 	// computed once at Insert and reused by compaction, chain probes, and
 	// anything else that would otherwise re-hash stored rows. A
@@ -496,15 +520,21 @@ func (r *Relation) deadAt(i int) bool { return r.dead[i] != 0 }
 
 // Insert implements Rel.
 func (r *Relation) Insert(t term.Tuple) bool {
-	if t == nil {
-		t = term.Tuple{} // nil is reserved for tombstones
-	}
+	_, ok := r.InsertStored(t)
+	return ok
+}
+
+// InsertStored is Insert that also returns the relation's stored copy of a
+// new row (nil for a duplicate): an engine composed over the relation
+// journals that copy, never its caller's reusable tuple.
+func (r *Relation) InsertStored(t term.Tuple) (term.Tuple, bool) {
 	h := t.Hash()
 	for i := r.buckets[h]; i != 0; i = r.next[i-1] {
 		if u := r.tuples[i-1]; u != nil && u.Equal(t) {
-			return false
+			return nil, false
 		}
 	}
+	t = r.copyRow(t)
 	r.next = append(r.next, r.buckets[h])
 	r.buckets[h] = int32(len(r.tuples)) + 1
 	r.tuples = append(r.tuples, t)
@@ -526,7 +556,67 @@ func (r *Relation) Insert(t term.Tuple) bool {
 	if r.journal != nil {
 		r.journal.JournalInsert(r.name, r.arity, t)
 	}
-	return true
+	return t, true
+}
+
+// maxChunkVals caps an unhinted chunk: storage doubles until a chunk
+// would pass it, then grows a chunk of this size at a time, so a large
+// relation that outgrows its exact Grow never gains a near-empty chunk as
+// large as itself.
+const maxChunkVals = 8192
+
+// copyRow copies t into the chunk being filled and returns the stored
+// tuple, capped so that appending to it can never reach the next row. A
+// row goes to the first chunk from ci on with room for it; past the last
+// chunk, a new one doubles the storage up to maxChunkVals (and holds at
+// least the row).
+func (r *Relation) copyRow(t term.Tuple) term.Tuple {
+	k := len(t)
+	if k == 0 {
+		return term.Tuple{} // non-nil: nil is reserved for tombstones
+	}
+	for r.ci < len(r.chunks) && len(r.chunks[r.ci])-r.off < k {
+		r.ci, r.off = r.ci+1, 0
+	}
+	if r.ci == len(r.chunks) {
+		r.addChunk(max(k, min(r.held, maxChunkVals)))
+	}
+	u := r.chunks[r.ci][r.off : r.off+k : r.off+k]
+	copy(u, t)
+	r.off += k
+	return u
+}
+
+func (r *Relation) addChunk(n int) {
+	r.chunks = append(r.chunks, make([]term.Value, n))
+	r.held += n
+}
+
+// Grow implements Rel: after it, n more rows of the relation's arity fit
+// its row storage and slot arrays without another allocation (the hash
+// map still grows as it must). Row storage gets one chunk of exactly the
+// missing room.
+func (r *Relation) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	if k := r.arity; k > 0 {
+		free := 0
+		for i := r.ci; i < len(r.chunks) && free < n; i++ {
+			room := len(r.chunks[i])
+			if i == r.ci {
+				room -= r.off
+			}
+			free += room / k
+		}
+		if free < n {
+			r.addChunk((n - free) * k)
+		}
+	}
+	r.tuples = slices.Grow(r.tuples, n)
+	r.hashes = slices.Grow(r.hashes, n)
+	r.dead = slices.Grow(r.dead, n)
+	r.next = slices.Grow(r.next, n)
 }
 
 // Delete implements Rel. The tuple's slot is stamped dead at the current
@@ -535,6 +625,13 @@ func (r *Relation) Insert(t term.Tuple) bool {
 // backing arrays, leaving snapshots undisturbed) when tombstones outnumber
 // live tuples.
 func (r *Relation) Delete(t term.Tuple) bool {
+	_, ok := r.DeleteStored(t)
+	return ok
+}
+
+// DeleteStored is Delete that also returns the stored tuple it removed,
+// for an engine composed over the relation to journal.
+func (r *Relation) DeleteStored(t term.Tuple) (term.Tuple, bool) {
 	h := t.Hash()
 	prev := int32(0)
 	for i := r.buckets[h]; i != 0; prev, i = i, r.next[i-1] {
@@ -581,18 +678,29 @@ func (r *Relation) Delete(t term.Tuple) bool {
 		if r.journal != nil {
 			r.journal.JournalDelete(r.name, r.arity, u)
 		}
-		return true
+		return u, true
 	}
-	return false
+	return nil, false
 }
 
 // compact rewrites the tuple slice without tombstones and rebuilds the
 // buckets; survivor order is unchanged. Runs only from a writer. Every
 // slice is rebuilt from scratch — snapshots holding the old backing
 // arrays keep reading them until the garbage collector reclaims the
-// memory once the last snapshot closes. Survivors get new slot numbers,
-// so the shared snapshot indexes start over with the next capture.
+// memory once the last snapshot closes. The survivors' values move to one
+// exact chunk and the adaptive indexes are re-pointed at the moved rows,
+// so the dead rows' storage goes with the old chunks; tuples handed out
+// before stay valid in those. Survivors get new slot numbers, so the
+// shared snapshot indexes start over with the next capture.
 func (r *Relation) compact() {
+	width := 0
+	for i, t := range r.tuples {
+		if t != nil && !r.deadAt(i) {
+			width += len(t)
+		}
+	}
+	chunk := make([]term.Value, width)
+	r.chunks, r.ci, r.off, r.held = [][]term.Value{chunk}, 0, width, width
 	live := make([]term.Tuple, 0, r.n)
 	liveHashes := make([]uint64, 0, r.n)
 	liveDead := make([]uint64, 0, r.n)
@@ -605,7 +713,10 @@ func (r *Relation) compact() {
 		h := r.hashes[i] // cached at Insert; no re-hashing on compaction
 		next = append(next, buckets[h])
 		buckets[h] = int32(len(live)) + 1
-		live = append(live, t)
+		u := chunk[:len(t):len(t)]
+		copy(u, t)
+		chunk = chunk[len(t):]
+		live = append(live, u)
 		liveHashes = append(liveHashes, h)
 		liveDead = append(liveDead, 0)
 	}
@@ -617,6 +728,22 @@ func (r *Relation) compact() {
 	r.tombs = 0
 	r.stamped = 0
 	r.snapIdx.Store(nil)
+	for _, ix := range r.indexes {
+		for _, bucket := range ix.buckets {
+			for j, u := range bucket {
+				bucket[j] = r.stored(u)
+			}
+		}
+	}
+}
+
+// stored returns the relation's live tuple equal to t (which must exist).
+func (r *Relation) stored(t term.Tuple) term.Tuple {
+	for i := r.buckets[t.Hash()]; ; i = r.next[i-1] {
+		if u := r.tuples[i-1]; u.Equal(t) {
+			return u
+		}
+	}
 }
 
 // Contains implements Rel.
@@ -641,6 +768,12 @@ func (r *Relation) Contains(t term.Tuple) bool {
 // and stay whole, and the next numbering starts on fresh arrays. Arrays
 // the last fill used less than a quarter of are dropped too, so a relation
 // that shrank for good does not keep clearing its peak-sized hash map.
+//
+// The row chunks are rewritten by the refill, so they are kept only when
+// in addition no one else can hold a stored tuple: no journal (the WAL
+// recorder keeps journaled tuples until commit), not a journaled memtable
+// (keepRows), and no All since the last Clear. Otherwise the chunks go to
+// the GC with the tuples that point into them.
 func (r *Relation) Clear() {
 	if r.n == 0 {
 		return
@@ -652,11 +785,17 @@ func (r *Relation) Clear() {
 		r.dead = r.dead[:0]
 		r.next = r.next[:0]
 		clear(r.buckets)
+		if r.journal != nil || r.keepRows || r.lent.Load() {
+			r.chunks, r.held = nil, 0
+		}
 	} else {
 		r.tuples, r.hashes, r.dead, r.next = nil, nil, nil, nil
 		r.buckets = make(map[uint64]int32)
 		r.snapIdx.Store(nil)
+		r.chunks, r.held = nil, 0
 	}
+	r.ci, r.off = 0, 0
+	r.lent.Store(false)
 	r.n = 0
 	r.tombs = 0
 	r.stamped = 0
@@ -864,17 +1003,6 @@ func (ix *hashIndex) remove(t term.Tuple) {
 	}
 }
 
-// UnionDiff implements Rel.
-func (r *Relation) UnionDiff(batch []term.Tuple) []term.Tuple {
-	var delta []term.Tuple
-	for _, t := range batch {
-		if r.Insert(t) {
-			delta = append(delta, t)
-		}
-	}
-	return delta
-}
-
 // ModifyByKey implements Rel.
 func (r *Relation) ModifyByKey(mask uint32, rows []term.Tuple) {
 	for _, row := range rows {
@@ -890,8 +1018,12 @@ func (r *Relation) ModifyByKey(mask uint32, rows []term.Tuple) {
 	}
 }
 
-// All implements Rel; the snapshot is in insertion order.
+// All implements Rel; the snapshot is in insertion order. It lends the
+// stored tuples, so the next Clear leaves their chunks alone.
 func (r *Relation) All() []term.Tuple {
+	if r.n > 0 {
+		r.lent.Store(true)
+	}
 	out := make([]term.Tuple, 0, r.n)
 	for i, t := range r.tuples {
 		if t != nil && !r.deadAt(i) {

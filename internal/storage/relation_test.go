@@ -249,19 +249,22 @@ func TestClearDropsIndexes(t *testing.T) {
 }
 
 // TestClearReusesArraysWithoutSnapshot: with no snapshot of the current
-// slot numbering, Clear keeps the relation's storage, so clearing and
-// refilling to the same size — a repeat loop's scratch relation —
-// allocates nothing beyond the tuples themselves (built up front here).
+// slot numbering, no journal and no All since the last Clear, Clear keeps
+// the relation's storage — its row chunks included — so clearing and
+// refilling to the same size from one scratch tuple rewritten per row (a
+// repeat loop's scratch relation, filled by a head) allocates nothing.
 func TestClearReusesArraysWithoutSnapshot(t *testing.T) {
 	r := newRel(t, 2, IndexAdaptive)
 	rows := make([]term.Tuple, 100)
 	for i := range rows {
 		rows[i] = it(int64(i), int64(i%7))
 	}
+	scratch := make(term.Tuple, 2)
 	fill := func() {
 		r.Clear()
 		for _, tp := range rows {
-			r.Insert(tp)
+			copy(scratch, tp)
+			r.Insert(scratch)
 		}
 	}
 	fill()
@@ -273,25 +276,57 @@ func TestClearReusesArraysWithoutSnapshot(t *testing.T) {
 	}
 }
 
-func TestUnionDiff(t *testing.T) {
+// TestCompactRepointsIndexes: compaction moves the survivors' values into
+// a fresh chunk and re-points the adaptive indexes at them, so no index
+// entry keeps an old chunk — with its dead rows — alive.
+func TestCompactRepointsIndexes(t *testing.T) {
+	r := newRel(t, 2, IndexAlways)
+	for i := int64(0); i < 100; i++ {
+		r.Insert(it(i, i%10))
+	}
+	r.Lookup(0b10, it(0, 3), func(term.Tuple) bool { return true }) // build the index
+	for i := int64(0); i < 60; i++ {
+		r.Delete(it(i, i%10))
+	}
+	if len(r.tuples) == 100 {
+		t.Fatal("the deletes did not compact")
+	}
+	scanned := map[int64]*term.Value{}
+	r.Scan(func(u term.Tuple) bool {
+		scanned[u[0].Int()] = &u[0]
+		return true
+	})
+	for v := int64(0); v < 10; v++ {
+		r.Lookup(0b10, it(0, v), func(u term.Tuple) bool {
+			if &u[0] != scanned[u[0].Int()] {
+				t.Fatalf("index entry %v is not the compacted row", u)
+			}
+			return true
+		})
+	}
+}
+
+// TestInsertReportsNewRows: Insert's result is §10's uniondiff — the rows
+// it reports new are exactly the batch minus the relation and minus the
+// batch's own repeats.
+func TestInsertReportsNewRows(t *testing.T) {
 	r := newRel(t, 1, IndexNever)
 	r.Insert(it(1))
 	r.Insert(it(2))
-	delta := r.UnionDiff([]term.Tuple{it(2), it(3), it(3), it(4)})
-	if len(delta) != 2 {
-		t.Fatalf("delta = %v, want 2 new tuples", delta)
-	}
-	want := map[int64]bool{3: true, 4: true}
-	for _, d := range delta {
-		if !want[d[0].Int()] {
-			t.Errorf("unexpected delta tuple %v", d)
+	var delta []int64
+	for _, tp := range []term.Tuple{it(2), it(3), it(3), it(4)} {
+		if r.Insert(tp) {
+			delta = append(delta, tp[0].Int())
 		}
 	}
-	if r.Len() != 4 {
-		t.Errorf("Len after uniondiff = %d, want 4", r.Len())
+	if !slices.Equal(delta, []int64{3, 4}) {
+		t.Fatalf("new rows = %v, want [3 4]", delta)
 	}
-	if d := r.UnionDiff([]term.Tuple{it(1), it(4)}); len(d) != 0 {
-		t.Errorf("second uniondiff delta = %v, want empty", d)
+	if r.Len() != 4 {
+		t.Errorf("Len after the batch = %d, want 4", r.Len())
+	}
+	if r.Insert(it(1)) || r.Insert(it(4)) {
+		t.Error("a second insert of a stored row reported it new")
 	}
 }
 

@@ -219,10 +219,8 @@ func (r *SnapRel) Delete(t term.Tuple) bool { panic(r.readOnly("Delete")) }
 // Clear implements Rel by panicking: snapshots are read-only.
 func (r *SnapRel) Clear() { panic(r.readOnly("Clear")) }
 
-// UnionDiff implements Rel by panicking: snapshots are read-only.
-func (r *SnapRel) UnionDiff(batch []term.Tuple) []term.Tuple {
-	panic(r.readOnly("UnionDiff"))
-}
+// Grow implements Rel by panicking: snapshots are read-only.
+func (r *SnapRel) Grow(n int) { panic(r.readOnly("Grow")) }
 
 // ModifyByKey implements Rel by panicking: snapshots are read-only.
 func (r *SnapRel) ModifyByKey(mask uint32, rows []term.Tuple) {

@@ -247,7 +247,7 @@ func TestSnapshotWritesPanic(t *testing.T) {
 		"Insert":      func() { sr.Insert(it(9)) },
 		"Delete":      func() { sr.Delete(it(1)) },
 		"Clear":       func() { sr.Clear() },
-		"UnionDiff":   func() { sr.UnionDiff([]term.Tuple{it(9)}) },
+		"Grow":        func() { sr.Grow(1) },
 		"ModifyByKey": func() { sr.ModifyByKey(1, []term.Tuple{it(9)}) },
 	} {
 		func() {

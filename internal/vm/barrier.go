@@ -26,13 +26,9 @@ func (f *frame) applyBarrier(b plan.BarrierOp, rows [][]term.Value,
 			if err != nil {
 				return nil, err
 			}
-			tup := make(term.Tuple, len(b.Args))
-			for i := range b.Args {
-				v, err := b.Args[i].Build(row)
-				if err != nil {
-					return nil, err
-				}
-				tup[i] = v
+			tup, err := f.m.headRow(b.Args, row)
+			if err != nil {
+				return nil, err
 			}
 			switch b.Kind {
 			case ast.UpdateInsert:
@@ -81,12 +77,13 @@ func (f *frame) applyBarrier(b plan.BarrierOp, rows [][]term.Value,
 // rows, in row order.
 func (f *frame) applyCall(b *plan.Call, rows [][]term.Value) ([][]term.Value, error) {
 	nb := len(b.BoundArgs)
-	// Build each row's input tuple and cache its 64-bit hash, reused by
-	// both the distinct pass and the join-back probe.
+	// Build each row's input tuple, all in one slab, and cache its 64-bit
+	// hash, reused by both the distinct pass and the join-back probe.
+	slab := make([]term.Value, len(rows)*nb)
 	tuples := make([]term.Tuple, len(rows))
 	rowHashes := make([]uint64, len(rows))
 	for ri, row := range rows {
-		tup := make(term.Tuple, nb)
+		tup := term.Tuple(slab[ri*nb : (ri+1)*nb : (ri+1)*nb])
 		for i := range b.BoundArgs {
 			v, err := b.BoundArgs[i].Build(row)
 			if err != nil {
@@ -135,12 +132,14 @@ func (f *frame) applyCall(b *plan.Call, rows [][]term.Value) ([][]term.Value, er
 		px.add(r[:nb], r)
 	}
 	var out [][]term.Value
-	for ri, row := range rows {
-		rs := px.get(rowHashes[ri], tuples[ri])
-		if b.Negated {
+	if b.Negated {
+		// One scratch row serves every probe: a surviving row is the
+		// input row itself.
+		var cp []term.Value
+		for ri, row := range rows {
 			exists := false
-			for _, r := range rs {
-				cp := cloneRow(row)
+			for _, r := range px.get(rowHashes[ri], tuples[ri]) {
+				cp = append(cp[:0], row...)
 				if matchArgs(b.FreeArgs, r[nb:], cp) {
 					exists = true
 					break
@@ -149,12 +148,26 @@ func (f *frame) applyCall(b *plan.Call, rows [][]term.Value) ([][]term.Value, er
 			if !exists {
 				out = append(out, row)
 			}
-			continue
 		}
-		for _, r := range rs {
-			cp := cloneRow(row)
+		return out, nil
+	}
+	// The joined rows go into one slab sized by the prefix matches; a
+	// candidate whose free arguments do not match gives its room back.
+	matches, width := 0, 0
+	for ri, row := range rows {
+		n := len(px.get(rowHashes[ri], tuples[ri]))
+		matches += n
+		width += n * len(row)
+	}
+	out = make([][]term.Value, 0, matches)
+	rowSlab := make([]term.Value, width)
+	for ri, row := range rows {
+		for _, r := range px.get(rowHashes[ri], tuples[ri]) {
+			cp := rowSlab[:len(row):len(row)]
+			copy(cp, row)
 			if matchArgs(b.FreeArgs, r[nb:], cp) {
 				out = append(out, cp)
+				rowSlab = rowSlab[len(row):]
 			}
 		}
 	}

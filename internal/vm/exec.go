@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"gluenail/internal/ast"
@@ -462,11 +461,16 @@ func (f *frame) dedupRows(rows [][]term.Value, live []int) [][]term.Value {
 	return out
 }
 
-// buildHeadTuple builds the head tuple for one row.
-func buildHeadTuple(st *plan.Stmt, row []term.Value) (term.Tuple, error) {
-	tup := make(term.Tuple, len(st.Head.Args))
-	for i := range st.Head.Args {
-		v, err := st.Head.Args[i].Build(row)
+// headRow builds the head tuple of one row into the machine's scratch
+// tuple. Relations copy the rows they keep, so one tuple serves every row
+// of every statement; heads never nest (a head only writes relations).
+func (m *Machine) headRow(args []term.Pattern, row []term.Value) (term.Tuple, error) {
+	if cap(m.headTup) < len(args) {
+		m.headTup = make(term.Tuple, len(args))
+	}
+	tup := m.headTup[:len(args)]
+	for i := range args {
+		v, err := args[i].Build(row)
 		if err != nil {
 			return nil, err
 		}
@@ -475,34 +479,28 @@ func buildHeadTuple(st *plan.Stmt, row []term.Value) (term.Tuple, error) {
 	return tup, nil
 }
 
-// applyHeadOp applies the statement's assignment operator to one target
-// relation.
-func applyHeadOp(st *plan.Stmt, rel storage.Rel, tuples []term.Tuple) {
+// applyHeadRow applies the statement's assignment operator to one head
+// tuple; a ":=" target was cleared before its first row. Applying
+// "+=[key]" row by row is ModifyByKey's own order.
+func (m *Machine) applyHeadRow(st *plan.Stmt, rel storage.Rel, tup term.Tuple) {
 	switch st.Op {
-	case ast.OpAssign:
-		rel.Clear()
-		for _, t := range tuples {
-			rel.Insert(t)
-		}
-	case ast.OpInsert:
-		for _, t := range tuples {
-			rel.Insert(t)
-		}
+	case ast.OpAssign, ast.OpInsert:
+		rel.Insert(tup)
 	case ast.OpDelete:
-		for _, t := range tuples {
-			rel.Delete(t)
-		}
+		rel.Delete(tup)
 	case ast.OpModify:
-		rel.ModifyByKey(st.KeyMask, tuples)
+		m.headOne[0] = tup
+		rel.ModifyByKey(st.KeyMask, m.headOne[:])
 	}
 }
 
 // applyHead applies the statement's assignment operator to the target
-// relation(s). HiLog heads may address several relations in one statement;
-// rows are grouped by computed relation name. A statically named head — by
-// far the common case — resolves its single target once per statement
-// execution and skips grouping entirely; computed names group through a
-// pooled hash table on the name value, so no per-row name key is built.
+// relation(s), building each row's head tuple in the machine's scratch and
+// applying it at once. HiLog heads may address several relations in one
+// statement: each computed name resolves (and a ":=" target clears) at its
+// first row, found through a pooled hash table on the name value. A
+// statically named head — by far the common case — resolves its single
+// target once per statement execution.
 func (f *frame) applyHead(st *plan.Stmt, rows [][]term.Value) error {
 	if st.Head.Ref.Name.IsGround() {
 		// One static target for the whole statement: it participates even
@@ -511,19 +509,17 @@ func (f *frame) applyHead(st *plan.Stmt, rows [][]term.Value) error {
 		if err != nil {
 			return err
 		}
-		// The tuple list is the frame's: relations keep the tuples, never
-		// the list, so it is reused across statements.
-		tuples := slices.Grow(f.headBuf[:0], len(rows))
+		if st.Op == ast.OpAssign {
+			rel.Clear()
+			rel.Grow(len(rows))
+		}
 		for _, row := range rows {
-			tup, err := buildHeadTuple(st, row)
+			tup, err := f.m.headRow(st.Head.Args, row)
 			if err != nil {
 				return err
 			}
-			tuples = append(tuples, tup)
+			f.m.applyHeadRow(st, rel, tup)
 		}
-		applyHeadOp(st, rel, tuples)
-		clear(tuples)
-		f.headBuf = tuples[:0]
 		if err := f.checkRelBudget(rel); err != nil {
 			return err
 		}
@@ -533,12 +529,12 @@ func (f *frame) applyHead(st *plan.Stmt, rows [][]term.Value) error {
 		return nil
 	}
 	type target struct {
-		name   term.Value
-		rel    storage.Rel
-		tuples []term.Tuple
+		name term.Value
+		rel  storage.Rel
 	}
-	var targets []*target
+	var targets []target
 	t := f.grabTable(len(rows))
+	defer f.releaseTable(t)
 	var candName term.Value
 	eq := func(r int32) bool { return targets[r].name.Equal(candName) }
 	for _, row := range rows {
@@ -547,26 +543,24 @@ func (f *frame) applyHead(st *plan.Stmt, rows [][]term.Value) error {
 			return err
 		}
 		candName = name
-		var g *target
-		if gi, found := t.findOrAdd(name.Hash(), int32(len(targets)), eq); found {
-			g = targets[gi]
-		} else {
+		gi, found := t.findOrAdd(name.Hash(), int32(len(targets)), eq)
+		if !found {
 			rel, err := f.resolveWrite(st.Head.Ref, row)
 			if err != nil {
 				return err
 			}
-			g = &target{name: name, rel: rel}
-			targets = append(targets, g)
+			if st.Op == ast.OpAssign {
+				rel.Clear()
+			}
+			targets = append(targets, target{name: name, rel: rel})
 		}
-		tup, err := buildHeadTuple(st, row)
+		tup, err := f.m.headRow(st.Head.Args, row)
 		if err != nil {
 			return err
 		}
-		g.tuples = append(g.tuples, tup)
+		f.m.applyHeadRow(st, targets[gi].rel, tup)
 	}
-	f.releaseTable(t)
 	for _, g := range targets {
-		applyHeadOp(st, g.rel, g.tuples)
 		if err := f.checkRelBudget(g.rel); err != nil {
 			return err
 		}

@@ -124,6 +124,11 @@ type Machine struct {
 	// planCache holds the prepared plans; same single-goroutine contract
 	// as profiles.
 	planCache *plan.PlanCache
+	// headTup is the scratch every head and in-body update builds its
+	// tuples in (headRow); headOne passes one to ModifyByKey. Relations
+	// copy what they keep, so neither is ever retained.
+	headTup term.Tuple
+	headOne [1]term.Tuple
 }
 
 // New returns a machine over the program and EDB store, with frame-local
@@ -316,6 +321,7 @@ func (m *Machine) callProc(id string, in []term.Tuple) ([]term.Tuple, error) {
 	defer f.drop()
 	f.inRel = m.Temp.Ensure(f.relName("in"), proc.Bound)
 	f.retRel = m.Temp.Ensure(f.relName("return"), proc.Bound+proc.Free)
+	f.inRel.Grow(len(in))
 	for _, t := range in {
 		if len(t) != proc.Bound {
 			return nil, &RuntimeError{ProcID: id, Err: fmt.Errorf(
@@ -353,11 +359,10 @@ type frame struct {
 	// hashBuf pools the bulk row-hash vector of dedupRows, under the same
 	// sequential-per-frame contract.
 	hashBuf []uint64
-	// seed/seedRow hold each statement's initial row set (seedRows) and
-	// headBuf its head tuples (applyHead), under the same contract.
+	// seed/seedRow hold each statement's initial row set (seedRows), under
+	// the same contract.
 	seed    [1][]term.Value
 	seedRow []term.Value
-	headBuf []term.Tuple
 }
 
 // relName builds the unique temp-store name for a frame-local relation.

@@ -1,0 +1,289 @@
+package gluenail
+
+import (
+	"fmt"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"gluenail/internal/term"
+)
+
+// Relations own their rows: Insert copies each new row into the
+// relation's storage, and a Clear may refill that storage in place. These
+// tests pin the guarantees around it — rows the API hands out are the
+// caller's, rows handed out earlier survive a refill, and the journal
+// records what was written.
+
+// rowsText renders rows for comparison.
+func rowsText(rows [][]Value) string {
+	return fmt.Sprint(rows)
+}
+
+// TestRelationRowsAreCopies: writing to a row that System.Relation or
+// Snapshot.Relation returned must not reach the relation.
+func TestRelationRowsAreCopies(t *testing.T) {
+	for _, backend := range []string{"mem", "disk"} {
+		t.Run(backend, func(t *testing.T) {
+			sys := New(WithBackend(backend))
+			defer sys.Close()
+			if err := sys.Load("edb edge(X, Y);"); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Assert("edge", []any{1, 2}, []any{2, 3}); err != nil {
+				t.Fatal(err)
+			}
+			const want = "[[1 2] [2 3]]"
+			rows, err := sys.Relation("edge", 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows[0][0] = Int(99)
+			if got, _ := sys.Relation("edge", 2); rowsText(got) != want {
+				t.Fatalf("after writing a returned row, edge = %v, want %s", got, want)
+			}
+			if res, err := sys.Query("edge(1, Y)"); err != nil || len(res.Rows) != 1 {
+				t.Fatalf("edge(1, Y) = %v, %v; want one row", res, err)
+			}
+
+			snap, err := sys.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Close()
+			srows, err := snap.Relation("edge", 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srows[1][1] = Int(99)
+			if got, _ := snap.Relation("edge", 2); rowsText(got) != want {
+				t.Fatalf("snapshot edge after writing a returned row = %v, want %s", got, want)
+			}
+			if got, _ := sys.Relation("edge", 2); rowsText(got) != want {
+				t.Fatalf("live edge after writing a snapshot row = %v, want %s", got, want)
+			}
+
+			if err := sys.Retract("edge", []any{1, 2}); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := sys.Relation("edge", 2); rowsText(got) != "[[2 3]]" {
+				t.Fatalf("after Retract, edge = %v, want [[2 3]]", got)
+			}
+		})
+	}
+}
+
+const refillProg = `
+edb p(K, V);
+
+proc get(: K, V)
+  return(: K, V) := p(K, V).
+end
+
+proc refill(:)
+  p(K, W) := p(K, V) & W = V + 1.
+end
+`
+
+// TestHandedOutRowsSurviveRefill: rows already handed out — a Query's, a
+// Prepared's and a Call's result rows, and the slice All returned — are
+// unchanged after a procedure's ":=" clears their source and refills it
+// at the same size, which may reuse the source's storage in place.
+func TestHandedOutRowsSurviveRefill(t *testing.T) {
+	sys := New()
+	if err := sys.Load(refillProg); err != nil {
+		t.Fatal(err)
+	}
+	facts := make([][]any, 64)
+	for i := range facts {
+		facts[i] = []any{i, i}
+	}
+	if err := sys.Assert("p", facts...); err != nil {
+		t.Fatal(err)
+	}
+	prep, err := sys.Prepare("p(K, V)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refill := func() {
+		t.Helper()
+		if _, err := sys.Call("main", "refill"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refill() // the first refill moves p into storage its Clear owns
+	for _, take := range []struct {
+		name string
+		rows func() [][]Value
+	}{
+		{"Query", func() [][]Value {
+			res, err := sys.Query("p(K, V)")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Rows
+		}},
+		{"Prepared", func() [][]Value {
+			res, err := prep.Execute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Rows
+		}},
+		{"Call", func() [][]Value {
+			rows, err := sys.Call("main", "get")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rows
+		}},
+		{"All", func() [][]Value {
+			rel, ok := sys.edb.Get(term.Intern("p"), 2)
+			if !ok {
+				t.Fatal("no relation p")
+			}
+			var rows [][]Value
+			for _, tup := range rel.All() {
+				rows = append(rows, []Value(tup))
+			}
+			return rows
+		}},
+	} {
+		rows := take.rows()
+		want := rowsText(slices.Clone(rows))
+		if len(rows) != len(facts) {
+			t.Fatalf("%s: %d rows, want %d", take.name, len(rows), len(facts))
+		}
+		refill()
+		refill()
+		if got := rowsText(rows); got != want {
+			t.Errorf("%s rows changed by a refill of their source:\ngot  %s\nwant %s", take.name, got, want)
+		}
+	}
+}
+
+// TestDurableHeadsReplay: one top-level procedure inserts, deletes,
+// reassigns and modifies by key a disk EDB relation, every head built in
+// the executor's reused scratch; after a simulated crash the recovered
+// relation equals the state before it. Replay reads the journaled tuples,
+// so it fails if an engine journals its caller's tuple instead of its own
+// copy. (A memtable reusing its storage at Clear could only rewrite
+// records that precede a journaled Clear of the same relation, which
+// recovery discards anyway; the disk package's
+// TestJournaledTuplesSurviveRefill pins that rule on the journal itself.)
+func TestDurableHeadsReplay(t *testing.T) {
+	const prog = `
+edb src(K, V), p(K, V);
+
+proc churn(:)
+  p(K, V) += src(K, V).
+  p(K, V) -= src(K, V) & K < 3.
+  p(K, W) := src(K, V) & K >= 2 & W = V + 100.
+  p(K, W) +=[K] src(K, V) & K >= 5 & W = V * 10.
+  p(K, V) += src(K, V) & K > 7.
+end
+`
+	dir := filepath.Join(t.TempDir(), "data")
+	sys, err := Open(dir, WithBackend("disk"), WithFsync(FsyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Load(prog); err != nil {
+		t.Fatal(err)
+	}
+	facts := make([][]any, 10)
+	for i := range facts {
+		facts[i] = []any{i, i}
+	}
+	if err := sys.Assert("src", facts...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Call("main", "churn"); err != nil {
+		t.Fatal(err)
+	}
+	before, err := sys.Relation("p", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "[[2 102] [3 103] [4 104] [5 50] [6 60] [7 70] [8 8] [8 80] [9 9] [9 90]]"
+	if rowsText(before) != want {
+		t.Fatalf("p before the crash = %v, want %s", before, want)
+	}
+	// Crash: abandon without Close; FsyncAlways made every statement durable.
+	re, err := Open(dir, WithBackend("disk"))
+	if err != nil {
+		t.Fatalf("recovering after simulated crash: %v", err)
+	}
+	defer re.Close()
+	after, err := re.Relation("p", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rowsText(after) != want {
+		t.Errorf("recovered p = %v, want %s", after, want)
+	}
+}
+
+// TestRecursionRoundAllocs pins the allocations of one recursion_wide-style
+// round — tc(X, Y) over a sparse layered digraph, then sg(X, Y) over a
+// tree — on a fixed small input. Most objects used to be one tuple per
+// derived row per copy; a regression there moves this number by
+// hundreds.
+func TestRecursionRoundAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop entries, so pooled scratch re-allocates")
+	}
+	const maxAllocs = 3250 // measured 2596 (Go 1.24, linux/amd64)
+	sys := New()
+	if err := sys.Load(`
+edb edge(X, Y), parent(C, P);
+tc(X, Y) :- edge(X, Y).
+tc(X, Z) :- tc(X, Y) & edge(Y, Z).
+sibling(X, Y) :- parent(X, P) & parent(Y, P) & X != Y.
+sg(X, Y) :- sibling(X, Y).
+sg(X, Y) :- parent(X, XP) & sg(XP, YP) & parent(Y, YP).
+`); err != nil {
+		t.Fatal(err)
+	}
+	// Six layers of six nodes, each node wired to two nodes of the next.
+	var edges [][]any
+	for l := 0; l < 5; l++ {
+		for i := 0; i < 6; i++ {
+			from := 6*l + i
+			edges = append(edges, []any{from, 6*(l+1) + i}, []any{from, 6*(l+1) + (i+2)%6})
+		}
+	}
+	// A complete ternary tree of depth three.
+	var parents [][]any
+	for c := 1; c < 40; c++ {
+		parents = append(parents, []any{c, (c - 1) / 3})
+	}
+	if err := sys.Assert("edge", edges...); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Assert("parent", parents...); err != nil {
+		t.Fatal(err)
+	}
+	tc, err := sys.Prepare("tc(X, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg, err := sys.Prepare("sg(X, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := func() {
+		if _, err := tc.Execute(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sg.Execute(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // warm the plan cache and indexes
+	allocs := testing.AllocsPerRun(5, round)
+	t.Logf("%.0f allocs per tc + sg round", allocs)
+	if allocs > maxAllocs {
+		t.Errorf("a tc + sg round allocates %.0f objects, want <= %d", allocs, maxAllocs)
+	}
+}

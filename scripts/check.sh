@@ -62,9 +62,9 @@ if [ "$elapsed" -gt 4 ]; then
 	exit 1
 fi
 
-step "Plan cache unit suite (cardinality classes, drift, prepared statements; race) + repeat-iteration, parse and compile allocation gates"
+step "Plan cache unit suite (cardinality classes, drift, prepared statements; race) + repeat-iteration, recursion-round, parse and compile allocation gates"
 go test -race -count=1 -run 'TestPlanCache|TestPrepared|TestExplainAnalyzePlanCacheCounters' ./internal/plan/ ./internal/vm/ .
-go test -count=1 -run 'TestRepeatIterationAllocs|TestClearReusesArraysWithoutSnapshot|TestParseAllocs|TestCompileAllocs' ./internal/storage/ ./internal/parser/ .
+go test -count=1 -run 'TestRepeatIterationAllocs|TestClearReusesArraysWithoutSnapshot|TestParseAllocs|TestCompileAllocs|TestRecursionRoundAllocs' ./internal/storage/ ./internal/parser/ .
 
 step "E14 governor overhead + abort latency"
 go test -run xxx -bench BenchmarkE14 -benchtime 3x .

@@ -220,12 +220,7 @@ func (sn *Snapshot) Relation(relation any, arity int) ([][]Value, error) {
 	if !ok {
 		return nil, nil
 	}
-	tuples := storage.Sorted(rel)
-	out := make([][]Value, len(tuples))
-	for i, t := range tuples {
-		out[i] = []Value(t)
-	}
-	return out, nil
+	return copyRows(storage.Sorted(rel)), nil
 }
 
 // run executes a compiled query procedure on the session machine under
