@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 
 	"gluenail"
 )
@@ -64,10 +65,16 @@ func main() {
 	}
 
 	// EDB persistence (§10: relations stored on disk between runs).
-	path := "quickstart.edb"
+	// The file goes in a private directory, so concurrent runs of this
+	// example never share it.
+	dir, err := os.MkdirTemp("", "quickstart")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "quickstart.edb")
 	if err := sys.SaveEDB(path); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("EDB saved to %s\n", path)
-	os.Remove(path)
+	fmt.Printf("EDB saved to %s\n", filepath.Base(path))
 }

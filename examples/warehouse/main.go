@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 
 	"gluenail"
 )
@@ -89,12 +90,17 @@ func main() {
 	}
 
 	// Persist the post-run EDB, as §10 describes ("storing EDB relations
-	// on disk between runs"), then prove it reloads.
-	path := "warehouse.edb"
+	// on disk between runs"), then prove it reloads. The file goes in a
+	// private directory, so concurrent runs of this example never share it.
+	dir, err := os.MkdirTemp("", "warehouse")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "warehouse.edb")
 	if err := sys.SaveEDB(path); err != nil {
 		log.Fatal(err)
 	}
-	defer os.Remove(path)
 	sys2 := gluenail.New()
 	must(sys2.Load(warehouse))
 	must(sys2.LoadEDB(path))

@@ -27,6 +27,7 @@ func FuzzParse(f *testing.F) {
 		"proc f(:)\n  return(:) := g(1).\nend",
 		"until(X) :- weird(X).",
 		"p(f(g(h(1)))(2)) :- q(_).",
+		"x:-c11('','')&a00&substr.",
 	}
 	for _, s := range seeds {
 		f.Add(s)

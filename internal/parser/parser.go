@@ -5,6 +5,7 @@
 package parser
 
 import (
+	"errors"
 	"fmt"
 
 	"gluenail/internal/ast"
@@ -808,10 +809,21 @@ func exprToAtom(e ast.Expr) (*ast.AtomTerm, error) {
 	case *ast.Const:
 		if t.Val.Kind() == term.Str {
 			// Bare arity-0 predicate, e.g. `until done`.
+			if want, isFn := ast.ExprFns[t.Val.Str()]; isFn {
+				return nil, errors.New(arityMsg(t.Val.Str(), want, 0))
+			}
 			return &ast.AtomTerm{Pred: t, Pos: t.Pos}, nil
 		}
 	}
 	return nil, fmt.Errorf("expected a predicate subgoal")
+}
+
+// arityMsg reports an expression builtin applied to the wrong number of
+// arguments. A bare builtin name where an atom belongs is refused with it
+// too: it formats as the empty application name(), so both spellings must
+// mean the same.
+func arityMsg(fn string, want, got int) string {
+	return fmt.Sprintf("%s expects %d arguments, got %d", fn, want, got)
 }
 
 // parseAtom parses pred(args...) where pred may be an atom, a variable, or
@@ -827,6 +839,9 @@ func (p *parser) parseAtom() (*ast.AtomTerm, error) {
 		return &ast.AtomTerm{Pred: t.Fn, Args: t.Args, Pos: pos}, nil
 	case *ast.Const:
 		if t.Val.Kind() == term.Str {
+			if want, isFn := ast.ExprFns[t.Val.Str()]; isFn {
+				return nil, &Error{Line: pos.Line, Col: pos.Col, Msg: arityMsg(t.Val.Str(), want, 0)}
+			}
 			return &ast.AtomTerm{Pred: t, Pos: pos}, nil
 		}
 	case *ast.VarTerm:
@@ -1038,8 +1053,7 @@ func (p *parser) parseApplications(e ast.Expr) (ast.Expr, error) {
 			if c, ok := te.T.(*ast.Const); ok && c.Val.Kind() == term.Str {
 				if want, isFn := ast.ExprFns[c.Val.Str()]; isFn {
 					if len(args) != want {
-						return nil, &Error{Line: pos.Line, Col: pos.Col,
-							Msg: fmt.Sprintf("%s expects %d arguments, got %d", c.Val.Str(), want, len(args))}
+						return nil, &Error{Line: pos.Line, Col: pos.Col, Msg: arityMsg(c.Val.Str(), want, len(args))}
 					}
 					e = &ast.CallExpr{Fn: c.Val.Str(), Args: append([]ast.Expr(nil), args...), Pos: pos}
 					continue

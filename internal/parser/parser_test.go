@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -496,5 +497,28 @@ end
 	m2 := parseOne(t, text)
 	if ast.FormatModule(m2) != text {
 		t.Errorf("format not stable:\nfirst:\n%s\nsecond:\n%s", text, ast.FormatModule(m2))
+	}
+}
+
+// TestBareExprBuiltinMeansEmptyCall: a bare subgoal, negation, update or
+// head named like an expression builtin formats as the empty application
+// name(), which the parser refuses with an arity error — so the bare form
+// is refused with the same message, and a formatted module always
+// reparses.
+func TestBareExprBuiltinMeansEmptyCall(t *testing.T) {
+	for _, c := range []struct{ bare, call, want string }{
+		{"x :- a & strlen.", "x :- a & strlen().", "strlen expects 1 arguments, got 0"},
+		{"x:-c11('','')&a00&substr.", "x:-c11('','')&a00&substr().", "substr expects 3 arguments, got 0"},
+		{"x :- !abs.", "x :- !abs().", "abs expects 1 arguments, got 0"},
+		{"x :- ++strcat.", "x :- ++strcat().", "strcat expects 2 arguments, got 0"},
+		{"strcat :- a.", "strcat() :- a.", "strcat expects 2 arguments, got 0"},
+	} {
+		for _, src := range []string{c.bare, c.call} {
+			_, err := Parse(src)
+			var pe *Error
+			if !errors.As(err, &pe) || pe.Msg != c.want {
+				t.Errorf("Parse(%q) = %v, want %q", src, err, c.want)
+			}
+		}
 	}
 }

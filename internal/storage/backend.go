@@ -208,7 +208,7 @@ func NewRelationCSN(name term.Value, arity int, policy IndexPolicy, stats *Stats
 
 // CaptureRel freezes a relation at snapshot CSN csn: the returned view
 // reads the captured slice headers with the standard visibility rule
-// (dead stamp 0 or > csn) and shares the relation's snapshot indexes.
+// (dead stamp 0 or > csn) and shares the relation's index holder.
 // Must be called at a statement boundary, like MemStore.Snapshot; stats
 // receives the view's read accounting.
 func CaptureRel(r *Relation, csn uint64, stats *Stats) Rel {

@@ -141,10 +141,6 @@ nextRow:
 	added := len(kept)
 	if added > 0 {
 		r.version++
-		// Partial-mask run indexes no longer cover every run-resident row.
-		r.ixMu.Lock()
-		r.ixs, r.ixCredit, r.ixOnces = nil, nil, nil
-		r.ixMu.Unlock()
 		atomic.AddInt64(&s.stats.Inserts, int64(added))
 		atomic.AddInt64(&s.stats.BulkRows, int64(added))
 		s.maybeCompact(r, len(*r.runs.Load()))

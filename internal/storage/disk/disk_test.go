@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -134,34 +133,6 @@ func TestDiskDeleteTombstones(t *testing.T) {
 	rows := allRows(rel)
 	if last := rows[len(rows)-1]; last != [2]int64{1, 2} {
 		t.Fatalf("re-inserted row enumerates at %v, want last", last)
-	}
-}
-
-// TestDiskIndexProbeOrderSurvivesDelete is the disk twin of the storage
-// package's TestIndexProbeOrderSurvivesDelete: a partial-mask probe through
-// the run index enumerates matches in scan order, also after a delete from
-// the middle of an index bucket.
-func TestDiskIndexProbeOrderSurvivesDelete(t *testing.T) {
-	st := openTest(t, t.TempDir(), Options{FlushRows: 5, Policy: storage.IndexAlways})
-	defer st.Close()
-	rel := st.Ensure(term.Intern("r"), 2)
-	for i := 0; i < 5; i++ {
-		rel.Insert(pair(1, i))
-	}
-	r := rel.(*Rel)
-	if r.mem.Len() != 0 || r.diskLive != 5 {
-		t.Fatalf("setup: %d rows in runs, %d in the memtable; want all 5 flushed", r.diskLive, r.mem.Len())
-	}
-	rel.Lookup(0b01, pair(1, 0), func(term.Tuple) bool { return true })
-	if r.runIx(0b01) == nil {
-		t.Fatal("setup: run index missing")
-	}
-	rel.Delete(pair(1, 1))
-	var probed, scanned []int64
-	rel.Lookup(0b01, pair(1, 0), func(tp term.Tuple) bool { probed = append(probed, tp[1].Int()); return true })
-	rel.Scan(func(tp term.Tuple) bool { scanned = append(scanned, tp[1].Int()); return true })
-	if !slices.Equal(probed, scanned) || !slices.Equal(scanned, []int64{0, 2, 3, 4}) {
-		t.Fatalf("run-index probe yields %v, scan yields %v, want [0 2 3 4] from both", probed, scanned)
 	}
 }
 

@@ -615,10 +615,10 @@ func (r *run) tupleAt(c *blockCache, st *storage.Stats, slot int32) (term.Tuple,
 	return rows[i], nil
 }
 
-// scan yields every row with tomb visibility decided by visible (nil =
-// live view: any tombstone hides the row), in slot order. Returns false if
-// the consumer stopped early.
-func (r *run) scan(c *blockCache, st *storage.Stats, visible func(slot int32) bool, yield func(term.Tuple) bool) (bool, error) {
+// scan yields the rows visible at snapshot CSN csn (tomb 0 or > csn: the
+// live view is storage.LiveCSN, and csn 0 yields every slot), in slot order.
+// Returns false if the consumer stopped early.
+func (r *run) scan(c *blockCache, st *storage.Stats, csn uint64, yield func(term.Tuple) bool) (bool, error) {
 	slot := int32(0)
 	for bi := range r.blocks {
 		rows, err := r.block(c, st, bi)
@@ -626,13 +626,7 @@ func (r *run) scan(c *blockCache, st *storage.Stats, visible func(slot int32) bo
 			return false, err
 		}
 		for _, t := range rows {
-			ok := false
-			if visible == nil {
-				ok = r.tombAt(slot) == 0
-			} else {
-				ok = visible(slot)
-			}
-			if ok && !yield(t) {
+			if d := r.tombAt(slot); (d == 0 || d > csn) && !yield(t) {
 				return false, nil
 			}
 			slot++

@@ -292,9 +292,6 @@ func (s *Store) quarantineRun(r *Rel, rn *run) bool {
 	r.diskLive -= rn.liveNow()
 	r.version++
 	r.relMu.Unlock()
-	r.ixMu.Lock()
-	r.ixs, r.ixCredit, r.ixOnces = nil, nil, nil
-	r.ixMu.Unlock()
 	if err := s.fsys.Rename(rn.path, rn.path+".quarantined"); err != nil {
 		fmt.Fprintf(os.Stderr, "gluenail: disk: quarantining %s: %v\n", rn.path, err)
 	}

@@ -40,7 +40,7 @@ func (s *Store) SnapshotView() (storage.SnapshotStore, error) {
 			src:     r,
 			csn:     ss.csn,
 			runs:    runs,
-			mem:     storage.CaptureRel(r.memtable(), ss.csn, &ss.stats),
+			mem:     storage.CaptureRel(r.mem, ss.csn, &ss.stats),
 			version: r.version,
 			stats:   &ss.stats,
 		}
@@ -48,10 +48,6 @@ func (s *Store) SnapshotView() (storage.SnapshotStore, error) {
 	}
 	return ss, nil
 }
-
-// memtable returns the current memtable (for snapshot capture at a
-// statement boundary).
-func (r *Rel) memtable() *storage.Relation { return r.mem }
 
 // snapStore is the storage.SnapshotStore over a disk store.
 type snapStore struct {
@@ -148,14 +144,6 @@ type snapRel struct {
 
 var _ storage.Rel = (*snapRel)(nil)
 
-// visible applies the snapshot visibility rule to a run slot, reading the
-// live tombstone stamps (later deletions carry CSNs above the capture
-// point and filter out here).
-func (r *snapRel) visible(rn *run, slot int32) bool {
-	d := rn.tombAt(slot)
-	return d == 0 || d > r.csn
-}
-
 // Name implements storage.Rel.
 func (r *snapRel) Name() term.Value { return r.src.name }
 
@@ -207,90 +195,42 @@ func (r *snapRel) ModifyByKey(mask uint32, rows []term.Tuple) {
 	panic(r.readOnly("ModifyByKey"))
 }
 
-// probe is the full-mask point probe of the pinned runs at the snapshot's
-// CSN, reading the live tombstone stamps.
-func (r *snapRel) probe(t term.Tuple) (term.Tuple, bool) {
-	rn, _, u := probeRuns(r.runs, r.src.st.cache, r.stats, t.Hash(), t, r.csn)
-	return u, rn != nil
-}
-
-// Contains implements storage.Rel.
+// Contains implements storage.Rel: the captured memtable, then a point
+// probe of the pinned runs at the snapshot's CSN.
 func (r *snapRel) Contains(t term.Tuple) bool {
 	if r.mem.Contains(t) {
 		return true
 	}
-	_, ok := r.probe(t)
-	return ok
+	rn, _, _ := probeRuns(r.runs, r.src.st.cache, r.stats, t.Hash(), t, r.csn)
+	return rn != nil
 }
 
 // Scan implements storage.Rel: pinned runs in flush order, then the
 // captured memtable — the insertion order of the captured state.
 func (r *snapRel) Scan(yield func(term.Tuple) bool) {
-	for _, rn := range r.runs {
-		more, err := rn.scan(r.src.st.cache, r.stats, func(slot int32) bool {
-			return r.visible(rn, slot)
-		}, yield)
-		if err != nil {
-			panic(err)
-		}
-		if !more {
-			return
-		}
-	}
-	r.mem.Scan(yield)
+	r.src.scanAt(r.runs, r.mem, r.csn, r.stats, yield)
 }
 
-// Lookup implements storage.Rel. Run-resident rows are answered by hash
-// probe (full mask) or filtered scan; the captured memtable view probes
-// the adaptive indexes its memtable's snapshots share.
+// Lookup implements storage.Rel at the snapshot's CSN, as the live
+// relation does; the captured memtable view shares its memtable's index
+// holder.
 func (r *snapRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
-	if mask == 0 || r.Len() == 0 {
+	switch {
+	case mask == 0:
 		r.Scan(yield)
-		return
-	}
-	full := (uint32(1) << uint(r.src.arity)) - 1
-	if mask == full {
-		// At most one visible copy exists; memtable view first, as in
-		// the live relation.
+	case mask == r.src.fullMask():
 		found := false
 		r.mem.Lookup(mask, key, func(t term.Tuple) bool {
 			found = true
 			return yield(t)
 		})
 		if !found {
-			if u, ok := r.probe(key); ok {
-				yield(u)
-			}
+			r.src.yieldProbe(r.runs, r.csn, r.stats, key, yield)
 		}
-		return
+	case r.src.lookupRuns(r.runs, r.csn, r.stats, mask, key, yield):
+		r.mem.Lookup(mask, key, yield)
 	}
-	stopped := false
-	for _, rn := range r.runs {
-		more, err := rn.scan(r.src.st.cache, r.stats, func(slot int32) bool {
-			return r.visible(rn, slot)
-		}, func(t term.Tuple) bool {
-			if t.EqualCols(key, mask) && !yield(t) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			panic(err)
-		}
-		if !more || stopped {
-			return
-		}
-	}
-	r.mem.Lookup(mask, key, yield)
 }
 
 // All implements storage.Rel.
-func (r *snapRel) All() []term.Tuple {
-	out := make([]term.Tuple, 0, r.Len())
-	r.Scan(func(t term.Tuple) bool {
-		out = append(out, t)
-		return true
-	})
-	return out
-}
+func (r *snapRel) All() []term.Tuple { return all(r) }

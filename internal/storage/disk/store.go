@@ -29,7 +29,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -311,15 +311,11 @@ type Rel struct {
 	// for a pointer-compare-and-swap install).
 	relMu sync.Mutex
 
-	// Adaptive partial-mask indexes over run-resident rows, mirroring
-	// the main-memory relation's scan-credit policy. The index holds
-	// decoded tuples (probes must not touch disk), is invalidated by
-	// flush (writer-side), updated by Delete, and untouched by
-	// compaction (content-preserving).
-	ixMu     sync.RWMutex
-	ixs      map[uint32]*hashIx
-	ixCredit map[uint32]*atomic.Int64
-	ixOnces  map[uint32]*sync.Once
+	// img is the numbering partial-mask lookups index run-resident rows
+	// by: the decoded image of a run list and its index holder (see
+	// decodedRuns). Live lookups replace it when the run list moved on;
+	// nothing else touches it.
+	img atomic.Pointer[decodedRuns]
 }
 
 var (
@@ -327,11 +323,6 @@ var (
 	_ storage.MemResident = (*Rel)(nil)
 	_ storage.Coster      = (*Rel)(nil)
 )
-
-type hashIx struct {
-	mask    uint32
-	buckets map[uint64][]term.Tuple
-}
 
 // Ensure implements storage.Store.
 func (s *Store) Ensure(name term.Value, arity int) storage.Rel {
@@ -600,7 +591,7 @@ func (r *Rel) Delete(t term.Tuple) bool {
 	// tombstone on a replaced run.
 	r.relMu.Lock()
 	defer r.relMu.Unlock()
-	rn, slot, u := probeRuns(*r.runs.Load(), r.st.cache, r.st.stats, t.Hash(), t, liveCSN)
+	rn, slot, u := probeRuns(*r.runs.Load(), r.st.cache, r.st.stats, t.Hash(), t, storage.LiveCSN)
 	if rn == nil {
 		return false
 	}
@@ -609,11 +600,6 @@ func (r *Rel) Delete(t term.Tuple) bool {
 	r.version++
 	r.dist.Remove(u)
 	atomic.AddInt64(&r.st.stats.Deletes, 1)
-	r.ixMu.Lock()
-	for _, ix := range r.ixs {
-		ixRemove(ix, u)
-	}
-	r.ixMu.Unlock()
 	if j := r.st.journal; j != nil {
 		j.JournalDelete(r.name, r.arity, u)
 	}
@@ -638,9 +624,6 @@ func (r *Rel) Clear() {
 	r.mem.Clear()
 	r.dist.Reset()
 	r.version++
-	r.ixMu.Lock()
-	r.ixs, r.ixCredit, r.ixOnces = nil, nil, nil
-	r.ixMu.Unlock()
 	if j := r.st.journal; j != nil {
 		j.JournalClear(r.name, r.arity)
 	}
@@ -697,11 +680,6 @@ func (r *Rel) flush(sync bool) error {
 	nruns := len(nr)
 	r.relMu.Unlock()
 	r.mem = storage.NewRelationCSN(r.name, r.arity, r.st.opts.Policy, r.st.stats, &r.st.commitCSN)
-	// Run indexes no longer cover every run-resident row: rebuild on
-	// demand.
-	r.ixMu.Lock()
-	r.ixs, r.ixCredit, r.ixOnces = nil, nil, nil
-	r.ixMu.Unlock()
 	atomic.AddInt64(&r.st.stats.RunsFlushed, 1)
 	atomic.AddInt64(&r.st.stats.RowsSpilled, int64(len(rows)))
 	r.st.maybeCompact(r, nruns)
@@ -717,10 +695,6 @@ func (s *Store) nextRunSeq() uint64 {
 }
 
 // ---- Rel: reads ----
-
-// liveCSN is the snapshot CSN of the live view: every tombstone hides
-// its row.
-const liveCSN = ^uint64(0)
 
 // probeRuns is the point probe every full-mask operation shares: it finds
 // the copy of t (whole-tuple hash h) visible at snapshot CSN csn among
@@ -767,7 +741,7 @@ func probeRuns(runs []*run, c *blockCache, st *storage.Stats, h uint64, t term.T
 // bulk loader passes the runs that predate its batch, skipping the ones
 // the batch itself built.
 func (r *Rel) runsContainIn(runs []*run, h uint64, t term.Tuple) bool {
-	rn, _, _ := probeRuns(runs, r.st.cache, r.st.stats, h, t, liveCSN)
+	rn, _, _ := probeRuns(runs, r.st.cache, r.st.stats, h, t, storage.LiveCSN)
 	return rn != nil
 }
 
@@ -779,27 +753,17 @@ func (r *Rel) Contains(t term.Tuple) bool {
 // Scan implements storage.Rel: runs in flush order, then the memtable —
 // global insertion order, matching the main-memory engine.
 func (r *Rel) Scan(yield func(term.Tuple) bool) {
-	atomic.AddInt64(&r.st.stats.RowsScanned, int64(r.diskLive))
-	for _, rn := range *r.runs.Load() {
-		more, err := rn.scan(r.st.cache, r.st.stats, nil, yield)
-		if err != nil {
-			panic(err)
-		}
-		if !more {
-			return
-		}
-	}
-	r.mem.Scan(yield)
+	r.scanAt(*r.runs.Load(), r.mem, storage.LiveCSN, r.st.stats, yield)
 }
 
 // Lookup implements storage.Rel: run-resident matches first (insertion
 // order), then the memtable's.
 func (r *Rel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
-	if mask == 0 || r.Len() == 0 {
+	runs := *r.runs.Load()
+	switch {
+	case mask == 0:
 		r.Scan(yield)
-		return
-	}
-	if mask == r.fullMask() {
+	case mask == r.fullMask():
 		// At most one live copy exists across runs + memtable, so result
 		// order cannot depend on which is asked first: the memtable (no
 		// I/O) is, and a hit there skips the runs.
@@ -808,166 +772,152 @@ func (r *Rel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
 			found = true
 			return yield(t)
 		})
-		if found {
-			return
+		if !found {
+			r.yieldProbe(runs, storage.LiveCSN, r.st.stats, key, yield)
 		}
-		if rn, _, u := probeRuns(*r.runs.Load(), r.st.cache, r.st.stats, key.Hash(), key, liveCSN); rn != nil {
-			atomic.AddInt64(&r.st.stats.RowsProbed, 1)
-			yield(u)
-		}
-		return
-	}
-	if r.diskLive == 0 {
+	case r.lookupRuns(runs, storage.LiveCSN, r.st.stats, mask, key, yield):
 		r.mem.Lookup(mask, key, yield)
-		return
 	}
-	ix := r.runIx(mask)
-	if ix == nil {
-		if once := r.creditRunScan(mask); once != nil {
-			once.Do(func() { r.publishRunIx(mask) })
-			ix = r.runIx(mask)
-		}
-	}
-	if ix != nil {
-		for _, t := range ix.buckets[key.HashCols(mask)] {
-			if t.EqualCols(key, mask) {
-				atomic.AddInt64(&r.st.stats.RowsProbed, 1)
-				if !yield(t) {
-					return
-				}
-			}
-		}
-		r.mem.Lookup(mask, key, yield)
-		return
-	}
-	atomic.AddInt64(&r.st.stats.RowsScanned, int64(r.diskLive))
-	stopped := false
-	for _, rn := range *r.runs.Load() {
-		more, err := rn.scan(r.st.cache, r.st.stats, nil, func(t term.Tuple) bool {
-			if t.EqualCols(key, mask) && !yield(t) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			panic(err)
-		}
-		if !more || stopped {
-			return
-		}
-	}
-	r.mem.Lookup(mask, key, yield)
 }
 
 // All implements storage.Rel.
-func (r *Rel) All() []term.Tuple {
-	out := make([]term.Tuple, 0, r.Len())
-	r.Scan(func(t term.Tuple) bool {
+func (r *Rel) All() []term.Tuple { return all(r) }
+
+// scanAt is Scan over runs and a memtable view read at csn: the live
+// relation's, or a snapshot's.
+func (r *Rel) scanAt(runs []*run, mem storage.Rel, csn uint64, stats *storage.Stats, yield func(term.Tuple) bool) {
+	for _, rn := range runs {
+		atomic.AddInt64(&stats.RowsScanned, int64(rn.nrows))
+		more, err := rn.scan(r.st.cache, stats, csn, yield)
+		if err != nil {
+			panic(err)
+		}
+		if !more {
+			return
+		}
+	}
+	mem.Scan(yield)
+}
+
+// yieldProbe is the full-mask run half of a lookup at csn: it yields key's
+// visible copy in runs, if there is one.
+func (r *Rel) yieldProbe(runs []*run, csn uint64, stats *storage.Stats, key term.Tuple, yield func(term.Tuple) bool) {
+	if rn, _, u := probeRuns(runs, r.st.cache, stats, key.Hash(), key, csn); rn != nil {
+		atomic.AddInt64(&stats.RowsProbed, 1)
+		yield(u)
+	}
+}
+
+// all collects rel's rows in scan order.
+func all(rel storage.Rel) []term.Tuple {
+	out := make([]term.Tuple, 0, rel.Len())
+	rel.Scan(func(t term.Tuple) bool {
 		out = append(out, t)
 		return true
 	})
 	return out
 }
 
-// ---- Rel: adaptive run indexes ----
+// ---- Rel: partial-mask lookups over runs ----
 
-func (r *Rel) runIx(mask uint32) *hashIx {
-	r.ixMu.RLock()
-	ix := r.ixs[mask]
-	r.ixMu.RUnlock()
-	return ix
+// decodedRuns numbers the rows of a run list for partial-mask lookups: its
+// rows decoded in run/slot order, so slot starts[k]+s is slot s of
+// runs[k], plus the index holder of that numbering. A flush only appends a
+// run, so the image of the longer list extends the numbering and keeps its
+// holder — whose indexes then cover a prefix, as for a captured
+// main-memory relation — while compaction, a checkpoint's rewrite or a
+// scrub repair replaces runs and starts a new one. An image is immutable:
+// a deletion stamps the run's tombstone, which Stamp reads at the reader's
+// CSN, and never edits an index.
+type decodedRuns struct {
+	runs   []*run
+	starts []int // len(runs)+1 slot offsets
+	rows   []term.Tuple
+	idx    *storage.Indexes
 }
 
-// creditRunScan mirrors the main-memory relation's scan-credit policy for
-// the run-resident rows.
-func (r *Rel) creditRunScan(mask uint32) *sync.Once {
-	r.ixMu.RLock()
-	if _, ok := r.ixs[mask]; ok {
-		once := r.ixOnces[mask]
-		r.ixMu.RUnlock()
-		return once
-	}
-	c := r.ixCredit[mask]
-	r.ixMu.RUnlock()
-	switch r.st.opts.Policy {
-	case storage.IndexNever:
-		return nil
-	case storage.IndexAlways:
-		return r.runIxGuard(mask)
-	}
-	if c == nil {
-		r.ixMu.Lock()
-		if c = r.ixCredit[mask]; c == nil {
-			if r.ixCredit == nil {
-				r.ixCredit = make(map[uint32]*atomic.Int64)
-			}
-			c = new(atomic.Int64)
-			r.ixCredit[mask] = c
+// Stamp implements storage.Stamps from the run tombstones.
+func (im *decodedRuns) Stamp(i int) uint64 {
+	k := sort.SearchInts(im.starts, i+1) - 1
+	return im.runs[k].tombAt(int32(i - im.starts[k]))
+}
+
+// shared returns how many leading runs im and runs have in common when one
+// list is a prefix of the other, else -1.
+func (im *decodedRuns) shared(runs []*run) int {
+	k := min(len(im.runs), len(runs))
+	for i := range k {
+		if im.runs[i] != runs[i] {
+			return -1
 		}
-		r.ixMu.Unlock()
 	}
-	n := int64(r.diskLive)
-	if c.Add(n) >= 2*n {
-		return r.runIxGuard(mask)
-	}
-	return nil
+	return k
 }
 
-func (r *Rel) runIxGuard(mask uint32) *sync.Once {
-	r.ixMu.Lock()
-	defer r.ixMu.Unlock()
-	if r.ixOnces == nil {
-		r.ixOnces = make(map[uint32]*sync.Once)
+// image returns the image of the live run list runs: the current one, that
+// one extended by the runs flushed since, or a fresh decode.
+func (r *Rel) image(runs []*run) *decodedRuns {
+	old := r.img.Load()
+	k := -1
+	if old != nil {
+		k = old.shared(runs)
 	}
-	once := r.ixOnces[mask]
-	if once == nil {
-		once = new(sync.Once)
-		r.ixOnces[mask] = once
+	if k >= 0 && k == len(runs) && k == len(old.runs) {
+		return old
 	}
-	return once
-}
-
-// publishRunIx scans the runs once and publishes a decoded-tuple index in
-// insertion order, so probes enumerate matches exactly as a scan would.
-func (r *Rel) publishRunIx(mask uint32) {
-	ix := &hashIx{mask: mask, buckets: make(map[uint64][]term.Tuple)}
-	for _, rn := range *r.runs.Load() {
-		_, err := rn.scan(r.st.cache, r.st.stats, nil, func(t term.Tuple) bool {
-			h := t.HashCols(mask)
-			ix.buckets[h] = append(ix.buckets[h], t)
+	im := &decodedRuns{runs: runs, starts: []int{0}, idx: storage.NewIndexes(r.st.opts.Policy)}
+	if k >= 0 && k == len(old.runs) {
+		// Full slice expressions: concurrent extenders must never append
+		// into one shared backing array.
+		im.rows, im.starts, im.idx = old.rows[:len(old.rows):len(old.rows)], old.starts[:k+1:k+1], old.idx
+	} else {
+		k = 0
+	}
+	for _, rn := range runs[k:] {
+		if _, err := rn.scan(r.st.cache, r.st.stats, 0, func(t term.Tuple) bool {
+			im.rows = append(im.rows, t)
 			return true
+		}); err != nil {
+			panic(err)
+		}
+		im.starts = append(im.starts, len(im.rows))
+	}
+	r.img.CompareAndSwap(old, im)
+	return im
+}
+
+// lookupRuns answers a partial-mask lookup over the rows of runs visible
+// at csn, in run/slot order, and reports whether yield wants more. The
+// live view reads the image of its run list; a snapshot reads the live
+// image for the runs it shares with it and scans the rest.
+func (r *Rel) lookupRuns(runs []*run, csn uint64, stats *storage.Stats, mask uint32, key term.Tuple, yield func(term.Tuple) bool) bool {
+	if len(runs) == 0 {
+		return true
+	}
+	im := r.img.Load()
+	if csn == storage.LiveCSN && r.st.opts.Policy != storage.IndexNever {
+		im = r.image(runs)
+	}
+	k := 0
+	if im != nil {
+		k = max(im.shared(runs), 0)
+	}
+	if k > 0 && !storage.LookupSlots(im.idx, im.rows[:im.starts[k]], im, csn, mask, key, stats, yield) {
+		return false
+	}
+	for _, rn := range runs[k:] {
+		atomic.AddInt64(&stats.RowsScanned, int64(rn.nrows))
+		more, err := rn.scan(r.st.cache, stats, csn, func(t term.Tuple) bool {
+			return !t.EqualCols(key, mask) || yield(t)
 		})
 		if err != nil {
 			panic(err)
 		}
-	}
-	atomic.AddInt64(&r.st.stats.IndexBuilds, 1)
-	r.ixMu.Lock()
-	if r.ixs == nil {
-		r.ixs = make(map[uint32]*hashIx)
-	}
-	r.ixs[mask] = ix
-	delete(r.ixCredit, mask)
-	r.ixMu.Unlock()
-}
-
-// ixRemove drops t from its bucket, shifting the rest down so the bucket
-// stays in insertion order.
-func ixRemove(ix *hashIx, t term.Tuple) {
-	h := t.HashCols(ix.mask)
-	bucket := ix.buckets[h]
-	for i, u := range bucket {
-		if u.Equal(t) {
-			bucket = slices.Delete(bucket, i, i+1)
-			if len(bucket) == 0 {
-				delete(ix.buckets, h)
-			} else {
-				ix.buckets[h] = bucket
-			}
-			return
+		if !more {
+			return false
 		}
 	}
+	return true
 }
 
 // ---- manifest, recovery, checkpoint ----

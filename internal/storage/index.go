@@ -1,0 +1,257 @@
+// Adaptive run-time index creation (§10), implemented once for every
+// reader: the live Relation, its snapshots, the disk engine's memtables
+// (which are Relations) and its run-resident rows.
+//
+// An index belongs to a slot numbering, not to a reader. Between two
+// renumberings a relation only appends, so slot i holds the same row for
+// every reader of the numbering. A reader reads slots [0, n) at a
+// visibility bound csn — a slot is visible iff its dead stamp is 0 or above
+// csn — and the live view is simply the reader at LiveCSN over the current
+// length. A SlotIndex over slots [0, k) therefore answers for all of them:
+// each reader probes the postings below min(k, n), filters them by its own
+// visibility, and scans [k, n) itself. Deleting never edits an index; it
+// only stamps.
+package storage
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"gluenail/internal/term"
+)
+
+// IndexPolicy controls when a relation builds hash indexes for repeated
+// column-subset lookups.
+type IndexPolicy uint8
+
+const (
+	// IndexAdaptive builds an index on a column subset once the cumulative
+	// cost of scanning for that subset reaches the cost of building the
+	// index (§10: "an index could be created for a relation after the
+	// cumulative cost of selection by scanning the relation reaches the
+	// cost of creating the index").
+	IndexAdaptive IndexPolicy = iota
+	// IndexNever answers every lookup by scanning.
+	IndexNever
+	// IndexAlways builds an index on the first lookup for a column subset.
+	IndexAlways
+)
+
+// adaptiveFactor scales the index build-cost estimate: with factor f, an
+// index over a relation of n rows is built once roughly f*n rows have been
+// scanned on its behalf.
+const adaptiveFactor = 2
+
+// LiveCSN is the visibility bound of the live view: only slots never
+// stamped dead are visible.
+const LiveCSN = ^uint64(0)
+
+// visibleAt reports whether a slot with dead stamp d exists at bound csn.
+func visibleAt(d, csn uint64) bool { return d == 0 || d > csn }
+
+// Stamps reads the dead stamp of a slot (0 = live); implementations must be
+// safe against a writer stamping concurrently.
+type Stamps interface{ Stamp(slot int) uint64 }
+
+// deadStamps is a dead-stamp slice read as Stamps, through a pointer to the
+// slice header so that passing one stores nothing.
+type deadStamps []uint64
+
+func (d *deadStamps) Stamp(i int) uint64 { return atomic.LoadUint64(&(*d)[i]) }
+
+// Indexes holds the adaptive indexes of one slot numbering, one per column
+// mask, under one policy. mu guards only the map.
+//
+// While no snapshot has captured the numbering its single writer owns the
+// holder — no reader runs beside a writer — and extends every built index
+// in place as rows are appended (extend). Once captured it is immutable:
+// readers scan the slots past an index and rebuild it under the credit
+// rule instead. (A disk run image's holder is never extended: the rows of
+// runs flushed later are such a tail.)
+type Indexes struct {
+	policy IndexPolicy
+	mu     sync.RWMutex
+	masks  map[uint32]*maskIndex
+}
+
+// NewIndexes returns an empty holder applying policy.
+func NewIndexes(policy IndexPolicy) *Indexes { return &Indexes{policy: policy} }
+
+// maskIndex is the state of one column mask: the published index, the scan
+// credit every reader of the numbering charges, and the flag that admits
+// one builder at a time.
+type maskIndex struct {
+	ix       atomic.Pointer[SlotIndex]
+	credit   atomic.Int64
+	building atomic.Bool
+}
+
+// SlotIndex is a hash index over slots [0, n) of a numbering. Postings list
+// every slot, dead ones included — visibility is decided per reader — in
+// ascending slot order.
+type SlotIndex struct {
+	n        int
+	postings map[uint64][]int32
+}
+
+// forMask returns the state for mask, creating it on first use.
+func (h *Indexes) forMask(mask uint32) *maskIndex {
+	h.mu.RLock()
+	m := h.masks[mask]
+	h.mu.RUnlock()
+	if m != nil {
+		return m
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if m = h.masks[mask]; m == nil {
+		if h.masks == nil {
+			h.masks = make(map[uint32]*maskIndex)
+		}
+		m = new(maskIndex)
+		h.masks[mask] = m
+	}
+	return m
+}
+
+// extend appends slot i, holding t, to every built index. Writer-only, and
+// only while no snapshot has captured the numbering.
+func (h *Indexes) extend(t term.Tuple, i int) {
+	for mask, m := range h.masks {
+		if ix := m.ix.Load(); ix != nil {
+			k := t.HashCols(mask)
+			ix.postings[k] = append(ix.postings[k], int32(i))
+			ix.n = i + 1
+		}
+	}
+}
+
+// reset drops every index and its credit, for a numbering that starts over
+// in place. Writer-only, and only while no snapshot has captured it.
+func (h *Indexes) reset() {
+	for _, m := range h.masks {
+		m.ix.Store(nil)
+		m.credit.Store(0)
+	}
+}
+
+// charge is §10's rule, which every reader applies: it accrues the rows a
+// lookup is about to scan — every slot of rows, or the slots past ix — as
+// credit toward an index on mask over rows, and builds it once the credit,
+// summed over every reader of the numbering, reaches adaptiveFactor times
+// len(rows) (IndexAlways: at once; IndexNever never gets here). One reader
+// builds at a time; the others keep scanning. It returns the index to
+// probe.
+func (h *Indexes) charge(m *maskIndex, ix *SlotIndex, rows []term.Tuple, mask uint32, stats *Stats) *SlotIndex {
+	n := len(rows)
+	if h.policy == IndexAdaptive {
+		scan := n
+		if ix != nil {
+			scan -= ix.n
+		}
+		if m.credit.Add(int64(scan)) < adaptiveFactor*int64(n) {
+			return ix
+		}
+	}
+	if !m.building.CompareAndSwap(false, true) {
+		return ix
+	}
+	defer m.building.Store(false)
+	if cur := m.ix.Load(); cur != nil && cur.n >= n {
+		return cur // published by a reader that built before us
+	}
+	built := &SlotIndex{n: n, postings: postings(rows, mask)}
+	atomic.AddInt64(&stats.IndexBuilds, 1)
+	m.ix.Store(built)
+	m.credit.Store(0)
+	return built
+}
+
+// LookupSlots answers a partial-mask lookup over slots [0, len(rows)) of
+// one numbering at visibility bound csn, with dead reading the slots'
+// stamps — nil when no slot can be dead at csn, which spares a probe the
+// stamp reads. h's index on mask answers for the slots it covers and the
+// rest are scanned and charged toward (re)building it. Postings are in
+// slot order, so matches come out in insertion order, as from a scan. It
+// returns false if yield stopped it.
+func LookupSlots(h *Indexes, rows []term.Tuple, dead Stamps, csn uint64, mask uint32, key term.Tuple, stats *Stats, yield func(term.Tuple) bool) bool {
+	var ix *SlotIndex
+	if h.policy != IndexNever {
+		m := h.forMask(mask)
+		if ix = m.ix.Load(); ix == nil || ix.n < len(rows) {
+			ix = h.charge(m, ix, rows, mask, stats)
+		}
+	}
+	from := 0
+	if ix != nil {
+		from = min(ix.n, len(rows))
+		for _, s := range ix.postings[key.HashCols(mask)] {
+			i := int(s)
+			if i >= from {
+				break
+			}
+			if (dead == nil || visibleAt(dead.Stamp(i), csn)) && rows[i].EqualCols(key, mask) {
+				atomic.AddInt64(&stats.RowsProbed, 1)
+				if !yield(rows[i]) {
+					return false
+				}
+			}
+		}
+	}
+	if from == len(rows) {
+		return true
+	}
+	atomic.AddInt64(&stats.RowsScanned, int64(len(rows)-from))
+	for i := from; i < len(rows); i++ {
+		if (dead == nil || visibleAt(dead.Stamp(i), csn)) && rows[i].EqualCols(key, mask) {
+			if !yield(rows[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// postings groups slots [0, len(rows)) by the hash of their mask columns.
+// Counting first lets every list be carved out of one slot array, so a
+// build allocates a handful of objects rather than one list per key.
+func postings(rows []term.Tuple, mask uint32) map[uint64][]int32 {
+	keys := make([]uint64, len(rows))
+	counts := make(map[uint64]int32)
+	for i, t := range rows {
+		keys[i] = t.HashCols(mask)
+		counts[keys[i]]++
+	}
+	slots := make([]int32, len(rows))
+	out := make(map[uint64][]int32, len(counts))
+	off := 0
+	for k, c := range counts {
+		out[k] = slots[off : off : off+int(c)]
+		off += int(c)
+	}
+	for i, k := range keys {
+		out[k] = append(out[k], int32(i))
+	}
+	return out
+}
+
+// scanSlots visits the slots of rows visible at csn in slot order.
+func scanSlots(rows []term.Tuple, dead []uint64, csn uint64, stats *Stats, yield func(term.Tuple) bool) {
+	atomic.AddInt64(&stats.RowsScanned, int64(len(rows)))
+	for i, t := range rows {
+		if visibleAt(atomic.LoadUint64(&dead[i]), csn) && !yield(t) {
+			return
+		}
+	}
+}
+
+// allSlots returns the n slots of rows visible at csn, in slot order.
+func allSlots(rows []term.Tuple, dead []uint64, csn uint64, n int) []term.Tuple {
+	out := make([]term.Tuple, 0, n)
+	for i, t := range rows {
+		if visibleAt(atomic.LoadUint64(&dead[i]), csn) {
+			out = append(out, t)
+		}
+	}
+	return out
+}

@@ -53,17 +53,22 @@ func (s *LayeredStore) latch() func() {
 	return func() {}
 }
 
-// catalogLookup resolves a name through the catalog; the catalog map is
-// guarded by mu so parallel pipeline readers can resolve concurrently.
+// catalogLookup resolves a name through the catalog and returns its key.
 func (s *LayeredStore) catalogLookup(name term.Value, arity int) string {
 	k := relKey(name, arity)
+	s.catalogProbe(k, name, arity)
+	return k
+}
+
+// catalogProbe resolves key k through the catalog; the catalog map is
+// guarded by mu so parallel pipeline readers can resolve concurrently.
+func (s *LayeredStore) catalogProbe(k string, name term.Value, arity int) {
 	atomic.AddInt64(&s.inner.stats.CatalogProbes, 1)
 	s.mu.Lock()
 	if _, ok := s.catalog[k]; !ok {
 		s.catalog[k] = RelName{Name: name, Arity: arity}
 	}
 	s.mu.Unlock()
-	return k
 }
 
 func (s *LayeredStore) appendLog(op byte, name term.Value, t term.Tuple) {
@@ -80,23 +85,23 @@ func (s *LayeredStore) appendLog(op byte, name term.Value, t term.Tuple) {
 // Ensure implements Store; creation is logged.
 func (s *LayeredStore) Ensure(name term.Value, arity int) Rel {
 	defer s.latch()()
-	s.catalogLookup(name, arity)
+	k := s.catalogLookup(name, arity)
 	if r, ok := s.inner.Get(name, arity); ok {
-		return &layeredRel{store: s, inner: r.(*Relation)}
+		return &layeredRel{store: s, key: k, inner: r.(*Relation)}
 	}
 	s.appendLog('C', name, nil)
-	return &layeredRel{store: s, inner: s.inner.ensure(name, arity)}
+	return &layeredRel{store: s, key: k, inner: s.inner.ensure(name, arity)}
 }
 
 // Get implements Store.
 func (s *LayeredStore) Get(name term.Value, arity int) (Rel, bool) {
 	defer s.latch()()
-	s.catalogLookup(name, arity)
+	k := s.catalogLookup(name, arity)
 	r, ok := s.inner.Get(name, arity)
 	if !ok {
 		return nil, false
 	}
-	return &layeredRel{store: s, inner: r.(*Relation)}, true
+	return &layeredRel{store: s, key: k, inner: r.(*Relation)}, true
 }
 
 // Drop implements Store; destruction is logged.
@@ -124,8 +129,10 @@ func (s *LayeredStore) SetJournal(j Journal) {
 }
 
 // layeredRel wraps a Relation, charging the DBMS toll on every operation.
+// key is its catalog key, resolved again by every operation.
 type layeredRel struct {
 	store *LayeredStore
+	key   string
 	inner *Relation
 }
 
@@ -144,7 +151,7 @@ func (r *layeredRel) Version() uint64 {
 
 func (r *layeredRel) Insert(t term.Tuple) bool {
 	defer r.store.latch()()
-	r.store.catalogLookup(r.inner.name, r.inner.arity)
+	r.store.catalogProbe(r.key, r.inner.name, r.inner.arity)
 	if r.inner.Insert(t) {
 		r.store.appendLog('I', r.inner.name, t)
 		return true
@@ -154,7 +161,7 @@ func (r *layeredRel) Insert(t term.Tuple) bool {
 
 func (r *layeredRel) Delete(t term.Tuple) bool {
 	defer r.store.latch()()
-	r.store.catalogLookup(r.inner.name, r.inner.arity)
+	r.store.catalogProbe(r.key, r.inner.name, r.inner.arity)
 	if r.inner.Delete(t) {
 		r.store.appendLog('X', r.inner.name, t)
 		return true
@@ -164,7 +171,7 @@ func (r *layeredRel) Delete(t term.Tuple) bool {
 
 func (r *layeredRel) Contains(t term.Tuple) bool {
 	defer r.store.latch()()
-	r.store.catalogLookup(r.inner.name, r.inner.arity)
+	r.store.catalogProbe(r.key, r.inner.name, r.inner.arity)
 	return r.inner.Contains(t)
 }
 
@@ -176,13 +183,13 @@ func (r *layeredRel) Clear() {
 
 func (r *layeredRel) Scan(yield func(term.Tuple) bool) {
 	defer r.store.latch()()
-	r.store.catalogLookup(r.inner.name, r.inner.arity)
+	r.store.catalogProbe(r.key, r.inner.name, r.inner.arity)
 	r.inner.Scan(yield)
 }
 
 func (r *layeredRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
 	defer r.store.latch()()
-	r.store.catalogLookup(r.inner.name, r.inner.arity)
+	r.store.catalogProbe(r.key, r.inner.name, r.inner.arity)
 	r.inner.Lookup(mask, key, yield)
 }
 

@@ -29,7 +29,7 @@ func TestLookupProbeAllocs(t *testing.T) {
 	colKey := term.Tuple{term.Intern("n042"), {}}
 
 	if got := testing.AllocsPerRun(50, func() {
-		r.Lookup(r.fullMask(), fullKey, yield)
+		r.Lookup(fullColsMask(r.arity), fullKey, yield)
 	}); got != 0 {
 		t.Errorf("whole-tuple Lookup: %.1f allocs/probe, want 0", got)
 	}
@@ -62,5 +62,36 @@ func TestInsertAllocsAmortized(t *testing.T) {
 	// insert; the old map[uint64][]int buckets paid ≥ 1 every time.
 	if got > 0.5 {
 		t.Errorf("Insert: %.3f allocs/tuple amortized, want ≤ 0.5", got)
+	}
+}
+
+// TestDeleteAllocs pins Delete at zero allocations on mem and layered
+// relations with a built index on a low-cardinality column: a deletion
+// only stamps its slot dead and unlinks it from the primary hash chain; no
+// index is edited.
+func TestDeleteAllocs(t *testing.T) {
+	layered := NewLayeredStore(IndexAdaptive)
+	layered.log = make([]byte, 0, 1<<20) // the simulated WAL's growth is not Delete's
+	for name, st := range map[string]Store{"mem": NewMemStore(IndexAdaptive), "layered": layered} {
+		t.Run(name, func(t *testing.T) {
+			rel := st.Ensure(term.Intern("d"), 2)
+			rows := make([]term.Tuple, 1000)
+			for i := range rows {
+				rows[i] = term.Tuple{term.NewInt(int64(i % 4)), term.NewInt(int64(i))}
+				rel.Insert(rows[i])
+			}
+			warmIndex(rel, 1, term.Tuple{term.NewInt(0), {}})
+			next := 0
+			// 201 deletions leave the tombstones below the compaction
+			// threshold (more dead than live).
+			if got := testing.AllocsPerRun(200, func() {
+				if !rel.Delete(rows[next]) {
+					t.Fatalf("Delete(%v) found nothing", rows[next])
+				}
+				next++
+			}); got != 0 {
+				t.Errorf("Delete: %.1f allocs/call, want 0", got)
+			}
+		})
 	}
 }

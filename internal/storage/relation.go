@@ -6,6 +6,12 @@
 // uniondiff compiled recursive NAIL! queries are built on), and disk
 // persistence for EDB relations between runs.
 //
+// There is one adaptive index (index.go): a SlotIndex of int32 slot
+// postings per column mask, held per slot numbering and shared by every
+// reader of it — the live relation, its snapshots, and the disk engine's
+// memtables and runs. A live read is a snapshot read at the live CSN, and
+// a deletion only stamps a slot dead; it never edits an index.
+//
 // Relations support any number of concurrent readers (Scan/Lookup/Contains,
 // including adaptive index construction triggered by a Lookup) OR a single
 // writer; readers and writers must not overlap. The executor guarantees
@@ -33,28 +39,6 @@ import (
 
 	"gluenail/internal/term"
 )
-
-// IndexPolicy controls when a relation builds hash indexes for repeated
-// column-subset lookups.
-type IndexPolicy uint8
-
-const (
-	// IndexAdaptive builds an index on a column subset once the cumulative
-	// cost of scanning for that subset reaches the cost of building the
-	// index (§10: "an index could be created for a relation after the
-	// cumulative cost of selection by scanning the relation reaches the
-	// cost of creating the index").
-	IndexAdaptive IndexPolicy = iota
-	// IndexNever answers every lookup by scanning.
-	IndexNever
-	// IndexAlways builds an index on the first lookup for a column subset.
-	IndexAlways
-)
-
-// adaptiveFactor scales the index build-cost estimate: with factor f, an
-// index over a relation of n rows is built once roughly f*n rows have been
-// scanned on its behalf.
-const adaptiveFactor = 2
 
 // Column-distinct tracking: each column keeps an exact multiset of value
 // hashes while small, falling back to a fixed-size linear-counting sketch
@@ -328,7 +312,9 @@ type Rel interface {
 	// not be mutated during the scan.
 	Scan(yield func(term.Tuple) bool)
 	// Lookup visits the tuples whose columns selected by mask equal the
-	// corresponding columns of key. A zero mask degenerates to Scan.
+	// corresponding columns of key, in insertion order. A zero mask
+	// degenerates to Scan. Every engine answers a partial mask through the
+	// one adaptive index (LookupSlots), which the lookup may build.
 	// Lookups from multiple goroutines are safe with each other (but not
 	// with a concurrent writer).
 	Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool)
@@ -359,17 +345,16 @@ type Rel interface {
 // Multi-version visibility: a deleted tuple is not removed from the slice
 // immediately — its slot is stamped with the commit sequence number (CSN)
 // of the deleting statement in the parallel dead slice and unlinked from
-// its hash chain. The live view (this type's own methods) treats any
-// nonzero stamp as gone; a SnapRel captured at snapshot CSN S still sees
-// slots stamped dead at a CSN > S. Because snapshots capture slice
-// headers and every structural rewrite of a captured numbering (compact,
-// Clear) builds fresh backing arrays, a snapshot keeps reading its own
-// frozen arrays while the writer moves on — copy-on-write through the
-// garbage collector, with the dead stamps as the only shared mutable cells
-// (written and read atomically). Between two rewrites the relation only appends, so slot i
-// holds the same tuple in every snapshot of one slot numbering; the
-// snapshots of a numbering share one set of adaptive indexes over it
-// (snapIdx).
+// its hash chain. The live view (this type's own methods) reads at LiveCSN,
+// where any nonzero stamp is gone; a SnapRel captured at snapshot CSN S
+// still sees slots stamped dead at a CSN > S. Because snapshots capture
+// slice headers and every structural rewrite of a captured numbering
+// (compact, Clear) builds fresh backing arrays, a snapshot keeps reading
+// its own frozen arrays while the writer moves on — copy-on-write through
+// the garbage collector, with the dead stamps as the only shared mutable
+// cells (written and read atomically). Between two rewrites the relation
+// only appends, so slot i holds the same tuple for every reader of one
+// slot numbering, and they all share one index holder over it (idx).
 type Relation struct {
 	name   term.Value
 	arity  int
@@ -397,9 +382,7 @@ type Relation struct {
 	hashes []uint64
 	// dead stamps each slot with the CSN at which it was deleted (0 =
 	// live), parallel to tuples. The single writer stores stamps with
-	// atomic writes and concurrent snapshot readers load them atomically;
-	// the live paths below read them plainly — they never overlap the
-	// writer by the Rel contract.
+	// atomic writes and concurrent snapshot readers load them atomically.
 	dead []uint64
 	// csn, when non-nil, points at the owning store's commit sequence
 	// number: deletions are stamped csn+1, the CSN the statement in
@@ -424,11 +407,16 @@ type Relation struct {
 	lastStamp uint64
 	stamped   int
 	version   uint64
-	// snapIdx holds the adaptive indexes shared by every snapshot of the
-	// current slot numbering; created at the first capture, dropped by
-	// compact and Clear (the only renumberings), so the next capture
-	// starts a fresh holder while older snapshots keep theirs.
-	snapIdx atomic.Pointer[snapIndexes]
+	// idx holds the adaptive indexes of the current slot numbering,
+	// created by its first partial-mask lookup or capture and dropped by a
+	// renumbering (compact, or a Clear of a captured numbering), so the
+	// next numbering starts a fresh holder while older snapshots keep
+	// theirs. captured records that a snapshot (newSnapRel) shares the
+	// numbering: until then Insert extends the built indexes in place and
+	// Clear reuses the arrays; from then on the holder and the arrays are
+	// frozen for the snapshots' sake.
+	idx      atomic.Pointer[Indexes]
+	captured atomic.Bool
 
 	policy IndexPolicy
 	stats  *Stats
@@ -443,24 +431,6 @@ type Relation struct {
 	// mutated tuple, the planner once per estimate.
 	cols    []colStats
 	statsMu sync.Mutex
-
-	// mu guards indexes, scanCredit, and onces so concurrent Lookups can
-	// share adaptive-index state. The write lock is held only for the
-	// short bookkeeping sections, never across a scan or an index build;
-	// builds are serialized per mask through onces so exactly one reader
-	// constructs an index while the others either wait on the Once or
-	// fall back to scanning. Scan-cost credit itself accumulates in atomic
-	// counters (mu only guards the map holding them), so concurrent readers
-	// charge credit without losing or double-counting updates.
-	mu         sync.RWMutex
-	indexes    map[uint32]*hashIndex
-	scanCredit map[uint32]*atomic.Int64
-	onces      map[uint32]*sync.Once
-}
-
-type hashIndex struct {
-	mask    uint32
-	buckets map[uint64][]term.Tuple
 }
 
 // NewRelation creates an empty relation. stats may be nil.
@@ -514,10 +484,6 @@ func (r *Relation) deadStamp() uint64 {
 	return deadForever
 }
 
-// deadAt reports whether slot i is dead in the live view (writer-side
-// plain read; never concurrent with the stamping writer).
-func (r *Relation) deadAt(i int) bool { return r.dead[i] != 0 }
-
 // Insert implements Rel.
 func (r *Relation) Insert(t term.Tuple) bool {
 	_, ok := r.InsertStored(t)
@@ -530,7 +496,7 @@ func (r *Relation) Insert(t term.Tuple) bool {
 func (r *Relation) InsertStored(t term.Tuple) (term.Tuple, bool) {
 	h := t.Hash()
 	for i := r.buckets[h]; i != 0; i = r.next[i-1] {
-		if u := r.tuples[i-1]; u != nil && u.Equal(t) {
+		if r.tuples[i-1].Equal(t) {
 			return nil, false
 		}
 	}
@@ -550,8 +516,8 @@ func (r *Relation) InsertStored(t term.Tuple) (term.Tuple, bool) {
 	}
 	r.statsMu.Unlock()
 	atomic.AddInt64(&r.stats.Inserts, 1)
-	for _, ix := range r.indexes {
-		ix.add(t)
+	if h := r.idx.Load(); h != nil && !r.captured.Load() {
+		h.extend(t, len(r.tuples)-1)
 	}
 	if r.journal != nil {
 		r.journal.JournalInsert(r.name, r.arity, t)
@@ -573,7 +539,7 @@ const maxChunkVals = 8192
 func (r *Relation) copyRow(t term.Tuple) term.Tuple {
 	k := len(t)
 	if k == 0 {
-		return term.Tuple{} // non-nil: nil is reserved for tombstones
+		return term.Tuple{}
 	}
 	for r.ci < len(r.chunks) && len(r.chunks[r.ci])-r.off < k {
 		r.ci, r.off = r.ci+1, 0
@@ -636,7 +602,7 @@ func (r *Relation) DeleteStored(t term.Tuple) (term.Tuple, bool) {
 	prev := int32(0)
 	for i := r.buckets[h]; i != 0; prev, i = i, r.next[i-1] {
 		u := r.tuples[i-1]
-		if u == nil || !u.Equal(t) {
+		if !u.Equal(t) {
 			continue
 		}
 		// Stamp, don't null: snapshots captured before this statement's
@@ -669,9 +635,6 @@ func (r *Relation) DeleteStored(t term.Tuple) (term.Tuple, bool) {
 		}
 		r.statsMu.Unlock()
 		atomic.AddInt64(&r.stats.Deletes, 1)
-		for _, ix := range r.indexes {
-			ix.remove(u)
-		}
 		if r.tombs > r.n && r.tombs > 32 {
 			r.compact()
 		}
@@ -688,14 +651,13 @@ func (r *Relation) DeleteStored(t term.Tuple) (term.Tuple, bool) {
 // slice is rebuilt from scratch — snapshots holding the old backing
 // arrays keep reading them until the garbage collector reclaims the
 // memory once the last snapshot closes. The survivors' values move to one
-// exact chunk and the adaptive indexes are re-pointed at the moved rows,
-// so the dead rows' storage goes with the old chunks; tuples handed out
-// before stay valid in those. Survivors get new slot numbers, so the
-// shared snapshot indexes start over with the next capture.
+// exact chunk, so the dead rows' storage goes with the old chunks; tuples
+// handed out before stay valid in those. Survivors get new slot numbers,
+// so the index holder starts over with the new numbering.
 func (r *Relation) compact() {
 	width := 0
 	for i, t := range r.tuples {
-		if t != nil && !r.deadAt(i) {
+		if r.dead[i] == 0 {
 			width += len(t)
 		}
 	}
@@ -707,7 +669,7 @@ func (r *Relation) compact() {
 	next := make([]int32, 0, r.n)
 	buckets := make(map[uint64]int32, r.n)
 	for i, t := range r.tuples {
-		if t == nil || r.deadAt(i) {
+		if r.dead[i] != 0 {
 			continue
 		}
 		h := r.hashes[i] // cached at Insert; no re-hashing on compaction
@@ -727,29 +689,14 @@ func (r *Relation) compact() {
 	r.buckets = buckets
 	r.tombs = 0
 	r.stamped = 0
-	r.snapIdx.Store(nil)
-	for _, ix := range r.indexes {
-		for _, bucket := range ix.buckets {
-			for j, u := range bucket {
-				bucket[j] = r.stored(u)
-			}
-		}
-	}
-}
-
-// stored returns the relation's live tuple equal to t (which must exist).
-func (r *Relation) stored(t term.Tuple) term.Tuple {
-	for i := r.buckets[t.Hash()]; ; i = r.next[i-1] {
-		if u := r.tuples[i-1]; u.Equal(t) {
-			return u
-		}
-	}
+	r.idx.Store(nil)
+	r.captured.Store(false)
 }
 
 // Contains implements Rel.
 func (r *Relation) Contains(t term.Tuple) bool {
 	for i := r.buckets[t.Hash()]; i != 0; i = r.next[i-1] {
-		if u := r.tuples[i-1]; u != nil && u.Equal(t) {
+		if r.tuples[i-1].Equal(t) {
 			return true
 		}
 	}
@@ -760,14 +707,14 @@ func (r *Relation) Contains(t term.Tuple) bool {
 // so a repeat loop's scratch and delta relations refill the same arrays
 // every iteration.
 //
-// Invariant: snapIdx == nil means no snapshot captured the current slot
-// numbering — every capture installs it (sharedIndexes), and only a
-// renumbering (compact, Clear) removes it. Then nothing outside the
-// relation holds tuples/hashes/dead/next, and they are truncated in place.
-// Otherwise they are dropped, not zeroed: the snapshots keep their headers
-// and stay whole, and the next numbering starts on fresh arrays. Arrays
-// the last fill used less than a quarter of are dropped too, so a relation
-// that shrank for good does not keep clearing its peak-sized hash map.
+// While no snapshot captured the current slot numbering (captured is
+// false), nothing outside the relation holds tuples/hashes/dead/next or the
+// index holder, so the arrays are truncated in place and the holder is
+// reset in place. Otherwise both are dropped, not zeroed: the snapshots
+// keep their headers and holder and stay whole, and the next numbering
+// starts on fresh ones. Arrays the last fill used less than a quarter of
+// are dropped too (with the holder), so a relation that shrank for good
+// does not keep clearing its peak-sized hash map.
 //
 // The row chunks are rewritten by the refill, so they are kept only when
 // in addition no one else can hold a stored tuple: no journal (the WAL
@@ -778,7 +725,7 @@ func (r *Relation) Clear() {
 	if r.n == 0 {
 		return
 	}
-	if r.snapIdx.Load() == nil && 4*len(r.tuples) >= cap(r.tuples) {
+	if !r.captured.Load() && 4*len(r.tuples) >= cap(r.tuples) {
 		clear(r.tuples) // let the GC have the old tuples; keep the capacity
 		r.tuples = r.tuples[:0]
 		r.hashes = r.hashes[:0]
@@ -788,11 +735,15 @@ func (r *Relation) Clear() {
 		if r.journal != nil || r.keepRows || r.lent.Load() {
 			r.chunks, r.held = nil, 0
 		}
+		if h := r.idx.Load(); h != nil {
+			h.reset()
+		}
 	} else {
 		r.tuples, r.hashes, r.dead, r.next = nil, nil, nil, nil
 		r.buckets = make(map[uint64]int32)
-		r.snapIdx.Store(nil)
 		r.chunks, r.held = nil, 0
+		r.idx.Store(nil)
+		r.captured.Store(false)
 	}
 	r.ci, r.off = 0, 0
 	r.lent.Store(false)
@@ -805,13 +756,6 @@ func (r *Relation) Clear() {
 		r.cols[i].reset()
 	}
 	r.statsMu.Unlock()
-	r.mu.Lock()
-	clear(r.indexes)
-	clear(r.onces)
-	for _, c := range r.scanCredit {
-		c.Store(0)
-	}
-	r.mu.Unlock()
 	if r.journal != nil {
 		r.journal.JournalClear(r.name, r.arity)
 	}
@@ -819,188 +763,53 @@ func (r *Relation) Clear() {
 
 // Scan implements Rel; tuples are visited in insertion order.
 func (r *Relation) Scan(yield func(term.Tuple) bool) {
-	atomic.AddInt64(&r.stats.RowsScanned, int64(r.n))
-	for i, t := range r.tuples {
-		if t == nil || r.deadAt(i) {
-			continue
-		}
-		if !yield(t) {
-			return
-		}
-	}
+	scanSlots(r.tuples, r.dead, LiveCSN, r.stats, yield)
 }
 
-// fullMask returns the bitmask selecting every column of the relation.
-func (r *Relation) fullMask() uint32 { return (uint32(1) << uint(r.arity)) - 1 }
-
-// Lookup implements Rel. Depending on the index policy, a lookup is answered
-// by an existing index, triggers index construction, or falls back to a
-// scan while accruing scan credit toward adaptive construction.
+// Lookup implements Rel. A whole-tuple lookup walks the primary hash
+// chain; a partial one is the shared slot lookup at the live CSN over the
+// current numbering's index holder, which answers from an index, builds
+// one, or scans while accruing credit toward one, as the policy says.
 func (r *Relation) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
 	if mask == 0 || r.n == 0 {
 		r.Scan(yield)
 		return
 	}
-	if mask == r.fullMask() {
-		// Whole-tuple lookup: answer from the primary hash chain directly.
+	if mask == fullColsMask(r.arity) {
 		atomic.AddInt64(&r.stats.RowsProbed, 1)
 		for i := r.buckets[key.Hash()]; i != 0; i = r.next[i-1] {
-			if u := r.tuples[i-1]; u != nil && u.Equal(key) {
-				if !yield(u) {
-					return
-				}
+			if u := r.tuples[i-1]; u.Equal(key) {
+				yield(u)
+				return
 			}
 		}
 		return
 	}
-	ix := r.index(mask)
-	if ix == nil {
-		if once := r.creditScan(mask); once != nil {
-			once.Do(func() { r.publishIndex(mask) })
-			ix = r.index(mask)
-		}
+	var dead Stamps
+	if r.tombs > 0 {
+		dead = (*deadStamps)(&r.dead)
 	}
-	if ix != nil {
-		r.probe(ix, mask, key, yield)
-		return
-	}
-	// Scan fallback with on-the-fly filtering, in insertion order.
-	atomic.AddInt64(&r.stats.RowsScanned, int64(r.n))
-	for i, t := range r.tuples {
-		if t != nil && !r.deadAt(i) && t.EqualCols(key, mask) {
-			if !yield(t) {
-				return
-			}
-		}
-	}
+	LookupSlots(r.indexes(), r.tuples, dead, LiveCSN, mask, key, r.stats, yield)
 }
 
-// index returns the published index for mask, if any.
-func (r *Relation) index(mask uint32) *hashIndex {
-	r.mu.RLock()
-	ix := r.indexes[mask]
-	r.mu.RUnlock()
-	return ix
-}
-
-// creditScan charges one full scan's worth of rows toward adaptive index
-// construction on mask. When the policy decides the index should now
-// exist it returns the per-mask build guard; nil means keep scanning. The
-// credit itself lives in an atomic counter, so concurrent readers accrue
-// it without losing or double-counting updates; mu is held only to
-// look up or install the counter and the build guard.
-func (r *Relation) creditScan(mask uint32) *sync.Once {
-	r.mu.RLock()
-	if _, ok := r.indexes[mask]; ok {
-		// Published while we were deciding: return the (completed) build
-		// guard so the caller re-reads the index instead of rebuilding.
-		once := r.onces[mask]
-		r.mu.RUnlock()
-		return once
+// indexes returns the index holder of the current slot numbering, creating
+// it on first use. Concurrent readers may race to create it; one wins.
+func (r *Relation) indexes() *Indexes {
+	if h := r.idx.Load(); h != nil {
+		return h
 	}
-	c := r.scanCredit[mask]
-	r.mu.RUnlock()
-	switch r.policy {
-	case IndexNever:
-		return nil
-	case IndexAlways:
-		return r.buildGuard(mask)
+	h := NewIndexes(r.policy)
+	if r.idx.CompareAndSwap(nil, h) {
+		return h
 	}
-	if c == nil {
-		r.mu.Lock()
-		if c = r.scanCredit[mask]; c == nil {
-			if r.scanCredit == nil {
-				r.scanCredit = make(map[uint32]*atomic.Int64)
-			}
-			c = new(atomic.Int64)
-			r.scanCredit[mask] = c
-		}
-		r.mu.Unlock()
-	}
-	if c.Add(int64(r.n)) >= adaptiveFactor*int64(r.n) {
-		return r.buildGuard(mask)
-	}
-	return nil
-}
-
-// buildGuard returns the per-mask sync.Once that serializes index builds,
-// creating it if needed. If the index was published meanwhile, the existing
-// (completed) guard is returned so callers re-read instead of rebuilding.
-func (r *Relation) buildGuard(mask uint32) *sync.Once {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.onces == nil {
-		r.onces = make(map[uint32]*sync.Once)
-	}
-	once := r.onces[mask]
-	if once == nil {
-		once = new(sync.Once)
-		r.onces[mask] = once
-	}
-	return once
-}
-
-// publishIndex builds the index over the current tuples and publishes it.
-// The tuple slice is read without the lock: builds run only while readers,
-// never writers, are active. Exactly one goroutine runs this per mask (the
-// sync.Once in creditScan), so the build itself is single-threaded. The
-// build walks insertion order, so index probes also enumerate matches in
-// insertion order — the same order a scan would yield them.
-func (r *Relation) publishIndex(mask uint32) {
-	ix := &hashIndex{mask: mask, buckets: make(map[uint64][]term.Tuple, len(r.buckets))}
-	for i, t := range r.tuples {
-		if t != nil && !r.deadAt(i) {
-			ix.add(t)
-		}
-	}
-	atomic.AddInt64(&r.stats.IndexBuilds, 1)
-	r.mu.Lock()
-	if r.indexes == nil {
-		r.indexes = make(map[uint32]*hashIndex)
-	}
-	r.indexes[mask] = ix
-	delete(r.scanCredit, mask)
-	r.mu.Unlock()
-}
-
-func (r *Relation) probe(ix *hashIndex, mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
-	for _, t := range ix.buckets[key.HashCols(mask)] {
-		if t.EqualCols(key, mask) {
-			atomic.AddInt64(&r.stats.RowsProbed, 1)
-			if !yield(t) {
-				return
-			}
-		}
-	}
+	return r.idx.Load()
 }
 
 // HasIndex reports whether an index exists for the column mask; exported for
 // tests and the adaptive-indexing experiment.
 func (r *Relation) HasIndex(mask uint32) bool {
-	return r.index(mask) != nil
-}
-
-func (ix *hashIndex) add(t term.Tuple) {
-	h := t.HashCols(ix.mask)
-	ix.buckets[h] = append(ix.buckets[h], t)
-}
-
-// remove drops t from its bucket, shifting the rest down so the bucket
-// stays in insertion order.
-func (ix *hashIndex) remove(t term.Tuple) {
-	h := t.HashCols(ix.mask)
-	bucket := ix.buckets[h]
-	for i, u := range bucket {
-		if u.Equal(t) {
-			bucket = slices.Delete(bucket, i, i+1)
-			if len(bucket) == 0 {
-				delete(ix.buckets, h)
-			} else {
-				ix.buckets[h] = bucket
-			}
-			return
-		}
-	}
+	h := r.idx.Load()
+	return h != nil && h.forMask(mask).ix.Load() != nil
 }
 
 // ModifyByKey implements Rel.
@@ -1024,13 +833,7 @@ func (r *Relation) All() []term.Tuple {
 	if r.n > 0 {
 		r.lent.Store(true)
 	}
-	out := make([]term.Tuple, 0, r.n)
-	for i, t := range r.tuples {
-		if t != nil && !r.deadAt(i) {
-			out = append(out, t)
-		}
-	}
-	return out
+	return allSlots(r.tuples, r.dead, LiveCSN, r.n)
 }
 
 // Sorted returns the tuples of rel in total order, for deterministic output.

@@ -277,8 +277,9 @@ func TestClearReusesArraysWithoutSnapshot(t *testing.T) {
 }
 
 // TestCompactRepointsIndexes: compaction moves the survivors' values into
-// a fresh chunk and re-points the adaptive indexes at them, so no index
-// entry keeps an old chunk — with its dead rows — alive.
+// a fresh chunk and starts a new index holder over the new numbering, so
+// lookups through an index yield the compacted rows and no index keeps an
+// old chunk — with its dead rows — alive.
 func TestCompactRepointsIndexes(t *testing.T) {
 	r := newRel(t, 2, IndexAlways)
 	for i := int64(0); i < 100; i++ {

@@ -14,17 +14,16 @@
 // writer never blocks on readers, readers never block the writer, and a
 // snapshot's memory is reclaimed by the GC once the last reader drops it.
 //
-// Adaptive indexes (§10) belong to the slot numbering, not to a snapshot:
-// between two rewrites slot i holds the same tuple in every snapshot, so
-// an index over slots [0, k) answers for all of them. Each snapshot probes
-// the indexed slots below its own length, filters them by its own
-// visibility, and scans the slots past k itself.
+// Adaptive indexes (§10) belong to the slot numbering, not to a snapshot
+// (index.go): a snapshot is the view of slots [0, n) at its CSN, and it
+// reads through the same functions and the same index holder as the live
+// relation. Capturing marks the numbering captured, which freezes the
+// holder: from then on no writer edits it.
 package storage
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"gluenail/internal/term"
 )
@@ -115,31 +114,35 @@ func (s *SnapStore) Stats() *Stats { return &s.stats }
 // is nothing to journal.
 func (s *SnapStore) SetJournal(j Journal) {}
 
-// SnapRel is one relation frozen at a snapshot CSN: the captured slice
-// headers plus the visibility rule. Read methods filter by the shared
-// dead stamps; write methods panic — the executor only routes reads at a
+// SnapRel is one relation frozen at a snapshot CSN: a view of the captured
+// slot numbering — its rows and dead stamps, the CSN they are read at, and
+// the numbering's index holder — over the functions the live relation
+// reads with. Write methods panic: the executor only routes reads at a
 // snapshot (queries cannot contain EDB updates), so a write reaching here
 // is a bug worth failing loudly on, and the VM's panic containment turns
 // it into a typed error on the session's private machine.
 type SnapRel struct {
 	name  term.Value
 	arity int
-	csn   uint64
 	// Captured headers; the writer appends past len and rewrites via
 	// fresh arrays, so everything below len is frozen except the dead
 	// stamps, which are loaded atomically.
-	tuples []term.Tuple
-	dead   []uint64
-	// n is the visible-tuple count, fixed at capture.
-	n int
+	rows []term.Tuple
+	dead []uint64
+	csn  uint64
+	// n is the visible-tuple count, fixed at capture. anyDead records
+	// that a slot was stamped dead at capture; without one, every slot is
+	// visible at csn (later stamps are above it).
+	n       int
+	anyDead bool
+	// idx is the captured numbering's index holder, shared with the live
+	// relation and every other snapshot of it; nil for placeholders.
+	idx *Indexes
 	// src is the live relation, consulted only for planner statistics
-	// (DistinctEst, safe against the writer); nil for empty placeholders.
+	// (DistinctEst, safe against the writer); nil for placeholders.
 	src     *Relation
 	version uint64
 	stats   *Stats
-	// idx holds the adaptive indexes of the captured slot numbering,
-	// shared with every other snapshot of it; nil for placeholders.
-	idx *snapIndexes
 }
 
 var _ Rel = (*SnapRel)(nil)
@@ -149,38 +152,20 @@ func newSnapRel(r *Relation, csn uint64, stats *Stats) *SnapRel {
 	if r.lastStamp > csn {
 		n += r.stamped
 	}
+	r.captured.Store(true)
 	return &SnapRel{
 		name:    r.name,
 		arity:   r.arity,
-		csn:     csn,
-		tuples:  r.tuples,
+		rows:    r.tuples,
 		dead:    r.dead,
+		csn:     csn,
 		n:       n,
+		anyDead: r.tombs > 0,
+		idx:     r.indexes(),
 		src:     r,
 		version: r.version,
 		stats:   stats,
-		idx:     r.sharedIndexes(),
 	}
-}
-
-// sharedIndexes returns the index holder of the relation's current slot
-// numbering, creating it at the numbering's first capture.
-func (r *Relation) sharedIndexes() *snapIndexes {
-	if h := r.snapIdx.Load(); h != nil {
-		return h
-	}
-	h := new(snapIndexes)
-	if r.snapIdx.CompareAndSwap(nil, h) {
-		return h
-	}
-	return r.snapIdx.Load()
-}
-
-// visible reports whether slot i exists at the snapshot CSN: live (stamp
-// 0) or deleted by a statement that committed after the capture.
-func (r *SnapRel) visible(i int) bool {
-	d := atomic.LoadUint64(&r.dead[i])
-	return d == 0 || d > r.csn
 }
 
 // Name implements Rel.
@@ -237,161 +222,25 @@ func (r *SnapRel) Contains(t term.Tuple) bool {
 
 // Scan implements Rel; visible tuples are visited in insertion order.
 func (r *SnapRel) Scan(yield func(term.Tuple) bool) {
-	atomic.AddInt64(&r.stats.RowsScanned, int64(len(r.tuples)))
-	for i, t := range r.tuples {
-		if !r.visible(i) {
-			continue
-		}
-		if !yield(t) {
-			return
-		}
-	}
+	scanSlots(r.rows, r.dead, r.csn, r.stats, yield)
 }
 
-// Lookup implements Rel: the shared index of the slot numbering answers
-// for the slots it covers, and the slots past it are scanned. Postings are
-// in slot order, so matches come out in insertion order, as from a scan.
+// Lookup implements Rel: the shared slot lookup over the captured rows at
+// the snapshot's CSN.
 func (r *SnapRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
-	if mask == 0 || len(r.tuples) == 0 {
+	if mask == 0 || len(r.rows) == 0 {
 		r.Scan(yield)
 		return
 	}
-	m := r.idx.forMask(mask)
-	ix := m.ix.Load()
-	if ix == nil || ix.n < len(r.tuples) {
-		ix = r.charge(m, ix, mask)
+	var dead Stamps
+	if r.anyDead {
+		dead = (*deadStamps)(&r.dead)
 	}
-	from := 0
-	if ix != nil {
-		from = min(ix.n, len(r.tuples))
-		for _, s := range ix.postings[key.HashCols(mask)] {
-			i := int(s)
-			if i >= from {
-				break
-			}
-			if r.visible(i) && r.tuples[i].EqualCols(key, mask) {
-				atomic.AddInt64(&r.stats.RowsProbed, 1)
-				if !yield(r.tuples[i]) {
-					return
-				}
-			}
-		}
-	}
-	atomic.AddInt64(&r.stats.RowsScanned, int64(len(r.tuples)-from))
-	for i := from; i < len(r.tuples); i++ {
-		if r.visible(i) && r.tuples[i].EqualCols(key, mask) {
-			if !yield(r.tuples[i]) {
-				return
-			}
-		}
-	}
+	LookupSlots(r.idx, r.rows, dead, r.csn, mask, key, r.stats, yield)
 }
 
 // All implements Rel; the visible tuples in insertion order.
-func (r *SnapRel) All() []term.Tuple {
-	out := make([]term.Tuple, 0, r.n)
-	for i, t := range r.tuples {
-		if r.visible(i) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// charge accrues the rows this lookup is about to scan — every slot, or
-// the slots past ix — as credit toward an index over this snapshot's
-// slots, and builds it once the credit, summed over every snapshot of the
-// numbering, reaches adaptiveFactor times this snapshot's length: the live
-// relation's rule. One reader builds at a time; the others keep scanning.
-// It returns the index the lookup should probe.
-func (r *SnapRel) charge(m *maskIndex, ix *slotIndex, mask uint32) *slotIndex {
-	n := len(r.tuples)
-	scan := n
-	if ix != nil {
-		scan -= ix.n
-	}
-	if m.credit.Add(int64(scan)) < adaptiveFactor*int64(n) || !m.building.CompareAndSwap(false, true) {
-		return ix
-	}
-	defer m.building.Store(false)
-	if cur := m.ix.Load(); cur != nil && cur.n >= n {
-		return cur // published by a reader that built before us
-	}
-	built := &slotIndex{n: n, postings: postings(r.tuples, mask)}
-	atomic.AddInt64(&r.stats.IndexBuilds, 1)
-	m.ix.Store(built)
-	m.credit.Store(0)
-	return built
-}
-
-// snapIndexes holds the adaptive indexes every snapshot of one slot
-// numbering of a Relation shares, one maskIndex per column mask. mu guards
-// only the map; the indexes themselves are immutable once published.
-type snapIndexes struct {
-	mu    sync.RWMutex
-	masks map[uint32]*maskIndex
-}
-
-// maskIndex is the shared state of one column mask: the published index,
-// the scan credit every snapshot of the numbering charges, and the flag
-// that admits one builder at a time.
-type maskIndex struct {
-	ix       atomic.Pointer[slotIndex]
-	credit   atomic.Int64
-	building atomic.Bool
-}
-
-// slotIndex is an immutable hash index over slots [0, n) of a numbering.
-// Postings list every slot, dead ones included — visibility is decided
-// per snapshot — in ascending slot order.
-type slotIndex struct {
-	n        int
-	postings map[uint64][]int32
-}
-
-// forMask returns the shared state for mask, creating it on first use.
-func (h *snapIndexes) forMask(mask uint32) *maskIndex {
-	h.mu.RLock()
-	m := h.masks[mask]
-	h.mu.RUnlock()
-	if m != nil {
-		return m
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if m = h.masks[mask]; m == nil {
-		if h.masks == nil {
-			h.masks = make(map[uint32]*maskIndex)
-		}
-		m = new(maskIndex)
-		h.masks[mask] = m
-	}
-	return m
-}
-
-// postings groups slots [0, len(tuples)) by the hash of their mask
-// columns. Counting first lets every list be carved out of one slot
-// array, so a build allocates a handful of objects rather than one list
-// per key.
-func postings(tuples []term.Tuple, mask uint32) map[uint64][]int32 {
-	keys := make([]uint64, len(tuples))
-	counts := make(map[uint64]int32)
-	for i, t := range tuples {
-		keys[i] = t.HashCols(mask)
-		counts[keys[i]]++
-	}
-	slots := make([]int32, len(tuples))
-	out := make(map[uint64][]int32, len(counts))
-	off := 0
-	for k, c := range counts {
-		out[k] = slots[off : off : off+int(c)]
-		off += int(c)
-	}
-	for i, k := range keys {
-		out[k] = append(out[k], int32(i))
-	}
-	return out
-}
+func (r *SnapRel) All() []term.Tuple { return allSlots(r.rows, r.dead, r.csn, r.n) }
 
 // fullColsMask returns the bitmask selecting every column of an
 // arity-column relation.

@@ -566,3 +566,83 @@ func TestSnapshotTailRebuild(t *testing.T) {
 		t.Fatalf("rebuilt index covers %d slots, want 220", n)
 	}
 }
+
+// TestSnapshotCapturedIndexFrozen: once a snapshot captured a slot
+// numbering, its index holder is frozen. Live inserts must not extend the
+// snapshot's index (readers probe it without a lock), and a Clear must drop
+// the holder rather than reset it: the refilled relation's indexes number
+// different rows, so a snapshot probing them would lose its own matches.
+// Readers hammer the snapshot while the writer works.
+func TestSnapshotCapturedIndexFrozen(t *testing.T) {
+	s := NewMemStore(IndexAlways)
+	name := term.NewString("e")
+	r := s.Ensure(name, 2)
+	for i := int64(0); i < 100; i++ {
+		r.Insert(it(i%4, i))
+	}
+	s.AdvanceCSN()
+	sr := mustSnapRel(t, s.Snapshot(), name, 2)
+	key := it(1, 0)
+	want := snapOracle(sr.All(), 1, key)
+	lookupAll(sr, 1, key) // builds the captured numbering's index
+	frozen := sr.(*SnapRel).idx.forMask(1).ix.Load()
+	if frozen == nil || frozen.n != 100 {
+		t.Fatal("setup: the snapshot's lookup built no index over its 100 rows")
+	}
+
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got := lookupAll(sr, 1, key); !tuplesEqual(got, want) {
+					errs <- fmt.Errorf("snapshot lookup = %v, want %v", got, want)
+					return
+				}
+			}
+		}()
+	}
+	for i := int64(100); i < 200; i++ {
+		r.Insert(it(i%4, i))
+	}
+	s.AdvanceCSN()
+	if n := sr.(*SnapRel).idx.forMask(1).ix.Load().n; n != 100 {
+		t.Errorf("live inserts extended the captured index to %d slots", n)
+	}
+	// Refill shifted by one key, so every slot's key differs from the
+	// captured row's.
+	r.Clear()
+	for i := int64(0); i < 200; i++ {
+		r.Insert(it((i+1)%4, 1000+i))
+	}
+	s.AdvanceCSN()
+	var live []term.Tuple
+	for i := int64(0); i < 200; i++ {
+		if (i+1)%4 == 1 {
+			live = append(live, it(1, 1000+i))
+		}
+	}
+	if got := lookupAll(r, 1, key); !tuplesEqual(got, live) {
+		t.Errorf("live lookup after refill = %v, want %v", got, live)
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := lookupAll(sr, 1, key); !tuplesEqual(got, want) {
+		t.Fatalf("snapshot lookup after the refill = %v, want %v", got, want)
+	}
+	if sr.(*SnapRel).idx.forMask(1).ix.Load() != frozen {
+		t.Fatal("the captured index was replaced")
+	}
+}
