@@ -91,6 +91,9 @@ func csvValue(f string) term.Value {
 // per column. Compound values render in source syntax; strings that would
 // re-load as numbers are single-quoted so a round trip preserves types.
 func (s *System) SaveCSV(relation string, arity int, w io.Writer) error {
+	if s.durErr != nil {
+		return s.durErr
+	}
 	rel, ok := s.edb.Get(term.Intern(relation), arity)
 	if !ok {
 		return fmt.Errorf("gluenail: no relation %s/%d", relation, arity)

@@ -365,14 +365,6 @@ type System struct {
 	// queries caches compiled query procedures by module and goal text;
 	// reset whenever the program is recompiled.
 	queries map[string]compiledQuery
-	// gen counts recompilations; Prepared handles carry the generation
-	// they were compiled under and transparently re-prepare when it moves.
-	gen uint64
-	// view is the immutable Program copy snapshot machines execute
-	// against; rebuilt (under mu) whenever compilation adds procedures,
-	// so CompileQuery's map mutations never race a snapshot execution.
-	view      *plan.Program
-	viewDirty bool
 	// Durability state: wlog/recorder are non-nil when the EDB is backed
 	// by a write-ahead log; durErr records a failed recovery (every
 	// operation then reports it).
@@ -386,7 +378,12 @@ type System struct {
 	rowTuples []term.Tuple
 }
 
+// compiledQuery is a query procedure and its answer variables. prog is the
+// compiled program the procedure belongs to: a recompile (new Load or
+// Register) replaces the program, which retires every compiledQuery of the
+// old one.
 type compiledQuery struct {
+	prog *plan.Program
 	id   string
 	vars []string
 }
@@ -585,6 +582,9 @@ func (s *System) Register(name string, bound, free int, fixed bool,
 	fn func(in [][]Value) ([][]Value, error)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.durErr != nil {
+		return s.durErr
+	}
 	err := s.registry.Register(name, plan.BuiltinSig{Bound: bound, Free: free, Fixed: fixed},
 		func(_ *vm.Machine, in []term.Tuple) ([]term.Tuple, error) {
 			rows := make([][]Value, len(in))
@@ -627,7 +627,10 @@ func (s *System) Load(src string) (rerr error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.guardStorage(&rerr)
-	if s.durErr == nil && len(facts) > 0 {
+	if s.durErr != nil {
+		return s.durErr
+	}
+	if len(facts) > 0 {
 		for _, fact := range facts {
 			s.edb.Ensure(term.Intern(fact.Name), len(fact.Tuple)).Insert(fact.Tuple)
 		}
@@ -649,15 +652,6 @@ func (s *System) LoadContext(ctx context.Context, src string) error {
 		return err
 	}
 	return s.Load(src)
-}
-
-// execCtx layers the configured wall-clock budget onto the caller's
-// context; the returned cancel must run when the call finishes.
-func (s *System) execCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if s.cfg.budget.Timeout > 0 {
-		return context.WithTimeout(ctx, s.cfg.budget.Timeout)
-	}
-	return ctx, func() {}
 }
 
 // guardStorage converts a storage-fault panic escaping a direct EDB
@@ -758,8 +752,6 @@ func (s *System) ensure() (rerr error) {
 		s.machine.Abort = s.recorder.Discard
 	}
 	s.queries = make(map[string]compiledQuery)
-	s.gen++
-	s.viewDirty = true
 	s.compiled = true
 	return nil
 }
@@ -802,24 +794,6 @@ func (s *System) tuneMachine(m *vm.Machine, b Budget) {
 	// Textual and greedy orderings are ablations: both must execute the
 	// compiled op order, so either disables run-time reordering.
 	m.StatsOrdering = !s.cfg.greedyOrder && !s.cfg.planOpts.NoReorder
-}
-
-// progView returns the immutable Program copy snapshot machines execute
-// against, rebuilding it when compilation has added procedures since the
-// last view. Called with mu held; the returned map is never mutated
-// afterwards (CompileQuery mutates the compiler's own map, which marks
-// the view dirty through prepareQuery/ensure).
-func (s *System) progView() *plan.Program {
-	if s.view == nil || s.viewDirty {
-		src := s.compiler.Program().Procs
-		procs := make(map[string]*plan.Proc, len(src))
-		for id, p := range src {
-			procs[id] = p
-		}
-		s.view = &plan.Program{Procs: procs}
-		s.viewDirty = false
-	}
-	return s.view
 }
 
 // toValue converts a Go value to a term value.
@@ -1052,6 +1026,9 @@ func (s *System) Relation(relation any, arity int) (_ [][]Value, rerr error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.guardStorage(&rerr)
+	if s.durErr != nil {
+		return nil, s.durErr
+	}
 	name, err := toValue(relation)
 	if err != nil {
 		return nil, err
@@ -1107,33 +1084,39 @@ func (s *System) QueryIn(module, goals string) (*Result, error) {
 
 // QueryInContext is QueryIn under the caller's context; see QueryContext.
 func (s *System) QueryInContext(ctx context.Context, module, goals string) (*Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ensure(); err != nil {
-		return nil, err
-	}
-	id, vars, err := s.prepareQuery(module, goals)
-	if err != nil {
-		return nil, err
-	}
-	return s.runQueryProc(ctx, id, vars)
+	return s.execute(ctx, &Prepared{sys: s, module: module, goals: goals})
 }
 
-// runQueryProc executes an already-compiled query procedure and shapes
-// its answers into a Result: the shared tail of Query and
-// Prepared.Execute.
-func (s *System) runQueryProc(ctx context.Context, id string, vars []string) (*Result, error) {
-	ctx, cancel := s.execCtx(ctx)
-	defer cancel()
-	tuples, err := s.machine.CallProcContext(ctx, id, []term.Tuple{{}})
+// execute resolves a query and runs it on the live machine.
+func (s *System) execute(ctx context.Context, p *Prepared) (*Result, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	q, err := s.resolve(p)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Vars: vars}
-	sorted := make([]term.Tuple, len(tuples))
-	copy(sorted, tuples)
-	sortTuples(sorted)
-	for _, t := range sorted {
+	return runQuery(ctx, s.machine, s.cfg.budget.Timeout, q)
+}
+
+// runQuery executes a compiled query on m — the live machine or a snapshot
+// session's — under the wall-clock timeout (0 = none), and shapes its
+// answers into a Result: the one tail of every query path.
+func runQuery(ctx context.Context, m *vm.Machine, timeout time.Duration, q compiledQuery) (*Result, error) {
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	// A snapshot session's machine may predate a recompile; the live
+	// machine already runs q's program.
+	m.Prog = q.prog
+	tuples, err := m.CallProcContext(ctx, q.id, []term.Tuple{{}})
+	if err != nil {
+		return nil, err
+	}
+	sortTuples(tuples)
+	res := &Result{Vars: q.vars}
+	for _, t := range tuples {
 		res.Rows = append(res.Rows, []Value(t))
 	}
 	return res, nil
@@ -1149,9 +1132,9 @@ type Prepared struct {
 	sys    *System
 	module string
 	goals  string
-	id     string
-	vars   []string
-	gen    uint64
+	// q is the compiled query, current while q.prog is the system's
+	// program; guarded by the system's mu.
+	q compiledQuery
 }
 
 // Prepare compiles a goal conjunction in the main module's scope into a
@@ -1164,19 +1147,16 @@ func (s *System) Prepare(goals string) (*Prepared, error) {
 func (s *System) PrepareIn(module, goals string) (*Prepared, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.ensure(); err != nil {
+	p := &Prepared{sys: s, module: module, goals: goals}
+	if _, err := s.resolve(p); err != nil {
 		return nil, err
 	}
-	id, vars, err := s.prepareQuery(module, goals)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{sys: s, module: module, goals: goals, id: id, vars: vars, gen: s.gen}, nil
+	return p, nil
 }
 
 // Vars returns the query's output variable names in first-occurrence
 // order (the columns of every Execute result).
-func (p *Prepared) Vars() []string { return p.vars }
+func (p *Prepared) Vars() []string { return p.q.vars }
 
 // Execute runs the prepared query and returns its sorted answers.
 func (p *Prepared) Execute() (*Result, error) {
@@ -1186,46 +1166,38 @@ func (p *Prepared) Execute() (*Result, error) {
 // ExecuteContext is Execute under the caller's context; see QueryContext
 // for cancellation semantics.
 func (p *Prepared) ExecuteContext(ctx context.Context) (*Result, error) {
-	s := p.sys
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ensure(); err != nil {
-		return nil, err
-	}
-	if p.gen != s.gen {
-		// The program was recompiled since this handle was prepared (new
-		// Load or Register): the old procedure ID is gone, so re-prepare
-		// against the fresh compilation.
-		id, vars, err := s.prepareQuery(p.module, p.goals)
-		if err != nil {
-			return nil, err
-		}
-		p.id, p.vars, p.gen = id, vars, s.gen
-	}
-	return s.runQueryProc(ctx, p.id, p.vars)
+	return p.sys.execute(ctx, p)
 }
 
-// prepareQuery compiles a goal conjunction into a query procedure (cached
-// per module and goal text) and returns its ID and output variable names.
-func (s *System) prepareQuery(module, goals string) (string, []string, error) {
-	key := module + "\x00" + goals
+// resolve returns p's compiled query, compiling the program and the goal
+// text as needed: each text is compiled once per compilation of the
+// program (cached per module and text), and a handle prepared before a
+// recompile re-prepares against the new program. Every query path — ad hoc,
+// prepared, EXPLAIN, live or snapshot — resolves here. Called with mu held.
+func (s *System) resolve(p *Prepared) (compiledQuery, error) {
+	if err := s.ensure(); err != nil {
+		return compiledQuery{}, err
+	}
+	prog := s.compiler.Program()
+	if p.q.prog == prog {
+		return p.q, nil
+	}
+	key := p.module + "\x00" + p.goals
 	cq, cached := s.queries[key]
 	if !cached {
-		gs, err := parser.ParseGoals(goals)
+		gs, err := parser.ParseGoals(p.goals)
 		if err != nil {
-			return "", nil, err
+			return compiledQuery{}, err
 		}
-		id, vars, err := s.compiler.CompileQuery(module, gs)
+		id, vars, err := s.compiler.CompileQuery(p.module, gs)
 		if err != nil {
-			return "", nil, err
+			return compiledQuery{}, err
 		}
-		cq = compiledQuery{id: id, vars: vars}
+		cq = compiledQuery{prog: prog, id: id, vars: vars}
 		s.queries[key] = cq
-		// CompileQuery added a procedure to the shared program: snapshot
-		// machines need a fresh immutable view.
-		s.viewDirty = true
 	}
-	return cq.id, cq.vars, nil
+	p.q = cq
+	return cq, nil
 }
 
 // Explain returns the physical plan the statistics-driven planner would
@@ -1257,10 +1229,7 @@ func (s *System) ExplainAnalyzeIn(module, goals string) (string, error) {
 func (s *System) explainQuery(module, goals string, analyze bool) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.ensure(); err != nil {
-		return "", err
-	}
-	id, _, err := s.prepareQuery(module, goals)
+	q, err := s.resolve(&Prepared{sys: s, module: module, goals: goals})
 	if err != nil {
 		return "", err
 	}
@@ -1268,13 +1237,11 @@ func (s *System) explainQuery(module, goals string, analyze bool) (string, error
 	if analyze {
 		s.machine.ResetProfiles()
 		beforeEDB, beforeScratch = *s.edb.Stats(), *s.temp.Stats()
-		ctx, cancel := s.execCtx(context.Background())
-		defer cancel()
-		if _, err := s.machine.CallProcContext(ctx, id, []term.Tuple{{}}); err != nil {
+		if _, err := runQuery(context.Background(), s.machine, s.cfg.budget.Timeout, q); err != nil {
 			return "", err
 		}
 	}
-	text, err := s.renderPhysical(id, analyze)
+	text, err := s.renderPhysical(q.id, analyze)
 	if err != nil || !analyze {
 		return text, err
 	}
@@ -1404,8 +1371,11 @@ func (s *System) callLocked(ctx context.Context, module, proc string, in ...[]an
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := s.execCtx(ctx)
-	defer cancel()
+	if t := s.cfg.budget.Timeout; t > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, t)
+		defer cancel()
+	}
 	results, err := s.machine.CallProcContext(ctx, sym.Module+"."+proc, tuples)
 	if err != nil {
 		return nil, err
@@ -1457,6 +1427,9 @@ func (s *System) SaveEDB(path string) (rerr error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.guardStorage(&rerr)
+	if s.durErr != nil {
+		return s.durErr
+	}
 	return storage.SaveFile(path, s.edb)
 }
 

@@ -2,6 +2,11 @@ package gluenail
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -605,6 +610,69 @@ func TestWithBaseline(t *testing.T) {
 	}
 	if _, err := bad.Query("edge(X, Y)"); err == nil || !strings.Contains(err.Error(), "semi-naive") {
 		t.Errorf("Query: %v", err)
+	}
+}
+
+// TestStartupErrorFailsEveryOperation calls every error-returning System
+// method on a system whose startup failed (an unknown baseline) and expects
+// the startup error from each: no operation may read, write or export the
+// fallback store in its place. Degraded is left out — its error is the
+// engine's fault state, not the outcome of an operation.
+func TestStartupErrorFailsEveryOperation(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "p.glue")
+	csvPath := filepath.Join(dir, "x.csv")
+	for path, text := range map[string]string{src: "edb x(A);\nx(1).\n", csvPath: "1\n"} {
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys := New(WithBaseline("bogus"))
+	ctx := context.Background()
+	noop := func([][]Value) ([][]Value, error) { return nil, nil }
+	ignore := func(_ any, err error) error { return err }
+	ops := map[string]func() error{
+		"Load":                func() error { return sys.Load("edb x(A);\nx(1).") },
+		"LoadContext":         func() error { return sys.LoadContext(ctx, "edb x(A);") },
+		"LoadFile":            func() error { return sys.LoadFile(src) },
+		"Register":            func() error { return sys.Register("f", 1, 0, false, noop) },
+		"Assert":              func() error { return sys.Assert("x", []any{1}) },
+		"Retract":             func() error { return sys.Retract("x", []any{1}) },
+		"Relation":            func() error { return ignore(sys.Relation("x", 1)) },
+		"Query":               func() error { return ignore(sys.Query("x(A)")) },
+		"QueryContext":        func() error { return ignore(sys.QueryContext(ctx, "x(A)")) },
+		"QueryIn":             func() error { return ignore(sys.QueryIn("main", "x(A)")) },
+		"QueryInContext":      func() error { return ignore(sys.QueryInContext(ctx, "main", "x(A)")) },
+		"Prepare":             func() error { return ignore(sys.Prepare("x(A)")) },
+		"PrepareIn":           func() error { return ignore(sys.PrepareIn("main", "x(A)")) },
+		"Explain":             func() error { return ignore(sys.Explain("x(A)")) },
+		"ExplainIn":           func() error { return ignore(sys.ExplainIn("main", "x(A)")) },
+		"ExplainAnalyze":      func() error { return ignore(sys.ExplainAnalyze("x(A)")) },
+		"ExplainAnalyzeIn":    func() error { return ignore(sys.ExplainAnalyzeIn("main", "x(A)")) },
+		"ExplainAnalyzeCall":  func() error { return ignore(sys.ExplainAnalyzeCall("main", "p")) },
+		"ExplainProcPhysical": func() error { return ignore(sys.ExplainProcPhysical("main", "p")) },
+		"ExplainProc":         func() error { return ignore(sys.ExplainProc("main", "p")) },
+		"Call":                func() error { return ignore(sys.Call("main", "p")) },
+		"CallContext":         func() error { return ignore(sys.CallContext(ctx, "main", "p")) },
+		"Procs":               func() error { return ignore(sys.Procs()) },
+		"Snapshot":            func() error { return ignore(sys.Snapshot()) },
+		"SaveEDB":             func() error { return sys.SaveEDB(filepath.Join(dir, "edb.img")) },
+		"LoadEDB":             func() error { return sys.LoadEDB(filepath.Join(dir, "edb.img")) },
+		"LoadCSV":             func() error { return sys.LoadCSV("x", strings.NewReader("1\n")) },
+		"LoadCSVFile":         func() error { return sys.LoadCSVFile("x", csvPath) },
+		"SaveCSV":             func() error { return sys.SaveCSV("x", 1, io.Discard) },
+		"SaveCSVFile":         func() error { return sys.SaveCSVFile("x", 1, filepath.Join(dir, "out.csv")) },
+		"ScrubEDB":            func() error { return ignore(sys.ScrubEDB(false)) },
+		"Checkpoint":          func() error { return sys.Checkpoint() },
+		"Close":               func() error { return sys.Close() },
+	}
+	for name, op := range ops {
+		if err := op(); err == nil || !strings.Contains(err.Error(), `unknown baseline "bogus"`) {
+			t.Errorf("%s: err = %v, want the startup error", name, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "edb.img")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("SaveEDB wrote an image of the fallback store (stat: %v)", err)
 	}
 }
 

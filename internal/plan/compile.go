@@ -264,7 +264,9 @@ func (c *Compiler) compileProc(module string, proc *ast.Proc, id string) (string
 		p.Locals = append(p.Locals, LocalDecl{Name: l.Name, Arity: l.Arity()})
 	}
 	// Install before compiling the body so recursive references resolve.
+	c.prog.mu.Lock()
 	c.prog.Procs[id] = p
+	c.prog.mu.Unlock()
 	pc := &procCompiler{
 		c:      c,
 		module: module,
@@ -276,7 +278,9 @@ func (c *Compiler) compileProc(module string, proc *ast.Proc, id string) (string
 	}
 	body, err := pc.compileStmts(proc.Body)
 	if err != nil {
+		c.prog.mu.Lock()
 		delete(c.prog.Procs, id)
+		c.prog.mu.Unlock()
 		return "", err
 	}
 	p.Body = body

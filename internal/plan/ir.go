@@ -7,6 +7,9 @@
 package plan
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"gluenail/internal/ast"
 	"gluenail/internal/term"
 )
@@ -34,9 +37,24 @@ type RelRef struct {
 
 // Program is a compiled program: procedures by ID. Procedure IDs are
 // "module.name" for user procs and "module.pred@adornment" for generated
-// NAIL! procs.
+// NAIL! procs. It is the one copy every machine executes: the compiler
+// keeps adding procedures (queries, new adornments) while machines run, so
+// a machine looks procedures up through Proc, and the compiler writes Procs
+// only under mu. Reading Procs directly is safe only on the compiling
+// goroutine, or when nothing compiles concurrently.
 type Program struct {
 	Procs map[string]*Proc
+	mu    sync.RWMutex
+	// epoch is folded into every cached plan's key (see cache.go).
+	epoch atomic.Uint64
+}
+
+// Proc returns the procedure with the given ID.
+func (p *Program) Proc(id string) (*Proc, bool) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	proc, ok := p.Procs[id]
+	return proc, ok
 }
 
 // Proc is one compiled procedure.
@@ -79,6 +97,7 @@ func (*Loop) instr() {}
 type Cond struct {
 	NRegs int
 	Steps []Step
+	slot  PlanSlot
 }
 
 // Stmt is a compiled assignment statement.
@@ -94,6 +113,7 @@ type Stmt struct {
 	// HasAgg reports whether any step aggregates; used by executors to
 	// decide whether duplicate elimination is legal anywhere.
 	HasAgg bool
+	slot   PlanSlot
 }
 
 // HeadSpec describes the assignment target and the tuples built per row.

@@ -105,6 +105,8 @@ type PhysStep struct {
 type PhysPlan struct {
 	Stmt  *Stmt // nil for conditions
 	Steps []PhysStep
+	// key is the cache key the plan was stored under (PlanSlot.Store).
+	key uint64
 }
 
 // OpProfile is the executor's per-op feedback: tuples that entered and left
@@ -159,12 +161,13 @@ func (pl *Planner) PlanStmt(st *Stmt, prof *StmtProfile) *PhysPlan {
 func (pl *Planner) PlanSteps(steps []Step, prof *StmtProfile) []PhysStep {
 	out := make([]PhysStep, len(steps))
 	est := 1.0 // sup_0 = {ε}, §3.2
+	var bound regSet
 	for k := range steps {
 		var ops []OpProfile
 		if prof != nil && k < len(prof.Steps) {
 			ops = prof.Steps[k].Ops
 		}
-		out[k] = pl.planStep(&steps[k], est, ops)
+		out[k] = pl.planStep(&steps[k], est, ops, &bound)
 		est = barrierEst(steps[k].Barrier, out[k].EstOut)
 	}
 	return out
@@ -175,11 +178,11 @@ func (pl *Planner) PlanSteps(steps []Step, prof *StmtProfile) []PhysStep {
 // break toward the logical order. The loop cannot stall — the earliest
 // pending op in logical order always has its compile-time predecessors
 // executed (everything before it is no longer pending), so the registers it
-// needs are bound.
-func (pl *Planner) planStep(s *Step, estIn float64, prof []OpProfile) PhysStep {
-	bound := make(map[int]bool, len(s.BoundIn))
+// needs are bound. bound is the caller's scratch set, reset here.
+func (pl *Planner) planStep(s *Step, estIn float64, prof []OpProfile, bound *regSet) PhysStep {
+	clear(*bound)
 	for _, r := range s.BoundIn {
-		bound[r] = true
+		bound.add(r)
 	}
 	ps := PhysStep{Step: s, Ops: make([]PhysOp, 0, len(s.Pipe)), EstIn: estIn}
 	pending := make([]int, len(s.Pipe))
@@ -191,7 +194,7 @@ func (pl *Planner) planStep(s *Step, estIn float64, prof []OpProfile) PhysStep {
 		best := -1
 		var bestOp PhysOp
 		for pi, li := range pending {
-			po, ok := pl.analyzeOp(s.Pipe[li], li, bound, est, prof)
+			po, ok := pl.analyzeOp(s.Pipe[li], li, *bound, est, prof)
 			if !ok {
 				continue
 			}
@@ -206,12 +209,12 @@ func (pl *Planner) planStep(s *Step, estIn float64, prof []OpProfile) PhysStep {
 			// Unreachable for well-formed plans; fall back to logical order
 			// without binding requirements rather than dropping ops.
 			li := pending[0]
-			bestOp, _ = pl.analyzeOp(s.Pipe[li], li, bound, est, prof)
+			bestOp, _ = pl.analyzeOp(s.Pipe[li], li, *bound, est, prof)
 			bestOp.Op = s.Pipe[li]
 			best = 0
 		}
 		pending = append(pending[:best], pending[best+1:]...)
-		markOpBound(bestOp.Op, bound)
+		bound.addOp(bestOp.Op)
 		est = bestOp.EstOut
 		ps.Ops = append(ps.Ops, bestOp)
 	}
@@ -224,7 +227,7 @@ func (pl *Planner) planStep(s *Step, estIn float64, prof []OpProfile) PhysStep {
 
 // analyzeOp checks whether op can run under the bound-register set and, if
 // so, returns its physical clone with re-derived mask/bind and estimates.
-func (pl *Planner) analyzeOp(op PipeOp, li int, bound map[int]bool, est float64,
+func (pl *Planner) analyzeOp(op PipeOp, li int, bound regSet, est float64,
 	prof []OpProfile) (PhysOp, bool) {
 	po := PhysOp{LogIdx: li, EstIn: est}
 	costFactor := 1.0
@@ -254,7 +257,7 @@ func (pl *Planner) analyzeOp(op PipeOp, li int, bound map[int]bool, est float64,
 		c.BoundMask, c.Bind = mask, bind
 		po.Op = &c
 	case *DynMatch:
-		if !patBoundIn(op.Pred, bound) {
+		if !bound.hasPat(op.Pred) {
 			return po, false // dispatch name must be computable
 		}
 		mask, bind := rebindArgs(op.Args, bound)
@@ -271,20 +274,20 @@ func (pl *Planner) analyzeOp(op PipeOp, li int, bound map[int]bool, est float64,
 		c.BoundMask, c.Bind = mask, bind
 		po.Op = &c
 	case *Compare:
-		if !exprBoundIn(op.L, bound) || !exprBoundIn(op.R, bound) {
+		if !bound.hasExpr(op.L) || !bound.hasExpr(op.R) {
 			return po, false
 		}
 		po.Access = "filter"
 		po.Sel = cmpSel(op)
 		po.Op = op // order-insensitive; no clone needed
 	case *MatchBind:
-		if !exprBoundIn(op.E, bound) {
+		if !bound.hasExpr(op.E) {
 			return po, false
 		}
 		po.Access = "bind"
 		po.Sel = 1
 		c := *op
-		c.Bind = unboundPatRegs(op.Pat, bound)
+		c.Bind = bound.missing(op.Pat.Regs(nil))
 		po.Op = &c
 	default:
 		po.Op = op
@@ -380,10 +383,10 @@ func OpMask(op PipeOp) uint32 {
 // wildcard and all its registers are bound; Bind lists the unbound
 // registers in traversal order (duplicates preserved — unbinding twice is
 // harmless, and the executor zeroes exactly this set).
-func rebindArgs(args []term.Pattern, bound map[int]bool) (uint32, []int) {
+func rebindArgs(args []term.Pattern, bound regSet) (uint32, []int) {
 	var mask uint32
 	for i := range args {
-		if i < 32 && args[i].Kind != term.PatWild && patBoundIn(args[i], bound) {
+		if i < 32 && args[i].Kind != term.PatWild && bound.hasPat(args[i]) {
 			mask |= 1 << uint(i)
 		}
 	}
@@ -391,83 +394,107 @@ func rebindArgs(args []term.Pattern, bound map[int]bool) (uint32, []int) {
 	for _, a := range args {
 		all = a.Regs(all)
 	}
-	var bind []int
-	for _, r := range all {
-		if !bound[r] {
-			bind = append(bind, r)
-		}
-	}
-	return mask, bind
+	return mask, bound.missing(all)
 }
 
-// patBoundIn reports whether every register of p is in the bound set.
-func patBoundIn(p term.Pattern, bound map[int]bool) bool {
-	for _, r := range p.Regs(nil) {
-		if !bound[r] {
+// regSet is the planner's bound-register set, one bit per register. One
+// set serves every step PlanSteps plans.
+type regSet []uint64
+
+func (s regSet) has(r int) bool {
+	w := r >> 6
+	return w < len(s) && s[w]&(1<<uint(r&63)) != 0
+}
+
+func (s *regSet) add(r int) {
+	for r>>6 >= len(*s) {
+		*s = append(*s, 0)
+	}
+	(*s)[r>>6] |= 1 << uint(r&63)
+}
+
+// hasPat reports whether every register of p is in the set.
+func (s regSet) hasPat(p term.Pattern) bool {
+	switch p.Kind {
+	case term.PatVar:
+		return s.has(p.Reg)
+	case term.PatComp:
+		if !s.hasPat(*p.Fn) {
 			return false
+		}
+		for i := range p.Args {
+			if !s.hasPat(p.Args[i]) {
+				return false
+			}
 		}
 	}
 	return true
 }
 
-// unboundPatRegs lists the registers of p not yet bound, in traversal order.
-func unboundPatRegs(p term.Pattern, bound map[int]bool) []int {
+// addPat adds every register of p.
+func (s *regSet) addPat(p term.Pattern) {
+	switch p.Kind {
+	case term.PatVar:
+		s.add(p.Reg)
+	case term.PatComp:
+		s.addPat(*p.Fn)
+		for i := range p.Args {
+			s.addPat(p.Args[i])
+		}
+	}
+}
+
+// missing lists the registers of regs not in the set, in order.
+func (s regSet) missing(regs []int) []int {
 	var out []int
-	for _, r := range p.Regs(nil) {
-		if !bound[r] {
+	for _, r := range regs {
+		if !s.has(r) {
 			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// exprBoundIn reports whether every register read by e is bound.
-func exprBoundIn(e Expr, bound map[int]bool) bool {
+// hasExpr reports whether every register read by e is in the set.
+func (s regSet) hasExpr(e Expr) bool {
 	switch e := e.(type) {
 	case RegE:
-		return bound[e.Reg]
+		return s.has(e.Reg)
 	case PatE:
-		return patBoundIn(e.P, bound)
+		return s.hasPat(e.P)
 	case BinE:
-		return exprBoundIn(e.L, bound) && exprBoundIn(e.R, bound)
+		return s.hasExpr(e.L) && s.hasExpr(e.R)
 	case CallE:
 		for _, a := range e.Args {
-			if !exprBoundIn(a, bound) {
+			if !s.hasExpr(a) {
 				return false
 			}
 		}
-		return true
 	}
 	return true // ConstE
 }
 
-// markOpBound adds the registers op binds at run time to the bound set:
-// positive matches bind every argument register, MatchBind binds its
-// pattern; negated ops and comparisons bind nothing (mirroring markBound in
-// the statement compiler).
-func markOpBound(op PipeOp, bound map[int]bool) {
+// addOp adds the registers op binds at run time: positive matches bind
+// every argument register, MatchBind binds its pattern; negated ops and
+// comparisons bind nothing (mirroring markBound in the statement
+// compiler).
+func (s *regSet) addOp(op PipeOp) {
+	var args []term.Pattern
 	switch op := op.(type) {
 	case *Match:
 		if op.Negated {
 			return
 		}
-		for _, a := range op.Args {
-			for _, r := range a.Regs(nil) {
-				bound[r] = true
-			}
-		}
+		args = op.Args
 	case *DynMatch:
 		if op.Negated {
 			return
 		}
-		for _, a := range op.Args {
-			for _, r := range a.Regs(nil) {
-				bound[r] = true
-			}
-		}
+		args = op.Args
 	case *MatchBind:
-		for _, r := range op.Pat.Regs(nil) {
-			bound[r] = true
-		}
+		s.addPat(op.Pat)
+	}
+	for _, a := range args {
+		s.addPat(a)
 	}
 }

@@ -245,9 +245,9 @@ end
 		t.Fatalf("physical plan has %d ops, logical %d", len(ps.Ops), len(st.Steps[0].Pipe))
 	}
 	seen := map[int]bool{}
-	bound := map[int]bool{}
+	var bound regSet
 	for _, r := range st.Steps[0].BoundIn {
-		bound[r] = true
+		bound.add(r)
 	}
 	for _, po := range ps.Ops {
 		if seen[po.LogIdx] {
@@ -260,10 +260,33 @@ end
 				t.Fatalf("negated match placed with unbound registers %v", op.Bind)
 			}
 		case *Compare:
-			if !exprBoundIn(op.L, bound) || !exprBoundIn(op.R, bound) {
+			if !bound.hasExpr(op.L) || !bound.hasExpr(op.R) {
 				t.Fatal("comparison placed before its registers are bound")
 			}
 		}
-		markOpBound(po.Op, bound)
+		bound.addOp(po.Op)
+	}
+}
+
+// TestRegSetGrowsPastOneWord checks the planner's bound-register bitset on
+// registers beyond the first 64-bit word, and that a cleared set keeps
+// nothing.
+func TestRegSetGrowsPastOneWord(t *testing.T) {
+	var s regSet
+	for _, r := range []int{0, 63, 64, 130} {
+		s.add(r)
+	}
+	for r := 0; r < 200; r++ {
+		want := r == 0 || r == 63 || r == 64 || r == 130
+		if s.has(r) != want {
+			t.Errorf("has(%d) = %v, want %v", r, s.has(r), want)
+		}
+	}
+	if got := s.missing([]int{1, 64, 65, 130, 500}); len(got) != 3 || got[0] != 1 || got[1] != 65 || got[2] != 500 {
+		t.Errorf("missing = %v, want [1 65 500]", got)
+	}
+	clear(s)
+	if s.has(64) || s.has(130) {
+		t.Error("cleared set still holds registers")
 	}
 }

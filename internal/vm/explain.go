@@ -33,7 +33,7 @@ func (s edbStats) RelStats(ref plan.RelRef) (plan.RelEstimate, bool) {
 // (EXPLAIN ANALYZE — run the procedure between ResetProfiles and this
 // call).
 func (m *Machine) ExplainPhysical(procID string, analyze bool) (string, error) {
-	proc, ok := m.Prog.Procs[procID]
+	proc, ok := m.Prog.Proc(procID)
 	if !ok {
 		return "", fmt.Errorf("vm: no procedure %q", procID)
 	}

@@ -1,8 +1,8 @@
 // Executor side of the prepared-plan cache: resolving a statement's
 // referenced relations to their current cardinality classes (through the
 // frame, so locals shadow the EDB exactly as they do for planning) and
-// arbitrating between cache and planner. See internal/plan/cache.go for
-// the cache itself and its invalidation rules.
+// arbitrating between the statement's plan slot and the planner. See
+// internal/plan/cache.go for the slots and their invalidation rules.
 package vm
 
 import (
@@ -34,34 +34,39 @@ func (f *frame) classSig(refs []plan.RelRef) uint64 {
 	return sig
 }
 
+// planKey is the key a slot's plan must carry to be served: the class
+// signature of its relations folded with the program's plan epoch.
+func (f *frame) planKey(slot *plan.PlanSlot) uint64 {
+	return f.m.Prog.PlanKey(f.classSig(slot.Refs()))
+}
+
 // stmtPlan returns the statement's physical plan: the cached one while its
-// class signature holds and the executor's selectivity feedback has not
-// drifted, a freshly planned (and cached) one otherwise.
+// key holds and the executor's selectivity feedback has not drifted, a
+// freshly planned (and cached, for every machine on the program) one
+// otherwise.
 func (f *frame) stmtPlan(st *plan.Stmt, prof *plan.StmtProfile) *plan.PhysPlan {
-	c := f.m.planCache
-	e := c.StmtEntry(st)
-	sig := f.classSig(e.Refs())
-	if pp := c.Lookup(e, sig, prof); pp != nil {
+	slot := st.Slot()
+	key := f.planKey(slot)
+	if pp := slot.Lookup(key, prof, &f.m.planStats); pp != nil {
 		return pp
 	}
 	// Miss or invalidation: re-plan with the accumulated profile, so a
 	// drift-invalidated plan is immediately replaced by one whose
 	// selectivities come from the observed ratios — the next lookup hits.
 	pp := f.planner().PlanStmt(st, prof)
-	c.Store(e, sig, pp)
+	slot.Store(key, pp)
 	return pp
 }
 
 // condPlan is stmtPlan for until-conditions. Conditions accumulate no
-// profile, so their cached segments invalidate on class changes only.
+// profile, so their cached plans invalidate on key changes only.
 func (f *frame) condPlan(cond *plan.Cond) []plan.PhysStep {
-	c := f.m.planCache
-	e := c.CondEntry(cond)
-	sig := f.classSig(e.Refs())
-	if steps := c.LookupSteps(e, sig); steps != nil {
-		return steps
+	slot := cond.Slot()
+	key := f.planKey(slot)
+	if pp := slot.Lookup(key, nil, &f.m.planStats); pp != nil {
+		return pp.Steps
 	}
-	steps := f.planner().PlanSteps(cond.Steps, nil)
-	c.StoreSteps(e, sig, steps)
-	return steps
+	pp := &plan.PhysPlan{Steps: f.planner().PlanSteps(cond.Steps, nil)}
+	slot.Store(key, pp)
+	return pp.Steps
 }

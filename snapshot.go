@@ -18,9 +18,7 @@ import (
 	"io"
 	"sync"
 
-	"gluenail/internal/plan"
 	"gluenail/internal/storage"
-	"gluenail/internal/term"
 	"gluenail/internal/vm"
 )
 
@@ -38,7 +36,7 @@ import (
 type Snapshot struct {
 	sys *System
 	// mu serializes statements on this session: the machine is stateful
-	// (frames, profiles, plan cache) and runs one call at a time.
+	// (frames, profiles, plan-cache counters) and runs one call at a time.
 	mu      sync.Mutex
 	store   storage.SnapshotStore
 	temp    storage.Store
@@ -70,7 +68,7 @@ func (s *System) Snapshot() (*Snapshot, error) {
 		closeStore(store)
 		return nil, err
 	}
-	m := vm.New(s.progView(), store, temp, s.registry)
+	m := vm.New(s.compiler.Program(), store, temp, s.registry)
 	s.tuneMachine(m, s.cfg.budget)
 	// Session I/O is private: write/nl output from a snapshot query is
 	// discarded unless SetOutput directs it somewhere, and read_line
@@ -173,21 +171,13 @@ func (sn *Snapshot) QueryIn(module, goals string) (*Result, error) {
 // (private, against the captured state, outside it) are split: a query
 // text seen before costs no lock beyond the cache probe.
 func (sn *Snapshot) QueryInContext(ctx context.Context, module, goals string) (*Result, error) {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	if sn.closed {
-		return nil, errSnapshotClosed
-	}
-	id, vars, prog, err := sn.sys.compileQueryView(module, goals)
-	if err != nil {
-		return nil, err
-	}
-	return sn.run(ctx, prog, id, vars)
+	return sn.execute(ctx, &Prepared{sys: sn.sys, module: module, goals: goals})
 }
 
 // Execute runs a prepared query against the snapshot: the server's hot
 // path — parse, compile, and physical planning amortized across sessions
-// through the shared Prepared handle and the session plan cache.
+// through the shared Prepared handle and the plans cached on the compiled
+// program.
 func (sn *Snapshot) Execute(p *Prepared) (*Result, error) {
 	return sn.ExecuteContext(context.Background(), p)
 }
@@ -197,16 +187,24 @@ func (sn *Snapshot) ExecuteContext(ctx context.Context, p *Prepared) (*Result, e
 	if p.sys != sn.sys {
 		return nil, fmt.Errorf("gluenail: prepared query belongs to a different System")
 	}
+	return sn.execute(ctx, p)
+}
+
+// execute resolves a query under the system lock and runs it on the
+// session machine, outside it, under the session budget.
+func (sn *Snapshot) execute(ctx context.Context, p *Prepared) (*Result, error) {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
 	if sn.closed {
 		return nil, errSnapshotClosed
 	}
-	id, vars, prog, err := sn.sys.preparedView(p)
+	sn.sys.mu.Lock()
+	q, err := sn.sys.resolve(p)
+	sn.sys.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	return sn.run(ctx, prog, id, vars)
+	return runQuery(ctx, sn.machine, sn.budget.Timeout, q)
 }
 
 // Relation returns the snapshot's sorted contents of an EDB relation —
@@ -223,63 +221,4 @@ func (sn *Snapshot) Relation(relation any, arity int) ([][]Value, error) {
 	return copyRows(storage.Sorted(rel)), nil
 }
 
-// run executes a compiled query procedure on the session machine under
-// the session budget. Called with sn.mu held.
-func (sn *Snapshot) run(ctx context.Context, prog *plan.Program, id string, vars []string) (*Result, error) {
-	sn.machine.Prog = prog
-	if sn.budget.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, sn.budget.Timeout)
-		defer cancel()
-	}
-	tuples, err := sn.machine.CallProcContext(ctx, id, []term.Tuple{{}})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Vars: vars}
-	sorted := make([]term.Tuple, len(tuples))
-	copy(sorted, tuples)
-	sortTuples(sorted)
-	for _, t := range sorted {
-		res.Rows = append(res.Rows, []Value(t))
-	}
-	return res, nil
-}
-
 var errSnapshotClosed = fmt.Errorf("gluenail: snapshot session is closed")
-
-// compileQueryView compiles (or re-serves from cache) a query under the
-// system lock and returns its procedure ID, output variables, and the
-// immutable program view a snapshot machine may execute without racing
-// later compilations.
-func (s *System) compileQueryView(module, goals string) (string, []string, *plan.Program, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ensure(); err != nil {
-		return "", nil, nil, err
-	}
-	id, vars, err := s.prepareQuery(module, goals)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	return id, vars, s.progView(), nil
-}
-
-// preparedView resolves a Prepared handle under the system lock —
-// re-preparing it if the program was recompiled since — and returns the
-// procedure ID, output variables, and immutable program view.
-func (s *System) preparedView(p *Prepared) (string, []string, *plan.Program, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ensure(); err != nil {
-		return "", nil, nil, err
-	}
-	if p.gen != s.gen {
-		id, vars, err := s.prepareQuery(p.module, p.goals)
-		if err != nil {
-			return "", nil, nil, err
-		}
-		p.id, p.vars, p.gen = id, vars, s.gen
-	}
-	return p.id, p.vars, s.progView(), nil
-}

@@ -424,3 +424,142 @@ func TestSnapshotReadLineSeesEOF(t *testing.T) {
 		t.Fatalf("live read_line = %v, want the system's one input line", live.Rows)
 	}
 }
+
+// TestSnapshotConcurrentCompile runs prepared and ad-hoc queries on
+// snapshot sessions while other goroutines compile never-seen texts through
+// System.Query and Snapshot.Query, among them texts that add a magic-set
+// adornment (tc(X, k) and tc(k, k+1) after only tc(1, X)). Every machine
+// executes the one compiled program the compiler keeps adding procedures
+// to, so under -race this fails if a machine reads the procedure table, or
+// a statement's plan slot, unsynchronised.
+func TestSnapshotConcurrentCompile(t *testing.T) {
+	sys := New()
+	if err := sys.Load(snapProgram); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Assert("edge", chainEdges(1, 30)...); err != nil {
+		t.Fatal(err)
+	}
+	p, err := sys.Prepare("tc(1,X)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmtResult(res)
+
+	const readers, texts = 3, 12
+	errs := make(chan error, readers+2)
+	stop := make(chan struct{})
+	var readWG, compileWG sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		readWG.Add(1)
+		go func(r int) {
+			defer readWG.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap, err := sys.Snapshot()
+				if err != nil {
+					errs <- err
+					return
+				}
+				res, err := snap.Execute(p)
+				if err == nil && fmtResult(res) != want {
+					err = fmt.Errorf("reader %d run %d: prepared tc(1,X) changed", r, n)
+				}
+				if err == nil {
+					res, err = snap.Query("edge(2,X)")
+					if err == nil && len(res.Rows) != 1 {
+						err = fmt.Errorf("reader %d run %d: edge(2,X) = %v", r, n, res.Rows)
+					}
+				}
+				snap.Close()
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(r)
+	}
+	compile := func(run func(goals string) (*Result, error), format string, rows func(k int) int) {
+		defer compileWG.Done()
+		for k := 2; k < 2+texts; k++ {
+			res, err := run(fmt.Sprintf(format, k, k+1))
+			if err == nil && len(res.Rows) != rows(k) {
+				err = fmt.Errorf("%s at k=%d: %d rows, want %d", format, k, len(res.Rows), rows(k))
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}
+	compileWG.Add(2)
+	go compile(sys.Query, "tc(X, %d) & X != %d", func(k int) int { return k - 1 })
+	go compile(func(goals string) (*Result, error) {
+		snap, err := sys.Snapshot()
+		if err != nil {
+			return nil, err
+		}
+		defer snap.Close()
+		return snap.Query(goals)
+	}, "tc(%d, %d)", func(int) int { return 1 })
+	compileWG.Wait()
+	close(stop)
+	readWG.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+}
+
+// TestSnapshotExecuteAllocs pins the allocations of a fresh snapshot
+// session running an already-run prepared query, open to close. The plans
+// the first run built live on the compiled statements, so the fresh
+// session plans nothing: its cost stays near opening a session plus a warm
+// Execute on an old one.
+func TestSnapshotExecuteAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop entries, so pooled scratch re-allocates")
+	}
+	sys := New()
+	if err := sys.Load(snapProgram); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Assert("edge", chainEdges(1, 20)...); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		goals string
+		max   float64 // measured 75 and 1008 (Go 1.24, linux/amd64)
+	}{{"edge(1,X)", 94}, {"tc(1,X)", 1260}} {
+		p, err := sys.Prepare(c.goals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			snap, err := sys.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := snap.Execute(p); err != nil {
+				t.Fatal(err)
+			}
+			if err := snap.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if got := testing.AllocsPerRun(20, run); got > c.max {
+			t.Errorf("%s: fresh snapshot + Execute + Close allocates %.0f objects, want <= %.0f",
+				c.goals, got, c.max)
+		}
+	}
+}
