@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"gluenail/internal/storage"
 	"gluenail/internal/term"
 )
 
@@ -18,48 +17,35 @@ import (
 // in single quotes is always a string ('42' loads as the string "42").
 
 // LoadCSV reads CSV records from r into the named relation, creating it on
-// first use. Every record must have the same width. Files past the bulk
-// threshold take the engine's direct bulk path when the backend has one
-// (the disk engine builds runs straight from the batch, bypassing the
-// WAL); smaller files insert row at a time.
+// first use, as one statement: every record must have the same width, and
+// once the program is compiled that width must match the relation's edb
+// declaration, as for Assert. Files past the bulk threshold take the
+// engine's direct bulk path when the backend has one (the disk engine
+// builds runs straight from the batch, bypassing the WAL); smaller files
+// insert row at a time.
 func (s *System) LoadCSV(relation string, r io.Reader) error {
-	if s.durErr != nil {
-		return s.durErr
-	}
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
-	arity := -1
 	var rows []term.Tuple
-	n := 0
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return fmt.Errorf("gluenail: csv %s record %d: %w", relation, n+1, err)
+			return fmt.Errorf("gluenail: csv %s record %d: %w", relation, len(rows)+1, err)
 		}
-		n++
-		if arity == -1 {
-			arity = len(rec)
-		}
-		if len(rec) != arity {
+		if len(rows) > 0 && len(rec) != len(rows[0]) {
 			return fmt.Errorf("gluenail: csv %s record %d has %d fields, want %d",
-				relation, n, len(rec), arity)
+				relation, len(rows)+1, len(rec), len(rows[0]))
 		}
-		tup := make(term.Tuple, arity)
+		tup := make(term.Tuple, len(rec))
 		for i, f := range rec {
 			tup[i] = csvValue(f)
 		}
 		rows = append(rows, tup)
 	}
-	if arity == -1 {
-		return s.commit()
-	}
-	if err := s.ingest(term.Intern(relation), arity, rows); err != nil {
-		return err
-	}
-	return s.commit()
+	return s.do(needStore, func() error { return s.insert(term.Intern(relation), rows) })
 }
 
 // LoadCSVFile reads a CSV file into the named relation.
@@ -91,15 +77,15 @@ func csvValue(f string) term.Value {
 // per column. Compound values render in source syntax; strings that would
 // re-load as numbers are single-quoted so a round trip preserves types.
 func (s *System) SaveCSV(relation string, arity int, w io.Writer) error {
-	if s.durErr != nil {
-		return s.durErr
+	rows, err := s.Relation(relation, arity)
+	if err != nil {
+		return err
 	}
-	rel, ok := s.edb.Get(term.Intern(relation), arity)
-	if !ok {
+	if rows == nil {
 		return fmt.Errorf("gluenail: no relation %s/%d", relation, arity)
 	}
 	cw := csv.NewWriter(w)
-	for _, t := range storage.Sorted(rel) {
+	for _, t := range rows {
 		rec := make([]string, len(t))
 		for i, v := range t {
 			rec[i] = csvField(v)

@@ -2,6 +2,7 @@ package gluenail
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -70,6 +71,8 @@ func TestDiskFaultDegradesSystemNotPoisoned(t *testing.T) {
 // run and checks a query over the damaged relation fails with a typed
 // ErrCorrupt while queries over healthy relations keep working — the
 // statement is contained at its boundary instead of poisoning the VM.
+// Reads that bypass the VM (SaveCSV, a snapshot's Relation) fail typed
+// too, rather than panicking out of the API.
 func TestCorruptBlockContainedNotPoisoned(t *testing.T) {
 	dataDir := t.TempDir()
 	sys, err := Open(dataDir, WithBackend("disk"))
@@ -126,6 +129,19 @@ func TestCorruptBlockContainedNotPoisoned(t *testing.T) {
 	_, qerr := sys2.Query("edge(X, Y)")
 	if !errors.Is(qerr, ErrCorrupt) {
 		t.Fatalf("query over corrupt run: got %v, want ErrCorrupt", qerr)
+	}
+	if err := sys2.SaveCSV("edge", 2, io.Discard); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("SaveCSV over corrupt run: got %v, want ErrCorrupt", err)
+	}
+	snap, err := sys2.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snap.Relation("edge", 2); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Snapshot.Relation over corrupt run: got %v, want ErrCorrupt", err)
+	}
+	if err := snap.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	// The poison line: the next statement must run normally.

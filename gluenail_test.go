@@ -613,11 +613,13 @@ func TestWithBaseline(t *testing.T) {
 	}
 }
 
-// TestStartupErrorFailsEveryOperation calls every error-returning System
-// method on a system whose startup failed (an unknown baseline) and expects
-// the startup error from each: no operation may read, write or export the
-// fallback store in its place. Degraded is left out — its error is the
-// engine's fault state, not the outcome of an operation.
+// TestStartupErrorFailsEveryOperation calls every error-returning System,
+// Prepared and Snapshot operation on a system whose startup failed (an
+// unknown baseline) and expects the startup error from each: no operation
+// may read, write or export the fallback store in its place. Such a system
+// hands out no Prepared or Snapshot, so the test builds the handles
+// itself. Snapshot.Relation and Snapshot.Close are left out: they touch
+// only a session's captured state, which a failed system never captures.
 func TestStartupErrorFailsEveryOperation(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "p.glue")
@@ -628,6 +630,8 @@ func TestStartupErrorFailsEveryOperation(t *testing.T) {
 		}
 	}
 	sys := New(WithBaseline("bogus"))
+	prep := &Prepared{sys: sys, module: "main", goals: "x(A)"}
+	snap := &Snapshot{sys: sys}
 	ctx := context.Background()
 	noop := func([][]Value) ([][]Value, error) { return nil, nil }
 	ignore := func(_ any, err error) error { return err }
@@ -664,7 +668,18 @@ func TestStartupErrorFailsEveryOperation(t *testing.T) {
 		"SaveCSVFile":         func() error { return sys.SaveCSVFile("x", 1, filepath.Join(dir, "out.csv")) },
 		"ScrubEDB":            func() error { return ignore(sys.ScrubEDB(false)) },
 		"Checkpoint":          func() error { return sys.Checkpoint() },
+		"Degraded":            func() error { return sys.Degraded() },
 		"Close":               func() error { return sys.Close() },
+
+		"Prepared.Execute":        func() error { return ignore(prep.Execute()) },
+		"Prepared.ExecuteContext": func() error { return ignore(prep.ExecuteContext(ctx)) },
+
+		"Snapshot.Query":          func() error { return ignore(snap.Query("x(A)")) },
+		"Snapshot.QueryContext":   func() error { return ignore(snap.QueryContext(ctx, "x(A)")) },
+		"Snapshot.QueryIn":        func() error { return ignore(snap.QueryIn("main", "x(A)")) },
+		"Snapshot.QueryInContext": func() error { return ignore(snap.QueryInContext(ctx, "main", "x(A)")) },
+		"Snapshot.Execute":        func() error { return ignore(snap.Execute(prep)) },
+		"Snapshot.ExecuteContext": func() error { return ignore(snap.ExecuteContext(ctx, prep)) },
 	}
 	for name, op := range ops {
 		if err := op(); err == nil || !strings.Contains(err.Error(), `unknown baseline "bogus"`) {

@@ -115,8 +115,8 @@ print(f"rows x{growth:.0f}, open time x{slowdown:.1f}")
 assert slowdown < growth, f"reopen scaled superlinearly: {slowdown:.1f}x time for {growth:.0f}x rows"
 EOF
 
-step "I/O hygiene vet (no ignored Close/Sync, no direct os I/O behind the fsio seam)"
-go test -count=1 -run 'TestIOVet' .
+step "I/O hygiene and entry-point vet (no ignored Close/Sync, no direct os I/O behind the fsio seam, System.mu locked only at the API's entry point)"
+go test -count=1 -run 'TestIOVet|TestLockVet' .
 
 step "Fault-injection suite (VFS faults at every write site, degraded mode, scrub, bit-flip matrix; race)"
 go test -race -count=1 ./internal/storage/fsio/

@@ -35,9 +35,10 @@ import (
 // collector once the last reference is gone.
 type Snapshot struct {
 	sys *System
-	// mu serializes statements on this session: the machine is stateful
-	// (frames, profiles, plan-cache counters) and runs one call at a time.
-	mu      sync.Mutex
+	// gate serializes statements on this session (see do): the machine is
+	// stateful (frames, profiles, plan-cache counters) and runs one call at
+	// a time.
+	gate    sync.Mutex
 	store   storage.SnapshotStore
 	temp    storage.Store
 	machine *vm.Machine
@@ -51,42 +52,58 @@ type Snapshot struct {
 // snapshot inherits the system's configured budget; SetBudget overrides
 // it per session.
 func (s *System) Snapshot() (*Snapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.ensure(); err != nil {
-		return nil, err
-	}
-	if s.eng == nil {
-		return nil, fmt.Errorf("gluenail: snapshots require a multi-version backend (not the \"layered\" baseline)")
-	}
-	store, err := s.eng.SnapshotView()
-	if err != nil {
-		return nil, err
-	}
-	temp, err := newScratchStore(&s.cfg)
-	if err != nil {
-		closeStore(store)
-		return nil, err
-	}
-	m := vm.New(s.compiler.Program(), store, temp, s.registry)
-	s.tuneMachine(m, s.cfg.budget)
-	// Session I/O is private: write/nl output from a snapshot query is
-	// discarded unless SetOutput directs it somewhere, and read_line
-	// sees EOF (the machine's own empty input). The shared trace writer
-	// is not inherited — interleaved trace lines from concurrent sessions
-	// would be garbage.
-	m.Out = io.Discard
-	return &Snapshot{sys: s, store: store, temp: temp, machine: m, budget: s.cfg.budget}, nil
+	return value(s, needProgram, func() (*Snapshot, error) {
+		if s.eng == nil {
+			return nil, fmt.Errorf("gluenail: snapshots require a multi-version backend (not the \"layered\" baseline)")
+		}
+		store, err := s.eng.SnapshotView()
+		if err != nil {
+			return nil, err
+		}
+		temp, err := newScratchStore(&s.cfg)
+		if err != nil {
+			closeStores(store)
+			return nil, err
+		}
+		// Session I/O is private: write/nl output from a snapshot query is
+		// discarded unless SetOutput directs it somewhere, and read_line
+		// sees EOF (the machine's own empty input). The shared trace
+		// writer is not inherited — interleaved trace lines from
+		// concurrent sessions would be garbage.
+		m := s.newMachine(store, temp, io.Discard)
+		return &Snapshot{sys: s, store: store, temp: temp, machine: m, budget: s.cfg.budget}, nil
+	})
 }
 
-// closeStore closes a store that has a Close method (disk-backed snapshot
-// views pin run files; spill scratch stores own a directory). Main-memory
-// stores close as no-ops.
-func closeStore(st any) error {
-	if c, ok := st.(io.Closer); ok {
-		return c.Close()
+// do is the session's gate, the snapshot half of System.do: it runs op as
+// one statement of the session under the session's lock, fails once the
+// session is closed, and returns a storage-fault panic out of the captured
+// store as op's typed error. A step that needs the live program enters
+// System.do from inside op, so the lock order is always the session's lock,
+// then the System's; a read of the captured state takes no System lock.
+func (sn *Snapshot) do(op func() error) (err error) {
+	sn.gate.Lock()
+	defer sn.gate.Unlock()
+	defer guardStorage(&err, nil)
+	if sn.closed {
+		return errSnapshotClosed
 	}
-	return nil
+	return op()
+}
+
+// closeStores closes each store that has a Close method (disk engines and
+// disk-backed snapshot views pin run files; spill scratch stores own a
+// directory) and returns the first error. Main-memory stores close as
+// no-ops.
+func closeStores(stores ...any) (err error) {
+	for _, st := range stores {
+		if c, ok := st.(io.Closer); ok {
+			if cerr := c.Close(); err == nil {
+				err = cerr
+			}
+		}
+	}
+	return err
 }
 
 // CSN returns the commit sequence number the snapshot was captured at;
@@ -98,33 +115,32 @@ func (sn *Snapshot) CSN() uint64 { return sn.store.CSN() }
 // committed statement boundaries. Zero for the layered backend (which
 // has no multi-version support).
 func (s *System) CSN() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.eng == nil {
-		return 0
-	}
-	return s.eng.CommitCSN()
+	csn, _ := value(s, needLock, func() (csn uint64, _ error) {
+		if s.eng != nil {
+			csn = s.eng.CommitCSN()
+		}
+		return csn, nil
+	})
+	return csn
 }
 
 // SetBudget replaces the session's resource budget: subsequent queries
 // run under b's timeout, tuple, cardinality, depth, and loop limits,
 // enforced by the execution governor exactly as on the live system.
 func (sn *Snapshot) SetBudget(b Budget) {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	sn.budget = b
-	if sn.machine != nil {
+	_ = sn.do(func() error {
+		sn.budget = b
 		sn.sys.tuneMachine(sn.machine, b)
-	}
+		return nil
+	})
 }
 
 // SetOutput directs write/nl output from this session's queries to w.
 func (sn *Snapshot) SetOutput(w io.Writer) {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	if sn.machine != nil {
+	_ = sn.do(func() error {
 		sn.machine.Out = w
-	}
+		return nil
+	})
 }
 
 // Close ends the session and releases its captured resources. For a
@@ -133,18 +149,14 @@ func (sn *Snapshot) SetOutput(w io.Writer) {
 // snapshot pins run file handles and a spill-configured session owns a
 // scratch directory, so those sessions should be closed.
 func (sn *Snapshot) Close() error {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
+	sn.gate.Lock()
+	defer sn.gate.Unlock()
 	if sn.closed {
 		return nil
 	}
 	sn.closed = true
 	sn.machine = nil
-	err := closeStore(sn.store)
-	if cerr := closeStore(sn.temp); err == nil {
-		err = cerr
-	}
-	return err
+	return closeStores(sn.store, sn.temp)
 }
 
 // Query evaluates a goal conjunction in the main module's scope against
@@ -193,32 +205,27 @@ func (sn *Snapshot) ExecuteContext(ctx context.Context, p *Prepared) (*Result, e
 // execute resolves a query under the system lock and runs it on the
 // session machine, outside it, under the session budget.
 func (sn *Snapshot) execute(ctx context.Context, p *Prepared) (*Result, error) {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	if sn.closed {
-		return nil, errSnapshotClosed
-	}
-	sn.sys.mu.Lock()
-	q, err := sn.sys.resolve(p)
-	sn.sys.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return runQuery(ctx, sn.machine, sn.budget.Timeout, q)
+	var res *Result
+	err := sn.do(func() error {
+		q, err := value(sn.sys, needProgram, func() (compiledQuery, error) { return sn.sys.resolve(p) })
+		if err != nil {
+			return err
+		}
+		res, err = runQuery(ctx, sn.machine, sn.budget.Timeout, q)
+		return err
+	})
+	return res, err
 }
 
 // Relation returns the snapshot's sorted contents of an EDB relation —
 // the state at capture, regardless of later commits.
 func (sn *Snapshot) Relation(relation any, arity int) ([][]Value, error) {
-	name, err := toValue(relation)
-	if err != nil {
-		return nil, err
-	}
-	rel, ok := sn.store.Get(name, arity)
-	if !ok {
-		return nil, nil
-	}
-	return copyRows(storage.Sorted(rel)), nil
+	var rows [][]Value
+	err := sn.do(func() (err error) {
+		rows, err = readRelation(sn.store, relation, arity)
+		return err
+	})
+	return rows, err
 }
 
 var errSnapshotClosed = fmt.Errorf("gluenail: snapshot session is closed")
