@@ -45,7 +45,7 @@ type RelRef struct {
 type Program struct {
 	Procs map[string]*Proc
 	mu    sync.RWMutex
-	// epoch is folded into every cached plan's key (see cache.go).
+	// epoch is recorded by every cached plan (see cache.go).
 	epoch atomic.Uint64
 }
 

@@ -105,8 +105,10 @@ type PhysStep struct {
 type PhysPlan struct {
 	Stmt  *Stmt // nil for conditions
 	Steps []PhysStep
-	// key is the cache key the plan was stored under (PlanSlot.Store).
-	key uint64
+	// epoch and lo/hi record where the cache may serve the plan: the plan
+	// epoch and, per slot reference, an interval of cardinality classes.
+	epoch  uint64
+	lo, hi []uint8
 }
 
 // OpProfile is the executor's per-op feedback: tuples that entered and left

@@ -225,8 +225,9 @@ func PlaceholderRel(name term.Value, arity int, csn uint64, stats *Stats) Rel {
 // DistinctTracker maintains per-column distinct-value estimates for an
 // engine that stores rows outside a Relation (the disk engine's runs). It
 // is the same digest the main-memory engine uses — exact while small, a
-// linear-counting sketch beyond — behind a mutex so a snapshot session's
-// planner can estimate while the writer feeds it.
+// linear-counting sketch beyond — folded as rows arrive (the engine
+// persists it, so it must be current at every flush) and behind a mutex
+// so a snapshot session's planner can estimate while the writer feeds it.
 type DistinctTracker struct {
 	mu   sync.Mutex
 	cols []colStats
@@ -242,7 +243,7 @@ func (d *DistinctTracker) Add(t term.Tuple) {
 	d.mu.Lock()
 	for i := range t {
 		if i < len(d.cols) {
-			d.cols[i].add(t[i].Hash())
+			d.cols[i].fold(t[i].Hash())
 		}
 	}
 	d.mu.Unlock()
@@ -255,7 +256,7 @@ func (d *DistinctTracker) AddBatch(rows []term.Tuple) {
 	for _, t := range rows {
 		for i := range t {
 			if i < len(d.cols) {
-				d.cols[i].add(t[i].Hash())
+				d.cols[i].fold(t[i].Hash())
 			}
 		}
 	}

@@ -46,7 +46,8 @@ import (
 // physical planner's join-selectivity model, so they only need to be
 // roughly right — the sketch ignores deletions (estimates may stay high
 // until a Clear resets them), and 64-bit hash collisions conflate values
-// at a negligible rate.
+// at a negligible rate. A Relation folds its rows into the digest only
+// when the planner asks (DistinctEst); most relations never pay for it.
 const (
 	// distinctExactLimit caps the exact per-column hash→multiplicity map.
 	distinctExactLimit = 256
@@ -56,49 +57,20 @@ const (
 	sketchBits = 8192
 )
 
-// colStats estimates the number of distinct values in one column. Adds
-// are buffered: the insert path only appends the value hash, and the
-// map/sketch folding happens when an estimate (or a removal) actually
-// needs the digest. Transient relations — query results, per-frame
-// temporaries — are written once and never planned against, so they
-// never pay for distinct tracking at all.
+// colStats estimates the number of distinct values in one column.
 type colStats struct {
-	pending []uint64          // hashes added since the last flush
-	exact   map[uint64]uint32 // value hash -> multiplicity, while small
-	sketch  []uint64          // linear-counting bitmap once exact overflows
-	ones    int               // set bits in sketch
+	exact  map[uint64]uint32 // value hash -> multiplicity, while small
+	sketch []uint64          // linear-counting bitmap once exact overflows
+	ones   int               // set bits in sketch
 }
 
-// pendingFlushLimit bounds the add buffer: a relation that is only ever
-// written folds its backlog inline every so often instead of growing it
-// without limit.
-const pendingFlushLimit = 1024
-
-func (c *colStats) add(h uint64) {
-	c.pending = append(c.pending, h)
-	if len(c.pending) >= pendingFlushLimit {
-		c.flush()
-	}
-}
-
-// reset empties the digest, keeping the add buffer and exact map for reuse.
+// reset empties the digest, keeping the exact map for reuse.
 func (c *colStats) reset() {
-	c.pending = c.pending[:0]
 	clear(c.exact)
 	c.sketch, c.ones = nil, 0
 }
 
-// flush folds the buffered hashes into the exact map or the sketch.
-func (c *colStats) flush() {
-	if len(c.pending) == 0 {
-		return
-	}
-	for _, h := range c.pending {
-		c.fold(h)
-	}
-	c.pending = c.pending[:0]
-}
-
+// fold counts one value hash.
 func (c *colStats) fold(h uint64) {
 	if c.sketch == nil {
 		if c.exact == nil {
@@ -141,7 +113,6 @@ func (c *colStats) set(h uint64) {
 }
 
 func (c *colStats) remove(h uint64) {
-	c.flush()
 	if c.exact == nil {
 		return // sketches cannot forget; Clear resets them
 	}
@@ -154,13 +125,11 @@ func (c *colStats) remove(h uint64) {
 	}
 }
 
-// appendDigest serializes the column digest (flushing the pending buffer
-// first): mode byte 0 = exact map (sorted hash/multiplicity pairs, so the
-// encoding is deterministic), mode 1 = raw sketch bitmap. The disk
-// engine's manifest persists these so reopening a store restores planner
-// statistics without re-decoding every run.
+// appendDigest serializes the column digest: mode byte 0 = exact map
+// (sorted hash/multiplicity pairs, so the encoding is deterministic),
+// mode 1 = raw sketch bitmap. The disk engine's manifest persists these so
+// reopening a store restores planner statistics without re-decoding runs.
 func (c *colStats) appendDigest(dst []byte) []byte {
-	c.flush()
 	if c.sketch == nil {
 		dst = append(dst, 0)
 		dst = binary.AppendUvarint(dst, uint64(len(c.exact)))
@@ -231,7 +200,6 @@ func (c *colStats) readDigest(r *bufio.Reader) error {
 
 // estimate returns the distinct-value estimate for the column.
 func (c *colStats) estimate() int {
-	c.flush()
 	if c.sketch == nil {
 		return len(c.exact)
 	}
@@ -291,7 +259,7 @@ type Rel interface {
 	// Arity returns the number of columns.
 	Arity() int
 	// Len returns the number of tuples. It must be cheap (a counter, or a
-	// count taken once per snapshot): the prepared-plan cache keys plans on
+	// count taken once per snapshot): the prepared-plan cache selects plans by
 	// each input's cardinality class, bits.Len(Len()), before every
 	// statement.
 	Len() int
@@ -320,9 +288,10 @@ type Rel interface {
 	Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool)
 	// DistinctEst estimates the number of distinct values in column col —
 	// exact while the column holds few distinct values, a fixed-size
-	// sketch estimate beyond that. The physical planner reads it at
-	// statement-prepare time (never concurrently with a writer, per the
-	// reader/writer contract above).
+	// sketch estimate beyond that. The physical planner reads it when it
+	// plans a statement. Unlike the other reads it is safe concurrently
+	// with the writer: a snapshot session's planner estimates while the
+	// live machine writes, so an engine guards its digest itself.
 	DistinctEst(col int) int
 	// Grow is a sizing hint: room for n more rows is reserved, so a caller
 	// that knows its batch size stores it in exactly sized arrays. Without
@@ -423,13 +392,15 @@ type Relation struct {
 	// journal, when non-nil, observes successful mutations (WAL capture);
 	// set through Store.SetJournal while no mutation is in flight.
 	journal Journal
-	// cols tracks per-column distinct-value estimates, maintained by the
-	// (single) writer on Insert/Delete/Clear and read by the physical
-	// planner. statsMu guards the digest on both sides: DistinctEst folds
-	// the lazily buffered adds, and snapshot sessions may be estimating
-	// while the writer appends — the writer takes the mutex once per
-	// mutated tuple, the planner once per estimate.
+	// cols holds per-column distinct digests; DistinctEst first folds the
+	// live slots from folded on. foldGen counts the changes a snapshot's
+	// captured arrays may not show — a renumbering (compact, Clear), or a
+	// deletion of a slot not yet folded — so a snapshot folds from them
+	// only while foldGen is the one it captured. statsMu guards all three
+	// and each deletion's stamp: snapshots estimate beside the writer.
 	cols    []colStats
+	folded  int
+	foldGen uint64
 	statsMu sync.Mutex
 }
 
@@ -462,10 +433,27 @@ func (r *Relation) Version() uint64 { return r.version }
 
 // DistinctEst implements Rel.
 func (r *Relation) DistinctEst(col int) int {
-	r.statsMu.Lock()
-	defer r.statsMu.Unlock()
+	return r.distinctEst(col, r.foldGen, r.tuples, r.dead)
+}
+
+// distinctEst folds the live slots of rows/dead past the fold cursor into
+// the digest, if gen is still the relation's fold generation, then
+// estimates column col.
+func (r *Relation) distinctEst(col int, gen uint64, rows []term.Tuple, dead []uint64) int {
 	if col < 0 || col >= len(r.cols) {
 		return 0
+	}
+	r.statsMu.Lock()
+	defer r.statsMu.Unlock()
+	if gen == r.foldGen {
+		for i := r.folded; i < len(rows); i++ {
+			if atomic.LoadUint64(&dead[i]) == 0 {
+				for c := range r.cols {
+					r.cols[c].fold(rows[i][c].Hash())
+				}
+			}
+		}
+		r.folded = max(r.folded, len(rows))
 	}
 	return r.cols[col].estimate()
 }
@@ -508,13 +496,6 @@ func (r *Relation) InsertStored(t term.Tuple) (term.Tuple, bool) {
 	r.dead = append(r.dead, 0)
 	r.n++
 	r.version++
-	r.statsMu.Lock()
-	for i := range t {
-		if i < len(r.cols) {
-			r.cols[i].add(t[i].Hash())
-		}
-	}
-	r.statsMu.Unlock()
 	atomic.AddInt64(&r.stats.Inserts, 1)
 	if h := r.idx.Load(); h != nil && !r.captured.Load() {
 		h.extend(t, len(r.tuples)-1)
@@ -609,7 +590,16 @@ func (r *Relation) DeleteStored(t term.Tuple) (term.Tuple, bool) {
 		// commit CSN still read the slot. Atomic because they may be
 		// loading the stamp right now.
 		stamp := r.deadStamp()
+		r.statsMu.Lock()
 		atomic.StoreUint64(&r.dead[i-1], stamp)
+		if int(i) <= r.folded {
+			for c := range r.cols {
+				r.cols[c].remove(u[c].Hash())
+			}
+		} else {
+			r.foldGen++
+		}
+		r.statsMu.Unlock()
 		if stamp != r.lastStamp {
 			r.lastStamp, r.stamped = stamp, 0
 		}
@@ -627,13 +617,6 @@ func (r *Relation) DeleteStored(t term.Tuple) (term.Tuple, bool) {
 		}
 		r.n--
 		r.version++
-		r.statsMu.Lock()
-		for ci := range u {
-			if ci < len(r.cols) {
-				r.cols[ci].remove(u[ci].Hash())
-			}
-		}
-		r.statsMu.Unlock()
 		atomic.AddInt64(&r.stats.Deletes, 1)
 		if r.tombs > r.n && r.tombs > 32 {
 			r.compact()
@@ -653,8 +636,12 @@ func (r *Relation) DeleteStored(t term.Tuple) (term.Tuple, bool) {
 // memory once the last snapshot closes. The survivors' values move to one
 // exact chunk, so the dead rows' storage goes with the old chunks; tuples
 // handed out before stay valid in those. Survivors get new slot numbers,
-// so the index holder starts over with the new numbering.
+// so the index holder starts over with the new numbering; the fold cursor
+// moves to the number of survivors it had passed, which keep their order.
 func (r *Relation) compact() {
+	r.statsMu.Lock()
+	defer r.statsMu.Unlock()
+	folded := 0
 	width := 0
 	for i, t := range r.tuples {
 		if r.dead[i] == 0 {
@@ -671,6 +658,9 @@ func (r *Relation) compact() {
 	for i, t := range r.tuples {
 		if r.dead[i] != 0 {
 			continue
+		}
+		if i < r.folded {
+			folded++
 		}
 		h := r.hashes[i] // cached at Insert; no re-hashing on compaction
 		next = append(next, buckets[h])
@@ -691,6 +681,8 @@ func (r *Relation) compact() {
 	r.stamped = 0
 	r.idx.Store(nil)
 	r.captured.Store(false)
+	r.folded = folded
+	r.foldGen++
 }
 
 // Contains implements Rel.
@@ -755,6 +747,8 @@ func (r *Relation) Clear() {
 	for i := range r.cols {
 		r.cols[i].reset()
 	}
+	r.folded = 0
+	r.foldGen++
 	r.statsMu.Unlock()
 	if r.journal != nil {
 		r.journal.JournalClear(r.name, r.arity)

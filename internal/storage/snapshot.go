@@ -83,8 +83,9 @@ func (s *SnapStore) Ensure(name term.Value, arity int) Rel {
 
 // Get implements Store.
 func (s *SnapStore) Get(name term.Value, arity int) (Rel, bool) {
+	var buf [64]byte
 	s.mu.RLock()
-	r, ok := s.rels[relKey(name, arity)]
+	r, ok := s.rels[string(appendRelKey(buf[:0], name, arity))]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, false
@@ -140,7 +141,9 @@ type SnapRel struct {
 	idx *Indexes
 	// src is the live relation, consulted only for planner statistics
 	// (DistinctEst, safe against the writer); nil for placeholders.
+	// foldGen is its fold generation at capture.
 	src     *Relation
+	foldGen uint64
 	version uint64
 	stats   *Stats
 }
@@ -163,6 +166,7 @@ func newSnapRel(r *Relation, csn uint64, stats *Stats) *SnapRel {
 		anyDead: r.tombs > 0,
 		idx:     r.indexes(),
 		src:     r,
+		foldGen: r.foldGen,
 		version: r.version,
 		stats:   stats,
 	}
@@ -181,13 +185,14 @@ func (r *SnapRel) Len() int { return r.n }
 // view never changes, so neither does its version.
 func (r *SnapRel) Version() uint64 { return r.version }
 
-// DistinctEst implements Rel, delegating to the live relation (guarded
-// against the writer by its stats mutex).
+// DistinctEst implements Rel from the live relation's digest. Slots it has
+// not folded yet are folded from the captured arrays, never the writer's
+// live headers, while the capture's fold generation is current.
 func (r *SnapRel) DistinctEst(col int) int {
 	if r.src == nil {
 		return 0
 	}
-	return r.src.DistinctEst(col)
+	return r.src.distinctEst(col, r.foldGen, r.rows, r.dead)
 }
 
 func (r *SnapRel) readOnly(op string) string {

@@ -58,7 +58,15 @@ func (rn RelName) String() string {
 }
 
 func relKey(name term.Value, arity int) string {
-	return term.Key(name) + "/" + strconv.Itoa(arity)
+	return string(appendRelKey(nil, name, arity))
+}
+
+// appendRelKey appends relKey's bytes to dst. Get indexes its map with
+// string(appendRelKey(buf[:0], ...)) over a stack buffer: no allocation.
+func appendRelKey(dst []byte, name term.Value, arity int) []byte {
+	dst = term.AppendValue(dst, name)
+	dst = append(dst, '/')
+	return strconv.AppendInt(dst, int64(arity), 10)
 }
 
 // MemStore is the tailored main-memory store (§10): no locking, no logging,
@@ -108,7 +116,8 @@ func (s *MemStore) ensure(name term.Value, arity int) *Relation {
 
 // Get implements Store.
 func (s *MemStore) Get(name term.Value, arity int) (Rel, bool) {
-	r, ok := s.rels[relKey(name, arity)]
+	var buf [64]byte
+	r, ok := s.rels[string(appendRelKey(buf[:0], name, arity))]
 	if !ok {
 		return nil, false
 	}

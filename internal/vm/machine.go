@@ -125,6 +125,8 @@ type Machine struct {
 	// plans themselves live on the program's statements, shared by every
 	// machine running it.
 	planStats plan.CacheStats
+	// classes is the scratch frame.classes builds class vectors in.
+	classes []uint8
 	// headTup is the scratch every head and in-body update builds its
 	// tuples in (headRow); headOne passes one to ModifyByKey. Relations
 	// copy what they keep, so neither is ever retained.

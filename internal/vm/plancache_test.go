@@ -8,69 +8,82 @@ import (
 	"gluenail/internal/term"
 )
 
-// TestPlanCacheClassSigGeometricBumps checks the key the executor folds for
-// a statement's inputs on the main-memory store: it changes each time a
-// relation crosses a power of two (so a relation growing to n rows re-plans
-// O(log n) times), stays put across churn inside a class and across a repeat
-// loop's clear-and-refill at one size, and tells an absent relation from an
-// empty one.
-func TestPlanCacheClassSigGeometricBumps(t *testing.T) {
-	checkClassSig(t, storage.NewMemStore(storage.IndexAdaptive))
+// TestPlanCacheClassesGeometricBumps checks the class vector the executor
+// computes for a statement's inputs on the main-memory store: it changes
+// each time a relation crosses a power of two (so a relation growing to n
+// rows re-plans O(log n) times), stays put across churn inside a class and
+// across a repeat loop's clear-and-refill at one size, and tells an absent
+// relation from an empty one. The vector is built in the machine's
+// scratch: once that has grown, computing it allocates nothing.
+func TestPlanCacheClassesGeometricBumps(t *testing.T) {
+	store := storage.NewMemStore(storage.IndexAdaptive)
+	checkClasses(t, store)
+	f := &frame{m: &Machine{EDB: store}}
+	ref := plan.RelRef{Space: plan.SpaceEDB, Name: term.Ground(term.Intern("r")), Arity: 1}
+	refs := []plan.RelRef{ref, ref}
+	f.classes(refs)
+	if allocs := testing.AllocsPerRun(100, func() { f.classes(refs) }); allocs != 0 {
+		t.Errorf("computing a class vector allocates %.1f objects, want 0", allocs)
+	}
 }
 
-// TestPlanCacheClassSigLayered runs the same checks on the layered baseline.
-func TestPlanCacheClassSigLayered(t *testing.T) {
-	checkClassSig(t, storage.NewLayeredStore(storage.IndexAdaptive))
+// TestPlanCacheClassesLayered runs the same checks on the layered baseline.
+func TestPlanCacheClassesLayered(t *testing.T) {
+	checkClasses(t, storage.NewLayeredStore(storage.IndexAdaptive))
 }
 
-func checkClassSig(t *testing.T, store storage.Store) {
+func checkClasses(t *testing.T, store storage.Store) {
 	t.Helper()
 	row := func(i int) term.Tuple { return term.Tuple{term.NewInt(int64(i))} }
 	f := &frame{m: &Machine{EDB: store}}
 	name := term.Intern("r")
 	refs := []plan.RelRef{{Space: plan.SpaceEDB, Name: term.Ground(name), Arity: 1}}
-	absent := f.classSig(refs)
+	class := func() uint8 { return f.classes(refs)[0] }
+	if c := class(); c != plan.AbsentClass {
+		t.Errorf("an absent relation has class %d, want plan.AbsentClass", c)
+	}
 	rel := store.Ensure(name, 1)
-	empty := f.classSig(refs)
-	if empty == absent {
-		t.Error("an empty relation keys like an absent one")
+	empty := class()
+	if empty == plan.AbsentClass {
+		t.Error("an empty relation has the absent class")
 	}
 
-	seen := map[uint64]bool{empty: true}
+	seen := map[uint8]bool{empty: true}
 	for i := 0; i < 1000; i++ {
 		rel.Insert(row(i))
-		seen[f.classSig(refs)] = true
+		seen[class()] = true
 	}
 	if len(seen) != 11 { // bits.Len of 0, 1, 2..3, ..., 512..1000
-		t.Errorf("growing 0 -> 1000 rows produced %d keys, want 11", len(seen))
+		t.Errorf("growing 0 -> 1000 rows produced %d classes, want 11", len(seen))
 	}
-	grown := f.classSig(refs)
+	grown := class()
 
 	for i := 0; i < 20; i++ {
 		rel.Insert(row(2000 + i))
 		rel.Delete(row(2000 + i))
 	}
-	if f.classSig(refs) != grown {
-		t.Error("churn inside a class changed the key")
+	if class() != grown {
+		t.Error("churn inside a class changed the class")
 	}
 
 	rel.Clear()
-	if f.classSig(refs) != empty {
-		t.Error("a cleared relation does not key as empty")
+	if class() != empty {
+		t.Error("a cleared relation does not have the empty class")
 	}
 	for i := 0; i < 1000; i++ {
 		rel.Insert(row(5000 + i))
 	}
-	if f.classSig(refs) != grown {
-		t.Error("clear and refill to the same size changed the key")
+	if class() != grown {
+		t.Error("clear and refill to the same size changed the class")
 	}
 
 	for i := 0; i < 600; i++ {
 		rel.Delete(row(5000 + i))
 	}
-	if f.classSig(refs) == grown {
-		t.Error("shrinking 1000 -> 400 rows kept the key")
+	if class() == grown {
+		t.Error("shrinking 1000 -> 400 rows kept the class")
 	}
+
 }
 
 // TestPlanCacheSharedAcrossMachines checks that prepared plans belong to the

@@ -119,7 +119,9 @@ func TestRepeatIterationAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector makes sync.Pool drop entries, so pooled scratch re-allocates")
 	}
-	const n, maxPerIter = 256, 13.0 // measured 10.5 (Go 1.24, linux/amd64)
+	// measured 6.1 (Go 1.24, linux/amd64); 10.5 while each store lookup
+	// built its key string
+	const n, maxPerIter = 256, 13.0
 	allocs := func(edges int) float64 {
 		sys := New()
 		if err := sys.Load(chainProgram); err != nil {

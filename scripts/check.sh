@@ -62,9 +62,9 @@ if [ "$elapsed" -gt 4 ]; then
 	exit 1
 fi
 
-step "Plan cache unit suite (cardinality classes, drift, prepared statements, plans shared across machines; race) + repeat-iteration, recursion-round, fresh-snapshot, parse, compile and delete allocation gates"
+step "Plan cache unit suite (cardinality-class intervals, drift, prepared statements, plans shared across machines; race) + repeat-iteration, recursion-round (allocations and zero warm misses), fresh-snapshot, parse, compile, insert-statistics and delete allocation gates"
 go test -race -count=1 -run 'TestPlanCache|TestPrepared|TestExplainAnalyzePlanCacheCounters' ./internal/plan/ ./internal/vm/ .
-go test -count=1 -run 'TestRepeatIterationAllocs|TestClearReusesArraysWithoutSnapshot|TestParseAllocs|TestCompileAllocs|TestRecursionRoundAllocs|TestSnapshotExecuteAllocs|TestDeleteAllocs|TestLookupProbeAllocs' ./internal/storage/ ./internal/parser/ .
+go test -count=1 -run 'TestRepeatIterationAllocs|TestClearReusesArraysWithoutSnapshot|TestParseAllocs|TestCompileAllocs|TestRecursionRoundAllocs|TestRecursionRoundNoPlanMisses|TestSnapshotExecuteAllocs|TestInsertStatsAllocs|TestDeleteAllocs|TestLookupProbeAllocs' ./internal/storage/ ./internal/parser/ .
 
 step "E14 governor overhead + abort latency"
 go test -run xxx -bench BenchmarkE14 -benchtime 3x .
@@ -73,8 +73,8 @@ go test -run xxx -bench BenchmarkE14 -benchtime 3x .
 step "Server integration suite (wire protocol, isolation over the wire, shutdown drain; race)"
 go test -race -count=1 ./internal/server/
 
-step "Snapshot isolation suite (MVCC storage + concurrent sessions, sessions compiling while others execute, one index per slot numbering on every backend; race)"
-go test -race -count=1 -run 'TestSnapshot|TestSystemConcurrentSessions' ./internal/storage/ .
+step "Snapshot isolation suite (MVCC storage + concurrent sessions, sessions compiling while others execute, one index per slot numbering on every backend, snapshot estimates folding statistics beside the writer; race)"
+go test -race -count=1 -run 'TestSnapshot|TestSystemConcurrentSessions|TestDistinctEst' ./internal/storage/ .
 go test -race -count=1 -run 'TestIndexProbeOrderSurvivesDeleteEverywhere' ./internal/storage/disk/
 
 step "E16 server mixed-workload smoke (zero isolation violations required)"
