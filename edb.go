@@ -224,7 +224,7 @@ func readRelation(st storage.Store, relation any, arity int) ([][]Value, error) 
 // SaveEDB writes the EDB to a file (§10: EDB relations persist on disk
 // between runs).
 func (s *System) SaveEDB(path string) error {
-	return s.do(needStore, func() error { return storage.SaveFile(path, s.edb) })
+	return s.do(needStore, func() error { return storage.SaveFile(s.cfg.fs, path, s.edb) })
 }
 
 // LoadEDB reads an EDB image into the store. On an engine with a direct
@@ -235,7 +235,7 @@ func (s *System) SaveEDB(path string) error {
 func (s *System) LoadEDB(path string) error {
 	return s.do(needStore, func() error {
 		return s.bulkFence(func() error {
-			if err := storage.LoadFile(path, s.edb); err != nil {
+			if err := storage.LoadFile(s.cfg.fs, path, s.edb); err != nil {
 				return err
 			}
 			return s.commit()

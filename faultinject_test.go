@@ -175,3 +175,56 @@ func TestCorruptBlockContainedNotPoisoned(t *testing.T) {
 		t.Fatalf("query after quarantine: %v", qerr)
 	}
 }
+
+// TestSaveEDBSyncFault checks that SaveEDB writes through the WithFS seam
+// and makes its image durable before naming it: a failed fsync of the
+// image fails the call and leaves neither the target nor its temp file.
+// A clean save then round-trips through LoadEDB on the same seam.
+func TestSaveEDBSyncFault(t *testing.T) {
+	ffs := fsio.NewFaultFS(fsio.OS)
+	sys := New(WithFS(ffs))
+	defer sys.Close()
+	if err := sys.Load(`edb edge(X,Y);`); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Assert("edge", []any{1, 2}, []any{2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "edb.img")
+	ffs.Inject(fsio.Fault{Op: fsio.OpSync, Path: "edb.img", Err: syscall.EIO})
+	if err := sys.SaveEDB(path); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("SaveEDB with a failing image sync: got %v, want EIO", err)
+	}
+	for _, p := range []string{path, path + ".tmp"} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s left behind by the failed save (stat: %v)", filepath.Base(p), err)
+		}
+	}
+
+	ffs.ClearRules()
+	if err := sys.SaveEDB(path); err != nil {
+		t.Fatal(err)
+	}
+	if ffs.OpsSeen(fsio.OpSync) == 0 {
+		t.Error("SaveEDB never synced through the WithFS seam")
+	}
+	sys2 := New(WithFS(ffs))
+	defer sys2.Close()
+	if err := sys2.Load(`edb edge(X,Y);`); err != nil {
+		t.Fatal(err)
+	}
+	reads := ffs.OpsSeen(fsio.OpOpen)
+	if err := sys2.LoadEDB(path); err != nil {
+		t.Fatal(err)
+	}
+	if ffs.OpsSeen(fsio.OpOpen) == reads {
+		t.Error("LoadEDB did not open the image through the WithFS seam")
+	}
+	res, err := sys2.Query("edge(X, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 {
+		t.Fatalf("round trip: %d rows, want 2", len(res.Rows))
+	}
+}

@@ -45,6 +45,7 @@ import (
 	"gluenail/internal/plan"
 	"gluenail/internal/storage"
 	"gluenail/internal/storage/disk"
+	"gluenail/internal/storage/fsio"
 	_ "gluenail/internal/storage/mem" // registers the "mem" backend
 	"gluenail/internal/term"
 	"gluenail/internal/vm"
@@ -134,6 +135,9 @@ func New(opts ...Option) *System {
 	}
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if cfg.fs == nil {
+		cfg.fs = fsio.OS
 	}
 	baseErr := applyBaseline(&cfg)
 	s := &System{

@@ -206,22 +206,6 @@ func NewRelationCSN(name term.Value, arity int, policy IndexPolicy, stats *Stats
 	return r
 }
 
-// CaptureRel freezes a relation at snapshot CSN csn: the returned view
-// reads the captured slice headers with the standard visibility rule
-// (dead stamp 0 or > csn) and shares the relation's index holder.
-// Must be called at a statement boundary, like MemStore.Snapshot; stats
-// receives the view's read accounting.
-func CaptureRel(r *Relation, csn uint64, stats *Stats) Rel {
-	return newSnapRel(r, csn, stats)
-}
-
-// PlaceholderRel returns an empty read-only relation: what a snapshot
-// store yields for a relation that did not exist at capture. Writes panic,
-// exactly as on a captured snapshot relation.
-func PlaceholderRel(name term.Value, arity int, csn uint64, stats *Stats) Rel {
-	return &SnapRel{name: name, arity: arity, csn: csn, stats: stats}
-}
-
 // DistinctTracker maintains per-column distinct-value estimates for an
 // engine that stores rows outside a Relation (the disk engine's runs). It
 // is the same digest the main-memory engine uses — exact while small, a

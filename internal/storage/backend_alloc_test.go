@@ -54,4 +54,46 @@ func TestBackendSeamAllocs(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("probes never matched; nothing was exercised")
 	}
+
+	// Finding relations costs nothing either, on the store and on a
+	// snapshot of it: the catalog builds no key.
+	mem := be.(*MemStore)
+	frame := term.Atom("$frame", term.NewInt(7), term.NewString("local"))
+	mem.Ensure(frame, 1)
+	catalogAllocs(t, "MemStore", mem, frame)
+	catalogAllocs(t, "SnapStore", mem.Snapshot(), frame)
+}
+
+// catalogAllocs checks that s finds relations without allocating: Get,
+// Ensure of an existing relation and Drop of a missing one, each with the
+// interned atom edge/2 and with the compound name compound/1, which s
+// must hold.
+func catalogAllocs(t *testing.T, label string, s Store, compound term.Value) {
+	t.Helper()
+	missing := term.Atom("$frame", term.NewInt(-1), term.NewString("local"))
+	for _, c := range []struct {
+		kind  string
+		name  term.Value
+		arity int
+	}{
+		{"atom", term.Intern("edge"), 2},
+		{"compound", compound, 1},
+	} {
+		if _, ok := s.Get(c.name, c.arity); !ok {
+			t.Fatalf("%s: %v/%d missing", label, c.name, c.arity)
+		}
+		ops := []struct {
+			op string
+			fn func()
+		}{
+			{"Get", func() { s.Get(c.name, c.arity) }},
+			{"Ensure of an existing relation", func() { s.Ensure(c.name, c.arity) }},
+			{"Drop of a missing relation", func() { s.Drop(c.name, c.arity+1); s.Drop(missing, c.arity) }},
+		}
+		for _, o := range ops {
+			if got := testing.AllocsPerRun(50, o.fn); got != 0 {
+				t.Errorf("%s %s, %s name: %.1f allocs, want 0", label, o.op, c.kind, got)
+			}
+		}
+	}
 }

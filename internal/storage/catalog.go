@@ -1,0 +1,153 @@
+package storage
+
+import (
+	"maps"
+
+	"gluenail/internal/term"
+)
+
+// Catalog is a store's relation namespace (§10: relations, temporaries
+// included, are created, found and dropped at almost no cost). It finds a
+// relation by the hash of its name and arity, without building a key, and
+// compares names by term identity (term.Value.Identical): two names are
+// one relation iff their canonical encodings are equal. Entries keep
+// creation order, so Names and Rels are deterministic; a drop shifts the
+// younger entries down, which costs nothing for a procedure frame's
+// last-in, first-out drops. A Catalog does no locking; each store guards
+// its own. The zero value is an empty catalog.
+type Catalog[R any] struct {
+	// byHash maps a key hash to the index in ents of the youngest entry
+	// with that hash; older entries with the same hash chain through
+	// catEntry.older.
+	byHash map[uint64]int
+	ents   []catEntry[R]
+}
+
+type catEntry[R any] struct {
+	name  RelName
+	hash  uint64
+	rel   R
+	older int // index of the next older entry with the same hash, or -1
+}
+
+// catalogHash folds the arity into the name's hash.
+func catalogHash(name term.Value, arity int) uint64 {
+	return (name.Hash() ^ uint64(arity)) * 1099511628211
+}
+
+// find returns the index of (name, arity) in ents, or -1.
+func (c *Catalog[R]) find(name term.Value, arity int, h uint64) int {
+	i, ok := c.byHash[h]
+	if !ok {
+		return -1
+	}
+	for ; i >= 0; i = c.ents[i].older {
+		e := &c.ents[i]
+		if e.name.Arity == arity && e.name.Name.Identical(name) {
+			return i
+		}
+	}
+	return -1
+}
+
+// Get returns the relation for (name, arity) if the catalog holds it.
+func (c *Catalog[R]) Get(name term.Value, arity int) (R, bool) {
+	if i := c.find(name, arity, catalogHash(name, arity)); i >= 0 {
+		return c.ents[i].rel, true
+	}
+	var zero R
+	return zero, false
+}
+
+// Add records r as the youngest relation, under (name, arity); the caller
+// has checked that the catalog does not hold that key yet.
+func (c *Catalog[R]) Add(name term.Value, arity int, r R) {
+	c.add(name, arity, catalogHash(name, arity), r)
+}
+
+func (c *Catalog[R]) add(name term.Value, arity int, h uint64, r R) {
+	if c.byHash == nil {
+		c.byHash = make(map[uint64]int)
+	}
+	older, ok := c.byHash[h]
+	if !ok {
+		older = -1
+	}
+	c.byHash[h] = len(c.ents)
+	c.ents = append(c.ents, catEntry[R]{
+		name: RelName{Name: name, Arity: arity}, hash: h, rel: r, older: older})
+}
+
+// Drop removes (name, arity) and returns its relation, if the catalog
+// holds it. The entries younger than it move down one place.
+func (c *Catalog[R]) Drop(name term.Value, arity int) (R, bool) {
+	i := c.find(name, arity, catalogHash(name, arity))
+	if i < 0 {
+		var zero R
+		return zero, false
+	}
+	return c.dropAt(i), true
+}
+
+// dropAt removes entry i and returns its relation.
+func (c *Catalog[R]) dropAt(i int) R {
+	gone := c.ents[i]
+	if h := gone.hash; c.byHash[h] == i {
+		if gone.older >= 0 {
+			c.byHash[h] = gone.older
+		} else {
+			delete(c.byHash, h)
+		}
+	}
+	// Renumber the younger entries, which take the places below them.
+	for k := i + 1; k < len(c.ents); k++ {
+		e := &c.ents[k]
+		switch {
+		case e.older == i:
+			e.older = gone.older
+		case e.older > i:
+			e.older--
+		}
+		if c.byHash[e.hash] == k {
+			c.byHash[e.hash] = k - 1
+		}
+	}
+	copy(c.ents[i:], c.ents[i+1:])
+	last := len(c.ents) - 1
+	c.ents[last] = catEntry[R]{}
+	c.ents = c.ents[:last]
+	return gone.rel
+}
+
+// Len returns the number of relations.
+func (c *Catalog[R]) Len() int { return len(c.ents) }
+
+// Names returns the (name, arity) pairs in creation order.
+func (c *Catalog[R]) Names() []RelName {
+	out := make([]RelName, len(c.ents))
+	for i := range c.ents {
+		out[i] = c.ents[i].name
+	}
+	return out
+}
+
+// Rels returns the relations in creation order.
+func (c *Catalog[R]) Rels() []R {
+	out := make([]R, len(c.ents))
+	for i := range c.ents {
+		out[i] = c.ents[i].rel
+	}
+	return out
+}
+
+// mapCatalog returns a catalog with the same keys and order as c holding
+// f of each relation. It reuses c's hashes and chains: the copy is one
+// slice and a map clone, with no per-relation allocation of its own.
+func mapCatalog[R, S any](c *Catalog[R], f func(R) S) Catalog[S] {
+	out := Catalog[S]{byHash: maps.Clone(c.byHash), ents: make([]catEntry[S], len(c.ents))}
+	for i := range c.ents {
+		e := &c.ents[i]
+		out.ents[i] = catEntry[S]{name: e.name, hash: e.hash, rel: f(e.rel), older: e.older}
+	}
+	return out
+}

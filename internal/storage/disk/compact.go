@@ -93,7 +93,7 @@ func (s *Store) pickCompactable() (*Rel, int, int) {
 	need := s.opts.compactAfter()
 	var best *Rel
 	bestLo, bestHi, bestTier := 0, 0, 0
-	for _, r := range s.order {
+	for _, r := range s.rels.Rels() {
 		runs := *r.runs.Load()
 		if len(runs) < need {
 			continue

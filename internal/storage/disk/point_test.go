@@ -77,6 +77,16 @@ func TestColdProbeAllocs(t *testing.T) {
 	}); n > 3 {
 		t.Errorf("cold full-mask Lookup: %.1f allocs, want <= 3", n)
 	}
+	// Finding relations builds no key, on the store and on a snapshot.
+	frame := term.Atom("$frame", term.NewInt(7), term.NewString("local"))
+	r.st.Ensure(frame, 1)
+	catalogAllocs(t, "disk store", r.st, frame)
+	view, err := r.st.SnapshotView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = view.(*snapStore).Close() }()
+	catalogAllocs(t, "disk snapshot", view, frame)
 }
 
 // TestDeleteCostIndependentOfTombstones gates Delete of a run row at O(1)

@@ -29,7 +29,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -286,27 +285,8 @@ func createRun(s *Store, seq uint64, arity int, rows []term.Tuple, hashes []uint
 		}
 	}
 	path := filepath.Join(s.dir, runName(seq))
-	tmp := path + ".tmp"
-	f, err := s.fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, storage.IOFault("run-write", tmp, err)
-	}
-	_, err = f.Write(data)
-	if err == nil && sync {
-		err = f.Sync()
-	}
-	if err != nil {
-		_ = f.Close()
-		_ = s.fsys.Remove(tmp)
-		return nil, storage.IOFault("run-write", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		_ = s.fsys.Remove(tmp)
-		return nil, storage.IOFault("run-write", tmp, err)
-	}
-	if err := s.fsys.Rename(tmp, path); err != nil {
-		_ = s.fsys.Remove(tmp)
-		return nil, storage.IOFault("run-write", path, err)
+	if at, err := fsio.WriteAtomic(s.fsys, path, sync, fsio.Bytes(data)); err != nil {
+		return nil, storage.IOFault("run-write", at, err)
 	}
 	rf, err := s.fsys.Open(path)
 	if err != nil {

@@ -97,7 +97,7 @@ func (s *Store) Scrub(repair bool) []storage.Finding {
 		findings = append(findings, verifyInternFile(s.fsys, s.dir)...)
 	}
 	s.mu.RLock()
-	rels := append([]*Rel(nil), s.order...)
+	rels := s.rels.Rels()
 	s.mu.RUnlock()
 	changed := false
 	for _, r := range rels {
@@ -330,7 +330,7 @@ func (s *Store) scrubOne() []storage.Finding {
 	var pick, first *run
 	var pickRel, firstRel *Rel
 	bestSeq, firstSeq := ^uint64(0), ^uint64(0)
-	for _, r := range s.order {
+	for _, r := range s.rels.Rels() {
 		for _, rn := range *r.runs.Load() {
 			if rn.seq < firstSeq {
 				firstSeq, first, firstRel = rn.seq, rn, r
@@ -675,27 +675,8 @@ func verifyRunBytes(dict *atomDict, path, rel string, seq uint64, data []byte) r
 // no rewrite.
 func rewriteRunFile(fsys fsio.FS, path string, arity int, rows []term.Tuple, hashes []uint64) error {
 	data, _, _ := encodeRun(nil, arity, rows, hashes, false)
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return storage.IOFault("fsck", tmp, err)
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		_ = f.Close()
-		_ = fsys.Remove(tmp)
-		return storage.IOFault("fsck", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		_ = fsys.Remove(tmp)
-		return storage.IOFault("fsck", tmp, err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		_ = fsys.Remove(tmp)
-		return storage.IOFault("fsck", path, err)
+	if at, err := fsio.WriteAtomic(fsys, path, true, fsio.Bytes(data)); err != nil {
+		return storage.IOFault("fsck", at, err)
 	}
 	return storage.IOFault("fsck", filepath.Dir(path), fsys.SyncDir(filepath.Dir(path)))
 }
@@ -820,28 +801,8 @@ func writeManifestImage(fsys fsio.FS, dir string, img *manifestImage) error {
 	buf.Write(hdr[:])
 	buf.Write(payload)
 
-	path := filepath.Join(dir, manifestName)
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return storage.IOFault("manifest", tmp, err)
-	}
-	_, err = f.Write(buf.Bytes())
-	if err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		_ = f.Close()
-		_ = fsys.Remove(tmp)
-		return storage.IOFault("manifest", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		_ = fsys.Remove(tmp)
-		return storage.IOFault("manifest", tmp, err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		_ = fsys.Remove(tmp)
-		return storage.IOFault("manifest", path, err)
+	if at, err := fsio.WriteAtomic(fsys, filepath.Join(dir, manifestName), true, fsio.Bytes(buf.Bytes())); err != nil {
+		return storage.IOFault("manifest", at, err)
 	}
 	return storage.IOFault("manifest", dir, fsys.SyncDir(dir))
 }

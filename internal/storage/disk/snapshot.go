@@ -9,7 +9,6 @@
 package disk
 
 import (
-	"fmt"
 	"sync"
 
 	"gluenail/internal/storage"
@@ -19,14 +18,12 @@ import (
 // SnapshotView implements storage.Backend. Must be called at a statement
 // boundary; the view may then be read concurrently with later writers.
 func (s *Store) SnapshotView() (storage.SnapshotStore, error) {
-	ss := &snapStore{
-		csn:  s.commitCSN.Load(),
-		rels: make(map[string]storage.Rel),
-	}
+	ss := &snapStore{SnapStore: storage.NewSnapStore(s.commitCSN.Load())}
+	csn, stats := ss.CSN(), ss.Stats()
 	s.mu.RLock()
-	order := append([]*Rel(nil), s.order...)
+	rels := s.rels.Rels()
 	s.mu.RUnlock()
-	for _, r := range order {
+	for _, r := range rels {
 		// relMu makes the load-and-retain atomic against a concurrent
 		// compactor install releasing the runs it just replaced.
 		r.relMu.Lock()
@@ -36,85 +33,26 @@ func (s *Store) SnapshotView() (storage.SnapshotStore, error) {
 		}
 		r.relMu.Unlock()
 		ss.pinned = append(ss.pinned, runs...)
-		sr := &snapRel{
+		ss.Capture(&snapRel{
+			Frozen:  storage.NewFrozen(r.name, r.arity, csn),
 			src:     r,
-			csn:     ss.csn,
+			csn:     csn,
 			runs:    runs,
-			mem:     storage.CaptureRel(r.mem, ss.csn, &ss.stats),
+			mem:     storage.CaptureRel(r.mem, csn, stats),
 			version: r.version,
-			stats:   &ss.stats,
-		}
-		ss.rels[relKey(r.name, r.arity)] = sr
+			stats:   stats,
+		})
 	}
 	return ss, nil
 }
 
-// snapStore is the storage.SnapshotStore over a disk store.
+// snapStore is the storage.SnapshotStore over a disk store: the shared
+// snapshot catalog plus the runs its relations pin.
 type snapStore struct {
-	csn   uint64
-	stats storage.Stats
-	mu    sync.RWMutex
-	rels  map[string]storage.Rel
-
+	*storage.SnapStore
 	pinned    []*run
 	closeOnce sync.Once
 }
-
-var _ storage.SnapshotStore = (*snapStore)(nil)
-
-// CSN implements storage.SnapshotStore.
-func (s *snapStore) CSN() uint64 { return s.csn }
-
-// Ensure implements storage.Store: a missing relation yields an empty
-// read-only placeholder.
-func (s *snapStore) Ensure(name term.Value, arity int) storage.Rel {
-	k := relKey(name, arity)
-	s.mu.RLock()
-	r, ok := s.rels[k]
-	s.mu.RUnlock()
-	if ok {
-		return r
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.rels[k]; ok {
-		return r
-	}
-	r = storage.PlaceholderRel(name, arity, s.csn, &s.stats)
-	s.rels[k] = r
-	return r
-}
-
-// Get implements storage.Store.
-func (s *snapStore) Get(name term.Value, arity int) (storage.Rel, bool) {
-	s.mu.RLock()
-	r, ok := s.rels[relKey(name, arity)]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	return r, true
-}
-
-// Drop implements storage.Store as a no-op: the snapshot is immutable.
-func (s *snapStore) Drop(name term.Value, arity int) {}
-
-// Names implements storage.Store.
-func (s *snapStore) Names() []storage.RelName {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]storage.RelName, 0, len(s.rels))
-	for _, r := range s.rels {
-		out = append(out, storage.RelName{Name: r.Name(), Arity: r.Arity()})
-	}
-	return out
-}
-
-// Stats implements storage.Store.
-func (s *snapStore) Stats() *storage.Stats { return &s.stats }
-
-// SetJournal implements storage.Store as a no-op.
-func (s *snapStore) SetJournal(j storage.Journal) {}
 
 // Close releases the pinned runs. Unlike a main-memory snapshot — where
 // abandonment only costs memory until the GC runs — a disk snapshot holds
@@ -131,6 +69,7 @@ func (s *snapStore) Close() error {
 
 // snapRel is one disk relation frozen at a snapshot CSN.
 type snapRel struct {
+	storage.Frozen
 	src     *Rel
 	csn     uint64
 	runs    []*run
@@ -143,12 +82,6 @@ type snapRel struct {
 }
 
 var _ storage.Rel = (*snapRel)(nil)
-
-// Name implements storage.Rel.
-func (r *snapRel) Name() term.Value { return r.src.name }
-
-// Arity implements storage.Rel.
-func (r *snapRel) Arity() int { return r.src.arity }
 
 // Len implements storage.Rel, counted lazily.
 func (r *snapRel) Len() int {
@@ -172,28 +105,6 @@ func (r *snapRel) DistinctEst(col int) int { return r.src.DistinctEst(col) }
 // CostProfile implements storage.Coster from the live relation, so session
 // planners weigh snapshot reads with the same disk-access factors.
 func (r *snapRel) CostProfile() storage.CostProfile { return r.src.CostProfile() }
-
-func (r *snapRel) readOnly(op string) string {
-	return fmt.Sprintf("storage: %s on relation %v/%d of a read-only snapshot (CSN %d)",
-		op, r.src.name, r.src.arity, r.csn)
-}
-
-// Insert implements storage.Rel by panicking: snapshots are read-only.
-func (r *snapRel) Insert(t term.Tuple) bool { panic(r.readOnly("Insert")) }
-
-// Delete implements storage.Rel by panicking: snapshots are read-only.
-func (r *snapRel) Delete(t term.Tuple) bool { panic(r.readOnly("Delete")) }
-
-// Clear implements storage.Rel by panicking: snapshots are read-only.
-func (r *snapRel) Clear() { panic(r.readOnly("Clear")) }
-
-// Grow implements storage.Rel by panicking: snapshots are read-only.
-func (r *snapRel) Grow(n int) { panic(r.readOnly("Grow")) }
-
-// ModifyByKey implements storage.Rel by panicking: snapshots are read-only.
-func (r *snapRel) ModifyByKey(mask uint32, rows []term.Tuple) {
-	panic(r.readOnly("ModifyByKey"))
-}
 
 // Contains implements storage.Rel: the captured memtable, then a point
 // probe of the pinned runs at the snapshot's CSN.

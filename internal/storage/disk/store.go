@@ -143,12 +143,12 @@ type Store struct {
 	journal   storage.Journal
 	commitCSN atomic.Uint64
 
-	// mu guards rels/order/runSeq/durable/obsolete. The writer is single-
+	// mu guards rels/runSeq/durable/obsolete. The writer is single-
 	// threaded per the Rel contract; the lock exists for the background
-	// compactor and concurrent snapshot capture.
+	// compactor and concurrent snapshot capture. rels keeps creation
+	// order, which makes manifests deterministic.
 	mu      sync.RWMutex
-	rels    map[string]*Rel
-	order   []*Rel // creation order, for deterministic manifests
+	rels    storage.Catalog[*Rel]
 	runSeq  uint64
 	durable map[uint64]bool // run seqs named by the current manifest
 	// obsolete holds replaced manifest-listed runs whose files must
@@ -247,7 +247,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		fsys:    fsys,
 		stats:   opts.Stats,
 		cache:   newBlockCache(opts.CacheBlocks),
-		rels:    make(map[string]*Rel),
 		durable: make(map[uint64]bool),
 		stopCh:  make(chan struct{}),
 	}
@@ -280,11 +279,6 @@ func Open(dir string, opts Options) (*Store, error) {
 
 // compress reports whether new blocks should try the packed encoding.
 func (s *Store) compress() bool { return s.opts.compress() }
-
-// relKey mirrors the storage package's relation key.
-func relKey(name term.Value, arity int) string {
-	return term.Key(name) + "/" + fmt.Sprint(arity)
-}
 
 // Rel is one disk-resident relation: immutable runs plus a memtable.
 type Rel struct {
@@ -330,9 +324,8 @@ func (s *Store) Ensure(name term.Value, arity int) storage.Rel {
 }
 
 func (s *Store) ensure(name term.Value, arity int, journal bool) *Rel {
-	k := relKey(name, arity)
 	s.mu.RLock()
-	r, ok := s.rels[k]
+	r, ok := s.rels.Get(name, arity)
 	s.mu.RUnlock()
 	if ok {
 		return r
@@ -347,8 +340,7 @@ func (s *Store) ensure(name term.Value, arity int, journal bool) *Rel {
 	empty := []*run{}
 	r.runs.Store(&empty)
 	s.mu.Lock()
-	s.rels[k] = r
-	s.order = append(s.order, r)
+	s.rels.Add(name, arity, r)
 	s.mu.Unlock()
 	atomic.AddInt64(&s.stats.RelsCreated, 1)
 	if journal && s.journal != nil {
@@ -360,7 +352,7 @@ func (s *Store) ensure(name term.Value, arity int, journal bool) *Rel {
 // Get implements storage.Store.
 func (s *Store) Get(name term.Value, arity int) (storage.Rel, bool) {
 	s.mu.RLock()
-	r, ok := s.rels[relKey(name, arity)]
+	r, ok := s.rels.Get(name, arity)
 	s.mu.RUnlock()
 	if !ok {
 		return nil, false
@@ -373,18 +365,8 @@ func (s *Store) Get(name term.Value, arity int) (storage.Rel, bool) {
 // manifest still names them, in which case the next checkpoint removes
 // them).
 func (s *Store) Drop(name term.Value, arity int) {
-	k := relKey(name, arity)
 	s.mu.Lock()
-	r, ok := s.rels[k]
-	if ok {
-		delete(s.rels, k)
-		for i, o := range s.order {
-			if o == r {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
-	}
+	r, ok := s.rels.Drop(name, arity)
 	s.mu.Unlock()
 	if !ok {
 		return
@@ -443,11 +425,7 @@ func (s *Store) drainGraveyard() {
 func (s *Store) Names() []storage.RelName {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]storage.RelName, 0, len(s.rels))
-	for _, r := range s.rels {
-		out = append(out, storage.RelName{Name: r.name, Arity: r.arity})
-	}
-	return out
+	return s.rels.Names()
 }
 
 // Stats implements storage.Store.
@@ -483,7 +461,7 @@ func (s *Store) Close() error {
 	defer s.compactMu.Unlock()
 	s.drainGraveyard()
 	s.mu.Lock()
-	rels := append([]*Rel(nil), s.order...)
+	rels := s.rels.Rels()
 	s.obsolete = nil // released via the graveyard; files kept for the manifest
 	s.mu.Unlock()
 	for _, r := range rels {
@@ -938,7 +916,7 @@ func (s *Store) FlushBase() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 	s.mu.RLock()
-	rels := append([]*Rel(nil), s.order...)
+	rels := s.rels.Rels()
 	s.mu.RUnlock()
 	for _, r := range rels {
 		if err := r.flush(true); err != nil {
@@ -1096,8 +1074,9 @@ func (s *Store) writeManifest() error {
 		return err
 	}
 	s.mu.RLock()
-	img := &manifestImage{runSeq: s.runSeq, rels: make([]manifestRel, len(s.order))}
-	for i, r := range s.order {
+	rels := s.rels.Rels()
+	img := &manifestImage{runSeq: s.runSeq, rels: make([]manifestRel, len(rels))}
+	for i, r := range rels {
 		mr := manifestRel{name: r.name, arity: r.arity, dist: r.dist}
 		for _, rn := range *r.runs.Load() {
 			mr.runs = append(mr.runs, rn.seq)

@@ -122,3 +122,42 @@ func (osFS) SyncDir(dir string) error {
 	}
 	return d.Close()
 }
+
+// WriteAtomic replaces path with the bytes write streams, so that a crash
+// leaves either the old file or the whole new one under path: the bytes go
+// to path+".tmp", which is fsynced when sync is set, closed, and renamed
+// over path. On any failure the temp file is removed. The returned string
+// names the file the failing step acted on — the temp file, or path for
+// the rename — for the caller's typed error. Making the rename durable
+// (SyncDir) is the caller's step.
+func WriteAtomic(fsys FS, path string, sync bool, write func(io.Writer) error) (string, error) {
+	tmp := path + ".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return tmp, err
+	}
+	err = write(f)
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = fsys.Remove(tmp)
+		return tmp, err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		_ = fsys.Remove(tmp)
+		return path, err
+	}
+	return "", nil
+}
+
+// Bytes adapts a finished file image to WriteAtomic.
+func Bytes(p []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(p)
+		return err
+	}
+}

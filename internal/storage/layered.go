@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -53,9 +54,18 @@ func (s *LayeredStore) latch() func() {
 	return func() {}
 }
 
+// catalogKey builds the string key a general-purpose DBMS catalog
+// resolves names by: the name's canonical encoding plus the arity.
+// Building it on every operation is part of the simulated cost.
+func catalogKey(name term.Value, arity int) string {
+	b := term.AppendValue(nil, name)
+	b = append(b, '/')
+	return string(strconv.AppendInt(b, int64(arity), 10))
+}
+
 // catalogLookup resolves a name through the catalog and returns its key.
 func (s *LayeredStore) catalogLookup(name term.Value, arity int) string {
-	k := relKey(name, arity)
+	k := catalogKey(name, arity)
 	s.catalogProbe(k, name, arity)
 	return k
 }

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
+	"math"
+	"path/filepath"
 	"sort"
 
+	"gluenail/internal/storage/fsio"
 	"gluenail/internal/term"
 )
 
@@ -149,31 +151,23 @@ func corruptImage(rel, format string, args ...any) error {
 		Detail: fmt.Sprintf(format, args...)}
 }
 
-// SaveFile writes the store to path atomically (write temp file, rename).
-func SaveFile(path string, s Store) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+// SaveFile writes the store to path through fsys, atomically and
+// durably: the image is fsynced before it is renamed over path, and the
+// directory after, so a crash leaves the old file or the whole new image.
+func SaveFile(fsys fsio.FS, path string, s Store) error {
+	if _, err := fsio.WriteAtomic(fsys, path, true, func(w io.Writer) error { return Save(w, s) }); err != nil {
 		return err
 	}
-	if err := Save(f, s); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return fsys.SyncDir(filepath.Dir(path))
 }
 
-// LoadFile reads an EDB image from path into the store.
-func LoadFile(path string, s Store) error {
-	f, err := os.Open(path)
+// LoadFile reads an EDB image from path, through fsys, into the store.
+func LoadFile(fsys fsio.FS, path string, s Store) error {
+	f, err := fsys.Open(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return Load(f, s)
+	defer func() { _ = f.Close() }()
+	// An fsio.File reads by offset; a section reader streams it.
+	return Load(io.NewSectionReader(f, 0, math.MaxInt64), s)
 }

@@ -380,7 +380,7 @@ type Relation struct {
 	// created by its first partial-mask lookup or capture and dropped by a
 	// renumbering (compact, or a Clear of a captured numbering), so the
 	// next numbering starts a fresh holder while older snapshots keep
-	// theirs. captured records that a snapshot (newSnapRel) shares the
+	// theirs. captured records that a snapshot (CaptureRel) shares the
 	// numbering: until then Insert extends the built indexes in place and
 	// Clear reuses the arrays; from then on the holder and the arrays are
 	// frozen for the snapshots' sake.

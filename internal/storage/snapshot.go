@@ -34,26 +34,37 @@ import (
 // by holding the system's writer lock; the returned view may then be read
 // concurrently with later writers.
 func (s *MemStore) Snapshot() *SnapStore {
-	ss := &SnapStore{
-		csn:  s.commitCSN.Load(),
-		rels: make(map[string]*SnapRel, len(s.rels)),
-	}
-	for k, r := range s.rels {
-		ss.rels[k] = newSnapRel(r, ss.csn, &ss.stats)
-	}
+	ss := NewSnapStore(s.commitCSN.Load())
+	ss.rels = mapCatalog(&s.rels, func(r *Relation) Rel {
+		return CaptureRel(r, ss.csn, &ss.stats)
+	})
 	return ss
 }
 
-// SnapStore is the Store view a snapshot session reads: every relation is
-// a SnapRel frozen at the capture CSN, relations created later do not
-// exist, and mutation through it is a programming error (it panics).
+// SnapStore is the Store view a snapshot session reads, on every engine:
+// each relation is frozen at the capture CSN, relations created later do
+// not exist, and mutation through it is a programming error (it panics).
+// The main-memory engine's relations are SnapRels; an engine with its own
+// frozen relation type adds them with Capture.
 type SnapStore struct {
 	csn   uint64
 	stats Stats
 	// mu guards rels: reads come from resolve paths, and Ensure may
 	// install an empty placeholder.
 	mu   sync.RWMutex
-	rels map[string]*SnapRel
+	rels Catalog[Rel]
+}
+
+// NewSnapStore returns an empty snapshot store at csn.
+func NewSnapStore(csn uint64) *SnapStore { return &SnapStore{csn: csn} }
+
+// Capture adds r, a relation frozen at the store's CSN that accounts its
+// reads to the store's Stats. Engines call it while building the view,
+// before sharing it.
+func (s *SnapStore) Capture(r Rel) {
+	s.mu.Lock()
+	s.rels.Add(r.Name(), r.Arity(), r)
+	s.mu.Unlock()
 }
 
 var _ Store = (*SnapStore)(nil)
@@ -64,33 +75,28 @@ func (s *SnapStore) CSN() uint64 { return s.csn }
 // Ensure implements Store. A missing relation yields an empty read-only
 // placeholder (writes to it panic, as on every snapshot relation).
 func (s *SnapStore) Ensure(name term.Value, arity int) Rel {
-	k := relKey(name, arity)
 	s.mu.RLock()
-	r, ok := s.rels[k]
+	r, ok := s.rels.Get(name, arity)
 	s.mu.RUnlock()
 	if ok {
 		return r
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if r, ok := s.rels[k]; ok {
+	if r, ok := s.rels.Get(name, arity); ok {
 		return r
 	}
-	r = &SnapRel{name: name, arity: arity, csn: s.csn, stats: &s.stats}
-	s.rels[k] = r
+	r = &SnapRel{Frozen: NewFrozen(name, arity, s.csn), stats: &s.stats}
+	s.rels.Add(name, arity, r)
 	return r
 }
 
 // Get implements Store.
 func (s *SnapStore) Get(name term.Value, arity int) (Rel, bool) {
-	var buf [64]byte
 	s.mu.RLock()
-	r, ok := s.rels[string(appendRelKey(buf[:0], name, arity))]
+	r, ok := s.rels.Get(name, arity)
 	s.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	return r, true
+	return r, ok
 }
 
 // Drop implements Store as a no-op: the snapshot is immutable.
@@ -100,11 +106,7 @@ func (s *SnapStore) Drop(name term.Value, arity int) {}
 func (s *SnapStore) Names() []RelName {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]RelName, 0, len(s.rels))
-	for _, r := range s.rels {
-		out = append(out, RelName{Name: r.name, Arity: r.arity})
-	}
-	return out
+	return s.rels.Names()
 }
 
 // Stats implements Store; a snapshot session accounts its reads here, not
@@ -118,19 +120,14 @@ func (s *SnapStore) SetJournal(j Journal) {}
 // SnapRel is one relation frozen at a snapshot CSN: a view of the captured
 // slot numbering — its rows and dead stamps, the CSN they are read at, and
 // the numbering's index holder — over the functions the live relation
-// reads with. Write methods panic: the executor only routes reads at a
-// snapshot (queries cannot contain EDB updates), so a write reaching here
-// is a bug worth failing loudly on, and the VM's panic containment turns
-// it into a typed error on the session's private machine.
+// reads with. Its name, arity, CSN and writes are Frozen's.
 type SnapRel struct {
-	name  term.Value
-	arity int
+	Frozen
 	// Captured headers; the writer appends past len and rewrites via
 	// fresh arrays, so everything below len is frozen except the dead
 	// stamps, which are loaded atomically.
 	rows []term.Tuple
 	dead []uint64
-	csn  uint64
 	// n is the visible-tuple count, fixed at capture. anyDead records
 	// that a slot was stamped dead at capture; without one, every slot is
 	// visible at csn (later stamps are above it).
@@ -150,18 +147,21 @@ type SnapRel struct {
 
 var _ Rel = (*SnapRel)(nil)
 
-func newSnapRel(r *Relation, csn uint64, stats *Stats) *SnapRel {
+// CaptureRel freezes a relation at snapshot CSN csn: the returned view
+// reads the captured slice headers with the standard visibility rule
+// (dead stamp 0 or > csn) and shares the relation's index holder.
+// Must be called at a statement boundary, like MemStore.Snapshot; stats
+// receives the view's read accounting.
+func CaptureRel(r *Relation, csn uint64, stats *Stats) *SnapRel {
 	n := r.n
 	if r.lastStamp > csn {
 		n += r.stamped
 	}
 	r.captured.Store(true)
 	return &SnapRel{
-		name:    r.name,
-		arity:   r.arity,
+		Frozen:  NewFrozen(r.name, r.arity, csn),
 		rows:    r.tuples,
 		dead:    r.dead,
-		csn:     csn,
 		n:       n,
 		anyDead: r.tombs > 0,
 		idx:     r.indexes(),
@@ -171,12 +171,6 @@ func newSnapRel(r *Relation, csn uint64, stats *Stats) *SnapRel {
 		stats:   stats,
 	}
 }
-
-// Name implements Rel.
-func (r *SnapRel) Name() term.Value { return r.name }
-
-// Arity implements Rel.
-func (r *SnapRel) Arity() int { return r.arity }
 
 // Len implements Rel with the visible-tuple count captured at the snapshot.
 func (r *SnapRel) Len() int { return r.n }
@@ -195,27 +189,48 @@ func (r *SnapRel) DistinctEst(col int) int {
 	return r.src.distinctEst(col, r.foldGen, r.rows, r.dead)
 }
 
-func (r *SnapRel) readOnly(op string) string {
+// Frozen is what the snapshot relations of every engine share: the
+// relation's name and arity, the CSN it is frozen at, and write methods
+// that panic. The executor only routes reads at a snapshot (queries cannot
+// contain EDB updates), so a write reaching one is a bug worth failing
+// loudly on, and the VM's panic containment turns it into a typed error on
+// the session's private machine.
+type Frozen struct {
+	name  term.Value
+	arity int
+	csn   uint64
+}
+
+// NewFrozen returns relation name/arity frozen at csn.
+func NewFrozen(name term.Value, arity int, csn uint64) Frozen {
+	return Frozen{name: name, arity: arity, csn: csn}
+}
+
+// Name implements Rel.
+func (r Frozen) Name() term.Value { return r.name }
+
+// Arity implements Rel.
+func (r Frozen) Arity() int { return r.arity }
+
+func (r Frozen) refuse(op string) string {
 	return fmt.Sprintf("storage: %s on relation %v/%d of a read-only snapshot (CSN %d)",
 		op, r.name, r.arity, r.csn)
 }
 
-// Insert implements Rel by panicking: snapshots are read-only.
-func (r *SnapRel) Insert(t term.Tuple) bool { panic(r.readOnly("Insert")) }
+// Insert implements Rel by panicking.
+func (r Frozen) Insert(term.Tuple) bool { panic(r.refuse("Insert")) }
 
-// Delete implements Rel by panicking: snapshots are read-only.
-func (r *SnapRel) Delete(t term.Tuple) bool { panic(r.readOnly("Delete")) }
+// Delete implements Rel by panicking.
+func (r Frozen) Delete(term.Tuple) bool { panic(r.refuse("Delete")) }
 
-// Clear implements Rel by panicking: snapshots are read-only.
-func (r *SnapRel) Clear() { panic(r.readOnly("Clear")) }
+// Clear implements Rel by panicking.
+func (r Frozen) Clear() { panic(r.refuse("Clear")) }
 
-// Grow implements Rel by panicking: snapshots are read-only.
-func (r *SnapRel) Grow(n int) { panic(r.readOnly("Grow")) }
+// Grow implements Rel by panicking.
+func (r Frozen) Grow(int) { panic(r.refuse("Grow")) }
 
-// ModifyByKey implements Rel by panicking: snapshots are read-only.
-func (r *SnapRel) ModifyByKey(mask uint32, rows []term.Tuple) {
-	panic(r.readOnly("ModifyByKey"))
-}
+// ModifyByKey implements Rel by panicking.
+func (r Frozen) ModifyByKey(uint32, []term.Tuple) { panic(r.refuse("ModifyByKey")) }
 
 // Contains implements Rel as a whole-tuple Lookup (the live hash chains
 // are writer-owned and unversioned).

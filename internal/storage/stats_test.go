@@ -101,7 +101,7 @@ func TestDistinctEstAgainstEagerWithDeletes(t *testing.T) {
 			checks++
 			distinct := map[string]bool{}
 			for _, row := range live {
-				distinct[term.Key(row[0])] = true
+				distinct[string(term.AppendValue(nil, row[0]))] = true
 			}
 			if got := rel.DistinctEst(0); got != len(distinct) {
 				t.Fatalf("step %d: column 0 estimate %d, %d distinct values live", step, got, len(distinct))
@@ -175,7 +175,7 @@ func TestSnapshotDistinctEstConcurrentWithWriter(t *testing.T) {
 	wg.Wait()
 	distinct := map[string]bool{}
 	for _, row := range live {
-		distinct[term.Key(row[0])] = true
+		distinct[string(term.AppendValue(nil, row[0]))] = true
 	}
 	if got := rel.DistinctEst(0); got != len(distinct) {
 		t.Fatalf("live column 0 estimate %d after concurrent snapshot folds, %d distinct values live", got, len(distinct))

@@ -57,18 +57,6 @@ func (rn RelName) String() string {
 	return rn.Name.String() + "/" + strconv.Itoa(rn.Arity)
 }
 
-func relKey(name term.Value, arity int) string {
-	return string(appendRelKey(nil, name, arity))
-}
-
-// appendRelKey appends relKey's bytes to dst. Get indexes its map with
-// string(appendRelKey(buf[:0], ...)) over a stack buffer: no allocation.
-func appendRelKey(dst []byte, name term.Value, arity int) []byte {
-	dst = term.AppendValue(dst, name)
-	dst = append(dst, '/')
-	return strconv.AppendInt(dst, int64(arity), 10)
-}
-
 // MemStore is the tailored main-memory store (§10): no locking, no logging,
 // relations are created and dropped in constant time.
 //
@@ -78,7 +66,7 @@ func appendRelKey(dst []byte, name term.Value, arity int) []byte {
 // boundary, and Snapshot captures an immutable view of every relation at
 // the current committed CSN for concurrent readers.
 type MemStore struct {
-	rels    map[string]*Relation
+	rels    Catalog[*Relation]
 	policy  IndexPolicy
 	stats   Stats
 	journal Journal
@@ -90,7 +78,7 @@ type MemStore struct {
 // NewMemStore returns an empty store whose relations follow the given index
 // policy.
 func NewMemStore(policy IndexPolicy) *MemStore {
-	return &MemStore{rels: make(map[string]*Relation), policy: policy}
+	return &MemStore{policy: policy}
 }
 
 // Ensure implements Store.
@@ -99,14 +87,13 @@ func (s *MemStore) Ensure(name term.Value, arity int) Rel {
 }
 
 func (s *MemStore) ensure(name term.Value, arity int) *Relation {
-	k := relKey(name, arity)
-	if r, ok := s.rels[k]; ok {
+	if r, ok := s.rels.Get(name, arity); ok {
 		return r
 	}
 	r := NewRelation(name, arity, s.policy, &s.stats)
 	r.journal = s.journal
 	r.csn = &s.commitCSN
-	s.rels[k] = r
+	s.rels.Add(name, arity, r)
 	atomic.AddInt64(&s.stats.RelsCreated, 1)
 	if s.journal != nil {
 		s.journal.JournalCreate(name, arity)
@@ -116,8 +103,7 @@ func (s *MemStore) ensure(name term.Value, arity int) *Relation {
 
 // Get implements Store.
 func (s *MemStore) Get(name term.Value, arity int) (Rel, bool) {
-	var buf [64]byte
-	r, ok := s.rels[string(appendRelKey(buf[:0], name, arity))]
+	r, ok := s.rels.Get(name, arity)
 	if !ok {
 		return nil, false
 	}
@@ -126,21 +112,13 @@ func (s *MemStore) Get(name term.Value, arity int) (Rel, bool) {
 
 // Drop implements Store.
 func (s *MemStore) Drop(name term.Value, arity int) {
-	k := relKey(name, arity)
-	if _, ok := s.rels[k]; ok {
-		delete(s.rels, k)
+	if _, ok := s.rels.Drop(name, arity); ok {
 		atomic.AddInt64(&s.stats.RelsDropped, 1)
 	}
 }
 
 // Names implements Store.
-func (s *MemStore) Names() []RelName {
-	out := make([]RelName, 0, len(s.rels))
-	for _, r := range s.rels {
-		out = append(out, RelName{Name: r.name, Arity: r.arity})
-	}
-	return out
-}
+func (s *MemStore) Names() []RelName { return s.rels.Names() }
 
 // Stats implements Store.
 func (s *MemStore) Stats() *Stats { return &s.stats }
@@ -148,7 +126,7 @@ func (s *MemStore) Stats() *Stats { return &s.stats }
 // SetJournal implements Store.
 func (s *MemStore) SetJournal(j Journal) {
 	s.journal = j
-	for _, r := range s.rels {
+	for _, r := range s.rels.Rels() {
 		r.journal = j
 	}
 }
@@ -163,5 +141,5 @@ func (s *MemStore) AdvanceCSN() uint64 { return s.commitCSN.Add(1) }
 
 // String summarizes the store for diagnostics.
 func (s *MemStore) String() string {
-	return fmt.Sprintf("MemStore(%d relations)", len(s.rels))
+	return fmt.Sprintf("MemStore(%d relations)", s.rels.Len())
 }

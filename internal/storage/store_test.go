@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"gluenail/internal/storage/fsio"
 	"gluenail/internal/term"
 )
 
@@ -215,18 +216,18 @@ func TestSaveLoadFile(t *testing.T) {
 	path := filepath.Join(dir, "edb.bin")
 	src := NewMemStore(IndexAdaptive)
 	src.Ensure(term.NewString("r"), 1).Insert(term.Tuple{term.NewInt(7)})
-	if err := SaveFile(path, src); err != nil {
+	if err := SaveFile(fsio.OS, path, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := NewMemStore(IndexAdaptive)
-	if err := LoadFile(path, dst); err != nil {
+	if err := LoadFile(fsio.OS, path, dst); err != nil {
 		t.Fatal(err)
 	}
 	r, ok := dst.Get(term.NewString("r"), 1)
 	if !ok || !r.Contains(term.Tuple{term.NewInt(7)}) {
 		t.Error("file round trip lost data")
 	}
-	if err := LoadFile(filepath.Join(dir, "missing.bin"), dst); err == nil {
+	if err := LoadFile(fsio.OS, filepath.Join(dir, "missing.bin"), dst); err == nil {
 		t.Error("loading a missing file should fail")
 	}
 }

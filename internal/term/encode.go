@@ -94,9 +94,6 @@ func AppendValue(dst []byte, v Value) []byte {
 	return dst
 }
 
-// Key returns the canonical encoding of v as a string, suitable as a map key.
-func Key(v Value) string { return string(AppendValue(nil, v)) }
-
 // WriteValue writes the binary encoding of v to w.
 func WriteValue(w io.Writer, v Value) error {
 	_, err := w.Write(AppendValue(nil, v))

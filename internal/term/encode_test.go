@@ -3,6 +3,7 @@ package term
 import (
 	"bufio"
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -55,17 +56,45 @@ func TestTupleRoundTrip(t *testing.T) {
 	}
 }
 
+// key is a value's canonical encoding as a string: the relation identity
+// storage catalogs keep (see Value.Identical).
+func key(v Value) string { return string(AppendValue(nil, v)) }
+
 func TestKeyCanonical(t *testing.T) {
 	a := Atom("f", NewInt(1))
 	b := Atom("f", NewInt(1))
-	if Key(a) != Key(b) {
+	if key(a) != key(b) {
 		t.Error("equal values must have equal keys")
 	}
-	if Key(NewInt(1)) == Key(NewFloat(1)) {
+	if key(NewInt(1)) == key(NewFloat(1)) {
 		t.Error("int and float keys must differ")
 	}
-	if Key(NewString("f")) == Key(Atom("f")) {
+	if key(NewString("f")) == key(Atom("f")) {
 		t.Error("atom and 0-ary compound keys must differ")
+	}
+}
+
+// TestIdenticalIsEncodingEquality checks that Identical holds exactly when
+// two values encode alike, over pairs Equal gets wrong for that purpose
+// (NaN, signed zero), and that identical values hash alike.
+func TestIdenticalIsEncodingEquality(t *testing.T) {
+	nan := NewFloat(math.NaN())
+	vals := []Value{
+		NewInt(1), NewFloat(1), NewFloat(0), NewFloat(math.Copysign(0, -1)),
+		nan, NewFloat(math.NaN()), Intern("p"), NewString("p"), Atom("p"),
+		Atom("f", nan), Atom("f", NewFloat(math.NaN())), Atom("f", NewString("p")),
+		NewCompound(NewString("f"), Intern("p")), NewCompound(Atom("g"), NewInt(1)),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			want := key(a) == key(b)
+			if got := a.Identical(b); got != want {
+				t.Errorf("%v.Identical(%v) = %v, encodings equal = %v", a, b, got, want)
+			}
+			if want && a.Hash() != b.Hash() {
+				t.Errorf("identical %v and %v hash differently", a, b)
+			}
+		}
 	}
 }
 
@@ -113,9 +142,11 @@ func TestQuickEncodeRoundTrip(t *testing.T) {
 }
 
 func TestQuickKeyInjective(t *testing.T) {
-	// Property: Key(a)==Key(b) iff a.Equal(b).
+	// Property: key(a)==key(b) iff a.Equal(b) iff a.Identical(b) (the
+	// generated values hold no NaN or negative zero).
 	f := func(a, b Value) bool {
-		return (Key(a) == Key(b)) == a.Equal(b)
+		same := key(a) == key(b)
+		return same == a.Equal(b) && same == a.Identical(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

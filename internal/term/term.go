@@ -168,7 +168,16 @@ func (v Value) Args() []Value {
 // Equal reports structural equality. Int and Float values are distinct even
 // when numerically equal (1 != 1.0), mirroring matching on stored ground
 // tuples.
-func (v Value) Equal(w Value) bool {
+func (v Value) Equal(w Value) bool { return v.equal(w, false) }
+
+// Identical reports whether v and w have the same canonical encoding
+// (AppendValue): Equal, except that floats compare by bit pattern, so a
+// NaN is identical to itself and -0.0 differs from 0.0. Hash agrees with
+// it: identical values hash equal. Storage catalogs key relations by it.
+func (v Value) Identical(w Value) bool { return v.equal(w, true) }
+
+// equal is Equal, or Identical when bits is set.
+func (v Value) equal(w Value, bits bool) bool {
 	if v.kind != w.kind {
 		return false
 	}
@@ -178,6 +187,9 @@ func (v Value) Equal(w Value) bool {
 	case Int:
 		return v.i == w.i
 	case Float:
+		if bits {
+			return math.Float64bits(v.f) == math.Float64bits(w.f)
+		}
 		return v.f == w.f
 	case Str:
 		// Two interned strings are equal iff they share the interner entry
@@ -188,11 +200,11 @@ func (v Value) Equal(w Value) bool {
 		}
 		return v.s == w.s
 	case Compound:
-		if len(v.args) != len(w.args) || !v.fn.Equal(*w.fn) {
+		if len(v.args) != len(w.args) || !v.fn.equal(*w.fn, bits) {
 			return false
 		}
 		for i := range v.args {
-			if !v.args[i].Equal(w.args[i]) {
+			if !v.args[i].equal(w.args[i], bits) {
 				return false
 			}
 		}

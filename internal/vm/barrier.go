@@ -196,7 +196,6 @@ func (f *frame) applyDynCall(b *plan.DynCall, rows [][]term.Value) ([][]term.Val
 		return nil
 	}
 	var out [][]term.Value
-	var dynKey term.Tuple
 	for _, row := range rows {
 		name, err := b.Pred.Build(row)
 		if err != nil {
@@ -236,15 +235,14 @@ func (f *frame) applyDynCall(b *plan.DynCall, rows [][]term.Value) ([][]term.Val
 				}
 			}
 		} else {
-			rel := f.dynResolve(name, len(b.Args), b.Narrowed, b.Candidates)
-			if rel != nil {
-				err := f.scanRel(rel, &dynKey, b.Bind, 0, b.Args, row, func() error {
-					emit(cloneRow(row))
-					return nil
+			if rel := f.dynResolve(name, len(b.Args), b.Narrowed, b.Candidates); rel != nil {
+				rel.Lookup(0, nil, func(t term.Tuple) bool {
+					if matchArgs(b.Args, t, row) {
+						emit(cloneRow(row))
+					}
+					unbind(row, b.Bind)
+					return true
 				})
-				if err != nil {
-					return nil, err
-				}
 			}
 		}
 		if b.Negated && !matched {

@@ -18,8 +18,9 @@
 // tuple-at-a-time evaluation emits results in lexicographic (row index,
 // op-0 emission index, op-1 emission index, ...) order; breadth-first
 // op-at-a-time processes every op over the full batch in that same source
-// order, so the final flatten enumerates exactly the same sequence — the
-// sequence the materialized baseline (materializeOp) produces too.
+// order, so the final flatten enumerates exactly the same sequence. The
+// materialized baseline runs these same kernels one op per segment, so it
+// produces that sequence too.
 package vm
 
 import (
@@ -423,9 +424,8 @@ func (b *batchState) pushLevel(src []int32, bind []int, bindCols [][]term.Value)
 
 // regFiller loads an op's referenced registers into the shared row buffer
 // row by row: the bridge to the per-row helpers (key building, pattern
-// matching, expression evaluation) the materialized baseline shares with
-// this path. Registers the op does not mention are left untouched — the op
-// cannot read them.
+// matching, expression evaluation). Registers the op does not mention are
+// left untouched — the op cannot read them.
 type regFiller struct {
 	regs []int
 	cols [][]term.Value
@@ -482,9 +482,9 @@ func exprRegs(e plan.Expr, dst []int) []int {
 }
 
 // runPipeBatch executes a segment's operators batch-at-a-time over the
-// given rows in the caller's scratch, filling the caller's per-op tuple
-// counters exactly like the materialized baseline (cnt[i] counts tuples
-// entering op i, cnt[len(ops)] the segment output).
+// given rows in the caller's scratch, adding to the caller's per-op tuple
+// counters: cnt[i] counts tuples entering op i, cnt[len(ops)] the segment
+// output.
 func (f *frame) runPipeBatch(scr *batchScratch, ops []plan.PhysOp, rels []storage.Rel, have []bool,
 	rows [][]term.Value, cnt []int64) ([][]term.Value, error) {
 	nregs := len(rows[0])

@@ -116,10 +116,11 @@ func cloneRow(row []term.Value) []term.Value {
 	return cp
 }
 
-// runPipe streams rows through the segment's operators. The pipelined
-// strategy runs the batch kernels (batch.go), which copy a row's registers
-// only at the segment end; the materialized baseline stores the full row
-// set after every operator (the extra load and store per tuple of §9).
+// runPipe streams rows through the segment's operators on the batch
+// kernels (batch.go). The pipelined strategy runs the whole segment at
+// once, copying a row's registers only at the segment end; the
+// materialized baseline runs one op at a time, storing the full row set
+// after every operator (the extra load and store per tuple of §9).
 // Statically named relations are resolved once per segment, not per row —
 // relations only change at barriers and heads, never inside a segment.
 // The per-op vectors come from the pooled batch scratch.
@@ -158,44 +159,23 @@ func (f *frame) runPipe(step *plan.PhysStep, rows [][]term.Value, sprof *plan.St
 		}
 	}()
 	if f.m.Materialized {
-		cur := rows
+		// One single-op segment per op, each flattening its output. The
+		// counters of consecutive calls would share a slot (one op's
+		// output is the next op's input), so each call counts into its
+		// own pair and only the input side is kept.
 		for i := range ops {
-			cnt[i] += int64(len(cur))
-			out, err := f.materializeOp(ops[i].Op, rels[i], have[i], cur)
-			if err != nil {
+			var c [2]int64
+			out, err := f.runPipeBatch(scr, ops[i:i+1], rels[i:i+1], have[i:i+1], rows, c[:])
+			cnt[i] += c[0]
+			if err != nil || len(out) == 0 {
 				return nil, err
 			}
-			cur = out
-			if len(cur) == 0 {
-				return nil, nil
-			}
+			rows = out
 		}
-		cnt[len(ops)] += int64(len(cur))
-		return cur, nil
+		cnt[len(ops)] += int64(len(rows))
+		return rows, nil
 	}
 	return f.runPipeBatch(scr, ops, rels, have, rows, cnt)
-}
-
-// materializeOp runs one streaming op over the whole row set, materializing
-// its output: one operator step of the materialized baseline.
-func (f *frame) materializeOp(op plan.PipeOp, rel storage.Rel, haveRel bool,
-	rows [][]term.Value) ([][]term.Value, error) {
-	var out [][]term.Value
-	var sk term.Tuple
-	for _, row := range rows {
-		err := f.applyPipeOp(op, rel, haveRel, &sk, row, func() error {
-			out = append(out, cloneRow(row))
-			atomic.AddInt64(&f.m.Stats.TuplesMaterialized, 1)
-			if len(out)&(govCheckRows-1) == 0 {
-				return f.m.pollGovernor()
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // unbind zeroes the registers an op bound; the compiler guarantees they
@@ -244,138 +224,6 @@ func matchArgs(args []term.Pattern, t term.Tuple, regs []term.Value) bool {
 		}
 	}
 	return true
-}
-
-// scanRel iterates matching tuples of rel, calling emit with the op's
-// registers bound per tuple; the op's bind set is zeroed between tuples
-// and before returning.
-func (f *frame) scanRel(rel storage.Rel, sk *term.Tuple, bind []int, mask uint32,
-	args []term.Pattern, regs []term.Value, emit func() error) error {
-	if rel == nil {
-		return nil
-	}
-	key, err := buildKey(sk, mask, args, regs, rel.Arity())
-	if err != nil {
-		return err
-	}
-	var emitErr error
-	rel.Lookup(mask, key, func(t term.Tuple) bool {
-		if matchArgs(args, t, regs) {
-			if err := emit(); err != nil {
-				emitErr = err
-				unbind(regs, bind)
-				return false
-			}
-		}
-		unbind(regs, bind)
-		return true
-	})
-	return emitErr
-}
-
-// existsIn reports whether any tuple of rel matches the (fully bound or
-// wildcarded) patterns; negated ops have no unbound registers, so there is
-// nothing to restore.
-func (f *frame) existsIn(rel storage.Rel, sk *term.Tuple, mask uint32,
-	args []term.Pattern, regs []term.Value) (bool, error) {
-	if rel == nil {
-		return false, nil
-	}
-	key, err := buildKey(sk, mask, args, regs, rel.Arity())
-	if err != nil {
-		return false, err
-	}
-	if mask != 0 && mask == (uint32(1)<<uint(rel.Arity()))-1 {
-		// Fully bound probe: membership is the whole question, so ask it
-		// directly — Contains is each engine's cheapest path (the disk
-		// engine answers most misses from a per-run bloom filter, with no
-		// I/O at all).
-		return rel.Contains(key), nil
-	}
-	found := false
-	rel.Lookup(mask, key, func(t term.Tuple) bool {
-		if matchArgs(args, t, regs) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found, nil
-}
-
-// applyPipeOp runs one streaming operator on one row. rel/haveRel carry a
-// segment-level pre-resolved relation for statically named matches.
-func (f *frame) applyPipeOp(op plan.PipeOp, rel storage.Rel, haveRel bool,
-	sk *term.Tuple, regs []term.Value, emit func() error) error {
-	switch op := op.(type) {
-	case *plan.Match:
-		if !haveRel {
-			var err error
-			rel, err = f.resolveRead(op.Rel, regs)
-			if err != nil {
-				return err
-			}
-		}
-		if op.Negated {
-			found, err := f.existsIn(rel, sk, op.BoundMask, op.Args, regs)
-			if err != nil {
-				return err
-			}
-			if !found {
-				return emit()
-			}
-			return nil
-		}
-		return f.scanRel(rel, sk, op.Bind, op.BoundMask, op.Args, regs, emit)
-	case *plan.DynMatch:
-		name, err := op.Pred.Build(regs)
-		if err != nil {
-			return err
-		}
-		rel := f.dynResolve(name, op.Arity, op.Narrowed, op.Candidates)
-		if op.Negated {
-			found, err := f.existsIn(rel, sk, op.BoundMask, op.Args, regs)
-			if err != nil {
-				return err
-			}
-			if !found {
-				return emit()
-			}
-			return nil
-		}
-		return f.scanRel(rel, sk, op.Bind, op.BoundMask, op.Args, regs, emit)
-	case *plan.Compare:
-		l, err := evalExpr(op.L, regs)
-		if err != nil {
-			return err
-		}
-		r, err := evalExpr(op.R, regs)
-		if err != nil {
-			return err
-		}
-		ok, err := compareValues(op.Op, l, r)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return emit()
-		}
-		return nil
-	case *plan.MatchBind:
-		v, err := evalExpr(op.E, regs)
-		if err != nil {
-			return err
-		}
-		if op.Pat.Match(v, regs) {
-			if err := emit(); err != nil {
-				unbind(regs, op.Bind)
-				return err
-			}
-		}
-		unbind(regs, op.Bind)
-		return nil
-	}
-	return fmt.Errorf("vm: unknown pipe op %T", op)
 }
 
 // dynResolve finds the relation a HiLog predicate name denotes. With

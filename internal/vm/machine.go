@@ -376,11 +376,18 @@ func (f *frame) relName(local string) term.Value {
 	return term.Atom("$frame", term.NewInt(int64(f.id)), term.NewString(local))
 }
 
+// drop drops the relations the frame holds from the temp store, youngest
+// first (the temp store's cheap order), by the names they carry.
 func (f *frame) drop() {
-	f.m.Temp.Drop(f.relName("in"), f.inRel.Arity())
-	f.m.Temp.Drop(f.relName("return"), f.retRel.Arity())
-	for _, l := range f.proc.Locals {
-		f.m.Temp.Drop(f.relName(l.Name), l.Arity)
+	for i := len(f.proc.Locals) - 1; i >= 0; i-- {
+		if r := f.locals[f.proc.Locals[i].Name]; r != nil {
+			f.m.Temp.Drop(r.Name(), r.Arity())
+		}
+	}
+	for _, r := range [...]storage.Rel{f.retRel, f.inRel} {
+		if r != nil {
+			f.m.Temp.Drop(r.Name(), r.Arity())
+		}
 	}
 }
 

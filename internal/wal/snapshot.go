@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"os"
 
 	"gluenail/internal/storage"
 	"gluenail/internal/storage/fsio"
@@ -34,43 +33,18 @@ func encodeSnapshot(store storage.Store) ([]byte, error) {
 	return append(out, payload...), nil
 }
 
-// WriteSnapshot atomically writes a sealed snapshot of store to path:
+// writeSnapshotFS atomically writes a sealed snapshot of store to path:
 // temp file, fsync, rename. The caller fsyncs the directory.
-func WriteSnapshot(path string, store storage.Store) error {
-	return writeSnapshotFS(fsio.OS, path, store)
-}
-
 func writeSnapshotFS(fsys fsio.FS, path string, store storage.Store) error {
 	data, err := encodeSnapshot(store)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return storage.IOFault("checkpoint", tmp, err)
-	}
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = fsys.Remove(tmp)
-		return storage.IOFault("checkpoint", tmp, err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		return storage.IOFault("checkpoint", path, err)
-	}
-	return nil
+	at, err := fsio.WriteAtomic(fsys, path, true, fsio.Bytes(data))
+	return storage.IOFault("checkpoint", at, err)
 }
 
-// ReadSnapshot verifies and loads the snapshot at path into store.
-func ReadSnapshot(path string, store storage.Store) error {
-	return readSnapshotFS(fsio.OS, path, store)
-}
-
+// readSnapshotFS verifies and loads the snapshot at path into store.
 func readSnapshotFS(fsys fsio.FS, path string, store storage.Store) error {
 	data, err := fsys.ReadFile(path)
 	if err != nil {

@@ -298,11 +298,11 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	st.Ensure(name("edge"), 2).Insert(tup(1, 2))
 	st.Ensure(name("empty"), 3)
 	path := filepath.Join(t.TempDir(), "snap.gns")
-	if err := WriteSnapshot(path, st); err != nil {
+	if err := writeSnapshotFS(fsio.OS, path, st); err != nil {
 		t.Fatal(err)
 	}
 	st2 := newStore()
-	if err := ReadSnapshot(path, st2); err != nil {
+	if err := readSnapshotFS(fsio.OS, path, st2); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := dump(t, st2), dump(t, st); got != want {

@@ -87,15 +87,17 @@ func WithBlockCompression(on bool) Option {
 }
 
 // FS is the filesystem seam every persistent artifact (WAL segments,
-// snapshots, disk-engine runs, manifest, intern file, spill runs) is
-// written through; see the storage/fsio package. The default is the real
-// filesystem; fault-injection tests swap in a scripted implementation.
+// snapshots, disk-engine runs, manifest, intern file, spill runs, EDB
+// images) is written through; see the storage/fsio package. The default
+// is the real filesystem; fault-injection tests swap in a scripted
+// implementation.
 type FS = fsio.FS
 
 // WithFS routes all of the system's file I/O through fs (nil keeps the
 // real filesystem). The seam covers the write-ahead log, checkpoints, the
-// disk engine's runs and manifest, and spill scratch stores — so a single
-// injected fault surface exercises every persistence path.
+// disk engine's runs and manifest, spill scratch stores, and the images
+// SaveEDB and LoadEDB write and read — so a single injected fault surface
+// exercises every persistence path.
 func WithFS(fs FS) Option { return func(c *config) { c.fs = fs } }
 
 // WithScrubInterval starts a background scrubber on a disk-backed EDB:

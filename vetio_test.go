@@ -19,7 +19,7 @@ import (
 //     expression (or defer/go) statement silently drops the error that
 //     tells us a write never reached the device. Handle it or discard it
 //     explicitly with `_ =`.
-//  2. No direct package-os file I/O in wal/disk: every byte those
+//  2. No direct package-os file I/O in wal/storage/disk: every byte those
 //     packages move must route through the fsio seam, or fault injection
 //     has blind spots.
 
@@ -28,6 +28,7 @@ import (
 // wraps package os, so it is exempt from rule 2.
 var ioVetPackages = map[string]bool{
 	"internal/wal":          true,
+	"internal/storage":      true,
 	"internal/storage/disk": true,
 	"internal/storage/fsio": false,
 }
