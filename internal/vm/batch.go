@@ -9,22 +9,24 @@
 // pass-through columns into the new row space; it records a lineage
 // vector (new row -> source row) and leaves every earlier column at the
 // level that produced it. An op that reads a register materializes just
-// that column in the current row space (memoized), and the final flatten
-// resolves each live column through the composed lineage maps once, so
-// each surviving register is copied once per emitted output row, not
-// once per op.
+// that column in the current row space (memoized). A segment hands the
+// live batch to its consumer: the head reads its registers through the
+// lineage maps and copies each derived row once, into its target; a
+// segment that a barrier ends flattens each live column through the
+// composed lineage maps once, into a fresh row slab.
 //
 // Output order is the nested-loop order of §9. Depth-first
 // tuple-at-a-time evaluation emits results in lexicographic (row index,
 // op-0 emission index, op-1 emission index, ...) order; breadth-first
 // op-at-a-time processes every op over the full batch in that same source
-// order, so the final flatten enumerates exactly the same sequence. The
+// order, so a consumer enumerates exactly the same sequence. The
 // materialized baseline runs these same kernels one op per segment, so it
 // produces that sequence too.
 package vm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -35,8 +37,8 @@ import (
 
 // batchScratch recycles working vectors across segments: runPipe draws one
 // per segment and returns it when the segment ends. Every column, lineage
-// vector, and selection map is dead once a segment flattens (the output
-// slab is a fresh allocation), so the vectors cycle through these
+// vector, and selection map is dead once the segment's consumer returns
+// (a flatten copies into a fresh slab), so the vectors cycle through these
 // freelists instead of churning the allocator once per op. Scratches are
 // drawn from a sync.Pool shared by every machine in the process
 // (concurrent snapshot sessions included); a call owns its scratch until
@@ -301,10 +303,10 @@ func newBatchState(rows [][]term.Value, nregs int, scr *batchScratch) *batchStat
 }
 
 // release hands every live column, lineage vector, and selection map back
-// to the scratch freelists. Called once per runPipeBatch, after flatten
-// has copied the surviving values into the fresh output slab — nothing
-// the caller sees aliases pooled storage. Safe mid-pipeline too (error
-// exits): the state is consistent after every op.
+// to the scratch freelists. Called once per runPipeBatch, after the
+// consumer has returned — nothing the caller keeps aliases pooled
+// storage. Safe mid-pipeline too (error exits): the state is consistent
+// after every op.
 func (b *batchState) release() {
 	for li := range b.levels {
 		lv := &b.levels[li]
@@ -484,20 +486,18 @@ func exprRegs(e plan.Expr, dst []int) []int {
 // runPipeBatch executes a segment's operators batch-at-a-time over the
 // given rows in the caller's scratch, adding to the caller's per-op tuple
 // counters: cnt[i] counts tuples entering op i, cnt[len(ops)] the segment
-// output.
+// output. It hands the surviving rows to consume, live.
 func (f *frame) runPipeBatch(scr *batchScratch, ops []plan.PhysOp, rels []storage.Rel, have []bool,
-	rows [][]term.Value, cnt []int64) ([][]term.Value, error) {
+	rows [][]term.Value, cnt []int64, consume func(rowView) error) error {
 	nregs := len(rows[0])
 	b := newBatchState(rows, nregs, scr)
 	defer b.release()
-	rowBuf := scr.rowBuf
-	if cap(rowBuf) < nregs {
-		rowBuf = make([]term.Value, nregs)
-		scr.rowBuf = rowBuf
-	} else {
-		rowBuf = rowBuf[:nregs]
-		clear(rowBuf)
+	if cap(scr.rowBuf) < nregs {
+		scr.rowBuf = make([]term.Value, nregs)
 	}
+	scr.rowBuf = scr.rowBuf[:nregs]
+	rowBuf := scr.rowBuf
+	clear(rowBuf)
 	regScratch := scr.regs[:0]
 	if cap(regScratch) == 0 {
 		regScratch = make([]int, 0, 16)
@@ -506,7 +506,7 @@ func (f *frame) runPipeBatch(scr *batchScratch, ops []plan.PhysOp, rels []storag
 	for i := range ops {
 		cnt[i] += int64(b.active())
 		if b.active() == 0 {
-			return nil, nil
+			return consume(rowView{})
 		}
 		var err error
 		switch op := ops[i].Op.(type) {
@@ -553,23 +553,79 @@ func (f *frame) runPipeBatch(scr *batchScratch, ops []plan.PhysOp, rels []storag
 		case *plan.MatchBind:
 			err = f.batchMatchBind(b, op, regScratch, rowBuf)
 		default:
-			return nil, fmt.Errorf("vm: unknown pipe op %T", op)
+			return fmt.Errorf("vm: unknown pipe op %T", op)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	nOut := b.active()
 	cnt[len(ops)] += int64(nOut)
 	if nOut == 0 {
-		return nil, nil
+		return consume(rowView{})
 	}
-	out := b.flatten(nOut)
 	atomic.AddInt64(&f.m.Stats.TuplesMaterialized, int64(nOut))
 	if err := f.m.pollGovernor(); err != nil {
-		return nil, err
+		return err
 	}
-	return out, nil
+	return consume(rowView{n: nOut, b: b})
+}
+
+// rowView is the rows a segment hands its consumer, valid while the
+// consumer runs: the live batch, read through its columns, or (b nil) a
+// row set.
+type rowView struct {
+	n    int
+	b    *batchState
+	rows [][]term.Value
+	rf   regFiller
+}
+
+// flatten returns the rows row-major, a live batch copied to a fresh slab.
+func (v *rowView) flatten() [][]term.Value {
+	if v.b != nil {
+		return v.b.flatten(v.n)
+	}
+	return v.rows
+}
+
+// read readies row for a consumer of the registers regs.
+func (v *rowView) read(regs []int) {
+	if v.b != nil {
+		v.rf = v.b.filler(regs)
+	}
+}
+
+// row returns the k-th row with the read registers set; a batch row is
+// filled into the scratch row buffer, valid until the next call.
+func (v *rowView) row(k int) []term.Value {
+	if v.b == nil {
+		return v.rows[k]
+	}
+	v.rf.fill(v.b.row(k), v.b.scr.rowBuf)
+	return v.b.scr.rowBuf
+}
+
+// distinct reports whether the view's rows cannot repeat on the registers
+// live, so that their count sizes a target exactly: a row set counts as
+// distinct, a batch when it binds no register outside live, has no HiLog
+// match, and no Match drops a column (a wildcard or compound argument).
+func (v *rowView) distinct(ops []plan.PhysOp, live []int) bool {
+	if v.b == nil {
+		return true
+	}
+	for r, l := range v.b.where {
+		if l >= 0 && !slices.Contains(live, r) {
+			return false
+		}
+	}
+	for _, op := range ops {
+		m, ok := op.Op.(*plan.Match)
+		if _, dyn := op.Op.(*plan.DynMatch); dyn || ok && slices.ContainsFunc(m.Args, func(p term.Pattern) bool { return p.Kind > term.PatVar }) {
+			return false
+		}
+	}
+	return true
 }
 
 // flatten materializes the surviving rows back to row-major output,
@@ -705,6 +761,12 @@ func (f *frame) batchExpandMatch(b *batchState, mask uint32, args []term.Pattern
 		key, err := buildKey(&b.scr.sk, mask, args, rowBuf, rel.Arity())
 		if err != nil {
 			return err
+		}
+		if mask == 0 { // a scan emits at most rel.Len() rows: room once, not doubling
+			for c := range p.bindCols {
+				p.bindCols[c] = slices.Grow(p.bindCols[c], rel.Len())
+			}
+			p.src = slices.Grow(p.src, rel.Len())
 		}
 		p.cur = i
 		rel.Lookup(mask, key, p.emitFn)

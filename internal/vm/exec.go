@@ -36,13 +36,12 @@ func (f *frame) execStmt(st *plan.Stmt) error {
 	pp := f.stmtPlan(st, prof)
 	f.m.lastPhys[st] = pp
 	prof.Execs++
-	rows, err := f.runSteps(st.NRegs, pp.Steps, prof)
-	if err == nil {
+	err := f.runSteps(st.NRegs, pp.Steps, prof, func(v rowView) error {
 		if f.m.Trace != nil {
-			f.m.tracef("  [%s] %s -> %d row(s)", f.proc.ID, st.Label, len(rows))
+			f.m.tracef("  [%s] %s -> %d row(s)", f.proc.ID, st.Label, v.n)
 		}
-		err = f.applyHead(st, rows)
-	}
+		return f.applyHead(st, &pp.Steps[len(pp.Steps)-1], v)
+	})
 	if err != nil {
 		return fmt.Errorf("statement %q: %w", st.Label, err)
 	}
@@ -50,20 +49,20 @@ func (f *frame) execStmt(st *plan.Stmt) error {
 	return nil
 }
 
-func (f *frame) evalCond(c *plan.Cond) (bool, error) {
-	psteps := f.condPlan(c)
-	rows, err := f.runSteps(c.NRegs, psteps, nil)
-	if err != nil {
-		return false, err
-	}
-	return len(rows) > 0, nil
+func (f *frame) evalCond(c *plan.Cond) (found bool, err error) {
+	err = f.runSteps(c.NRegs, f.condPlan(c), nil, func(v rowView) error {
+		found = v.n > 0
+		return nil
+	})
+	return found, err
 }
 
 // runSteps executes the pipeline segments over the supplementary relation,
-// starting from sup_0 = {ε}. Execution stops early when a supplementary
-// relation becomes empty (§3.2), skipping any remaining side effects.
-// prof (may be nil) accumulates per-op tuple counters.
-func (f *frame) runSteps(nregs int, steps []plan.PhysStep, prof *plan.StmtProfile) ([][]term.Value, error) {
+// starting from sup_0 = {ε}, and hands the statement's rows to consume
+// once. Execution stops early when a supplementary relation becomes empty
+// (§3.2), skipping any remaining side effects. prof (may be nil)
+// accumulates per-op tuple counters.
+func (f *frame) runSteps(nregs int, steps []plan.PhysStep, prof *plan.StmtProfile, consume func(rowView) error) error {
 	rows := f.seedRows(nregs)
 	state := &stmtState{}
 	for i := range steps {
@@ -72,29 +71,30 @@ func (f *frame) runSteps(nregs int, steps []plan.PhysStep, prof *plan.StmtProfil
 		if prof != nil && i < len(prof.Steps) {
 			sprof = &prof.Steps[i]
 		}
+		if i == len(steps)-1 && step.Step.Barrier == nil {
+			return f.runSegment(step, rows, sprof, consume)
+		}
 		var err error
-		rows, err = f.runPipe(step, rows, sprof)
-		if err != nil {
-			return nil, err
+		if rows, err = f.runPipe(step, rows, sprof); err != nil {
+			return err
 		}
 		if len(rows) == 0 {
-			return nil, nil
+			return consume(rowView{})
 		}
 		if step.Step.Dedup {
 			rows = f.dedupRows(rows, step.Step.LiveRegs)
 		}
 		if step.Step.Barrier != nil {
 			atomic.AddInt64(&f.m.Stats.PipelineBreaks, 1)
-			rows, err = f.applyBarrier(step.Step.Barrier, rows, state)
-			if err != nil {
-				return nil, err
+			if rows, err = f.applyBarrier(step.Step.Barrier, rows, state); err != nil {
+				return err
 			}
 			if len(rows) == 0 {
-				return nil, nil
+				return consume(rowView{})
 			}
 		}
 	}
-	return rows, nil
+	return consume(rowView{n: len(rows), rows: rows})
 }
 
 // seedRows returns sup_0 = {ε} over nregs registers. The one all-zero row
@@ -116,18 +116,30 @@ func cloneRow(row []term.Value) []term.Value {
 	return cp
 }
 
-// runPipe streams rows through the segment's operators on the batch
-// kernels (batch.go). The pipelined strategy runs the whole segment at
-// once, copying a row's registers only at the segment end; the
-// materialized baseline runs one op at a time, storing the full row set
-// after every operator (the extra load and store per tuple of §9).
+// runPipe runs a segment and returns its rows flattened.
+func (f *frame) runPipe(step *plan.PhysStep, rows [][]term.Value, sprof *plan.StepProfile) ([][]term.Value, error) {
+	err := f.runSegment(step, rows, sprof, flattenTo(&rows))
+	return rows, err
+}
+
+// flattenTo is the consumer that keeps a segment's rows, flattened.
+func flattenTo(rows *[][]term.Value) func(rowView) error {
+	return func(v rowView) error { *rows = v.flatten(); return nil }
+}
+
+// runSegment streams rows through the segment's operators on the batch
+// kernels (batch.go) and hands the result to consume. The pipelined
+// strategy runs the whole segment at once; the materialized baseline runs
+// one op at a time, storing the full row set after every operator but the
+// last (the extra load and store per tuple of §9).
 // Statically named relations are resolved once per segment, not per row —
 // relations only change at barriers and heads, never inside a segment.
 // The per-op vectors come from the pooled batch scratch.
-func (f *frame) runPipe(step *plan.PhysStep, rows [][]term.Value, sprof *plan.StepProfile) ([][]term.Value, error) {
+func (f *frame) runSegment(step *plan.PhysStep, rows [][]term.Value, sprof *plan.StepProfile,
+	consume func(rowView) error) error {
 	ops := step.Ops
 	if len(ops) == 0 {
-		return rows, nil
+		return consume(rowView{n: len(rows), rows: rows})
 	}
 	scr := batchScratchPool.Get().(*batchScratch)
 	defer scr.put()
@@ -136,7 +148,7 @@ func (f *frame) runPipe(step *plan.PhysStep, rows [][]term.Value, sprof *plan.St
 		if m, ok := ops[i].Op.(*plan.Match); ok && m.Rel.Name.IsGround() {
 			rel, err := f.resolveRead(m.Rel, nil)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			rels[i], have[i] = rel, true
 		}
@@ -159,23 +171,25 @@ func (f *frame) runPipe(step *plan.PhysStep, rows [][]term.Value, sprof *plan.St
 		}
 	}()
 	if f.m.Materialized {
-		// One single-op segment per op, each flattening its output. The
-		// counters of consecutive calls would share a slot (one op's
-		// output is the next op's input), so each call counts into its
-		// own pair and only the input side is kept.
-		for i := range ops {
+		// One single-op segment per op, each but the last flattening its
+		// output. The counters of consecutive calls would share a slot
+		// (one op's output is the next op's input), so each of those
+		// counts into its own pair and only the input side is kept.
+		last := len(ops) - 1
+		for i := 0; i < last; i++ {
 			var c [2]int64
-			out, err := f.runPipeBatch(scr, ops[i:i+1], rels[i:i+1], have[i:i+1], rows, c[:])
+			err := f.runPipeBatch(scr, ops[i:i+1], rels[i:i+1], have[i:i+1], rows, c[:], flattenTo(&rows))
 			cnt[i] += c[0]
-			if err != nil || len(out) == 0 {
-				return nil, err
+			if err != nil {
+				return err
 			}
-			rows = out
+			if len(rows) == 0 {
+				return consume(rowView{})
+			}
 		}
-		cnt[len(ops)] += int64(len(rows))
-		return rows, nil
+		return f.runPipeBatch(scr, ops[last:], rels[last:], have[last:], rows, cnt[last:], consume)
 	}
-	return f.runPipeBatch(scr, ops, rels, have, rows, cnt)
+	return f.runPipeBatch(scr, ops, rels, have, rows, cnt, consume)
 }
 
 // unbind zeroes the registers an op bound; the compiler guarantees they
@@ -343,55 +357,58 @@ func (m *Machine) applyHeadRow(st *plan.Stmt, rel storage.Rel, tup term.Tuple) {
 }
 
 // applyHead applies the statement's assignment operator to the target
-// relation(s), building each row's head tuple in the machine's scratch and
-// applying it at once. HiLog heads may address several relations in one
-// statement: each computed name resolves (and a ":=" target clears) at its
-// first row, found through a pooled hash table on the name value. A
-// statically named head — by far the common case — resolves its single
-// target once per statement execution.
-func (f *frame) applyHead(st *plan.Stmt, rows [][]term.Value) error {
-	if st.Head.Ref.Name.IsGround() {
-		// One static target for the whole statement: it participates even
-		// with an empty body (":=" clears it).
+// relation(s), reading the rows that the last step hands over through the
+// view. The target's hash chain dedups the head: a repeated insert or
+// delete changes nothing, but a repeated "+=[key]" row would re-insert
+// itself, so that head dedups its rows first. A static head resolves its
+// target up front: ":=" clears it even for an empty body, and grows it by
+// the rows reaching it if they cannot repeat, else at most by what it
+// held. A HiLog head resolves (and a ":=" clears) each computed name at
+// its first row, through a pooled table on the name.
+func (f *frame) applyHead(st *plan.Stmt, last *plan.PhysStep, v rowView) error {
+	live := last.Step.LiveRegs
+	if st.Op == ast.OpModify && last.Step.Dedup && last.Step.Barrier == nil {
+		rows := f.dedupRows(v.flatten(), live)
+		v = rowView{n: len(rows), rows: rows}
+	}
+	v.read(live)
+	type target struct {
+		name term.Value
+		rel  storage.Rel
+	}
+	targets, static := make([]target, 0, 1), st.Head.Ref.Name.IsGround()
+	if static {
 		rel, err := f.resolveWrite(st.Head.Ref, nil)
 		if err != nil {
 			return err
 		}
 		if st.Op == ast.OpAssign {
+			grow := rel.Len()
+			if v.distinct(last.Ops, live) {
+				grow = v.n
+			}
 			rel.Clear()
-			rel.Grow(len(rows))
+			rel.Grow(min(v.n, grow))
 		}
-		for _, row := range rows {
-			tup, err := f.m.headRow(st.Head.Args, row)
-			if err != nil {
+		targets = append(targets, target{rel: rel})
+	}
+	var names *hashTable
+	if !static {
+		names = f.grabTable(v.n)
+		defer f.releaseTable(names)
+	}
+	var name term.Value
+	sameName := func(r int32) bool { return targets[r].name.Equal(name) }
+	for k := 0; k < v.n; k++ {
+		row := v.row(k)
+		gi, found := int32(0), true
+		if !static {
+			var err error
+			if name, err = st.Head.Ref.Name.Build(row); err != nil {
 				return err
 			}
-			f.m.applyHeadRow(st, rel, tup)
+			gi, found = names.findOrAdd(name.Hash(), int32(len(targets)), sameName)
 		}
-		if err := f.checkRelBudget(rel); err != nil {
-			return err
-		}
-		if st.Head.IsReturn {
-			f.returned = true
-		}
-		return nil
-	}
-	type target struct {
-		name term.Value
-		rel  storage.Rel
-	}
-	var targets []target
-	t := f.grabTable(len(rows))
-	defer f.releaseTable(t)
-	var candName term.Value
-	eq := func(r int32) bool { return targets[r].name.Equal(candName) }
-	for _, row := range rows {
-		name, err := st.Head.Ref.Name.Build(row)
-		if err != nil {
-			return err
-		}
-		candName = name
-		gi, found := t.findOrAdd(name.Hash(), int32(len(targets)), eq)
 		if !found {
 			rel, err := f.resolveWrite(st.Head.Ref, row)
 			if err != nil {

@@ -30,13 +30,15 @@ type ExecStats struct {
 	StmtsExecuted  int64
 	LoopIterations int64
 	PipelineBreaks int64
-	// TuplesMaterialized counts rows copied into materialized supplementary
-	// relations: every op's output under the materialized strategy, each
-	// segment's output under the pipelined one.
+	// TuplesMaterialized counts rows leaving a segment, flattened or handed
+	// to the head: every op's output under the materialized strategy,
+	// each segment's output under the pipelined one.
 	TuplesMaterialized int64
-	RowsDeduped        int64
-	ProcCalls          int64
-	DynDispatches      int64
+	// RowsDeduped counts rows removed at pipeline breaks and ahead of a
+	// "+=[key]" head; other heads leave repeats to the target.
+	RowsDeduped   int64
+	ProcCalls     int64
+	DynDispatches int64
 	// GovernorChecks counts cooperative governor polls (cancellation +
 	// budget checks); E14 uses it to attribute the governor's overhead.
 	GovernorChecks int64

@@ -119,9 +119,9 @@ func TestRepeatIterationAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector makes sync.Pool drop entries, so pooled scratch re-allocates")
 	}
-	// measured 6.1 (Go 1.24, linux/amd64); 10.5 while each store lookup
-	// built its key string
-	const n, maxPerIter = 256, 13.0
+	// measured 0.07 (Go 1.24, linux/amd64); 6.1 while the head read a
+	// flattened row slab, 10.5 while each store lookup built its key string
+	const n, maxPerIter = 256, 0.09
 	allocs := func(edges int) float64 {
 		sys := New()
 		if err := sys.Load(chainProgram); err != nil {
@@ -144,9 +144,9 @@ func TestRepeatIterationAllocs(t *testing.T) {
 		})
 	}
 	perIter := (allocs(2*n) - allocs(n)) / n
-	t.Logf("%.1f allocs per repeat iteration", perIter)
+	t.Logf("%.2f allocs per repeat iteration", perIter)
 	if perIter > maxPerIter {
-		t.Errorf("a repeat iteration allocates %.1f objects, want <= %.1f", perIter, maxPerIter)
+		t.Errorf("a repeat iteration allocates %.2f objects, want <= %.2f", perIter, maxPerIter)
 	}
 }
 

@@ -2,9 +2,12 @@ package gluenail
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"gluenail/internal/term"
 )
@@ -233,10 +236,12 @@ func TestRecursionRoundAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector makes sync.Pool drop entries, so pooled scratch re-allocates")
 	}
-	// measured 756 (Go 1.24, linux/amd64), plus 25%; 891 while every
-	// relation lookup built a key string, 1807 while a plan cache miss
-	// re-planned each class vector a loop passed through
-	const maxAllocs = 945
+	// measured 751 (Go 1.24, linux/amd64), plus 25%; 678 while a
+	// projecting ":=" was sized by its rows, repeats included, 756 while
+	// the head read a flattened row slab, 891 while every relation lookup
+	// built a key string, 1807 while a plan cache miss re-planned each
+	// class vector a loop passed through
+	const maxAllocs = 939
 	_, round := recursionRound(t)
 	round() // warm the plan cache and indexes
 	allocs := testing.AllocsPerRun(5, round)
@@ -318,4 +323,89 @@ sg(X, Y) :- parent(X, XP) & sg(XP, YP) & parent(Y, YP).
 		}
 	}
 	return sys, round
+}
+
+// TestAssignCopyBytes gates the bytes a head copies: a warm "d := nd" of n
+// two-column rows into a target whose storage its Clear reuses may
+// allocate no more than a quarter of the rows' own size. Each derived row
+// is copied once, into the target's storage; a row slab gathered for the
+// head on the way (n rows of two values plus a row header each, 1.15
+// times the rows' size) fails the gate. Measured: 2000 bytes at n = 4096,
+// against a bound of 163840 (Go 1.24, linux/amd64).
+func TestAssignCopyBytes(t *testing.T) {
+	const n = 4096
+	least := assignBytes(t, "nd", `
+edb nd(X, Y), d(X, Y);
+proc run(:)
+  d(X, Y) := nd(X, Y).
+end
+`, n, func(i int) []any { return []any{i, -i} })
+	bound := uint64(n * 2 * unsafe.Sizeof(term.Value{}) / 4)
+	t.Logf("a warm copy of %d rows allocates %d bytes (bound %d)", n, least, bound)
+	if least > bound {
+		t.Errorf("a warm d := nd of %d rows allocates %d bytes, want <= %d: a row slab is built on the way to the head",
+			n, least, bound)
+	}
+}
+
+// TestAssignFanOutBytes gates the room a ":=" target is given: a warm run
+// of "d(X) := e(X, Y)" and "d(X) := e(X, _)" over n rows that repeat on
+// their 8 distinct X may allocate no more than a quarter of one column of
+// n values. Rows that can repeat on what the head keeps grow the target at
+// most by what it held; sized by their count, it would take room for n
+// rows (about 124 bytes each) to keep 8. Measured: 1984 bytes at n =
+// 4096, against a bound of 81920 (Go 1.24, linux/amd64).
+func TestAssignFanOutBytes(t *testing.T) {
+	const n = 4096
+	least := assignBytes(t, "e", `
+edb e(X, Y), d(X);
+proc run(:)
+  d(X) := e(X, Y).
+  d(X) := e(X, _).
+end
+`, n, func(i int) []any { return []any{i % 8, i} })
+	bound := uint64(n * unsafe.Sizeof(term.Value{}) / 4)
+	t.Logf("a warm fan-out of %d rows allocates %d bytes (bound %d)", n, least, bound)
+	if least > bound {
+		t.Errorf("a warm fan-out of %d rows onto 8 allocates %d bytes, want <= %d: the target is sized by repeated rows",
+			n, least, bound)
+	}
+}
+
+// assignBytes loads src, asserts n rows made by row into rel, and returns
+// the least bytes of a few warm calls of main.run.
+func assignBytes(t *testing.T, rel, src string, n int, row func(int) []any) uint64 {
+	t.Helper()
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop entries, so pooled scratch re-allocates")
+	}
+	sys := New()
+	if err := sys.Load(src); err != nil {
+		t.Fatal(err)
+	}
+	facts := make([][]any, n)
+	for i := range facts {
+		facts[i] = row(i)
+	}
+	if err := sys.Assert(rel, facts...); err != nil {
+		t.Fatal(err)
+	}
+	call := func() {
+		if _, err := sys.Call("main", "run"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call() // the first run moves d into storage its Clear owns
+	call()
+	// The least of a few runs: a collection during one may drop the
+	// pooled batch scratch, which the next run then re-allocates.
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		call()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
