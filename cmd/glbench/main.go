@@ -123,6 +123,35 @@ func best(f func()) time.Duration {
 	return bestD
 }
 
+// warm runs each function once, untimed: the first runs in a process pay
+// for code and allocator warm-up that paired timings must not.
+func warm(fs ...func()) {
+	for _, f := range fs {
+		f()
+	}
+}
+
+// pair times a and b over reps runs each, alternating which of the two
+// runs first, and returns the fastest of each.
+func pair(a, b func()) (da, db time.Duration) {
+	da, db = time.Duration(1<<62-1), time.Duration(1<<62-1)
+	timed := func(f func(), d *time.Duration) {
+		start := time.Now()
+		f()
+		*d = min(*d, time.Since(start))
+	}
+	for i := 0; i < *reps; i++ {
+		if i%2 == 0 {
+			timed(a, &da)
+			timed(b, &db)
+		} else {
+			timed(b, &db)
+			timed(a, &da)
+		}
+	}
+	return da, db
+}
+
 func table(title, claim string, header []string, rows [][]string) {
 	fmt.Printf("== %s\n", title)
 	fmt.Printf("   paper: %s\n", claim)
@@ -173,12 +202,14 @@ func e2() {
 	for _, n := range []int{1000, 5000, 20000} {
 		pipe := bench.NewJoinSystem(n, 4)
 		mat := bench.NewJoinSystem(n, 4, gluenail.WithBaseline("materialized"))
-		dp := best(func() { check(bench.RunJoin(pipe)) })
-		dm := best(func() { check(bench.RunJoin(mat)) })
+		runP, runM := func() { check(bench.RunJoin(pipe)) }, func() { check(bench.RunJoin(mat)) }
+		warm(runP, runM)
+		p0, m0 := pipe.Stats().Exec.TuplesMaterialized, mat.Stats().Exec.TuplesMaterialized
+		dp, dm := pair(runP, runM)
 		rows = append(rows, []string{
 			fmt.Sprint(n), ms(dp), ms(dm), ratio(dp, dm),
-			fmt.Sprint(pipe.Stats().Exec.TuplesMaterialized / int64(*reps)),
-			fmt.Sprint(mat.Stats().Exec.TuplesMaterialized / int64(*reps)),
+			fmt.Sprint((pipe.Stats().Exec.TuplesMaterialized - p0) / int64(*reps)),
+			fmt.Sprint((mat.Stats().Exec.TuplesMaterialized - m0) / int64(*reps)),
 		})
 	}
 	table("E2: pipelined vs fully materialized execution (3-way join)",
@@ -192,8 +223,9 @@ func e3() {
 	for _, dup := range []int{1, 2, 4, 16} {
 		with := bench.NewDupSystem(4000/dup, dup)
 		without := bench.NewDupSystem(4000/dup, dup, gluenail.WithBaseline("no-dedup"))
-		dw := best(func() { check(bench.RunDup(with)) })
-		dn := best(func() { check(bench.RunDup(without)) })
+		runW, runN := func() { check(bench.RunDup(with)) }, func() { check(bench.RunDup(without)) }
+		warm(runW, runN)
+		dw, dn := pair(runW, runN)
 		rows = append(rows, []string{
 			fmt.Sprint(dup), ms(dw), ms(dn), ratio(dw, dn),
 		})

@@ -12,84 +12,102 @@ import (
 
 // applyAggregate computes the aggregate over the supplementary tuples —
 // per §3.3, over every tuple, not over the projection, so duplicates count
-// — partitioned by the group_by registers in effect. A bound destination
-// register selects tuples whose aggregate equals it; an unbound one is
-// extended onto every tuple of the group.
-func (f *frame) applyAggregate(b *plan.Aggregate, rows [][]term.Value,
-	state *stmtState) ([][]term.Value, error) {
-	var groups [][]int // row indices per group, groups in first-seen order
-	if len(state.groupRegs) == 0 {
-		// No group_by in effect: every row is in the single group.
-		all := make([]int, len(rows))
-		for ri := range all {
-			all[ri] = ri
+// — partitioned by the group_by registers in effect, groups in first-seen
+// order. It pushes a level listing the rows group by group: a bound
+// destination register keeps the rows whose value equals their group's
+// aggregate, an unbound one takes the aggregate as a new column.
+func (f *frame) applyAggregate(b *batchState, op *plan.Aggregate, groupRegs []int) error {
+	n, row, scr := b.active(), b.scr.rowBuf, b.scr
+	gid := scr.grabIdx(n)
+	reps := f.groups(b, groupRegs, gid)
+	// A stable counting sort lists the rows (perm) and their values (gv),
+	// evaluated in row order, group by group; pos[g] ends as one past group
+	// g's last row.
+	pos := scr.grabIdx(len(reps))
+	clear(pos)
+	for _, g := range gid {
+		pos[g]++
+	}
+	sum := int32(0)
+	for g, c := range pos {
+		pos[g], sum = sum, sum+c
+	}
+	perm, gv := scr.grabIdx(n), scr.grabVals(n)
+	rf := b.filler(exprRegs(op.Arg, scr.regs[:0]))
+	for k, g := range gid {
+		rf.fill(b.row(k), row)
+		v, err := evalExpr(op.Arg, row)
+		if err != nil {
+			return err
 		}
-		groups = [][]int{all}
+		perm[pos[g]], gv[pos[g]] = int32(k), v
+		pos[g]++
+	}
+	var dest []term.Value
+	bind := scr.bind[:0]
+	if op.DestBound {
+		dest = b.colAt(op.Dest)
 	} else {
-		groups = f.groupRows(rows, state.groupRegs)
+		bind = append(bind, op.Dest)
 	}
-	vals := make([]term.Value, len(rows))
-	for ri, row := range rows {
-		v, err := evalExpr(b.Arg, row)
+	scr.bind = bind
+	cols, src := scr.grabBindCols(len(bind), n), scr.grabIdxCap(n)
+	lo := int32(0)
+	for _, hi := range pos {
+		agg, err := aggregate(op.Op, gv[lo:hi])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		vals[ri] = v
-	}
-	var out [][]term.Value
-	for _, idxs := range groups {
-		gv := make([]term.Value, len(idxs))
-		for i, ri := range idxs {
-			gv[i] = vals[ri]
-		}
-		agg, err := aggregate(b.Op, gv)
-		if err != nil {
-			return nil, err
-		}
-		for _, ri := range idxs {
-			row := rows[ri]
-			if b.DestBound {
-				ok, err := compareValues(ast.CmpEq, row[b.Dest], agg)
+		for _, k := range perm[lo:hi] {
+			i := b.row(int(k))
+			if op.DestBound {
+				ok, err := compareValues(ast.CmpEq, colVal(dest, i), agg)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				if ok {
-					out = append(out, row)
+				if !ok {
+					continue
 				}
 			} else {
-				cp := cloneRow(row)
-				cp[b.Dest] = agg
-				out = append(out, cp)
+				cols[0] = append(cols[0], agg)
 			}
+			src = append(src, i)
 		}
+		lo = hi
 	}
-	return out, nil
+	for _, v := range [][]int32{gid, reps, pos, perm} {
+		scr.putIdx(v)
+	}
+	scr.putVals(gv)
+	b.pushLevel(src, bind, cols)
+	return nil
 }
 
-// groupRows partitions row indices by the values of the grouping
-// registers, groups in first-seen order — the hash-first kernel: rows are
-// hashed in place, a pooled open-addressing table maps each hash to its
-// group, and collisions compare the live registers directly. No group-key
-// bytes are built.
-func (f *frame) groupRows(rows [][]term.Value, regs []int) [][]int {
-	hashes := make([]uint64, len(rows))
-	for ri := range rows {
-		hashes[ri] = rowHashLive(rows[ri], regs)
-	}
-	t := f.grabTable(len(rows))
-	var groups [][]int
-	cand := 0
-	eq := func(g int32) bool { return rowsEqualLive(rows[groups[g][0]], rows[cand], regs) }
-	for ri := range rows {
-		cand = ri
-		if g, found := t.findOrAdd(hashes[ri], int32(len(groups)), eq); found {
-			groups[g] = append(groups[g], ri)
-		} else {
-			groups = append(groups, []int{ri})
+// groups numbers the active rows by their values in the registers regs
+// (unbound matches only unbound), groups in first-seen order — the
+// hash-first kernel: each row is hashed from the columns, a pooled
+// open-addressing table maps the hash to its group, and a hash match
+// compares the columns directly. No key is built. It returns each group's
+// first row and, when gid is non-nil, sets gid[k] to the k-th active row's
+// group.
+func (f *frame) groups(b *batchState, regs []int, gid []int32) []int32 {
+	cols, n := b.filler(regs).cols, b.active()
+	reps := b.scr.grabIdxCap(n)
+	t := f.grabTable(n)
+	var cur int32
+	eq := func(g int32) bool { return equalCols(cols, reps[g], cur) }
+	for k := 0; k < n; k++ {
+		cur = b.row(k)
+		g, found := t.findOrAdd(hashCols(cols, cur), int32(len(reps)), eq)
+		if !found {
+			reps = append(reps, cur)
+		}
+		if gid != nil {
+			gid[k] = g
 		}
 	}
 	f.releaseTable(t)
-	return groups
+	return reps
 }
 
 // aggregate computes one aggregate operator over the value list (§3.3).

@@ -8,43 +8,48 @@ import (
 	"gluenail/internal/term"
 )
 
-func (f *frame) applyBarrier(b plan.BarrierOp, rows [][]term.Value,
-	state *stmtState) ([][]term.Value, error) {
-	switch b := b.(type) {
+// applyBarrier runs a pipeline break over the batch: it reads the rows
+// through their columns and extends the batch in place, or narrows its
+// selection. groupRegs accumulates the statement's group_by registers.
+func (f *frame) applyBarrier(b *batchState, op plan.BarrierOp, groupRegs *[]int) error {
+	switch op := op.(type) {
 	case *plan.Call:
-		return f.applyCall(b, rows)
+		return f.applyCall(b, op)
 	case *plan.DynCall:
-		return f.applyDynCall(b, rows)
+		return f.applyDynCall(b, op)
 	case *plan.Aggregate:
-		return f.applyAggregate(b, rows, state)
+		return f.applyAggregate(b, op, *groupRegs)
 	case *plan.GroupBy:
-		state.groupRegs = append(state.groupRegs, b.Regs...)
-		return rows, nil
+		*groupRegs = append(*groupRegs, op.Regs...)
+		return nil
 	case *plan.Update:
-		for _, row := range rows {
-			rel, err := f.resolveWrite(b.Rel, row)
+		row := b.scr.rowBuf
+		rf := b.filler(op.Rel.Name.Regs(patRegs(b.scr.regs[:0], op.Args)))
+		for k := 0; k < b.active(); k++ {
+			rf.fill(b.row(k), row)
+			rel, err := f.resolveWrite(op.Rel, row)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			tup, err := f.m.headRow(b.Args, row)
+			tup, err := f.m.headRow(op.Args, row)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			switch b.Kind {
+			switch op.Kind {
 			case ast.UpdateInsert:
 				rel.Insert(tup)
 				if err := f.checkRelBudget(rel); err != nil {
-					return nil, err
+					return err
 				}
 			case ast.UpdateDelete:
 				rel.Delete(tup)
 			}
 		}
-		return rows, nil
+		return nil
 	case *plan.UnchangedChk:
-		rel, err := f.resolveRead(b.Rel, nil)
+		rel, err := f.resolveRead(op.Rel, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var cur uint64
 		if rel != nil {
@@ -53,132 +58,139 @@ func (f *frame) applyBarrier(b plan.BarrierOp, rows [][]term.Value,
 		if f.unchanged == nil {
 			f.unchanged = map[int]uint64{}
 		}
-		prev, seen := f.unchanged[b.Site]
-		f.unchanged[b.Site] = cur
-		if seen && prev == cur {
-			return rows, nil
+		prev, seen := f.unchanged[op.Site]
+		f.unchanged[op.Site] = cur
+		if !seen || prev != cur {
+			b.sel = b.newSel()
 		}
-		return nil, nil
+		return nil
 	case *plan.EmptyChk:
-		rel, err := f.resolveRead(b.Rel, nil)
+		rel, err := f.resolveRead(op.Rel, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if rel == nil || rel.Len() == 0 {
-			return rows, nil
+		if rel != nil && rel.Len() != 0 {
+			b.sel = b.newSel()
 		}
-		return nil, nil
+		return nil
 	}
-	return nil, fmt.Errorf("vm: unknown barrier %T", b)
+	return fmt.Errorf("vm: unknown barrier %T", op)
 }
 
-// applyCall runs a procedure/builtin once on all the distinct bindings of
-// its input arguments (§4) and joins the results back to the supplementary
-// rows, in row order.
-func (f *frame) applyCall(b *plan.Call, rows [][]term.Value) ([][]term.Value, error) {
-	nb := len(b.BoundArgs)
-	// Build each row's input tuple, all in one slab, and cache its 64-bit
-	// hash, reused by both the distinct pass and the join-back probe.
-	slab := make([]term.Value, len(rows)*nb)
-	tuples := make([]term.Tuple, len(rows))
-	rowHashes := make([]uint64, len(rows))
-	for ri, row := range rows {
-		tup := term.Tuple(slab[ri*nb : (ri+1)*nb : (ri+1)*nb])
-		for i := range b.BoundArgs {
-			v, err := b.BoundArgs[i].Build(row)
+// applyCall runs a procedure or builtin once on the distinct bindings of
+// its input arguments, sorted (§4), and joins the results back onto the
+// rows that bound them, in row order: a new level of the registers the
+// free arguments bind, or, negated, a filter keeping the rows no result
+// matches.
+func (f *frame) applyCall(b *batchState, op *plan.Call) error {
+	nb, row := len(op.BoundArgs), b.scr.rowBuf
+	rf := b.filler(patRegs(b.scr.regs[:0], op.BoundArgs))
+	// Each row's input tuple is built at the end of one slab and kept
+	// there only if it is new; rowIn maps a row to its input's number.
+	var slab []term.Value
+	var key term.Tuple
+	input := func(d int32) term.Tuple { return slab[int(d)*nb : int(d+1)*nb : int(d+1)*nb] }
+	eq := func(d int32) bool { return input(d).Equal(key) }
+	rowIn := b.scr.grabIdx(b.n)
+	defer b.scr.putIdx(rowIn)
+	t := f.grabTable(b.active())
+	defer f.releaseTable(t)
+	nIn := int32(0)
+	for k := 0; k < b.active(); k++ {
+		i := b.row(k)
+		rf.fill(i, row)
+		base := len(slab)
+		for a := range op.BoundArgs {
+			v, err := op.BoundArgs[a].Build(row)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			tup[i] = v
+			slab = append(slab, v)
 		}
-		tuples[ri] = tup
-		rowHashes[ri] = tup.Hash()
-	}
-	// Distinct input tuples, in first-seen order (then sorted).
-	var inTuples []term.Tuple
-	t := f.grabTable(len(rows))
-	cand := 0
-	eq := func(r int32) bool { return inTuples[r].Equal(tuples[cand]) }
-	for ri := range rows {
-		cand = ri
-		if _, found := t.findOrAdd(rowHashes[ri], int32(len(inTuples)), eq); !found {
-			inTuples = append(inTuples, tuples[ri])
+		key = slab[base:]
+		d, found := t.findOrAdd(key.Hash(), nIn, eq)
+		if found {
+			slab = slab[:base]
+		} else {
+			nIn++
 		}
+		rowIn[i] = d
 	}
-	f.releaseTable(t)
-	sortTuples(inTuples)
+	in := make([]term.Tuple, nIn)
+	for d := range in {
+		in[d] = input(int32(d))
+	}
+	sortTuples(in)
 	var results []term.Tuple
 	var err error
-	if b.ProcID != "" {
-		results, err = f.m.CallProc(b.ProcID, inTuples)
+	if op.ProcID != "" {
+		results, err = f.m.CallProc(op.ProcID, in)
 	} else {
-		impl, ok := f.m.Builtins.impl(b.Builtin)
+		impl, ok := f.m.Builtins.impl(op.Builtin)
 		if !ok {
-			return nil, fmt.Errorf("no builtin %q", b.Builtin)
+			return fmt.Errorf("no builtin %q", op.Builtin)
 		}
-		results, err = impl(f.m, inTuples)
+		results, err = impl(f.m, in)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// Index results by bound prefix.
-	wantArity := nb + len(b.FreeArgs)
-	var px prefixIndex
-	px.init(len(results))
-	for _, r := range results {
-		if len(r) != wantArity {
-			return nil, fmt.Errorf("call result arity %d, want %d", len(r), wantArity)
+	// Chain each result, in result order, to the input its bound prefix
+	// equals: head[d] is input d's first result, next[j] result j's
+	// successor (-1 ends a chain), size[d] the chain's length.
+	head, tail, size := b.scr.grabIdx(int(nIn)), b.scr.grabIdx(int(nIn)), b.scr.grabIdx(int(nIn))
+	next := b.scr.grabIdx(len(results))
+	defer func() {
+		for _, v := range [...][]int32{head, tail, size, next} {
+			b.scr.putIdx(v)
 		}
-		px.add(r[:nb], r)
+	}()
+	for d := range head {
+		head[d], size[d] = -1, 0
 	}
-	var out [][]term.Value
-	if b.Negated {
-		// One scratch row serves every probe: a surviving row is the
-		// input row itself.
-		var cp []term.Value
-		for ri, row := range rows {
-			exists := false
-			for _, r := range px.get(rowHashes[ri], tuples[ri]) {
-				cp = append(cp[:0], row...)
-				if matchArgs(b.FreeArgs, r[nb:], cp) {
-					exists = true
-					break
-				}
-			}
-			if !exists {
-				out = append(out, row)
-			}
+	for j, r := range results {
+		if want := nb + len(op.FreeArgs); len(r) != want {
+			return fmt.Errorf("call result arity %d, want %d", len(r), want)
 		}
-		return out, nil
+		next[j], key = -1, r[:nb]
+		d := t.find(key.Hash(), eq)
+		switch {
+		case d < 0:
+			continue
+		case head[d] < 0:
+			head[d] = int32(j)
+		default:
+			next[tail[d]] = int32(j)
+		}
+		tail[d] = int32(j)
+		size[d]++
 	}
-	// The joined rows go into one slab sized by the prefix matches; a
-	// candidate whose free arguments do not match gives its room back.
-	matches, width := 0, 0
-	for ri, row := range rows {
-		n := len(px.get(rowHashes[ri], tuples[ri]))
-		matches += n
-		width += n * len(row)
-	}
-	out = make([][]term.Value, 0, matches)
-	rowSlab := make([]term.Value, width)
-	for ri, row := range rows {
-		for _, r := range px.get(rowHashes[ri], tuples[ri]) {
-			cp := rowSlab[:len(row):len(row)]
-			copy(cp, row)
-			if matchArgs(b.FreeArgs, r[nb:], cp) {
-				out = append(out, cp)
-				rowSlab = rowSlab[len(row):]
-			}
+	// The free arguments bind the registers no earlier op bound.
+	refRegs := patRegs(b.scr.regs[:0], op.FreeArgs)
+	bind := b.scr.bind[:0]
+	for _, r := range refRegs {
+		if b.where[r] < 0 {
+			bind = append(bind, r)
 		}
 	}
-	return out, nil
+	b.scr.bind = bind
+	return f.batchJoin(b, op.FreeArgs, bind, refRegs, op.Negated, func(p *matchProbe) error {
+		p.reserve(int(size[rowIn[p.cur]]))
+		for j := head[rowIn[p.cur]]; j >= 0; j = next[j] {
+			if !p.yield(results[j][nb:]) {
+				break
+			}
+		}
+		return nil
+	})
 }
 
 // applyDynCall dispatches a HiLog subgoal whose candidates include NAIL!
-// families: per row, the computed name either selects a family (whose
-// generated procedure is called once and memoized for the barrier) or falls
-// back to stored-relation lookup.
-func (f *frame) applyDynCall(b *plan.DynCall, rows [][]term.Value) ([][]term.Value, error) {
+// families: per row, the computed name either selects a family, whose
+// generated procedure runs once per barrier and whose results carrying
+// the name's arguments join the row, or falls back to the stored relation
+// it names.
+func (f *frame) applyDynCall(b *batchState, op *plan.DynCall) error {
 	famResults := map[string][]term.Tuple{}
 	family := func(name term.Value) *plan.FamilyCand {
 		if name.Kind() != term.Compound {
@@ -188,66 +200,42 @@ func (f *frame) applyDynCall(b *plan.DynCall, rows [][]term.Value) ([][]term.Val
 		if fn.Kind() != term.Str {
 			return nil
 		}
-		for i := range b.Families {
-			if b.Families[i].Base == fn.Str() && b.Families[i].NameArity == name.NumArgs() {
-				return &b.Families[i]
+		for i := range op.Families {
+			if op.Families[i].Base == fn.Str() && op.Families[i].NameArity == name.NumArgs() {
+				return &op.Families[i]
 			}
 		}
 		return nil
 	}
-	var out [][]term.Value
-	for _, row := range rows {
-		name, err := b.Pred.Build(row)
+	regs := op.Pred.Regs(patRegs(b.scr.regs[:0], op.Args))
+	return f.batchJoin(b, op.Args, op.Bind, regs, op.Negated, func(p *matchProbe) error {
+		name, err := op.Pred.Build(p.rowBuf)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		matched := false
-		emit := func(cp []term.Value) {
-			if !b.Negated {
-				out = append(out, cp)
-			}
-			matched = true
+		fam := family(name)
+		if fam == nil {
+			return p.lookup(f.dynResolve(name, len(op.Args), op.Narrowed, op.Candidates), 0)
 		}
-		if fam := family(name); fam != nil {
-			res, ok := famResults[fam.ProcID]
-			if !ok {
-				res, err = f.m.CallProc(fam.ProcID, []term.Tuple{{}})
-				if err != nil {
-					return nil, err
-				}
-				famResults[fam.ProcID] = res
+		res, ok := famResults[fam.ProcID]
+		if !ok {
+			if res, err = f.m.CallProc(fam.ProcID, []term.Tuple{{}}); err != nil {
+				return err
 			}
-			k := fam.NameArity
-			nameArgs := name.Args()
-		resultLoop:
-			for _, r := range res {
-				for i := 0; i < k; i++ {
-					if !nameArgs[i].Equal(r[i]) {
-						continue resultLoop
-					}
-				}
-				cp := cloneRow(row)
-				if matchArgs(b.Args, r[k:], cp) {
-					emit(cp)
-					if b.Negated {
-						break
-					}
+			famResults[fam.ProcID] = res
+		}
+		k, nameArgs := fam.NameArity, name.Args()
+	results:
+		for _, r := range res {
+			for i := 0; i < k; i++ {
+				if !nameArgs[i].Equal(r[i]) {
+					continue results
 				}
 			}
-		} else {
-			if rel := f.dynResolve(name, len(b.Args), b.Narrowed, b.Candidates); rel != nil {
-				rel.Lookup(0, nil, func(t term.Tuple) bool {
-					if matchArgs(b.Args, t, row) {
-						emit(cloneRow(row))
-					}
-					unbind(row, b.Bind)
-					return true
-				})
+			if !p.yield(r[k:]) {
+				break
 			}
 		}
-		if b.Negated && !matched {
-			out = append(out, row)
-		}
-	}
-	return out, nil
+		return nil
+	})
 }

@@ -1,51 +1,53 @@
-// Vectorized batch kernels: the pipelined segment executor. A segment
-// runs op-at-a-time over a column-major register file instead of
-// interpreting the operator pipeline once per tuple: filters refine a
-// selection vector without moving a byte of row data, and expansions
-// (index probes and scans) append only their newly bound registers
+// Vectorized batch kernels: the supplementary relation of §3.2. A
+// statement's rows sup_0 ... sup_n are one batch, a column-major register
+// file that every op runs over op-at-a-time instead of interpreting the
+// operator pipeline once per tuple: filters refine a selection vector
+// without moving a byte of row data, and expansions (index probes, scans,
+// and the call barriers' joins) append only their newly bound registers
 // column-wise plus a source-row index.
 //
 // Columns are materialized lazily. An expansion does not gather the
 // pass-through columns into the new row space; it records a lineage
 // vector (new row -> source row) and leaves every earlier column at the
 // level that produced it. An op that reads a register materializes just
-// that column in the current row space (memoized). A segment hands the
-// live batch to its consumer: the head reads its registers through the
-// lineage maps and copies each derived row once, into its target; a
-// segment that a barrier ends flattens each live column through the
-// composed lineage maps once, into a fresh row slab.
+// that column in the current row space (memoized). The batch lives from
+// the seed row to the head: a barrier reads it and extends it in place (a
+// call joins its results back as a new level, an aggregate lists its rows
+// group by group, a dedup or a check refines the selection), and the head
+// reads its registers through the lineage maps and copies each derived
+// row once, into its target. Nothing else decides the relation's format.
 //
 // Output order is the nested-loop order of §9. Depth-first
 // tuple-at-a-time evaluation emits results in lexicographic (row index,
 // op-0 emission index, op-1 emission index, ...) order; breadth-first
 // op-at-a-time processes every op over the full batch in that same source
 // order, so a consumer enumerates exactly the same sequence. The
-// materialized baseline runs these same kernels one op per segment, so it
-// produces that sequence too.
+// materialized baseline runs these same kernels and copies the live
+// columns into a fresh level after every op, so it produces that sequence
+// too.
 package vm
 
 import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"gluenail/internal/plan"
 	"gluenail/internal/storage"
 	"gluenail/internal/term"
 )
 
-// batchScratch recycles working vectors across segments: runPipe draws one
-// per segment and returns it when the segment ends. Every column, lineage
-// vector, and selection map is dead once the segment's consumer returns
-// (a flatten copies into a fresh slab), so the vectors cycle through these
-// freelists instead of churning the allocator once per op. Scratches are
-// drawn from a sync.Pool shared by every machine in the process
-// (concurrent snapshot sessions included); a call owns its scratch until
-// it returns it, so no locking is needed inside.
+// batchScratch recycles working vectors across a statement: runSteps draws
+// one per statement and returns it when the statement ends, so a nested
+// procedure call draws its own. Every column, lineage vector, and
+// selection map is dead once the head returns, so the vectors cycle
+// through these freelists instead of churning the allocator once per op.
+// Scratches are drawn from a sync.Pool shared by every machine in the
+// process (concurrent snapshot sessions included); a statement owns its
+// scratch until it returns it, so no locking is needed inside.
 //
 // Pooled value vectors are not cleared on release; they may pin the
-// previous segment's values until overwritten, which is bounded by one
+// previous statement's values until overwritten, which is bounded by one
 // batch of scratch and irrelevant next to the relations themselves.
 type batchScratch struct {
 	state      batchState
@@ -53,12 +55,10 @@ type batchScratch struct {
 	idx        [][]int32
 	colArrs    [][][]term.Value
 	rowBuf     []term.Value
-	regs       []int
+	regs, bind []int
 	fillerCols [][]term.Value
 	bindCols   [][]term.Value
-	maps       [][]int32
-	sk         term.Tuple
-	// Per-op vectors of the segment in flight (runPipe): pre-resolved
+	// Per-op vectors of the segment in flight (runSegment): pre-resolved
 	// relations, whether each op has one, and the per-op tuple counters.
 	rels []storage.Rel
 	have []bool
@@ -71,12 +71,39 @@ type batchScratch struct {
 var batchScratchPool = sync.Pool{New: func() any {
 	s := new(batchScratch)
 	s.probe.emitFn, s.probe.existsFn = s.probe.emit, s.probe.exists
+	s.regs = make([]int, 0, 16)
 	return s
 }}
 
-// put returns the scratch to the pool, first dropping the relation
-// references of the last segment so a pooled scratch pins no relation.
+// begin readies the scratch's batch as sup_0 = {ε}: one row, no register
+// bound.
+func (s *batchScratch) begin(nregs int) *batchState {
+	// The state shell lives in the scratch: its backing arrays (register
+	// map, level list, lineage memos) carry over from the last statement.
+	b := &s.state
+	b.n, b.nregs, b.scr, b.sel = 1, nregs, s, nil
+	if cap(b.where) < nregs {
+		b.where = make([]int, nregs)
+	}
+	b.where = b.where[:nregs]
+	for r := range b.where {
+		b.where[r] = -1
+	}
+	b.levels = append(b.levels[:0], batchLevel{cols: s.grabColArr(nregs)})
+	b.abs = append(b.abs[:0], nil)
+	if cap(s.rowBuf) < nregs {
+		s.rowBuf = make([]term.Value, nregs)
+	}
+	s.rowBuf = s.rowBuf[:nregs]
+	clear(s.rowBuf)
+	return b
+}
+
+// put releases the batch and returns the scratch to the pool, first
+// dropping the relation references of the last segment so a pooled
+// scratch pins no relation.
 func (s *batchScratch) put() {
+	s.state.release()
 	clear(s.rels)
 	s.probe.f = nil
 	batchScratchPool.Put(s)
@@ -120,6 +147,7 @@ type matchProbe struct {
 	f      *frame
 	args   []term.Pattern
 	rowBuf []term.Value
+	sk     term.Tuple // the probe key, reused across rows (buildKey)
 	// Expansion state: the bind registers, their emitted columns, the
 	// lineage vector, the current source row and the emission count.
 	bind     []int
@@ -129,8 +157,12 @@ type matchProbe struct {
 	emitted  int64
 	err      error
 	found    bool // existence probes: a matching tuple was seen
+	expand   bool
 	emitFn   func(term.Tuple) bool
 	existsFn func(term.Tuple) bool
+	// yield is the callback of the join in flight: emitFn, or existsFn
+	// for a negated one.
+	yield func(term.Tuple) bool
 }
 
 // emit is the expansion callback: a matching tuple appends the op's bound
@@ -156,13 +188,38 @@ func (p *matchProbe) emit(t term.Tuple) bool {
 	return true
 }
 
-// exists is the negated-match callback: it stops at the first match.
+// exists is the negated-join callback: it stops at the first match.
 func (p *matchProbe) exists(t term.Tuple) bool {
-	if matchArgs(p.args, t, p.rowBuf) {
-		p.found = true
-		return false
+	p.found = matchArgs(p.args, t, p.rowBuf)
+	unbind(p.rowBuf, p.bind)
+	return !p.found
+}
+
+// lookup hands the probe every tuple of rel that matches the row's key
+// under mask; a nil rel holds none.
+func (p *matchProbe) lookup(rel storage.Rel, mask uint32) error {
+	if rel == nil {
+		return nil
 	}
-	return true
+	key, err := buildKey(&p.sk, mask, p.args, p.rowBuf, rel.Arity())
+	if err != nil {
+		return err
+	}
+	if mask == 0 { // a scan emits at most rel.Len() rows: room once, not doubling
+		p.reserve(rel.Len())
+	}
+	rel.Lookup(mask, key, p.yield)
+	return nil
+}
+
+// reserve makes room for n more emissions of an expansion.
+func (p *matchProbe) reserve(n int) {
+	if p.expand {
+		for c := range p.bindCols {
+			p.bindCols[c] = slices.Grow(p.bindCols[c], n)
+		}
+		p.src = slices.Grow(p.src, n)
+	}
 }
 
 // grabVals returns a length-n value vector with arbitrary contents; the
@@ -261,51 +318,10 @@ type batchState struct {
 	abs    [][]int32 // memoized top-row -> level-row maps; reset on push
 }
 
-// newBatchState transposes the incoming rows into level 0. Only registers
-// that are non-zero somewhere get a column; at segment start that is
-// typically none (the seed row is empty) or the handful of registers
-// bound by earlier steps.
-func newBatchState(rows [][]term.Value, nregs int, scr *batchScratch) *batchState {
-	// The state shell lives in the scratch: its backing arrays (register
-	// map, level list, lineage memos) carry over from the previous segment.
-	b := &scr.state
-	b.n = len(rows)
-	b.nregs = nregs
-	b.scr = scr
-	b.sel = nil
-	if cap(b.where) < nregs {
-		b.where = make([]int, nregs)
-	}
-	b.where = b.where[:nregs]
-	b.levels = append(b.levels[:0], batchLevel{})
-	b.abs = append(b.abs[:0], nil)
-	b.levels[0].cols = scr.grabColArr(nregs)
-	for r := 0; r < nregs; r++ {
-		b.where[r] = -1
-		materialize := false
-		for i := range rows {
-			if !rows[i][r].IsZero() {
-				materialize = true
-				break
-			}
-		}
-		if !materialize {
-			continue
-		}
-		col := scr.grabVals(len(rows))
-		for i := range rows {
-			col[i] = rows[i][r]
-		}
-		b.levels[0].cols[r] = col
-		b.where[r] = 0
-	}
-	return b
-}
-
 // release hands every live column, lineage vector, and selection map back
-// to the scratch freelists. Called once per runPipeBatch, after the
-// consumer has returned — nothing the caller keeps aliases pooled
-// storage. Safe mid-pipeline too (error exits): the state is consistent
+// to the scratch freelists. Called once per statement, after the head has
+// returned — nothing the caller keeps aliases pooled storage — and by
+// compact. Safe mid-pipeline too (error exits): the state is consistent
 // after every op.
 func (b *batchState) release() {
 	for li := range b.levels {
@@ -483,138 +499,12 @@ func exprRegs(e plan.Expr, dst []int) []int {
 	return dst
 }
 
-// runPipeBatch executes a segment's operators batch-at-a-time over the
-// given rows in the caller's scratch, adding to the caller's per-op tuple
-// counters: cnt[i] counts tuples entering op i, cnt[len(ops)] the segment
-// output. It hands the surviving rows to consume, live.
-func (f *frame) runPipeBatch(scr *batchScratch, ops []plan.PhysOp, rels []storage.Rel, have []bool,
-	rows [][]term.Value, cnt []int64, consume func(rowView) error) error {
-	nregs := len(rows[0])
-	b := newBatchState(rows, nregs, scr)
-	defer b.release()
-	if cap(scr.rowBuf) < nregs {
-		scr.rowBuf = make([]term.Value, nregs)
-	}
-	scr.rowBuf = scr.rowBuf[:nregs]
-	rowBuf := scr.rowBuf
-	clear(rowBuf)
-	regScratch := scr.regs[:0]
-	if cap(regScratch) == 0 {
-		regScratch = make([]int, 0, 16)
-		scr.regs = regScratch
-	}
-	for i := range ops {
-		cnt[i] += int64(b.active())
-		if b.active() == 0 {
-			return consume(rowView{})
-		}
-		var err error
-		switch op := ops[i].Op.(type) {
-		case *plan.Match:
-			refRegs := regScratch
-			for a := range op.Args {
-				refRegs = op.Args[a].Regs(refRegs)
-			}
-			refRegs = op.Rel.Name.Regs(refRegs)
-			// The closure exists only for late-resolved names; the usual
-			// pre-resolved case passes the relation directly, so the hot
-			// path allocates nothing per op.
-			var resolve func([]term.Value) (storage.Rel, error)
-			if !have[i] {
-				resolve = func(regs []term.Value) (storage.Rel, error) {
-					return f.resolveRead(op.Rel, regs)
-				}
-			}
-			if op.Negated {
-				err = f.batchFilterMatch(b, op.BoundMask, op.Args, refRegs, rels[i], resolve, rowBuf)
-			} else {
-				err = f.batchExpandMatch(b, op.BoundMask, op.Args, op.Bind, refRegs, rels[i], resolve, rowBuf)
-			}
-		case *plan.DynMatch:
-			refRegs := regScratch
-			for a := range op.Args {
-				refRegs = op.Args[a].Regs(refRegs)
-			}
-			refRegs = op.Pred.Regs(refRegs)
-			resolve := func(regs []term.Value) (storage.Rel, error) {
-				name, err := op.Pred.Build(regs)
-				if err != nil {
-					return nil, err
-				}
-				return f.dynResolve(name, op.Arity, op.Narrowed, op.Candidates), nil
-			}
-			if op.Negated {
-				err = f.batchFilterMatch(b, op.BoundMask, op.Args, refRegs, nil, resolve, rowBuf)
-			} else {
-				err = f.batchExpandMatch(b, op.BoundMask, op.Args, op.Bind, refRegs, nil, resolve, rowBuf)
-			}
-		case *plan.Compare:
-			err = f.batchFilterCompare(b, op, regScratch, rowBuf)
-		case *plan.MatchBind:
-			err = f.batchMatchBind(b, op, regScratch, rowBuf)
-		default:
-			return fmt.Errorf("vm: unknown pipe op %T", op)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	nOut := b.active()
-	cnt[len(ops)] += int64(nOut)
-	if nOut == 0 {
-		return consume(rowView{})
-	}
-	atomic.AddInt64(&f.m.Stats.TuplesMaterialized, int64(nOut))
-	if err := f.m.pollGovernor(); err != nil {
-		return err
-	}
-	return consume(rowView{n: nOut, b: b})
-}
-
-// rowView is the rows a segment hands its consumer, valid while the
-// consumer runs: the live batch, read through its columns, or (b nil) a
-// row set.
-type rowView struct {
-	n    int
-	b    *batchState
-	rows [][]term.Value
-	rf   regFiller
-}
-
-// flatten returns the rows row-major, a live batch copied to a fresh slab.
-func (v *rowView) flatten() [][]term.Value {
-	if v.b != nil {
-		return v.b.flatten(v.n)
-	}
-	return v.rows
-}
-
-// read readies row for a consumer of the registers regs.
-func (v *rowView) read(regs []int) {
-	if v.b != nil {
-		v.rf = v.b.filler(regs)
-	}
-}
-
-// row returns the k-th row with the read registers set; a batch row is
-// filled into the scratch row buffer, valid until the next call.
-func (v *rowView) row(k int) []term.Value {
-	if v.b == nil {
-		return v.rows[k]
-	}
-	v.rf.fill(v.b.row(k), v.b.scr.rowBuf)
-	return v.b.scr.rowBuf
-}
-
-// distinct reports whether the view's rows cannot repeat on the registers
-// live, so that their count sizes a target exactly: a row set counts as
-// distinct, a batch when it binds no register outside live, has no HiLog
-// match, and no Match drops a column (a wildcard or compound argument).
-func (v *rowView) distinct(ops []plan.PhysOp, live []int) bool {
-	if v.b == nil {
-		return true
-	}
-	for r, l := range v.b.where {
+// distinct reports whether the batch's rows cannot repeat on the registers
+// live, so that their count sizes a target exactly: it binds no register
+// outside live, and the last segment's ops have no HiLog match and no
+// Match that drops a column (a wildcard or compound argument).
+func (b *batchState) distinct(ops []plan.PhysOp, live []int) bool {
+	for r, l := range b.where {
 		if l >= 0 && !slices.Contains(live, r) {
 			return false
 		}
@@ -628,63 +518,33 @@ func (v *rowView) distinct(ops []plan.PhysOp, live []int) bool {
 	return true
 }
 
-// flatten materializes the surviving rows back to row-major output,
-// resolving each live column through the composed lineage maps. One
-// backing slab holds every row instead of a clone per row; 3-index slicing
-// keeps the rows disjoint, so downstream in-place register mutation stays
-// row-private. Each register is copied exactly once per output row.
-func (b *batchState) flatten(nOut int) [][]term.Value {
-	top := len(b.levels) - 1
-	maps := b.scr.maps
-	if cap(maps) < len(b.levels) {
-		maps = make([][]int32, len(b.levels))
-		b.scr.maps = maps
-	}
-	maps = maps[:len(b.levels)]
-	cur := b.sel // nil = identity over all n rows
-	maps[top] = cur
-	for L := top; L > 0; L-- {
-		src := b.levels[L].src
-		next := b.scr.grabIdx(nOut)
-		if cur == nil {
-			copy(next, src[:nOut])
-		} else {
-			for k, i := range cur {
-				next[k] = src[i]
-			}
-		}
-		maps[L-1] = next
-		cur = next
-	}
-	flat := make([]term.Value, nOut*b.nregs)
-	out := make([][]term.Value, nOut)
-	for k := range out {
-		out[k] = flat[k*b.nregs : (k+1)*b.nregs : (k+1)*b.nregs]
-	}
-	for r := 0; r < b.nregs; r++ {
-		L := b.where[r]
+// compact copies every live column of the active rows through the
+// lineage into one fresh level — the materialized baseline's store of the
+// supplementary relation after an op (§9's extra load and store per
+// tuple).
+func (b *batchState) compact() {
+	n := b.active()
+	cols := b.scr.grabColArr(b.nregs)
+	for r, L := range b.where {
 		if L < 0 {
 			continue
 		}
-		col := b.levels[L].cols[r]
-		if m := maps[L]; m != nil {
-			for k := 0; k < nOut; k++ {
-				out[k][r] = col[m[k]]
+		col, m := b.levels[L].cols[r], b.absTo(L)
+		c := b.scr.grabVals(n)
+		for k := range c {
+			i := b.row(k)
+			if m != nil {
+				i = m[i]
 			}
-		} else {
-			for k := 0; k < nOut; k++ {
-				out[k][r] = col[k]
-			}
+			c[k] = col[i]
 		}
+		cols[r] = c
+		b.where[r] = 0
 	}
-	// maps[top] is b.sel (released with the state); the composed maps
-	// below it were grabbed here and are dead now.
-	for L := 0; L < top; L++ {
-		if maps[L] != nil {
-			b.scr.putIdx(maps[L])
-		}
-	}
-	return out
+	b.release()
+	b.levels = append(b.levels[:0], batchLevel{cols: cols})
+	b.abs = append(b.abs[:0], nil)
+	b.n = n
 }
 
 // row returns the index of the k-th active row.
@@ -723,96 +583,94 @@ func (b *batchState) newSel() []int32 {
 	return b.scr.grabIdxCap(b.n)
 }
 
-// batchExpandMatch runs a positive match (index probe or scan) over the
-// batch. Per source row it fills the op's referenced registers once,
-// builds the probe key with the shared buildKey helper, and streams the
-// relation's matching tuples into the scratch's matchProbe; each emission
-// appends the op's bound registers column-wise plus the source index, and
-// the batch advances one lineage level — no pass-through column is
-// touched. srel is the statically resolved relation; a non-nil resolve
-// overrides it per row (late-resolved or computed names) and exists so the
-// static hot path never allocates a closure.
-func (f *frame) batchExpandMatch(b *batchState, mask uint32, args []term.Pattern,
-	bind []int, refRegs []int, srel storage.Rel,
-	resolve func([]term.Value) (storage.Rel, error), rowBuf []term.Value) error {
-	rf := b.filler(refRegs)
-	// Pre-size the emission buffers for one output per active row — the
-	// common fanout for index probes — so the append loop stays out of
-	// growslice for everything but genuinely expanding scans.
-	nAct := b.active()
-	p := &b.scr.probe
-	p.f, p.args, p.rowBuf, p.bind = f, args, rowBuf, bind
-	p.bindCols = b.scr.grabBindCols(len(bind), nAct)
-	p.src = b.scr.grabIdxCap(nAct)
-	p.emitted, p.err = 0, nil
-	for k := 0; k < nAct; k++ {
-		i := b.row(k)
-		rf.fill(i, rowBuf)
-		rel := srel
-		if resolve != nil {
-			var err error
-			if rel, err = resolve(rowBuf); err != nil {
-				return err
+// runOp runs one pipe op over the batch. rel is the op's relation when
+// have says it was resolved ahead; else a Match resolves its name per row.
+func (f *frame) runOp(b *batchState, op plan.PipeOp, rel storage.Rel, have bool) error {
+	regs := b.scr.regs[:0]
+	switch op := op.(type) {
+	case *plan.Match:
+		regs = op.Rel.Name.Regs(patRegs(regs, op.Args))
+		return f.batchJoin(b, op.Args, op.Bind, regs, op.Negated, func(p *matchProbe) error {
+			r := rel
+			if !have {
+				var err error
+				if r, err = f.resolveRead(op.Rel, p.rowBuf); err != nil {
+					return err
+				}
 			}
-		}
-		if rel == nil {
-			continue
-		}
-		key, err := buildKey(&b.scr.sk, mask, args, rowBuf, rel.Arity())
-		if err != nil {
-			return err
-		}
-		if mask == 0 { // a scan emits at most rel.Len() rows: room once, not doubling
-			for c := range p.bindCols {
-				p.bindCols[c] = slices.Grow(p.bindCols[c], rel.Len())
-			}
-			p.src = slices.Grow(p.src, rel.Len())
-		}
-		p.cur = i
-		rel.Lookup(mask, key, p.emitFn)
-		if p.err != nil {
-			return p.err
-		}
-	}
-	b.pushLevel(p.src, bind, p.bindCols)
-	return nil
-}
-
-// batchFilterMatch runs a negated match as a pure filter: rows survive
-// when no tuple of the (possibly per-row resolved) relation matches.
-// Negated ops bind nothing, so the register file is untouched.
-func (f *frame) batchFilterMatch(b *batchState, mask uint32, args []term.Pattern,
-	refRegs []int, srel storage.Rel,
-	resolve func([]term.Value) (storage.Rel, error), rowBuf []term.Value) error {
-	rf := b.filler(refRegs)
-	nAct := b.active()
-	sel := b.newSel()
-	p := &b.scr.probe
-	p.args, p.rowBuf = args, rowBuf
-	for k := 0; k < nAct; k++ {
-		i := b.row(k)
-		rf.fill(i, rowBuf)
-		rel := srel
-		if resolve != nil {
-			var err error
-			if rel, err = resolve(rowBuf); err != nil {
-				return err
-			}
-		}
-		if rel != nil {
-			key, err := buildKey(&b.scr.sk, mask, args, rowBuf, rel.Arity())
+			return p.lookup(r, op.BoundMask)
+		})
+	case *plan.DynMatch:
+		regs = op.Pred.Regs(patRegs(regs, op.Args))
+		return f.batchJoin(b, op.Args, op.Bind, regs, op.Negated, func(p *matchProbe) error {
+			name, err := op.Pred.Build(p.rowBuf)
 			if err != nil {
 				return err
 			}
-			p.found = false
-			rel.Lookup(mask, key, p.existsFn)
-			if p.found {
-				continue
-			}
-		}
-		sel = append(sel, i)
+			return p.lookup(f.dynResolve(name, op.Arity, op.Narrowed, op.Candidates), op.BoundMask)
+		})
+	case *plan.Compare:
+		return f.batchFilterCompare(b, op, regs)
+	case *plan.MatchBind:
+		return f.batchMatchBind(b, op, regs)
 	}
-	b.sel = sel
+	return fmt.Errorf("vm: unknown pipe op %T", op)
+}
+
+// patRegs appends the registers the patterns mention to dst.
+func patRegs(dst []int, ps []term.Pattern) []int {
+	for i := range ps {
+		dst = ps[i].Regs(dst)
+	}
+	return dst
+}
+
+// batchJoin joins every active row with the tuples visit hands p.yield
+// for it, after filling the row's referenced registers into p.rowBuf. An
+// expansion matches args against each tuple, appends the bind registers
+// column-wise plus the source row, and advances the batch one lineage
+// level — no pass-through column is touched; a negated join keeps the rows
+// for which no tuple matches. Index probes, scans, HiLog matches and the
+// call barriers all run on it; visit is only called, so its closure stays
+// on the caller's stack.
+func (f *frame) batchJoin(b *batchState, args []term.Pattern, bind, refRegs []int, negated bool,
+	visit func(p *matchProbe) error) error {
+	rf := b.filler(refRegs)
+	nAct := b.active()
+	p := &b.scr.probe
+	p.f, p.args, p.rowBuf, p.bind, p.expand = f, args, b.scr.rowBuf, bind, !negated
+	p.emitted, p.err = 0, nil
+	var sel []int32
+	if negated {
+		p.yield = p.existsFn
+		sel = b.newSel()
+	} else {
+		// Room for one output per active row — the common fanout for
+		// index probes — so the append loop stays out of growslice for
+		// everything but genuinely expanding scans.
+		p.yield = p.emitFn
+		p.bindCols = b.scr.grabBindCols(len(bind), nAct)
+		p.src = b.scr.grabIdxCap(nAct)
+	}
+	for k := 0; k < nAct; k++ {
+		i := b.row(k)
+		rf.fill(i, p.rowBuf)
+		p.cur, p.found = i, false
+		if err := visit(p); err != nil {
+			return err
+		}
+		if p.err != nil {
+			return p.err
+		}
+		if negated && !p.found {
+			sel = append(sel, i)
+		}
+	}
+	if negated {
+		b.sel = sel
+	} else {
+		b.pushLevel(p.src, bind, p.bindCols)
+	}
 	return nil
 }
 
@@ -820,8 +678,8 @@ func (f *frame) batchFilterMatch(b *batchState, mask uint32, args []term.Pattern
 // branch-light fast path reads register columns and constants directly —
 // no register-file fill, no expression-tree walk per row; compound
 // operands take the fill-and-eval fallback with identical semantics.
-func (f *frame) batchFilterCompare(b *batchState, op *plan.Compare,
-	regScratch []int, rowBuf []term.Value) error {
+func (f *frame) batchFilterCompare(b *batchState, op *plan.Compare, regScratch []int) error {
+	rowBuf := b.scr.rowBuf
 	lCol, lConst, lReg, lOK := b.exprCol(op.L)
 	rCol, rConst, rReg, rOK := b.exprCol(op.R)
 	sel := b.newSel()
@@ -898,8 +756,8 @@ func (b *batchState) exprCol(e plan.Expr) (col []term.Value, konst term.Value, i
 // batchMatchBind runs an assignment/unification op. Without bind
 // registers it is a pure filter (the pattern only checks); with them it
 // is a one-to-at-most-one expansion.
-func (f *frame) batchMatchBind(b *batchState, op *plan.MatchBind,
-	regScratch []int, rowBuf []term.Value) error {
+func (f *frame) batchMatchBind(b *batchState, op *plan.MatchBind, regScratch []int) error {
+	rowBuf := b.scr.rowBuf
 	refRegs := op.Pat.Regs(exprRegs(op.E, regScratch))
 	rf := b.filler(refRegs)
 	if len(op.Bind) == 0 {

@@ -43,25 +43,36 @@ func batchTestFrame(n int) (*frame, *plan.PhysStep) {
 	return f, pstep
 }
 
+// runSegmentRows runs the segment as a one-step statement and returns
+// its rows, row-major, and the step's per-op tuple counters.
+func runSegmentRows(t *testing.T, f *frame, pstep *plan.PhysStep) ([][]term.Value, *plan.StmtProfile) {
+	t.Helper()
+	prof := plan.NewStmtProfile([]plan.Step{*pstep.Step})
+	var rows [][]term.Value
+	err := f.runSteps(3, []plan.PhysStep{*pstep}, prof, func(b *batchState) error {
+		rf := b.filler([]int{0, 1, 2})
+		for k := 0; k < b.active(); k++ {
+			row := make([]term.Value, 3)
+			rf.fill(b.row(k), row)
+			rows = append(rows, row)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows, prof
+}
+
 // TestBatchMatchesMaterializedSegment runs the same scan→filter→probe
 // segment through the materialized baseline and the batch kernels and
 // requires byte-identical row streams and identical per-op tuple counters.
 func TestBatchMatchesMaterializedSegment(t *testing.T) {
 	f, pstep := batchTestFrame(500)
-	seed := func() [][]term.Value { return [][]term.Value{make([]term.Value, 3)} }
-
 	f.m.Materialized = true
-	refProf := plan.NewStmtProfile([]plan.Step{*pstep.Step})
-	ref, err := f.runPipe(pstep, seed(), &refProf.Steps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref, refProf := runSegmentRows(t, f, pstep)
 	f.m.Materialized = false
-	batchProf := plan.NewStmtProfile([]plan.Step{*pstep.Step})
-	batch, err := f.runPipe(pstep, seed(), &batchProf.Steps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch, batchProf := runSegmentRows(t, f, pstep)
 	if len(ref) == 0 {
 		t.Fatal("segment produced no rows; nothing exercised")
 	}
@@ -87,19 +98,18 @@ func TestBatchMatchesMaterializedSegment(t *testing.T) {
 
 // TestBatchSegmentAllocsPerRow pins the batch kernels' allocation
 // contract: filters and probes must not allocate per row — the whole
-// segment's allocations (selection vector, column vectors, output slab)
-// must amortize to well under one object per emitted row.
+// statement's allocations (selection vector, column vectors) must
+// amortize to well under one object per emitted row.
 func TestBatchSegmentAllocsPerRow(t *testing.T) {
 	const n = 20000
 	f, pstep := batchTestFrame(n)
+	steps := []plan.PhysStep{*pstep}
 	var produced int
+	count := func(b *batchState) error { produced = b.active(); return nil }
 	allocs := testing.AllocsPerRun(5, func() {
-		rows := [][]term.Value{make([]term.Value, 3)}
-		out, err := f.runPipe(pstep, rows, nil)
-		if err != nil {
+		if err := f.runSteps(3, steps, nil, count); err != nil {
 			t.Fatal(err)
 		}
-		produced = len(out)
 	})
 	if produced < n/3 {
 		t.Fatalf("segment produced only %d rows from %d — workload too small to measure", produced, n)

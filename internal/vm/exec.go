@@ -10,12 +10,6 @@ import (
 	"gluenail/internal/term"
 )
 
-// stmtState carries per-statement-execution state: the grouping registers
-// accumulated by group_by barriers (§3.3.1).
-type stmtState struct {
-	groupRegs []int
-}
-
 func (f *frame) execStmt(st *plan.Stmt) error {
 	atomic.AddInt64(&f.m.Stats.StmtsExecuted, 1)
 	// Track the active statement for governor errors and panic
@@ -36,11 +30,11 @@ func (f *frame) execStmt(st *plan.Stmt) error {
 	pp := f.stmtPlan(st, prof)
 	f.m.lastPhys[st] = pp
 	prof.Execs++
-	err := f.runSteps(st.NRegs, pp.Steps, prof, func(v rowView) error {
+	err := f.runSteps(st.NRegs, pp.Steps, prof, func(b *batchState) error {
 		if f.m.Trace != nil {
-			f.m.tracef("  [%s] %s -> %d row(s)", f.proc.ID, st.Label, v.n)
+			f.m.tracef("  [%s] %s -> %d row(s)", f.proc.ID, st.Label, b.active())
 		}
-		return f.applyHead(st, &pp.Steps[len(pp.Steps)-1], v)
+		return f.applyHead(st, &pp.Steps[len(pp.Steps)-1], b)
 	})
 	if err != nil {
 		return fmt.Errorf("statement %q: %w", st.Label, err)
@@ -50,100 +44,67 @@ func (f *frame) execStmt(st *plan.Stmt) error {
 }
 
 func (f *frame) evalCond(c *plan.Cond) (found bool, err error) {
-	err = f.runSteps(c.NRegs, f.condPlan(c), nil, func(v rowView) error {
-		found = v.n > 0
+	err = f.runSteps(c.NRegs, f.condPlan(c), nil, func(b *batchState) error {
+		found = b.active() > 0
 		return nil
 	})
 	return found, err
 }
 
 // runSteps executes the pipeline segments over the supplementary relation,
-// starting from sup_0 = {ε}, and hands the statement's rows to consume
-// once. Execution stops early when a supplementary relation becomes empty
+// one batch from sup_0 = {ε} to the head: each segment's ops extend it,
+// each break dedups it on the live registers (§9), and each barrier reads
+// and extends it in place. It hands the statement's rows to consume once.
+// Execution stops early when a supplementary relation becomes empty
 // (§3.2), skipping any remaining side effects. prof (may be nil)
-// accumulates per-op tuple counters.
-func (f *frame) runSteps(nregs int, steps []plan.PhysStep, prof *plan.StmtProfile, consume func(rowView) error) error {
-	rows := f.seedRows(nregs)
-	state := &stmtState{}
+// accumulates per-op tuple counters. The batch's scratch is the
+// statement's until it ends, across nested procedure calls too.
+func (f *frame) runSteps(nregs int, steps []plan.PhysStep, prof *plan.StmtProfile, consume func(*batchState) error) error {
+	scr := batchScratchPool.Get().(*batchScratch)
+	defer scr.put()
+	b := scr.begin(nregs)
+	var groupRegs []int // accumulated by group_by barriers (§3.3.1)
 	for i := range steps {
 		step := &steps[i]
 		var sprof *plan.StepProfile
 		if prof != nil && i < len(prof.Steps) {
 			sprof = &prof.Steps[i]
 		}
-		if i == len(steps)-1 && step.Step.Barrier == nil {
-			return f.runSegment(step, rows, sprof, consume)
-		}
-		var err error
-		if rows, err = f.runPipe(step, rows, sprof); err != nil {
+		if err := f.runSegment(b, step, sprof); err != nil {
 			return err
 		}
-		if len(rows) == 0 {
-			return consume(rowView{})
+		if b.active() == 0 || i == len(steps)-1 && step.Step.Barrier == nil {
+			break
 		}
 		if step.Step.Dedup {
-			rows = f.dedupRows(rows, step.Step.LiveRegs)
+			f.dedup(b, step.Step.LiveRegs)
 		}
 		if step.Step.Barrier != nil {
 			atomic.AddInt64(&f.m.Stats.PipelineBreaks, 1)
-			if rows, err = f.applyBarrier(step.Step.Barrier, rows, state); err != nil {
+			if err := f.applyBarrier(b, step.Step.Barrier, &groupRegs); err != nil {
 				return err
 			}
-			if len(rows) == 0 {
-				return consume(rowView{})
+			if b.active() == 0 {
+				break
 			}
 		}
 	}
-	return consume(rowView{n: len(rows), rows: rows})
+	return consume(b)
 }
 
-// seedRows returns sup_0 = {ε} over nregs registers. The one all-zero row
-// is the frame's, zeroed and reused rather than allocated per statement:
-// a frame runs one statement at a time, and nothing keeps a statement's
-// rows once it has applied its head.
-func (f *frame) seedRows(nregs int) [][]term.Value {
-	if cap(f.seedRow) < nregs {
-		f.seedRow = make([]term.Value, nregs)
-	}
-	f.seed[0] = f.seedRow[:nregs]
-	clear(f.seed[0])
-	return f.seed[:]
-}
-
-func cloneRow(row []term.Value) []term.Value {
-	cp := make([]term.Value, len(row))
-	copy(cp, row)
-	return cp
-}
-
-// runPipe runs a segment and returns its rows flattened.
-func (f *frame) runPipe(step *plan.PhysStep, rows [][]term.Value, sprof *plan.StepProfile) ([][]term.Value, error) {
-	err := f.runSegment(step, rows, sprof, flattenTo(&rows))
-	return rows, err
-}
-
-// flattenTo is the consumer that keeps a segment's rows, flattened.
-func flattenTo(rows *[][]term.Value) func(rowView) error {
-	return func(v rowView) error { *rows = v.flatten(); return nil }
-}
-
-// runSegment streams rows through the segment's operators on the batch
-// kernels (batch.go) and hands the result to consume. The pipelined
-// strategy runs the whole segment at once; the materialized baseline runs
-// one op at a time, storing the full row set after every operator but the
-// last (the extra load and store per tuple of §9).
+// runSegment runs a step's pipe ops over the batch on the batch kernels
+// (batch.go). The pipelined strategy runs them back to back; the
+// materialized baseline copies the live columns into a fresh level after
+// every op but the last (the extra load and store per tuple of §9).
 // Statically named relations are resolved once per segment, not per row —
 // relations only change at barriers and heads, never inside a segment.
-// The per-op vectors come from the pooled batch scratch.
-func (f *frame) runSegment(step *plan.PhysStep, rows [][]term.Value, sprof *plan.StepProfile,
-	consume func(rowView) error) error {
+// The per-op vectors come from the statement's batch scratch.
+func (f *frame) runSegment(b *batchState, step *plan.PhysStep, sprof *plan.StepProfile) error {
 	ops := step.Ops
 	if len(ops) == 0 {
-		return consume(rowView{n: len(rows), rows: rows})
+		return nil
 	}
-	scr := batchScratchPool.Get().(*batchScratch)
-	defer scr.put()
-	rels, have, cnt := scr.opVectors(len(ops))
+	rels, have, cnt := b.scr.opVectors(len(ops))
 	for i := range ops {
 		if m, ok := ops[i].Op.(*plan.Match); ok && m.Rel.Name.IsGround() {
 			rel, err := f.resolveRead(m.Rel, nil)
@@ -170,26 +131,35 @@ func (f *frame) runSegment(step *plan.PhysStep, rows [][]term.Value, sprof *plan
 			op.Mask = plan.OpMask(ops[j].Op)
 		}
 	}()
-	if f.m.Materialized {
-		// One single-op segment per op, each but the last flattening its
-		// output. The counters of consecutive calls would share a slot
-		// (one op's output is the next op's input), so each of those
-		// counts into its own pair and only the input side is kept.
-		last := len(ops) - 1
-		for i := 0; i < last; i++ {
-			var c [2]int64
-			err := f.runPipeBatch(scr, ops[i:i+1], rels[i:i+1], have[i:i+1], rows, c[:], flattenTo(&rows))
-			cnt[i] += c[0]
-			if err != nil {
-				return err
-			}
-			if len(rows) == 0 {
-				return consume(rowView{})
-			}
+	last := len(ops) - 1
+	for i := range ops {
+		cnt[i] += int64(b.active())
+		if b.active() == 0 {
+			return nil
 		}
-		return f.runPipeBatch(scr, ops[last:], rels[last:], have[last:], rows, cnt[last:], consume)
+		if err := f.runOp(b, ops[i].Op, rels[i], have[i]); err != nil {
+			return err
+		}
+		if i < last && !f.m.Materialized {
+			continue
+		}
+		// The rows leave the segment (or, materialized, the op).
+		n := b.active()
+		if i == last {
+			cnt[len(ops)] += int64(n)
+		}
+		if n == 0 {
+			return nil
+		}
+		atomic.AddInt64(&f.m.Stats.TuplesMaterialized, int64(n))
+		if err := f.m.pollGovernor(); err != nil {
+			return err
+		}
+		if i < last {
+			b.compact()
+		}
 	}
-	return f.runPipeBatch(scr, ops, rels, have, rows, cnt, consume)
+	return nil
 }
 
 // unbind zeroes the registers an op bound; the compiler guarantees they
@@ -288,39 +258,19 @@ func (f *frame) dynResolve(name term.Value, arity int, narrowed bool,
 	return nil
 }
 
-// dedupRows removes rows that agree on the live registers (§9: duplicate
-// elimination at pipeline breaks), keeping the first occurrence of each
-// key in input order. One bulk pass hashes every row's live registers into
-// a pooled vector; a second probes a pooled open-addressing table with
-// those hashes and compares rows directly on collision. No key bytes are
-// materialized.
-func (f *frame) dedupRows(rows [][]term.Value, live []int) [][]term.Value {
-	if len(rows) < 2 {
-		return rows
+// dedup removes the active rows that repeat an earlier row on the live
+// registers (§9: duplicate elimination at pipeline breaks), keeping the
+// first occurrence of each in order: the selection becomes the groups'
+// first rows.
+func (f *frame) dedup(b *batchState, live []int) {
+	reps := f.groups(b, live, nil)
+	if removed := b.active() - len(reps); removed != 0 {
+		atomic.AddInt64(&f.m.Stats.RowsDeduped, int64(removed))
 	}
-	hashes := f.grabHashes(len(rows))
-	for i := range rows {
-		hashes[i] = rowHashLive(rows[i], live)
+	if b.sel != nil {
+		b.scr.putIdx(b.sel)
 	}
-	t := f.grabTable(len(rows))
-	out := rows[:0]
-	var cand []term.Value
-	eq := func(r int32) bool { return rowsEqualLive(out[r], cand, live) }
-	var removed int64
-	for i, row := range rows {
-		cand = row
-		if _, found := t.findOrAdd(hashes[i], int32(len(out)), eq); found {
-			removed++
-			continue
-		}
-		out = append(out, row)
-	}
-	f.releaseTable(t)
-	f.releaseHashes(hashes)
-	if removed != 0 {
-		atomic.AddInt64(&f.m.Stats.RowsDeduped, removed)
-	}
-	return out
+	b.sel = reps
 }
 
 // headRow builds the head tuple of one row into the machine's scratch
@@ -357,21 +307,20 @@ func (m *Machine) applyHeadRow(st *plan.Stmt, rel storage.Rel, tup term.Tuple) {
 }
 
 // applyHead applies the statement's assignment operator to the target
-// relation(s), reading the rows that the last step hands over through the
-// view. The target's hash chain dedups the head: a repeated insert or
-// delete changes nothing, but a repeated "+=[key]" row would re-insert
-// itself, so that head dedups its rows first. A static head resolves its
-// target up front: ":=" clears it even for an empty body, and grows it by
-// the rows reaching it if they cannot repeat, else at most by what it
-// held. A HiLog head resolves (and a ":=" clears) each computed name at
-// its first row, through a pooled table on the name.
-func (f *frame) applyHead(st *plan.Stmt, last *plan.PhysStep, v rowView) error {
+// relation(s), reading the live registers of the batch's rows. The
+// target's hash chain dedups the head: a repeated insert or delete changes
+// nothing, but a repeated "+=[key]" row would re-insert itself, so that
+// head dedups its rows first. A static head resolves its target up front:
+// ":=" clears it even for an empty body, and grows it by the rows reaching
+// it if they cannot repeat (or a barrier ended the body), else at most by
+// what it held. A HiLog head resolves (and a ":=" clears) each computed
+// name at its first row, through a pooled table on the name.
+func (f *frame) applyHead(st *plan.Stmt, last *plan.PhysStep, b *batchState) error {
 	live := last.Step.LiveRegs
 	if st.Op == ast.OpModify && last.Step.Dedup && last.Step.Barrier == nil {
-		rows := f.dedupRows(v.flatten(), live)
-		v = rowView{n: len(rows), rows: rows}
+		f.dedup(b, live)
 	}
-	v.read(live)
+	n, row, rf := b.active(), b.scr.rowBuf, b.filler(live)
 	type target struct {
 		name term.Value
 		rel  storage.Rel
@@ -384,23 +333,23 @@ func (f *frame) applyHead(st *plan.Stmt, last *plan.PhysStep, v rowView) error {
 		}
 		if st.Op == ast.OpAssign {
 			grow := rel.Len()
-			if v.distinct(last.Ops, live) {
-				grow = v.n
+			if last.Step.Barrier != nil || b.distinct(last.Ops, live) {
+				grow = n
 			}
 			rel.Clear()
-			rel.Grow(min(v.n, grow))
+			rel.Grow(min(n, grow))
 		}
 		targets = append(targets, target{rel: rel})
 	}
 	var names *hashTable
 	if !static {
-		names = f.grabTable(v.n)
+		names = f.grabTable(n)
 		defer f.releaseTable(names)
 	}
 	var name term.Value
 	sameName := func(r int32) bool { return targets[r].name.Equal(name) }
-	for k := 0; k < v.n; k++ {
-		row := v.row(k)
+	for k := 0; k < n; k++ {
+		rf.fill(b.row(k), row)
 		gi, found := int32(0), true
 		if !static {
 			var err error

@@ -3,12 +3,13 @@
 // grouping used to encode every row into a freshly allocated string map
 // key; §10 of the paper observes that evaluation cost "is dominated by the
 // cost of the low-level tuple operations", and those key bytes were
-// exactly such a cost. The kernels here instead hash live registers
-// in place (term.Value.HashInto, with interned atoms contributing a
-// precomputed content hash), keep candidates in open-addressing tables
-// keyed by the 64-bit row hash, and compare the actual rows on hash
-// collision — no key bytes are ever materialized. Scratch tables are
-// pooled per frame, so a repeat loop's iterations reuse one allocation.
+// exactly such a cost. The kernels here instead hash registers in place,
+// straight from the batch's columns (term.Value.HashInto, with interned
+// atoms contributing a precomputed content hash), keep candidates in
+// open-addressing tables keyed by the 64-bit hash, and compare the actual
+// values on hash collision — no key bytes are ever materialized. Scratch
+// tables are pooled per frame, so a repeat loop's iterations reuse one
+// allocation.
 package vm
 
 import "gluenail/internal/term"
@@ -90,64 +91,45 @@ func (t *hashTable) grow() {
 	}
 }
 
-// rowHashLive folds the live registers of a row into a 64-bit hash.
-// An unbound register folds its Invalid kind tag, so it can never alias
-// any ground value and two rows unbound in the same slots hash equal.
-func rowHashLive(row []term.Value, live []int) uint64 {
+// find returns the ref of the entry with hash h that eq confirms, or -1.
+func (t *hashTable) find(h uint64, eq func(int32) bool) int32 {
+	for i := int(h) & t.mask; t.refs[i] != 0; i = (i + 1) & t.mask {
+		if t.hashes[i] == h && eq(t.refs[i]-1) {
+			return t.refs[i] - 1
+		}
+	}
+	return -1
+}
+
+// colVal returns row i of a register column; a nil column is a register
+// no row binds.
+func colVal(col []term.Value, i int32) term.Value {
+	if col == nil {
+		return term.Value{}
+	}
+	return col[i]
+}
+
+// hashCols folds row i of the columns into a 64-bit hash. An unbound
+// register folds its Invalid kind tag, so it can never alias any ground
+// value and two rows unbound in the same slots hash equal.
+func hashCols(cols [][]term.Value, i int32) uint64 {
 	h := term.HashSeed
-	for _, r := range live {
-		h = row[r].HashInto(h)
+	for _, c := range cols {
+		h = colVal(c, i).HashInto(h)
 	}
 	return h
 }
 
-// rowsEqualLive reports whether two rows agree on the live registers
-// (unbound matches only unbound) — the collision check backing every
-// row-hash table.
-func rowsEqualLive(a, b []term.Value, live []int) bool {
-	for _, r := range live {
-		if !a[r].Equal(b[r]) {
+// equalCols reports whether rows a and b agree on the columns (unbound
+// matches only unbound) — the collision check behind every hash table.
+func equalCols(cols [][]term.Value, a, b int32) bool {
+	for _, c := range cols {
+		if c != nil && !c[a].Equal(c[b]) {
 			return false
 		}
 	}
 	return true
-}
-
-// prefixIndex groups call-barrier results by their bound-argument prefix.
-type prefixIndex struct {
-	tbl      hashTable
-	prefixes []term.Tuple // representative prefix per group
-	groups   [][]term.Tuple
-}
-
-func (px *prefixIndex) init(n int) { px.tbl.reset(n) }
-
-// add appends result to the group of its prefix, creating the group on
-// first sight. prefix must alias result's leading columns.
-func (px *prefixIndex) add(prefix, result term.Tuple) {
-	eq := func(r int32) bool { return px.prefixes[r].Equal(prefix) }
-	if g, found := px.tbl.findOrAdd(prefix.Hash(), int32(len(px.groups)), eq); found {
-		px.groups[g] = append(px.groups[g], result)
-	} else {
-		px.prefixes = append(px.prefixes, prefix)
-		px.groups = append(px.groups, []term.Tuple{result})
-	}
-}
-
-// get returns the result group whose prefix equals key (whose hash is h),
-// or nil. No closures, no writes, no allocation.
-func (px *prefixIndex) get(h uint64, key term.Tuple) []term.Tuple {
-	i := int(h) & px.tbl.mask
-	for {
-		r := px.tbl.refs[i]
-		if r == 0 {
-			return nil
-		}
-		if px.tbl.hashes[i] == h && px.prefixes[r-1].Equal(key) {
-			return px.groups[r-1]
-		}
-		i = (i + 1) & px.tbl.mask
-	}
 }
 
 // grabTable takes a scratch table from the frame's pool (or makes one)
@@ -169,18 +151,4 @@ func (f *frame) grabTable(n int) *hashTable {
 
 func (f *frame) releaseTable(t *hashTable) {
 	f.scratch = append(f.scratch, t)
-}
-
-// grabHashes takes the frame's pooled bulk-hash vector, sized to n
-// (dedupRows). Same sequential-per-frame contract as grabTable.
-func (f *frame) grabHashes(n int) []uint64 {
-	if cap(f.hashBuf) >= n {
-		return f.hashBuf[:n]
-	}
-	f.hashBuf = make([]uint64, n)
-	return f.hashBuf
-}
-
-func (f *frame) releaseHashes(h []uint64) {
-	f.hashBuf = h[:0]
 }

@@ -116,9 +116,9 @@ func collisionRows(n int, rng *rand.Rand, unbound bool) ([][]term.Value, []int) 
 	return rows, []int{0, 1, 2}
 }
 
-// firstSeenGroups is the quadratic reference for dedupRows and groupRows:
-// each row joins the first earlier group whose first row is pairwise Equal
-// to it on the live registers, or opens a new group. Groups come out in
+// firstSeenGroups is the quadratic reference for dedup and groups: each
+// row joins the first earlier group whose first row is pairwise Equal to
+// it on the live registers, or opens a new group. Groups come out in
 // first-seen order, each listing its row indices in input order.
 func firstSeenGroups(rows [][]term.Value, live []int) [][]int {
 	var groups [][]int
@@ -141,6 +141,23 @@ func firstSeenGroups(rows [][]term.Value, live []int) [][]int {
 	return groups
 }
 
+// rowsBatch loads rows into a fresh batch the way a segment leaves them:
+// one column per register that some row binds.
+func rowsBatch(rows [][]term.Value) *batchState {
+	b := new(batchScratch).begin(len(rows[0]))
+	b.n = len(rows)
+	for r := range b.where {
+		col, bound := make([]term.Value, len(rows)), false
+		for i, row := range rows {
+			col[i], bound = row[r], bound || !row[r].IsZero()
+		}
+		if bound {
+			b.levels[0].cols[r], b.where[r] = col, 0
+		}
+	}
+	return b
+}
+
 // TestDedupMatchesStringKeyReference runs the hash-first dedup kernel
 // against the quadratic reference on random rows mixing interned and
 // non-interned atoms and unbound slots: it must keep exactly the first row
@@ -150,15 +167,15 @@ func TestDedupMatchesStringKeyReference(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rows, live := collisionRows(400, rand.New(rand.NewSource(seed)), true)
 		groups := firstSeenGroups(rows, live)
-		work := make([][]term.Value, len(rows))
-		copy(work, rows)
-		got := (&frame{m: &Machine{}}).dedupRows(work, live)
-		if len(got) != len(groups) {
-			t.Fatalf("seed %d: kept %d rows, reference kept %d", seed, len(got), len(groups))
+		b := rowsBatch(rows)
+		(&frame{m: &Machine{}}).dedup(b, live)
+		if b.active() != len(groups) {
+			t.Fatalf("seed %d: kept %d rows, reference kept %d", seed, b.active(), len(groups))
 		}
 		for i, g := range groups {
-			if &got[i][0] != &rows[g[0]][0] {
-				t.Fatalf("seed %d: kept row %d is not the first occurrence (input row %d)", seed, i, g[0])
+			if b.row(i) != int32(g[0]) {
+				t.Fatalf("seed %d: kept row %d is input row %d, not the first occurrence (input row %d)",
+					seed, i, b.row(i), g[0])
 			}
 		}
 	}
@@ -170,19 +187,18 @@ func TestGroupRowsMatchesStringKeyReference(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rows, regs := collisionRows(400, rand.New(rand.NewSource(seed+100)), false)
 		ref := firstSeenGroups(rows, regs)
-		groups := (&frame{m: &Machine{}}).groupRows(rows, regs)
-		if len(groups) != len(ref) {
-			t.Fatalf("seed %d: %d groups, reference %d", seed, len(groups), len(ref))
+		gid := make([]int32, len(rows))
+		reps := (&frame{m: &Machine{}}).groups(rowsBatch(rows), regs, gid)
+		if len(reps) != len(ref) {
+			t.Fatalf("seed %d: %d groups, reference %d", seed, len(reps), len(ref))
 		}
 		for g := range ref {
-			if len(groups[g]) != len(ref[g]) {
-				t.Fatalf("seed %d: group %d has %d rows, reference %d",
-					seed, g, len(groups[g]), len(ref[g]))
+			if reps[g] != int32(ref[g][0]) {
+				t.Fatalf("seed %d: group %d starts at row %d, reference %d", seed, g, reps[g], ref[g][0])
 			}
-			for i := range ref[g] {
-				if groups[g][i] != ref[g][i] {
-					t.Fatalf("seed %d: group %d row %d: %d vs %d",
-						seed, g, i, groups[g][i], ref[g][i])
+			for _, ri := range ref[g] {
+				if gid[ri] != int32(g) {
+					t.Fatalf("seed %d: row %d in group %d, reference %d", seed, ri, gid[ri], g)
 				}
 			}
 		}
@@ -207,20 +223,20 @@ func allocRows(n int) ([][]term.Value, []int) {
 	return rows, []int{0, 1}
 }
 
-// dedupAllocs measures allocations per dedupRows call on n rows. The master
-// slice of row headers is copied into a scratch slice each run (copy, no
-// allocation) because dedup compacts its argument in place.
+// dedupAllocs measures allocations per dedup of a batch of n rows; each
+// run hands the kept selection back so the next starts from all rows.
 func dedupAllocs(f *frame, n int) float64 {
-	master, live := allocRows(n)
-	work := make([][]term.Value, n)
+	rows, live := allocRows(n)
+	b := rowsBatch(rows)
 	return testing.AllocsPerRun(20, func() {
-		copy(work, master)
-		f.dedupRows(work, live)
+		f.dedup(b, live)
+		b.scr.putIdx(b.sel)
+		b.sel = nil
 	})
 }
 
 // TestDedupAllocsPerRow pins the allocation behaviour of the dedup kernel:
-// it must stay O(1) allocations per call (pooled table and hash vector, no
+// it must stay O(1) allocations per call (pooled table and vectors, no
 // key bytes).
 func TestDedupAllocsPerRow(t *testing.T) {
 	const n = 4096
@@ -231,17 +247,19 @@ func TestDedupAllocsPerRow(t *testing.T) {
 }
 
 // TestGroupRowsAllocsPerRow pins aggregation grouping: allocations scale
-// with the number of groups (the group index slices), not the row count.
+// at most with the number of groups, not the row count.
 func TestGroupRowsAllocsPerRow(t *testing.T) {
 	const n = 4096 // 97×13 value combinations → ≤ 1261 groups
 	rows, regs := allocRows(n)
+	b := rowsBatch(rows)
+	gid := make([]int32, n)
 	f := &frame{m: &Machine{}}
 	got := testing.AllocsPerRun(20, func() {
-		f.groupRows(rows, regs)
+		b.scr.putIdx(f.groups(b, regs, gid))
 	})
 	// Budget: one hash slice + the groups slices (< 2 per distinct group
 	// amortized).
 	if limit := 1300 + 2*1261.0; got > limit {
-		t.Errorf("groupRows: %.1f allocs/call, want ≤ %.0f", got, limit)
+		t.Errorf("groups: %.1f allocs/call, want ≤ %.0f", got, limit)
 	}
 }

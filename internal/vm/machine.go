@@ -1,7 +1,9 @@
-// Package vm executes compiled Glue programs. It implements both execution
-// strategies discussed in §9: the default pipelined (nested-join) strategy,
-// which streams each supplementary row through a segment's operators and
-// materializes only at pipeline breaks, and a fully materialized baseline
+// Package vm executes compiled Glue programs. A statement's supplementary
+// relations (§3.2) are one columnar batch (batch.go) from the seed row to
+// the head; pipeline breaks dedup it and barriers read and extend it in
+// place. It implements both execution strategies discussed in §9: the
+// default pipelined (nested-join) strategy, which runs a segment's
+// operators back to back over the batch, and a fully materialized baseline
 // that stores the supplementary relation after every operator. Procedure
 // frames hold per-invocation local relations (§4), created in the temp
 // store so back-end experiments see the cost of short-lived temporaries.
@@ -30,12 +32,12 @@ type ExecStats struct {
 	StmtsExecuted  int64
 	LoopIterations int64
 	PipelineBreaks int64
-	// TuplesMaterialized counts rows leaving a segment, flattened or handed
-	// to the head: every op's output under the materialized strategy,
-	// each segment's output under the pipelined one.
+	// TuplesMaterialized counts the rows leaving each segment of the
+	// batch — to a break, a barrier or the head — and, under the
+	// materialized strategy, each op's output, which it copies.
 	TuplesMaterialized int64
-	// RowsDeduped counts rows removed at pipeline breaks and ahead of a
-	// "+=[key]" head; other heads leave repeats to the target.
+	// RowsDeduped counts rows the batch drops at pipeline breaks and ahead
+	// of a "+=[key]" head; other heads leave repeats to the target.
 	RowsDeduped   int64
 	ProcCalls     int64
 	DynDispatches int64
@@ -364,13 +366,6 @@ type frame struct {
 	// statements — and repeat-loop iterations — this frame executes;
 	// statements run sequentially per frame, so no locking.
 	scratch []*hashTable
-	// hashBuf pools the bulk row-hash vector of dedupRows, under the same
-	// sequential-per-frame contract.
-	hashBuf []uint64
-	// seed/seedRow hold each statement's initial row set (seedRows), under
-	// the same contract.
-	seed    [1][]term.Value
-	seedRow []term.Value
 }
 
 // relName builds the unique temp-store name for a frame-local relation.

@@ -236,12 +236,13 @@ func TestRecursionRoundAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector makes sync.Pool drop entries, so pooled scratch re-allocates")
 	}
-	// measured 751 (Go 1.24, linux/amd64), plus 25%; 678 while a
+	// measured 716 (Go 1.24, linux/amd64), plus 25%; 751 while call
+	// barriers joined their results into row slabs, 678 while a
 	// projecting ":=" was sized by its rows, repeats included, 756 while
 	// the head read a flattened row slab, 891 while every relation lookup
 	// built a key string, 1807 while a plan cache miss re-planned each
 	// class vector a loop passed through
-	const maxAllocs = 939
+	const maxAllocs = 895
 	_, round := recursionRound(t)
 	round() // warm the plan cache and indexes
 	allocs := testing.AllocsPerRun(5, round)
@@ -408,4 +409,29 @@ func assignBytes(t *testing.T, rel, src string, n int, row func(int) []any) uint
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
 	return least
+}
+
+// TestCallBarrierBytes gates the bytes a call barrier adds to a warm
+// statement, in the shape of a query's "$query -> tc@ff" call: "d(X, Y)
+// := tc(X, Y)" joins every one of n results back onto its one input row.
+// The callee's own frame (its return relation, filled and dropped per
+// call) is most of the bytes; the barrier joins the results back as
+// pooled columns of the statement's batch. Joined into a row slab, with
+// its results grouped into growing slices, it allocated 4 057 216 bytes
+// and fails the gate. Measured: 2 850 168 bytes at n = 4096, bound
+// measured plus 25% (Go 1.24, linux/amd64).
+func TestCallBarrierBytes(t *testing.T) {
+	const n, bound = 4096, 3_562_710
+	least := assignBytes(t, "e", `
+edb e(X, Y), d(X, Y);
+tc(X, Y) :- e(X, Y).
+proc run(:)
+  d(X, Y) := tc(X, Y).
+end
+`, n, func(i int) []any { return []any{i, -i} })
+	t.Logf("a warm call barrier joining %d rows allocates %d bytes (bound %d)", n, least, bound)
+	if least > bound {
+		t.Errorf("a warm call barrier joining %d rows allocates %d bytes, want <= %d: its results are copied into rows",
+			n, least, bound)
+	}
 }
