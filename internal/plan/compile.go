@@ -271,10 +271,10 @@ func (c *Compiler) compileProc(module string, proc *ast.Proc, id string) (string
 		c:      c,
 		module: module,
 		proc:   proc,
-		locals: map[string]int{},
+		locals: map[string]localSlot{},
 	}
-	for _, l := range proc.Locals {
-		pc.locals[l.Name] = l.Arity()
+	for i, l := range p.Locals {
+		pc.locals[l.Name] = localSlot{slot: SlotLocals + i, arity: l.Arity}
 	}
 	body, err := pc.compileStmts(proc.Body)
 	if err != nil {

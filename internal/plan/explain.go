@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -22,57 +23,13 @@ type PhysFormatter struct {
 
 // Proc renders one procedure with physical plans.
 func (f *PhysFormatter) Proc(p *Proc) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "proc %s (%d:%d)", p.ID, p.Bound, p.Free)
-	if p.Fixed {
-		sb.WriteString(" fixed")
-	}
-	sb.WriteByte('\n')
-	if len(p.Locals) > 0 {
-		sb.WriteString("  locals:")
-		for _, l := range p.Locals {
-			fmt.Fprintf(&sb, " %s/%d", l.Name, l.Arity)
+	return formatProc(p, func(sb *strings.Builder, steps []Step, st *Stmt, depth int) {
+		var prof *StmtProfile
+		if st != nil && f.Profile != nil {
+			prof = f.Profile(st)
 		}
-		sb.WriteByte('\n')
-	}
-	f.writeInstrs(&sb, p.Body, 1)
-	return sb.String()
-}
-
-func (f *PhysFormatter) writeInstrs(sb *strings.Builder, instrs []Instr, depth int) {
-	ind := strings.Repeat("  ", depth)
-	for _, in := range instrs {
-		switch in := in.(type) {
-		case *ExecStmt:
-			st := in.S
-			sb.WriteString(ind)
-			fmt.Fprintf(sb, "stmt %s %s", headText(st.Head), st.Op)
-			if st.KeyMask != 0 {
-				fmt.Fprintf(sb, " key=%b", st.KeyMask)
-			}
-			fmt.Fprintf(sb, " (%d regs", st.NRegs)
-			if st.HasAgg {
-				sb.WriteString(", aggregates")
-			}
-			sb.WriteString(")\n")
-			var prof *StmtProfile
-			if f.Profile != nil {
-				prof = f.Profile(st)
-			}
-			f.writePhysSteps(sb, f.Plan(st.Steps, st), prof, depth+1)
-		case *Loop:
-			sb.WriteString(ind)
-			sb.WriteString("loop {\n")
-			f.writeInstrs(sb, in.Body, depth+1)
-			sb.WriteString(ind)
-			sb.WriteString("} until any of:\n")
-			for _, c := range in.Until {
-				sb.WriteString(ind)
-				fmt.Fprintf(sb, "  cond (%d regs):\n", c.NRegs)
-				f.writePhysSteps(sb, f.Plan(c.Steps, nil), nil, depth+2)
-			}
-		}
-	}
+		f.writePhysSteps(sb, f.Plan(steps, st), prof, depth)
+	})
 }
 
 func (f *PhysFormatter) writePhysSteps(sb *strings.Builder, steps []PhysStep,
@@ -174,14 +131,6 @@ func CalledProcs(prog *Program, rootID string) []string {
 	for id := range seen {
 		out = append(out, id)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

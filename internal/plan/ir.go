@@ -28,12 +28,23 @@ const (
 
 // RelRef names a relation at plan level. Name is a pattern because HiLog
 // heads and subgoals may compute the relation name per row
-// (tas(ID)(TA) := ...).
+// (tas(ID)(TA) := ...). A SpaceLocal relation is found by Slot, its
+// number in the procedure's frame; its Name is the source name, for
+// printing.
 type RelRef struct {
 	Space Space
 	Name  term.Pattern
 	Arity int
+	Slot  int
 }
+
+// The frame slots of a procedure's local relations: in, return, then the
+// declared locals, Locals[i] at SlotLocals+i.
+const (
+	SlotIn = iota
+	SlotReturn
+	SlotLocals
+)
 
 // Program is a compiled program: procedures by ID. Procedure IDs are
 // "module.name" for user procs and "module.pred@adornment" for generated
@@ -73,6 +84,18 @@ type Proc struct {
 type LocalDecl struct {
 	Name  string
 	Arity int
+}
+
+// Slot returns the relation in frame slot i: in, return or a declared
+// local.
+func (p *Proc) Slot(i int) LocalDecl {
+	switch i {
+	case SlotIn:
+		return LocalDecl{Name: "in", Arity: p.Bound}
+	case SlotReturn:
+		return LocalDecl{Name: "return", Arity: p.Bound + p.Free}
+	}
+	return p.Locals[i-SlotLocals]
 }
 
 // Instr is a procedure-body instruction.

@@ -15,6 +15,19 @@ import (
 
 // FormatProc renders a compiled procedure.
 func FormatProc(p *Proc) string {
+	return formatProc(p, func(sb *strings.Builder, steps []Step, _ *Stmt, depth int) {
+		writeSteps(sb, steps, depth)
+	})
+}
+
+// stepsWriter writes the segments of a statement body, or of an
+// until-condition when st is nil.
+type stepsWriter func(sb *strings.Builder, steps []Step, st *Stmt, depth int)
+
+// formatProc renders a procedure: its header line, its locals and its
+// instructions, the lines the logical and physical renderings share, with
+// the segments written by steps.
+func formatProc(p *Proc, steps stepsWriter) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "proc %s (%d:%d)", p.ID, p.Bound, p.Free)
 	if p.Fixed {
@@ -28,44 +41,40 @@ func FormatProc(p *Proc) string {
 		}
 		sb.WriteByte('\n')
 	}
-	writeInstrs(&sb, p.Body, 1)
+	writeInstrs(&sb, p.Body, 1, steps)
 	return sb.String()
 }
 
-func writeInstrs(sb *strings.Builder, instrs []Instr, depth int) {
+func writeInstrs(sb *strings.Builder, instrs []Instr, depth int, steps stepsWriter) {
 	ind := strings.Repeat("  ", depth)
 	for _, in := range instrs {
 		switch in := in.(type) {
 		case *ExecStmt:
-			writeStmtPlan(sb, in.S, depth)
+			st := in.S
+			sb.WriteString(ind)
+			fmt.Fprintf(sb, "stmt %s %s", headText(st.Head), st.Op)
+			if st.KeyMask != 0 {
+				fmt.Fprintf(sb, " key=%b", st.KeyMask)
+			}
+			fmt.Fprintf(sb, " (%d regs", st.NRegs)
+			if st.HasAgg {
+				sb.WriteString(", aggregates")
+			}
+			sb.WriteString(")\n")
+			steps(sb, st.Steps, st, depth+1)
 		case *Loop:
 			sb.WriteString(ind)
 			sb.WriteString("loop {\n")
-			writeInstrs(sb, in.Body, depth+1)
+			writeInstrs(sb, in.Body, depth+1, steps)
 			sb.WriteString(ind)
 			sb.WriteString("} until any of:\n")
 			for _, c := range in.Until {
 				sb.WriteString(ind)
 				fmt.Fprintf(sb, "  cond (%d regs):\n", c.NRegs)
-				writeSteps(sb, c.Steps, depth+2)
+				steps(sb, c.Steps, nil, depth+2)
 			}
 		}
 	}
-}
-
-func writeStmtPlan(sb *strings.Builder, st *Stmt, depth int) {
-	ind := strings.Repeat("  ", depth)
-	sb.WriteString(ind)
-	fmt.Fprintf(sb, "stmt %s %s", headText(st.Head), st.Op)
-	if st.KeyMask != 0 {
-		fmt.Fprintf(sb, " key=%b", st.KeyMask)
-	}
-	fmt.Fprintf(sb, " (%d regs", st.NRegs)
-	if st.HasAgg {
-		sb.WriteString(", aggregates")
-	}
-	sb.WriteString(")\n")
-	writeSteps(sb, st.Steps, depth+1)
 }
 
 func writeSteps(sb *strings.Builder, steps []Step, depth int) {

@@ -13,12 +13,15 @@ type procCompiler struct {
 	c      *Compiler
 	module string
 	proc   *ast.Proc
-	locals map[string]int // declared local name -> arity
-	sites  int            // unchanged-site counter
+	locals map[string]localSlot // declared local name -> its frame slot
+	sites  int                  // unchanged-site counter
 	// regBuf is reused by every register walk of the procedure's
 	// statements; see stmtCompiler.regsOf.
 	regBuf []int
 }
+
+// localSlot is a declared local relation's frame slot and arity.
+type localSlot struct{ slot, arity int }
 
 func (pc *procCompiler) errf(pos ast.Pos, format string, args ...any) error {
 	return &Error{Module: pc.module, Pos: pos, Msg: fmt.Sprintf(format, args...)}
@@ -77,6 +80,15 @@ type predRef struct {
 	procFixed bool
 	variadic  bool
 	sym       *modsys.Symbol // refNail / refFamilyGround
+	slot      int            // refLocal: the relation's frame slot
+}
+
+// relRef is the plan-level reference of a local or EDB predicate.
+func (r *predRef) relRef() RelRef {
+	if r.kind == refLocal {
+		return RelRef{Space: SpaceLocal, Name: term.Ground(r.nameVal), Arity: r.arity, Slot: r.slot}
+	}
+	return RelRef{Space: SpaceEDB, Name: term.Ground(r.nameVal), Arity: r.arity}
 }
 
 // stmtCompiler compiles one assignment statement or condition.
@@ -239,13 +251,13 @@ func (pc *procCompiler) resolveAtom(atom *ast.AtomTerm) (*predRef, error) {
 			if arity != want {
 				return nil, pc.errf(atom.Pos, "in has arity %d, used with %d", want, arity)
 			}
-			return &predRef{kind: refLocal, name: "in", nameVal: term.NewString("in"), arity: arity}, nil
+			return &predRef{kind: refLocal, name: "in", nameVal: term.NewString("in"), arity: arity, slot: SlotIn}, nil
 		}
-		if la, ok := pc.locals[name]; ok {
-			if arity != la {
-				return nil, pc.errf(atom.Pos, "local relation %s has arity %d, used with %d", name, la, arity)
+		if l, ok := pc.locals[name]; ok {
+			if arity != l.arity {
+				return nil, pc.errf(atom.Pos, "local relation %s has arity %d, used with %d", name, l.arity, arity)
 			}
-			return &predRef{kind: refLocal, name: name, nameVal: pred.Val, arity: arity}, nil
+			return &predRef{kind: refLocal, name: name, nameVal: pred.Val, arity: arity, slot: l.slot}, nil
 		}
 		if sym := pc.c.lp.Resolve(pc.module, name); sym != nil {
 			switch sym.Class {
@@ -322,8 +334,8 @@ func (pc *procCompiler) resolveAtom(atom *ast.AtomTerm) (*predRef, error) {
 // possibly match").
 func (pc *procCompiler) dynCandidates(arity int) (map[string]bool, []FamilyCand, error) {
 	names := map[string]bool{}
-	for name, la := range pc.locals {
-		if la == arity {
+	for name, l := range pc.locals {
+		if l.arity == arity {
 			names[name] = true
 		}
 	}
@@ -626,11 +638,8 @@ func (sc *stmtCompiler) staticRel(atom *ast.AtomTerm) (RelRef, error) {
 	if err != nil {
 		return RelRef{}, err
 	}
-	switch ref.kind {
-	case refLocal:
-		return RelRef{Space: SpaceLocal, Name: term.Ground(term.NewString(ref.name)), Arity: ref.arity}, nil
-	case refEDB:
-		return RelRef{Space: SpaceEDB, Name: term.Ground(ref.nameVal), Arity: ref.arity}, nil
+	if ref.kind == refLocal || ref.kind == refEDB {
+		return ref.relRef(), nil
 	}
 	return RelRef{}, sc.pc.errf(atom.Pos, "unchanged/empty requires a relation, not a %s",
 		kindNoun(ref.kind))
@@ -670,30 +679,13 @@ func (sc *stmtCompiler) emitAtom(g *ast.AtomGoal, ref *predRef) error {
 		}
 	}
 	if g.Update != ast.UpdateNone {
-		var rel RelRef
-		switch ref.kind {
-		case refLocal:
-			rel = RelRef{Space: SpaceLocal, Name: term.Ground(term.NewString(ref.name)), Arity: ref.arity}
-		case refEDB:
-			rel = RelRef{Space: SpaceEDB, Name: term.Ground(ref.nameVal), Arity: ref.arity}
-		}
-		sc.closeStep(&Update{Kind: g.Update, Rel: rel, Args: args})
+		sc.closeStep(&Update{Kind: g.Update, Rel: ref.relRef(), Args: args})
 		return nil
 	}
 	switch ref.kind {
-	case refLocal:
+	case refLocal, refEDB:
 		sc.pipe = append(sc.pipe, &Match{
-			Rel:  RelRef{Space: SpaceLocal, Name: term.Ground(term.NewString(ref.name)), Arity: ref.arity},
-			Args: args, Negated: g.Negated, BoundMask: mask,
-			Bind: sc.unboundRegs(args...),
-		})
-		if !g.Negated {
-			markArgs()
-		}
-		return nil
-	case refEDB:
-		sc.pipe = append(sc.pipe, &Match{
-			Rel:  RelRef{Space: SpaceEDB, Name: term.Ground(ref.nameVal), Arity: ref.arity},
+			Rel:  ref.relRef(),
 			Args: args, Negated: g.Negated, BoundMask: mask,
 			Bind: sc.unboundRegs(args...),
 		})
@@ -964,6 +956,7 @@ func (sc *stmtCompiler) compileHead(a *ast.Assign) (HeadSpec, uint32, error) {
 			Space: SpaceLocal,
 			Name:  term.Ground(term.NewString("return")),
 			Arity: len(args),
+			Slot:  SlotReturn,
 		}
 		return head, 0, nil
 	}
@@ -977,11 +970,11 @@ func (sc *stmtCompiler) compileHead(a *ast.Assign) (HeadSpec, uint32, error) {
 		if name == "in" {
 			return head, 0, pc.errf(a.Pos, "cannot assign to the in relation")
 		}
-		if la, ok := pc.locals[name]; ok {
-			if la != len(args) {
-				return head, 0, pc.errf(a.Pos, "local relation %s has arity %d, assigned %d", name, la, len(args))
+		if l, ok := pc.locals[name]; ok {
+			if l.arity != len(args) {
+				return head, 0, pc.errf(a.Pos, "local relation %s has arity %d, assigned %d", name, l.arity, len(args))
 			}
-			head.Ref = RelRef{Space: SpaceLocal, Name: term.Ground(pred.Val), Arity: len(args)}
+			head.Ref = RelRef{Space: SpaceLocal, Name: term.Ground(pred.Val), Arity: len(args), Slot: l.slot}
 		} else if sym := pc.c.lp.Resolve(pc.module, name); sym != nil {
 			if sym.Class != modsys.ClassEDB {
 				return head, 0, pc.errf(a.Pos, "cannot assign to %s %s", sym.Class, name)

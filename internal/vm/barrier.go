@@ -2,9 +2,11 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"gluenail/internal/ast"
 	"gluenail/internal/plan"
+	"gluenail/internal/storage"
 	"gluenail/internal/term"
 )
 
@@ -120,68 +122,72 @@ func (f *frame) applyCall(b *batchState, op *plan.Call) error {
 	for d := range in {
 		in[d] = input(int32(d))
 	}
-	sortTuples(in)
-	var results []term.Tuple
-	var err error
-	if op.ProcID != "" {
-		results, err = f.m.CallProc(op.ProcID, in)
-	} else {
+	slices.SortFunc(in, term.Tuple.Compare)
+	join := func(results []term.Tuple) error {
+		// Chain each result, in result order, to the input its bound prefix
+		// equals: head[d] is input d's first result, next[j] result j's
+		// successor (-1 ends a chain), size[d] the chain's length.
+		head, tail, size := b.scr.grabIdx(int(nIn)), b.scr.grabIdx(int(nIn)), b.scr.grabIdx(int(nIn))
+		next := b.scr.grabIdx(len(results))
+		defer func() {
+			for _, v := range [...][]int32{head, tail, size, next} {
+				b.scr.putIdx(v)
+			}
+		}()
+		for d := range head {
+			head[d], size[d] = -1, 0
+		}
+		for j, r := range results {
+			if want := nb + len(op.FreeArgs); len(r) != want {
+				return fmt.Errorf("call result arity %d, want %d", len(r), want)
+			}
+			next[j], key = -1, r[:nb]
+			d := t.find(key.Hash(), eq)
+			switch {
+			case d < 0:
+				continue
+			case head[d] < 0:
+				head[d] = int32(j)
+			default:
+				next[tail[d]] = int32(j)
+			}
+			tail[d] = int32(j)
+			size[d]++
+		}
+		// The free arguments bind the registers no earlier op bound.
+		refRegs := patRegs(b.scr.regs[:0], op.FreeArgs)
+		bind := b.scr.bind[:0]
+		for _, r := range refRegs {
+			if b.where[r] < 0 {
+				bind = append(bind, r)
+			}
+		}
+		b.scr.bind = bind
+		return f.batchJoin(b, op.FreeArgs, bind, refRegs, op.Negated, func(p *matchProbe) error {
+			p.reserve(int(size[rowIn[p.cur]]))
+			for j := head[rowIn[p.cur]]; j >= 0; j = next[j] {
+				if !p.yield(results[j][nb:]) {
+					break
+				}
+			}
+			return nil
+		})
+	}
+	if op.ProcID == "" {
 		impl, ok := f.m.Builtins.impl(op.Builtin)
 		if !ok {
 			return fmt.Errorf("no builtin %q", op.Builtin)
 		}
-		results, err = impl(f.m, in)
-	}
-	if err != nil {
-		return err
-	}
-	// Chain each result, in result order, to the input its bound prefix
-	// equals: head[d] is input d's first result, next[j] result j's
-	// successor (-1 ends a chain), size[d] the chain's length.
-	head, tail, size := b.scr.grabIdx(int(nIn)), b.scr.grabIdx(int(nIn)), b.scr.grabIdx(int(nIn))
-	next := b.scr.grabIdx(len(results))
-	defer func() {
-		for _, v := range [...][]int32{head, tail, size, next} {
-			b.scr.putIdx(v)
+		results, err := impl(f.m, in)
+		if err != nil {
+			return err
 		}
-	}()
-	for d := range head {
-		head[d], size[d] = -1, 0
+		return join(results)
 	}
-	for j, r := range results {
-		if want := nb + len(op.FreeArgs); len(r) != want {
-			return fmt.Errorf("call result arity %d, want %d", len(r), want)
-		}
-		next[j], key = -1, r[:nb]
-		d := t.find(key.Hash(), eq)
-		switch {
-		case d < 0:
-			continue
-		case head[d] < 0:
-			head[d] = int32(j)
-		default:
-			next[tail[d]] = int32(j)
-		}
-		tail[d] = int32(j)
-		size[d]++
-	}
-	// The free arguments bind the registers no earlier op bound.
-	refRegs := patRegs(b.scr.regs[:0], op.FreeArgs)
-	bind := b.scr.bind[:0]
-	for _, r := range refRegs {
-		if b.where[r] < 0 {
-			bind = append(bind, r)
-		}
-	}
-	b.scr.bind = bind
-	return f.batchJoin(b, op.FreeArgs, bind, refRegs, op.Negated, func(p *matchProbe) error {
-		p.reserve(int(size[rowIn[p.cur]]))
-		for j := head[rowIn[p.cur]]; j >= 0; j = next[j] {
-			if !p.yield(results[j][nb:]) {
-				break
-			}
-		}
-		return nil
+	// The callee's return rows are joined in place, before its frame
+	// drops them.
+	return f.m.call(op.ProcID, in, func(ret storage.Rel) error {
+		return join(b.scr.returnRows(ret))
 	})
 }
 
@@ -191,7 +197,8 @@ func (f *frame) applyCall(b *batchState, op *plan.Call) error {
 // the name's arguments join the row, or falls back to the stored relation
 // it names.
 func (f *frame) applyDynCall(b *batchState, op *plan.DynCall) error {
-	famResults := map[string][]term.Tuple{}
+	// famVals holds each family's results end to end once it has run.
+	famVals := map[string][]term.Value{}
 	family := func(name term.Value) *plan.FamilyCand {
 		if name.Kind() != term.Compound {
 			return nil
@@ -217,16 +224,26 @@ func (f *frame) applyDynCall(b *batchState, op *plan.DynCall) error {
 		if fam == nil {
 			return p.lookup(f.dynResolve(name, len(op.Args), op.Narrowed, op.Candidates), 0)
 		}
-		res, ok := famResults[fam.ProcID]
+		k, nameArgs := fam.NameArity, name.Args()
+		w := k + len(op.Args)
+		res, ok := famVals[fam.ProcID]
 		if !ok {
-			if res, err = f.m.CallProc(fam.ProcID, []term.Tuple{{}}); err != nil {
+			// The family's rows outlive its frame: copy them out.
+			err := f.m.call(fam.ProcID, []term.Tuple{{}}, func(ret storage.Rel) error {
+				res = make([]term.Value, 0, ret.Len()*w)
+				for _, r := range b.scr.returnRows(ret) {
+					res = append(res, r...)
+				}
+				return nil
+			})
+			if err != nil {
 				return err
 			}
-			famResults[fam.ProcID] = res
+			famVals[fam.ProcID] = res
 		}
-		k, nameArgs := fam.NameArity, name.Args()
 	results:
-		for _, r := range res {
+		for j := 0; j < len(res); j += w {
+			r := res[j : j+w : j+w]
 			for i := 0; i < k; i++ {
 				if !nameArgs[i].Equal(r[i]) {
 					continue results

@@ -66,11 +66,16 @@ type batchScratch struct {
 	// probe carries a match op's state into the storage callback; see
 	// matchProbe.
 	probe matchProbe
+	// rows lists a callee's return rows (returnRows) through keepRowFn,
+	// a method value bound once, like probe's.
+	rows      []term.Tuple
+	keepRowFn func(term.Tuple) bool
 }
 
 var batchScratchPool = sync.Pool{New: func() any {
 	s := new(batchScratch)
 	s.probe.emitFn, s.probe.existsFn = s.probe.emit, s.probe.exists
+	s.keepRowFn = s.keepRow
 	s.regs = make([]int, 0, 16)
 	return s
 }}
@@ -100,13 +105,32 @@ func (s *batchScratch) begin(nregs int) *batchState {
 }
 
 // put releases the batch and returns the scratch to the pool, first
-// dropping the relation references of the last segment so a pooled
-// scratch pins no relation.
+// dropping the relation references of the last segment and the rows of
+// the last callee, so a pooled scratch pins no relation.
 func (s *batchScratch) put() {
 	s.state.release()
 	clear(s.rels)
+	clear(s.rows)
+	s.rows = s.rows[:0]
 	s.probe.f = nil
 	batchScratchPool.Put(s)
+}
+
+// returnRows lists the rows of a callee's return relation, in a header
+// vector the scratch reuses, sized once by Len. The rows are the
+// relation's own, valid while the callee's frame lives. The last
+// callee's rows are forgotten first, so no header past the vector's
+// length is ever set and put clears only what was listed.
+func (s *batchScratch) returnRows(ret storage.Rel) []term.Tuple {
+	clear(s.rows)
+	s.rows = slices.Grow(s.rows[:0], ret.Len())
+	ret.Scan(s.keepRowFn)
+	return s.rows
+}
+
+func (s *batchScratch) keepRow(t term.Tuple) bool {
+	s.rows = append(s.rows, t)
+	return true
 }
 
 // opVectors returns the segment's per-op vectors for n ops, zeroed: the

@@ -218,19 +218,22 @@ func matchArgs(args []term.Pattern, t term.Tuple, regs []term.Value) bool {
 func (f *frame) dynResolve(name term.Value, arity int, narrowed bool,
 	cands map[string]bool) storage.Rel {
 	atomic.AddInt64(&f.m.Stats.DynDispatches, 1)
-	if narrowed {
-		if name.Kind() == term.Str {
-			n := name.Str()
-			if !cands[n] {
-				return nil
-			}
-			if n == "in" && f.inRel.Arity() == arity {
-				return f.inRel
-			}
-			if r, ok := f.locals[n]; ok && r.Arity() == arity {
-				return r
+	if name.Kind() == term.Str {
+		n := name.Str()
+		if narrowed && !cands[n] {
+			return nil
+		}
+		// A frame relation — in, or a declared local — by its slot.
+		if n == "in" && f.proc.Bound == arity {
+			return f.rels[plan.SlotIn]
+		}
+		for i, l := range f.proc.Locals {
+			if l.Name == n && l.Arity == arity {
+				return f.rels[plan.SlotLocals+i]
 			}
 		}
+	}
+	if narrowed {
 		rel, ok := f.m.EDB.Get(name, arity)
 		if !ok {
 			return nil
@@ -238,17 +241,6 @@ func (f *frame) dynResolve(name term.Value, arity int, narrowed bool,
 		return rel
 	}
 	// Baseline: runtime dereferencing checks each class in turn.
-	if name.Kind() == term.Str {
-		n := name.Str()
-		if n == "in" && f.inRel.Arity() == arity {
-			return f.inRel
-		}
-		for lname, r := range f.locals {
-			if lname == n && r.Arity() == arity {
-				return r
-			}
-		}
-	}
 	for _, rn := range f.m.EDB.Names() {
 		if rn.Arity == arity && rn.Name.Equal(name) {
 			rel, _ := f.m.EDB.Get(name, arity)

@@ -19,9 +19,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"gluenail/internal/storage"
+	"gluenail/internal/term"
 )
 
 // Sentinel limit errors. GovernorError wraps exactly one of these, so
@@ -191,8 +193,13 @@ func (f *frame) checkRelBudget(rel storage.Rel) error {
 	if rows <= max {
 		return nil
 	}
+	// A frame relation is named by its source name, not its temp name.
+	name := rel.Name()
+	if i := slices.Index(f.rels, rel); i >= 0 {
+		name = term.NewString(f.proc.Slot(i).Name)
+	}
 	return f.m.govErr(ErrMemoryBudget,
-		fmt.Sprintf("relation %v holds %d rows in memory, budget %d", rel.Name(), rows, max))
+		fmt.Sprintf("relation %v holds %d rows in memory, budget %d", name, rows, max))
 }
 
 // abortPoint mirrors commitPoint for the failure path: when a top-level

@@ -190,6 +190,26 @@ end
 	if !strings.Contains(err.Error(), "big") {
 		t.Errorf("error should name the offending relation: %v", err)
 	}
+	// A local relation is named by its source name, not its temp name.
+	m = compileMachine(t, `
+edb e(X);
+proc blow(:)
+rels tmp(X,Y);
+  tmp(X,Y) := e(X) & e(Y).
+  return(:) := e(_).
+end
+`, plan.Options{})
+	m.MaxRelRows = 50
+	for i := int64(0); i < 40; i++ {
+		insert(m, "e", []int64{i})
+	}
+	_, err = m.CallProc("main.blow", []term.Tuple{{}})
+	if !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("want ErrMemoryBudget, got %v", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "relation tmp holds 1600 rows") || strings.Contains(msg, "$frame") {
+		t.Errorf("error should name the local relation tmp: %v", err)
+	}
 }
 
 func TestLoopLimitTypedError(t *testing.T) {

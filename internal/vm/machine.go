@@ -4,9 +4,11 @@
 // place. It implements both execution strategies discussed in §9: the
 // default pipelined (nested-join) strategy, which runs a segment's
 // operators back to back over the batch, and a fully materialized baseline
-// that stores the supplementary relation after every operator. Procedure
-// frames hold per-invocation local relations (§4), created in the temp
-// store so back-end experiments see the cost of short-lived temporaries.
+// that stores the supplementary relation after every operator. A
+// procedure call (§4) runs in a frame whose in, return and local
+// relations sit in slots the compiler numbered; they are created in the
+// temp store, so back-end experiments see the cost of short-lived
+// temporaries, and dropped when the call returns.
 package vm
 
 import (
@@ -16,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -105,7 +106,9 @@ type Machine struct {
 	MaxRelRows int
 	Stats      ExecStats
 
-	frameID   uint64
+	// tempSeq numbers the frame relations this machine creates in Temp:
+	// each is named by a fresh integer, which costs no allocation.
+	tempSeq   int64
 	callDepth int
 	// gov is the active execution governor, installed for the duration of
 	// one top-level CallProcContext; nil when the call is ungoverned.
@@ -248,11 +251,10 @@ func (e *RuntimeError) Error() string {
 
 func (e *RuntimeError) Unwrap() error { return e.Err }
 
-// tracef writes one trace line when tracing is enabled.
+// tracef writes one trace line. Callers check m.Trace first, so that
+// with tracing off no argument is boxed.
 func (m *Machine) tracef(format string, args ...any) {
-	if m.Trace != nil {
-		fmt.Fprintf(m.Trace, format+"\n", args...)
-	}
+	fmt.Fprintf(m.Trace, format+"\n", args...)
 }
 
 // CallProc invokes a compiled procedure set-at-a-time: in holds the tuples
@@ -310,55 +312,63 @@ func (m *Machine) CallProcContext(ctx context.Context, id string, in []term.Tupl
 			m.curProc, m.curStmt = "", ""
 		}()
 	}
-	return m.callProc(id, in)
+	err = m.call(id, in, func(ret storage.Rel) error {
+		out = ret.All()
+		return nil
+	})
+	return out, err
 }
 
-func (m *Machine) callProc(id string, in []term.Tuple) ([]term.Tuple, error) {
+// call runs procedure id on the input tuples in a fresh frame and hands
+// use the frame's return relation, which lives until use returns: the
+// frame's relations are dropped after it. It is the one entry of every
+// call, the public CallProcContext and the call barriers alike.
+func (m *Machine) call(id string, in []term.Tuple, use func(ret storage.Rel) error) error {
 	proc, ok := m.Prog.Proc(id)
 	if !ok {
-		return nil, fmt.Errorf("vm: no procedure %q", id)
+		return fmt.Errorf("vm: no procedure %q", id)
 	}
-	m.tracef("call %s with %d input tuple(s)", id, len(in))
+	if m.Trace != nil {
+		m.tracef("call %s with %d input tuple(s)", id, len(in))
+	}
 	atomic.AddInt64(&m.Stats.ProcCalls, 1)
 	m.callDepth++
 	defer func() { m.callDepth-- }()
 	if m.MaxDepth > 0 && m.callDepth > m.MaxDepth {
-		return nil, &RuntimeError{ProcID: id, Err: m.govErr(ErrDepthLimit,
+		return &RuntimeError{ProcID: id, Err: m.govErr(ErrDepthLimit,
 			fmt.Sprintf("call depth %d exceeds limit %d", m.callDepth, m.MaxDepth))}
 	}
-	m.frameID++
-	f := &frame{m: m, proc: proc, id: m.frameID}
+	f := &frame{m: m, proc: proc, rels: make([]storage.Rel, plan.SlotLocals+len(proc.Locals))}
 	defer f.drop()
-	f.inRel = m.Temp.Ensure(f.relName("in"), proc.Bound)
-	f.retRel = m.Temp.Ensure(f.relName("return"), proc.Bound+proc.Free)
-	f.inRel.Grow(len(in))
+	for i := range f.rels {
+		m.tempSeq++
+		f.rels[i] = m.Temp.Ensure(term.NewInt(m.tempSeq), proc.Slot(i).Arity)
+	}
+	inRel, ret := f.rels[plan.SlotIn], f.rels[plan.SlotReturn]
+	inRel.Grow(len(in))
 	for _, t := range in {
 		if len(t) != proc.Bound {
-			return nil, &RuntimeError{ProcID: id, Err: fmt.Errorf(
+			return &RuntimeError{ProcID: id, Err: fmt.Errorf(
 				"input tuple arity %d, procedure expects %d", len(t), proc.Bound)}
 		}
-		f.inRel.Insert(t)
-	}
-	f.locals = make(map[string]storage.Rel, len(proc.Locals))
-	for _, l := range proc.Locals {
-		f.locals[l.Name] = m.Temp.Ensure(f.relName(l.Name), l.Arity)
+		inRel.Insert(t)
 	}
 	if err := f.execInstrs(proc.Body); err != nil {
-		return nil, &RuntimeError{ProcID: id, Err: err}
+		return &RuntimeError{ProcID: id, Err: err}
 	}
-	out := f.retRel.All()
-	m.tracef("return from %s: %d tuple(s)", id, len(out))
-	return out, nil
+	if m.Trace != nil {
+		m.tracef("return from %s: %d tuple(s)", id, ret.Len())
+	}
+	return use(ret)
 }
 
 // frame is one procedure invocation.
 type frame struct {
-	m      *Machine
-	proc   *plan.Proc
-	id     uint64
-	locals map[string]storage.Rel
-	inRel  storage.Rel
-	retRel storage.Rel
+	m    *Machine
+	proc *plan.Proc
+	// rels holds the frame's relations by compiler slot (plan.SlotIn,
+	// plan.SlotReturn, then the declared locals).
+	rels []storage.Rel
 	// unchanged holds per-site version memory for the unchanged builtin.
 	unchanged map[int]uint64
 	returned  bool
@@ -368,21 +378,11 @@ type frame struct {
 	scratch []*hashTable
 }
 
-// relName builds the unique temp-store name for a frame-local relation.
-func (f *frame) relName(local string) term.Value {
-	return term.Atom("$frame", term.NewInt(int64(f.id)), term.NewString(local))
-}
-
-// drop drops the relations the frame holds from the temp store, youngest
-// first (the temp store's cheap order), by the names they carry.
+// drop drops the frame's relations from the temp store, youngest first
+// (the temp store's cheap order).
 func (f *frame) drop() {
-	for i := len(f.proc.Locals) - 1; i >= 0; i-- {
-		if r := f.locals[f.proc.Locals[i].Name]; r != nil {
-			f.m.Temp.Drop(r.Name(), r.Arity())
-		}
-	}
-	for _, r := range [...]storage.Rel{f.retRel, f.inRel} {
-		if r != nil {
+	for i := len(f.rels) - 1; i >= 0; i-- {
+		if r := f.rels[i]; r != nil {
 			f.m.Temp.Drop(r.Name(), r.Arity())
 		}
 	}
@@ -446,29 +446,15 @@ func (f *frame) execInstrs(instrs []plan.Instr) error {
 	return nil
 }
 
-// localRel resolves a frame-local relation by source name.
-func (f *frame) localRel(name string) (storage.Rel, error) {
-	switch name {
-	case "in":
-		return f.inRel, nil
-	case "return":
-		return f.retRel, nil
-	}
-	if r, ok := f.locals[name]; ok {
-		return r, nil
-	}
-	return nil, fmt.Errorf("no local relation %q", name)
-}
-
 // resolveRead resolves a relation reference for reading; a missing EDB
 // relation reads as empty (nil Rel).
 func (f *frame) resolveRead(ref plan.RelRef, regs []term.Value) (storage.Rel, error) {
+	if ref.Space == plan.SpaceLocal {
+		return f.rels[ref.Slot], nil
+	}
 	name, err := ref.Name.Build(regs)
 	if err != nil {
 		return nil, err
-	}
-	if ref.Space == plan.SpaceLocal {
-		return f.localRel(name.Str())
 	}
 	rel, ok := f.m.EDB.Get(name, ref.Arity)
 	if !ok {
@@ -480,19 +466,14 @@ func (f *frame) resolveRead(ref plan.RelRef, regs []term.Value) (storage.Rel, er
 // resolveWrite resolves a relation reference for writing, creating EDB
 // relations on demand.
 func (f *frame) resolveWrite(ref plan.RelRef, regs []term.Value) (storage.Rel, error) {
+	if ref.Space == plan.SpaceLocal {
+		return f.rels[ref.Slot], nil
+	}
 	name, err := ref.Name.Build(regs)
 	if err != nil {
 		return nil, err
 	}
-	if ref.Space == plan.SpaceLocal {
-		return f.localRel(name.Str())
-	}
 	return f.m.EDB.Ensure(name, ref.Arity), nil
-}
-
-// sortTuples orders tuples deterministically (builtin calls, output).
-func sortTuples(ts []term.Tuple) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
 }
 
 // commitPoint runs the Commit hook if this is a top-level statement

@@ -62,9 +62,9 @@ if [ "$elapsed" -gt 4 ]; then
 	exit 1
 fi
 
-step "Plan cache unit suite (cardinality-class intervals, drift, prepared statements, plans shared across machines; race) + repeat-iteration, recursion-round (allocations and zero warm misses), fresh-snapshot, parse, compile, insert-statistics, delete and relation-catalog allocation gates, and the head-copy, fan-out and call-barrier byte gates"
+step "Plan cache unit suite (cardinality-class intervals, drift, prepared statements, plans shared across machines; race) + repeat-iteration, recursion-round (allocations and zero warm misses), fresh-snapshot, parse, compile, call, insert-statistics, delete and relation-catalog allocation gates, and the head-copy, fan-out and call-barrier byte gates"
 go test -race -count=1 -run 'TestPlanCache|TestPrepared|TestExplainAnalyzePlanCacheCounters' ./internal/plan/ ./internal/vm/ .
-go test -count=1 -run 'TestRepeatIterationAllocs|TestClearReusesArraysWithoutSnapshot|TestParseAllocs|TestCompileAllocs|TestRecursionRoundAllocs|TestRecursionRoundNoPlanMisses|TestSnapshotExecuteAllocs|TestInsertStatsAllocs|TestDeleteAllocs|TestLookupProbeAllocs|TestBackendSeamAllocs|TestColdProbeAllocs|TestAssignCopyBytes|TestAssignFanOutBytes|TestCallBarrierBytes' ./internal/storage/ ./internal/storage/disk/ ./internal/parser/ .
+go test -count=1 -run 'TestRepeatIterationAllocs|TestClearReusesArraysWithoutSnapshot|TestParseAllocs|TestCompileAllocs|TestRecursionRoundAllocs|TestRecursionRoundNoPlanMisses|TestSnapshotExecuteAllocs|TestInsertStatsAllocs|TestDeleteAllocs|TestLookupProbeAllocs|TestBackendSeamAllocs|TestColdProbeAllocs|TestAssignCopyBytes|TestAssignFanOutBytes|TestCallBarrierBytes|TestCallAllocs' ./internal/storage/ ./internal/storage/disk/ ./internal/parser/ ./internal/vm/ .
 
 step "Head-path suite (heads read the live batch: self-reference, +=[key], HiLog and -= with repeated rows, empty :=; same stored order and log bytes on mem and disk; race)"
 go test -race -count=1 -run '^TestHead' .
