@@ -945,7 +945,7 @@ func e18() {
 
 	// (b) cold-start membership misses: a reopened multi-run store is
 	// probed for absent keys. Without blooms every probe must load each
-	// run's chain index before it can say no; with them the probe ends at
+	// run's hash index before it can say no; with them the probe ends at
 	// an in-memory filter.
 	const probeRows, probesPerOpen = 100000, 5
 	probeDir := filepath.Join(base, "probe")

@@ -363,17 +363,22 @@ func (s *System) Close() error {
 // Register adds a foreign (Go) procedure callable from Glue as a subgoal:
 // bound/free give the argument split, fixed marks side-effecting
 // procedures whose position in a statement must be preserved. fn receives
-// the distinct input tuples and returns full (bound+free) result tuples.
-// Procedures must be registered before the code referencing them is
-// compiled (i.e., before the first query or call after Load).
+// the distinct input tuples and returns full (bound+free) result tuples;
+// the input rows are fn's own, so it may keep them. Procedures must be
+// registered before the code referencing them is compiled (i.e., before
+// the first query or call after Load).
 func (s *System) Register(name string, bound, free int, fixed bool,
 	fn func(in [][]Value) ([][]Value, error)) error {
 	return s.do(needStore, func() error {
 		err := s.registry.Register(name, plan.BuiltinSig{Bound: bound, Free: free, Fixed: fixed},
 			func(_ *vm.Machine, in []term.Tuple) ([]term.Tuple, error) {
+				// The executor lends its inputs from reused scratch: copy
+				// them into one slab of fn's own.
 				rows := make([][]Value, len(in))
+				slab := make([]Value, 0, len(in)*bound)
 				for i, t := range in {
-					rows[i] = []Value(t)
+					slab = append(slab, t...)
+					rows[i] = slab[len(slab)-len(t) : len(slab) : len(slab)]
 				}
 				out, err := fn(rows)
 				if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -443,6 +444,46 @@ doubled(X, Y) :- num(X) & double(X, Y).
 	}
 	if len(res.Rows) != 2 || res.Rows[0][1].Int() != 6 || res.Rows[1][1].Int() != 10 {
 		t.Errorf("doubled = %v", res.Rows)
+	}
+}
+
+// TestForeignProcedureKeepsInputs checks that a Go procedure owns the input
+// rows it is handed: it keeps every row across two calls and, on the
+// second, returns the first call's rows too. The executor builds call
+// inputs in reused scratch, so rows it lent would show the second call's
+// values in place of the first's.
+func TestForeignProcedureKeepsInputs(t *testing.T) {
+	sys := New()
+	var kept [][]Value
+	if err := sys.Register("tag", 1, 1, false, func(in [][]Value) ([][]Value, error) {
+		kept = append(kept, in...)
+		var out [][]Value
+		for _, row := range kept {
+			out = append(out, []Value{row[0], Int(row[0].Int() * 10)})
+		}
+		return out, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Load(`edb a(X), b(X);`); err != nil {
+		t.Fatal(err)
+	}
+	sys.Assert("a", []any{1}, []any{2})
+	sys.Assert("b", []any{3}, []any{4})
+	for _, q := range []struct {
+		goal string
+		want string
+	}{{"a(X) & tag(X, Y)", "[[1 10] [2 20]]"}, {"b(X) & tag(X, Y)", "[[3 30] [4 40]]"}} {
+		res, err := sys.Query(q.goal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(res.Rows); got != q.want {
+			t.Fatalf("%s = %s, want %s", q.goal, got, q.want)
+		}
+	}
+	if got := fmt.Sprint(kept); got != "[[1] [2] [3] [4]]" {
+		t.Fatalf("kept inputs = %s, want [[1] [2] [3] [4]]", got)
 	}
 }
 

@@ -1,8 +1,9 @@
 package storage
 
 import (
-	"maps"
+	"slices"
 
+	"gluenail/internal/hashtab"
 	"gluenail/internal/term"
 )
 
@@ -11,23 +12,21 @@ import (
 // relation by the hash of its name and arity, without building a key, and
 // compares names by term identity (term.Value.Identical): two names are
 // one relation iff their canonical encodings are equal. Entries keep
-// creation order, so Names and Rels are deterministic; a drop shifts the
-// younger entries down, which costs nothing for a procedure frame's
-// last-in, first-out drops. A Catalog does no locking; each store guards
-// its own. The zero value is an empty catalog.
+// creation order, so Names and Rels are deterministic; the hash table
+// (the hashtab.Table every row set uses) maps a key hash to an entry's
+// index. Dropping the youngest entry — a procedure frame's last-in,
+// first-out drops — deletes its one table entry; any other drop shifts the
+// younger entries down and refills the table. A Catalog does no locking;
+// each store guards its own. The zero value is an empty catalog.
 type Catalog[R any] struct {
-	// byHash maps a key hash to the index in ents of the youngest entry
-	// with that hash; older entries with the same hash chain through
-	// catEntry.older.
-	byHash map[uint64]int
-	ents   []catEntry[R]
+	tab  hashtab.Table
+	ents []catEntry[R]
 }
 
 type catEntry[R any] struct {
-	name  RelName
-	hash  uint64
-	rel   R
-	older int // index of the next older entry with the same hash, or -1
+	name RelName
+	hash uint64
+	rel  R
 }
 
 // catalogHash folds the arity into the name's hash.
@@ -37,17 +36,10 @@ func catalogHash(name term.Value, arity int) uint64 {
 
 // find returns the index of (name, arity) in ents, or -1.
 func (c *Catalog[R]) find(name term.Value, arity int, h uint64) int {
-	i, ok := c.byHash[h]
-	if !ok {
-		return -1
-	}
-	for ; i >= 0; i = c.ents[i].older {
+	return int(c.tab.Find(h, func(i int32) bool {
 		e := &c.ents[i]
-		if e.name.Arity == arity && e.name.Name.Identical(name) {
-			return i
-		}
-	}
-	return -1
+		return e.name.Arity == arity && e.name.Name.Identical(name)
+	}))
 }
 
 // Get returns the relation for (name, arity) if the catalog holds it.
@@ -66,16 +58,8 @@ func (c *Catalog[R]) Add(name term.Value, arity int, r R) {
 }
 
 func (c *Catalog[R]) add(name term.Value, arity int, h uint64, r R) {
-	if c.byHash == nil {
-		c.byHash = make(map[uint64]int)
-	}
-	older, ok := c.byHash[h]
-	if !ok {
-		older = -1
-	}
-	c.byHash[h] = len(c.ents)
-	c.ents = append(c.ents, catEntry[R]{
-		name: RelName{Name: name, Arity: arity}, hash: h, rel: r, older: older})
+	c.tab.Add(h, int32(len(c.ents)))
+	c.ents = append(c.ents, catEntry[R]{name: RelName{Name: name, Arity: arity}, hash: h, rel: r})
 }
 
 // Drop removes (name, arity) and returns its relation, if the catalog
@@ -92,30 +76,16 @@ func (c *Catalog[R]) Drop(name term.Value, arity int) (R, bool) {
 // dropAt removes entry i and returns its relation.
 func (c *Catalog[R]) dropAt(i int) R {
 	gone := c.ents[i]
-	if h := gone.hash; c.byHash[h] == i {
-		if gone.older >= 0 {
-			c.byHash[h] = gone.older
-		} else {
-			delete(c.byHash, h)
-		}
+	c.ents = slices.Delete(c.ents, i, i+1)
+	if i == len(c.ents) {
+		c.tab.Delete(gone.hash, func(k int32) bool { return int(k) == i })
+		return gone.rel
 	}
-	// Renumber the younger entries, which take the places below them.
-	for k := i + 1; k < len(c.ents); k++ {
-		e := &c.ents[k]
-		switch {
-		case e.older == i:
-			e.older = gone.older
-		case e.older > i:
-			e.older--
-		}
-		if c.byHash[e.hash] == k {
-			c.byHash[e.hash] = k - 1
-		}
+	// The younger entries took the places below them: renumber them all.
+	c.tab.Clear()
+	for k := range c.ents {
+		c.tab.Add(c.ents[k].hash, int32(k))
 	}
-	copy(c.ents[i:], c.ents[i+1:])
-	last := len(c.ents) - 1
-	c.ents[last] = catEntry[R]{}
-	c.ents = c.ents[:last]
 	return gone.rel
 }
 
@@ -141,13 +111,13 @@ func (c *Catalog[R]) Rels() []R {
 }
 
 // mapCatalog returns a catalog with the same keys and order as c holding
-// f of each relation. It reuses c's hashes and chains: the copy is one
-// slice and a map clone, with no per-relation allocation of its own.
+// f of each relation. It reuses c's hashes and table: the copy is one
+// slice and a table clone, with no per-relation allocation of its own.
 func mapCatalog[R, S any](c *Catalog[R], f func(R) S) Catalog[S] {
-	out := Catalog[S]{byHash: maps.Clone(c.byHash), ents: make([]catEntry[S], len(c.ents))}
+	out := Catalog[S]{tab: c.tab.Clone(), ents: make([]catEntry[S], len(c.ents))}
 	for i := range c.ents {
 		e := &c.ents[i]
-		out.ents[i] = catEntry[S]{name: e.name, hash: e.hash, rel: f(e.rel), older: e.older}
+		out.ents[i] = catEntry[S]{name: e.name, hash: e.hash, rel: f(e.rel)}
 	}
 	return out
 }

@@ -1,10 +1,10 @@
 // Per-run bloom filters: every run persists a bloom filter built from its
 // rows' whole-tuple hashes at flush time, and membership probes
 // (Insert-dedup, Contains, full-mask Lookup, Delete) consult it before
-// walking a run's hash chains. A negative answer — the overwhelmingly
+// probing a run's hash table. A negative answer — the overwhelmingly
 // common case when semi-naive evaluation dedups fresh deltas against
 // spilled state — costs a few cache-resident bit tests and skips the run
-// entirely: no chain walk, no lazy index load, no block fetch.
+// entirely: no table probe, no lazy index load, no block fetch.
 //
 // Sizing is the classic ~10 bits per key with 6 probes (false-positive
 // rate ≈ 0.8%); probe positions come from double hashing over the already

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"gluenail/internal/hashtab"
 	"gluenail/internal/storage"
 	"gluenail/internal/term"
 )
@@ -55,22 +56,15 @@ func (s *Store) BulkLoad(name term.Value, arity int, rows []term.Tuple) (int, er
 	// insert; skip the per-row probe when there is nothing to probe
 	// (the common case for a fresh bulk-built relation).
 	probeMem := r.mem.Len() > 0
-	// In-batch dedup, intrusive and allocation-free per row: an open-
-	// addressed table maps a hash to its latest accepted slot (1-based)
-	// and seenNext chains earlier slots with the same hash — the run
-	// index's layout. A plain map[hash]slot measurably dominates the
+	// In-batch dedup, allocation-free per row: the table every row set
+	// uses, sized for the batch up front, maps each accepted row's hash to
+	// its place in kept. A plain map[hash]slot measurably dominates the
 	// loop's profile at bulk sizes; linear probing over the hashes the
 	// loop computes anyway does not.
 	kept := make([]term.Tuple, 0, len(rows))
 	keptH := make([]uint64, 0, len(rows))
-	seenNext := make([]int32, 0, len(rows))
-	tabSize := 1
-	for tabSize < 2*len(rows) {
-		tabSize <<= 1
-	}
-	table := make([]int32, tabSize)
-	mask := uint64(tabSize - 1)
-nextRow:
+	var seen hashtab.Table
+	seen.Grow(len(rows))
 	for _, t := range rows {
 		if t == nil {
 			t = term.Tuple{}
@@ -79,32 +73,14 @@ nextRow:
 			return 0, fmt.Errorf("disk: bulk row arity %d != %d in %v", len(t), arity, name)
 		}
 		h := t.Hash()
-		pos := h & mask
-		var head int32
-		for {
-			e := table[pos]
-			if e == 0 {
-				break
-			}
-			if keptH[e-1] == h {
-				head = e
-				break
-			}
-			pos = (pos + 1) & mask
-		}
-		for i := head; i != 0; i = seenNext[i-1] {
-			if kept[i-1].Equal(t) {
-				continue nextRow
-			}
-		}
-		if (probeMem && r.mem.Contains(t)) ||
+		if seen.Find(h, func(i int32) bool { return kept[i].Equal(t) }) >= 0 ||
+			(probeMem && r.mem.Contains(t)) ||
 			(len(preRuns) > 0 && r.runsContainIn(preRuns, h, t)) {
 			continue
 		}
-		seenNext = append(seenNext, head)
+		seen.Add(h, int32(len(kept)))
 		kept = append(kept, t)
 		keptH = append(keptH, h)
-		table[pos] = int32(len(kept))
 	}
 	r.dist.AddBatch(kept)
 	// Bulk runs are as large as the batch allows (capped to bound the

@@ -417,7 +417,7 @@ func TestReopenUncompressedReadsCompressed(t *testing.T) {
 }
 
 // TestBloomScreensMissProbes reopens a multi-run store and probes absent
-// keys: blooms must answer without loading a single chain index, while
+// keys: blooms must answer without loading a single hash index, while
 // the NoBloom ablation pays one index load per run. This is the unit-
 // level form of the E18 membership-miss experiment.
 func TestBloomScreensMissProbes(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gluenail/internal/hashtab"
 	"gluenail/internal/storage"
 	"gluenail/internal/storage/fsio"
 	"gluenail/internal/term"
@@ -478,5 +479,59 @@ func TestSnapshotsUnderDeletesAndCompaction(t *testing.T) {
 	}
 	if got := allRows(rel); len(got) != len(live) {
 		t.Fatalf("live store has %d rows, want %d", len(got), len(live))
+	}
+}
+
+// TestRunProbeSkipsDeadCopy builds a run holding a dead and a live copy of
+// one tuple — what a compaction leaves when it carries a statement's
+// uncommitted delete into the merged run beside the row's re-insert — and
+// checks that the probe's table predicate skips the dead copy, both on the
+// table built when the run was written and on one rebuilt from the run's
+// hash section, as a reopened run loads it.
+func TestRunProbeSkipsDeadCopy(t *testing.T) {
+	st := openTest(t, t.TempDir(), Options{})
+	defer st.Close()
+	x := pair(7, 8)
+	rows := []term.Tuple{pair(1, 2), x, pair(3, 4), x}
+	hashes := make([]uint64, len(rows))
+	for i, r := range rows {
+		hashes[i] = r.Hash()
+	}
+	rn, err := createRun(st, st.nextRunSeq(), 2, rows, hashes, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rn.release()
+	rn.setTomb(1, 5)
+	probe := func(u term.Tuple) int32 {
+		got, slot, row := probeRuns([]*run{rn}, st.cache, st.stats, u.Hash(), u, storage.LiveCSN)
+		if got == nil {
+			return -1
+		}
+		if !row.Equal(u) {
+			t.Fatalf("probe for %v returned row %v", u, row)
+		}
+		return slot
+	}
+	for _, reload := range []bool{false, true} {
+		if reload {
+			rn.tab = hashtab.Table{}
+			rn.idxReady.Store(false)
+		}
+		for _, c := range []struct {
+			row  term.Tuple
+			slot int32
+		}{{x, 3}, {pair(1, 2), 0}, {pair(3, 4), 2}, {pair(5, 6), -1}} {
+			if got := probe(c.row); got != c.slot {
+				t.Fatalf("reload=%v: probe %v found slot %d, want %d", reload, c.row, got, c.slot)
+			}
+		}
+	}
+	if n := atomic.LoadInt64(&st.stats.RunIndexLoads); n != 1 {
+		t.Fatalf("%d run index loads, want 1 (the rebuild)", n)
+	}
+	rn.setTomb(3, 6)
+	if got := probe(x); got != -1 {
+		t.Fatalf("both copies dead: probe found slot %d", got)
 	}
 }

@@ -3,10 +3,10 @@
 // a fixed row count, so a slot number maps to its block arithmetically.
 // Blocks are stored raw or packed (see compress.go); what stays in memory
 // per run after open is only the small stuff — block offsets and a bloom
-// filter over the rows' whole-tuple hashes. The chain index (one cached
-// hash per row plus the same intrusive bucket layout the main-memory
-// engine uses) is loaded lazily from the run's hash section the first time
-// a bloom filter lets a probe through.
+// filter over the rows' whole-tuple hashes. The hash index (one cached
+// hash per row, and the same hashtab.Table the main-memory engine uses,
+// mapping each hash to its slot) is loaded lazily from the run's hash
+// section the first time a bloom filter lets a probe through.
 //
 // The format (RUN2) is footer-indexed: block metadata, the row hashes, and
 // the bloom filter are persisted at the tail and sealed by a fixed
@@ -33,6 +33,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gluenail/internal/hashtab"
 	"gluenail/internal/storage"
 	"gluenail/internal/storage/fsio"
 	"gluenail/internal/term"
@@ -80,17 +81,16 @@ type run struct {
 	// bloom screens membership probes; built at create, persisted in the
 	// footer, reloaded with it.
 	bloom *bloomFilter
-	// Chain index: hashes caches each row's whole-tuple hash; buckets/next
-	// chain rows by hash exactly like the main-memory Relation (slot+1
-	// links). Resident from creation for freshly written runs; loaded on
-	// demand from hashOff for reopened runs (idxReady gates access,
-	// its Store/Load ordering publishes the slices).
+	// Hash index: hashes caches each row's whole-tuple hash; tab maps
+	// every row's hash to its slot, dead copies included (a probe skips
+	// them), like the main-memory Relation's table. Resident from creation
+	// for freshly written runs; loaded on demand from hashOff for reopened
+	// runs (idxReady gates access, its Store/Load ordering publishes them).
 	hashOff  int64
 	idxMu    sync.Mutex
 	idxReady atomic.Bool
 	hashes   []uint64
-	buckets  map[uint64]int32
-	next     []int32
+	tab      hashtab.Table
 	// synced records that the file's contents are durable (fsynced);
 	// FlushBase syncs any stragglers before the manifest names them.
 	synced atomic.Bool
@@ -186,9 +186,9 @@ func (r *run) liveAt(csn uint64) int {
 	return n
 }
 
-// ensureIndex makes the chain index resident: freshly created runs carry
+// ensureIndex makes the hash index resident: freshly created runs carry
 // it from birth; reopened runs load the hash section and build the
-// buckets here, on the first probe a bloom filter lets through.
+// table here, on the first probe a bloom filter lets through.
 func (r *run) ensureIndex(st *storage.Stats) error {
 	if r.idxReady.Load() {
 		return nil
@@ -479,14 +479,13 @@ func parseRunFooter(foot []byte, dataStart, footOff int64) (runFooter, string, s
 	return rf, "", ""
 }
 
-// buildIndex chains the rows by cached hash, identical in layout to the
-// main-memory Relation's intrusive buckets.
+// buildIndex fills the run's table from the cached hashes, one entry per
+// slot: a run never deletes a row, so a tuple deleted and inserted again
+// before the flush has two entries, told apart by the tombstones.
 func (r *run) buildIndex() {
-	r.buckets = make(map[uint64]int32, len(r.hashes))
-	r.next = make([]int32, len(r.hashes))
+	r.tab.Grow(len(r.hashes))
 	for i, h := range r.hashes {
-		r.next[i] = r.buckets[h]
-		r.buckets[h] = int32(i) + 1
+		r.tab.Add(h, int32(i))
 	}
 }
 

@@ -3,7 +3,7 @@
 // memtable, registered as backend "disk".
 //
 // Layout per relation: new rows go to the memtable (a full
-// storage.Relation — intrusive hash chains, cached hashes, MVCC dead
+// storage.Relation — one open-addressing hash table, MVCC dead
 // stamps); when it reaches the flush threshold its live rows are written
 // out as a run and the memtable starts fresh. Reads merge runs (flush
 // order) with the memtable, which reproduces the main-memory engine's
@@ -678,9 +678,9 @@ func (s *Store) nextRunSeq() uint64 {
 // the copy of t (whole-tuple hash h) visible at snapshot CSN csn among
 // runs and returns its run, slot and stored tuple, or a nil run. Per run
 // it consults the bloom filter first (a miss skips the run with no I/O at
-// all), then walks the hash chain — loading a reopened run's index on
-// first need — comparing one decoded row per live chain entry. At most
-// one visible copy exists, so the probe stops at the first. Bloom checks
+// all), then probes the run's hash table — loading a reopened run's index
+// on first need — comparing one decoded row per visible same-hash slot. At
+// most one visible copy exists, so the probe stops at the first. Bloom checks
 // are counted locally and published once. I/O and corruption errors panic
 // (see the package comment).
 func probeRuns(runs []*run, c *blockCache, st *storage.Stats, h uint64, t term.Tuple, csn uint64) (*run, int32, term.Tuple) {
@@ -698,18 +698,19 @@ func probeRuns(runs []*run, c *blockCache, st *storage.Stats, h uint64, t term.T
 		if err := rn.ensureIndex(st); err != nil {
 			panic(err)
 		}
-		for i := rn.buckets[h]; i != 0; i = rn.next[i-1] {
-			slot := i - 1
+		var u term.Tuple
+		slot := rn.tab.Find(h, func(slot int32) bool {
 			if d := rn.tombAt(slot); d != 0 && d <= csn {
-				continue
+				return false
 			}
-			u, err := rn.tupleAt(c, st, slot)
-			if err != nil {
+			var err error
+			if u, err = rn.tupleAt(c, st, slot); err != nil {
 				panic(err)
 			}
-			if u.Equal(t) {
-				return rn, slot, u
-			}
+			return u.Equal(t)
+		})
+		if slot >= 0 {
+			return rn, slot, u
 		}
 	}
 	return nil, 0, nil

@@ -8,8 +8,8 @@ import (
 )
 
 // TestLookupProbeAllocs pins the probe path at zero allocations per lookup:
-// both the whole-tuple chain walk (cached primary hashes) and a built
-// column-mask index answer probes without materializing keys or buckets.
+// both the whole-tuple hash-table probe and a built column-mask index
+// answer probes without materializing keys.
 func TestLookupProbeAllocs(t *testing.T) {
 	r := newRel(t, 2, IndexAdaptive)
 	for i := 0; i < 500; i++ {
@@ -44,9 +44,9 @@ func TestLookupProbeAllocs(t *testing.T) {
 }
 
 // TestInsertAllocsAmortized pins Insert at O(1) amortized allocations per
-// tuple: the intrusive hash chain adds no per-bucket slice, so steady-state
-// inserts only pay the amortized growth of the tuple/hash/next arrays and
-// the buckets map.
+// tuple: the open-addressing table adds no per-entry object, so
+// steady-state inserts only pay the amortized growth of the tuple and
+// dead-stamp arrays, the row chunks and the table.
 func TestInsertAllocsAmortized(t *testing.T) {
 	r := newRel(t, 2, IndexNever)
 	tuples := make([]term.Tuple, 4096)
@@ -58,7 +58,7 @@ func TestInsertAllocsAmortized(t *testing.T) {
 		r.Insert(tuples[next])
 		next++
 	})
-	// Amortized slice/map growth stays well under one allocation per
+	// Amortized slice/table growth stays well under one allocation per
 	// insert; the old map[uint64][]int buckets paid ≥ 1 every time.
 	if got > 0.5 {
 		t.Errorf("Insert: %.3f allocs/tuple amortized, want ≤ 0.5", got)
@@ -67,8 +67,8 @@ func TestInsertAllocsAmortized(t *testing.T) {
 
 // TestDeleteAllocs pins Delete at zero allocations on mem and layered
 // relations with a built index on a low-cardinality column: a deletion
-// only stamps its slot dead and unlinks it from the primary hash chain; no
-// index is edited.
+// only stamps its slot dead and removes it from the hash table; no index
+// is edited.
 func TestDeleteAllocs(t *testing.T) {
 	layered := NewLayeredStore(IndexAdaptive)
 	layered.log = make([]byte, 0, 1<<20) // the simulated WAL's growth is not Delete's

@@ -1,7 +1,8 @@
 // Package storage implements the Glue-Nail relational back end described in
 // §10 of the paper: a main-memory relation manager tailored to deductive
 // database workloads. Relations are duplicate-free sets of ground tuples
-// with hash-bucket storage, adaptive run-time index creation, early
+// in insertion-ordered chunked storage, found through one open-addressing
+// table (internal/hashtab), with adaptive run-time index creation, early
 // duplicate elimination (Insert reports whether a row was new — the
 // uniondiff compiled recursive NAIL! queries are built on), and disk
 // persistence for EDB relations between runs.
@@ -37,6 +38,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gluenail/internal/hashtab"
 	"gluenail/internal/term"
 )
 
@@ -305,7 +307,8 @@ type Rel interface {
 }
 
 // Relation is the tailored main-memory implementation of Rel. Tuples live
-// in an insertion-ordered slice; the hash buckets hold indices into it.
+// in an insertion-ordered slice; a hashtab.Table maps each live tuple's
+// hash to its index in it.
 // Scans, lookups, and index builds all walk insertion order, so every
 // enumeration is deterministic run to run — which keeps order-sensitive
 // downstream work (floating-point aggregation, golden output) reproducible
@@ -313,8 +316,8 @@ type Rel interface {
 //
 // Multi-version visibility: a deleted tuple is not removed from the slice
 // immediately — its slot is stamped with the commit sequence number (CSN)
-// of the deleting statement in the parallel dead slice and unlinked from
-// its hash chain. The live view (this type's own methods) reads at LiveCSN,
+// of the deleting statement in the parallel dead slice and removed from
+// the hash table. The live view (this type's own methods) reads at LiveCSN,
 // where any nonzero stamp is gone; a SnapRel captured at snapshot CSN S
 // still sees slots stamped dead at a CSN > S. Because snapshots capture
 // slice headers and every structural rewrite of a captured numbering
@@ -342,13 +345,6 @@ type Relation struct {
 	// concurrently with each other, hence atomic.
 	keepRows bool
 	lent     atomic.Bool
-	// hashes caches each tuple's whole-tuple hash, parallel to tuples:
-	// computed once at Insert and reused by compaction, chain probes, and
-	// anything else that would otherwise re-hash stored rows. A
-	// tombstone's slot keeps its stale hash; live paths never read it
-	// (tombstones are unlinked from their chain and skipped via the dead
-	// stamp). Only the single writer appends, like tuples itself.
-	hashes []uint64
 	// dead stamps each slot with the CSN at which it was deleted (0 =
 	// live), parallel to tuples. The single writer stores stamps with
 	// atomic writes and concurrent snapshot readers load them atomically.
@@ -358,15 +354,12 @@ type Relation struct {
 	// flight will commit as. A standalone relation (nil csn) stamps
 	// deadForever — correct for a relation that is never snapshotted.
 	csn *atomic.Uint64
-	// buckets chains tuples by whole-tuple hash without per-bucket slice
-	// allocations: buckets[h] holds slot+1 of the most recently inserted
-	// tuple hashing to h (0 = none), and next[i] holds the slot+1 of the
-	// previous same-hash tuple — an intrusive chain through the parallel
-	// next slice. Slots are int32 (a relation holds < 2^31 tuples).
-	buckets map[uint64]int32
-	next    []int32
-	n       int // live tuples
-	tombs   int // dead-stamped slots in tuples
+	// tab maps the whole-tuple hash of every live slot to the slot (a
+	// relation holds < 2^31 tuples); it allocates on first insert or Grow.
+	// Snapshots never read it, so the writer edits it in place.
+	tab   hashtab.Table
+	n     int // live tuples
+	tombs int // dead-stamped slots in tuples
 	// lastStamp is the most recent dead stamp and stamped the number of
 	// slots carrying it. Stamps never decrease, so at capture CSN S the
 	// slots stamped above S are exactly these (when lastStamp > S): the
@@ -392,11 +385,12 @@ type Relation struct {
 	// journal, when non-nil, observes successful mutations (WAL capture);
 	// set through Store.SetJournal while no mutation is in flight.
 	journal Journal
-	// cols holds per-column distinct digests; DistinctEst first folds the
-	// live slots from folded on. foldGen counts the changes a snapshot's
-	// captured arrays may not show — a renumbering (compact, Clear), or a
-	// deletion of a slot not yet folded — so a snapshot folds from them
-	// only while foldGen is the one it captured. statsMu guards all three
+	// cols holds per-column distinct digests, made by the first estimate;
+	// DistinctEst first folds the live slots from folded on. foldGen
+	// counts the changes a snapshot's captured arrays may not show — a
+	// renumbering (compact, Clear), or a deletion of a slot not yet folded
+	// — so a snapshot folds from them only while foldGen is the one it
+	// captured. statsMu guards all three
 	// and each deletion's stamp: snapshots estimate beside the writer.
 	cols    []colStats
 	folded  int
@@ -409,14 +403,7 @@ func NewRelation(name term.Value, arity int, policy IndexPolicy, stats *Stats) *
 	if stats == nil {
 		stats = &Stats{}
 	}
-	return &Relation{
-		name:    name,
-		arity:   arity,
-		buckets: make(map[uint64]int32),
-		policy:  policy,
-		stats:   stats,
-		cols:    make([]colStats, arity),
-	}
+	return &Relation{name: name, arity: arity, policy: policy, stats: stats}
 }
 
 // Name implements Rel.
@@ -440,11 +427,14 @@ func (r *Relation) DistinctEst(col int) int {
 // the digest, if gen is still the relation's fold generation, then
 // estimates column col.
 func (r *Relation) distinctEst(col int, gen uint64, rows []term.Tuple, dead []uint64) int {
-	if col < 0 || col >= len(r.cols) {
+	if col < 0 || col >= r.arity {
 		return 0
 	}
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
+	if r.cols == nil {
+		r.cols = make([]colStats, r.arity)
+	}
 	if gen == r.foldGen {
 		for i := r.folded; i < len(rows); i++ {
 			if atomic.LoadUint64(&dead[i]) == 0 {
@@ -482,17 +472,11 @@ func (r *Relation) Insert(t term.Tuple) bool {
 // new row (nil for a duplicate): an engine composed over the relation
 // journals that copy, never its caller's reusable tuple.
 func (r *Relation) InsertStored(t term.Tuple) (term.Tuple, bool) {
-	h := t.Hash()
-	for i := r.buckets[h]; i != 0; i = r.next[i-1] {
-		if r.tuples[i-1].Equal(t) {
-			return nil, false
-		}
+	if _, dup := r.tab.FindOrAdd(t.Hash(), int32(len(r.tuples)), r.equalTo(t)); dup {
+		return nil, false
 	}
 	t = r.copyRow(t)
-	r.next = append(r.next, r.buckets[h])
-	r.buckets[h] = int32(len(r.tuples)) + 1
 	r.tuples = append(r.tuples, t)
-	r.hashes = append(r.hashes, h)
 	r.dead = append(r.dead, 0)
 	r.n++
 	r.version++
@@ -540,9 +524,8 @@ func (r *Relation) addChunk(n int) {
 }
 
 // Grow implements Rel: after it, n more rows of the relation's arity fit
-// its row storage and slot arrays without another allocation (the hash
-// map still grows as it must). Row storage gets one chunk of exactly the
-// missing room.
+// its row storage, slot arrays and hash table without another allocation.
+// Row storage gets one chunk of exactly the missing room.
 func (r *Relation) Grow(n int) {
 	if n <= 0 {
 		return
@@ -561,9 +544,8 @@ func (r *Relation) Grow(n int) {
 		}
 	}
 	r.tuples = slices.Grow(r.tuples, n)
-	r.hashes = slices.Grow(r.hashes, n)
 	r.dead = slices.Grow(r.dead, n)
-	r.next = slices.Grow(r.next, n)
+	r.tab.Grow(n)
 }
 
 // Delete implements Rel. The tuple's slot is stamped dead at the current
@@ -579,65 +561,57 @@ func (r *Relation) Delete(t term.Tuple) bool {
 // DeleteStored is Delete that also returns the stored tuple it removed,
 // for an engine composed over the relation to journal.
 func (r *Relation) DeleteStored(t term.Tuple) (term.Tuple, bool) {
-	h := t.Hash()
-	prev := int32(0)
-	for i := r.buckets[h]; i != 0; prev, i = i, r.next[i-1] {
-		u := r.tuples[i-1]
-		if !u.Equal(t) {
-			continue
-		}
-		// Stamp, don't null: snapshots captured before this statement's
-		// commit CSN still read the slot. Atomic because they may be
-		// loading the stamp right now.
-		stamp := r.deadStamp()
-		r.statsMu.Lock()
-		atomic.StoreUint64(&r.dead[i-1], stamp)
-		if int(i) <= r.folded {
-			for c := range r.cols {
-				r.cols[c].remove(u[c].Hash())
-			}
-		} else {
-			r.foldGen++
-		}
-		r.statsMu.Unlock()
-		if stamp != r.lastStamp {
-			r.lastStamp, r.stamped = stamp, 0
-		}
-		r.stamped++
-		r.tombs++
-		// Unlink the slot from its hash chain.
-		if prev == 0 {
-			if r.next[i-1] == 0 {
-				delete(r.buckets, h)
-			} else {
-				r.buckets[h] = r.next[i-1]
-			}
-		} else {
-			r.next[prev-1] = r.next[i-1]
-		}
-		r.n--
-		r.version++
-		atomic.AddInt64(&r.stats.Deletes, 1)
-		if r.tombs > r.n && r.tombs > 32 {
-			r.compact()
-		}
-		if r.journal != nil {
-			r.journal.JournalDelete(r.name, r.arity, u)
-		}
-		return u, true
+	i := r.tab.Delete(t.Hash(), r.equalTo(t))
+	if i < 0 {
+		return nil, false
 	}
-	return nil, false
+	u := r.tuples[i]
+	// Stamp, don't null: snapshots captured before this statement's
+	// commit CSN still read the slot. Atomic because they may be loading
+	// the stamp right now.
+	stamp := r.deadStamp()
+	r.statsMu.Lock()
+	atomic.StoreUint64(&r.dead[i], stamp)
+	if int(i) < r.folded {
+		for c := range r.cols {
+			r.cols[c].remove(u[c].Hash())
+		}
+	} else {
+		r.foldGen++
+	}
+	r.statsMu.Unlock()
+	if stamp != r.lastStamp {
+		r.lastStamp, r.stamped = stamp, 0
+	}
+	r.stamped++
+	r.tombs++
+	r.n--
+	r.version++
+	atomic.AddInt64(&r.stats.Deletes, 1)
+	if r.tombs > r.n && r.tombs > 32 {
+		r.compact()
+	}
+	if r.journal != nil {
+		r.journal.JournalDelete(r.name, r.arity, u)
+	}
+	return u, true
 }
 
-// compact rewrites the tuple slice without tombstones and rebuilds the
-// buckets; survivor order is unchanged. Runs only from a writer. Every
-// slice is rebuilt from scratch — snapshots holding the old backing
-// arrays keep reading them until the garbage collector reclaims the
-// memory once the last snapshot closes. The survivors' values move to one
-// exact chunk, so the dead rows' storage goes with the old chunks; tuples
-// handed out before stay valid in those. Survivors get new slot numbers,
-// so the index holder starts over with the new numbering; the fold cursor
-// moves to the number of survivors it had passed, which keep their order.
+// equalTo returns the table predicate matching the slot that holds t.
+func (r *Relation) equalTo(t term.Tuple) func(int32) bool {
+	return func(i int32) bool { return r.tuples[i].Equal(t) }
+}
+
+// compact rewrites the tuple slice without tombstones and refills the
+// hash table in place; survivor order is unchanged. Runs only from a
+// writer. Every slice is rebuilt from scratch — snapshots holding the old
+// backing arrays keep reading them until the garbage collector reclaims
+// the memory once the last snapshot closes. The survivors' values move to
+// one exact chunk, so the dead rows' storage goes with the old chunks;
+// tuples handed out before stay valid in those. Survivors get new slot
+// numbers, so the index holder starts over with the new numbering; the
+// fold cursor moves to the number of survivors it had passed, which keep
+// their order.
 func (r *Relation) compact() {
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
@@ -651,10 +625,8 @@ func (r *Relation) compact() {
 	chunk := make([]term.Value, width)
 	r.chunks, r.ci, r.off, r.held = [][]term.Value{chunk}, 0, width, width
 	live := make([]term.Tuple, 0, r.n)
-	liveHashes := make([]uint64, 0, r.n)
 	liveDead := make([]uint64, 0, r.n)
-	next := make([]int32, 0, r.n)
-	buckets := make(map[uint64]int32, r.n)
+	r.tab.Clear()
 	for i, t := range r.tuples {
 		if r.dead[i] != 0 {
 			continue
@@ -662,21 +634,15 @@ func (r *Relation) compact() {
 		if i < r.folded {
 			folded++
 		}
-		h := r.hashes[i] // cached at Insert; no re-hashing on compaction
-		next = append(next, buckets[h])
-		buckets[h] = int32(len(live)) + 1
+		r.tab.Add(t.Hash(), int32(len(live)))
 		u := chunk[:len(t):len(t)]
 		copy(u, t)
 		chunk = chunk[len(t):]
 		live = append(live, u)
-		liveHashes = append(liveHashes, h)
 		liveDead = append(liveDead, 0)
 	}
 	r.tuples = live
-	r.hashes = liveHashes
 	r.dead = liveDead
-	r.next = next
-	r.buckets = buckets
 	r.tombs = 0
 	r.stamped = 0
 	r.idx.Store(nil)
@@ -687,12 +653,7 @@ func (r *Relation) compact() {
 
 // Contains implements Rel.
 func (r *Relation) Contains(t term.Tuple) bool {
-	for i := r.buckets[t.Hash()]; i != 0; i = r.next[i-1] {
-		if r.tuples[i-1].Equal(t) {
-			return true
-		}
-	}
-	return false
+	return r.tab.Find(t.Hash(), r.equalTo(t)) >= 0
 }
 
 // Clear implements Rel, reusing the relation's storage where that is safe,
@@ -700,13 +661,14 @@ func (r *Relation) Contains(t term.Tuple) bool {
 // every iteration.
 //
 // While no snapshot captured the current slot numbering (captured is
-// false), nothing outside the relation holds tuples/hashes/dead/next or the
+// false), nothing outside the relation holds tuples/dead or the
 // index holder, so the arrays are truncated in place and the holder is
 // reset in place. Otherwise both are dropped, not zeroed: the snapshots
 // keep their headers and holder and stay whole, and the next numbering
 // starts on fresh ones. Arrays the last fill used less than a quarter of
 // are dropped too (with the holder), so a relation that shrank for good
-// does not keep clearing its peak-sized hash map.
+// does not keep clearing its peak-sized hash table. (Snapshots never read
+// the table; it follows the arrays only to shed the peak size.)
 //
 // The row chunks are rewritten by the refill, so they are kept only when
 // in addition no one else can hold a stored tuple: no journal (the WAL
@@ -720,10 +682,8 @@ func (r *Relation) Clear() {
 	if !r.captured.Load() && 4*len(r.tuples) >= cap(r.tuples) {
 		clear(r.tuples) // let the GC have the old tuples; keep the capacity
 		r.tuples = r.tuples[:0]
-		r.hashes = r.hashes[:0]
 		r.dead = r.dead[:0]
-		r.next = r.next[:0]
-		clear(r.buckets)
+		r.tab.Clear()
 		if r.journal != nil || r.keepRows || r.lent.Load() {
 			r.chunks, r.held = nil, 0
 		}
@@ -731,8 +691,8 @@ func (r *Relation) Clear() {
 			h.reset()
 		}
 	} else {
-		r.tuples, r.hashes, r.dead, r.next = nil, nil, nil, nil
-		r.buckets = make(map[uint64]int32)
+		r.tuples, r.dead = nil, nil
+		r.tab = hashtab.Table{}
 		r.chunks, r.held = nil, 0
 		r.idx.Store(nil)
 		r.captured.Store(false)
@@ -760,8 +720,7 @@ func (r *Relation) Scan(yield func(term.Tuple) bool) {
 	scanSlots(r.tuples, r.dead, LiveCSN, r.stats, yield)
 }
 
-// Lookup implements Rel. A whole-tuple lookup walks the primary hash
-// chain; a partial one is the shared slot lookup at the live CSN over the
+// Lookup implements Rel. A whole-tuple lookup probes the hash table; a partial one is the shared slot lookup at the live CSN over the
 // current numbering's index holder, which answers from an index, builds
 // one, or scans while accruing credit toward one, as the policy says.
 func (r *Relation) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
@@ -771,11 +730,8 @@ func (r *Relation) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bo
 	}
 	if mask == fullColsMask(r.arity) {
 		atomic.AddInt64(&r.stats.RowsProbed, 1)
-		for i := r.buckets[key.Hash()]; i != 0; i = r.next[i-1] {
-			if u := r.tuples[i-1]; u.Equal(key) {
-				yield(u)
-				return
-			}
+		if i := r.tab.Find(key.Hash(), r.equalTo(key)); i >= 0 {
+			yield(r.tuples[i])
 		}
 		return
 	}

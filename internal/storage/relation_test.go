@@ -307,6 +307,65 @@ func TestCompactRepointsIndexes(t *testing.T) {
 	}
 }
 
+// TestTableSurvivesDeleteReinsertCompactClear walks one relation's hash
+// table through every edit it takes — a delete, the row's re-insert, a
+// compaction and an in-place Clear — and checks after each step that
+// Contains and a full-mask Lookup see exactly the live rows.
+func TestTableSurvivesDeleteReinsertCompactClear(t *testing.T) {
+	r := newRel(t, 2, IndexNever)
+	live := map[int64]bool{}
+	check := func(step string) {
+		t.Helper()
+		for i := int64(0); i < 100; i++ {
+			row := it(i, -i)
+			hits := 0
+			r.Lookup(0b11, row, func(u term.Tuple) bool {
+				if !u.Equal(row) {
+					t.Fatalf("%s: Lookup %v yielded %v", step, row, u)
+				}
+				hits++
+				return true
+			})
+			if got := r.Contains(row); got != live[i] || hits != map[bool]int{true: 1}[live[i]] {
+				t.Fatalf("%s: row %d: Contains %v, Lookup %d hits; want live=%v", step, i, got, hits, live[i])
+			}
+		}
+		if r.Len() != len(live) {
+			t.Fatalf("%s: Len %d, want %d", step, r.Len(), len(live))
+		}
+	}
+	for i := int64(0); i < 80; i++ {
+		r.Insert(it(i, -i))
+		live[i] = true
+	}
+	check("fill")
+	r.Delete(it(5, -5))
+	delete(live, 5)
+	check("delete")
+	r.Insert(it(5, -5))
+	live[5] = true
+	check("re-insert")
+	for i := int64(10); i < 60; i++ {
+		r.Delete(it(i, -i))
+		delete(live, i)
+	}
+	if len(r.tuples) == 81 {
+		t.Fatal("the deletes did not compact")
+	}
+	check("compact")
+	r.Insert(it(30, -30))
+	live[30] = true
+	check("insert after compact")
+	r.Clear()
+	clear(live)
+	check("clear")
+	for i := int64(40); i < 100; i++ {
+		r.Insert(it(i, -i))
+		live[i] = true
+	}
+	check("refill")
+}
+
 // TestInsertReportsNewRows: Insert's result is §10's uniondiff — the rows
 // it reports new are exactly the batch minus the relation and minus the
 // batch's own repeats.

@@ -232,8 +232,8 @@ func (r Frozen) Grow(int) { panic(r.refuse("Grow")) }
 // ModifyByKey implements Rel by panicking.
 func (r Frozen) ModifyByKey(uint32, []term.Tuple) { panic(r.refuse("ModifyByKey")) }
 
-// Contains implements Rel as a whole-tuple Lookup (the live hash chains
-// are writer-owned and unversioned).
+// Contains implements Rel as a whole-tuple Lookup (the live hash table is
+// writer-owned and unversioned).
 func (r *SnapRel) Contains(t term.Tuple) bool {
 	found := false
 	r.Lookup(fullColsMask(r.arity), t, func(term.Tuple) bool { found = true; return false })

@@ -209,9 +209,9 @@ func TestSnapshotDistinctEstAfterLaterDelete(t *testing.T) {
 }
 
 // TestInsertStatsAllocs pins what filling a Grow-sized relation allocates
-// for statistics: nothing. With its row storage and slot arrays grown and
-// its hash map sized, inserting thousands of distinct values allocates no
-// object at all — the digest is folded only when the planner asks.
+// for statistics: nothing. Grow sizes its row storage, slot arrays and hash
+// table, so inserting thousands of distinct values allocates no object at
+// all — the digest is folded only when the planner asks.
 func TestInsertStatsAllocs(t *testing.T) {
 	const n = 2048
 	rows := make([]term.Tuple, n)
@@ -220,7 +220,6 @@ func TestInsertStatsAllocs(t *testing.T) {
 	}
 	rel := NewRelation(term.NewString("g"), 2, IndexNever, nil)
 	rel.Grow(n)
-	rel.buckets = make(map[uint64]int32, n)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -233,5 +232,24 @@ func TestInsertStatsAllocs(t *testing.T) {
 	}
 	if rel.Len() != n {
 		t.Fatalf("relation holds %d rows, want %d", rel.Len(), n)
+	}
+}
+
+// relSink keeps TestNewRelationAllocs' relations on the heap.
+var relSink *Relation
+
+// TestNewRelationAllocs pins what creating a relation costs: one object,
+// the Relation itself. Its hash table and column digests wait for the
+// first insert (or Grow) and the first estimate, so a frame temporary that
+// stays empty, or is only scanned, pays for neither. (It was three: a hash
+// map and the digests were made up front.)
+func TestNewRelationAllocs(t *testing.T) {
+	stats := &Stats{}
+	name := term.NewString("tmp")
+	allocs := testing.AllocsPerRun(100, func() {
+		relSink = NewRelation(name, 3, IndexAdaptive, stats)
+	})
+	if allocs != 1 {
+		t.Errorf("NewRelation allocates %.0f objects, want 1", allocs)
 	}
 }

@@ -98,7 +98,7 @@ func (f *frame) groups(b *batchState, regs []int, gid []int32) []int32 {
 	eq := func(g int32) bool { return equalCols(cols, reps[g], cur) }
 	for k := 0; k < n; k++ {
 		cur = b.row(k)
-		g, found := t.findOrAdd(hashCols(cols, cur), int32(len(reps)), eq)
+		g, found := t.FindOrAdd(hashCols(cols, cur), int32(len(reps)), eq)
 		if !found {
 			reps = append(reps, cur)
 		}

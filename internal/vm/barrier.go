@@ -89,7 +89,9 @@ func (f *frame) applyCall(b *batchState, op *plan.Call) error {
 	rf := b.filler(patRegs(b.scr.regs[:0], op.BoundArgs))
 	// Each row's input tuple is built at the end of one slab and kept
 	// there only if it is new; rowIn maps a row to its input's number.
-	var slab []term.Value
+	// The slab holds every row's input at most, so it never grows.
+	slab := b.scr.grabValsCap(b.active() * nb)
+	defer func() { b.scr.putVals(slab) }()
 	var key term.Tuple
 	input := func(d int32) term.Tuple { return slab[int(d)*nb : int(d+1)*nb : int(d+1)*nb] }
 	eq := func(d int32) bool { return input(d).Equal(key) }
@@ -110,7 +112,7 @@ func (f *frame) applyCall(b *batchState, op *plan.Call) error {
 			slab = append(slab, v)
 		}
 		key = slab[base:]
-		d, found := t.findOrAdd(key.Hash(), nIn, eq)
+		d, found := t.FindOrAdd(key.Hash(), nIn, eq)
 		if found {
 			slab = slab[:base]
 		} else {
@@ -118,7 +120,8 @@ func (f *frame) applyCall(b *batchState, op *plan.Call) error {
 		}
 		rowIn[i] = d
 	}
-	in := make([]term.Tuple, nIn)
+	in := slices.Grow(b.scr.ins[:0], int(nIn))[:nIn]
+	b.scr.ins = in
 	for d := range in {
 		in[d] = input(int32(d))
 	}
@@ -142,7 +145,7 @@ func (f *frame) applyCall(b *batchState, op *plan.Call) error {
 				return fmt.Errorf("call result arity %d, want %d", len(r), want)
 			}
 			next[j], key = -1, r[:nb]
-			d := t.find(key.Hash(), eq)
+			d := t.Find(key.Hash(), eq)
 			switch {
 			case d < 0:
 				continue

@@ -70,6 +70,8 @@ type batchScratch struct {
 	// a method value bound once, like probe's.
 	rows      []term.Tuple
 	keepRowFn func(term.Tuple) bool
+	// ins lists a call barrier's distinct inputs, rows of its slab.
+	ins []term.Tuple
 }
 
 var batchScratchPool = sync.Pool{New: func() any {
@@ -112,6 +114,7 @@ func (s *batchScratch) put() {
 	clear(s.rels)
 	clear(s.rows)
 	s.rows = s.rows[:0]
+	clear(s.ins[:cap(s.ins)])
 	s.probe.f = nil
 	batchScratchPool.Put(s)
 }

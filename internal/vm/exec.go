@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"gluenail/internal/ast"
+	"gluenail/internal/hashtab"
 	"gluenail/internal/plan"
 	"gluenail/internal/storage"
 	"gluenail/internal/term"
@@ -300,7 +301,7 @@ func (m *Machine) applyHeadRow(st *plan.Stmt, rel storage.Rel, tup term.Tuple) {
 
 // applyHead applies the statement's assignment operator to the target
 // relation(s), reading the live registers of the batch's rows. The
-// target's hash chain dedups the head: a repeated insert or delete changes
+// target's hash table dedups the head: a repeated insert or delete changes
 // nothing, but a repeated "+=[key]" row would re-insert itself, so that
 // head dedups its rows first. A static head resolves its target up front:
 // ":=" clears it even for an empty body, and grows it by the rows reaching
@@ -333,7 +334,7 @@ func (f *frame) applyHead(st *plan.Stmt, last *plan.PhysStep, b *batchState) err
 		}
 		targets = append(targets, target{rel: rel})
 	}
-	var names *hashTable
+	var names *hashtab.Table
 	if !static {
 		names = f.grabTable(n)
 		defer f.releaseTable(names)
@@ -348,7 +349,7 @@ func (f *frame) applyHead(st *plan.Stmt, last *plan.PhysStep, b *batchState) err
 			if name, err = st.Head.Ref.Name.Build(row); err != nil {
 				return err
 			}
-			gi, found = names.findOrAdd(name.Hash(), int32(len(targets)), sameName)
+			gi, found = names.FindOrAdd(name.Hash(), int32(len(targets)), sameName)
 		}
 		if !found {
 			rel, err := f.resolveWrite(st.Head.Ref, row)

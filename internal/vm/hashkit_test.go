@@ -5,26 +5,28 @@ import (
 	"math/rand"
 	"testing"
 
+	"gluenail/internal/hashtab"
 	"gluenail/internal/term"
 )
 
-// TestHashTableForcedCollisions drives findOrAdd with entries that all
-// share one 64-bit hash: the table must fall back to the caller's equality
-// predicate and keep every distinct entry while still finding duplicates.
+// TestHashTableForcedCollisions drives hashtab.Table.FindOrAdd, as the
+// kernels here use it, with entries that all share one 64-bit hash: the
+// table must fall back to the caller's equality predicate and keep every
+// distinct entry while still finding duplicates.
 // This is the collision path every hash-first kernel (dedup, grouping,
 // call-barrier prefix index, head grouping) relies on; real 64-bit row
 // hashes collide too rarely to exercise it end to end.
 func TestHashTableForcedCollisions(t *testing.T) {
 	const h = uint64(0xdeadbeefcafef00d)
 	entries := make([]int, 0, 100)
-	var tbl hashTable
-	tbl.reset(4) // force several grows under collision chains
+	var tbl hashtab.Table
+	tbl.Grow(4) // force several grows under collision chains
 	cand := -1
 	eq := func(r int32) bool { return entries[r] == cand }
 	for round := 0; round < 2; round++ {
 		for v := 0; v < 100; v++ {
 			cand = v
-			ref, found := tbl.findOrAdd(h, int32(len(entries)), eq)
+			ref, found := tbl.FindOrAdd(h, int32(len(entries)), eq)
 			if round == 0 {
 				if found {
 					t.Fatalf("round 0: entry %d reported as duplicate", v)
@@ -46,7 +48,7 @@ func TestHashTableForcedCollisions(t *testing.T) {
 }
 
 // TestHashTableMixedHashes checks the same invariants when hashes mostly
-// differ but the table is small enough that linear-probe chains interleave
+// differ but the table is small enough that linear-probe runs interleave
 // slots of different hashes: eq must only ever see same-hash candidates.
 func TestHashTableMixedHashes(t *testing.T) {
 	type entry struct {
@@ -54,8 +56,8 @@ func TestHashTableMixedHashes(t *testing.T) {
 		v int
 	}
 	var entries []entry
-	var tbl hashTable
-	tbl.reset(2)
+	var tbl hashtab.Table
+	tbl.Grow(2)
 	var cand entry
 	eq := func(r int32) bool {
 		if entries[r].h != cand.h {
@@ -68,7 +70,7 @@ func TestHashTableMixedHashes(t *testing.T) {
 		// Only 8 distinct hashes over 40 distinct values: plenty of both
 		// genuine duplicates and hash-only collisions.
 		cand = entry{h: uint64(rng.Intn(8)) * 0x9e3779b97f4a7c15, v: rng.Intn(40)}
-		ref, found := tbl.findOrAdd(cand.h, int32(len(entries)), eq)
+		ref, found := tbl.FindOrAdd(cand.h, int32(len(entries)), eq)
 		if found {
 			if entries[ref] != cand {
 				t.Fatalf("lookup of %v returned %v", cand, entries[ref])

@@ -21,6 +21,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"gluenail/internal/hashtab"
 	"gluenail/internal/plan"
 	"gluenail/internal/storage"
 	"gluenail/internal/term"
@@ -372,10 +373,10 @@ type frame struct {
 	// unchanged holds per-site version memory for the unchanged builtin.
 	unchanged map[int]uint64
 	returned  bool
-	// scratch pools open-addressing hash tables (hashkit.go) across the
-	// statements — and repeat-loop iterations — this frame executes;
-	// statements run sequentially per frame, so no locking.
-	scratch []*hashTable
+	// scratch pools hash tables (hashkit.go) across the statements — and
+	// repeat-loop iterations — this frame executes; statements run
+	// sequentially per frame, so no locking.
+	scratch []*hashtab.Table
 }
 
 // drop drops the frame's relations from the temp store, youngest first

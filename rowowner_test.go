@@ -236,13 +236,14 @@ func TestRecursionRoundAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector makes sync.Pool drop entries, so pooled scratch re-allocates")
 	}
-	// measured 716 (Go 1.24, linux/amd64), plus 25%; 751 while call
-	// barriers joined their results into row slabs, 678 while a
+	// measured 458 (Go 1.24, linux/amd64), plus 25%; 667 while each
+	// relation chained its rows through a hash map and a next slice and
+	// cached every row's hash, 751 while call barriers joined their results into row slabs, 678 while a
 	// projecting ":=" was sized by its rows, repeats included, 756 while
 	// the head read a flattened row slab, 891 while every relation lookup
 	// built a key string, 1807 while a plan cache miss re-planned each
 	// class vector a loop passed through
-	const maxAllocs = 895
+	const maxAllocs = 573
 	_, round := recursionRound(t)
 	round() // warm the plan cache and indexes
 	allocs := testing.AllocsPerRun(5, round)
@@ -418,10 +419,11 @@ func assignBytes(t *testing.T, rel, src string, n int, row func(int) []any) uint
 // call) is most of the bytes; the barrier joins the results back as
 // pooled columns of the statement's batch. Joined into a row slab, with
 // its results grouped into growing slices, it allocated 4 057 216 bytes
-// and fails the gate. Measured: 2 850 168 bytes at n = 4096, bound
-// measured plus 25% (Go 1.24, linux/amd64).
+// and fails the gate. Measured: 2 225 176 bytes at n = 4096, bound
+// measured plus 25% (Go 1.24, linux/amd64); 2 750 192 while the return
+// relation chained its rows through a hash map and a next slice.
 func TestCallBarrierBytes(t *testing.T) {
-	const n, bound = 4096, 3_562_710
+	const n, bound = 4096, 2_781_470
 	least := assignBytes(t, "e", `
 edb e(X, Y), d(X, Y);
 tc(X, Y) :- e(X, Y).

@@ -62,9 +62,14 @@ if [ "$elapsed" -gt 4 ]; then
 	exit 1
 fi
 
-step "Plan cache unit suite (cardinality-class intervals, drift, prepared statements, plans shared across machines; race) + repeat-iteration, recursion-round (allocations and zero warm misses), fresh-snapshot, parse, compile, call, insert-statistics, delete and relation-catalog allocation gates, and the head-copy, fan-out and call-barrier byte gates"
+step "Plan cache unit suite (cardinality-class intervals, drift, prepared statements, plans shared across machines; race) + repeat-iteration, recursion-round (allocations and zero warm misses), fresh-snapshot, parse, compile, call, insert-statistics, new-relation, delete, relation-catalog and hash-table allocation gates, and the head-copy, fan-out and call-barrier byte gates"
 go test -race -count=1 -run 'TestPlanCache|TestPrepared|TestExplainAnalyzePlanCacheCounters' ./internal/plan/ ./internal/vm/ .
-go test -count=1 -run 'TestRepeatIterationAllocs|TestClearReusesArraysWithoutSnapshot|TestParseAllocs|TestCompileAllocs|TestRecursionRoundAllocs|TestRecursionRoundNoPlanMisses|TestSnapshotExecuteAllocs|TestInsertStatsAllocs|TestDeleteAllocs|TestLookupProbeAllocs|TestBackendSeamAllocs|TestColdProbeAllocs|TestAssignCopyBytes|TestAssignFanOutBytes|TestCallBarrierBytes|TestCallAllocs' ./internal/storage/ ./internal/storage/disk/ ./internal/parser/ ./internal/vm/ .
+go test -count=1 -run 'TestRepeatIterationAllocs|TestClearReusesArraysWithoutSnapshot|TestParseAllocs|TestCompileAllocs|TestRecursionRoundAllocs|TestRecursionRoundNoPlanMisses|TestSnapshotExecuteAllocs|TestInsertStatsAllocs|TestDeleteAllocs|TestLookupProbeAllocs|TestBackendSeamAllocs|TestColdProbeAllocs|TestAssignCopyBytes|TestAssignFanOutBytes|TestCallBarrierBytes|TestCallAllocs|TestNewRelationAllocs' ./internal/storage/ ./internal/storage/disk/ ./internal/parser/ ./internal/vm/ .
+go test -count=1 ./internal/hashtab/
+
+step "Hash table suite (differential test against a Go map; the storage concurrency and snapshot suites over the shared table; race)"
+go test -race -count=1 -run 'TestTableMatchesMap' ./internal/hashtab/
+go test -race -count=1 -run 'Concurrent|Snapshot' ./internal/storage/...
 
 step "Head-path suite (heads read the live batch: self-reference, +=[key], HiLog and -= with repeated rows, empty :=; same stored order and log bytes on mem and disk; race)"
 go test -race -count=1 -run '^TestHead' .
