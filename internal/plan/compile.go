@@ -283,6 +283,7 @@ func (c *Compiler) compileProc(module string, proc *ast.Proc, id string) (string
 		c.prog.mu.Unlock()
 		return "", err
 	}
+	markMoves(body, body)
 	p.Body = body
 	return id, nil
 }

@@ -136,7 +136,20 @@ type Stmt struct {
 	// HasAgg reports whether any step aggregates; used by executors to
 	// decide whether duplicate elimination is legal anywhere.
 	HasAgg bool
-	slot   PlanSlot
+	// Move, set by the def-use pass (moves.go), runs the statement as a
+	// handover of its source's storage to the target.
+	Move *Move
+	slot PlanSlot
+}
+
+// Move is a ":=" onto a frame relation that only copies one source in the
+// head's order: a frame relation dead afterwards (Src), or the results of
+// a call with no bound arguments (Call; Src is -1). In reports that the
+// body also matches the 0-arity in(), so rows move only when in is full.
+type Move struct {
+	Src  int
+	Call *Call
+	In   bool
 }
 
 // HeadSpec describes the assignment target and the tuples built per row.

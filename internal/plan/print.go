@@ -60,6 +60,9 @@ func writeInstrs(sb *strings.Builder, instrs []Instr, depth int, steps stepsWrit
 			if st.HasAgg {
 				sb.WriteString(", aggregates")
 			}
+			if st.Move != nil {
+				sb.WriteString(", move")
+			}
 			sb.WriteString(")\n")
 			steps(sb, st.Steps, st, depth+1)
 		case *Loop:

@@ -53,12 +53,15 @@ func (f *frame) applyBarrier(b *batchState, op plan.BarrierOp, groupRegs *[]int)
 		if err != nil {
 			return err
 		}
-		var cur uint64
+		var cur seenRel
 		if rel != nil {
-			cur = rel.Version()
+			cur.version = rel.Version()
+		}
+		if op.Rel.Space == plan.SpaceLocal {
+			cur.rel = rel
 		}
 		if f.unchanged == nil {
-			f.unchanged = map[int]uint64{}
+			f.unchanged = map[int]seenRel{}
 		}
 		prev, seen := f.unchanged[op.Site]
 		f.unchanged[op.Site] = cur
@@ -77,6 +80,14 @@ func (f *frame) applyBarrier(b *batchState, op plan.BarrierOp, groupRegs *[]int)
 		return nil
 	}
 	return fmt.Errorf("vm: unknown barrier %T", op)
+}
+
+// seenRel is what an unchanged site saw: a frame relation, which a move
+// can replace, and its version. A stored relation never moves, and a
+// store may wrap it anew per lookup (layered), so it keeps a version only.
+type seenRel struct {
+	rel     storage.Rel
+	version uint64
 }
 
 // applyCall runs a procedure or builtin once on the distinct bindings of
@@ -189,8 +200,8 @@ func (f *frame) applyCall(b *batchState, op *plan.Call) error {
 	}
 	// The callee's return rows are joined in place, before its frame
 	// drops them.
-	return f.m.call(op.ProcID, in, func(ret storage.Rel) error {
-		return join(b.scr.returnRows(ret))
+	return f.m.call(op.ProcID, in, func(ret *storage.Rel) error {
+		return join(b.scr.returnRows(*ret))
 	})
 }
 
@@ -232,9 +243,9 @@ func (f *frame) applyDynCall(b *batchState, op *plan.DynCall) error {
 		res, ok := famVals[fam.ProcID]
 		if !ok {
 			// The family's rows outlive its frame: copy them out.
-			err := f.m.call(fam.ProcID, []term.Tuple{{}}, func(ret storage.Rel) error {
-				res = make([]term.Value, 0, ret.Len()*w)
-				for _, r := range b.scr.returnRows(ret) {
+			err := f.m.call(fam.ProcID, unitIn, func(ret *storage.Rel) error {
+				res = make([]term.Value, 0, (*ret).Len()*w)
+				for _, r := range b.scr.returnRows(*ret) {
 					res = append(res, r...)
 				}
 				return nil

@@ -20,6 +20,13 @@ func (f *frame) execStmt(st *plan.Stmt) error {
 	// statement is exactly the right label to keep.
 	prevProc, prevStmt := f.m.curProc, f.m.curStmt
 	f.m.curProc, f.m.curStmt = f.proc.ID, st.Label
+	if mv := st.Move; mv != nil && (!mv.In || f.rels[plan.SlotIn].Len() != 0) {
+		if err := f.move(st, mv); err != nil {
+			return fmt.Errorf("statement %q: %w", st.Label, err)
+		}
+		f.m.curProc, f.m.curStmt = prevProc, prevStmt
+		return nil
+	}
 	// Plan or reuse: planning is O(ops²) over live statistics, so repeat
 	// iterations adapt their op order as semi-naive deltas shrink and
 	// observed selectivities feed the cost model — but the prepared-plan
@@ -42,6 +49,45 @@ func (f *frame) execStmt(st *plan.Stmt) error {
 	}
 	f.m.curProc, f.m.curStmt = prevProc, prevStmt
 	return nil
+}
+
+// unitIn is the input of a call with no bound arguments: one empty tuple.
+// Callees copy their inputs, so every such call shares it.
+var unitIn = []term.Tuple{{}}
+
+// move runs a statement the def-use pass marked as a move (plan.Move): the
+// target's slot takes the source relation, a dead frame relation or the
+// forwarded call's return, and the source's slot takes the target's old
+// relation (a callee's frame drops it). Relations scan in insertion order,
+// so the target reads exactly as the copy would. An empty source only
+// clears the target, as the ":=" would; a swap happens only where the copy
+// would have changed both slots' versions before their next read, so the
+// unchanged memory of the swapped relations is forgotten.
+func (f *frame) move(st *plan.Stmt, mv *plan.Move) error {
+	atomic.AddInt64(&f.m.Stats.Moves, 1)
+	t := st.Head.Ref.Slot
+	take := func(src *storage.Rel) error {
+		n := (*src).Len()
+		if n == 0 {
+			f.rels[t].Clear()
+		} else {
+			f.rels[t], *src = *src, f.rels[t]
+			for site, seen := range f.unchanged {
+				if seen.rel == f.rels[t] || seen.rel == *src {
+					delete(f.unchanged, site)
+				}
+			}
+		}
+		if f.m.Trace != nil {
+			f.m.tracef("  [%s] %s -> %d row(s)", f.proc.ID, st.Label, n)
+		}
+		f.returned = f.returned || st.Head.IsReturn
+		return f.checkRelBudget(f.rels[t])
+	}
+	if mv.Call != nil {
+		return f.m.call(mv.Call.ProcID, unitIn, take)
+	}
+	return take(&f.rels[mv.Src])
 }
 
 func (f *frame) evalCond(c *plan.Cond) (found bool, err error) {

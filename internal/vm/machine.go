@@ -43,6 +43,9 @@ type ExecStats struct {
 	RowsDeduped   int64
 	ProcCalls     int64
 	DynDispatches int64
+	// Moves counts statements run as moves (plan.Move): the target took
+	// over its source's storage instead of a copy of its rows.
+	Moves int64
 	// GovernorChecks counts cooperative governor polls (cancellation +
 	// budget checks); E14 uses it to attribute the governor's overhead.
 	GovernorChecks int64
@@ -313,18 +316,18 @@ func (m *Machine) CallProcContext(ctx context.Context, id string, in []term.Tupl
 			m.curProc, m.curStmt = "", ""
 		}()
 	}
-	err = m.call(id, in, func(ret storage.Rel) error {
-		out = ret.All()
+	err = m.call(id, in, func(ret *storage.Rel) error {
+		out = (*ret).All()
 		return nil
 	})
 	return out, err
 }
 
 // call runs procedure id on the input tuples in a fresh frame and hands
-// use the frame's return relation, which lives until use returns: the
-// frame's relations are dropped after it. It is the one entry of every
-// call, the public CallProcContext and the call barriers alike.
-func (m *Machine) call(id string, in []term.Tuple, use func(ret storage.Rel) error) error {
+// use the frame's return slot, whose relation (or the one a move swaps in)
+// is dropped with the frame after use returns. It is the one entry of
+// every call: CallProcContext, the call barriers and the moves alike.
+func (m *Machine) call(id string, in []term.Tuple, use func(ret *storage.Rel) error) error {
 	proc, ok := m.Prog.Proc(id)
 	if !ok {
 		return fmt.Errorf("vm: no procedure %q", id)
@@ -345,7 +348,7 @@ func (m *Machine) call(id string, in []term.Tuple, use func(ret storage.Rel) err
 		m.tempSeq++
 		f.rels[i] = m.Temp.Ensure(term.NewInt(m.tempSeq), proc.Slot(i).Arity)
 	}
-	inRel, ret := f.rels[plan.SlotIn], f.rels[plan.SlotReturn]
+	inRel := f.rels[plan.SlotIn]
 	inRel.Grow(len(in))
 	for _, t := range in {
 		if len(t) != proc.Bound {
@@ -358,9 +361,9 @@ func (m *Machine) call(id string, in []term.Tuple, use func(ret storage.Rel) err
 		return &RuntimeError{ProcID: id, Err: err}
 	}
 	if m.Trace != nil {
-		m.tracef("return from %s: %d tuple(s)", id, ret.Len())
+		m.tracef("return from %s: %d tuple(s)", id, f.rels[plan.SlotReturn].Len())
 	}
-	return use(ret)
+	return use(&f.rels[plan.SlotReturn])
 }
 
 // frame is one procedure invocation.
@@ -370,8 +373,9 @@ type frame struct {
 	// rels holds the frame's relations by compiler slot (plan.SlotIn,
 	// plan.SlotReturn, then the declared locals).
 	rels []storage.Rel
-	// unchanged holds per-site version memory for the unchanged builtin.
-	unchanged map[int]uint64
+	// unchanged holds per-site memory for the unchanged builtin: the
+	// relation it saw and that relation's version.
+	unchanged map[int]seenRel
 	returned  bool
 	// scratch pools hash tables (hashkit.go) across the statements — and
 	// repeat-loop iterations — this frame executes; statements run

@@ -70,8 +70,9 @@ end
 
 // TestFrameLocalsAreDropped runs calls that leave through every exit a
 // frame has — a plain return, a nested call barrier, a HiLog family
-// dispatch, self-recursion, a budget trip mid-body, and a spilling temp
-// store — and checks that each leaves the temp store empty.
+// dispatch, self-recursion, a budget trip mid-body, a spilling temp store,
+// and moves and a forwarded call on it followed by a budget trip — and
+// checks that each leaves the temp store empty.
 func TestFrameLocalsAreDropped(t *testing.T) {
 	cases := []struct {
 		name, src, proc string
@@ -164,18 +165,63 @@ rels got(X);
   return(:X) := got(X).
 end
 `, setup: func(t *testing.T, m *Machine) {
-			temp, err := disk.NewScratch(t.TempDir(), 2, storage.IndexAdaptive, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { temp.Close() })
-			m.Temp = temp
+			spillTemp(t, m)
 			for i := int64(0); i < 10; i++ {
 				insert(m, "e", []int64{i})
 			}
 		}, check: func(t *testing.T, m *Machine, out []term.Tuple) {
 			if len(out) != 10 || m.Temp.Stats().RowsSpilled == 0 {
 				t.Errorf("spill: out=%v spilled=%d", out, m.Temp.Stats().RowsSpilled)
+			}
+		}},
+		{name: "moves on spill, then a budget trip", proc: "main.walk", in: term.Tuple{}, src: `
+edb e(X), s(X, Y), big(X, Y);
+proc walk(:X)
+rels nd(X), d(X), acc(X);
+  d(X) := e(X).
+  acc(X) := d(X) & X >= 0.
+  repeat
+    nd(Y) := d(X) & s(X, Y).
+    d(X) := nd(X).
+    acc(X) += d(X).
+  until empty(d(_));
+  big(X, Y) := acc(X) & acc(Y).
+  return(:X) := acc(X).
+end
+`, wantErr: ErrMemoryBudget, setup: func(t *testing.T, m *Machine) {
+			spillTemp(t, m)
+			m.MaxRelRows = 50
+			for i := int64(0); i < 10; i++ {
+				insert(m, "s", []int64{i, i + 1})
+			}
+		}, check: func(t *testing.T, m *Machine, out []term.Tuple) {
+			if m.Stats.Moves < 10 || m.Temp.Stats().RowsSpilled == 0 {
+				t.Errorf("moves on spill: moves=%d spilled=%d", m.Stats.Moves, m.Temp.Stats().RowsSpilled)
+			}
+		}},
+		{name: "forwarding on spill, then a budget trip", proc: "main.q", in: term.Tuple{}, src: `
+edb e(X), big(X, Y);
+proc p(:X)
+rels tmp(X);
+  tmp(X) := e(X) & X >= 0.
+  return(:X) := tmp(X).
+end
+proc q(:X)
+rels got(X);
+  got(X) := p(X).
+  big(X, Y) := got(X) & got(Y).
+  return(:X) := got(X).
+end
+`, wantErr: ErrMemoryBudget, setup: func(t *testing.T, m *Machine) {
+			spillTemp(t, m)
+			m.MaxRelRows = 50
+			for i := int64(0); i < 10; i++ {
+				insert(m, "e", []int64{i})
+			}
+		}, check: func(t *testing.T, m *Machine, out []term.Tuple) {
+			// p's return and the forwarding into got: two moves.
+			if m.Stats.Moves != 2 || m.Temp.Stats().RowsSpilled == 0 {
+				t.Errorf("forwarding on spill: moves=%d spilled=%d", m.Stats.Moves, m.Temp.Stats().RowsSpilled)
 			}
 		}},
 	}
@@ -209,6 +255,16 @@ end
 			}
 		})
 	}
+}
+
+// spillTemp gives the machine a temp store that spills past two rows.
+func spillTemp(t *testing.T, m *Machine) {
+	temp, err := disk.NewScratch(t.TempDir(), 2, storage.IndexAdaptive, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { temp.Close() })
+	m.Temp = temp
 }
 
 // raceDetector is set by race_test.go in -race builds.
@@ -337,6 +393,39 @@ end
 	// nothing -> unchanged -> exit.
 	if m.Stats.LoopIterations != 2 {
 		t.Errorf("loop iterations = %d, want 2", m.Stats.LoopIterations)
+	}
+}
+
+// TestUnchangedSeesMovedRelation checks that unchanged(t) remembers which
+// relation it saw. "t := s" moves, so t's slot alternates between two
+// relations that are each cleared and refilled with the same row:
+// their versions collide, and a memory of versions alone would report t
+// unchanged on the second check. The copy changed t's version every
+// iteration, so the loop runs until its counter reaches 3.
+func TestUnchangedSeesMovedRelation(t *testing.T) {
+	m := compileMachine(t, `
+edb e(X);
+proc run(:I)
+rels s(X), t(X), k(I);
+  k(I) := I = 0.
+  repeat
+    s(X) := e(X).
+    t(X) := s(X).
+    k(J) := k(I) & J = I + 1.
+  until { unchanged(t(_)) | k(3) };
+  return(:I) := k(I).
+end
+`, plan.Options{})
+	insert(m, "e", []int64{2})
+	out, err := m.CallProc("main.run", []term.Tuple{{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Stats.Moves == 0 {
+		t.Fatal("t := s did not move")
+	}
+	if len(out) != 1 || !out[0].Equal(term.Tuple{term.NewInt(3)}) {
+		t.Errorf("the loop ended with k = %v, want (3)", out)
 	}
 }
 

@@ -236,14 +236,15 @@ func TestRecursionRoundAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector makes sync.Pool drop entries, so pooled scratch re-allocates")
 	}
-	// measured 458 (Go 1.24, linux/amd64), plus 25%; 667 while each
+	// measured 432 (Go 1.24, linux/amd64), plus 25%; 458 while "d := nd"
+	// and the returns copied their rows, 667 while each
 	// relation chained its rows through a hash map and a next slice and
 	// cached every row's hash, 751 while call barriers joined their results into row slabs, 678 while a
 	// projecting ":=" was sized by its rows, repeats included, 756 while
 	// the head read a flattened row slab, 891 while every relation lookup
 	// built a key string, 1807 while a plan cache miss re-planned each
 	// class vector a loop passed through
-	const maxAllocs = 573
+	const maxAllocs = 540
 	_, round := recursionRound(t)
 	round() // warm the plan cache and indexes
 	allocs := testing.AllocsPerRun(5, round)
@@ -270,6 +271,34 @@ func TestRecursionRoundNoPlanMisses(t *testing.T) {
 	}
 	if after.Hits == before.Hits {
 		t.Error("a warm tc + sg round served no plan from the cache")
+	}
+}
+
+// TestRecursionRoundStoresPerAnswer gates the rows a warm tc + sg round
+// stores in frame relations per answer. Each answer is stored in the full
+// relation, in the delta |d and in the new delta |nd; the delta's
+// "d := nd" and both returns, the NAIL! procedure's "return := p|ff" and
+// the query's forwarding "return := p(X, Y)", are moves. Measured 2.08
+// (4.945 while those three statements copied their rows).
+func TestRecursionRoundStoresPerAnswer(t *testing.T) {
+	const bound = 2.1
+	sys, round := recursionRound(t)
+	round()
+	before := sys.Stats().Scratch.Inserts
+	round()
+	stored := sys.Stats().Scratch.Inserts - before
+	answers := 0
+	for _, q := range []string{"tc(X, Y)", "sg(X, Y)"} {
+		res, err := sys.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers += len(res.Rows)
+	}
+	perAnswer := float64(stored) / float64(answers)
+	t.Logf("a warm tc + sg round stores %d rows for %d answers: %.3f per answer", stored, answers, perAnswer)
+	if perAnswer > bound {
+		t.Errorf("a warm tc + sg round stores %.3f rows per answer, want <= %.1f", perAnswer, bound)
 	}
 }
 
@@ -415,15 +444,16 @@ func assignBytes(t *testing.T, rel, src string, n int, row func(int) []any) uint
 // TestCallBarrierBytes gates the bytes a call barrier adds to a warm
 // statement, in the shape of a query's "$query -> tc@ff" call: "d(X, Y)
 // := tc(X, Y)" joins every one of n results back onto its one input row.
-// The callee's own frame (its return relation, filled and dropped per
-// call) is most of the bytes; the barrier joins the results back as
+// The callee's own frame (its tc|ff relation, filled, moved into return
+// and dropped per call) is most of the bytes; the barrier joins the results back as
 // pooled columns of the statement's batch. Joined into a row slab, with
 // its results grouped into growing slices, it allocated 4 057 216 bytes
-// and fails the gate. Measured: 2 225 176 bytes at n = 4096, bound
-// measured plus 25% (Go 1.24, linux/amd64); 2 750 192 while the return
-// relation chained its rows through a hash map and a next slice.
+// and fails the gate. Measured: 1 340 416 bytes at n = 4096, bound
+// measured plus 25% (Go 1.24, linux/amd64); 2 225 176 while the callee's
+// "return := tc|ff" copied its rows, 2 750 192 while the return relation
+// chained its rows through a hash map and a next slice.
 func TestCallBarrierBytes(t *testing.T) {
-	const n, bound = 4096, 2_781_470
+	const n, bound = 4096, 1_675_520
 	least := assignBytes(t, "e", `
 edb e(X, Y), d(X, Y);
 tc(X, Y) :- e(X, Y).

@@ -62,9 +62,9 @@ if [ "$elapsed" -gt 4 ]; then
 	exit 1
 fi
 
-step "Plan cache unit suite (cardinality-class intervals, drift, prepared statements, plans shared across machines; race) + repeat-iteration, recursion-round (allocations and zero warm misses), fresh-snapshot, parse, compile, call, insert-statistics, new-relation, delete, relation-catalog and hash-table allocation gates, and the head-copy, fan-out and call-barrier byte gates"
+step "Plan cache unit suite (cardinality-class intervals, drift, prepared statements, plans shared across machines; race) + repeat-iteration, recursion-round (allocations, zero warm misses and rows stored per answer), fresh-snapshot, parse, compile, call, insert-statistics, new-relation, delete, relation-catalog and hash-table allocation gates, and the head-copy, fan-out and call-barrier byte gates"
 go test -race -count=1 -run 'TestPlanCache|TestPrepared|TestExplainAnalyzePlanCacheCounters' ./internal/plan/ ./internal/vm/ .
-go test -count=1 -run 'TestRepeatIterationAllocs|TestClearReusesArraysWithoutSnapshot|TestParseAllocs|TestCompileAllocs|TestRecursionRoundAllocs|TestRecursionRoundNoPlanMisses|TestSnapshotExecuteAllocs|TestInsertStatsAllocs|TestDeleteAllocs|TestLookupProbeAllocs|TestBackendSeamAllocs|TestColdProbeAllocs|TestAssignCopyBytes|TestAssignFanOutBytes|TestCallBarrierBytes|TestCallAllocs|TestNewRelationAllocs' ./internal/storage/ ./internal/storage/disk/ ./internal/parser/ ./internal/vm/ .
+go test -count=1 -run 'TestRepeatIterationAllocs|TestClearReusesArraysWithoutSnapshot|TestParseAllocs|TestCompileAllocs|TestRecursionRoundAllocs|TestRecursionRoundNoPlanMisses|TestRecursionRoundStoresPerAnswer|TestSnapshotExecuteAllocs|TestInsertStatsAllocs|TestDeleteAllocs|TestLookupProbeAllocs|TestBackendSeamAllocs|TestColdProbeAllocs|TestAssignCopyBytes|TestAssignFanOutBytes|TestCallBarrierBytes|TestCallAllocs|TestNewRelationAllocs' ./internal/storage/ ./internal/storage/disk/ ./internal/parser/ ./internal/vm/ .
 go test -count=1 ./internal/hashtab/
 
 step "Hash table suite (differential test against a Go map; the storage concurrency and snapshot suites over the shared table; race)"
@@ -76,6 +76,9 @@ go test -race -count=1 -run '^TestHead' .
 
 step "Barrier suite (every barrier kind over repeated rows: row order, stored order and executor counters on mem, disk, materialized and no-dedup; race)"
 go test -race -count=1 -run '^TestBarrierKinds$' .
+
+step "Move suite (every move shape and look-alike: answers, stored order and move counts on mem, disk, spill and materialized, and the same cases beside concurrent snapshot sessions querying tc(X, Y); race)"
+go test -race -count=1 -run '^(TestMoveKinds|TestMovesBesideSnapshots)$' .
 
 step "E14 governor overhead + abort latency"
 go test -run xxx -bench BenchmarkE14 -benchtime 3x .
