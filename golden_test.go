@@ -104,27 +104,33 @@ func runGolden(t *testing.T, file string) string {
 // goldenOutput loads a golden program on a fresh system and runs the
 // entry points its header comments name, returning everything printed.
 func goldenOutput(file string) (string, error) {
+	var out bytes.Buffer
+	err := goldenRun(New(WithOutput(&out)), file, &out)
+	return out.String(), err
+}
+
+// goldenRun loads a golden program into sys and runs its entry points,
+// printing to out.
+func goldenRun(sys *System, file string, out *bytes.Buffer) error {
 	src, err := os.ReadFile(file)
 	if err != nil {
-		return "", err
+		return err
 	}
-	var out bytes.Buffer
-	sys := New(WithOutput(&out))
 	if err := sys.Load(string(src)); err != nil {
-		return "", fmt.Errorf("%s: %v", file, err)
+		return fmt.Errorf("%s: %v", file, err)
 	}
 	for _, line := range strings.Split(string(src), "\n") {
 		line = strings.TrimSpace(line)
 		switch {
 		case strings.HasPrefix(line, "% QUERY:"):
 			q := strings.TrimSpace(strings.TrimPrefix(line, "% QUERY:"))
-			fmt.Fprintf(&out, "?- %s\n", q)
+			fmt.Fprintf(out, "?- %s\n", q)
 			res, err := sys.Query(q)
 			if err != nil {
-				return "", fmt.Errorf("%s: query %q: %v", file, q, err)
+				return fmt.Errorf("%s: query %q: %v", file, q, err)
 			}
 			if len(res.Vars) == 0 {
-				fmt.Fprintln(&out, len(res.Rows) > 0)
+				fmt.Fprintln(out, len(res.Rows) > 0)
 				continue
 			}
 			for _, row := range res.Rows {
@@ -132,7 +138,7 @@ func goldenOutput(file string) (string, error) {
 				for i, v := range row {
 					parts[i] = fmt.Sprintf("%s=%v", res.Vars[i], v)
 				}
-				fmt.Fprintf(&out, "  %s\n", strings.Join(parts, " "))
+				fmt.Fprintf(out, "  %s\n", strings.Join(parts, " "))
 			}
 		case strings.HasPrefix(line, "% CALL:"):
 			spec := strings.TrimSpace(strings.TrimPrefix(line, "% CALL:"))
@@ -140,19 +146,19 @@ func goldenOutput(file string) (string, error) {
 			if !ok {
 				mod, proc = "main", spec
 			}
-			fmt.Fprintf(&out, "call %s\n", spec)
+			fmt.Fprintf(out, "call %s\n", spec)
 			rows, err := sys.Call(mod, proc)
 			if err != nil {
-				return "", fmt.Errorf("%s: call %q: %v", file, spec, err)
+				return fmt.Errorf("%s: call %q: %v", file, spec, err)
 			}
 			for _, row := range rows {
 				parts := make([]string, len(row))
 				for i, v := range row {
 					parts[i] = v.String()
 				}
-				fmt.Fprintf(&out, "  %s\n", strings.Join(parts, " "))
+				fmt.Fprintf(out, "  %s\n", strings.Join(parts, " "))
 			}
 		}
 	}
-	return out.String(), nil
+	return nil
 }
