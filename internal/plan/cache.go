@@ -249,12 +249,12 @@ func stmtRefs(st *Stmt) []RelRef {
 	return refs
 }
 
-// stepsRefs appends the ground Match targets of the steps' pipes to refs.
+// stepsRefs appends the ground relations the steps' pipes read to refs.
 func stepsRefs(refs []RelRef, steps []Step) []RelRef {
 	for k := range steps {
 		for _, op := range steps[k].Pipe {
-			if m, ok := op.(*Match); ok && m.Rel.Name.IsGround() {
-				refs = append(refs, m.Rel)
+			if ref, ok := opRel(op); ok && ref.Name.IsGround() {
+				refs = append(refs, ref)
 			}
 		}
 	}

@@ -169,11 +169,6 @@ type Step struct {
 	Barrier  BarrierOp
 	Dedup    bool
 	LiveRegs []int
-	// BoundIn lists the registers already bound when the step's first pipe
-	// op runs (bound by earlier steps of the statement). The physical
-	// planner seeds its binding analysis from it when re-deriving masks
-	// after a cost-based reorder of Pipe.
-	BoundIn []int
 }
 
 // PipeOp is a streaming operator: given one row, it yields zero or more
@@ -248,6 +243,8 @@ type Call struct {
 	// Negated keeps only the rows whose input tuple yields no results; all
 	// arguments must be bound.
 	Negated bool
+	// Bind lists the registers the free arguments bind.
+	Bind []int
 }
 
 func (*Call) barrierOp() {}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,19 +107,35 @@ end
 	} {
 		t.Run(name, func(t *testing.T) {
 			pl := &Planner{Stats: stats, Reorder: true}
-			for _, ps := range pl.PlanStmt(st, nil).Steps {
-				checkMasks(t, ps)
-			}
+			checkMasks(t, pl.PlanStmt(st, nil).Steps)
 		})
 	}
 }
 
-func checkMasks(t *testing.T, ps PhysStep) {
+// checkMasks derives, independently of the planner, the bound set at each
+// physical op of steps: nothing is bound at the first segment's entry, a
+// positive match and a binding equation bind their registers, and a
+// segment starts from what the segments and barriers before it bound.
+func checkMasks(t *testing.T, steps []PhysStep) {
 	t.Helper()
 	bound := map[int]bool{}
-	for _, r := range ps.Step.BoundIn {
-		bound[r] = true
+	for _, ps := range steps {
+		checkSegmentMasks(t, ps, bound)
+		switch b := ps.Step.Barrier.(type) {
+		case *Aggregate:
+			bound[b.Dest] = true
+		case *Call:
+			for _, p := range b.FreeArgs {
+				for _, r := range p.Regs(nil) {
+					bound[r] = true
+				}
+			}
+		}
 	}
+}
+
+func checkSegmentMasks(t *testing.T, ps PhysStep, bound map[int]bool) {
+	t.Helper()
 	for i, po := range ps.Ops {
 		if mb, ok := po.Op.(*MatchBind); ok {
 			for _, r := range mb.Pat.Regs(nil) {
@@ -198,14 +215,16 @@ end
 	}
 }
 
-// TestBoundInForwardPass checks the segment-entry bound sets the compiler
-// records for the physical planner: each segment's BoundIn must hold
-// exactly the registers bound by earlier segments.
+// TestBoundInForwardPass checks the bound sets the planner carries from
+// segment to segment: the first segment starts from nothing bound
+// (sup_0 = {ε}), and the segment after an aggregate probes on the
+// aggregate's input and its destination, in the compiled order and in a
+// reordered one.
 func TestBoundInForwardPass(t *testing.T) {
 	c := compileSrc(t, `
-edb temp(T), out(M,T);
+edb temp(T), lim(T,L), out(M,L);
 proc go(:)
-  out(M,T) := temp(T) & M = max(T).
+  out(M,L) := temp(T) & M = max(T) & lim(T,L) & lim(M,L).
   return(:) := out(_,_).
 end
 `, Options{})
@@ -213,12 +232,20 @@ end
 	if len(st.Steps) != 2 {
 		t.Fatalf("want 2 segments, got %d", len(st.Steps))
 	}
-	if len(st.Steps[0].BoundIn) != 0 {
-		t.Errorf("segment 0 BoundIn = %v, want empty (sup_0 = {ε})", st.Steps[0].BoundIn)
+	steps := (&Planner{}).PlanStmt(st, nil).Steps
+	var masks []uint32
+	for _, ps := range steps {
+		for _, po := range ps.Ops {
+			masks = append(masks, OpMask(po.Op))
+		}
 	}
-	if len(st.Steps[1].BoundIn) == 0 {
-		t.Error("segment 1 BoundIn empty; aggregate inputs should be bound")
+	if want := []uint32{0, 0b01, 0b11}; !slices.Equal(masks, want) {
+		t.Errorf("masks %v, want %v: temp(T) scans, lim(T,L) probes on T, lim(M,L) on M and L", masks, want)
 	}
+	pl := &Planner{Reorder: true, Stats: tableStats{
+		"lim": {Rows: 1000, Distinct: []int{1000, 2}},
+	}}
+	checkMasks(t, pl.PlanStmt(st, nil).Steps)
 }
 
 // TestPlannerOrderIndependentResults checks the safety property the
@@ -246,9 +273,6 @@ end
 	}
 	seen := map[int]bool{}
 	var bound regSet
-	for _, r := range st.Steps[0].BoundIn {
-		bound.add(r)
-	}
 	for _, po := range ps.Ops {
 		if seen[po.LogIdx] {
 			t.Fatalf("logical op %d placed twice", po.LogIdx)
@@ -282,8 +306,12 @@ func TestRegSetGrowsPastOneWord(t *testing.T) {
 			t.Errorf("has(%d) = %v, want %v", r, s.has(r), want)
 		}
 	}
-	if got := s.missing([]int{1, 64, 65, 130, 500}); len(got) != 3 || got[0] != 1 || got[1] != 65 || got[2] != 500 {
-		t.Errorf("missing = %v, want [1 65 500]", got)
+	mask, bind := s.bindArgs([]term.Pattern{term.Var(1), term.Var(64), term.Var(65), term.Var(130), term.Var(500)})
+	if mask != 0b01010 || !slices.Equal(bind, []int{1, 65, 500}) {
+		t.Errorf("bindArgs = %b, %v, want 1010, [1 65 500]", mask, bind)
+	}
+	if got := s.list(); !slices.Equal(got, []int{0, 63, 64, 130}) {
+		t.Errorf("list = %v, want [0 63 64 130]", got)
 	}
 	clear(s)
 	if s.has(64) || s.has(130) {

@@ -33,7 +33,7 @@ func (f *frame) applyAggregate(b *batchState, op *plan.Aggregate, groupRegs []in
 		pos[g], sum = sum, sum+c
 	}
 	perm, gv := scr.grabIdx(n), scr.grabVals(n)
-	rf := b.filler(exprRegs(op.Arg, scr.regs[:0]))
+	rf := b.filler(plan.OpRegs(scr.regs[:0], op))
 	for k, g := range gid {
 		rf.fill(b.row(k), row)
 		v, err := evalExpr(op.Arg, row)

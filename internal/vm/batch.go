@@ -502,30 +502,6 @@ func (rf *regFiller) fill(i int32, rowBuf []term.Value) {
 	}
 }
 
-// exprRegs appends the registers an expression reads to dst (no
-// duplicates relative to dst's existing contents).
-func exprRegs(e plan.Expr, dst []int) []int {
-	switch e := e.(type) {
-	case plan.RegE:
-		for _, r := range dst {
-			if r == e.Reg {
-				return dst
-			}
-		}
-		return append(dst, e.Reg)
-	case plan.PatE:
-		return e.P.Regs(dst)
-	case plan.BinE:
-		dst = exprRegs(e.L, dst)
-		return exprRegs(e.R, dst)
-	case plan.CallE:
-		for _, a := range e.Args {
-			dst = exprRegs(a, dst)
-		}
-	}
-	return dst
-}
-
 // distinct reports whether the batch's rows cannot repeat on the registers
 // live, so that their count sizes a target exactly: it binds no register
 // outside live, and the last segment's ops have no HiLog match and no
@@ -613,10 +589,9 @@ func (b *batchState) newSel() []int32 {
 // runOp runs one pipe op over the batch. rel is the op's relation when
 // have says it was resolved ahead; else a Match resolves its name per row.
 func (f *frame) runOp(b *batchState, op plan.PipeOp, rel storage.Rel, have bool) error {
-	regs := b.scr.regs[:0]
+	regs := plan.OpRegs(b.scr.regs[:0], op)
 	switch op := op.(type) {
 	case *plan.Match:
-		regs = op.Rel.Name.Regs(patRegs(regs, op.Args))
 		return f.batchJoin(b, op.Args, op.Bind, regs, op.Negated, func(p *matchProbe) error {
 			r := rel
 			if !have {
@@ -628,7 +603,6 @@ func (f *frame) runOp(b *batchState, op plan.PipeOp, rel storage.Rel, have bool)
 			return p.lookup(r, op.BoundMask)
 		})
 	case *plan.DynMatch:
-		regs = op.Pred.Regs(patRegs(regs, op.Args))
 		return f.batchJoin(b, op.Args, op.Bind, regs, op.Negated, func(p *matchProbe) error {
 			name, err := op.Pred.Build(p.rowBuf)
 			if err != nil {
@@ -642,14 +616,6 @@ func (f *frame) runOp(b *batchState, op plan.PipeOp, rel storage.Rel, have bool)
 		return f.batchMatchBind(b, op, regs)
 	}
 	return fmt.Errorf("vm: unknown pipe op %T", op)
-}
-
-// patRegs appends the registers the patterns mention to dst.
-func patRegs(dst []int, ps []term.Pattern) []int {
-	for i := range ps {
-		dst = ps[i].Regs(dst)
-	}
-	return dst
 }
 
 // batchJoin joins every active row with the tuples visit hands p.yield
@@ -705,7 +671,7 @@ func (f *frame) batchJoin(b *batchState, args []term.Pattern, bind, refRegs []in
 // branch-light fast path reads register columns and constants directly —
 // no register-file fill, no expression-tree walk per row; compound
 // operands take the fill-and-eval fallback with identical semantics.
-func (f *frame) batchFilterCompare(b *batchState, op *plan.Compare, regScratch []int) error {
+func (f *frame) batchFilterCompare(b *batchState, op *plan.Compare, refRegs []int) error {
 	rowBuf := b.scr.rowBuf
 	lCol, lConst, lReg, lOK := b.exprCol(op.L)
 	rCol, rConst, rReg, rOK := b.exprCol(op.R)
@@ -741,7 +707,6 @@ func (f *frame) batchFilterCompare(b *batchState, op *plan.Compare, regScratch [
 		b.sel = sel
 		return err
 	}
-	refRegs := exprRegs(op.R, exprRegs(op.L, regScratch))
 	rf := b.filler(refRegs)
 	err := b.forActive(func(i int32) error {
 		rf.fill(i, rowBuf)
@@ -783,9 +748,8 @@ func (b *batchState) exprCol(e plan.Expr) (col []term.Value, konst term.Value, i
 // batchMatchBind runs an assignment/unification op. Without bind
 // registers it is a pure filter (the pattern only checks); with them it
 // is a one-to-at-most-one expansion.
-func (f *frame) batchMatchBind(b *batchState, op *plan.MatchBind, regScratch []int) error {
+func (f *frame) batchMatchBind(b *batchState, op *plan.MatchBind, refRegs []int) error {
 	rowBuf := b.scr.rowBuf
-	refRegs := op.Pat.Regs(exprRegs(op.E, regScratch))
 	rf := b.filler(refRegs)
 	if len(op.Bind) == 0 {
 		sel := b.newSel()
