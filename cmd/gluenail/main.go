@@ -235,9 +235,9 @@ func run() error {
 	}
 	var sys *gluenail.System
 	if *dataDir != "" {
-		mode, err := parseFsync(*fsyncStr)
+		mode, err := wal.ParseFsync(*fsyncStr)
 		if err != nil {
-			return err
+			return fmt.Errorf("-fsync: %w", err)
 		}
 		sys, err = gluenail.Open(*dataDir, append(opts, gluenail.WithFsync(mode))...)
 		if err != nil {
@@ -391,19 +391,6 @@ func run() error {
 			pc.Hits, pc.Misses, pc.Invalidations)
 	}
 	return nil
-}
-
-// parseFsync maps the -fsync flag to a WAL fsync mode.
-func parseFsync(s string) (gluenail.FsyncMode, error) {
-	switch s {
-	case "batch", "":
-		return gluenail.FsyncBatch, nil
-	case "always":
-		return gluenail.FsyncAlways, nil
-	case "none", "never":
-		return gluenail.FsyncNever, nil
-	}
-	return 0, fmt.Errorf("-fsync wants batch, always, or none; got %q", s)
 }
 
 func answer(sys *gluenail.System, module, goals string) error {

@@ -19,6 +19,7 @@
 //	-spill-budget n     scratch rows held in memory before spilling
 //	-max-rel-rows n     per-session in-memory rows per relation budget
 //	-fsync mode         WAL fsync mode: batch (default), always, none
+//	                    (or never)
 //	-max-sessions n     concurrent session cap (default 1024)
 //	-max-statements n   concurrent statement cap / admission gate
 //	                    (default 2×GOMAXPROCS)
@@ -48,20 +49,20 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
 	"gluenail"
 	"gluenail/internal/server"
+	"gluenail/internal/storage"
 	"gluenail/internal/storage/disk"
 	"gluenail/internal/wal"
 )
 
 // fsckDataDir runs the offline verifier over a data directory (WAL,
 // snapshots, and the disk store under dir/store when present) without
-// repairs, returning the rendered findings.
-func fsckDataDir(dir string) ([]string, error) {
+// repairs, returning its findings.
+func fsckDataDir(dir string) ([]storage.Finding, error) {
 	findings, err := wal.Verify(dir)
 	if err != nil {
 		return nil, err
@@ -74,11 +75,7 @@ func fsckDataDir(dir string) ([]string, error) {
 		}
 		findings = append(findings, df...)
 	}
-	out := make([]string, len(findings))
-	for i, f := range findings {
-		out[i] = f.String()
-	}
-	return out, nil
+	return findings, nil
 }
 
 func main() {
@@ -117,14 +114,10 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("-verify-on-open: %w", err)
 		}
-		serious := 0
 		for _, f := range findings {
 			log.Printf("gluenaild: verify-on-open: %s", f)
-			if !strings.HasSuffix(f, "[benign]") {
-				serious++
-			}
 		}
-		if serious > 0 {
+		if serious := storage.CountSerious(findings); serious > 0 {
 			return fmt.Errorf("-verify-on-open: %d serious finding(s); run `gluenail fsck -repair -data-dir %s` to heal or quarantine", serious, *dataDir)
 		}
 	}
@@ -148,19 +141,13 @@ func run() error {
 	if *maxRel != 0 {
 		opts = append(opts, gluenail.WithBudget(gluenail.Budget{MaxRelRows: *maxRel}))
 	}
-	switch *fsyncStr {
-	case "batch":
-		opts = append(opts, gluenail.WithFsync(gluenail.FsyncBatch))
-	case "always":
-		opts = append(opts, gluenail.WithFsync(gluenail.FsyncAlways))
-	case "none":
-		opts = append(opts, gluenail.WithFsync(gluenail.FsyncNever))
-	default:
-		return fmt.Errorf("unknown -fsync mode %q", *fsyncStr)
+	mode, err := wal.ParseFsync(*fsyncStr)
+	if err != nil {
+		return fmt.Errorf("-fsync: %w", err)
 	}
+	opts = append(opts, gluenail.WithFsync(mode))
 
 	var sys *gluenail.System
-	var err error
 	if *dataDir != "" {
 		sys, err = gluenail.Open(*dataDir, opts...)
 		if err != nil {

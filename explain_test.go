@@ -139,6 +139,39 @@ tc(X,Z) :- tc(X,Y) & edge(Y,Z).
 	}
 }
 
+// TestExplainAnalyzeMove checks that EXPLAIN ANALYZE renders a statement
+// that ran as a move by its source and the rows it handed over, not as
+// segments planned from default estimates: the query forwards tc@ff's
+// results (5 edges on a cycle, 25 pairs), and tc@ff moves its delta and
+// its result.
+func TestExplainAnalyzeMove(t *testing.T) {
+	sys := New()
+	if err := sys.Load(`
+edb edge(X,Y);
+tc(X,Y) :- edge(X,Y).
+tc(X,Z) :- tc(X,Y) & edge(Y,Z).
+`); err != nil {
+		t.Fatal(err)
+	}
+	sys.Assert("edge", []any{1, 2}, []any{2, 3}, []any{3, 4}, []any{4, 5}, []any{5, 1})
+	out, err := sys.ExplainAnalyze("tc(X, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"(2 regs, move)\n    move from call main.tc@ff()->($0,$1) [act_rows=25]\n",
+		"(2 regs, move)\n      move from local:'tc|ff|nd'/2 [act_rows=20]\n",
+		"(2 regs, move)\n    move from local:'tc|ff'/2 [act_rows=25]\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("EXPLAIN ANALYZE lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "est=4096") {
+		t.Errorf("a move is rendered as segments planned from defaults:\n%s", out)
+	}
+}
+
 // TestExplainAnalyzeCall exercises the procedure-call variant used by the
 // CLI's -explain-analyze -call path.
 func TestExplainAnalyzeCall(t *testing.T) {

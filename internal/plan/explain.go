@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+
+	"gluenail/internal/term"
 )
 
 // Rendering of physical plans for EXPLAIN and EXPLAIN ANALYZE: the logical
@@ -28,8 +30,29 @@ func (f *PhysFormatter) Proc(p *Proc) string {
 		if st != nil && f.Profile != nil {
 			prof = f.Profile(st)
 		}
+		if st != nil && st.Move != nil {
+			writeMove(sb, p, st.Move, prof, depth)
+			return
+		}
 		f.writePhysSteps(sb, f.Plan(steps, st), prof, depth)
 	})
+}
+
+// writeMove renders a move in place of segments: its source, a frame
+// relation or a forwarded call, and with a profile the rows it handed
+// over.
+func writeMove(sb *strings.Builder, p *Proc, mv *Move, prof *StmtProfile, depth int) {
+	sb.WriteString(strings.Repeat("  ", depth))
+	if mv.Call != nil {
+		sb.WriteString("move from " + barrierText(mv.Call))
+	} else {
+		src := p.Slot(mv.Src)
+		fmt.Fprintf(sb, "move from local:%s/%d", term.Ground(term.NewString(src.Name)), src.Arity)
+	}
+	if prof != nil {
+		fmt.Fprintf(sb, " [act_rows=%d]", prof.Moved)
+	}
+	sb.WriteByte('\n')
 }
 
 func (f *PhysFormatter) writePhysSteps(sb *strings.Builder, steps []PhysStep,

@@ -65,9 +65,11 @@ var unitIn = []term.Tuple{{}}
 // unchanged memory of the swapped relations is forgotten.
 func (f *frame) move(st *plan.Stmt, mv *plan.Move) error {
 	atomic.AddInt64(&f.m.Stats.Moves, 1)
-	t := st.Head.Ref.Slot
+	t, prof := st.Head.Ref.Slot, f.m.profileFor(st)
+	prof.Execs++
 	take := func(src *storage.Rel) error {
 		n := (*src).Len()
+		prof.Moved += int64(n)
 		if n == 0 {
 			f.rels[t].Clear()
 		} else {
@@ -85,7 +87,11 @@ func (f *frame) move(st *plan.Stmt, mv *plan.Move) error {
 		return f.checkRelBudget(f.rels[t])
 	}
 	if mv.Call != nil {
-		return f.m.call(mv.Call.ProcID, unitIn, take)
+		return f.m.call(mv.Call.ProcID, unitIn, func(callee *frame) error {
+			err := take(&callee.rels[plan.SlotReturn])
+			f.adopt(callee, f.rels[t])
+			return err
+		})
 	}
 	return take(&f.rels[mv.Src])
 }

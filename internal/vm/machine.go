@@ -13,11 +13,13 @@ package vm
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -316,18 +318,18 @@ func (m *Machine) CallProcContext(ctx context.Context, id string, in []term.Tupl
 			m.curProc, m.curStmt = "", ""
 		}()
 	}
-	err = m.call(id, in, func(ret *storage.Rel) error {
-		out = (*ret).All()
+	err = m.call(id, in, func(callee *frame) error {
+		out = callee.rels[plan.SlotReturn].All()
 		return nil
 	})
 	return out, err
 }
 
 // call runs procedure id on the input tuples in a fresh frame and hands
-// use the frame's return slot, whose relation (or the one a move swaps in)
-// is dropped with the frame after use returns. It is the one entry of
-// every call: CallProcContext, the call barriers and the moves alike.
-func (m *Machine) call(id string, in []term.Tuple, use func(ret *storage.Rel) error) error {
+// use the frame, whose return relation (or the one a move swaps in) is
+// dropped with the frame after use returns. It is the one entry of every
+// call: CallProcContext, the call barriers and the moves alike.
+func (m *Machine) call(id string, in []term.Tuple, use func(callee *frame) error) error {
 	proc, ok := m.Prog.Proc(id)
 	if !ok {
 		return fmt.Errorf("vm: no procedure %q", id)
@@ -363,7 +365,7 @@ func (m *Machine) call(id string, in []term.Tuple, use func(ret *storage.Rel) er
 	if m.Trace != nil {
 		m.tracef("return from %s: %d tuple(s)", id, f.rels[plan.SlotReturn].Len())
 	}
-	return use(&f.rels[plan.SlotReturn])
+	return use(f)
 }
 
 // frame is one procedure invocation.
@@ -376,19 +378,41 @@ type frame struct {
 	// unchanged holds per-site memory for the unchanged builtin: the
 	// relation it saw and that relation's version.
 	unchanged map[int]seenRel
-	returned  bool
+	// kept holds relations a forwarded call's move left behind, created
+	// before the one it took; see adopt.
+	kept     []storage.Rel
+	returned bool
 	// scratch pools hash tables (hashkit.go) across the statements — and
 	// repeat-loop iterations — this frame executes; statements run
 	// sequentially per frame, so no locking.
 	scratch []*hashtab.Table
 }
 
-// drop drops the frame's relations from the temp store, youngest first
-// (the temp store's cheap order).
+// drop drops the frame's relations from the temp store newest-created
+// first, whatever slots moves left them in: then each is the store's
+// youngest, which its catalog drops in place. Temp names count up, and
+// adopt or a storage fault may leave slots empty.
 func (f *frame) drop() {
-	for i := len(f.rels) - 1; i >= 0; i-- {
-		if r := f.rels[i]; r != nil {
-			f.m.Temp.Drop(r.Name(), r.Arity())
+	rels := slices.DeleteFunc(append(f.rels, f.kept...), func(r storage.Rel) bool { return r == nil })
+	slices.SortFunc(rels, func(a, b storage.Rel) int { return cmp.Compare(seq(b), seq(a)) })
+	for _, r := range rels {
+		f.m.Temp.Drop(r.Name(), r.Arity())
+	}
+}
+
+func seq(r storage.Rel) int64 { return r.Name().Int() }
+
+// adopt takes over, after a forwarded call's move took relation took, the
+// callee's relations created before it that hold at most one row: the
+// temp store can drop them newest-first only after took, so this frame
+// drops them with its own. A relation holding rows is left to the callee,
+// which frees it at once.
+func (f *frame) adopt(callee *frame, took storage.Rel) {
+	for _, rels := range [][]storage.Rel{callee.rels, callee.kept} {
+		for i, r := range rels {
+			if r != nil && seq(r) < seq(took) && (r.Len() == 0 || r.Arity() == 0) {
+				f.kept, rels[i] = append(f.kept, r), nil
+			}
 		}
 	}
 }

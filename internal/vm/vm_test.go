@@ -597,3 +597,55 @@ end
 		t.Errorf("seen = %v", rel.All())
 	}
 }
+
+// lifoStore is a temp store that records every Drop that is not of its
+// youngest relation: the drops its catalog cannot make in place.
+type lifoStore struct {
+	storage.Store
+	drops int
+	slow  []string
+}
+
+func (s *lifoStore) Drop(name term.Value, arity int) {
+	names := s.Names()
+	if n := len(names); n > 0 && !(names[n-1].Name.Identical(name) && names[n-1].Arity == arity) {
+		s.slow = append(s.slow, name.String())
+	}
+	s.drops++
+	s.Store.Drop(name, arity)
+}
+
+// TestFrameDropsAreLastInFirstOut checks that frames drop their
+// relations newest-created first, also after moves have swapped frame
+// slots or handed a callee's return to its caller: every Drop then hits
+// the temp store's youngest relation, which its catalog removes in place.
+func TestFrameDropsAreLastInFirstOut(t *testing.T) {
+	m := compileMachine(t, `
+edb edge(X,Y);
+tc(X,Y) :- edge(X,Y).
+tc(X,Z) :- tc(X,Y) & edge(Y,Z).
+proc all(:X,Y)
+  return(:X,Y) := tc(X,Y).
+end
+proc from1(:Y)
+  return(:Y) := tc(1,Y).
+end
+`, plan.Options{})
+	insert(m, "edge", []int64{1, 2}, []int64{2, 3}, []int64{3, 4}, []int64{4, 1}, []int64{2, 5})
+	temp := &lifoStore{Store: storage.NewMemStore(storage.IndexAdaptive)}
+	m.Temp = temp
+	for _, proc := range []string{"main.all", "main.from1"} {
+		for i := 0; i < 3; i++ {
+			if _, err := m.CallProc(proc, []term.Tuple{{}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if m.Stats.Moves == 0 {
+		t.Fatal("no statement ran as a move")
+	}
+	if temp.drops == 0 || len(temp.slow) != 0 || len(temp.Names()) != 0 {
+		t.Errorf("%d of %d drops were not of the youngest relation (%v); %d relations left",
+			len(temp.slow), temp.drops, temp.slow, len(temp.Names()))
+	}
+}

@@ -98,6 +98,20 @@ func (m FsyncMode) String() string {
 	return fmt.Sprintf("FsyncMode(%d)", uint8(m))
 }
 
+// ParseFsync returns the mode a name selects: a String result, "never"
+// for FsyncNever, or "" for the default FsyncBatch.
+func ParseFsync(s string) (FsyncMode, error) {
+	switch s {
+	case "batch", "":
+		return FsyncBatch, nil
+	case "always":
+		return FsyncAlways, nil
+	case "none", "never":
+		return FsyncNever, nil
+	}
+	return 0, fmt.Errorf("fsync mode wants batch, always, or none; got %q", s)
+}
+
 // Defaults for Options zero values.
 const (
 	DefaultBatchBytes      = 256 << 10

@@ -312,3 +312,25 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 		t.Error("empty relations must survive snapshots")
 	}
 }
+
+// TestParseFsyncRoundTrips checks that every mode parses back from its
+// String, that the aliases select their modes, and that anything else is
+// refused.
+func TestParseFsyncRoundTrips(t *testing.T) {
+	for _, m := range []FsyncMode{FsyncBatch, FsyncAlways, FsyncNever} {
+		got, err := ParseFsync(m.String())
+		if err != nil || got != m {
+			t.Errorf("ParseFsync(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for s, want := range map[string]FsyncMode{"": FsyncBatch, "never": FsyncNever} {
+		if got, err := ParseFsync(s); err != nil || got != want {
+			t.Errorf("ParseFsync(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"sometimes", "Always", "FsyncMode(3)"} {
+		if _, err := ParseFsync(s); err == nil {
+			t.Errorf("ParseFsync(%q) accepted", s)
+		}
+	}
+}
