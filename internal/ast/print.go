@@ -3,6 +3,8 @@ package ast
 import (
 	"fmt"
 	"strings"
+
+	"gluenail/internal/term"
 )
 
 // Printing renders AST nodes back to Glue source syntax. cmd/nailc uses it
@@ -114,6 +116,8 @@ func writeStmt(sb *strings.Builder, st Stmt, depth int) {
 		sb.WriteString(ind)
 		sb.WriteString(FormatAssign(s))
 		sb.WriteByte('\n')
+	case *Advance:
+		fmt.Fprintf(sb, "%s%s := uniondiff(%s).\n", ind, term.NewString(s.Delta), term.NewString(s.Rel))
 	case *Repeat:
 		sb.WriteString(ind)
 		sb.WriteString("repeat\n")

@@ -1,6 +1,7 @@
 package nail
 
 import (
+	"slices"
 	"strings"
 
 	"gluenail/internal/ast"
@@ -94,7 +95,9 @@ func (g *generator) buildMagic() error {
 						if len(mr.body) == 0 {
 							mr.body = append(mr.body, trueGoal())
 						}
-						g.rules = append(g.rules, mr)
+						if !tautology(mr) {
+							g.rules = append(g.rules, mr)
+						}
 					}
 					return sub
 				}
@@ -132,6 +135,17 @@ func (g *generator) buildMagic() error {
 	g.targetLocal = localName(g.target.Name, g.adorn)
 	return nil
 }
+
+// tautology reports whether r's head is one of its positive body atoms,
+// as in m|tc|bf(X) :- m|tc|bf(X): such a rule derives nothing.
+func tautology(r drule) bool {
+	head := atomText(r.head)
+	return slices.ContainsFunc(r.body, func(dg dgoal) bool {
+		return dg.local != nil && !dg.neg && atomText(*dg.local) == head
+	})
+}
+
+func atomText(l latom) string { return ast.FormatAssign(&ast.Assign{Head: latomAtom(l)}) }
 
 // cloneGoals copies the dgoal slice (shallow: atoms/goals are shared,
 // which is safe because the compiler never mutates them).

@@ -39,12 +39,24 @@ func TestGeneratePlainAllFree(t *testing.T) {
 		t.Errorf("params = %v : %v", proc.BoundParams, proc.FreeParams)
 	}
 	text := ast.FormatProc(proc)
-	// Semi-naive structure: a repeat loop with delta relations and an
-	// empty-delta termination.
-	for _, want := range []string{"repeat", "until", "tc|ff|d", "tc|ff|nd", "empty("} {
+	// Semi-naive structure (§10's uniondiff): a repeat loop whose rule
+	// variant inserts straight into the full relation, a delta that is the
+	// range the loop appended, and an empty-delta termination. No new-delta
+	// relation, no negated probe of the full relation and no copy of the
+	// delta into it.
+	for _, want := range []string{"repeat", "until", "'tc|ff'(X,Z) += 'tc|ff|d'(X,Y) & edge(Y,Z).",
+		"'tc|ff|d' := uniondiff('tc|ff').", "empty('tc|ff|d'"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("generated proc missing %q:\n%s", want, text)
 		}
+	}
+	for _, unwanted := range []string{"tc|ff|nd", "!'tc|ff'", "+= 'tc|ff|d'(V0,V1)", "tc|ff|d(A1"} {
+		if strings.Contains(text, unwanted) {
+			t.Errorf("generated proc has %q:\n%s", unwanted, text)
+		}
+	}
+	if n := strings.Count(text, " += "); n != 2 {
+		t.Errorf("generated proc has %d += statements, want the exit rule and one variant:\n%s", n, text)
 	}
 	// No magic relations for the all-free adornment.
 	if strings.Contains(text, "m|tc") {
@@ -67,6 +79,45 @@ func TestGenerateMagicBoundFirst(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("magic proc missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestMagicDropsTautologies checks that the magic-set rewrite skips a
+// magic rule whose head is one of its body atoms: for tc(X,Z) :- tc(X,Y) &
+// edge(Y,Z) under bf it would be m|tc|bf(X) :- m|tc|bf(X), which derives
+// nothing but made the magic relation recursive, with a loop of its own.
+func TestMagicDropsTautologies(t *testing.T) {
+	lp := linkSrc(t, tcSrc)
+	sym := lp.Resolve("main", "tc")
+	proc, err := Generate(lp, sym, "bf", Options{Magic: true, SemiNaive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := ast.FormatProc(proc)
+	if n := strings.Count(text, "repeat"); n != 1 {
+		t.Errorf("bf proc has %d loops, want 1 (tc's):\n%s", n, text)
+	}
+	if strings.Contains(text, "m|tc|bf|d") || strings.Contains(text, "'m|tc|bf'(X) +=") {
+		t.Errorf("bf proc derives the magic relation from itself:\n%s", text)
+	}
+	for _, l := range proc.Locals {
+		if l.Name != "m|tc|bf" && l.Name != "tc|bf" {
+			t.Errorf("bf proc declares local %s", l.Name)
+		}
+	}
+	// A magic rule that is not a tautology stays: under bf, the
+	// right-linear tc passes the bound argument on through edge.
+	lp = linkSrc(t, `
+edb edge(X,Y);
+tc(X,Y) :- edge(X,Y).
+tc(X,Z) :- edge(X,Y) & tc(Y,Z).
+`)
+	proc, err = Generate(lp, lp.Resolve("main", "tc"), "bf", Options{Magic: true, SemiNaive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := ast.FormatProc(proc); !strings.Contains(text, "'m|tc|bf'(Y) += 'm|tc|bf|d'(X) & edge(X,Y).") {
+		t.Errorf("right-linear bf proc lost its magic rule:\n%s", text)
 	}
 }
 

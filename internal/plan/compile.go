@@ -272,6 +272,7 @@ func (c *Compiler) compileProc(module string, proc *ast.Proc, id string) (string
 		module: module,
 		proc:   proc,
 		locals: map[string]localSlot{},
+		deltas: map[string]localSlot{},
 	}
 	for i, l := range p.Locals {
 		pc.locals[l.Name] = localSlot{slot: SlotLocals + i, arity: l.Arity}

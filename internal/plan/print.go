@@ -65,6 +65,8 @@ func writeInstrs(sb *strings.Builder, instrs []Instr, depth int, steps stepsWrit
 			}
 			sb.WriteString(")\n")
 			steps(sb, st.Steps, st, depth+1)
+		case *Advance:
+			fmt.Fprintf(sb, "%sadvance %s\n", ind, relText(in.Rel))
 		case *Loop:
 			sb.WriteString(ind)
 			sb.WriteString("loop {\n")
@@ -116,7 +118,7 @@ func relText(r RelRef) string {
 	if r.Space == SpaceLocal {
 		space = "local"
 	}
-	return fmt.Sprintf("%s:%s/%d", space, r.Name, r.Arity)
+	return fmt.Sprintf("%s:%s/%d%s", space, r.Name, r.Arity, [...]string{"", "[lo,hi)", "[0,hi)"}[r.Range])
 }
 
 func patsText(ps []term.Pattern) string {

@@ -203,6 +203,12 @@ func (r *layeredRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) 
 	r.inner.Lookup(mask, key, yield)
 }
 
+func (r *layeredRel) LookupRange(lo, hi int, mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
+	defer r.store.latch()()
+	r.store.catalogProbe(r.key, r.inner.name, r.inner.arity)
+	r.inner.LookupRange(lo, hi, mask, key, yield)
+}
+
 func (r *layeredRel) DistinctEst(col int) int {
 	defer r.store.latch()()
 	return r.inner.DistinctEst(col)

@@ -617,8 +617,9 @@ func (s *lifoStore) Drop(name term.Value, arity int) {
 
 // TestFrameDropsAreLastInFirstOut checks that frames drop their
 // relations newest-created first, also after moves have swapped frame
-// slots or handed a callee's return to its caller: every Drop then hits
-// the temp store's youngest relation, which its catalog removes in place.
+// slots or handed a callee's return to its caller, once or on every
+// iteration of a loop: every Drop then hits the temp store's youngest
+// relation, which its catalog removes in place.
 func TestFrameDropsAreLastInFirstOut(t *testing.T) {
 	m := compileMachine(t, `
 edb edge(X,Y);
@@ -630,11 +631,20 @@ end
 proc from1(:Y)
   return(:Y) := tc(1,Y).
 end
+proc loop5(:X,Y)
+rels l(X,Y), k(I);
+  k(I) := I = 0.
+  repeat
+    l(X,Y) := tc(X,Y).
+    k(J) := k(I) & J = I + 1.
+  until k(5);
+  return(:X,Y) := l(X,Y).
+end
 `, plan.Options{})
 	insert(m, "edge", []int64{1, 2}, []int64{2, 3}, []int64{3, 4}, []int64{4, 1}, []int64{2, 5})
 	temp := &lifoStore{Store: storage.NewMemStore(storage.IndexAdaptive)}
 	m.Temp = temp
-	for _, proc := range []string{"main.all", "main.from1"} {
+	for _, proc := range []string{"main.all", "main.from1", "main.loop5"} {
 		for i := 0; i < 3; i++ {
 			if _, err := m.CallProc(proc, []term.Tuple{{}}); err != nil {
 				t.Fatal(err)
