@@ -143,13 +143,18 @@ func (op AssignOp) String() string {
 // special relation `return` carries the bound:free split of the head and
 // implies an `in` subgoal (§4).
 type Assign struct {
-	Op        AssignOp
-	Head      *AtomTerm
-	IsReturn  bool
-	HeadBound int      // bound-arg count when IsReturn
-	Key       []string // key variables for OpModify
-	Body      []Goal
-	Pos       Pos
+	Op       AssignOp
+	Head     *AtomTerm
+	IsReturn bool
+	// InImplied marks a return whose body keeps only rows whose bound
+	// columns are in `in` already (NAIL!'s magic-set proof), so it takes
+	// no implicit in subgoal. Query marks a query wrapper's return, whose
+	// rows only the query's caller reads.
+	InImplied, Query bool
+	HeadBound        int      // bound-arg count when IsReturn
+	Key              []string // key variables for OpModify
+	Body             []Goal
+	Pos              Pos
 }
 
 func (*Assign) stmtNode() {}

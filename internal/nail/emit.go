@@ -2,6 +2,7 @@ package nail
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gluenail/internal/ast"
@@ -198,9 +199,15 @@ func (g *generator) emitProc() (*ast.Proc, error) {
 	for i := 0; i < fi; i++ {
 		headArgs = append(headArgs, mkVar("F", i))
 	}
+	// When the seed m|p|a := in is the target's only magic rule, every
+	// row of p|a has its bound columns in in: the return needs no join.
+	seedOnly := g.magicMode && !slices.ContainsFunc(g.rules, func(r drule) bool {
+		return r.head.name == magicName(g.target.Name, g.adorn)
+	})
 	body = append(body, &ast.Assign{
 		Op:        ast.OpAssign,
 		IsReturn:  true,
+		InImplied: seedOnly,
 		HeadBound: bc,
 		Head:      &ast.AtomTerm{Pred: mkConst("return"), Args: headArgs},
 		Body: []ast.Goal{&ast.AtomGoal{Atom: &ast.AtomTerm{

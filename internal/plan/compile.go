@@ -78,7 +78,7 @@ func (c *Compiler) CompileQuery(module string, goals []ast.Goal) (string, []stri
 		head.Args = append(head.Args, &ast.VarTerm{Name: v})
 	}
 	proc.Body = []ast.Stmt{&ast.Assign{
-		Op: ast.OpAssign, Head: head, IsReturn: true, HeadBound: 0, Body: goals,
+		Op: ast.OpAssign, Head: head, IsReturn: true, HeadBound: 0, Body: goals, Query: true,
 	}}
 	id, err := c.compileProc(module, proc, "")
 	return id, vars, err

@@ -134,11 +134,14 @@ type Advance struct{ Rel RelRef }
 func (*Advance) instr() {}
 
 // Cond is a compiled until-condition conjunction; it is true when at least
-// one supplementary row survives all steps.
+// one supplementary row survives all steps. A conjunction of empty tests
+// of loop deltas is Deltas instead, true when each delta's range
+// [lo, hi) is empty; it has no steps.
 type Cond struct {
-	NRegs int
-	Steps []Step
-	slot  PlanSlot
+	NRegs  int
+	Steps  []Step
+	Deltas []RelRef
+	slot   PlanSlot
 }
 
 // Stmt is a compiled assignment statement.
@@ -162,19 +165,24 @@ type Stmt struct {
 
 // Move is a ":=" onto a frame relation that only copies one source in the
 // head's order: a frame relation dead afterwards (Src), or the results of
-// a call with no bound arguments (Call; Src is -1). In reports that the
-// body also matches the 0-arity in(), so rows move only when in is full.
+// a call with no bound arguments (Call; Src is -1), or, onto a query's
+// return, only constant ones. Input is the call's one input tuple, those
+// constants, which lead every row the move hands over. In reports that
+// the body also matches the 0-arity in() or implies its in subgoal, so
+// rows move only when in holds one row.
 type Move struct {
-	Src  int
-	Call *Call
-	In   bool
+	Src   int
+	Call  *Call
+	Input []term.Tuple
+	In    bool
 }
 
 // HeadSpec describes the assignment target and the tuples built per row.
+// InImplied and Query mark returns as ast.Assign does.
 type HeadSpec struct {
-	Ref      RelRef
-	Args     []term.Pattern
-	IsReturn bool
+	Ref                        RelRef
+	Args                       []term.Pattern
+	IsReturn, InImplied, Query bool
 }
 
 // Step is one pipeline segment: streaming ops, then an optional

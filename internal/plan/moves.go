@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"slices"
+
 	"gluenail/internal/ast"
 	"gluenail/internal/term"
 )
@@ -32,14 +34,17 @@ func markMoves(body, instrs []Instr) {
 // moveShape returns the move a statement is if its source is dead: a
 // ":=" onto a frame relation whose body is one positive match of another
 // frame relation, or one positive call to a compiled procedure with no
-// bound arguments, binding distinct variables in the head's order. The
-// body may also match the 0-arity in() (a return's implicit goal) or
-// repeat the source match, which filters nothing.
+// bound arguments (constant ones onto a query's return), binding distinct
+// variables in the head's order. The body may also match the 0-arity in()
+// (a return's implicit goal) or repeat the source match, which filters
+// nothing. A return whose body implies its in subgoal (ast.Assign.
+// InImplied) moves only while in holds one row, whose join it replaces
+// stored the rows in the same order; with several it copies.
 func moveShape(st *Stmt) *Move {
 	if st.Op != ast.OpAssign || st.Head.Ref.Space != SpaceLocal {
 		return nil
 	}
-	mv := Move{Src: -1}
+	mv := Move{Src: -1, In: st.Head.InImplied}
 	for _, step := range st.Steps {
 		for _, op := range step.Pipe {
 			m, ok := op.(*Match)
@@ -57,11 +62,18 @@ func moveShape(st *Stmt) *Move {
 		}
 		if step.Barrier != nil {
 			c, ok := step.Barrier.(*Call)
-			if !ok || mv.Call != nil || c.ProcID == "" || c.Negated || len(c.BoundArgs) > 0 ||
+			if !ok || mv.Call != nil || c.ProcID == "" || c.Negated || len(c.BoundArgs) > 0 && !st.Head.Query ||
 				!distinctVars(st.Head.Args, c.FreeArgs) {
 				return nil
 			}
-			mv.Call = c
+			in := make(term.Tuple, len(c.BoundArgs))
+			for i, a := range c.BoundArgs {
+				if a.Kind != term.PatGround {
+					return nil
+				}
+				in[i] = a.Val
+			}
+			mv.Call, mv.Input = c, []term.Tuple{in}
 		}
 	}
 	if (mv.Call != nil) == (mv.Src >= 0) {
@@ -112,13 +124,15 @@ func (lv *liveness) instrs(instrs []Instr, live, record bool) bool {
 				lv.liveOut = live
 			}
 			kill := st.Op == ast.OpAssign && lv.is(h)
-			// A computed head may name any relation; a kept head reads.
-			live = live && !kill || !h.Name.IsGround() || lv.is(h) && !kill || lv.steps(st.Steps)
+			// A computed head may name any relation; a kept head reads, and
+			// a return that implies its in subgoal reads how many rows in has.
+			live = live && !kill || !h.Name.IsGround() || lv.is(h) && !kill || lv.steps(st.Steps) ||
+				st.Head.InImplied && lv.slot == SlotIn
 		case *Loop:
 			// The body runs, then the conditions; the loop exits or repeats.
 			after := live
 			for _, c := range in.Until {
-				after = after || lv.steps(c.Steps)
+				after = after || lv.steps(c.Steps) || slices.ContainsFunc(c.Deltas, lv.is)
 			}
 			top := false
 			for next := lv.instrs(in.Body, after, false); next != top; next = lv.instrs(in.Body, after || top, false) {

@@ -75,6 +75,14 @@ func writeInstrs(sb *strings.Builder, instrs []Instr, depth int, steps stepsWrit
 			sb.WriteString("} until any of:\n")
 			for _, c := range in.Until {
 				sb.WriteString(ind)
+				if c.Deltas != nil {
+					sb.WriteString("  cond: empty")
+					for _, d := range c.Deltas {
+						sb.WriteString(" " + relText(d))
+					}
+					sb.WriteByte('\n')
+					continue
+				}
 				fmt.Fprintf(sb, "  cond (%d regs):\n", c.NRegs)
 				steps(sb, c.Steps, nil, depth+2)
 			}

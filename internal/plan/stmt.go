@@ -822,15 +822,10 @@ func (pc *procCompiler) compileAssign(a *ast.Assign) (*Stmt, error) {
 				a.HeadBound, len(a.Head.Args)-a.HeadBound,
 				len(pc.proc.BoundParams), len(pc.proc.FreeParams))
 		}
-		inGoal := &ast.AtomGoal{
-			Atom: &ast.AtomTerm{
-				Pred: constStr("in"),
-				Args: a.Head.Args[:a.HeadBound],
-				Pos:  a.Pos,
-			},
-			Pos: a.Pos,
+		if !a.InImplied {
+			in := &ast.AtomTerm{Pred: constStr("in"), Args: a.Head.Args[:a.HeadBound], Pos: a.Pos}
+			goals = append([]ast.Goal{&ast.AtomGoal{Atom: in, Pos: a.Pos}}, goals...)
 		}
-		goals = append([]ast.Goal{inGoal}, goals...)
 	}
 	units, err := pc.buildUnits(goals)
 	if err != nil {
@@ -858,6 +853,9 @@ func (pc *procCompiler) compileAssign(a *ast.Assign) (*Stmt, error) {
 
 // compileCond compiles an until-condition conjunction.
 func (pc *procCompiler) compileCond(goals []ast.Goal) (*Cond, error) {
+	if c := pc.deltasEmpty(goals); c != nil {
+		return c, nil
+	}
 	sc := pc.newStmtCompiler()
 	units, err := pc.buildUnits(goals)
 	if err != nil {
@@ -870,6 +868,24 @@ func (pc *procCompiler) compileCond(goals []ast.Goal) (*Cond, error) {
 	st := &Stmt{NRegs: sc.nreg, Steps: sc.steps}
 	finalize(st, !pc.c.opts.NoDedup)
 	return &Cond{NRegs: st.NRegs, Steps: st.Steps}, nil
+}
+
+// deltasEmpty returns the condition "every delta is empty" if goals are
+// only empty tests of loop deltas, as a semi-naive loop's until is.
+func (pc *procCompiler) deltasEmpty(goals []ast.Goal) *Cond {
+	c := &Cond{}
+	for _, g := range goals {
+		e, ok := g.(*ast.EmptyGoal)
+		if !ok {
+			return nil
+		}
+		ref, err := pc.resolveAtom(e.Atom)
+		if err != nil || ref.kind != refLocal || ref.rng != RangeDelta {
+			return nil
+		}
+		c.Deltas = append(c.Deltas, ref.relRef())
+	}
+	return c
 }
 
 func (sc *stmtCompiler) compileHead(a *ast.Assign) (HeadSpec, uint32, error) {
@@ -888,7 +904,7 @@ func (sc *stmtCompiler) compileHead(a *ast.Assign) (HeadSpec, uint32, error) {
 	}
 	head.Args = args
 	if a.IsReturn {
-		head.IsReturn = true
+		head.IsReturn, head.InImplied, head.Query = true, a.InImplied, a.Query
 		head.Ref = RelRef{
 			Space: SpaceLocal,
 			Name:  term.Ground(term.NewString("return")),

@@ -806,6 +806,6 @@ func (r *Relation) All() []term.Tuple {
 // Sorted returns the tuples of rel in total order, for deterministic output.
 func Sorted(rel Rel) []term.Tuple {
 	out := rel.All()
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	slices.SortFunc(out, term.Tuple.Compare)
 	return out
 }

@@ -20,7 +20,7 @@ func (f *frame) execStmt(st *plan.Stmt) error {
 	// statement is exactly the right label to keep.
 	prevProc, prevStmt := f.m.curProc, f.m.curStmt
 	f.m.curProc, f.m.curStmt = f.proc.ID, st.Label
-	if mv := st.Move; mv != nil && (!mv.In || f.rels[plan.SlotIn].Len() != 0) {
+	if mv := st.Move; mv != nil && (!mv.In || f.rels[plan.SlotIn].Len() == 1) {
 		if err := f.move(st, mv); err != nil {
 			return fmt.Errorf("statement %q: %w", st.Label, err)
 		}
@@ -64,7 +64,9 @@ var unitIn = []term.Tuple{{}}
 // would have changed both slots' versions before their next read, so the
 // unchanged memory of the swapped relations is forgotten. A forwarded
 // call's target that is the temp store's youngest relation is dropped
-// first: the callee would drop it below its own, off the fast path.
+// first: the callee would drop it below its own, off the fast path. A
+// call's constant arguments lead the rows it hands over; the frame's
+// return, the only target such a move has, records how many (f.lead).
 func (f *frame) move(st *plan.Stmt, mv *plan.Move) error {
 	atomic.AddInt64(&f.m.Stats.Moves, 1)
 	t, prof := st.Head.Ref.Slot, f.m.profileFor(st)
@@ -93,7 +95,8 @@ func (f *frame) move(st *plan.Stmt, mv *plan.Move) error {
 			f.m.Temp.Drop(old.Name(), old.Arity())
 			f.rels[t] = nil
 		}
-		return f.m.call(mv.Call.ProcID, unitIn, func(callee *frame) error {
+		f.lead = len(mv.Input[0])
+		return f.m.call(mv.Call.ProcID, mv.Input, func(callee *frame) error {
 			err := take(&callee.rels[plan.SlotReturn])
 			f.adopt(callee, f.rels[t])
 			return err
@@ -103,6 +106,14 @@ func (f *frame) move(st *plan.Stmt, mv *plan.Move) error {
 }
 
 func (f *frame) evalCond(c *plan.Cond) (found bool, err error) {
+	if c.Deltas != nil {
+		for _, d := range c.Deltas {
+			if v := &f.views[d.Slot][0]; v.lo != v.hi {
+				return false, nil
+			}
+		}
+		return true, nil
+	}
 	err = f.runSteps(c.NRegs, f.condPlan(c), nil, func(b *batchState) error {
 		found = b.active() > 0
 		return nil

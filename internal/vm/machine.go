@@ -320,6 +320,9 @@ func (m *Machine) CallProcContext(ctx context.Context, id string, in []term.Tupl
 	}
 	err = m.call(id, in, func(callee *frame) error {
 		out = callee.rels[plan.SlotReturn].All()
+		for i := range out {
+			out[i] = out[i][callee.lead:]
+		}
 		return nil
 	})
 	return out, err
@@ -385,7 +388,11 @@ type frame struct {
 	// (plan.RangeDelta, plan.RangeSeen); made by the first plan.Advance.
 	views    [][2]rangeRel
 	returned bool
-	spare    *batchScratch // see batchScratch.put
+	// lead is the number of constant columns leading the rows of a query's
+	// return, which a move took from a call with constant arguments
+	// (plan.Move.Input); only CallProcContext reads such a return.
+	lead  int
+	spare *batchScratch // see batchScratch.put
 	// scratch pools hash tables (hashkit.go) across the statements — and
 	// repeat-loop iterations — this frame executes; statements run
 	// sequentially per frame, so no locking.

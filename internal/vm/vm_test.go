@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,8 +15,9 @@ import (
 	"gluenail/internal/term"
 )
 
-// compileMachine builds a machine from source with the standard builtins.
-func compileMachine(t *testing.T, src string, popts plan.Options) *Machine {
+// compileMachine builds a machine from source with the standard builtins,
+// and the queries as main.$query1, main.$query2, ...
+func compileMachine(t *testing.T, src string, popts plan.Options, queries ...string) *Machine {
 	t.Helper()
 	reg := NewRegistry()
 	popts.Builtin = reg.Sig
@@ -30,6 +32,15 @@ func compileMachine(t *testing.T, src string, popts plan.Options) *Machine {
 	c := plan.NewCompiler(lp, popts)
 	if err := c.CompileAll(); err != nil {
 		t.Fatalf("compile: %v", err)
+	}
+	for _, q := range queries {
+		gs, err := parser.ParseGoals(q)
+		if err == nil {
+			_, _, err = c.CompileQuery("main", gs)
+		}
+		if err != nil {
+			t.Fatalf("query %s: %v", q, err)
+		}
 	}
 	edb := storage.NewMemStore(storage.IndexAdaptive)
 	return New(c.Program(), edb, nil, reg)
@@ -71,14 +82,15 @@ end
 // TestFrameLocalsAreDropped runs calls that leave through every exit a
 // frame has — a plain return, a nested call barrier, a HiLog family
 // dispatch, self-recursion, a budget trip mid-body, a spilling temp store,
-// and moves and a forwarded call on it followed by a budget trip — and
-// checks that each leaves the temp store empty.
+// moves and a forwarded call on it followed by a budget trip, and a
+// query forwarding a call with a constant argument — and checks that each
+// leaves the temp store empty.
 func TestFrameLocalsAreDropped(t *testing.T) {
 	cases := []struct {
-		name, src, proc string
-		in              term.Tuple
-		setup           func(t *testing.T, m *Machine)
-		wantErr         error
+		name, src, proc, query string
+		in                     term.Tuple
+		setup                  func(t *testing.T, m *Machine)
+		wantErr                error
 		// check, when set, confirms the case ran the path it names.
 		check func(t *testing.T, m *Machine, out []term.Tuple)
 	}{
@@ -224,10 +236,28 @@ end
 				t.Errorf("forwarding on spill: moves=%d spilled=%d", m.Stats.Moves, m.Temp.Stats().RowsSpilled)
 			}
 		}},
+		{name: "bound forwarded call", proc: "main.$query1", query: "tc(2, Y)", in: term.Tuple{}, src: `
+edb e(X), edge(X, Y);
+tc(X, Y) :- edge(X, Y).
+tc(X, Z) :- tc(X, Y) & edge(Y, Z).
+`, setup: func(t *testing.T, m *Machine) {
+			insert(m, "edge", []int64{1, 2}, []int64{2, 3}, []int64{3, 4})
+		}, check: func(t *testing.T, m *Machine, out []term.Tuple) {
+			// The query's return and tc@bf's: two moves; the read-out
+			// drops the constant 2.
+			want := []term.Tuple{{term.NewInt(3)}, {term.NewInt(4)}}
+			if !slices.EqualFunc(out, want, term.Tuple.Equal) || m.Stats.Moves != 2 {
+				t.Errorf("bound forwarded call: out=%v moves=%d", out, m.Stats.Moves)
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := compileMachine(t, tc.src, plan.Options{})
+			var queries []string
+			if tc.query != "" {
+				queries = append(queries, tc.query)
+			}
+			m := compileMachine(t, tc.src, plan.Options{}, queries...)
 			insert(m, "e", []int64{1})
 			if tc.setup != nil {
 				tc.setup(t, m)

@@ -131,8 +131,9 @@ end
 // moveCases are run in order: a query, then a procedure filling r_<name>
 // from the same goals. moves counts the statements both run as moves:
 // every forwarded query and each call's "return := p|ff" or
-// "return := t"; a query with a bound or repeated argument is not
-// forwarded. (Semi-naive deltas are slot ranges of the full relations and
+// "return := t"; a query with a repeated argument is not forwarded, and
+// one with a constant argument only into the query's own return.
+// (Semi-naive deltas are slot ranges of the full relations and
 // are not moved; while a "d := nd" moved them, tc counted 13 moves, sg 9,
 // pair 27, fwd 17, bound 10 and repeated 12.)
 var moveCases = []struct {
@@ -152,15 +153,17 @@ var moveCases = []struct {
 	{"fwd", "c_fwd(X, Y)", []string{"X", "Y"}, 7},
 	{"dead", "c_dead(X)", []string{"X"}, 3},
 	// Look-alikes: the source is read later, by an until, by unchanged, by
-	// empty, by a "+=" head or through HiLog; the call has a bound or a
-	// repeated argument, is negated, or runs a builtin or a Go procedure.
+	// empty, by a "+=" head or through HiLog; the call has a repeated
+	// argument, is negated, or runs a builtin or a Go procedure. A bound
+	// tc's "return := tc|bf" moves, as does the query forwarding it with
+	// its constant, but not the ":=" of it into r_bound.
 	{"later", "c_later(X)", []string{"X"}, 1},
 	{"until", "c_until(X)", []string{"X"}, 1},
 	{"unchanged", "c_unchanged(X)", []string{"X"}, 1},
 	{"empty", "c_empty(X)", []string{"X"}, 1},
 	{"grow", "c_grow(X)", []string{"X"}, 1},
 	{"hilog", "c_hilog(X)", []string{"X"}, 1},
-	{"bound", "tc(1, Y)", []string{"Y"}, 0},
+	{"bound", "tc(1, Y)", []string{"Y"}, 3},
 	{"repeated", "tc(X, X)", []string{"X"}, 2},
 	{"negcall", "c_negcall()", nil, 1},
 	{"builtin", "c_builtin(L)", []string{"L"}, 1},
@@ -337,5 +340,137 @@ func TestMovesBesideSnapshots(t *testing.T) {
 	}
 	if got.String() != want {
 		t.Errorf("beside snapshots the cases answer\n%s\nwant\n%s", got.String(), want)
+	}
+}
+
+// boundMoveProg has a left-linear tc, whose magic set is its seed in and
+// whose return is a move, and a right-linear rtc, whose magic set grows
+// from edge and whose return must keep its join with in; and Glue
+// procedures over tc with a constant and a bound argument.
+const boundMoveProg = `
+edb edge(X, Y), start(X);
+
+tc(X, Y) :- edge(X, Y).
+tc(X, Z) :- tc(X, Y) & edge(Y, Z).
+rtc(X, Y) :- edge(X, Y).
+rtc(X, Z) :- edge(X, Y) & rtc(Y, Z).
+
+proc from1(:Y)
+  return(:Y) := tc(1, Y).
+end
+
+proc from1_barrier(:Y)
+  return(:Y) := from1(Y) & Y > 0.
+end
+
+proc reach(X:Y)
+  return(X:Y) := tc(X, Y).
+end
+
+proc reach_count(X:N)
+  return(X:N) := tc(X, Y) & group_by(X) & N = count(Y).
+end
+`
+
+// TestBoundMovesMatchFreeQuery checks every bound query shape whose
+// return may be a move against the free tc(X, Y) or rtc(X, Y), which no
+// magic set rewrites, filtered on the bound column: a query with a
+// constant argument takes its callee's return whole, constant column and
+// all, and only the read-out may drop that column.
+func TestBoundMovesMatchFreeQuery(t *testing.T) {
+	sys := New()
+	defer sys.Close()
+	if err := sys.Load(boundMoveProg); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Assert("edge", recursionOrderEdges...); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Assert("start", []any{9}, []any{6}, []any{1}); err != nil {
+		t.Fatal(err)
+	}
+	// free returns the free query's rows whose column col holds one of
+	// keys, keeping the other column, or both with both.
+	free := func(pred string, col int, both bool, keys ...int64) string {
+		res, err := sys.Query(pred + "(X, Y)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows [][]Value
+		for _, r := range res.Rows {
+			for _, k := range keys {
+				if r[col].Equal(Int(k)) && both {
+					rows = append(rows, r)
+				} else if r[col].Equal(Int(k)) {
+					rows = append(rows, r[1-col:2-col])
+				}
+			}
+		}
+		return fmt.Sprint(rows)
+	}
+	tc1 := free("tc", 0, false, 1)
+	for _, c := range []struct {
+		name, goals, want string
+		moves             int64
+	}{
+		// The query's return and tc@bf's "return := tc|bf" both move.
+		{"left-linear", "tc(1, Y)", tc1, 2},
+		// Magic seeds m|rtc|bf from edge, so rtc|bf holds rows for other
+		// first columns: its return joins in, and only the query moves.
+		{"right-linear", "rtc(1, Y)", free("rtc", 0, false, 1), 1},
+		// tc|fb stores (X, Y) and the return reads (Y, X): a copy.
+		{"fb", "tc(X, 4)", free("tc", 1, false, 4), 1},
+		// from1 calls tc@bf with a constant, but its return is not a
+		// query's: it keeps its own one column, through a call barrier
+		// and through the query's forwarding move alike.
+		{"glue forwarded", "from1(Y)", tc1, 2},
+		{"glue barrier", "from1(Y) & Y > 0", tc1, 1},
+		{"glue in a barrier", "from1_barrier(Y)", tc1, 2},
+		{"glue bound", "reach(1, Y)", tc1, 2},
+		{"glue aggregate", "reach_count(1, N)", fmt.Sprintf("[[%d]]", strings.Count(tc1, " ")+1), 2},
+		{"all bound", "tc(1, 4)", "[[]]", 2},
+		{"not derived", "tc(1, 9)", "[]", 2},
+		// Three inputs in one call: the callee's in holds three rows, so
+		// its return copies.
+		{"inputs", "start(S) & tc(S, Y)", free("tc", 0, true, 1, 6, 9), 0},
+	} {
+		before := sys.Stats().Exec.Moves
+		res, err := sys.Query(c.goals)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := fmt.Sprint(res.Rows); got != c.want {
+			t.Errorf("%s: %s = %s, want %s", c.name, c.goals, got, c.want)
+		}
+		if n := sys.Stats().Exec.Moves - before; n != c.moves {
+			t.Errorf("%s: %s made %d moves, want %d", c.name, c.goals, n, c.moves)
+		}
+		snap, err := sys.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err = snap.Query(c.goals)
+		snap.Close()
+		if err != nil {
+			t.Fatalf("%s in a snapshot: %v", c.name, err)
+		}
+		if got := fmt.Sprint(res.Rows); got != c.want {
+			t.Errorf("%s in a snapshot: %s = %s, want %s", c.name, c.goals, got, c.want)
+		}
+	}
+	// The semijoin a right-linear return keeps, and the move a left-linear
+	// one makes instead.
+	for goals, want := range map[string]string{
+		"rtc(1, Y)": "match local:in/1",
+		"tc(1, Y)":  "move from local:'tc|bf'/2",
+	} {
+		plan, err := sys.Explain(goals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ret, _ := strings.Cut(plan, "stmt return($0,$1) :=")
+		if !strings.Contains(ret, want) {
+			t.Errorf("%s: the callee's return does not show %q:\n%s", goals, want, plan)
+		}
 	}
 }

@@ -8,9 +8,10 @@ package gluenail
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
+	"unsafe"
 
 	"gluenail/internal/modsys"
 	"gluenail/internal/parser"
@@ -80,12 +81,9 @@ func run(ctx context.Context, m *vm.Machine, timeout time.Duration, prog *plan.P
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(tuples, func(i, j int) bool { return tuples[i].Compare(tuples[j]) < 0 })
-	out := make([][]Value, len(tuples))
-	for i, t := range tuples {
-		out[i] = []Value(t)
-	}
-	return out, nil
+	slices.SortFunc(tuples, term.Tuple.Compare)
+	// A term.Tuple is a []Value: the sorted vector is the answers' own.
+	return *(*[][]Value)(unsafe.Pointer(&tuples)), nil
 }
 
 // Prepared is a reusable handle to a compiled query: the goal conjunction
@@ -372,7 +370,7 @@ func (s *System) Procs() ([]string, error) {
 		for id := range s.compiler.Program().Procs {
 			ids = append(ids, id)
 		}
-		sort.Strings(ids)
+		slices.Sort(ids)
 		return ids, nil
 	})
 }

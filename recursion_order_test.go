@@ -12,12 +12,13 @@ import (
 // the loop derives it, and a ":=" of the predicate into a stored relation
 // keeps that order. The golden file pins it for each recursion shape —
 // linear, non-linear, a mutually recursive pair, and their bound
-// (magic-set) forms — on each configuration, so a change to how the loop
-// is emitted or run must derive the same tuples in the same order.
+// (magic-set) forms, also called on several inputs at once — on each
+// configuration, so a change to how the loop is emitted or run must
+// derive the same tuples in the same order.
 // Regenerate with `go test -run TestRecursionStoredOrder -update`.
 
 const recursionOrderProg = `
-edb edge(X, Y);
+edb edge(X, Y), start(X);
 
 tc(X, Y) :- edge(X, Y).
 tc(X, Z) :- tc(X, Y) & edge(Y, Z).
@@ -41,6 +42,7 @@ var recursionOrderCases = []struct {
 	{"linear_fb", "tc(X, 4)", []string{"X"}},
 	{"nonlinear_bf", "tcn(1, Y)", []string{"Y"}},
 	{"pair_bf", "even(2, Y)", []string{"Y"}},
+	{"linear_bf_inputs", "start(S) & tc(S, Y)", []string{"S", "Y"}},
 }
 
 // recursionOrderEdges is a graph with cycles, a self-loop, fan-out and
@@ -68,6 +70,9 @@ func TestRecursionStoredOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := sys.Assert("edge", recursionOrderEdges...); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Assert("start", []any{9}, []any{6}, []any{1}); err != nil {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&got, "== %s\n", cfg.name)
