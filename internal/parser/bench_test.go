@@ -56,15 +56,16 @@ func bytesPerRun(runs int, f func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
-// TestParseAllocs pins the parser's allocations: a module parse, and a
-// one-atom query, which must stay no larger than with the token slice the
-// parser used to build (1392 bytes, 18 objects).
+// TestParseAllocs pins the parser's allocations: a module parse, and the
+// bytes of a one-atom query, measured 512 (Go 1.24, linux/amd64) plus 25%;
+// 672 with 80-byte values, 1392 (18 objects) with the token slice the
+// parser used to build.
 func TestParseAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector changes allocation counts")
 	}
 	const maxModuleAllocs = 146.0 // measured 117 (Go 1.24, linux/amd64), plus 25%; 240 with a token slice
-	const maxQueryBytes = 1392
+	const maxQueryBytes = 640
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := Parse(benchSrc); err != nil {
 			t.Fatal(err)

@@ -169,7 +169,7 @@ type Stmt struct {
 // return, only constant ones. Input is the call's one input tuple, those
 // constants, which lead every row the move hands over. In reports that
 // the body also matches the 0-arity in() or implies its in subgoal, so
-// rows move only when in holds one row.
+// rows move only when in is not empty.
 type Move struct {
 	Src   int
 	Call  *Call

@@ -38,8 +38,9 @@ func markMoves(body, instrs []Instr) {
 // variables in the head's order. The body may also match the 0-arity in()
 // (a return's implicit goal) or repeat the source match, which filters
 // nothing. A return whose body implies its in subgoal (ast.Assign.
-// InImplied) moves only while in holds one row, whose join it replaces
-// stored the rows in the same order; with several it copies.
+// InImplied) moves whenever in holds a row: every source row joins exactly
+// one in row, and the caller's barrier regroups results per input. An
+// empty in still refuses the move, as the 0-arity in() must.
 func moveShape(st *Stmt) *Move {
 	if st.Op != ast.OpAssign || st.Head.Ref.Space != SpaceLocal {
 		return nil

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -232,6 +233,39 @@ func TestInsertStatsAllocs(t *testing.T) {
 	}
 	if rel.Len() != n {
 		t.Fatalf("relation holds %d rows, want %d", rel.Len(), n)
+	}
+}
+
+// TestInsertBytesPerRow gates the bytes a stored row costs: the least
+// TotalAlloc of 5 fresh relations, each filled with 4 096 two-int rows
+// through Insert, per row. It counts the chunked row storage and the hash
+// table, both grown as the rows arrive. Measured 215.3 bytes per row with
+// 24-byte values (Go 1.24, linux/amd64); 326.7 with 80-byte ones.
+func TestInsertBytesPerRow(t *testing.T) {
+	const n, rels, bound = 4096, 5, 270.0
+	rows := make([]term.Tuple, n)
+	for i := range rows {
+		rows[i] = it(int64(i), int64(-i))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for r := 0; r < rels; r++ {
+		runtime.ReadMemStats(&before)
+		rel := NewRelation(term.NewString("g"), 2, IndexNever, nil)
+		for _, row := range rows {
+			rel.Insert(row)
+		}
+		runtime.ReadMemStats(&after)
+		if rel.Len() != n {
+			t.Fatalf("relation holds %d rows, want %d", rel.Len(), n)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	perRow := float64(least) / n
+	t.Logf("inserting %d two-int rows allocates %.1f bytes per row (bound %.0f)", n, perRow, bound)
+	if perRow > bound {
+		t.Errorf("inserting %d two-int rows allocates %.1f bytes per row, want <= %.0f", n, perRow, bound)
 	}
 }
 

@@ -34,15 +34,16 @@ func (t Tuple) EncodedSize() int {
 func valueSize(v *Value) int {
 	switch v.kind {
 	case Int:
-		return 1 + varintLen(v.i)
+		return 1 + varintLen(int64(v.n))
 	case Float:
 		return 1 + 8
 	case Str:
-		return 1 + uvarintLen(uint64(len(v.s))) + len(v.s)
+		return 1 + uvarintLen(v.n) + int(v.n)
 	case Compound:
-		n := 1 + valueSize(v.fn) + uvarintLen(uint64(len(v.args)))
-		for i := range v.args {
-			n += valueSize(&v.args[i])
+		c := v.comp()
+		n := 1 + valueSize(&c.fn) + uvarintLen(uint64(len(c.args)))
+		for i := range c.args {
+			n += valueSize(&c.args[i])
 		}
 		return n
 	default:
@@ -73,20 +74,21 @@ func AppendValue(dst []byte, v Value) []byte {
 	switch v.kind {
 	case Int:
 		dst = append(dst, tagInt)
-		dst = binary.AppendVarint(dst, v.i)
+		dst = binary.AppendVarint(dst, int64(v.n))
 	case Float:
 		dst = append(dst, tagFloat)
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.f))
+		dst = binary.BigEndian.AppendUint64(dst, v.n)
 	case Str:
 		dst = append(dst, tagStr)
-		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
-		dst = append(dst, v.s...)
+		dst = binary.AppendUvarint(dst, v.n)
+		dst = append(dst, v.str()...)
 	case Compound:
+		c := v.comp()
 		dst = append(dst, tagCompound)
-		dst = AppendValue(dst, *v.fn)
-		dst = binary.AppendUvarint(dst, uint64(len(v.args)))
-		for i := range v.args {
-			dst = AppendValue(dst, v.args[i])
+		dst = AppendValue(dst, c.fn)
+		dst = binary.AppendUvarint(dst, uint64(len(c.args)))
+		for i := range c.args {
+			dst = AppendValue(dst, c.args[i])
 		}
 	default:
 		panic("term: encoding invalid value")

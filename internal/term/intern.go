@@ -1,6 +1,9 @@
 package term
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
 // internEntry is the canonical record for one distinct interned string.
 // Every Value built by Intern for the same string points at the same
@@ -9,6 +12,11 @@ import "sync"
 type internEntry struct {
 	s string
 	h uint64
+}
+
+// value returns the interned Str value for e.
+func (e *internEntry) value() Value {
+	return Value{kind: Str, intern: true, n: uint64(len(e.s)), p: unsafe.Pointer(e)}
 }
 
 // interned maps string -> *internEntry. A sync.Map because interning
@@ -25,14 +33,9 @@ var interned sync.Map
 // and hash identically with interned copies.
 func Intern(s string) Value {
 	if e, ok := interned.Load(s); ok {
-		ent := e.(*internEntry)
-		return Value{kind: Str, s: ent.s, ie: ent}
+		return e.(*internEntry).value()
 	}
-	ent := &internEntry{s: s, h: hashString(fnvOffset, s)}
-	if prev, loaded := interned.LoadOrStore(ent.s, ent); loaded {
-		ent = prev.(*internEntry)
-	}
-	return Value{kind: Str, s: ent.s, ie: ent}
+	return InternWithHash(s, hashString(fnvOffset, s))
 }
 
 // InternWithHash returns the interned value for s, seeding the intern
@@ -44,14 +47,13 @@ func Intern(s string) Value {
 // existing entry wins and h is ignored.
 func InternWithHash(s string, h uint64) Value {
 	if e, ok := interned.Load(s); ok {
-		ent := e.(*internEntry)
-		return Value{kind: Str, s: ent.s, ie: ent}
+		return e.(*internEntry).value()
 	}
 	ent := &internEntry{s: s, h: h}
 	if prev, loaded := interned.LoadOrStore(ent.s, ent); loaded {
 		ent = prev.(*internEntry)
 	}
-	return Value{kind: Str, s: ent.s, ie: ent}
+	return ent.value()
 }
 
 // InternValue returns v with any Str content interned: Str values are
@@ -62,15 +64,16 @@ func InternWithHash(s string, h uint64) Value {
 func InternValue(v Value) Value {
 	switch v.kind {
 	case Str:
-		if v.ie != nil {
+		if v.intern {
 			return v
 		}
-		return Intern(v.s)
+		return Intern(v.str())
 	case Compound:
-		fn := InternValue(*v.fn)
-		args := make([]Value, len(v.args))
-		for i := range v.args {
-			args[i] = InternValue(v.args[i])
+		c := v.comp()
+		fn := InternValue(c.fn)
+		args := make([]Value, len(c.args))
+		for i := range c.args {
+			args[i] = InternValue(c.args[i])
 		}
 		return NewCompound(fn, args...)
 	}
@@ -78,4 +81,4 @@ func InternValue(v Value) Value {
 }
 
 // Interned reports whether v is an interned Str value (used by tests).
-func (v Value) Interned() bool { return v.ie != nil }
+func (v Value) Interned() bool { return v.intern }

@@ -69,14 +69,15 @@ func (p Pattern) Match(v Value, regs []Value) bool {
 		}
 		return regs[p.Reg].Equal(v)
 	case PatComp:
-		if v.kind != Compound || len(v.args) != len(p.Args) {
+		if v.kind != Compound {
 			return false
 		}
-		if !p.Fn.Match(*v.fn, regs) {
+		c := v.comp()
+		if len(c.args) != len(p.Args) || !p.Fn.Match(c.fn, regs) {
 			return false
 		}
 		for i := range p.Args {
-			if !p.Args[i].Match(v.args[i], regs) {
+			if !p.Args[i].Match(c.args[i], regs) {
 				return false
 			}
 		}

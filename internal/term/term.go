@@ -14,10 +14,12 @@
 package term
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind identifies the representation of a Value. The zero Kind is Invalid
@@ -54,36 +56,63 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Value is an immutable ground term. Values are small and intended to be
-// passed by value; compound structure is shared.
+// Value is an immutable ground term. Values are small (24 bytes) and
+// intended to be passed by value; compound structure is shared.
+//
+// Ints and float bits live inline in n. p is the value's one pointer word,
+// and kind and intern alone say what it points at (DESIGN §5.29):
+//   - Str, intern set: the *internEntry, whose string is n bytes long;
+//   - Str, intern clear: the string's n bytes (unread when n is 0);
+//   - Compound: the immutable *compound node;
+//   - Int, Float, Invalid: nil.
+//
+// Only term.go, intern.go, encode.go and pattern.go touch the fields, and
+// they read p through str, entry and comp.
 type Value struct {
-	kind Kind
-	i    int64
-	f    float64
-	s    string
-	// ie is the interner entry when this Str value was built by Intern:
-	// it carries the precomputed content hash and gives Equal a pointer
-	// identity fast path. nil for non-interned strings and other kinds.
-	ie   *internEntry
-	fn   *Value
+	_      [0]func() // keeps Value incomparable: == and map keys stay compile errors
+	kind   Kind
+	intern bool
+	n      uint64
+	p      unsafe.Pointer
+}
+
+// compound is a Compound value's node: its functor term and arguments.
+type compound struct {
+	fn   Value
 	args []Value
 }
 
+// str returns a Str value's string.
+func (v Value) str() string {
+	if v.intern {
+		return v.entry().s
+	}
+	return unsafe.String((*byte)(v.p), int(v.n))
+}
+
+// entry returns an interned Str value's interner entry.
+func (v Value) entry() *internEntry { return (*internEntry)(v.p) }
+
+// comp returns a Compound value's node.
+func (v Value) comp() *compound { return (*compound)(v.p) }
+
 // NewInt returns an integer value.
-func NewInt(i int64) Value { return Value{kind: Int, i: i} }
+func NewInt(i int64) Value { return Value{kind: Int, n: uint64(i)} }
 
 // NewFloat returns a float value.
-func NewFloat(f float64) Value { return Value{kind: Float, f: f} }
+func NewFloat(f float64) Value { return Value{kind: Float, n: math.Float64bits(f)} }
 
-// NewString returns an atom/string value.
-func NewString(s string) Value { return Value{kind: Str, s: s} }
+// NewString returns an atom/string value. It is not interned: it points at
+// s's own bytes, so transient strings never grow the intern table.
+func NewString(s string) Value {
+	return Value{kind: Str, n: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
 
 // NewCompound returns a compound term with the given functor term and
 // arguments. The functor may be any ground term (HiLog); the argument slice
 // is not copied and must not be mutated afterwards.
 func NewCompound(functor Value, args ...Value) Value {
-	f := functor
-	return Value{kind: Compound, fn: &f, args: args}
+	return Value{kind: Compound, p: unsafe.Pointer(&compound{fn: functor, args: args})}
 }
 
 // Atom is shorthand for NewCompound(Intern(name), args...), the common
@@ -104,7 +133,7 @@ func (v Value) Int() int64 {
 	if v.kind != Int {
 		panic("term: Int() on " + v.kind.String())
 	}
-	return v.i
+	return int64(v.n)
 }
 
 // Float returns the float payload; it panics if the kind is not Float.
@@ -112,7 +141,7 @@ func (v Value) Float() float64 {
 	if v.kind != Float {
 		panic("term: Float() on " + v.kind.String())
 	}
-	return v.f
+	return math.Float64frombits(v.n)
 }
 
 // Num returns the value as a float64 for arithmetic; ok is false when the
@@ -120,9 +149,9 @@ func (v Value) Float() float64 {
 func (v Value) Num() (f float64, ok bool) {
 	switch v.kind {
 	case Int:
-		return float64(v.i), true
+		return float64(int64(v.n)), true
 	case Float:
-		return v.f, true
+		return math.Float64frombits(v.n), true
 	}
 	return 0, false
 }
@@ -132,7 +161,7 @@ func (v Value) Str() string {
 	if v.kind != Str {
 		panic("term: Str() on " + v.kind.String())
 	}
-	return v.s
+	return v.str()
 }
 
 // Functor returns the functor term of a compound value; it panics for
@@ -141,7 +170,7 @@ func (v Value) Functor() Value {
 	if v.kind != Compound {
 		panic("term: Functor() on " + v.kind.String())
 	}
-	return *v.fn
+	return v.comp().fn
 }
 
 // NumArgs returns the number of arguments of a compound value and 0 for
@@ -150,11 +179,17 @@ func (v Value) NumArgs() int {
 	if v.kind != Compound {
 		return 0
 	}
-	return len(v.args)
+	return len(v.comp().args)
 }
 
-// Arg returns the i'th argument of a compound value.
-func (v Value) Arg(i int) Value { return v.args[i] }
+// Arg returns the i'th argument of a compound value; it panics for
+// non-compound values.
+func (v Value) Arg(i int) Value {
+	if v.kind != Compound {
+		panic("term: Arg() on " + v.kind.String())
+	}
+	return v.comp().args[i]
+}
 
 // Args returns the argument slice of a compound value; the caller must not
 // mutate it.
@@ -162,7 +197,7 @@ func (v Value) Args() []Value {
 	if v.kind != Compound {
 		return nil
 	}
-	return v.args
+	return v.comp().args
 }
 
 // Equal reports structural equality. Int and Float values are distinct even
@@ -185,26 +220,27 @@ func (v Value) equal(w Value, bits bool) bool {
 	case Invalid:
 		return true
 	case Int:
-		return v.i == w.i
+		return v.n == w.n
 	case Float:
 		if bits {
-			return math.Float64bits(v.f) == math.Float64bits(w.f)
+			return v.n == w.n
 		}
-		return v.f == w.f
+		return math.Float64frombits(v.n) == math.Float64frombits(w.n)
 	case Str:
 		// Two interned strings are equal iff they share the interner entry
 		// (one entry per distinct string); mixed or non-interned pairs fall
 		// back to byte comparison.
-		if v.ie != nil && w.ie != nil {
-			return v.ie == w.ie
+		if v.intern && w.intern {
+			return v.p == w.p
 		}
-		return v.s == w.s
+		return v.str() == w.str()
 	case Compound:
-		if len(v.args) != len(w.args) || !v.fn.equal(*w.fn, bits) {
+		c, d := v.comp(), w.comp()
+		if len(c.args) != len(d.args) || !c.fn.equal(d.fn, bits) {
 			return false
 		}
-		for i := range v.args {
-			if !v.args[i].equal(w.args[i], bits) {
+		for i := range c.args {
+			if !c.args[i].equal(d.args[i], bits) {
 				return false
 			}
 		}
@@ -225,36 +261,31 @@ func (v Value) Compare(w Value) int {
 	}
 	switch v.kind {
 	case Int:
-		switch {
-		case v.i < w.i:
-			return -1
-		case v.i > w.i:
-			return 1
-		}
-		return 0
+		return cmp.Compare(int64(v.n), int64(w.n))
 	case Float:
-		switch {
-		case v.f < w.f:
+		switch a, b := math.Float64frombits(v.n), math.Float64frombits(w.n); {
+		case a < b:
 			return -1
-		case v.f > w.f:
+		case a > b:
 			return 1
 		}
 		return 0
 	case Str:
-		return strings.Compare(v.s, w.s)
+		return strings.Compare(v.str(), w.str())
 	case Compound:
-		if d := len(v.args) - len(w.args); d != 0 {
-			if d < 0 {
+		c, d := v.comp(), w.comp()
+		if n := len(c.args) - len(d.args); n != 0 {
+			if n < 0 {
 				return -1
 			}
 			return 1
 		}
-		if c := v.fn.Compare(*w.fn); c != 0 {
-			return c
+		if r := c.fn.Compare(d.fn); r != 0 {
+			return r
 		}
-		for i := range v.args {
-			if c := v.args[i].Compare(w.args[i]); c != 0 {
-				return c
+		for i := range c.args {
+			if r := c.args[i].Compare(d.args[i]); r != 0 {
+				return r
 			}
 		}
 		return 0
@@ -289,10 +320,10 @@ func hashString(h uint64, s string) uint64 {
 // spot otherwise — so interned and non-interned copies of one string
 // always hash identically.
 func (v Value) strHash() uint64 {
-	if v.ie != nil {
-		return v.ie.h
+	if v.intern {
+		return v.entry().h
 	}
-	return hashString(fnvOffset, v.s)
+	return hashString(fnvOffset, v.str())
 }
 
 // StrHash exposes the string content hash for persistence: the disk
@@ -309,20 +340,19 @@ func (v Value) StrHash() uint64 {
 func (v Value) hashInto(h uint64) uint64 {
 	h = hashUint64(h, uint64(v.kind))
 	switch v.kind {
-	case Int:
-		h = hashUint64(h, uint64(v.i))
-	case Float:
-		h = hashUint64(h, math.Float64bits(v.f))
+	case Int, Float:
+		h = hashUint64(h, v.n)
 	case Str:
 		// Fold the string's own 64-bit content hash rather than its bytes:
 		// the content hash is position-independent, so the interner can
 		// precompute it once per distinct string.
 		h = hashUint64(h, v.strHash())
 	case Compound:
-		h = v.fn.hashInto(h)
-		h = hashUint64(h, uint64(len(v.args)))
-		for i := range v.args {
-			h = v.args[i].hashInto(h)
+		c := v.comp()
+		h = c.fn.hashInto(h)
+		h = hashUint64(h, uint64(len(c.args)))
+		for i := range c.args {
+			h = c.args[i].hashInto(h)
 		}
 	}
 	return h
@@ -366,17 +396,17 @@ func (v Value) appendTo(sb *strings.Builder) {
 	case Invalid:
 		sb.WriteString("<unbound>")
 	case Int:
-		sb.WriteString(strconv.FormatInt(v.i, 10))
+		sb.WriteString(strconv.FormatInt(int64(v.n), 10))
 	case Float:
-		s := strconv.FormatFloat(v.f, 'g', -1, 64)
+		s := strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 		sb.WriteString(s)
 		if !strings.ContainsAny(s, ".eE") {
 			sb.WriteString(".0")
 		}
 	case Str:
-		if needsQuote(v.s) {
+		if s := v.str(); needsQuote(s) {
 			sb.WriteByte('\'')
-			for _, r := range v.s {
+			for _, r := range s {
 				if r == '\'' || r == '\\' {
 					sb.WriteByte('\\')
 				}
@@ -384,12 +414,13 @@ func (v Value) appendTo(sb *strings.Builder) {
 			}
 			sb.WriteByte('\'')
 		} else {
-			sb.WriteString(v.s)
+			sb.WriteString(s)
 		}
 	case Compound:
-		v.fn.appendTo(sb)
+		c := v.comp()
+		c.fn.appendTo(sb)
 		sb.WriteByte('(')
-		for i, a := range v.args {
+		for i, a := range c.args {
 			if i > 0 {
 				sb.WriteByte(',')
 			}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -268,5 +269,18 @@ func TestHashDistribution(t *testing.T) {
 	}
 	if len(seen) < 990 {
 		t.Errorf("excessive hash collisions: %d distinct hashes of 1000", len(seen))
+	}
+}
+
+// TestValueLayout pins the compact representation: a Value is 24 bytes
+// (a kind tag, one 8-byte payload and one pointer word), and it stays
+// incomparable, so == on values and values as map keys remain compile
+// errors rather than silently comparing pointer words.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 24", got)
+	}
+	if reflect.TypeOf(Value{}).Comparable() {
+		t.Error("Value is comparable; == would compare representation words")
 	}
 }

@@ -20,7 +20,7 @@ func (f *frame) execStmt(st *plan.Stmt) error {
 	// statement is exactly the right label to keep.
 	prevProc, prevStmt := f.m.curProc, f.m.curStmt
 	f.m.curProc, f.m.curStmt = f.proc.ID, st.Label
-	if mv := st.Move; mv != nil && (!mv.In || f.rels[plan.SlotIn].Len() == 1) {
+	if mv := st.Move; mv != nil && (!mv.In || f.rels[plan.SlotIn].Len() > 0) {
 		if err := f.move(st, mv); err != nil {
 			return fmt.Errorf("statement %q: %w", st.Label, err)
 		}

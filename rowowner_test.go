@@ -433,8 +433,9 @@ sg(X, Y) :- parent(X, XP) & sg(XP, YP) & parent(Y, YP).
 // allocate no more than a quarter of the rows' own size. Each derived row
 // is copied once, into the target's storage; a row slab gathered for the
 // head on the way (n rows of two values plus a row header each, 1.15
-// times the rows' size) fails the gate. Measured: 2000 bytes at n = 4096,
-// against a bound of 163840 (Go 1.24, linux/amd64).
+// times the rows' size) fails the gate. Measured: 1016 bytes at n = 4096,
+// against a bound of 49152 with 24-byte values (Go 1.24, linux/amd64);
+// 2000 against 163840 with 80-byte ones.
 func TestAssignCopyBytes(t *testing.T) {
 	const n = 4096
 	least := assignBytes(t, "nd", `
@@ -456,8 +457,9 @@ end
 // their 8 distinct X may allocate no more than a quarter of one column of
 // n values. Rows that can repeat on what the head keeps grow the target at
 // most by what it held; sized by their count, it would take room for n
-// rows (about 124 bytes each) to keep 8. Measured: 1984 bytes at n =
-// 4096, against a bound of 81920 (Go 1.24, linux/amd64).
+// rows (about 80 bytes each, as Grow measures them) to keep 8. Measured:
+// 1016 bytes at n = 4096, against a bound of 24576 with 24-byte values
+// (Go 1.24, linux/amd64); 1984 against 81920 with 80-byte ones.
 func TestAssignFanOutBytes(t *testing.T) {
 	const n = 4096
 	least := assignBytes(t, "e", `
@@ -520,12 +522,13 @@ func assignBytes(t *testing.T, rel, src string, n int, row func(int) []any) uint
 // and dropped per call) is most of the bytes; the barrier joins the results back as
 // pooled columns of the statement's batch. Joined into a row slab, with
 // its results grouped into growing slices, it allocated 4 057 216 bytes
-// and fails the gate. Measured: 1 340 416 bytes at n = 4096, bound
-// measured plus 25% (Go 1.24, linux/amd64); 2 225 176 while the callee's
-// "return := tc|ff" copied its rows, 2 750 192 while the return relation
-// chained its rows through a hash map and a next slice.
+// and fails the gate. Measured: 883 816 bytes at n = 4096, bound
+// measured plus 25% (Go 1.24, linux/amd64); 1 340 416 with 80-byte
+// values, 2 225 176 while the callee's "return := tc|ff" copied its rows,
+// 2 750 192 while the return relation chained its rows through a hash map
+// and a next slice.
 func TestCallBarrierBytes(t *testing.T) {
-	const n, bound = 4096, 1_675_520
+	const n, bound = 4096, 1_104_770
 	least := assignBytes(t, "e", `
 edb e(X, Y), d(X, Y);
 tc(X, Y) :- e(X, Y).

@@ -62,10 +62,10 @@ if [ "$elapsed" -gt 4 ]; then
 	exit 1
 fi
 
-step "Plan cache unit suite (cardinality-class intervals, drift, prepared statements, plans shared across machines; race) + binding-rule parity (planner masks and binds equal the compiler's on every golden, example and random program; segment-entry bound sets) + last-in-first-out frame drops after moves, also in a loop + the stored order of recursive predicates (linear, non-linear, a mutual pair and their bound forms on mem, disk, spill and materialized) + repeat-iteration, recursion-round (allocations, zero warm misses and rows stored per answer), bound-recursion rows-examined and rows stored per answer, fresh-snapshot, parse, compile, call, insert-statistics, new-relation, delete, relation-catalog and hash-table allocation gates, and the head-copy, fan-out and call-barrier byte gates"
+step "Plan cache unit suite (cardinality-class intervals, drift, prepared statements, plans shared across machines; race) + binding-rule parity (planner masks and binds equal the compiler's on every golden, example and random program; segment-entry bound sets) + last-in-first-out frame drops after moves, also in a loop + the stored order of recursive predicates (linear, non-linear, a mutual pair and their bound forms on mem, disk, spill and materialized) + repeat-iteration, recursion-round (allocations, zero warm misses and rows stored per answer), bound-recursion rows-examined and rows stored per answer, fresh-snapshot, parse, compile, call, insert-statistics, new-relation, delete, relation-catalog and hash-table allocation gates, and the head-copy, fan-out, call-barrier and insert bytes-per-row gates + the 24-byte, incomparable term.Value layout"
 go test -race -count=1 -run 'TestPlanCache|TestPrepared|TestExplainAnalyzePlanCacheCounters' ./internal/plan/ ./internal/vm/ .
 go test -count=1 -run 'TestPlanBindingParity|TestBoundInForwardPass|TestFrameDropsAreLastInFirstOut|TestRecursionStoredOrder' ./internal/plan/ ./internal/vm/ .
-go test -count=1 -run 'TestRepeatIterationAllocs|TestClearReusesArraysWithoutSnapshot|TestParseAllocs|TestCompileAllocs|TestRecursionRoundAllocs|TestRecursionRoundNoPlanMisses|TestRecursionRoundStoresPerAnswer|TestBoundRecursionRowsExamined|TestBoundRecursionStoresPerAnswer|TestSnapshotExecuteAllocs|TestInsertStatsAllocs|TestDeleteAllocs|TestLookupProbeAllocs|TestBackendSeamAllocs|TestColdProbeAllocs|TestAssignCopyBytes|TestAssignFanOutBytes|TestCallBarrierBytes|TestCallAllocs|TestNewRelationAllocs' ./internal/storage/ ./internal/storage/disk/ ./internal/parser/ ./internal/vm/ .
+go test -count=1 -run 'TestRepeatIterationAllocs|TestClearReusesArraysWithoutSnapshot|TestParseAllocs|TestCompileAllocs|TestRecursionRoundAllocs|TestRecursionRoundNoPlanMisses|TestRecursionRoundStoresPerAnswer|TestBoundRecursionRowsExamined|TestBoundRecursionStoresPerAnswer|TestSnapshotExecuteAllocs|TestInsertStatsAllocs|TestDeleteAllocs|TestLookupProbeAllocs|TestBackendSeamAllocs|TestColdProbeAllocs|TestAssignCopyBytes|TestAssignFanOutBytes|TestCallBarrierBytes|TestCallAllocs|TestNewRelationAllocs|TestInsertBytesPerRow|TestValueLayout' ./internal/storage/ ./internal/storage/disk/ ./internal/parser/ ./internal/vm/ ./internal/term/ .
 go test -count=1 ./internal/hashtab/
 
 step "Hash table suite (differential test against a Go map; the storage concurrency and snapshot suites over the shared table; race)"
