@@ -771,7 +771,7 @@ func (r *Rel) LookupRange(lo, hi int, mask uint32, key term.Tuple, yield func(te
 		d = len(im.rows)
 		end := min(hi, d)
 		if mask != 0 {
-			if lo < end && !storage.LookupSlots(im.idx, im.rows, lo, end, false, im, storage.LiveCSN, mask, key, r.st.stats, yield) {
+			if lo < end && !storage.LookupSlots(im.idx, im, d, lo, end, false, im, storage.LiveCSN, mask, key, r.st.stats, yield) {
 				return
 			}
 		} else {
@@ -844,6 +844,9 @@ type decodedRuns struct {
 	idx    *storage.Indexes
 }
 
+// Row implements storage.Rows.
+func (im *decodedRuns) Row(i int) term.Tuple { return im.rows[i] }
+
 // Stamp implements storage.Stamps from the run tombstones.
 func (im *decodedRuns) Stamp(i int) uint64 {
 	k := sort.SearchInts(im.starts, i+1) - 1
@@ -910,7 +913,7 @@ func (r *Rel) lookupRuns(runs []*run, csn uint64, stats *storage.Stats, mask uin
 	if im != nil {
 		k = max(im.shared(runs), 0)
 	}
-	if k > 0 && !storage.LookupSlots(im.idx, im.rows[:im.starts[k]], 0, im.starts[k], true, im, csn, mask, key, stats, yield) {
+	if k > 0 && !storage.LookupSlots(im.idx, im, im.starts[k], 0, im.starts[k], true, im, csn, mask, key, stats, yield) {
 		return false
 	}
 	for _, rn := range runs[k:] {

@@ -54,6 +54,11 @@ func visibleAt(d, csn uint64) bool { return d == 0 || d > csn }
 // safe against a writer stamping concurrently.
 type Stamps interface{ Stamp(slot int) uint64 }
 
+// Rows reads the rows of a slot numbering: Row(i) is slot i's row, a view
+// into storage that never moves. A relation's chunks and the disk engine's
+// run image implement it.
+type Rows interface{ Row(i int) term.Tuple }
+
 // deadStamps is a dead-stamp slice read as Stamps, through a pointer to the
 // slice header so that passing one stores nothing.
 type deadStamps []uint64
@@ -141,13 +146,12 @@ func (h *Indexes) reset() {
 
 // charge is §10's rule, which every reader applies: it accrues the scan
 // rows a lookup from slot lo is about to scan as credit toward an index
-// on mask over slots [lo, len(rows)), and builds it once the credit,
+// on mask over slots [lo, n) of rows, and builds it once the credit,
 // summed over every reader of the numbering, reaches adaptiveFactor times
 // that length (IndexAlways: at once; IndexNever never gets here); credit
 // toward another lo starts over. One reader builds at a time; the others
 // keep scanning. It returns the index to probe.
-func (h *Indexes) charge(m *maskIndex, ix *SlotIndex, lo, scan int, grows bool, rows []term.Tuple, mask uint32, stats *Stats) *SlotIndex {
-	n := len(rows)
+func (h *Indexes) charge(m *maskIndex, ix *SlotIndex, lo, scan int, grows bool, rows Rows, n int, mask uint32, stats *Stats) *SlotIndex {
 	if h.policy == IndexAdaptive {
 		if m.creditLo.Swap(int64(lo)) != int64(lo) {
 			m.credit.Store(0)
@@ -163,7 +167,7 @@ func (h *Indexes) charge(m *maskIndex, ix *SlotIndex, lo, scan int, grows bool, 
 	if cur := m.ix.Load(); cur != nil && cur.lo <= lo && cur.n >= n {
 		return cur // published by a reader that built before us
 	}
-	built := &SlotIndex{lo: lo, n: n, grows: grows, postings: postings(rows, lo, mask)}
+	built := &SlotIndex{lo: lo, n: n, grows: grows, postings: postings(rows, lo, n, mask)}
 	atomic.AddInt64(&stats.IndexBuilds, 1)
 	m.ix.Store(built)
 	m.credit.Store(0)
@@ -171,14 +175,14 @@ func (h *Indexes) charge(m *maskIndex, ix *SlotIndex, lo, scan int, grows bool, 
 }
 
 // LookupSlots answers a partial-mask lookup over slots [lo, hi) of the
-// numbering rows at visibility bound csn, with dead reading the slots'
-// stamps — nil when no slot can be dead at csn, which spares a probe the
-// stamp reads. h's index on mask answers for the slots it covers and the
-// rest are scanned and charged toward (re)building it, from lo to the end
-// of rows; whole reads build one that grows. Postings are in slot order,
-// so a binary search finds lo, and matches come out in insertion order, as
+// numbering rows, of n slots, at visibility bound csn, with dead reading
+// the slots' stamps — nil when no slot can be dead at csn, which spares a
+// probe the stamp reads. h's index on mask answers for the slots it covers
+// and the rest are scanned and charged toward (re)building it, from lo to
+// n; whole reads build one that grows. Postings are in slot order, so a
+// binary search finds lo, and matches come out in insertion order, as
 // from a scan. It returns false if yield stopped it.
-func LookupSlots(h *Indexes, rows []term.Tuple, lo, hi int, whole bool, dead Stamps, csn uint64, mask uint32, key term.Tuple, stats *Stats, yield func(term.Tuple) bool) bool {
+func LookupSlots(h *Indexes, rows Rows, n, lo, hi int, whole bool, dead Stamps, csn uint64, mask uint32, key term.Tuple, stats *Stats, yield func(term.Tuple) bool) bool {
 	var ix *SlotIndex
 	from := lo // the first slot no index answers for
 	if h.policy != IndexNever {
@@ -190,7 +194,7 @@ func LookupSlots(h *Indexes, rows []term.Tuple, lo, hi int, whole bool, dead Sta
 			if ix != nil {
 				from = max(lo, ix.n)
 			}
-			ix = h.charge(m, ix, lo, hi-from, whole, rows, mask, stats)
+			ix = h.charge(m, ix, lo, hi-from, whole, rows, n, mask, stats)
 		}
 	}
 	if ix != nil {
@@ -202,9 +206,9 @@ func LookupSlots(h *Indexes, rows []term.Tuple, lo, hi int, whole bool, dead Sta
 			if i >= from {
 				break
 			}
-			if (dead == nil || visibleAt(dead.Stamp(i), csn)) && rows[i].EqualCols(key, mask) {
+			if t := rows.Row(i); (dead == nil || visibleAt(dead.Stamp(i), csn)) && t.EqualCols(key, mask) {
 				atomic.AddInt64(&stats.RowsProbed, 1)
-				if !yield(rows[i]) {
+				if !yield(t) {
 					return false
 				}
 			}
@@ -215,23 +219,21 @@ func LookupSlots(h *Indexes, rows []term.Tuple, lo, hi int, whole bool, dead Sta
 	}
 	atomic.AddInt64(&stats.RowsScanned, int64(hi-from))
 	for i := from; i < hi; i++ {
-		if (dead == nil || visibleAt(dead.Stamp(i), csn)) && rows[i].EqualCols(key, mask) {
-			if !yield(rows[i]) {
-				return false
-			}
+		if t := rows.Row(i); (dead == nil || visibleAt(dead.Stamp(i), csn)) && t.EqualCols(key, mask) && !yield(t) {
+			return false
 		}
 	}
 	return true
 }
 
-// postings groups slots [lo, len(rows)) by the hash of their mask columns.
+// postings groups slots [lo, n) of rows by the hash of their mask columns.
 // Counting first lets every list be carved out of one slot array, so a
 // build allocates a handful of objects rather than one list per key.
-func postings(rows []term.Tuple, lo int, mask uint32) map[uint64][]int32 {
-	keys := make([]uint64, len(rows)-lo)
+func postings(rows Rows, lo, n int, mask uint32) map[uint64][]int32 {
+	keys := make([]uint64, n-lo)
 	counts := make(map[uint64]int32)
-	for i, t := range rows[lo:] {
-		keys[i] = t.HashCols(mask)
+	for i := range keys {
+		keys[i] = rows.Row(lo + i).HashCols(mask)
 		counts[keys[i]]++
 	}
 	slots := make([]int32, len(keys))
@@ -247,22 +249,23 @@ func postings(rows []term.Tuple, lo int, mask uint32) map[uint64][]int32 {
 	return out
 }
 
-// scanSlots visits the slots of rows visible at csn in slot order.
-func scanSlots(rows []term.Tuple, dead []uint64, csn uint64, stats *Stats, yield func(term.Tuple) bool) {
-	atomic.AddInt64(&stats.RowsScanned, int64(len(rows)))
-	for i, t := range rows {
-		if visibleAt(atomic.LoadUint64(&dead[i]), csn) && !yield(t) {
+// scanSlots visits slots [lo, hi) of rows visible at csn in slot order;
+// nil stamps leave every slot visible.
+func scanSlots(rows *rowChunks, lo, hi int, dead []uint64, csn uint64, stats *Stats, yield func(term.Tuple) bool) {
+	atomic.AddInt64(&stats.RowsScanned, int64(hi-lo))
+	for i := lo; i < hi; i++ {
+		if (dead == nil || visibleAt(atomic.LoadUint64(&dead[i]), csn)) && !yield(rows.Row(i)) {
 			return
 		}
 	}
 }
 
 // allSlots returns the n slots of rows visible at csn, in slot order.
-func allSlots(rows []term.Tuple, dead []uint64, csn uint64, n int) []term.Tuple {
+func allSlots(rows *rowChunks, dead []uint64, csn uint64, n int) []term.Tuple {
 	out := make([]term.Tuple, 0, n)
-	for i, t := range rows {
-		if visibleAt(atomic.LoadUint64(&dead[i]), csn) {
-			out = append(out, t)
+	for i := range rows.slots {
+		if dead == nil || visibleAt(atomic.LoadUint64(&dead[i]), csn) {
+			out = append(out, rows.Row(i))
 		}
 	}
 	return out

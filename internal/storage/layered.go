@@ -161,7 +161,7 @@ func (r *layeredRel) Version() uint64 {
 
 func (r *layeredRel) Insert(t term.Tuple) bool {
 	defer r.store.latch()()
-	r.store.catalogProbe(r.key, r.inner.name, r.inner.arity)
+	r.store.catalogProbe(r.key, r.inner.name, r.inner.Arity())
 	if r.inner.Insert(t) {
 		r.store.appendLog('I', r.inner.name, t)
 		return true
@@ -171,7 +171,7 @@ func (r *layeredRel) Insert(t term.Tuple) bool {
 
 func (r *layeredRel) Delete(t term.Tuple) bool {
 	defer r.store.latch()()
-	r.store.catalogProbe(r.key, r.inner.name, r.inner.arity)
+	r.store.catalogProbe(r.key, r.inner.name, r.inner.Arity())
 	if r.inner.Delete(t) {
 		r.store.appendLog('X', r.inner.name, t)
 		return true
@@ -181,7 +181,7 @@ func (r *layeredRel) Delete(t term.Tuple) bool {
 
 func (r *layeredRel) Contains(t term.Tuple) bool {
 	defer r.store.latch()()
-	r.store.catalogProbe(r.key, r.inner.name, r.inner.arity)
+	r.store.catalogProbe(r.key, r.inner.name, r.inner.Arity())
 	return r.inner.Contains(t)
 }
 
@@ -193,19 +193,19 @@ func (r *layeredRel) Clear() {
 
 func (r *layeredRel) Scan(yield func(term.Tuple) bool) {
 	defer r.store.latch()()
-	r.store.catalogProbe(r.key, r.inner.name, r.inner.arity)
+	r.store.catalogProbe(r.key, r.inner.name, r.inner.Arity())
 	r.inner.Scan(yield)
 }
 
 func (r *layeredRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
 	defer r.store.latch()()
-	r.store.catalogProbe(r.key, r.inner.name, r.inner.arity)
+	r.store.catalogProbe(r.key, r.inner.name, r.inner.Arity())
 	r.inner.Lookup(mask, key, yield)
 }
 
 func (r *layeredRel) LookupRange(lo, hi int, mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
 	defer r.store.latch()()
-	r.store.catalogProbe(r.key, r.inner.name, r.inner.arity)
+	r.store.catalogProbe(r.key, r.inner.name, r.inner.Arity())
 	r.inner.LookupRange(lo, hi, mask, key, yield)
 }
 

@@ -29,7 +29,7 @@ func TestLookupProbeAllocs(t *testing.T) {
 	colKey := term.Tuple{term.Intern("n042"), {}}
 
 	if got := testing.AllocsPerRun(50, func() {
-		r.Lookup(fullColsMask(r.arity), fullKey, yield)
+		r.Lookup(fullColsMask(r.Arity()), fullKey, yield)
 	}); got != 0 {
 		t.Errorf("whole-tuple Lookup: %.1f allocs/probe, want 0", got)
 	}
@@ -45,8 +45,8 @@ func TestLookupProbeAllocs(t *testing.T) {
 
 // TestInsertAllocsAmortized pins Insert at O(1) amortized allocations per
 // tuple: the open-addressing table adds no per-entry object, so
-// steady-state inserts only pay the amortized growth of the tuple and
-// dead-stamp arrays, the row chunks and the table.
+// steady-state inserts only pay the amortized growth of the row chunks
+// and the table.
 func TestInsertAllocsAmortized(t *testing.T) {
 	r := newRel(t, 2, IndexNever)
 	tuples := make([]term.Tuple, 4096)

@@ -314,16 +314,17 @@ type Ranger interface {
 	LookupRange(lo, hi int, mask uint32, key term.Tuple, yield func(term.Tuple) bool)
 }
 
-// Relation is the tailored main-memory implementation of Rel. Tuples live
-// in an insertion-ordered slice; a hashtab.Table maps each live tuple's
-// hash to its index in it.
+// Relation is the tailored main-memory implementation of Rel. Rows live
+// in insertion-ordered slots of chunked storage (rowChunks), where a slot's
+// row is found by arithmetic, so a stored row costs only its values; a
+// hashtab.Table maps each live row's hash to its slot.
 // Scans, lookups, and index builds all walk insertion order, so every
 // enumeration is deterministic run to run — which keeps order-sensitive
 // downstream work (floating-point aggregation, golden output) reproducible
 // regardless of Go's randomized map iteration.
 //
-// Multi-version visibility: a deleted tuple is not removed from the slice
-// immediately — its slot is stamped with the commit sequence number (CSN)
+// Multi-version visibility: a deleted row is not removed from its slot
+// immediately — the slot is stamped with the commit sequence number (CSN)
 // of the deleting statement in the parallel dead slice and removed from
 // the hash table. The live view (this type's own methods) reads at LiveCSN,
 // where any nonzero stamp is gone; a SnapRel captured at snapshot CSN S
@@ -333,19 +334,14 @@ type Ranger interface {
 // its own frozen arrays while the writer moves on — copy-on-write through
 // the garbage collector, with the dead stamps as the only shared mutable
 // cells (written and read atomically). Between two rewrites the relation
-// only appends, so slot i holds the same tuple for every reader of one
+// only appends, so slot i holds the same row for every reader of one
 // slot numbering, and they all share one index holder over it (idx).
 type Relation struct {
-	name   term.Value
-	arity  int
-	tuples []term.Tuple // insertion order; dead-stamped entries are tombstones
-	// chunks is the relation's row storage: Insert copies each new row into
-	// the chunk being filled (chunks[ci], from offset off), and tuples[i] is
-	// a capped sub-slice of one chunk, so growth never moves a stored row.
-	// held counts the values the chunks hold, the base of geometric growth.
-	chunks  [][]term.Value
-	ci, off int
-	held    int
+	name term.Value
+	// rows holds the stored rows; slots stamped dead are tombstones.
+	// Insert copies each new row into it, and a row handed out is a capped
+	// sub-slice of one chunk, so growth never moves a stored row.
+	rows rowChunks
 	// keepRows marks a memtable whose owning engine journals its rows
 	// (NewRelationCSN): the journal may hold them until the enclosing call
 	// commits, so Clear never rewrites its chunks. lent records that All
@@ -354,8 +350,10 @@ type Relation struct {
 	keepRows bool
 	lent     atomic.Bool
 	// dead stamps each slot with the CSN at which it was deleted (0 =
-	// live), parallel to tuples. The single writer stores stamps with
-	// atomic writes and concurrent snapshot readers load them atomically.
+	// live), parallel to the slots. It stays nil — every slot live — until
+	// the first deletion allocates it; from then on every insert appends a
+	// zero stamp. The single writer stores stamps with atomic writes and
+	// concurrent snapshot readers load them atomically.
 	dead []uint64
 	// csn, when non-nil, points at the owning store's commit sequence
 	// number: deletions are stamped csn+1, the CSN the statement in
@@ -367,7 +365,7 @@ type Relation struct {
 	// Snapshots never read it, so the writer edits it in place.
 	tab   hashtab.Table
 	n     int // live tuples
-	tombs int // dead-stamped slots in tuples
+	tombs int // dead-stamped slots
 	// lastStamp is the most recent dead stamp and stamped the number of
 	// slots carrying it. Stamps never decrease, so at capture CSN S the
 	// slots stamped above S are exactly these (when lastStamp > S): the
@@ -411,14 +409,14 @@ func NewRelation(name term.Value, arity int, policy IndexPolicy, stats *Stats) *
 	if stats == nil {
 		stats = &Stats{}
 	}
-	return &Relation{name: name, arity: arity, policy: policy, stats: stats}
+	return &Relation{name: name, rows: newRowChunks(arity), policy: policy, stats: stats}
 }
 
 // Name implements Rel.
 func (r *Relation) Name() term.Value { return r.name }
 
 // Arity implements Rel.
-func (r *Relation) Arity() int { return r.arity }
+func (r *Relation) Arity() int { return r.rows.arity }
 
 // Len implements Rel.
 func (r *Relation) Len() int { return r.n }
@@ -428,30 +426,32 @@ func (r *Relation) Version() uint64 { return r.version }
 
 // DistinctEst implements Rel.
 func (r *Relation) DistinctEst(col int) int {
-	return r.distinctEst(col, r.foldGen, r.tuples, r.dead)
+	return r.distinctEst(col, r.foldGen, &r.rows, r.dead)
 }
 
 // distinctEst folds the live slots of rows/dead past the fold cursor into
 // the digest, if gen is still the relation's fold generation, then
-// estimates column col.
-func (r *Relation) distinctEst(col int, gen uint64, rows []term.Tuple, dead []uint64) int {
-	if col < 0 || col >= r.arity {
+// estimates column col. It reads only the view it is given — a snapshot's
+// captured one, or the writer's own — never the live fields beside it.
+func (r *Relation) distinctEst(col int, gen uint64, rows *rowChunks, dead []uint64) int {
+	if col < 0 || col >= rows.arity {
 		return 0
 	}
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
 	if r.cols == nil {
-		r.cols = make([]colStats, r.arity)
+		r.cols = make([]colStats, rows.arity)
 	}
 	if gen == r.foldGen {
-		for i := r.folded; i < len(rows); i++ {
-			if atomic.LoadUint64(&dead[i]) == 0 {
+		for i := r.folded; i < rows.slots; i++ {
+			if dead == nil || atomic.LoadUint64(&dead[i]) == 0 {
+				t := rows.Row(i)
 				for c := range r.cols {
-					r.cols[c].fold(rows[i][c].Hash())
+					r.cols[c].fold(t[c].Hash())
 				}
 			}
 		}
-		r.folded = max(r.folded, len(rows))
+		r.folded = max(r.folded, rows.slots)
 	}
 	return r.cols[col].estimate()
 }
@@ -480,87 +480,120 @@ func (r *Relation) Insert(t term.Tuple) bool {
 // new row (nil for a duplicate): an engine composed over the relation
 // journals that copy, never its caller's reusable tuple.
 func (r *Relation) InsertStored(t term.Tuple) (term.Tuple, bool) {
-	if _, dup := r.tab.FindOrAdd(t.Hash(), int32(len(r.tuples)), r.equalTo(t)); dup {
+	if _, dup := r.tab.FindOrAdd(t.Hash(), int32(r.rows.slots), r.equalTo(t)); dup {
 		return nil, false
 	}
-	t = r.copyRow(t)
-	r.tuples = append(r.tuples, t)
-	r.dead = append(r.dead, 0)
+	t = r.rows.add(t)
+	if r.dead != nil {
+		r.dead = append(r.dead, 0)
+	}
 	r.n++
 	r.version++
 	atomic.AddInt64(&r.stats.Inserts, 1)
 	if h := r.idx.Load(); h != nil && !r.captured.Load() {
-		h.extend(t, len(r.tuples)-1)
+		h.extend(t, r.rows.slots-1)
 	}
 	if r.journal != nil {
-		r.journal.JournalInsert(r.name, r.arity, t)
+		r.journal.JournalInsert(r.name, r.rows.arity, t)
 	}
 	return t, true
 }
 
-// maxChunkVals caps an unhinted chunk: storage doubles until a chunk
-// would pass it, then grows a chunk of this size at a time, so a large
+// maxChunkVals caps a chunk: storage doubles until a chunk would pass it,
+// then grows a chunk of at most this many values at a time, so a large
 // relation that outgrows its exact Grow never gains a near-empty chunk as
 // large as itself.
 const maxChunkVals = 8192
 
-// copyRow copies t into the chunk being filled and returns the stored
-// tuple, capped so that appending to it can never reach the next row. A
-// row goes to the first chunk from ci on with room for it; past the last
-// chunk, a new one doubles the storage up to maxChunkVals (and holds at
-// least the row).
-func (r *Relation) copyRow(t term.Tuple) term.Tuple {
-	k := len(t)
-	if k == 0 {
+// rowChunks is a relation's row storage. Slot i's row is a capped
+// sub-slice of one chunk, found by arithmetic: chunk 0 holds base rows,
+// and chunk c ≥ 1 holds 2^(sh+c-1) rows — doubling from the power of two
+// at or above base — up to 2^top rows, the most that fit in maxChunkVals
+// values, and every later chunk 2^top. Chunks never move, so a row handed
+// out stays valid. A zero-arity relation has no chunks: it only counts its
+// slots and hands out term.Tuple{}.
+type rowChunks struct {
+	chunks  [][]term.Value
+	slots   int // rows stored, dead-stamped ones included
+	arity   int
+	base    int // rows in chunk 0, set by the reserve that makes it
+	sh, top uint8
+}
+
+func newRowChunks(arity int) rowChunks {
+	return rowChunks{arity: arity, top: uint8(max(bits.Len(uint(maxChunkVals/max(arity, 1)))-1, 0))}
+}
+
+// locate returns the chunk holding slot i and the row's offset in it.
+func (v *rowChunks) locate(i int) (c, o int) {
+	if i < v.base {
+		return 0, i
+	}
+	x := i - v.base + 1<<v.sh // chunk c ≥ 1 starts at x = 2^(sh+c-1) while doubling
+	if x >= 1<<v.top {
+		return int(v.top-v.sh) + x>>v.top, x & (1<<v.top - 1)
+	}
+	b := bits.Len(uint(x)) - 1
+	return b - int(v.sh) + 1, x - 1<<b
+}
+
+// Row returns slot i's row. It implements Rows.
+func (v *rowChunks) Row(i int) term.Tuple {
+	if v.arity == 0 {
 		return term.Tuple{}
 	}
-	for r.ci < len(r.chunks) && len(r.chunks[r.ci])-r.off < k {
-		r.ci, r.off = r.ci+1, 0
-	}
-	if r.ci == len(r.chunks) {
-		r.addChunk(max(k, min(r.held, maxChunkVals)))
-	}
-	u := r.chunks[r.ci][r.off : r.off+k : r.off+k]
+	c, o := v.locate(i)
+	o *= v.arity
+	return v.chunks[c][o : o+v.arity : o+v.arity]
+}
+
+// add copies t into the next slot and returns the stored row.
+func (v *rowChunks) add(t term.Tuple) term.Tuple {
+	v.reserve(1)
+	v.slots++
+	u := v.Row(v.slots - 1)
 	copy(u, t)
-	r.off += k
 	return u
 }
 
-func (r *Relation) addChunk(n int) {
-	r.chunks = append(r.chunks, make([]term.Value, n))
-	r.held += n
+// reserve makes room for n more rows. Storage with no chunks (none yet, or
+// dropped for the garbage collector) starts its schedule at base n, so a
+// first chunk is exactly n rows.
+func (v *rowChunks) reserve(n int) {
+	if v.arity == 0 || n <= 0 {
+		return
+	}
+	if len(v.chunks) == 0 {
+		v.base, v.sh = n, uint8(min(bits.Len(uint(n-1)), int(v.top)))
+	}
+	for c, _ := v.locate(v.slots + n - 1); len(v.chunks) <= c; {
+		rows := v.base
+		if k := len(v.chunks); k > 0 {
+			rows = 1 << min(int(v.sh)+k-1, int(v.top))
+		}
+		v.chunks = append(v.chunks, make([]term.Value, rows*v.arity))
+	}
 }
 
 // Grow implements Rel: after it, n more rows of the relation's arity fit
-// its row storage, slot arrays and hash table without another allocation.
-// Row storage gets one chunk of exactly the missing room.
+// its row storage, stamps and hash table without another allocation. A
+// relation with no chunks gets a first one of exactly n rows.
 func (r *Relation) Grow(n int) {
 	if n <= 0 {
 		return
 	}
-	if k := r.arity; k > 0 {
-		free := 0
-		for i := r.ci; i < len(r.chunks) && free < n; i++ {
-			room := len(r.chunks[i])
-			if i == r.ci {
-				room -= r.off
-			}
-			free += room / k
-		}
-		if free < n {
-			r.addChunk((n - free) * k)
-		}
+	r.rows.reserve(n)
+	if r.dead != nil {
+		r.dead = slices.Grow(r.dead, n)
 	}
-	r.tuples = slices.Grow(r.tuples, n)
-	r.dead = slices.Grow(r.dead, n)
 	r.tab.Grow(n)
 }
 
 // Delete implements Rel. The tuple's slot is stamped dead at the current
 // CSN so the insertion order of the survivors — and the tuple's visibility
-// to older snapshots — is preserved; the slice compacts (into fresh
-// backing arrays, leaving snapshots undisturbed) when tombstones outnumber
-// live tuples.
+// to older snapshots — is preserved; the slots compact (into fresh
+// storage, leaving snapshots undisturbed) when tombstones outnumber live
+// tuples.
 func (r *Relation) Delete(t term.Tuple) bool {
 	_, ok := r.DeleteStored(t)
 	return ok
@@ -573,10 +606,14 @@ func (r *Relation) DeleteStored(t term.Tuple) (term.Tuple, bool) {
 	if i < 0 {
 		return nil, false
 	}
-	u := r.tuples[i]
+	u := r.rows.Row(int(i))
 	// Stamp, don't null: snapshots captured before this statement's
 	// commit CSN still read the slot. Atomic because they may be loading
-	// the stamp right now.
+	// the stamp right now. A snapshot captured before the first deletion
+	// holds no stamps and never reads these: every stamp is above its CSN.
+	if r.dead == nil {
+		r.dead = make([]uint64, r.rows.slots)
+	}
 	stamp := r.deadStamp()
 	r.statsMu.Lock()
 	atomic.StoreUint64(&r.dead[i], stamp)
@@ -600,57 +637,46 @@ func (r *Relation) DeleteStored(t term.Tuple) (term.Tuple, bool) {
 		r.compact()
 	}
 	if r.journal != nil {
-		r.journal.JournalDelete(r.name, r.arity, u)
+		r.journal.JournalDelete(r.name, r.rows.arity, u)
 	}
 	return u, true
 }
 
 // equalTo returns the table predicate matching the slot that holds t.
 func (r *Relation) equalTo(t term.Tuple) func(int32) bool {
-	return func(i int32) bool { return r.tuples[i].Equal(t) }
+	return func(i int32) bool { return r.rows.Row(int(i)).Equal(t) }
 }
 
-// compact rewrites the tuple slice without tombstones and refills the
-// hash table in place; survivor order is unchanged. Runs only from a
-// writer. Every slice is rebuilt from scratch — snapshots holding the old
-// backing arrays keep reading them until the garbage collector reclaims
-// the memory once the last snapshot closes. The survivors' values move to
-// one exact chunk, so the dead rows' storage goes with the old chunks;
-// tuples handed out before stay valid in those. Survivors get new slot
-// numbers, so the index holder starts over with the new numbering; the
-// fold cursor moves to the number of survivors it had passed, which keep
-// their order.
+// compact rewrites the slots without tombstones and refills the hash
+// table in place; survivor order is unchanged. Runs only from a writer.
+// Storage and stamps are rebuilt from scratch — snapshots holding the old
+// ones keep reading them until the garbage collector reclaims the memory
+// once the last snapshot closes. The survivors' values move to one exact
+// chunk, so the dead rows' storage goes with the old chunks; rows handed
+// out before stay valid in those, and no slot is dead, so the stamps go
+// too. Survivors get new slot numbers, so the index holder starts over
+// with the new numbering; the fold cursor moves to the number of
+// survivors it had passed, which keep their order.
 func (r *Relation) compact() {
 	r.statsMu.Lock()
 	defer r.statsMu.Unlock()
 	folded := 0
-	width := 0
-	for i, t := range r.tuples {
-		if r.dead[i] == 0 {
-			width += len(t)
-		}
-	}
-	chunk := make([]term.Value, width)
-	r.chunks, r.ci, r.off, r.held = [][]term.Value{chunk}, 0, width, width
-	live := make([]term.Tuple, 0, r.n)
-	liveDead := make([]uint64, 0, r.n)
+	old := r.rows
+	r.rows.chunks, r.rows.slots = nil, 0
+	r.rows.reserve(r.n)
 	r.tab.Clear()
-	for i, t := range r.tuples {
+	for i := range old.slots {
 		if r.dead[i] != 0 {
 			continue
 		}
 		if i < r.folded {
 			folded++
 		}
-		r.tab.Add(t.Hash(), int32(len(live)))
-		u := chunk[:len(t):len(t)]
-		copy(u, t)
-		chunk = chunk[len(t):]
-		live = append(live, u)
-		liveDead = append(liveDead, 0)
+		t := old.Row(i)
+		r.tab.Add(t.Hash(), int32(r.rows.slots))
+		r.rows.add(t)
 	}
-	r.tuples = live
-	r.dead = liveDead
+	r.dead = nil
 	r.tombs = 0
 	r.stamped = 0
 	r.idx.Store(nil)
@@ -669,14 +695,14 @@ func (r *Relation) Contains(t term.Tuple) bool {
 // every iteration.
 //
 // While no snapshot captured the current slot numbering (captured is
-// false), nothing outside the relation holds tuples/dead or the
-// index holder, so the arrays are truncated in place and the holder is
-// reset in place. Otherwise both are dropped, not zeroed: the snapshots
-// keep their headers and holder and stay whole, and the next numbering
-// starts on fresh ones. Arrays the last fill used less than a quarter of
-// are dropped too (with the holder), so a relation that shrank for good
-// does not keep clearing its peak-sized hash table. (Snapshots never read
-// the table; it follows the arrays only to shed the peak size.)
+// false), nothing outside the relation holds its chunks, stamps or index
+// holder, so the stamps are truncated in place and the holder is reset in
+// place. Otherwise all are dropped, not zeroed: the snapshots keep their
+// headers and holder and stay whole, and the next numbering starts on
+// fresh ones. Chunks the last fill used less than a quarter of are
+// dropped too (with the holder), so a relation that shrank for good does
+// not keep clearing its peak-sized hash table. (Snapshots never read the
+// table; it follows the chunks only to shed the peak size.)
 //
 // The row chunks are rewritten by the refill, so they are kept only when
 // in addition no one else can hold a stored tuple: no journal (the WAL
@@ -687,25 +713,27 @@ func (r *Relation) Clear() {
 	if r.n == 0 {
 		return
 	}
-	if !r.captured.Load() && 4*len(r.tuples) >= cap(r.tuples) {
-		clear(r.tuples) // let the GC have the old tuples; keep the capacity
-		r.tuples = r.tuples[:0]
+	held := 0
+	for _, c := range r.rows.chunks {
+		held += len(c)
+	}
+	if !r.captured.Load() && 4*r.rows.slots*r.rows.arity >= held {
 		r.dead = r.dead[:0]
 		r.tab.Clear()
 		if r.journal != nil || r.keepRows || r.lent.Load() {
-			r.chunks, r.held = nil, 0
+			r.rows.chunks = nil
 		}
 		if h := r.idx.Load(); h != nil {
 			h.reset()
 		}
 	} else {
-		r.tuples, r.dead = nil, nil
+		r.dead = nil
 		r.tab = hashtab.Table{}
-		r.chunks, r.held = nil, 0
+		r.rows.chunks = nil
 		r.idx.Store(nil)
 		r.captured.Store(false)
 	}
-	r.ci, r.off = 0, 0
+	r.rows.slots = 0
 	r.lent.Store(false)
 	r.n = 0
 	r.tombs = 0
@@ -719,18 +747,18 @@ func (r *Relation) Clear() {
 	r.foldGen++
 	r.statsMu.Unlock()
 	if r.journal != nil {
-		r.journal.JournalClear(r.name, r.arity)
+		r.journal.JournalClear(r.name, r.rows.arity)
 	}
 }
 
 // Scan implements Rel; tuples are visited in insertion order.
 func (r *Relation) Scan(yield func(term.Tuple) bool) {
-	scanSlots(r.tuples, r.dead, LiveCSN, r.stats, yield)
+	scanSlots(&r.rows, 0, r.rows.slots, r.dead, LiveCSN, r.stats, yield)
 }
 
 // Lookup implements Rel over every slot, LookupRange Ranger.
 func (r *Relation) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
-	r.lookup(0, len(r.tuples), true, mask, key, yield)
+	r.lookup(0, r.rows.slots, true, mask, key, yield)
 }
 
 func (r *Relation) LookupRange(lo, hi int, mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
@@ -744,18 +772,18 @@ func (r *Relation) LookupRange(lo, hi int, mask uint32, key term.Tuple, yield fu
 func (r *Relation) lookup(lo, hi int, whole bool, mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
 	switch {
 	case mask == 0 || r.n == 0:
-		scanSlots(r.tuples[lo:hi], r.dead[lo:hi], LiveCSN, r.stats, yield)
-	case mask == fullColsMask(r.arity):
+		scanSlots(&r.rows, lo, hi, r.dead, LiveCSN, r.stats, yield)
+	case mask == fullColsMask(r.rows.arity):
 		atomic.AddInt64(&r.stats.RowsProbed, 1)
 		if i := int(r.tab.Find(key.Hash(), r.equalTo(key))); i >= lo && i < hi {
-			yield(r.tuples[i])
+			yield(r.rows.Row(i))
 		}
 	default:
 		var dead Stamps
 		if r.tombs > 0 {
 			dead = (*deadStamps)(&r.dead)
 		}
-		LookupSlots(r.indexes(), r.tuples, lo, hi, whole, dead, LiveCSN, mask, key, r.stats, yield)
+		LookupSlots(r.indexes(), &r.rows, r.rows.slots, lo, hi, whole, dead, LiveCSN, mask, key, r.stats, yield)
 	}
 }
 
@@ -800,7 +828,7 @@ func (r *Relation) All() []term.Tuple {
 	if r.n > 0 {
 		r.lent.Store(true)
 	}
-	return allSlots(r.tuples, r.dead, LiveCSN, r.n)
+	return allSlots(&r.rows, r.dead, LiveCSN, r.n)
 }
 
 // Sorted returns the tuples of rel in total order, for deterministic output.

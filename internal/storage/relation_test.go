@@ -289,7 +289,7 @@ func TestCompactRepointsIndexes(t *testing.T) {
 	for i := int64(0); i < 60; i++ {
 		r.Delete(it(i, i%10))
 	}
-	if len(r.tuples) == 100 {
+	if r.rows.slots == 100 {
 		t.Fatal("the deletes did not compact")
 	}
 	scanned := map[int64]*term.Value{}
@@ -349,7 +349,7 @@ func TestTableSurvivesDeleteReinsertCompactClear(t *testing.T) {
 		r.Delete(it(i, -i))
 		delete(live, i)
 	}
-	if len(r.tuples) == 81 {
+	if r.rows.slots == 81 {
 		t.Fatal("the deletes did not compact")
 	}
 	check("compact")

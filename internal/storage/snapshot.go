@@ -3,14 +3,17 @@
 // (single) writer keeps committing.
 //
 // The mechanism is copy-on-write through the garbage collector rather than
-// copy-on-read: capturing a snapshot copies only slice headers (tuples,
-// dead stamps) under the writer's statement-boundary lock.
-// Appends by the writer land beyond the captured length; structural
+// copy-on-read: capturing a snapshot copies only slice headers (the chunk
+// directory, dead stamps), the chunk schedule and the slot count under the
+// writer's statement-boundary lock.
+// Appends by the writer land beyond the captured slots; structural
 // rewrites (compact, Clear) of a captured slot numbering swap in fresh
 // backing arrays; and deletions stamp the shared dead slice with the
 // deleting statement's CSN, which snapshot readers load atomically and
 // compare against their snapshot CSN.
-// A slot is visible at snapshot CSN S iff its dead stamp is 0 or > S. The
+// A slot is visible at snapshot CSN S iff its dead stamp is 0 or > S; a
+// capture with no stamp array (nothing was deleted yet) sees every slot,
+// since any later deletion is stamped above S. The
 // writer never blocks on readers, readers never block the writer, and a
 // snapshot's memory is reclaimed by the GC once the last reader drops it.
 //
@@ -123,10 +126,11 @@ func (s *SnapStore) SetJournal(j Journal) {}
 // reads with. Its name, arity, CSN and writes are Frozen's.
 type SnapRel struct {
 	Frozen
-	// Captured headers; the writer appends past len and rewrites via
-	// fresh arrays, so everything below len is frozen except the dead
-	// stamps, which are loaded atomically.
-	rows []term.Tuple
+	// Captured storage and stamps; the writer appends past rows.slots and
+	// rewrites via fresh arrays, so every captured slot is frozen except
+	// its dead stamp, which is loaded atomically. Nil stamps: no slot is
+	// dead at csn.
+	rows rowChunks
 	dead []uint64
 	// n is the visible-tuple count, fixed at capture. anyDead records
 	// that a slot was stamped dead at capture; without one, every slot is
@@ -148,8 +152,9 @@ type SnapRel struct {
 var _ Rel = (*SnapRel)(nil)
 
 // CaptureRel freezes a relation at snapshot CSN csn: the returned view
-// reads the captured slice headers with the standard visibility rule
-// (dead stamp 0 or > csn) and shares the relation's index holder.
+// reads the captured storage with the standard visibility rule (dead
+// stamp 0 or > csn, no stamps at all: every slot) and shares the
+// relation's index holder.
 // Must be called at a statement boundary, like MemStore.Snapshot; stats
 // receives the view's read accounting.
 func CaptureRel(r *Relation, csn uint64, stats *Stats) *SnapRel {
@@ -159,8 +164,8 @@ func CaptureRel(r *Relation, csn uint64, stats *Stats) *SnapRel {
 	}
 	r.captured.Store(true)
 	return &SnapRel{
-		Frozen:  NewFrozen(r.name, r.arity, csn),
-		rows:    r.tuples,
+		Frozen:  NewFrozen(r.name, r.rows.arity, csn),
+		rows:    r.rows,
 		dead:    r.dead,
 		n:       n,
 		anyDead: r.tombs > 0,
@@ -186,7 +191,7 @@ func (r *SnapRel) DistinctEst(col int) int {
 	if r.src == nil {
 		return 0
 	}
-	return r.src.distinctEst(col, r.foldGen, r.rows, r.dead)
+	return r.src.distinctEst(col, r.foldGen, &r.rows, r.dead)
 }
 
 // Frozen is what the snapshot relations of every engine share: the
@@ -242,13 +247,13 @@ func (r *SnapRel) Contains(t term.Tuple) bool {
 
 // Scan implements Rel; visible tuples are visited in insertion order.
 func (r *SnapRel) Scan(yield func(term.Tuple) bool) {
-	scanSlots(r.rows, r.dead, r.csn, r.stats, yield)
+	scanSlots(&r.rows, 0, r.rows.slots, r.dead, r.csn, r.stats, yield)
 }
 
 // Lookup implements Rel: the shared slot lookup over the captured rows at
 // the snapshot's CSN.
 func (r *SnapRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
-	if mask == 0 || len(r.rows) == 0 {
+	if mask == 0 || r.rows.slots == 0 {
 		r.Scan(yield)
 		return
 	}
@@ -256,11 +261,11 @@ func (r *SnapRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) boo
 	if r.anyDead {
 		dead = (*deadStamps)(&r.dead)
 	}
-	LookupSlots(r.idx, r.rows, 0, len(r.rows), true, dead, r.csn, mask, key, r.stats, yield)
+	LookupSlots(r.idx, &r.rows, r.rows.slots, 0, r.rows.slots, true, dead, r.csn, mask, key, r.stats, yield)
 }
 
 // All implements Rel; the visible tuples in insertion order.
-func (r *SnapRel) All() []term.Tuple { return allSlots(r.rows, r.dead, r.csn, r.n) }
+func (r *SnapRel) All() []term.Tuple { return allSlots(&r.rows, r.dead, r.csn, r.n) }
 
 // fullColsMask returns the bitmask selecting every column of an
 // arity-column relation.

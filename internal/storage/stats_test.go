@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"gluenail/internal/term"
 )
@@ -239,10 +240,12 @@ func TestInsertStatsAllocs(t *testing.T) {
 // TestInsertBytesPerRow gates the bytes a stored row costs: the least
 // TotalAlloc of 5 fresh relations, each filled with 4 096 two-int rows
 // through Insert, per row. It counts the chunked row storage and the hash
-// table, both grown as the rows arrive. Measured 215.3 bytes per row with
-// 24-byte values (Go 1.24, linux/amd64); 326.7 with 80-byte ones.
+// table, both grown as the rows arrive. Measured 97.5 bytes per row, bound
+// measured plus 25% (Go 1.24, linux/amd64); 215.3 while each row also had
+// a tuple header and a dead stamp in arrays grown by doubling, 326.7 with
+// 80-byte values.
 func TestInsertBytesPerRow(t *testing.T) {
-	const n, rels, bound = 4096, 5, 270.0
+	const n, rels, bound = 4096, 5, 122.0
 	rows := make([]term.Tuple, n)
 	for i := range rows {
 		rows[i] = it(int64(i), int64(-i))
@@ -276,7 +279,8 @@ var relSink *Relation
 // the Relation itself. Its hash table and column digests wait for the
 // first insert (or Grow) and the first estimate, so a frame temporary that
 // stays empty, or is only scanned, pays for neither. (It was three: a hash
-// map and the digests were made up front.)
+// map and the digests were made up front.) The object may not grow either:
+// a frame temporary pays for every field.
 func TestNewRelationAllocs(t *testing.T) {
 	stats := &Stats{}
 	name := term.NewString("tmp")
@@ -285,5 +289,10 @@ func TestNewRelationAllocs(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Errorf("NewRelation allocates %.0f objects, want 1", allocs)
+	}
+	// 312 bytes (Go 1.24, linux/amd64); 336 with a row-header slice and
+	// the chunk cursors.
+	if size := unsafe.Sizeof(Relation{}); size > 312 {
+		t.Errorf("a Relation is %d bytes, want <= 312", size)
 	}
 }

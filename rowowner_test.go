@@ -237,7 +237,8 @@ func TestRecursionRoundAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector makes sync.Pool drop entries, so pooled scratch re-allocates")
 	}
-	// measured 231 (Go 1.24, linux/amd64), plus 25%; 247 while each
+	// measured 167 (Go 1.24, linux/amd64), plus 25%; 231 while each
+	// relation grew a row-header and a dead-stamp array, 247 while each
 	// until ran a condition statement and answers were sorted by
 	// reflection, 441 while each
 	// answer was also stored in a new delta, 458 while "d := nd"
@@ -248,7 +249,7 @@ func TestRecursionRoundAllocs(t *testing.T) {
 	// the head read a flattened row slab, 891 while every relation lookup
 	// built a key string, 1807 while a plan cache miss re-planned each
 	// class vector a loop passed through
-	const maxAllocs = 289
+	const maxAllocs = 209
 	_, round := recursionRound(t)
 	round() // warm the plan cache and indexes
 	allocs := testing.AllocsPerRun(5, round)
@@ -522,13 +523,14 @@ func assignBytes(t *testing.T, rel, src string, n int, row func(int) []any) uint
 // and dropped per call) is most of the bytes; the barrier joins the results back as
 // pooled columns of the statement's batch. Joined into a row slab, with
 // its results grouped into growing slices, it allocated 4 057 216 bytes
-// and fails the gate. Measured: 883 816 bytes at n = 4096, bound
-// measured plus 25% (Go 1.24, linux/amd64); 1 340 416 with 80-byte
+// and fails the gate. Measured: 401 072 bytes at n = 4096, bound
+// measured plus 25% (Go 1.24, linux/amd64); 883 816 while each relation
+// grew a row-header and a dead-stamp array, 1 340 416 with 80-byte
 // values, 2 225 176 while the callee's "return := tc|ff" copied its rows,
 // 2 750 192 while the return relation chained its rows through a hash map
 // and a next slice.
 func TestCallBarrierBytes(t *testing.T) {
-	const n, bound = 4096, 1_104_770
+	const n, bound = 4096, 501_340
 	least := assignBytes(t, "e", `
 edb e(X, Y), d(X, Y);
 tc(X, Y) :- e(X, Y).

@@ -88,8 +88,9 @@ go test -run xxx -bench BenchmarkE14 -benchtime 3x .
 step "Server integration suite (wire protocol, isolation over the wire, shutdown drain; race)"
 go test -race -count=1 ./internal/server/
 
-step "Snapshot isolation suite (MVCC storage + concurrent sessions, sessions compiling while others execute, one index per slot numbering on every backend, snapshot estimates folding statistics beside the writer; race)"
+step "Snapshot isolation suite (MVCC storage + concurrent sessions, sessions compiling while others execute, one index per slot numbering on every backend, snapshot estimates folding statistics beside the writer, and a writer crossing chunk boundaries beside snapshot readers, five runs; race)"
 go test -race -count=1 -run 'TestSnapshot|TestSystemConcurrentSessions|TestDistinctEst' ./internal/storage/ .
+go test -race -count=5 -run '^TestRelationChunkBoundariesBesideSnapshots$' ./internal/storage/
 go test -race -count=1 -run 'TestIndexProbeOrderSurvivesDeleteEverywhere' ./internal/storage/disk/
 
 step "E16 server mixed-workload smoke (zero isolation violations required)"
