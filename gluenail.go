@@ -92,7 +92,7 @@ type System struct {
 	// (main-memory or disk) behind the EDB; nil only for the layered
 	// baseline. Snapshots, CSN advancement, and Close need it.
 	eng  storage.Backend
-	temp storage.Store
+	temp storage.Scratch
 	// sources are the loaded programs, parsed once by Load (which also
 	// moved their EDB facts into the store); compilation reads them and
 	// never mutates them.
@@ -202,14 +202,14 @@ func New(opts ...Option) *System {
 	return s
 }
 
-// newScratchStore builds one scratch (temporary-relation) store under the
-// configured spill policy: the live machine and every snapshot session get
-// their own. With WithSpill, scratch tables live on an ephemeral disk
+// newScratchStore builds one scratch allocator (of frame relations) under
+// the configured spill policy: the live machine and every snapshot session
+// get their own. With WithSpill, scratch tables live on an ephemeral disk
 // store whose in-memory threshold is the smaller of the spill budget and
 // the Budget.MaxRelRows cardinality budget, so the governor's relation
 // check charges resident rows and out-of-core iteration replaces the
 // ErrMemoryBudget abort.
-func newScratchStore(cfg *config) (storage.Store, error) {
+func newScratchStore(cfg *config) (storage.Scratch, error) {
 	if cfg.layered {
 		return storage.NewLayeredStore(storage.IndexAdaptive), nil
 	}
@@ -531,7 +531,7 @@ func mergeModules(a, b *ast.Module) *ast.Module {
 // stores, tuned to the configured budget, writing write/nl output to out:
 // the one builder of the live machine (ensure) and every snapshot
 // session's.
-func (s *System) newMachine(edb, temp storage.Store, out io.Writer) *vm.Machine {
+func (s *System) newMachine(edb storage.Store, temp storage.Scratch, out io.Writer) *vm.Machine {
 	m := vm.New(s.compiler.Program(), edb, temp, s.registry)
 	s.tuneMachine(m, s.cfg.budget)
 	m.Out = out

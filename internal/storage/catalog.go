@@ -1,23 +1,20 @@
 package storage
 
 import (
-	"slices"
-
 	"gluenail/internal/hashtab"
 	"gluenail/internal/term"
 )
 
-// Catalog is a store's relation namespace (§10: relations, temporaries
-// included, are created, found and dropped at almost no cost). It finds a
-// relation by the hash of its name and arity, without building a key, and
-// compares names by term identity (term.Value.Identical): two names are
-// one relation iff their canonical encodings are equal. Entries keep
-// creation order, so Names and Rels are deterministic; the hash table
-// (the hashtab.Table every row set uses) maps a key hash to an entry's
-// index. Dropping the youngest entry — a procedure frame's last-in,
-// first-out drops — deletes its one table entry; any other drop shifts the
-// younger entries down and refills the table. A Catalog does no locking;
-// each store guards its own. The zero value is an empty catalog.
+// Catalog is a store's relation namespace (§10: relations are created and
+// found at almost no cost). It finds a relation by the hash of its name and
+// arity, without building a key, and compares names by term identity
+// (term.Value.Identical): two names are one relation iff their canonical
+// encodings are equal. Entries keep creation order, so Names and Rels are
+// deterministic; the hash table (the hashtab.Table every row set uses) maps
+// a key hash to an entry's index. Entries are never removed: a store's
+// relations live as long as it does, and procedure frames take theirs from
+// a Scratch allocator, outside any catalog. A Catalog does no locking; each
+// store guards its own. The zero value is an empty catalog.
 type Catalog[R any] struct {
 	tab  hashtab.Table
 	ents []catEntry[R]
@@ -25,7 +22,6 @@ type Catalog[R any] struct {
 
 type catEntry[R any] struct {
 	name RelName
-	hash uint64
 	rel  R
 }
 
@@ -59,34 +55,7 @@ func (c *Catalog[R]) Add(name term.Value, arity int, r R) {
 
 func (c *Catalog[R]) add(name term.Value, arity int, h uint64, r R) {
 	c.tab.Add(h, int32(len(c.ents)))
-	c.ents = append(c.ents, catEntry[R]{name: RelName{Name: name, Arity: arity}, hash: h, rel: r})
-}
-
-// Drop removes (name, arity) and returns its relation, if the catalog
-// holds it. The entries younger than it move down one place.
-func (c *Catalog[R]) Drop(name term.Value, arity int) (R, bool) {
-	i := c.find(name, arity, catalogHash(name, arity))
-	if i < 0 {
-		var zero R
-		return zero, false
-	}
-	return c.dropAt(i), true
-}
-
-// dropAt removes entry i and returns its relation.
-func (c *Catalog[R]) dropAt(i int) R {
-	gone := c.ents[i]
-	c.ents = slices.Delete(c.ents, i, i+1)
-	if i == len(c.ents) {
-		c.tab.Delete(gone.hash, func(k int32) bool { return int(k) == i })
-		return gone.rel
-	}
-	// The younger entries took the places below them: renumber them all.
-	c.tab.Clear()
-	for k := range c.ents {
-		c.tab.Add(c.ents[k].hash, int32(k))
-	}
-	return gone.rel
+	c.ents = append(c.ents, catEntry[R]{name: RelName{Name: name, Arity: arity}, rel: r})
 }
 
 // Len returns the number of relations.
@@ -111,13 +80,13 @@ func (c *Catalog[R]) Rels() []R {
 }
 
 // mapCatalog returns a catalog with the same keys and order as c holding
-// f of each relation. It reuses c's hashes and table: the copy is one
-// slice and a table clone, with no per-relation allocation of its own.
+// f of each relation. It reuses c's table: the copy is one slice and a
+// table clone, with no per-relation allocation of its own.
 func mapCatalog[R, S any](c *Catalog[R], f func(R) S) Catalog[S] {
 	out := Catalog[S]{tab: c.tab.Clone(), ents: make([]catEntry[S], len(c.ents))}
 	for i := range c.ents {
 		e := &c.ents[i]
-		out.ents[i] = catEntry[S]{name: e.name, hash: e.hash, rel: f(e.rel)}
+		out.ents[i] = catEntry[S]{name: e.name, rel: f(e.rel)}
 	}
 	return out
 }

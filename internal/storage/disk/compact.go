@@ -148,7 +148,7 @@ func (s *Store) compactOne(r *Rel, lo, hi int) bool {
 	cur := *r.runs.Load()
 	// The window's runs must still sit at the same positions with the same
 	// tombstones. Every structural change either replaces the whole list
-	// (Clear, Drop, checkpoint rewrites — all of which change the window
+	// (Clear, Release, checkpoint rewrites — all of which change the window
 	// elements) or appends past the end (flush), so unchanged window
 	// pointers mean the prefix is intact and an install in place is sound.
 	stale := hi > len(cur)

@@ -351,3 +351,32 @@ func TestCheckDirOverlapUnit(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchReleaseRetiresRuns checks that a spill store's frame
+// relation stays out of its catalog and that releasing it removes the run
+// files it spilled.
+func TestScratchReleaseRetiresRuns(t *testing.T) {
+	st, err := NewScratch(t.TempDir(), 4, storage.IndexAdaptive, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	runs := func() int {
+		files, err := filepath.Glob(filepath.Join(st.Dir(), "run-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(files)
+	}
+	r := st.New(2)
+	for i := 0; i < 20; i++ {
+		r.Insert(strRow(i))
+	}
+	if r.Len() != 20 || runs() == 0 || len(st.Names()) != 0 {
+		t.Fatalf("scratch relation: %d rows, %d run files, catalog %v", r.Len(), runs(), st.Names())
+	}
+	st.Release(r)
+	if n, s := runs(), st.Stats(); n != 0 || s.RelsCreated != 1 || s.RelsDropped != 1 {
+		t.Errorf("after Release: %d run files, created=%d released=%d", n, s.RelsCreated, s.RelsDropped)
+	}
+}

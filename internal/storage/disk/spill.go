@@ -56,10 +56,10 @@ func NewScratchFS(fsys fsio.FS, parentDir string, budgetRows int, policy storage
 		// Scratch caches stay small: the cache itself is resident memory,
 		// which is what the budget is bounding.
 		CacheBlocks: 128,
-		// No background compactor: scratch relations are cleared (and the
-		// whole store dropped) at statement granularity, so runs never
-		// live long enough to be worth merging — and a writer-sequenced
-		// store needs no cross-thread run retirement at all.
+		// No background compactor: scratch relations are cleared (and
+		// released with their frames) at statement granularity, so runs
+		// never live long enough to be worth merging — and a
+		// writer-sequenced store needs no cross-thread run retirement.
 		NoCompactor: true,
 	})
 }

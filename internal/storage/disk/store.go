@@ -330,7 +330,19 @@ func (s *Store) ensure(name term.Value, arity int, journal bool) *Rel {
 	if ok {
 		return r
 	}
-	r = &Rel{
+	r = s.newRel(name, arity)
+	s.mu.Lock()
+	s.rels.Add(name, arity, r)
+	s.mu.Unlock()
+	if journal && s.journal != nil {
+		s.journal.JournalCreate(name, arity)
+	}
+	return r
+}
+
+// newRel returns an empty relation outside the catalog.
+func (s *Store) newRel(name term.Value, arity int) *Rel {
+	r := &Rel{
 		st:    s,
 		name:  name,
 		arity: arity,
@@ -339,15 +351,13 @@ func (s *Store) ensure(name term.Value, arity int, journal bool) *Rel {
 	}
 	empty := []*run{}
 	r.runs.Store(&empty)
-	s.mu.Lock()
-	s.rels.Add(name, arity, r)
-	s.mu.Unlock()
 	atomic.AddInt64(&s.stats.RelsCreated, 1)
-	if journal && s.journal != nil {
-		s.journal.JournalCreate(name, arity)
-	}
 	return r
 }
+
+// New implements storage.Scratch: a relation outside the catalog (a spill
+// store's frame relation), which spills to runs like any other.
+func (s *Store) New(arity int) storage.Rel { return s.newRel(storage.ScratchName, arity) }
 
 // Get implements storage.Store.
 func (s *Store) Get(name term.Value, arity int) (storage.Rel, bool) {
@@ -360,17 +370,10 @@ func (s *Store) Get(name term.Value, arity int) (storage.Rel, bool) {
 	return r, true
 }
 
-// Drop implements storage.Store: the relation's runs are released and
-// their files scheduled for removal (immediately unless the current
-// manifest still names them, in which case the next checkpoint removes
-// them).
-func (s *Store) Drop(name term.Value, arity int) {
-	s.mu.Lock()
-	r, ok := s.rels.Drop(name, arity)
-	s.mu.Unlock()
-	if !ok {
-		return
-	}
+// Release implements storage.Scratch: the relation's runs are retired,
+// their files removed.
+func (s *Store) Release(rel storage.Rel) {
+	r := rel.(*Rel)
 	r.relMu.Lock()
 	runs := *r.runs.Load()
 	empty := []*run{}
@@ -381,7 +384,7 @@ func (s *Store) Drop(name term.Value, arity int) {
 	atomic.AddInt64(&s.stats.RelsDropped, 1)
 }
 
-// retireRuns releases ownership of replaced/dropped runs and removes their
+// retireRuns releases ownership of replaced/released runs and removes their
 // files unless the durable manifest still needs them. With a background
 // compactor running, the final release is deferred to the graveyard (see
 // the field comment): a lock-free reader may still hold the replaced run

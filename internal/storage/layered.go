@@ -22,15 +22,20 @@ import (
 //   - write-ahead logging of every mutation (encoded tuple appended to an
 //     in-memory log, counted in Stats.LogBytes), and
 //   - logged relation creation/destruction, making short-lived temporaries
-//     expensive.
+//     expensive: as a Scratch it numbers each frame relation, enters it in
+//     the catalog and logs it, and Release logs the destruction and
+//     removes the catalog entry.
 //
 // It is functionally identical to MemStore and exists as the measured
 // baseline for experiment E8.
 type LayeredStore struct {
-	inner   *MemStore
+	inner *MemStore
+	// catalog holds the key of every live relation.
 	catalog map[string]RelName
 	mu      sync.Mutex
 	log     []byte
+	// temps counts the relations New made; each is named by its count.
+	temps int64
 }
 
 // NewLayeredStore returns a layered baseline store with the given index
@@ -114,12 +119,28 @@ func (s *LayeredStore) Get(name term.Value, arity int) (Rel, bool) {
 	return &layeredRel{store: s, key: k, inner: r.(*Relation)}, true
 }
 
-// Drop implements Store; destruction is logged.
-func (s *LayeredStore) Drop(name term.Value, arity int) {
+// New implements Scratch; creation is logged.
+func (s *LayeredStore) New(arity int) Rel {
 	defer s.latch()()
-	s.catalogLookup(name, arity)
-	s.appendLog('D', name, nil)
-	s.inner.Drop(name, arity)
+	s.temps++
+	name := term.NewInt(s.temps)
+	k := s.catalogLookup(name, arity)
+	s.appendLog('C', name, nil)
+	atomic.AddInt64(&s.inner.stats.RelsCreated, 1)
+	return &layeredRel{store: s, key: k, inner: NewRelation(name, arity, s.inner.policy, &s.inner.stats)}
+}
+
+// Release implements Scratch; destruction is logged, and the catalog
+// forgets the relation.
+func (s *LayeredStore) Release(rel Rel) {
+	defer s.latch()()
+	r := rel.(*layeredRel)
+	k := s.catalogLookup(r.inner.name, r.Arity())
+	s.appendLog('D', r.inner.name, nil)
+	s.mu.Lock()
+	delete(s.catalog, k)
+	s.mu.Unlock()
+	atomic.AddInt64(&s.inner.stats.RelsDropped, 1)
 }
 
 // Names implements Store.

@@ -48,7 +48,6 @@ func TestLayeredChargesOverhead(t *testing.T) {
 		r.Insert(it(i))
 	}
 	r.Scan(func(term.Tuple) bool { return true })
-	lay.Drop(term.NewString("tmp"), 1)
 	st := lay.Stats()
 	if st.LogBytes == 0 {
 		t.Error("layered store should write log bytes")
@@ -98,20 +97,53 @@ func TestLayeredInsertAndNames(t *testing.T) {
 	}
 }
 
+// TestLayeredCatalogHoldsLiveRelations runs 1 000 frames' worth of
+// scratch relations — in, return and three locals each, filled, read and
+// released in an order moves could leave — through the layered store: its
+// catalog must hold the key of every live relation and of no released
+// one.
+func TestLayeredCatalogHoldsLiveRelations(t *testing.T) {
+	lay := NewLayeredStore(IndexAdaptive)
+	keys := func() int {
+		lay.mu.Lock()
+		defer lay.mu.Unlock()
+		return len(lay.catalog)
+	}
+	for call := 0; call < 1000; call++ {
+		rels := make([]Rel, 5)
+		for i := range rels {
+			rels[i] = lay.New(1 + i%2)
+			rels[i].Insert(it(int64(call), int64(i))[:rels[i].Arity()])
+			rels[i].Scan(func(term.Tuple) bool { return true })
+		}
+		if n := keys(); n != len(rels) {
+			t.Fatalf("call %d: catalog holds %d keys with %d relations live", call, n, len(rels))
+		}
+		rels[0], rels[call%5] = rels[call%5], rels[0]
+		for _, r := range rels {
+			lay.Release(r)
+		}
+	}
+	st := lay.Stats()
+	if n := keys(); n != 0 || st.RelsCreated != 5000 || st.RelsDropped != 5000 {
+		t.Errorf("catalog holds %d keys with 0 relations live; created=%d released=%d",
+			n, st.RelsCreated, st.RelsDropped)
+	}
+}
+
 // BenchmarkStoreTemporaries measures the paper's E8 claim at the storage
-// level: creating, filling, scanning and dropping many short-lived
+// level: creating, filling, scanning and releasing many short-lived
 // temporaries is much cheaper on the tailored backend.
-func benchTemporaries(b *testing.B, s Store) {
+func benchTemporaries(b *testing.B, s Scratch) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		name := term.Atom("tmp", term.NewInt(int64(i%97)))
-		r := s.Ensure(name, 2)
+		r := s.New(2)
 		for j := int64(0); j < 20; j++ {
 			r.Insert(it(j, j*2))
 		}
 		n := 0
 		r.Scan(func(term.Tuple) bool { n++; return true })
-		s.Drop(name, 2)
+		s.Release(r)
 	}
 }
 

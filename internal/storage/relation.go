@@ -358,7 +358,8 @@ type Relation struct {
 	// csn, when non-nil, points at the owning store's commit sequence
 	// number: deletions are stamped csn+1, the CSN the statement in
 	// flight will commit as. A standalone relation (nil csn) stamps
-	// deadForever — correct for a relation that is never snapshotted.
+	// deadForever, which live reads see as deleted; it must never be
+	// captured (CaptureRel), since a snapshot would see the row.
 	csn *atomic.Uint64
 	// tab maps the whole-tuple hash of every live slot to the slot (a
 	// relation holds < 2^31 tuples); it allocates on first insert or Grow.
@@ -456,9 +457,10 @@ func (r *Relation) distinctEst(col int, gen uint64, rows *rowChunks, dead []uint
 	return r.cols[col].estimate()
 }
 
-// deadForever marks a slot deleted in every version; stamped when the
-// relation has no CSN source (standalone relations are never snapshotted,
-// so any nonzero stamp works — this one also reads correctly if they are).
+// deadForever marks a slot deleted for live reads; stamped when the
+// relation has no CSN source. A snapshot at any CSN below LiveCSN would
+// still see such a slot, so a relation with no CSN source must never be
+// captured — standalone and Scratch-made relations never are.
 const deadForever = ^uint64(0)
 
 // deadStamp returns the CSN to stamp a deletion with: the CSN the

@@ -27,6 +27,7 @@ package storage
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"gluenail/internal/term"
 )
@@ -102,8 +103,14 @@ func (s *SnapStore) Get(name term.Value, arity int) (Rel, bool) {
 	return r, ok
 }
 
-// Drop implements Store as a no-op: the snapshot is immutable.
-func (s *SnapStore) Drop(name term.Value, arity int) {}
+// New implements Scratch with a private relation, outside the snapshot.
+func (s *SnapStore) New(arity int) Rel {
+	atomic.AddInt64(&s.stats.RelsCreated, 1)
+	return NewRelation(ScratchName, arity, IndexAdaptive, &s.stats)
+}
+
+// Release implements Scratch.
+func (s *SnapStore) Release(Rel) { atomic.AddInt64(&s.stats.RelsDropped, 1) }
 
 // Names implements Store.
 func (s *SnapStore) Names() []RelName {
@@ -156,7 +163,9 @@ var _ Rel = (*SnapRel)(nil)
 // stamp 0 or > csn, no stamps at all: every slot) and shares the
 // relation's index holder.
 // Must be called at a statement boundary, like MemStore.Snapshot; stats
-// receives the view's read accounting.
+// receives the view's read accounting. r must have a CSN source (a store's
+// relation): a standalone relation stamps its deletions deadForever, which
+// the view would read as live.
 func CaptureRel(r *Relation, csn uint64, stats *Stats) *SnapRel {
 	n := r.n
 	if r.lastStamp > csn {

@@ -8,20 +8,19 @@ import (
 	"gluenail/internal/term"
 )
 
-// Store manages a namespace of relations keyed by HiLog name and arity. The
-// executor uses one store for the persistent EDB and creates short-lived
-// relations in it for procedure locals and supplementary materialization.
+// Store manages a namespace of relations keyed by HiLog name and arity: the
+// persistent EDB, or a snapshot session's view of it. Relations are never
+// dropped from it. Every store is also a Scratch allocator, whose
+// relations — the short-lived ones of procedure frames — stay outside the
+// namespace, unnamed; Stats counts both kinds.
 type Store interface {
+	Scratch
 	// Ensure returns the relation for (name, arity), creating it if absent.
 	Ensure(name term.Value, arity int) Rel
 	// Get returns the relation if it exists.
 	Get(name term.Value, arity int) (Rel, bool)
-	// Drop removes the relation; dropping a missing relation is a no-op.
-	Drop(name term.Value, arity int)
 	// Names returns the (name, arity) pairs of all live relations.
 	Names() []RelName
-	// Stats returns the shared back-end counters.
-	Stats() *Stats
 	// SetJournal attaches j to every current and future relation of the
 	// store so successful mutations are observed for write-ahead logging;
 	// nil detaches. Attach only while no mutation is in flight (the
@@ -29,6 +28,24 @@ type Store interface {
 	// sequentially).
 	SetJournal(j Journal)
 }
+
+// Scratch allocates the relations of procedure frames (§4's in, return and
+// locals). Such a relation has no place in a catalog: its frame holds it in
+// a slot and releases it when the call returns. Releases may come in any
+// order, and none searches a catalog. Allocator-made relations are never
+// snapshotted.
+type Scratch interface {
+	// New returns an empty relation of the given arity.
+	New(arity int) Rel
+	// Release frees a relation New returned; the caller uses it no more.
+	Release(r Rel)
+	// Stats returns the shared back-end counters; RelsCreated and
+	// RelsDropped count New and Release too.
+	Stats() *Stats
+}
+
+// ScratchName is the name every allocator-made relation reports.
+var ScratchName = term.Intern("$scratch")
 
 // Journal observes successful EDB mutations. Callbacks fire only for
 // mutations that changed state: an Insert of a present tuple, a Delete of
@@ -58,7 +75,8 @@ func (rn RelName) String() string {
 }
 
 // MemStore is the tailored main-memory store (§10): no locking, no logging,
-// relations are created and dropped in constant time.
+// relations are created in constant time. As a Scratch it hands out plain
+// Relations outside its catalog, which the garbage collector frees.
 //
 // The store also owns the commit sequence number (CSN) that versions its
 // relations: every mutation is stamped with commitCSN+1 (the CSN the
@@ -110,12 +128,14 @@ func (s *MemStore) Get(name term.Value, arity int) (Rel, bool) {
 	return r, true
 }
 
-// Drop implements Store.
-func (s *MemStore) Drop(name term.Value, arity int) {
-	if _, ok := s.rels.Drop(name, arity); ok {
-		atomic.AddInt64(&s.stats.RelsDropped, 1)
-	}
+// New implements Scratch.
+func (s *MemStore) New(arity int) Rel {
+	atomic.AddInt64(&s.stats.RelsCreated, 1)
+	return NewRelation(ScratchName, arity, s.policy, &s.stats)
 }
+
+// Release implements Scratch.
+func (s *MemStore) Release(Rel) { atomic.AddInt64(&s.stats.RelsDropped, 1) }
 
 // Names implements Store.
 func (s *MemStore) Names() []RelName { return s.rels.Names() }

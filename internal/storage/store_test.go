@@ -11,7 +11,7 @@ import (
 	"gluenail/internal/term"
 )
 
-func TestMemStoreEnsureGetDrop(t *testing.T) {
+func TestMemStoreEnsureGet(t *testing.T) {
 	s := NewMemStore(IndexAdaptive)
 	name := term.NewString("edge")
 	r := s.Ensure(name, 2)
@@ -35,12 +35,12 @@ func TestMemStoreEnsureGetDrop(t *testing.T) {
 	if got := len(s.Names()); got != 2 {
 		t.Errorf("Names = %d entries, want 2", got)
 	}
-	s.Drop(name, 2)
-	if _, ok := s.Get(name, 2); ok {
-		t.Error("Drop should remove the relation")
+	// A scratch relation takes no place in the catalog.
+	s.Release(s.New(2))
+	if got := len(s.Names()); got != 2 {
+		t.Errorf("Names = %d entries after New, want 2", got)
 	}
-	s.Drop(name, 2) // no-op
-	if s.Stats().RelsCreated != 2 || s.Stats().RelsDropped != 1 {
+	if s.Stats().RelsCreated != 3 || s.Stats().RelsDropped != 1 {
 		t.Errorf("stats: created=%d dropped=%d", s.Stats().RelsCreated, s.Stats().RelsDropped)
 	}
 }

@@ -58,15 +58,13 @@ var unitIn = []term.Tuple{{}}
 // move runs a statement the def-use pass marked as a move (plan.Move): the
 // target's slot takes the source relation, a dead frame relation or the
 // forwarded call's return, and the source's slot takes the target's old
-// relation (a callee's frame drops it). Relations scan in insertion order,
-// so the target reads exactly as the copy would. An empty source only
-// clears the target, as the ":=" would; a swap happens only where the copy
-// would have changed both slots' versions before their next read, so the
-// unchanged memory of the swapped relations is forgotten. A forwarded
-// call's target that is the temp store's youngest relation is dropped
-// first: the callee would drop it below its own, off the fast path. A
-// call's constant arguments lead the rows it hands over; the frame's
-// return, the only target such a move has, records how many (f.lead).
+// relation (a callee's frame releases it). Relations scan in insertion
+// order, so the target reads exactly as the copy would. An empty source
+// only clears the target, as the ":=" would; a swap happens only where the
+// copy would have changed both slots' versions before their next read, so
+// the unchanged memory of the swapped relations is forgotten. A call's
+// constant arguments lead the rows it hands over; the frame's return, the
+// only target such a move has, records how many (f.lead).
 func (f *frame) move(st *plan.Stmt, mv *plan.Move) error {
 	atomic.AddInt64(&f.m.Stats.Moves, 1)
 	t, prof := st.Head.Ref.Slot, f.m.profileFor(st)
@@ -74,7 +72,7 @@ func (f *frame) move(st *plan.Stmt, mv *plan.Move) error {
 	take := func(src *storage.Rel) error {
 		n := (*src).Len()
 		prof.Moved += int64(n)
-		if n == 0 && f.rels[t] != nil {
+		if n == 0 {
 			f.rels[t].Clear()
 		} else {
 			f.rels[t], *src = *src, f.rels[t]
@@ -91,15 +89,9 @@ func (f *frame) move(st *plan.Stmt, mv *plan.Move) error {
 		return f.checkRelBudget(f.rels[t])
 	}
 	if mv.Call != nil {
-		if old := f.rels[t]; seq(old) == f.m.tempSeq {
-			f.m.Temp.Drop(old.Name(), old.Arity())
-			f.rels[t] = nil
-		}
 		f.lead = len(mv.Input[0])
 		return f.m.call(mv.Call.ProcID, mv.Input, func(callee *frame) error {
-			err := take(&callee.rels[plan.SlotReturn])
-			f.adopt(callee, f.rels[t])
-			return err
+			return take(&callee.rels[plan.SlotReturn])
 		})
 	}
 	return take(&f.rels[mv.Src])

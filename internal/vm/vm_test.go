@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -82,9 +83,10 @@ end
 // TestFrameLocalsAreDropped runs calls that leave through every exit a
 // frame has — a plain return, a nested call barrier, a HiLog family
 // dispatch, self-recursion, a budget trip mid-body, a spilling temp store,
-// moves and a forwarded call on it followed by a budget trip, and a
-// query forwarding a call with a constant argument — and checks that each
-// leaves the temp store empty.
+// moves and a forwarded call on it followed by a budget trip, a query
+// forwarding a call with a constant argument, and moves and a forwarded
+// call on the layered baseline's temp store — and checks that each
+// releases every relation its allocator made.
 func TestFrameLocalsAreDropped(t *testing.T) {
 	cases := []struct {
 		name, src, proc, query string
@@ -250,6 +252,26 @@ tc(X, Z) :- tc(X, Y) & edge(Y, Z).
 				t.Errorf("bound forwarded call: out=%v moves=%d", out, m.Stats.Moves)
 			}
 		}},
+		{name: "layered temp store", proc: "main.q", in: term.Tuple{}, src: `
+edb e(X);
+proc p(:X)
+rels tmp(X);
+  tmp(X) := e(X) & X >= 0.
+  return(:X) := tmp(X).
+end
+proc q(:X)
+rels got(X);
+  got(X) := p(X).
+  return(:X) := got(X).
+end
+`, setup: func(t *testing.T, m *Machine) {
+			m.Temp = storage.NewLayeredStore(storage.IndexAdaptive)
+		}, check: func(t *testing.T, m *Machine, out []term.Tuple) {
+			// p's return, the forwarding into got and q's return.
+			if len(out) != 1 || m.Stats.Moves != 3 || m.Temp.Stats().LogBytes == 0 {
+				t.Errorf("layered: out=%v moves=%d log bytes=%d", out, m.Stats.Moves, m.Temp.Stats().LogBytes)
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -275,10 +297,7 @@ tc(X, Z) :- tc(X, Y) & edge(Y, Z).
 				t.Error("frame should create temp relations")
 			}
 			if st.RelsCreated != st.RelsDropped {
-				t.Errorf("temp relations leaked: created=%d dropped=%d", st.RelsCreated, st.RelsDropped)
-			}
-			if len(m.Temp.Names()) != 0 {
-				t.Errorf("temp store not empty: %v", m.Temp.Names())
+				t.Errorf("temp relations leaked: created=%d released=%d", st.RelsCreated, st.RelsDropped)
 			}
 			if tc.check != nil {
 				tc.check(t, m, out)
@@ -302,7 +321,7 @@ var raceDetector bool
 
 // TestCallAllocs gates what a warm procedure call allocates. The procedure
 // has four declared locals and one statement, so frame set-up — six temp
-// relations, their names and the frame — is most of the count. maxAllocs
+// relations and the frame — is most of the count. maxAllocs
 // is the measured value plus about 25 %.
 func TestCallAllocs(t *testing.T) {
 	if raceDetector {
@@ -629,30 +648,31 @@ end
 	}
 }
 
-// lifoStore is a temp store that records every Drop that is not of its
-// youngest relation: the drops its catalog cannot make in place.
-type lifoStore struct {
-	storage.Store
-	drops int
-	slow  []string
+// countingScratch is a temp allocator that counts its live relations and
+// records their peak.
+type countingScratch struct {
+	storage.Scratch
+	live, peak int
 }
 
-func (s *lifoStore) Drop(name term.Value, arity int) {
-	names := s.Names()
-	if n := len(names); n > 0 && !(names[n-1].Name.Identical(name) && names[n-1].Arity == arity) {
-		s.slow = append(s.slow, name.String())
-	}
-	s.drops++
-	s.Store.Drop(name, arity)
+func (s *countingScratch) New(arity int) storage.Rel {
+	s.live++
+	s.peak = max(s.peak, s.live)
+	return s.Scratch.New(arity)
 }
 
-// TestFrameDropsAreLastInFirstOut checks that frames drop their
-// relations newest-created first, also after moves have swapped frame
-// slots or handed a callee's return to its caller, once or on every
-// iteration of a loop: every Drop then hits the temp store's youngest
-// relation, which its catalog removes in place.
-func TestFrameDropsAreLastInFirstOut(t *testing.T) {
-	m := compileMachine(t, `
+func (s *countingScratch) Release(r storage.Rel) {
+	s.live--
+	s.Scratch.Release(r)
+}
+
+// TestFrameRelationsStayBounded checks that the frame relations live at
+// once do not grow with a loop's iterations, also when moves swap frame
+// slots or hand a callee's return to its caller on every iteration: the
+// loop procedure peaks at the same count for 5 iterations and for 50.
+func TestFrameRelationsStayBounded(t *testing.T) {
+	peak := func(iters int) int {
+		m := compileMachine(t, fmt.Sprintf(`
 edb edge(X,Y);
 tc(X,Y) :- edge(X,Y).
 tc(X,Z) :- tc(X,Y) & edge(Y,Z).
@@ -662,31 +682,37 @@ end
 proc from1(:Y)
   return(:Y) := tc(1,Y).
 end
-proc loop5(:X,Y)
+proc loop(:X,Y)
 rels l(X,Y), k(I);
   k(I) := I = 0.
   repeat
     l(X,Y) := tc(X,Y).
     k(J) := k(I) & J = I + 1.
-  until k(5);
+  until k(%d);
   return(:X,Y) := l(X,Y).
 end
-`, plan.Options{})
-	insert(m, "edge", []int64{1, 2}, []int64{2, 3}, []int64{3, 4}, []int64{4, 1}, []int64{2, 5})
-	temp := &lifoStore{Store: storage.NewMemStore(storage.IndexAdaptive)}
-	m.Temp = temp
-	for _, proc := range []string{"main.all", "main.from1", "main.loop5"} {
-		for i := 0; i < 3; i++ {
-			if _, err := m.CallProc(proc, []term.Tuple{{}}); err != nil {
-				t.Fatal(err)
+`, iters), plan.Options{})
+		insert(m, "edge", []int64{1, 2}, []int64{2, 3}, []int64{3, 4}, []int64{4, 1}, []int64{2, 5})
+		temp := &countingScratch{Scratch: storage.NewMemStore(storage.IndexAdaptive)}
+		m.Temp = temp
+		for _, proc := range []string{"main.all", "main.from1", "main.loop"} {
+			for i := 0; i < 3; i++ {
+				if _, err := m.CallProc(proc, []term.Tuple{{}}); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		if m.Stats.Moves == 0 {
+			t.Fatal("no statement ran as a move")
+		}
+		if temp.live != 0 {
+			t.Errorf("%d iterations: %d frame relations left live", iters, temp.live)
+		}
+		return temp.peak
 	}
-	if m.Stats.Moves == 0 {
-		t.Fatal("no statement ran as a move")
-	}
-	if temp.drops == 0 || len(temp.slow) != 0 || len(temp.Names()) != 0 {
-		t.Errorf("%d of %d drops were not of the youngest relation (%v); %d relations left",
-			len(temp.slow), temp.drops, temp.slow, len(temp.Names()))
+	p5, p50 := peak(5), peak(50)
+	t.Logf("peak live frame relations: %d for 5 iterations, %d for 50", p5, p50)
+	if p5 != p50 {
+		t.Errorf("peak live frame relations: %d for 5 iterations, %d for 50", p5, p50)
 	}
 }

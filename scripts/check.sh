@@ -62,9 +62,9 @@ if [ "$elapsed" -gt 4 ]; then
 	exit 1
 fi
 
-step "Plan cache unit suite (cardinality-class intervals, drift, prepared statements, plans shared across machines; race) + binding-rule parity (planner masks and binds equal the compiler's on every golden, example and random program; segment-entry bound sets) + last-in-first-out frame drops after moves, also in a loop + the stored order of recursive predicates (linear, non-linear, a mutual pair and their bound forms on mem, disk, spill and materialized) + repeat-iteration, recursion-round (allocations, zero warm misses and rows stored per answer), bound-recursion rows-examined and rows stored per answer, fresh-snapshot, parse, compile, call, insert-statistics, new-relation, delete, relation-catalog and hash-table allocation gates, and the head-copy, fan-out, call-barrier and insert bytes-per-row gates + the 24-byte, incomparable term.Value layout"
+step "Plan cache unit suite (cardinality-class intervals, drift, prepared statements, plans shared across machines; race) + binding-rule parity (planner masks and binds equal the compiler's on every golden, example and random program; segment-entry bound sets) + frame relations live at once bounded however many loop iterations forward a call + the stored order of recursive predicates (linear, non-linear, a mutual pair and their bound forms on mem, disk, spill and materialized) + repeat-iteration, recursion-round (allocations, zero warm misses and rows stored per answer), bound-recursion rows-examined and rows stored per answer, fresh-snapshot, parse, compile, call, insert-statistics, new-relation, delete, relation-catalog and hash-table allocation gates, and the head-copy, fan-out, call-barrier and insert bytes-per-row gates + the 24-byte, incomparable term.Value layout"
 go test -race -count=1 -run 'TestPlanCache|TestPrepared|TestExplainAnalyzePlanCacheCounters' ./internal/plan/ ./internal/vm/ .
-go test -count=1 -run 'TestPlanBindingParity|TestBoundInForwardPass|TestFrameDropsAreLastInFirstOut|TestRecursionStoredOrder' ./internal/plan/ ./internal/vm/ .
+go test -count=1 -run 'TestPlanBindingParity|TestBoundInForwardPass|TestFrameRelationsStayBounded|TestRecursionStoredOrder' ./internal/plan/ ./internal/vm/ .
 go test -count=1 -run 'TestRepeatIterationAllocs|TestClearReusesArraysWithoutSnapshot|TestParseAllocs|TestCompileAllocs|TestRecursionRoundAllocs|TestRecursionRoundNoPlanMisses|TestRecursionRoundStoresPerAnswer|TestBoundRecursionRowsExamined|TestBoundRecursionStoresPerAnswer|TestSnapshotExecuteAllocs|TestInsertStatsAllocs|TestDeleteAllocs|TestLookupProbeAllocs|TestBackendSeamAllocs|TestColdProbeAllocs|TestAssignCopyBytes|TestAssignFanOutBytes|TestCallBarrierBytes|TestCallAllocs|TestNewRelationAllocs|TestInsertBytesPerRow|TestValueLayout' ./internal/storage/ ./internal/storage/disk/ ./internal/parser/ ./internal/vm/ ./internal/term/ .
 go test -count=1 ./internal/hashtab/
 
@@ -103,8 +103,8 @@ go test -race -count=1 ./internal/storage/disk/
 step "Backend parity difftest (mem vs disk vs spill, byte-identical; race)"
 go test -race -count=1 -run 'TestQuickBackendParity|TestQuickAllConfigsAgreeOnRandomGraphs|TestQuickRandomProgramsAllConfigsAgree' .
 
-step "Out-of-core + spill-crash suite (budget spills instead of aborting; SIGKILL recovery prefix)"
-go test -race -count=1 -run 'TestOutOfCore|TestSpillCrashRecovery|TestSpillDirOverlapRefused|TestBackendSeamAllocs' ./internal/storage/ .
+step "Out-of-core + spill-crash suite (budget spills instead of aborting; SIGKILL recovery prefix; every frame relation released on the mem, spill and layered allocators; the layered catalog holds only live relations)"
+go test -race -count=1 -run 'TestOutOfCore|TestSpillCrashRecovery|TestSpillDirOverlapRefused|TestBackendSeamAllocs|TestFrameLocalsAreDropped|TestLayeredCatalogHoldsLiveRelations' ./internal/storage/ ./internal/vm/ .
 
 step "E17 storage-engine smoke (identical answers required)"
 (cd "$tmp" && ./glbench -e E17 -reps 1 && cat BENCH_E17.json)

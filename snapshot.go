@@ -40,7 +40,7 @@ type Snapshot struct {
 	// a time.
 	gate    sync.Mutex
 	store   storage.SnapshotStore
-	temp    storage.Store
+	temp    storage.Scratch
 	machine *vm.Machine
 	budget  Budget
 	closed  bool
