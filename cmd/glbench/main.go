@@ -19,7 +19,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -637,7 +637,7 @@ func e16() {
 		for r := 0; r < n; r++ {
 			all = append(all, <-latCh...)
 		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+		slices.Sort(all)
 		pct := func(p float64) time.Duration {
 			if len(all) == 0 {
 				return 0

@@ -2,12 +2,13 @@ package storage
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"gluenail/internal/storage/fsio"
 	"gluenail/internal/term"
@@ -27,11 +28,11 @@ func Save(w io.Writer, s Store) error {
 		return err
 	}
 	names := s.Names()
-	sort.Slice(names, func(i, j int) bool {
-		if c := names[i].Name.Compare(names[j].Name); c != 0 {
-			return c < 0
+	slices.SortFunc(names, func(a, b RelName) int {
+		if c := a.Name.Compare(b.Name); c != 0 {
+			return c
 		}
-		return names[i].Arity < names[j].Arity
+		return cmp.Compare(a.Arity, b.Arity)
 	})
 	var buf []byte
 	buf = binary.AppendUvarint(buf, uint64(len(names)))

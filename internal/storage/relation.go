@@ -34,7 +34,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -139,7 +138,7 @@ func (c *colStats) appendDigest(dst []byte) []byte {
 		for h := range c.exact {
 			keys = append(keys, h)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 		for _, h := range keys {
 			dst = binary.AppendUvarint(dst, h)
 			dst = binary.AppendUvarint(dst, uint64(c.exact[h]))

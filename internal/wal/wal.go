@@ -39,7 +39,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 
 	"gluenail/internal/storage"
@@ -659,7 +659,7 @@ func scanDir(fsys fsio.FS, dir string) (snaps, wals []uint64, tmps []string, err
 			wals = append(wals, seq)
 		}
 	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })
-	sort.Slice(wals, func(i, j int) bool { return wals[i] < wals[j] })
+	slices.Sort(snaps)
+	slices.Sort(wals)
 	return snaps, wals, tmps, nil
 }

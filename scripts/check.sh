@@ -62,14 +62,14 @@ if [ "$elapsed" -gt 4 ]; then
 	exit 1
 fi
 
-step "Plan cache unit suite (cardinality-class intervals, drift, prepared statements, plans shared across machines; race) + binding-rule parity (planner masks and binds equal the compiler's on every golden, example and random program; segment-entry bound sets) + frame relations live at once bounded however many loop iterations forward a call + the stored order of recursive predicates (linear, non-linear, a mutual pair and their bound forms on mem, disk, spill and materialized) + repeat-iteration, recursion-round (allocations, zero warm misses and rows stored per answer), bound-recursion rows-examined and rows stored per answer, fresh-snapshot, parse, compile, call, insert-statistics, new-relation, delete, relation-catalog and hash-table allocation gates, and the head-copy, fan-out, call-barrier and insert bytes-per-row gates + the 24-byte, incomparable term.Value layout"
+step "Plan cache unit suite (cardinality-class intervals, drift, prepared statements, plans shared across machines; race) + binding-rule parity (planner masks and binds equal the compiler's on every golden, example and random program; segment-entry bound sets) + frame relations live at once bounded however many loop iterations forward a call + the stored order of recursive predicates (linear, non-linear, a mutual pair and their bound forms on mem, disk, spill and materialized) + repeat-iteration, recursion-round (allocations, zero warm misses and rows stored per answer), bound-recursion rows-examined and rows stored per answer, fresh-snapshot, parse, compile, call, insert-statistics, new-relation, delete, relation-catalog and hash-table allocation gates, and the head-copy, fan-out, call-barrier, insert bytes-per-row and hash-table growth-bytes gates + the 24-byte, incomparable term.Value layout"
 go test -race -count=1 -run 'TestPlanCache|TestPrepared|TestExplainAnalyzePlanCacheCounters' ./internal/plan/ ./internal/vm/ .
 go test -count=1 -run 'TestPlanBindingParity|TestBoundInForwardPass|TestFrameRelationsStayBounded|TestRecursionStoredOrder' ./internal/plan/ ./internal/vm/ .
 go test -count=1 -run 'TestRepeatIterationAllocs|TestClearReusesArraysWithoutSnapshot|TestParseAllocs|TestCompileAllocs|TestRecursionRoundAllocs|TestRecursionRoundNoPlanMisses|TestRecursionRoundStoresPerAnswer|TestBoundRecursionRowsExamined|TestBoundRecursionStoresPerAnswer|TestSnapshotExecuteAllocs|TestInsertStatsAllocs|TestDeleteAllocs|TestLookupProbeAllocs|TestBackendSeamAllocs|TestColdProbeAllocs|TestAssignCopyBytes|TestAssignFanOutBytes|TestCallBarrierBytes|TestCallAllocs|TestNewRelationAllocs|TestInsertBytesPerRow|TestValueLayout' ./internal/storage/ ./internal/storage/disk/ ./internal/parser/ ./internal/vm/ ./internal/term/ .
 go test -count=1 ./internal/hashtab/
 
-step "Hash table suite (differential test against a Go map; the storage concurrency and snapshot suites over the shared table; race)"
-go test -race -count=1 -run 'TestTableMatchesMap' ./internal/hashtab/
+step "Hash table suite (differential test against a Go map across page splits; concurrent Finds on a table with pages; the storage concurrency and snapshot suites over the shared table; race)"
+go test -race -count=1 -run 'TestTableMatchesMap|TestTableConcurrentFinds' ./internal/hashtab/
 go test -race -count=1 -run 'Concurrent|Snapshot' ./internal/storage/...
 
 step "Head-path suite (heads read the live batch: self-reference, +=[key], HiLog and -= with repeated rows, empty :=; same stored order and log bytes on mem and disk; race)"
