@@ -240,12 +240,13 @@ func TestInsertStatsAllocs(t *testing.T) {
 // TestInsertBytesPerRow gates the bytes a stored row costs: the least
 // TotalAlloc of 5 fresh relations, each filled with 4 096 two-int rows
 // through Insert, per row. It counts the chunked row storage and the hash
-// table, both grown as the rows arrive. Measured 97.5 bytes per row, bound
-// measured plus 25% (Go 1.24, linux/amd64); 215.3 while each row also had
+// table, both grown as the rows arrive. Measured 69.5 bytes per row, bound
+// measured plus 25% (Go 1.24, linux/amd64); 97.5 while the hash table
+// doubled an 8-byte hash and a 4-byte ref per slot, 215.3 while each row also had
 // a tuple header and a dead stamp in arrays grown by doubling, 326.7 with
 // 80-byte values.
 func TestInsertBytesPerRow(t *testing.T) {
-	const n, rels, bound = 4096, 5, 122.0
+	const n, rels, bound = 4096, 5, 87.0
 	rows := make([]term.Tuple, n)
 	for i := range rows {
 		rows[i] = it(int64(i), int64(-i))

@@ -524,14 +524,15 @@ func assignBytes(t *testing.T, rel, src string, n int, row func(int) []any) uint
 // and dropped per call) is most of the bytes; the barrier joins the results back as
 // pooled columns of the statement's batch. Joined into a row slab, with
 // its results grouped into growing slices, it allocated 4 057 216 bytes
-// and fails the gate. Measured: 401 072 bytes at n = 4096, bound
-// measured plus 25% (Go 1.24, linux/amd64); 883 816 while each relation
+// and fails the gate. Measured: 288 088 bytes at n = 4096, bound
+// measured plus 25% (Go 1.24, linux/amd64); 401 072 while hash tables
+// doubled an 8-byte hash and a 4-byte ref per slot, 883 816 while each relation
 // grew a row-header and a dead-stamp array, 1 340 416 with 80-byte
 // values, 2 225 176 while the callee's "return := tc|ff" copied its rows,
 // 2 750 192 while the return relation chained its rows through a hash map
 // and a next slice.
 func TestCallBarrierBytes(t *testing.T) {
-	const n, bound = 4096, 501_340
+	const n, bound = 4096, 360_110
 	least := assignBytes(t, "e", `
 edb e(X, Y), d(X, Y);
 tc(X, Y) :- e(X, Y).
