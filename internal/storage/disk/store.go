@@ -685,7 +685,7 @@ func (s *Store) nextRunSeq() uint64 {
 // runs and returns its run, slot and stored tuple, or a nil run. Per run
 // it consults the bloom filter first (a miss skips the run with no I/O at
 // all), then probes the run's hash table — loading a reopened run's index
-// on first need — comparing one decoded row per visible same-hash slot. At
+// on first need — comparing one decoded row per visible same-tag slot. At
 // most one visible copy exists, so the probe stops at the first. Bloom checks
 // are counted locally and published once. I/O and corruption errors panic
 // (see the package comment).
